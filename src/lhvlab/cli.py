@@ -273,9 +273,13 @@ def _cmd_chsh(args) -> int:
 
 
 def _parse_floats(text, count, what):
-    vals = [float(x) for x in text.split(",")]
-    if len(vals) != count:
-        raise SystemExit(f"{what} needs {count} comma-separated values")
+    try:
+        vals = [float(x) for x in text.split(",")]
+    except ValueError:
+        vals = []
+    if len(vals) != count or not all(map(math.isfinite, vals)):
+        raise SystemExit(f"{what} needs {count} comma-separated finite numbers, "
+                         f"got {text!r}")
     return vals
 
 
@@ -296,6 +300,8 @@ def _cmd_feasibility(args) -> int:
             raise SystemExit("provide --correlators or --from-model")
         correlators = _parse_floats(args.correlators, 4, "--correlators")
         tol = _parse_floats(args.tol, 4, "--tol") if args.tol else None
+        if tol is not None and min(tol) < 0:
+            raise SystemExit(f"--tol needs nonnegative values, got {args.tol!r}")
         config = {"correlators": correlators, "tol": tol}
     marginals = _parse_floats(args.marginals, 4, "--marginals") if args.marginals else None
     result = fine_feasibility(correlators, marginals, correlator_tol=tol)

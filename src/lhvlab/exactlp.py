@@ -1,18 +1,57 @@
 """Exact rational LP feasibility for small systems.
 
-Phase-1 simplex over ``fractions.Fraction`` with Bland's rule, sized for
-problems with a handful of constraints and a few dozen variables. No
-floating point enters the pivoting, so feasible/infeasible verdicts are
+Phase-1 simplex with Bland's rule on a fraction-free integer tableau
+(Bareiss, Math. Comp. 22, 1968), sized for problems with a handful of
+constraints and a few dozen variables. No floating point and no
+``Fraction`` enters the pivoting, so feasible/infeasible verdicts are
 exact and free of tolerance disputes.
+
+The constraint coefficients (original and slack columns) are scaled to
+integers by their least common denominator ``D_A``, and the right-hand
+side, separately, by its own ``D_B``; keeping the two apart keeps the
+coefficient columns small when only the right-hand side carries large
+denominators. The artificial columns are implicit: an artificial never
+re-enters once it leaves, so its column is never read.
+
+The tableau carries one positive running denominator ``d``, the previous
+pivot, starting at 1. A pivot on ``p`` replaces every non-pivot entry
+``x`` (objective row included) by ``(x*p - f*y) // d``, where ``f`` is
+the row's entry in the entering column and ``y`` the pivot row's entry
+in ``x``'s column; the pivot row is kept, and ``d`` becomes ``p``. The
+division is always exact: after each pivot the tableau equals ``d``
+times the rational tableau of the scaled system, and ``d`` is the
+determinant of the basis, so every entry is an integer (adjugate times an
+integer matrix). Bland's entering rule and the ratio test (compared by
+cross-multiplication, ties broken by the lower basis index) make the same
+choices as on the rational tableau, so the pivot sequence, the final
+basis and the returned point are exactly those of rational pivoting.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
-def _as_fraction_matrix(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def _integer_scaled(values):
+    """Integers z and the least D > 0 with z[i] == D * values[i]."""
+    exact = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
+    denom = math.lcm(*(x.denominator for x in exact))
+    return [x.numerator * (denom // x.denominator) for x in exact], denom
+
+
+def _pivot(tableau, obj, leave, enter, d):
+    """One fraction-free pivot on tableau[leave][enter], in place; returns
+    the pivot, which is the next running denominator."""
+    piv_row = tableau[leave]
+    p = piv_row[enter]
+    for i, row in enumerate(tableau):
+        if i != leave:
+            f = row[enter]
+            tableau[i] = [(x * p - f * y) // d for x, y in zip(row, piv_row)]
+    f = obj[enter]
+    obj[:] = [(x * p - f * y) // d for x, y in zip(obj, piv_row)]
+    return p
 
 
 def feasible_point(A_eq, b_eq, A_ub=(), b_ub=()):
@@ -22,86 +61,56 @@ def feasible_point(A_eq, b_eq, A_ub=(), b_ub=()):
     Inequalities are handled through nonnegative slack variables; the
     returned point contains only the original variables.
     """
-    A_eq = _as_fraction_matrix(A_eq)
-    b_eq = [Fraction(x) for x in b_eq]
-    A_ub = _as_fraction_matrix(A_ub)
-    b_ub = [Fraction(x) for x in b_ub]
+    A_eq = [list(row) for row in A_eq]
+    A_ub = [list(row) for row in A_ub]
     if not A_eq and not A_ub:
         return []
     n = len(A_eq[0]) if A_eq else len(A_ub[0])
     k = len(A_ub)
+    m = len(A_eq) + k
+    width = n + k  # original + slack; the artificials n+k.. are implicit
 
-    rows = []
-    rhs = []
-    for i, row in enumerate(A_eq):
-        rows.append(row + [Fraction(0)] * k)
-        rhs.append(b_eq[i])
-    for i, row in enumerate(A_ub):
-        slack = [Fraction(1) if j == i else Fraction(0) for j in range(k)]
-        rows.append(row + slack)
-        rhs.append(b_ub[i])
-
-    # Phase 1 needs b >= 0.
-    for i in range(len(rows)):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-
-    m = len(rows)
-    total = n + k + m  # original + slack + artificial
+    coefs, d_a = _integer_scaled([x for row in A_eq + A_ub for x in row])
+    rhs, d_b = _integer_scaled(list(b_eq) + list(b_ub))
     tableau = []
     for i in range(m):
-        art = [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        tableau.append(rows[i] + art + [rhs[i]])
-    basis = [n + k + i for i in range(m)]
+        row = coefs[i * n:(i + 1) * n] + [0] * k
+        if i >= len(A_eq):
+            row[n + i - len(A_eq)] = d_a  # slack column, scaled with A
+        row.append(rhs[i])
+        if rhs[i] < 0:  # phase 1 needs b >= 0
+            row = [-x for x in row]
+        tableau.append(row)
+    basis = [width + i for i in range(m)]
 
-    # Reduced costs z_j - c_j for minimizing the sum of artificials:
-    # with an all-artificial basis, z_j is the column sum.
-    obj = [sum(tableau[i][j] for i in range(m)) for j in range(total + 1)]
-    for j in range(n + k, total):
-        obj[j] -= 1
+    # Reduced costs z_j - c_j for minimizing the sum of artificials: with
+    # an all-artificial basis, z_j is the column sum.
+    obj = [sum(col) for col in zip(*tableau)]
 
-    # Artificials never re-enter once they leave, so their columns are dead.
-    dead = [False] * total
-
+    d = 1
     while True:
-        enter = next((j for j in range(total) if not dead[j] and obj[j] > 0), None)
+        enter = next((j for j in range(width) if obj[j] > 0), None)
         if enter is None:
             break
-        ratio = None
         leave = None
-        for i in range(m):
-            coef = tableau[i][enter]
+        for i, row in enumerate(tableau):
+            coef = row[enter]
             if coef > 0:
-                r = tableau[i][-1] / coef
-                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
-                    ratio = r
-                    leave = i
+                if leave is None:
+                    leave, num, den = i, row[-1], coef
+                    continue
+                lhs, best = row[-1] * den, num * coef
+                if lhs < best or (lhs == best and basis[i] < basis[leave]):
+                    leave, num, den = i, row[-1], coef
         if leave is None:
             raise RuntimeError("phase-1 objective unbounded; malformed input")
-        piv_row = tableau[leave]
-        piv = piv_row[enter]
-        if piv != 1:
-            piv_row = [x / piv for x in piv_row]
-            tableau[leave] = piv_row
-        for i in range(m):
-            f = tableau[i][enter]
-            if i != leave and f != 0:
-                row = tableau[i]
-                tableau[i] = [x if not y else x - f * y
-                              for x, y in zip(row, piv_row)]
-        f = obj[enter]
-        if f != 0:
-            obj = [x if not y else x - f * y for x, y in zip(obj, piv_row)]
-        if basis[leave] >= n + k:
-            dead[basis[leave]] = True
+        d = _pivot(tableau, obj, leave, enter, d)
         basis[leave] = enter
 
-    infeasibility = sum(tableau[i][-1] for i in range(m) if basis[i] >= n + k)
-    if infeasibility != 0:
+    if any(row[-1] for row, j in zip(tableau, basis) if j >= width):
         return None
     x = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tableau[i][-1]
+    for row, j in zip(tableau, basis):
+        if j < n:
+            x[j] = Fraction(row[-1] * d_a, d * d_b)
     return x

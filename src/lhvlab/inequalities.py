@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .exactlp import feasible_point
+from .exactlp import _integer_scaled, feasible_point
 from .geometry import RandomStream
 from .models import JointLaw2x2, sample_outcomes, malus_marginal, hall_sample, \
     pinned_spin_sample, tb_freewill_sample, sgn
@@ -29,6 +30,15 @@ ALGEBRAIC_BOUND = 4.0
 
 # Outcome quadruples (sigma, tau, sigma2, tau2) in a fixed order.
 _QUAD = list(itertools.product((1, -1), repeat=4))
+
+# Coefficient of each atom in the correlators C(a,b), C(a2,b), C(a,b2),
+# C(a2,b2), in the marginals m_a, m_a2, m_b, m_b2, and in
+# C(a,b) + C(a2,b) + C(a,b2) - C(a2,b2).
+_S, _T, _S2, _T2 = zip(*_QUAD)
+_CORR_ROWS = tuple(tuple(x * y for x, y in zip(xs, ys)) for xs, ys in
+                   ((_S, _T), (_S2, _T), (_S, _T2), (_S2, _T2)))
+_MARG_ROWS = (_S, _S2, _T, _T2)
+_CHSH_ROW = tuple(c1 + c2 + c3 - c4 for c1, c2, c3, c4 in zip(*_CORR_ROWS))
 
 
 @dataclass(frozen=True)
@@ -123,58 +133,62 @@ def chsh_mc(model_id: str, a, a2, b, b2, n: int, stream: RandomStream,
 
 class MasterProb16:
     """Candidate joint distribution over (sigma, tau, sigma2, tau2) in
-    {+-1}^4, held as exact rationals."""
+    {+-1}^4, held exactly as 16 nonnegative integer weights over one
+    positive total."""
 
     def __init__(self, q):
-        q = [Fraction(x) for x in q]
-        if len(q) != 16:
+        weights, total = _integer_scaled(q)
+        if len(weights) != 16:
             raise ValueError("master probability needs 16 entries")
-        if any(x < 0 for x in q):
+        if any(w < 0 for w in weights):
             raise ValueError("master probability entries must be nonnegative")
-        if sum(q) != 1:
+        if sum(weights) != total:
             raise ValueError("master probability must sum to exactly 1")
-        self.q = q
+        self.weights = weights
+        self.total = total
+
+    @classmethod
+    def _from_weights(cls, weights, total) -> "MasterProb16":
+        """Trusted constructor: nonnegative ints summing to total > 0."""
+        master = cls.__new__(cls)
+        master.weights = weights
+        master.total = total
+        return master
 
     @classmethod
     def uniform(cls) -> "MasterProb16":
-        return cls([Fraction(1, 16)] * 16)
+        return cls._from_weights([1] * 16, 16)
 
     @classmethod
     def random(cls, stream: RandomStream, resolution: int = 1000) -> "MasterProb16":
         """Random rational distribution: integer weights normalized exactly."""
-        w = [int(x) for x in stream.integers(0, resolution, 16)]
+        w = stream.integers(0, resolution, 16).tolist()
         if sum(w) == 0:
             w[0] = 1
-        total = sum(w)
-        return cls([Fraction(x, total) for x in w])
+        return cls._from_weights(w, sum(w))
+
+    @property
+    def q(self) -> list:
+        """The 16 atom probabilities as Fractions, in _QUAD order."""
+        return [Fraction(w, self.total) for w in self.weights]
+
+    def _moment(self, row) -> Fraction:
+        return Fraction(sum(map(operator.mul, row, self.weights)), self.total)
 
     def correlators(self):
         """Exact (C(a,b), C(a2,b), C(a,b2), C(a2,b2)) induced by the master."""
-        c = [Fraction(0)] * 4
-        for (s, t, s2, t2), w in zip(_QUAD, self.q):
-            c[0] += s * t * w
-            c[1] += s2 * t * w
-            c[2] += s * t2 * w
-            c[3] += s2 * t2 * w
-        return tuple(c)
+        return tuple(self._moment(row) for row in _CORR_ROWS)
 
     def marginals(self):
         """Exact single-outcome means (m_a, m_a2, m_b, m_b2)."""
-        m = [Fraction(0)] * 4
-        for (s, t, s2, t2), w in zip(_QUAD, self.q):
-            m[0] += s * w
-            m[1] += s2 * w
-            m[2] += t * w
-            m[3] += t2 * w
-        return tuple(m)
+        return tuple(self._moment(row) for row in _MARG_ROWS)
 
     def chsh_value(self) -> Fraction:
-        c1, c2, c3, c4 = self.correlators()
-        return abs(c1 + c2 + c3 - c4)
+        return abs(self._moment(_CHSH_ROW))
 
     def as_dict(self) -> dict:
-        return {f"q({s:+d},{t:+d},{s2:+d},{t2:+d})": float(w)
-                for (s, t, s2, t2), w in zip(_QUAD, self.q)}
+        return {f"q({s:+d},{t:+d},{s2:+d},{t2:+d})": w / self.total
+                for (s, t, s2, t2), w in zip(_QUAD, self.weights)}
 
 
 # The 8 facet sign patterns: odd number of -1 coefficients.
@@ -207,22 +221,26 @@ class FeasibilityResult:
 def _facet_check(C, M):
     """Exact facet test: pairwise-law nonnegativity plus the 8 CHSH facets.
     Returns (feasible, worst violated facet name or None)."""
+    # Work in integers: every value below is scaled by the common
+    # denominator D of the rational inputs.
+    scaled, D = _integer_scaled([*C, *M])
+    C, M = scaled[:4], scaled[4:]
     worst = None
-    worst_gap = Fraction(0)
+    worst_gap = 0
     pair_m = [(M[0], M[2]), (M[1], M[2]), (M[0], M[3]), (M[1], M[3])]
     pair_names = ["ab", "a2b", "ab2", "a2b2"]
     for i in range(4):
         ma, mb = pair_m[i]
         for s in (1, -1):
             for t in (1, -1):
-                val = 1 + s * ma + t * mb + s * t * C[i]
+                val = D + s * ma + t * mb + s * t * C[i]
                 if val < 0 and -val > worst_gap:
                     worst_gap = -val
                     worst = f"pair[{pair_names[i]}]({s:+d},{t:+d})"
     for signs in CHSH_FACETS:
         val = sum(si * ci for si, ci in zip(signs, C))
-        if val > 2 and val - 2 > worst_gap:
-            worst_gap = val - 2
+        if val > 2 * D and val - 2 * D > worst_gap:
+            worst_gap = val - 2 * D
             worst = _facet_name(signs)
     return worst is None, worst
 
@@ -253,22 +271,11 @@ def fine_feasibility(correlators4, marginals4=None, correlator_tol=None,
         if abs(m) > 1 + mt[i]:
             raise ValueError(f"inconsistent input: |marginal[{i}]| = {float(abs(m))} > 1")
 
-    corr_rows = [[Fraction(s * t) for (s, t, _, _) in _QUAD],
-                 [Fraction(s2 * t) for (_, t, s2, _) in _QUAD],
-                 [Fraction(s * t2) for (s, _, _, t2) in _QUAD],
-                 [Fraction(s2 * t2) for (_, _, s2, t2) in _QUAD]]
-    marg_rows = [[Fraction(s) for (s, _, _, _) in _QUAD],
-                 [Fraction(t) for (_, t, _, _) in _QUAD],
-                 [Fraction(s2) for (_, _, s2, _) in _QUAD],
-                 [Fraction(t2) for (_, _, _, t2) in _QUAD]]
-    # Marginal order in the LP follows (m_a, m_b, m_a2, m_b2) remapped below.
-    marg_rows = [marg_rows[0], marg_rows[2], marg_rows[1], marg_rows[3]]
-
-    A_eq = [[Fraction(1)] * 16]
-    b_eq = [Fraction(1)]
+    A_eq = [[1] * 16]
+    b_eq = [1]
     A_ub = []
     b_ub = []
-    for rows, vals, tols in ((corr_rows, C, ct), (marg_rows, M, mt)):
+    for rows, vals, tols in ((_CORR_ROWS, C, ct), (_MARG_ROWS, M, mt)):
         for row, val, tol in zip(rows, vals, tols):
             if tol == 0:
                 A_eq.append(row)

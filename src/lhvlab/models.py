@@ -253,6 +253,9 @@ def _hall_g(f):
     f = np.asarray(f, dtype=float)
     near_one = f > 1.0 - 1e-9
     safe = np.where(near_one, 0.0, f)
+    # a.b of unit vectors can round to 1 + 2e-16, putting f just below -1,
+    # where arccos gives NaN; clip it to -1 in place.
+    np.maximum(safe, -1.0, out=safe)
     with np.errstate(divide="ignore", invalid="ignore"):
         g = (1.0 - safe) / (8.0 * np.arccos(safe))
     return np.where(near_one, 0.0, g)

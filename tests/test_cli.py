@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,6 +77,26 @@ def test_golden_chsh_report(tmp_path):
     rc, raw = run_cli(tmp_path, "chsh", "--model", "singlet")
     assert rc == 0
     assert raw == (GOLDEN / "chsh_singlet_optimal.json").read_bytes()
+
+
+# Feasibility reports whose witness comes from the LP, not the uniform
+# shortcut: exact, exact with marginals, and the tolerance band.
+GOLDEN_FEASIBILITY = [
+    ("feasibility_exact.json", ["--correlators", "0.5,-0.25,0.375,0.125"]),
+    ("feasibility_marginals.json", ["--correlators", "0.25,0.5,-0.125,0.375",
+                                    "--marginals", "0.125,-0.25,0.25,0.0625"]),
+    ("feasibility_band.json", ["--correlators", "0.6875,0.5625,0.625,-0.3125",
+                               "--tol", "0.0625,0.0625,0.0625,0.0625",
+                               "--marginals", "0.125,0,0.0625,-0.125"]),
+]
+
+
+@pytest.mark.parametrize("golden, argv", GOLDEN_FEASIBILITY,
+                         ids=[g for g, _ in GOLDEN_FEASIBILITY])
+def test_golden_feasibility_reports(tmp_path, golden, argv):
+    rc, raw = run_cli(tmp_path, "feasibility", *argv)
+    assert rc == 0
+    assert raw == (GOLDEN / golden).read_bytes()
 
 
 def test_chsh_values(tmp_path):
@@ -152,6 +174,31 @@ def test_feasibility_command(tmp_path):
                           "--trials", "50000", "--seed", "6")
     assert rc == 0
     assert report["results"]["feasible"] is True
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--correlators", "1,x,0,0"),
+    ("--correlators", "0,0,0"),
+    ("--marginals", "0,0,nan,0"),
+    ("--tol", "0.1,0.1,0.1,tiny"),
+    ("--tol", "0.1,-0.1,0.1,0.1"),
+])
+def test_feasibility_bad_numbers_fail_in_one_line(tmp_path, flag, value):
+    argv = ["--correlators=0,0,0,0", f"{flag}={value}"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "feasibility", *argv)
+    message = str(exc.value.code)
+    assert message.startswith(flag + " needs ") and "\n" not in message
+
+
+def test_feasibility_bad_number_exit_status():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "lhvlab.cli", "feasibility",
+                           "--correlators", "1,x,0,0"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_freewill_command(tmp_path):

@@ -257,6 +257,24 @@ def test_hall_sample_reproduces_singlet():
     assert est.max_abs_diff(singlet_law(X, b)) < 0.005
 
 
+def test_hall_equal_settings_with_dot_product_above_one():
+    # a.a rounds to 1 + 2e-16 here, so hall_f gives -1 - 2e-16; arccos of
+    # that is NaN, and both rejection samplers used to accept nothing.
+    from lhvlab.protocols import _sample_hall_per_trial
+
+    a = planar_setting(225.0)
+    assert float(np.dot(a, a)) > 1.0
+    assert _hall_g(np.array([np.nextafter(-1.0, -2.0)]))[0] == pytest.approx(
+        1 / (4 * math.pi))
+    n = 100_000
+    est = estimate_law("hall", a, a, n, RandomStream(16))
+    assert est.max_abs_diff(singlet_law(a, a)) <= 5 * est.std_error()
+    rows = np.tile(a, (n, 1))
+    u = _sample_hall_per_trial(rows, rows, RandomStream(17))
+    est = JointLaw2x2.from_outcomes(*hall_outcomes(u, a, a))
+    assert est.max_abs_diff(singlet_law(a, a)) <= 5 * est.std_error()
+
+
 def test_hall_outcomes_direct():
     assert hall_outcomes(X, X, -X) == (1.0, 1.0)
     assert hall_outcomes(X, X, X) == (1.0, -1.0)
