@@ -8,7 +8,8 @@ the LHV_LAB_SEED environment variable) and reports a stable JSON schema:
 
 All floats are rounded to 9 significant digits before serialization so
 repeated runs with one seed are byte-identical. Exit status is 0 iff
-every invariant check of the run passed.
+every invariant check of the run passed; bad input exits with one line
+on stderr and status 2.
 """
 
 from __future__ import annotations
@@ -28,16 +29,13 @@ from .freewill import (dictated_settings_model, discretized_setting_tied_model,
 from .geometry import RandomStream, planar_setting
 from .inequalities import (chsh_analytic, chsh_mc, counterfactual_correlators,
                            fine_feasibility, ALGEBRAIC_BOUND)
-from .models import analytic_law, estimate_law, MODEL_IDS
+from .models import MODEL_IDS, MODELS, analytic_law, estimate_law
 from .protocols import (run_conspiracy_audit, run_detection_loophole,
                         run_shared_coin, run_signaling_experiment,
                         run_tb_freewill, run_tb_protocol, run_watch_realization)
 
 DEFAULT_SEED = 12345
 SEED_ENV = "LHV_LAB_SEED"
-
-ANALYTIC_MODELS = ("singlet", "uniform", "mixed", "tb-ext1", "tb-ext2",
-                   "pinned", "hall", "tb", "tb-freewill")
 
 
 def _round_floats(obj):
@@ -46,9 +44,7 @@ def _round_floats(obj):
         return obj
     if isinstance(obj, (int, np.integer)):
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.9g}")
-    if isinstance(obj, Fraction):
+    if isinstance(obj, (float, np.floating, Fraction)):
         return float(f"{float(obj):.9g}")
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
@@ -57,8 +53,7 @@ def _round_floats(obj):
     return obj
 
 
-def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(_round_floats(report), sort_keys=True, indent=2) + "\n"
+def _write(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -70,62 +65,101 @@ def _check(name: str, passed: bool, detail: str = "") -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def _report(command: str, config: dict, seed: int, results: dict,
-            checks: list) -> dict:
-    return {
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "results": results,
-        "invariant_checks": checks,
-        "version": __version__,
-    }
+def _finish(args, config: dict, results: dict, checks: list) -> int:
+    """Write the run's report; the exit status is 0 iff every check passed."""
+    report = {"command": args.command, "config": config, "seed": args.seed,
+              "results": results, "invariant_checks": checks, "version": __version__}
+    _write(json.dumps(_round_floats(report), sort_keys=True, indent=2) + "\n", args.out)
+    return 0 if all(c["passed"] for c in checks) else 1
 
 
-def _setting(args, angle_name: str, vec_name: str, default_deg: float) -> np.ndarray:
-    vec = getattr(args, vec_name.replace("-", "_"), None)
+def _setting(args, name: str, default_deg: float) -> np.ndarray:
+    vec = getattr(args, f"vec_{name}")
     if vec is not None:
-        parts = [float(x) for x in vec.split(",")]
-        if len(parts) != 3:
-            raise SystemExit(f"--{vec_name} needs three comma-separated components")
-        v = np.asarray(parts, dtype=float)
-        n = float(np.linalg.norm(v))
-        if n == 0:
-            raise SystemExit(f"--{vec_name} must be nonzero")
-        return v / n
-    angle = getattr(args, angle_name, None)
-    return planar_setting(default_deg if angle is None else float(angle))
+        return vec / float(np.linalg.norm(vec))
+    angle = getattr(args, name)
+    return planar_setting(default_deg if angle is None else angle)
 
 
-def _seed(args) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    return int(os.environ.get(SEED_ENV, DEFAULT_SEED))
+def _chsh_settings(args):
+    return [_setting(args, name, deg) for name, deg in
+            (("a", 0.0), ("a2", 90.0), ("b", 45.0), ("b2", 315.0))]
+
+
+# ---------------------------------------------------------------------------
+# Input validation: argparse types for single values, _validate for checks
+# that span options. Every failure is one line on stderr with status 2.
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _typed(convert, ok, expect):
+    """argparse type: convert the text and require ok(value)."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expect}, got {text!r}")
+    return parse
+
+
+_POSITIVE = _typed(int, lambda n: n > 0, "a positive integer")
+_SEED = _typed(int, lambda n: n >= 0, f"a nonnegative integer (--seed or ${SEED_ENV})")
+_ANGLE = _typed(float, math.isfinite, "a finite angle in degrees")
+_BITS = _typed(lambda t: [int(ch) for ch in t], lambda bits: set(bits) <= {0, 1},
+               "a string of 0s and 1s")
+_VECTOR = _typed(lambda t: np.array([float(x) for x in t.split(",")]),
+                 lambda v: v.shape == (3,) and 0 < _norm(v) < math.inf,
+                 "x,y,z with a finite nonzero norm")
+
+
+def _norm(v) -> float:
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(v))
+
+
+def _validate(parser, args) -> None:
+    spec = MODELS[args.model] if args.command in ("law", "simulate", "chsh") else None
+    if spec is not None and spec.needs_p and not (args.p is not None and 0 <= args.p <= 1):
+        parser.error(f"--model {args.model} needs --p in [0, 1]")
+    if args.command == "chsh" and args.trials and spec.draw is None:
+        parser.error(f"--model {args.model} has a law but no sampler; drop --trials")
+    if (args.command == "protocol" and args.name == "detection-loophole"
+            and args.mode == "sphere" and args.delta_omega is None
+            and args.n_directions is None):
+        parser.error("sphere mode needs --delta-omega or --n-directions")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lhvlab",
         description="Classical realizations of two-particle spin correlations, "
                     "with exact resource accounting.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, trials_default=None):
-        p.add_argument("--seed", type=int, default=None,
+        # A string default goes through the type check too.
+        p.add_argument("--seed", type=_SEED, default=os.environ.get(SEED_ENV, str(DEFAULT_SEED)),
                        help=f"master seed (default: ${SEED_ENV} or {DEFAULT_SEED})")
         p.add_argument("--out", default=None, help="write the JSON report here")
         if trials_default is not None:
-            p.add_argument("--trials", type=int, default=trials_default)
+            p.add_argument("--trials", type=_POSITIVE, default=trials_default)
 
     def add_settings(p, names=("a", "b")):
         for name in names:
-            p.add_argument(f"--{name}", type=float, default=None,
+            p.add_argument(f"--{name}", type=_ANGLE, default=None,
                            help=f"analyzer {name} angle in degrees (x-y plane)")
-            p.add_argument(f"--vec-{name}", default=None,
+            p.add_argument(f"--vec-{name}", type=_VECTOR, default=None,
                            help=f"analyzer {name} as x,y,z (overrides --{name})")
 
     p = sub.add_parser("law", help="print a closed-form joint law")
-    p.add_argument("--model", required=True, choices=ANALYTIC_MODELS)
+    p.add_argument("--model", required=True, choices=tuple(MODELS))
     p.add_argument("--p", type=float, default=None, help="mixing probability for tb-ext models")
     p.add_argument("--scan", default=None, metavar="START:STOP:COUNT",
                    help="emit a two-column correlator-vs-angle scan instead of one law")
@@ -133,15 +167,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("simulate", help="Monte Carlo law estimate vs the closed form")
-    p.add_argument("--model", required=True, choices=[m for m in MODEL_IDS])
+    p.add_argument("--model", required=True, choices=MODEL_IDS)
     p.add_argument("--p", type=float, default=None)
     add_settings(p)
     add_common(p, trials_default=100_000)
 
     p = sub.add_parser("chsh", help="CHSH statistic against the three bounds")
-    p.add_argument("--model", required=True, choices=ANALYTIC_MODELS)
+    p.add_argument("--model", required=True, choices=tuple(MODELS))
     p.add_argument("--p", type=float, default=None)
-    p.add_argument("--trials", type=int, default=None,
+    p.add_argument("--trials", type=_POSITIVE, default=None,
                    help="if set, estimate by Monte Carlo instead of the closed form")
     add_settings(p, names=("a", "a2", "b", "b2"))
     add_common(p)
@@ -151,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="C(a,b),C(a2,b),C(a,b2),C(a2,b2) comma-separated")
     p.add_argument("--marginals", default=None, help="four single-outcome means")
     p.add_argument("--tol", default=None, help="per-correlator tolerance band")
-    p.add_argument("--from-model", default=None, choices=["pinned", "hall", "tb-freewill"],
+    p.add_argument("--from-model", default=None,
+                   choices=[m for m, spec in MODELS.items() if spec.local],
                    help="estimate counterfactual correlators from a model instead")
     add_settings(p, names=("a", "a2", "b", "b2"))
     add_common(p, trials_default=100_000)
@@ -163,9 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="symmetric",
                    choices=["symmetric", "asymmetric", "sphere"],
                    help="detection-loophole variant")
-    p.add_argument("--delta-omega", type=float, default=None,
+    p.add_argument("--delta-omega", default=None,
+                   type=_typed(float, lambda w: 0 < w < 4 * math.pi, "a number in (0, 4*pi)"),
                    help="solid-angle cell for detection-loophole sphere mode")
-    p.add_argument("--n-directions", type=int, default=None,
+    p.add_argument("--n-directions", default=None,
+                   type=_typed(int, lambda n: n >= 2 and n % 2 == 0, "an even integer >= 2"),
                    help="grid size for detection-loophole sphere mode")
     p.add_argument("--transcript", default=None, help="write the per-trial CSV here")
     add_settings(p)
@@ -173,15 +210,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("signal", help="attempted signaling: action vs slave-will")
     p.add_argument("--mode", required=True, choices=["action", "slave-will"])
-    p.add_argument("--message", default=None, help="bit string, e.g. 0110")
-    p.add_argument("--message-bits", type=int, default=1000,
+    p.add_argument("--message", type=_BITS, default=None, help="bit string, e.g. 0110")
+    p.add_argument("--message-bits", type=_POSITIVE, default=1000,
                    help="length of the all-zeros default message")
     add_common(p, trials_default=40_000)
 
     p = sub.add_parser("freewill", help="measurement-dependence measures on a discretized model")
     p.add_argument("--model", default="pinned",
                    choices=["pinned", "independent", "dictated"])
-    p.add_argument("--n", type=int, default=8, help="settings per side")
+    p.add_argument("--n", type=_typed(int, lambda n: n >= 2, "an integer >= 2"), default=8,
+                   help="settings per side")
     add_common(p)
 
     p = sub.add_parser("audit", help="pre-declared settings conspiracy audit")
@@ -192,84 +230,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _law_results(law) -> dict:
-    return {"law": law.as_dict(), "correlator": law.correlator()}
-
-
 def _cmd_law(args) -> int:
-    seed = _seed(args)
-    a = _setting(args, "a", "vec-a", 0.0)
-    b = _setting(args, "b", "vec-b", 0.0)
+    a = _setting(args, "a", 0.0)
+    b = _setting(args, "b", 0.0)
     if args.scan:
         try:
             start, stop, count = args.scan.split(":")
-            angles = np.linspace(float(start), float(stop), int(count))
+            ends = [float(start), float(stop)]
+            if not all(map(math.isfinite, ends)):
+                raise ValueError(args.scan)
+            angles = np.linspace(*ends, int(count))
         except ValueError:
-            raise SystemExit("--scan expects START:STOP:COUNT")
+            raise SystemExit("--scan expects START:STOP:COUNT with finite angles")
         lines = ["# angle_deg correlator"]
         for ang in angles:
             law = analytic_law(args.model, a, planar_setting(float(ang)), p=args.p)
             lines.append(f"{float(ang):.9g} {law.correlator():.9g}")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", args.out)
         return 0
-    try:
-        law = analytic_law(args.model, a, b, p=args.p)
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(f"{exc}; for sampling-only models use the simulate command")
+    law = analytic_law(args.model, a, b, p=args.p)
     checks = [_check("law_normalized", abs(sum(law.as_dict().values()) - 1.0) < 1e-9)]
     config = {"model": args.model, "a": [float(x) for x in a],
               "b": [float(x) for x in b], "p": args.p}
-    _emit(_report("law", config, seed, _law_results(law), checks), args.out)
-    return 0
+    return _finish(args, config, {"law": law.as_dict(), "correlator": law.correlator()},
+                   checks)
 
 
 def _cmd_simulate(args) -> int:
-    seed = _seed(args)
-    a = _setting(args, "a", "vec-a", 0.0)
-    b = _setting(args, "b", "vec-b", 60.0)
-    stream = RandomStream(seed)
-    est = estimate_law(args.model, a, b, args.trials, stream, p=args.p)
+    a = _setting(args, "a", 0.0)
+    b = _setting(args, "b", 60.0)
+    est = estimate_law(args.model, a, b, args.trials, RandomStream(args.seed), p=args.p)
     ref = analytic_law(args.model, a, b, p=args.p)
     dev = est.max_abs_diff(ref)
     se = est.std_error()
-    checks = [
-        _check("law_normalized", True),
-        _check("dev_within_5se", dev <= 5.0 * se, f"max_abs_dev={dev:.6g}, se={se:.6g}"),
-    ]
-    results = {
-        "estimated_law": est.as_dict(),
-        "analytic_law": ref.as_dict(),
-        "max_abs_dev": dev,
-        "std_err": se,
-        "correlator": est.correlator(),
-    }
+    checks = [_check("law_normalized", True),
+              _check("dev_within_5se", dev <= 5.0 * se, f"max_abs_dev={dev:.6g}, se={se:.6g}")]
+    results = {"estimated_law": est.as_dict(), "analytic_law": ref.as_dict(),
+               "max_abs_dev": dev, "std_err": se, "correlator": est.correlator()}
     config = {"model": args.model, "trials": args.trials, "p": args.p,
               "a": [float(x) for x in a], "b": [float(x) for x in b]}
-    _emit(_report("simulate", config, seed, results, checks), args.out)
-    return 0 if all(c["passed"] for c in checks) else 1
+    return _finish(args, config, results, checks)
 
 
 def _cmd_chsh(args) -> int:
-    seed = _seed(args)
-    a = _setting(args, "a", "vec-a", 0.0)
-    a2 = _setting(args, "a2", "vec-a2", 90.0)
-    b = _setting(args, "b", "vec-b", 45.0)
-    b2 = _setting(args, "b2", "vec-b2", 315.0)
     if args.trials:
-        report = chsh_mc(args.model, a, a2, b, b2, args.trials,
-                         RandomStream(seed), p=args.p)
+        report = chsh_mc(args.model, *_chsh_settings(args), args.trials,
+                         RandomStream(args.seed), p=args.p)
     else:
-        report = chsh_analytic(args.model, a, a2, b, b2, p=args.p)
+        report = chsh_analytic(args.model, *_chsh_settings(args), p=args.p)
     checks = [_check("E_below_algebraic_bound", report.E <= ALGEBRAIC_BOUND + 1e-9,
                      f"E={report.E:.9g}")]
     config = {"model": args.model, "trials": args.trials, "p": args.p}
-    _emit(_report("chsh", config, seed, report.as_dict(), checks), args.out)
-    return 0 if all(c["passed"] for c in checks) else 1
+    return _finish(args, config, report.as_dict(), checks)
 
 
 def _parse_floats(text, count, what):
@@ -284,14 +296,9 @@ def _parse_floats(text, count, what):
 
 
 def _cmd_feasibility(args) -> int:
-    seed = _seed(args)
     if args.from_model:
-        a = _setting(args, "a", "vec-a", 0.0)
-        a2 = _setting(args, "a2", "vec-a2", 90.0)
-        b = _setting(args, "b", "vec-b", 45.0)
-        b2 = _setting(args, "b2", "vec-b2", 315.0)
-        ests = counterfactual_correlators(args.from_model, a, a2, b, b2,
-                                          args.trials, RandomStream(seed))
+        ests = counterfactual_correlators(args.from_model, *_chsh_settings(args),
+                                          args.trials, RandomStream(args.seed))
         correlators = [Fraction(e.value).limit_denominator(10**9) for e in ests]
         tol = [Fraction(3.0 * e.std_error).limit_denominator(10**9) for e in ests]
         config = {"from_model": args.from_model, "trials": args.trials}
@@ -311,15 +318,13 @@ def _cmd_feasibility(args) -> int:
     results = result.as_dict()
     if args.from_model:
         results["correlator_estimates"] = [e.as_dict() for e in ests]
-    _emit(_report("feasibility", config, seed, results, checks), args.out)
-    return 0 if all(c["passed"] for c in checks) else 1
+    return _finish(args, config, results, checks)
 
 
 def _cmd_protocol(args) -> int:
-    seed = _seed(args)
     checks = []
     if args.name == "detection-loophole":
-        rep = run_detection_loophole(args.trials, args.mode, seed,
+        rep = run_detection_loophole(args.trials, args.mode, args.seed,
                                      delta_omega=args.delta_omega,
                                      n_directions=args.n_directions,
                                      record=bool(args.transcript))
@@ -335,27 +340,27 @@ def _cmd_protocol(args) -> int:
         results = rep.summary()
         transcripts = rep.transcripts
     else:
-        a = _setting(args, "a", "vec-a", 0.0)
-        b = _setting(args, "b", "vec-b", 60.0)
+        a = _setting(args, "a", 0.0)
+        b = _setting(args, "b", 60.0)
         record = bool(args.transcript)
         if args.name == "tb":
-            res = run_tb_protocol(args.trials, a, b, seed, record=record)
+            res = run_tb_protocol(args.trials, a, b, args.seed, record=record)
             checks.append(_check("one_bit_per_trial",
                                  res.channels.bits(*_AB) == args.trials))
             checks.append(_check("no_return_bits", res.channels.bits(*_BA) == 0))
         elif args.name == "tb-freewill":
-            res = run_tb_freewill(args.trials, a, b, seed, record=record)
+            res = run_tb_freewill(args.trials, a, b, args.seed, record=record)
             checks.append(_check("zero_station_bits",
                                  res.channels.station_to_station_bits == 0))
         elif args.name == "shared-coin":
-            res = run_shared_coin(args.trials, seed, record=record)
+            res = run_shared_coin(args.trials, args.seed, record=record)
             checks.append(_check("zero_station_bits",
                                  res.channels.station_to_station_bits == 0))
             checks.append(_check("two_shared_draws_per_trial",
                                  res.shared_draws_total == 2 * args.trials))
         else:
             model = "pinned" if args.name == "watch-pinned" else "hall"
-            res = run_watch_realization(args.trials, model, seed, record=record)
+            res = run_watch_realization(args.trials, model, args.seed, record=record)
             checks.append(_check("zero_station_bits",
                                  res.channels.station_to_station_bits == 0))
         if res.singlet_comparison is not None:
@@ -369,8 +374,7 @@ def _cmd_protocol(args) -> int:
             transcripts.to_csv(fh)
     config = {"name": args.name, "trials": args.trials, "mode": args.mode,
               "delta_omega": args.delta_omega}
-    _emit(_report("protocol", config, seed, results, checks), args.out)
-    return 0 if all(c["passed"] for c in checks) else 1
+    return _finish(args, config, results, checks)
 
 
 _AB = ("station_a", "station_b")
@@ -378,12 +382,8 @@ _BA = ("station_b", "station_a")
 
 
 def _cmd_signal(args) -> int:
-    seed = _seed(args)
-    if args.message:
-        message = [int(ch) for ch in args.message]
-    else:
-        message = [0] * args.message_bits
-    res = run_signaling_experiment(message, args.mode, args.trials, seed)
+    message = args.message or [0] * args.message_bits
+    res = run_signaling_experiment(message, args.mode, args.trials, args.seed)
     checks = [_check("usable_fraction_near_half",
                      abs(res.usable_fraction - 0.5) <= 0.02,
                      f"usable_fraction={res.usable_fraction:.6g}")]
@@ -394,48 +394,35 @@ def _cmd_signal(args) -> int:
                              f"entropy={res.empirical_entropy:.6g}"))
     config = {"mode": args.mode, "trials": args.trials,
               "message_bits": len(message)}
-    _emit(_report("signal", config, seed, res.summary(), checks), args.out)
-    return 0 if all(c["passed"] for c in checks) else 1
+    return _finish(args, config, res.summary(), checks)
 
 
 def _cmd_freewill(args) -> int:
-    seed = _seed(args)
-    builders = {
-        "pinned": discretized_setting_tied_model,
-        "independent": setting_independent_model,
-        "dictated": dictated_settings_model,
-    }
-    model = builders[args.model](args.n)
-    rep = mutual_information(model)
-    checks = [
-        _check("M_at_most_2", rep.M <= 2.0),
-        _check("I_at_most_max", rep.I_bits <= rep.I_max_bits + 1e-12),
-    ]
+    builders = {"pinned": discretized_setting_tied_model,
+                "independent": setting_independent_model, "dictated": dictated_settings_model}
+    rep = mutual_information(builders[args.model](args.n))
+    checks = [_check("M_at_most_2", rep.M <= 2.0),
+              _check("I_at_most_max", rep.I_bits <= rep.I_max_bits + 1e-12)]
     if args.model == "pinned":
         checks.append(_check("I_half_of_max",
                              abs(rep.I_bits - 0.5 * rep.I_max_bits) < 1e-12,
                              f"I={rep.I_bits}, I_max={rep.I_max_bits}"))
     config = {"model": args.model, "n": args.n}
-    _emit(_report("freewill", config, seed, rep.as_dict(), checks), args.out)
-    return 0 if all(c["passed"] for c in checks) else 1
+    return _finish(args, config, rep.as_dict(), checks)
 
 
 def _cmd_audit(args) -> int:
-    seed = _seed(args)
-    a = _setting(args, "a", "vec-a", 0.0)
-    b = _setting(args, "b", "vec-b", 0.0)
-    res = run_conspiracy_audit(args.trials, a, b, args.mode, seed)
+    a = _setting(args, "a", 0.0)
+    b = _setting(args, "b", 0.0)
+    res = run_conspiracy_audit(args.trials, a, b, args.mode, args.seed)
     if args.mode == "slave":
-        checks = [
-            _check("deviations_present", res.deviations > 0),
-            _check("deviations_match_hidden_spin", res.deviations_match_u),
-        ]
+        checks = [_check("deviations_present", res.deviations > 0),
+                  _check("deviations_match_hidden_spin", res.deviations_match_u)]
     else:
         checks = [_check("no_deviations", res.deviations == 0)]
     config = {"mode": args.mode, "trials": args.trials,
               "a": [float(x) for x in a], "b": [float(x) for x in b]}
-    _emit(_report("audit", config, seed, res.summary(), checks), args.out)
-    return 0 if all(c["passed"] for c in checks) else 1
+    return _finish(args, config, res.summary(), checks)
 
 
 _COMMANDS = {
@@ -451,7 +438,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _validate(parser, args)
     return _COMMANDS[args.command](args)
 
 

@@ -49,15 +49,12 @@ def discretized_setting_tied_model(n: int) -> DiscretizedModel:
     """Discretization of the setting-tied atomic model on n directions
     per side.
 
-    The planar a-grid and b-grid are offset so no b-candidate collides
-    with an a-candidate or its antipode, keeping the four atoms distinct
-    for every settings pair. Atoms are (c, d, side, index): c = 0 pins
-    the hidden spin to d * a_i, c = 1 pins it to -d * b_j.
+    Atoms are (c, d, side, index): c = 0 pins the hidden spin to d * a_i,
+    c = 1 pins it to -d * b_j. They are keyed by side and index, not by
+    direction, so the four atoms of every settings pair are distinct.
     """
     if n < 2:
         raise ValueError("need at least two settings per side")
-    # Grids live on angle indices only; a half-step offset plus a small
-    # shear keeps b-candidates off the a-candidates and their antipodes.
     conditional = {}
     quarter = Fraction(1, 4)
     for i in range(n):

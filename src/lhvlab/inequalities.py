@@ -21,8 +21,7 @@ import numpy as np
 
 from .exactlp import _integer_scaled, feasible_point
 from .geometry import RandomStream
-from .models import JointLaw2x2, sample_outcomes, malus_marginal, hall_sample, \
-    pinned_spin_sample, tb_freewill_sample, sgn
+from .models import JointLaw2x2, analytic_law, model_spec, sample_outcomes
 
 BELL_BOUND = 2.0
 CIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -112,8 +111,6 @@ def _settings_dict(a, a2, b, b2) -> dict:
 
 def chsh_analytic(model_id: str, a, a2, b, b2, p: float | None = None) -> ChshReport:
     """CHSH from a model's closed-form law at the four setting pairs."""
-    from .models import analytic_law
-
     cs = [correlator(analytic_law(model_id, x, y, p=p))
           for x, y in ((a, b), (a2, b), (a, b2), (a2, b2))]
     return chsh_from_correlators(*cs, settings=_settings_dict(a, a2, b, b2))
@@ -315,29 +312,16 @@ def counterfactual_correlators(model_id: str, a, a2, b, b2, n: int,
 
     The hidden variables are drawn once from the model's distribution at
     the reference pair (a, b); outcomes at every setting pair are then
-    computed from the same draw (with common per-side noise for the
-    stochastic model), which is the counterfactual reading under which a
-    master probability exists.
+    computed from the same draw by the model's local outcome rule (with
+    common per-side noise for the stochastic model), which is the
+    counterfactual reading under which a master probability exists.
     """
-    pairs = ((a, b), (a2, b), (a, b2), (a2, b2))
-    if model_id == "pinned":
-        u, _, _ = pinned_spin_sample(a, b, n, stream)
-        noise_a = stream.uniform(n)
-        noise_b = stream.uniform(n)
-        outs = []
-        for (x, y) in pairs:
-            sig = np.where(noise_a < malus_marginal(u, x, 1), 1.0, -1.0)
-            tau = np.where(noise_b < malus_marginal(-u, y, 1), 1.0, -1.0)
-            outs.append((sig, tau))
-    elif model_id == "hall":
-        u = hall_sample(a, b, n, stream)
-        outs = [(sgn(u @ x), sgn(-(u @ y))) for (x, y) in pairs]
-    elif model_id == "tb-freewill":
-        u, v, c = tb_freewill_sample(a, b, n, stream)
-        outs = [(sgn(u @ x), -sgn((u + c[:, None] * v) @ y)) for (x, y) in pairs]
-    else:
+    spec = model_spec(model_id)
+    if not spec.local:
         raise KeyError(f"no counterfactual sampler for model {model_id!r}")
-    return tuple(correlator(o) for o in outs)
+    hidden = spec.draw(a, b, n, stream, None)
+    return tuple(correlator(spec.outcomes(hidden, x, y))
+                 for x, y in ((a, b), (a2, b), (a, b2), (a2, b2)))
 
 
 # ---------------------------------------------------------------------------

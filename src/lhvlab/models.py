@@ -1,8 +1,9 @@
 """Hidden-variable models of the two-particle spin singlet.
 
-Each model exposes its analytic joint law (when one exists in closed
-form), a sampler for its hidden variables, the per-trial outcome rule,
-and a set of hypothesis-compliance flags. All samplers are pure
+Each model exposes its analytic joint law, a sampler for its hidden
+variables, the per-trial outcome rule, and a set of hypothesis-compliance
+flags; the MODELS table at the end names them per model id and is the one
+place that dispatches over ids. All samplers are pure
 functions of their inputs and a :class:`~lhvlab.geometry.RandomStream`;
 vector arguments broadcast, so the same functions serve single trials
 and batched Monte Carlo.
@@ -14,6 +15,7 @@ vectors, and the sign convention sgn(0) = +1 applies throughout.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,10 +110,17 @@ def singlet_law(a, b) -> JointLaw2x2:
     return JointLaw2x2(p)
 
 
+def _dot(u, x):
+    """u.x over the last axis, summed left to right as
+    np.sum(u * x, axis=-1) sums (the same bits), without the temporary."""
+    u = np.asarray(u, dtype=float)
+    x = np.asarray(x, dtype=float)
+    return u[..., 0] * x[..., 0] + u[..., 1] * x[..., 1] + u[..., 2] * x[..., 2]
+
+
 def malus_marginal(u, n, outcome):
     """Malus probability (1 + outcome * u.n)/2 for hidden spin u and analyzer n."""
-    d = np.sum(np.asarray(u, dtype=float) * np.asarray(n, dtype=float), axis=-1)
-    return (1.0 + np.asarray(outcome) * d) / 2.0
+    return (1.0 + np.asarray(outcome) * _dot(u, n)) / 2.0
 
 
 def malus_draw(u, n, stream: RandomStream):
@@ -133,12 +142,15 @@ def tb_outcomes(u, v, a, b):
     sigma = sgn(u.a); the bit c = sgn(u.a)*sgn(v.a) travels to the other
     station, which outputs tau = -sgn((u + c v).b).
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    sigma = sgn(np.sum(u * a, axis=-1))
-    c = sigma * sgn(np.sum(v * a, axis=-1))
-    tau = -sgn(np.sum((u + np.asarray(c)[..., None] * v) * b, axis=-1))
-    return sigma, tau
+    sigma = sgn(_dot(u, a))
+    c = sigma * sgn(_dot(v, a))
+    return sigma, one_bit_tau(u, v, c, b)
+
+
+def one_bit_tau(u, v, c, b):
+    """Second-station rule of the one-bit model: tau = -sgn((u + c v).b),
+    from the shared (u, v), the bit c and the local setting b only."""
+    return -sgn(_dot(u + np.asarray(c)[..., None] * np.asarray(v), b))
 
 
 class IncompatiblePriors:
@@ -179,10 +191,7 @@ def tb_extension_law(p: float, family: int, a, b) -> JointLaw2x2:
     (1 - (2p-1) sigma*tau a.b)/4; family 2 ties the bit to the actual
     outcome and gives (1 - p sigma*tau a.b)/4.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    if family not in (1, 2):
-        raise ValueError(f"family must be 1 or 2, got {family!r}")
+    _check_extension(p, family)
     t = float(np.dot(assert_unit(a, "a"), assert_unit(b, "b")))
     k = (2.0 * p - 1.0) if family == 1 else p
     q = k * t
@@ -196,22 +205,27 @@ def tb_extension_sample(p: float, family: int, u, v, a, b, stream: RandomStream)
     and the flipped value otherwise. Family 1 computes the bit from
     (u, v, a); family 2 computes it from the realized sigma.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
+    _check_extension(p, family)
     u = np.atleast_2d(np.asarray(u, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
-    n = u.shape[0]
-    S = sgn(u @ a)
-    keep = stream.uniform(n) < p
-    sigma = np.where(keep, S, -S)
-    if family == 1:
-        c = S * sgn(v @ a)
-    elif family == 2:
-        c = sigma * sgn(v @ a)
-    else:
+    return _tb_extension_rule(family, (u, v, stream.uniform(u.shape[0]) < p), a, b)
+
+
+def _check_extension(p, family: int = 1) -> None:
+    if p is None or not 0.0 <= p <= 1.0:
+        raise ValueError(f"the mixing probability p must lie in [0, 1], got {p!r}")
+    if family not in (1, 2):
         raise ValueError(f"family must be 1 or 2, got {family!r}")
-    tau = -sgn(np.sum((u + c[:, None] * v) * b, axis=-1))
-    return sigma, tau
+
+
+def _tb_extension_rule(family: int, hidden, a, b):
+    """Outcomes of an extension from (u, v, keep), where keep marks the
+    trials on which the first station keeps its deterministic value."""
+    u, v, keep = hidden
+    S = sgn(u @ a)
+    sigma = np.where(keep, S, -S)
+    c = (S if family == 1 else sigma) * sgn(v @ a)
+    return sigma, one_bit_tau(u, v, c, b)
 
 
 def tb_freewill_density(u, v, c, a, b):
@@ -312,10 +326,7 @@ def hall_sample(a, b, n: int, stream: RandomStream) -> np.ndarray:
 
 def hall_outcomes(u, a, b):
     """Deterministic outcomes sigma = sgn(u.a), tau = sgn(-u.b)."""
-    u = np.asarray(u, dtype=float)
-    sigma = sgn(np.sum(u * a, axis=-1))
-    tau = sgn(-np.sum(u * b, axis=-1))
-    return sigma, tau
+    return sgn(_dot(u, a)), sgn(-_dot(u, b))
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +352,14 @@ def pinned_spin_outcomes(u, a, b, stream: RandomStream):
     """Independent Malus draws on each side: sigma from (u, a), tau from
     (-u, b)."""
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    sigma = malus_draw(u, a, stream)
-    tau = malus_draw(-u, b, stream)
-    return sigma, tau
+    return _pinned_rule((u, stream.uniform(len(u)), stream.uniform(len(u))), a, b)
+
+
+def _pinned_rule(hidden, x, y):
+    """Malus outcomes from the spin and each side's uniform noise draw."""
+    u, noise_a, noise_b = hidden
+    return (np.where(noise_a < malus_marginal(u, x, 1), 1.0, -1.0),
+            np.where(noise_b < malus_marginal(-u, y, 1), 1.0, -1.0))
 
 
 def mixed_law(a, b) -> JointLaw2x2:
@@ -360,7 +376,7 @@ def mixed_law(a, b) -> JointLaw2x2:
 
 
 # ---------------------------------------------------------------------------
-# Model registry, analytic laws, and Monte Carlo law estimation
+# The model table: the one place that dispatches over model ids
 
 
 @dataclass(frozen=True)
@@ -375,39 +391,94 @@ class ModelFlags:
     malus_compliant: bool
 
 
-_MODEL_FLAGS = {
-    "tb": ModelFlags(True, False, True, True, False),
-    "tb-ext1": ModelFlags(False, False, True, True, False),
-    "tb-ext2": ModelFlags(False, True, False, True, False),
-    "tb-freewill": ModelFlags(True, True, True, False, False),
-    "pinned": ModelFlags(False, True, True, False, True),
-    "hall": ModelFlags(True, True, True, False, False),
-    "mixed": ModelFlags(True, True, True, False, False),
+@dataclass(frozen=True)
+class ModelSpec:
+    """law(a, b, p) is the closed-form joint law; draw(a, b, n, stream, p)
+    the hidden variables of n trials at the settings (a, b), or None for a
+    law without a sampler; outcomes(hidden, x, y) the (sigma, tau) they
+    give at the settings (x, y). local marks the singlet constructions
+    whose rule is local (sigma reads only x, tau only y), so one frozen
+    draw gives outcomes at every setting pair: the counterfactual reading.
+    (The mixed model's rule is local too, but its law is not the singlet.)
+    """
+
+    law: Callable
+    draw: Callable | None = None
+    outcomes: Callable | None = None
+    flags: ModelFlags | None = None
+    local: bool = False
+    needs_p: bool = False
+
+
+def _draw_uv(a, b, n, stream, p):
+    return stream.sphere(n), stream.sphere(n)
+
+
+def _draw_tb_extension(a, b, n, stream, p):
+    _check_extension(p)
+    return *_draw_uv(a, b, n, stream, p), stream.uniform(n) < p
+
+
+def _draw_pinned(a, b, n, stream, p):
+    """The atomic spin plus each side's Malus noise draw."""
+    return pinned_spin_sample(a, b, n, stream)[0], stream.uniform(n), stream.uniform(n)
+
+
+# Entries call the public functions by name, at call time, so a wrapper
+# installed on a module attribute sees the calls made through the table.
+def _singlet(a, b, p):
+    return singlet_law(a, b)
+
+
+def _hall_rule(u, x, y):
+    return hall_outcomes(u, x, y)
+
+
+MODELS = {
+    "singlet": ModelSpec(_singlet),
+    "uniform": ModelSpec(lambda a, b, p: uniform_law()),
+    "tb": ModelSpec(_singlet, _draw_uv, lambda h, x, y: tb_outcomes(*h, x, y),
+                    ModelFlags(True, False, True, True, False)),
+    "tb-ext1": ModelSpec(lambda a, b, p: tb_extension_law(p, 1, a, b), _draw_tb_extension,
+                         lambda h, x, y: _tb_extension_rule(1, h, x, y),
+                         ModelFlags(False, False, True, True, False), needs_p=True),
+    "tb-ext2": ModelSpec(lambda a, b, p: tb_extension_law(p, 2, a, b), _draw_tb_extension,
+                         lambda h, x, y: _tb_extension_rule(2, h, x, y),
+                         ModelFlags(False, True, False, True, False), needs_p=True),
+    # The bit c is a hidden variable, fixed at the reference setting a.
+    "tb-freewill": ModelSpec(_singlet, lambda a, b, n, s, p: tb_freewill_sample(a, b, n, s),
+                             lambda h, x, y: (sgn(_dot(h[0], x)), one_bit_tau(*h, y)),
+                             ModelFlags(True, True, True, False, False), local=True),
+    "pinned": ModelSpec(_singlet, _draw_pinned, _pinned_rule,
+                        ModelFlags(False, True, True, False, True), local=True),
+    "hall": ModelSpec(_singlet, lambda a, b, n, s, p: hall_sample(a, b, n, s), _hall_rule,
+                      ModelFlags(True, True, True, False, False), local=True),
+    # The atomic spins without the Malus noise, under the sign rule.
+    "mixed": ModelSpec(lambda a, b, p: mixed_law(a, b),
+                       lambda a, b, n, s, p: pinned_spin_sample(a, b, n, s)[0], _hall_rule,
+                       ModelFlags(True, True, True, False, False)),
 }
 
-MODEL_IDS = tuple(_MODEL_FLAGS)
+MODEL_IDS = tuple(m for m, spec in MODELS.items() if spec.draw is not None)
+
+
+def model_spec(model_id: str) -> ModelSpec:
+    try:
+        return MODELS[model_id]
+    except KeyError:
+        raise KeyError(f"unknown model {model_id!r}; known: {sorted(MODELS)}") from None
 
 
 def model_flags(model_id: str) -> ModelFlags:
-    try:
-        return _MODEL_FLAGS[model_id]
-    except KeyError:
-        raise KeyError(f"unknown model {model_id!r}; known: {sorted(_MODEL_FLAGS)}") from None
+    flags = model_spec(model_id).flags
+    if flags is None:
+        raise KeyError(f"model {model_id!r} has a law but no sampler to flag")
+    return flags
 
 
 def analytic_law(model_id: str, a, b, p: float | None = None) -> JointLaw2x2:
-    """Closed-form joint law, for the models that have one."""
-    if model_id in ("singlet", "pinned", "hall", "tb", "tb-freewill"):
-        return singlet_law(a, b)
-    if model_id == "mixed":
-        return mixed_law(a, b)
-    if model_id == "uniform":
-        return uniform_law()
-    if model_id in ("tb-ext1", "tb-ext2"):
-        if p is None:
-            raise ValueError(f"{model_id} needs the mixing probability p")
-        return tb_extension_law(p, 1 if model_id == "tb-ext1" else 2, a, b)
-    raise KeyError(f"no analytic law for model {model_id!r}")
+    """Closed-form joint law of the named model."""
+    return model_spec(model_id).law(a, b, p)
 
 
 def sample_outcomes(model_id: str, a, b, n: int, stream: RandomStream,
@@ -415,28 +486,10 @@ def sample_outcomes(model_id: str, a, b, n: int, stream: RandomStream,
     """Draw n outcome pairs from the named model at fixed settings."""
     a = assert_unit(a, "a")
     b = assert_unit(b, "b")
-    if model_id == "tb" or model_id == "tb-freewill":
-        # Identical outcome statistics; they differ in who carries the bit,
-        # which only the protocol runners account for.
-        u = stream.sphere(n)
-        v = stream.sphere(n)
-        return tb_outcomes(u, v, a, b)
-    if model_id in ("tb-ext1", "tb-ext2"):
-        if p is None:
-            raise ValueError(f"{model_id} needs the mixing probability p")
-        u = stream.sphere(n)
-        v = stream.sphere(n)
-        return tb_extension_sample(p, 1 if model_id == "tb-ext1" else 2, u, v, a, b, stream)
-    if model_id == "pinned":
-        u, _, _ = pinned_spin_sample(a, b, n, stream)
-        return pinned_spin_outcomes(u, a, b, stream)
-    if model_id == "hall":
-        u = hall_sample(a, b, n, stream)
-        return hall_outcomes(u, a, b)
-    if model_id == "mixed":
-        u, _, _ = pinned_spin_sample(a, b, n, stream)
-        return hall_outcomes(u, a, b)
-    raise KeyError(f"unknown sampling model {model_id!r}")
+    spec = model_spec(model_id)
+    if spec.draw is None:
+        raise KeyError(f"model {model_id!r} has a law but no sampler")
+    return spec.outcomes(spec.draw(a, b, n, stream, p), a, b)
 
 
 def estimate_law(model_id: str, a, b, n: int, stream: RandomStream,

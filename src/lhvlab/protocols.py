@@ -23,20 +23,18 @@ from enum import Enum
 import numpy as np
 
 from .geometry import RandomStream, assert_unit, planar_setting, sgn, substream
-from .models import JointLaw2x2, malus_draw, singlet_law
+from .models import JointLaw2x2, hall_outcomes, malus_draw, one_bit_tau, singlet_law
 
 
 class PartyRole(str, Enum):
     ENTANGLER = "entangler"
     STATION_A = "station_a"
     STATION_B = "station_b"
-    REFEREE = "referee"
 
 
 class CausalMode(str, Enum):
     SETTINGS_CAUSE_LAMBDA = "settings_cause_lambda"
     LAMBDA_CAUSES_SETTINGS = "lambda_causes_settings"
-    ACTION_AT_A_DISTANCE = "action_at_a_distance"
 
 
 # Stream ids per party; fixed so runs are reproducible and so that one
@@ -46,7 +44,6 @@ STREAM_A = 1
 STREAM_B = 2
 STREAM_SHARED_AB = 3
 STREAM_W0 = 4
-STREAM_REFEREE = 5
 
 CSV_HEADER = "trial_index,model,c,d,u_dot_a,u_dot_b,sigma,tau,detA,detB,bitsAB,bitsBA"
 
@@ -328,34 +325,7 @@ def run_tb_protocol(n_trials: int, a, b, seed: int, record: bool = True) -> Prot
 
     The A->B meter reads exactly n_trials bits, B->A exactly 0.
     """
-    a = assert_unit(a, "a")
-    b = assert_unit(b, "b")
-    ent = substream(seed, STREAM_ENTANGLER)
-    u = ent.sphere(n_trials)
-    v = ent.sphere(n_trials)
-
-    # Station A: local outcome and the communicated bit.
-    sigma = sgn(u @ a)
-    c = sigma * sgn(v @ a)
-
-    channels = ChannelLedger(n_trials)
-    channels.send(PartyRole.STATION_A, PartyRole.STATION_B, 1)
-    channels.send(PartyRole.STATION_B, PartyRole.STATION_A, 0)
-
-    # Station B: own setting, shared (u, v), received bit. Never reads a.
-    tau = _station_b_tb(u, v, c, b)
-
-    law = JointLaw2x2.from_outcomes(sigma, tau)
-    transcripts = TranscriptBatch(
-        "tb", CausalMode.SETTINGS_CAUSE_LAMBDA, u, a, b, sigma, tau, v=v, c=c,
-        a_requested=a, b_requested=b, bits_a_to_b=1, bits_b_to_a=0,
-    ) if record else None
-    return ProtocolResult("tb", n_trials, law, channels,
-                          CausalMode.SETTINGS_CAUSE_LAMBDA, transcripts=transcripts)
-
-
-def _station_b_tb(u, v, c_received, b):
-    return -sgn(np.sum((u + np.asarray(c_received)[:, None] * v) * b, axis=-1))
+    return _run_one_bit("tb", 1, n_trials, a, b, seed, record)
 
 
 def run_tb_freewill(n_trials: int, a, b, seed: int, record: bool = True) -> ProtocolResult:
@@ -366,31 +336,36 @@ def run_tb_freewill(n_trials: int, a, b, seed: int, record: bool = True) -> Prot
     The requested setting is always used; the constraint selects c, which
     is the dependent variable of the hidden-variable distribution.
     """
+    return _run_one_bit("tb-freewill", 0, n_trials, a, b, seed, record)
+
+
+def _run_one_bit(model: str, bits_a_to_b: int, n_trials: int, a, b, seed: int,
+                 record: bool) -> ProtocolResult:
     a = assert_unit(a, "a")
     b = assert_unit(b, "b")
     ent = substream(seed, STREAM_ENTANGLER)
     u = ent.sphere(n_trials)
     v = ent.sphere(n_trials)
-    c = sgn(u @ a) * sgn(v @ a)
 
+    # Station A: local outcome and the bit c = sgn(u.a) sgn(v.a), sent to
+    # B or held as a hidden variable.
     sigma = sgn(u @ a)
-    tau = _station_b_freewill(u, v, c, b)
+    c = sigma * sgn(v @ a)
 
     channels = ChannelLedger(n_trials)
-    channels.send(PartyRole.STATION_A, PartyRole.STATION_B, 0)
+    channels.send(PartyRole.STATION_A, PartyRole.STATION_B, bits_a_to_b)
     channels.send(PartyRole.STATION_B, PartyRole.STATION_A, 0)
+
+    # Station B: own setting, shared (u, v) and the bit. Never reads a.
+    tau = one_bit_tau(u, v, c, b)
+
     law = JointLaw2x2.from_outcomes(sigma, tau)
     transcripts = TranscriptBatch(
-        "tb-freewill", CausalMode.SETTINGS_CAUSE_LAMBDA, u, a, b, sigma, tau,
-        v=v, c=c, a_requested=a, b_requested=b,
+        model, CausalMode.SETTINGS_CAUSE_LAMBDA, u, a, b, sigma, tau, v=v, c=c,
+        a_requested=a, b_requested=b, bits_a_to_b=bits_a_to_b, bits_b_to_a=0,
     ) if record else None
-    return ProtocolResult("tb-freewill", n_trials, law, channels,
+    return ProtocolResult(model, n_trials, law, channels,
                           CausalMode.SETTINGS_CAUSE_LAMBDA, transcripts=transcripts)
-
-
-def _station_b_freewill(u, v, c_hidden, b):
-    # Reads only global hidden variables and the local setting.
-    return -sgn(np.sum((u + np.asarray(c_hidden)[:, None] * v) * b, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -695,8 +670,7 @@ def run_watch_realization(n_trials: int, model: str, seed: int,
     else:
         w0 = substream(seed, STREAM_W0)
         u = _sample_hall_per_trial(z_a, z_b, w0)
-        sigma = sgn(np.einsum("ij,ij->i", u, a_used))
-        tau = sgn(-np.einsum("ij,ij->i", u, b_used))
+        sigma, tau = hall_outcomes(u, a_used, b_used)
         c_col = None
         d_col = None
 

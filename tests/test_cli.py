@@ -1,13 +1,16 @@
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from lhvlab.cli import main
+from lhvlab.cli import build_parser, main
+from lhvlab.models import MODEL_IDS, MODELS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -243,3 +246,82 @@ def test_stdout_default(capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert report["command"] == "law"
+
+
+# Every bad input exits before any work with one line on stderr, status 2.
+BAD_INPUT = {
+    "chsh-singlet-mc": ["chsh", "--model", "singlet", "--trials", "1000"],
+    "chsh-uniform-mc": ["chsh", "--model", "uniform", "--trials", "1000"],
+    "chsh-ext-without-p": ["chsh", "--model", "tb-ext1"],
+    "law-scan-ext-without-p": ["law", "--model", "tb-ext1", "--scan", "0:90:3"],
+    "simulate-ext-p-out-of-range": ["simulate", "--model", "tb-ext2", "--p", "1.5"],
+    "simulate-trials-0": ["simulate", "--model", "pinned", "--trials", "0"],
+    "simulate-trials-negative": ["simulate", "--model", "pinned", "--trials", "-5"],
+    "chsh-trials-0": ["chsh", "--model", "pinned", "--trials", "0"],
+    "feasibility-trials-0": ["feasibility", "--from-model", "pinned", "--trials", "0"],
+    "protocol-trials-x": ["protocol", "--name", "tb", "--trials", "x"],
+    "audit-trials-negative": ["audit", "--mode", "honest", "--trials", "-1"],
+    "signal-trials-0": ["signal", "--mode", "action", "--trials", "0"],
+    "signal-message-bits-0": ["signal", "--mode", "action", "--message-bits", "0"],
+    "signal-message-not-bits": ["signal", "--mode", "action", "--message", "01x"],
+    "freewill-n-1": ["freewill", "--n", "1"],
+    "vec-not-a-number": ["law", "--model", "singlet", "--vec-a", "1,x,0"],
+    "vec-zero": ["law", "--model", "singlet", "--vec-a", "0,0,0"],
+    "vec-two-components": ["law", "--model", "singlet", "--vec-b", "1,0"],
+    "vec-infinite": ["simulate", "--model", "hall", "--vec-b", "inf,0,0"],
+    "vec-norm-overflows": ["law", "--model", "singlet", "--vec-a", "1e300,1e300,0"],
+    "angle-nan": ["audit", "--mode", "honest", "--a", "nan"],
+    "seed-negative": ["law", "--model", "singlet", "--seed", "-1"],
+    "sphere-without-cell": ["protocol", "--name", "detection-loophole", "--mode", "sphere"],
+    "sphere-odd-directions": ["protocol", "--name", "detection-loophole", "--mode",
+                              "sphere", "--n-directions", "7"],
+    "sphere-cell-too-large": ["protocol", "--name", "detection-loophole", "--mode",
+                              "sphere", "--delta-omega", "13"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_fails_in_one_line(capsys, argv):
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+        warnings.simplefilter("error")
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("lhvlab") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("scan", ["0:inf:3", "nan:90:3", "0:90:x"])
+def test_law_scan_bad_range_fails_in_one_line(tmp_path, scan):
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+        warnings.simplefilter("error")
+        run_cli(tmp_path, "law", "--model", "singlet", "--scan", scan)
+    assert str(exc.value.code).startswith("--scan expects ")
+
+
+def test_bad_seed_environment_fails_in_one_line(capsys, monkeypatch):
+    monkeypatch.setenv("LHV_LAB_SEED", "seven")
+    with pytest.raises(SystemExit) as exc:
+        main(["law", "--model", "singlet"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def _cli_choices(command, option):
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return set(next(a for a in subparsers.choices[command]._actions
+                    if option in a.option_strings).choices)
+
+
+def test_model_choices_come_from_the_table():
+    everything = {"singlet", "uniform", "mixed", "tb-ext1", "tb-ext2", "pinned",
+                  "hall", "tb", "tb-freewill"}
+    sampled = everything - {"singlet", "uniform"}
+    local = {"pinned", "hall", "tb-freewill"}
+    assert set(MODELS) == everything
+    assert {m for m, spec in MODELS.items() if spec.draw is not None} == set(MODEL_IDS) == sampled
+    assert {m for m, spec in MODELS.items() if spec.local} == local
+    assert _cli_choices("law", "--model") == _cli_choices("chsh", "--model") == everything
+    assert _cli_choices("simulate", "--model") == sampled
+    assert _cli_choices("feasibility", "--from-model") == local

@@ -12,7 +12,7 @@ from lhvlab.inequalities import (CardDeckModel, MasterProb16,
                                  chsh_mc, correlator,
                                  counterfactual_correlators, fine_feasibility,
                                  two_deck_example)
-from lhvlab.models import mixed_law, singlet_law, uniform_law
+from lhvlab.models import MODELS, mixed_law, sample_outcomes, singlet_law, uniform_law
 
 X = planar_setting(0.0)
 
@@ -197,6 +197,22 @@ def test_counterfactual_correlators_stay_classical():
             correlator_tol=[Fraction(3 * x.std_error).limit_denominator(10**6)
                             for x in ests])
         assert res.feasible, model
+
+
+@pytest.mark.parametrize("seed", [61, 62, 63])
+@pytest.mark.parametrize("model", [m for m, spec in MODELS.items() if spec.local])
+def test_counterfactual_reference_pair_is_the_sampled_law(model, seed):
+    # One outcome rule: the frozen batch at the reference pair (a, b) is
+    # exactly what the sampler draws there from the same stream.
+    a, a2, b, b2 = OPTIMAL
+    first = counterfactual_correlators(model, a, a2, b, b2, 20_000, RandomStream(seed))[0]
+    assert first == correlator(sample_outcomes(model, a, b, 20_000, RandomStream(seed)))
+
+
+def test_counterfactual_correlators_need_a_local_model():
+    for model in ("tb", "mixed", "singlet", "no-such-model"):
+        with pytest.raises(KeyError):
+            counterfactual_correlators(model, *OPTIMAL, 100, RandomStream(64))
 
 
 # ---------------------------------------------------------------------------

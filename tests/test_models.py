@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from lhvlab.geometry import RandomStream, planar_setting, sgn
-from lhvlab.models import (HALL_ENVELOPE, INCOMPATIBLE_PRIORS, JointLaw2x2,
+from lhvlab.models import (HALL_ENVELOPE, INCOMPATIBLE_PRIORS, MODEL_IDS, MODELS, JointLaw2x2,
                            analytic_law, pinned_spin_outcomes, pinned_spin_sample,
                            estimate_law, hall_density, hall_f, hall_outcomes,
                            hall_sample, hall_settings_conditional,
@@ -545,3 +545,15 @@ def test_estimate_law_and_analytic_registry():
         estimate_law("tb-ext1", X, b, 100, RandomStream(38))
     with pytest.raises(KeyError):
         analytic_law("no-such-model", X, b)
+    for model in ("singlet", "uniform", "no-such-model"):
+        with pytest.raises(KeyError):
+            sample_outcomes(model, X, b, 100, RandomStream(39))
+    with pytest.raises(KeyError):
+        model_flags("singlet")
+
+
+def test_model_table_ids():
+    assert MODEL_IDS == ("tb", "tb-ext1", "tb-ext2", "tb-freewill", "pinned", "hall", "mixed")
+    assert set(MODELS) == {"singlet", "uniform", *MODEL_IDS}
+    for model, spec in MODELS.items():
+        assert (spec.draw is None) == (spec.outcomes is None) == (spec.flags is None), model
