@@ -324,10 +324,13 @@ def _cmd_feasibility(args) -> int:
 def _cmd_protocol(args) -> int:
     checks = []
     if args.name == "detection-loophole":
-        rep = run_detection_loophole(args.trials, args.mode, args.seed,
-                                     delta_omega=args.delta_omega,
-                                     n_directions=args.n_directions,
-                                     record=bool(args.transcript))
+        try:
+            rep = run_detection_loophole(args.trials, args.mode, args.seed,
+                                         delta_omega=args.delta_omega,
+                                         n_directions=args.n_directions,
+                                         record=bool(args.transcript))
+        except RuntimeError as exc:  # zero coincidences
+            raise SystemExit(f"detection-loophole with {args.trials} trials: {exc}")
         band = 3.0 * math.sqrt(rep.expected_efficiency
                                * (1 - rep.expected_efficiency) / args.trials)
         checks.append(_check(

@@ -258,7 +258,7 @@ def hall_f(u, a, b):
     spin fixed to -u. Invariant under u -> -u."""
     u = np.asarray(u, dtype=float)
     t = float(np.dot(a, b))
-    return sgn(np.sum(u * a, axis=-1)) * sgn(-np.sum(u * b, axis=-1)) * t
+    return sgn(_dot(u, a)) * sgn(-_dot(u, b)) * t
 
 
 def _hall_g(f):

@@ -137,6 +137,37 @@ def _fmt(x) -> str:
     return f"{float(x):.9g}"
 
 
+# Rows per to_csv write; bounds the writer's transient memory.
+_CSV_CHUNK_ROWS = 1 << 15
+
+
+def _cells(x: np.ndarray, shown=None, dense: bool = False) -> list:
+    """[_fmt(v) for v in x], with "" where shown is false.
+
+    A dense float column is formatted value by value. Any other column
+    formats each distinct value once and looks its cells up; floats are
+    told apart by their bits, so 0.0, -0.0 and NaN keep their own cells.
+    """
+    kind = x.dtype.kind
+    if dense and kind == "f" and shown is None:
+        return list(map("{:.9g}".format, x.tolist()))
+    if kind in "biu":
+        keys = x
+    elif kind == "f":
+        keys = np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+    elif shown is None:
+        return list(map(_fmt, x))
+    else:
+        return [_fmt(v) if s else "" for v, s in zip(x, shown)]
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    if kind == "f":
+        distinct = distinct.view(np.float64)
+    table = np.array([_fmt(v) for v in distinct] + [""], dtype=object)
+    if shown is not None:
+        inverse = np.where(shown, inverse, len(distinct))
+    return table[inverse].tolist()
+
+
 class TranscriptBatch:
     """Column-oriented per-trial records for one protocol run."""
 
@@ -199,22 +230,25 @@ class TranscriptBatch:
         )
 
     def to_csv(self, fh) -> None:
-        """Stream one row per trial under the fixed header."""
+        """Stream one row per trial under the fixed header, formatting
+        whole columns of _CSV_CHUNK_ROWS rows at a time (one write each)."""
         fh.write(CSV_HEADER + "\n")
         ua = self.u_dot_a()
         ub = self.u_dot_b()
-        for i in range(self.n):
-            row = [
-                str(i), self.model,
-                _fmt(None if self.c is None else self.c[i]),
-                _fmt(None if self.d is None else self.d[i]),
-                _fmt(ua[i]), _fmt(ub[i]),
-                _fmt(self.sigma[i]) if self.detected_a[i] else "",
-                _fmt(self.tau[i]) if self.detected_b[i] else "",
-                _fmt(bool(self.detected_a[i])), _fmt(bool(self.detected_b[i])),
-                str(int(self.bits_a_to_b[i])), str(int(self.bits_b_to_a[i])),
+        for lo in range(0, self.n, _CSV_CHUNK_ROWS):
+            rows = slice(lo, min(lo + _CSV_CHUNK_ROWS, self.n))
+            m = rows.stop - lo
+            cols = [
+                map(str, range(lo, rows.stop)), [self.model] * m,
+                [""] * m if self.c is None else _cells(self.c[rows]),
+                [""] * m if self.d is None else _cells(self.d[rows]),
+                _cells(ua[rows], dense=True), _cells(ub[rows], dense=True),
+                _cells(self.sigma[rows], self.detected_a[rows]),
+                _cells(self.tau[rows], self.detected_b[rows]),
+                _cells(self.detected_a[rows]), _cells(self.detected_b[rows]),
+                _cells(self.bits_a_to_b[rows]), _cells(self.bits_b_to_a[rows]),
             ]
-            fh.write(",".join(row) + "\n")
+            fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
 def binned_outcome_counts(t, sigma, tau, n_bins: int = 12):
@@ -226,11 +260,10 @@ def binned_outcome_counts(t, sigma, tau, n_bins: int = 12):
     tau = np.asarray(tau)
     edges = np.linspace(-1.0, 1.0, n_bins + 1)
     idx = np.clip(np.digitize(t, edges) - 1, 0, n_bins - 1)
-    counts = np.zeros((n_bins, 2, 2), dtype=np.int64)
-    sp = sigma > 0
-    tp = tau > 0
-    for i, (sm, tm) in enumerate(((sp, tp), (sp, ~tp), (~sp, tp), (~sp, ~tp))):
-        np.add.at(counts[:, i // 2, i % 2], idx[sm & tm], 1)
+    # Cell 2*(sigma <= 0) + (tau <= 0): (+,+), (+,-), (-,+), (-,-); a NaN
+    # outcome counts as negative.
+    cell = 2 * ~(sigma > 0) + ~(tau > 0)
+    counts = np.bincount(4 * idx + cell, minlength=4 * n_bins).reshape(n_bins, 2, 2)
     t_sums = np.bincount(idx, weights=t, minlength=n_bins)
     return counts, t_sums
 

@@ -155,6 +155,31 @@ def test_protocol_failing_check_sets_exit_code(tmp_path):
     assert not all(c["passed"] for c in report["invariant_checks"])
 
 
+ZERO_COINCIDENCES = ["protocol", "--name", "detection-loophole", "--trials", "2"]
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_protocol_zero_coincidences_fail_in_one_line(tmp_path, seed):
+    # Two pairs often give no coincidence; other seeds report (and fail checks).
+    try:
+        _, report = run_json(tmp_path, *ZERO_COINCIDENCES, "--seed", str(seed))
+    except SystemExit as exc:
+        message = str(exc.code)
+        assert "no coincidences recorded" in message and "\n" not in message
+    else:
+        assert report["results"]["n_coincidences"] > 0
+
+
+def test_protocol_zero_coincidences_exit_status():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "lhvlab.cli", *ZERO_COINCIDENCES,
+                           "--seed", "1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 def test_signal_commands(tmp_path):
     rc, report = run_json(tmp_path, "signal", "--mode", "slave-will",
                           "--trials", "30000", "--seed", "4")

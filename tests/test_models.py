@@ -170,6 +170,22 @@ def test_hall_f_values_and_flip_invariance():
     assert np.allclose(hall_f(u, X, b), hall_f(-u, X, b))
 
 
+def test_hall_f_equals_the_np_sum_form_bit_for_bit():
+    stream = RandomStream(9)
+    # Planar settings, and settings off every axis, so all three products count.
+    settings = [(planar_setting(0.0), planar_setting(60.0)),
+                (planar_setting(30.0), planar_setting(120.0)),
+                *(tuple(stream.sphere(2)) for _ in range(3))]
+    for a, b in settings:
+        # Random spins, then atoms orthogonal to a or to b (u.a or u.b
+        # near 0, where a different summation order could flip a sign).
+        u = np.vstack([stream.sphere(20_000),
+                       np.cross(a, stream.sphere(2_000)), np.cross(b, stream.sphere(2_000))])
+        t = float(np.dot(a, b))
+        expected = sgn(np.sum(u * a, axis=-1)) * sgn(-np.sum(u * b, axis=-1)) * t
+        assert hall_f(u, a, b).tobytes() == expected.tobytes()
+
+
 def test_hall_density_limits():
     # a = b forces f = -1: the density is 1/(4*pi) there.
     assert hall_density(planar_setting(12.0), X, X) == pytest.approx(1 / (4 * math.pi))

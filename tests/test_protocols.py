@@ -7,9 +7,10 @@ from scipy import stats
 
 from lhvlab.geometry import RandomStream, planar_setting, sgn, substream
 from lhvlab.models import singlet_law
-from lhvlab.protocols import (CSV_HEADER, EMISSION_STEP, TIME_OF_FLIGHT,
-                              WATCH_A, WATCH_B, CausalMode, PartyRole,
-                              binned_singlet_deviation,
+from lhvlab.protocols import (_CSV_CHUNK_ROWS, CSV_HEADER, EMISSION_STEP,
+                              TIME_OF_FLIGHT, WATCH_A, WATCH_B, CausalMode,
+                              PartyRole, TranscriptBatch, _fmt,
+                              binned_outcome_counts, binned_singlet_deviation,
                               run_conspiracy_audit, run_detection_loophole,
                               run_shared_coin,
                               run_signaling_experiment, run_tb_freewill,
@@ -372,3 +373,118 @@ def test_binned_deviation_passes_for_exact_singlet_sampler():
     tau = np.where(r2 < p_anti, -sigma, sigma)
     res = binned_singlet_deviation(t, sigma, tau)
     assert res["max_abs_dev"] < 0.01
+
+
+# ---------------------------------------------------------------------------
+# Column-wise transcript writer against the row-by-row reference
+
+
+def reference_csv(tr) -> str:
+    """The original writer: one row at a time, every cell through _fmt."""
+    fh = io.StringIO()
+    fh.write(CSV_HEADER + "\n")
+    ua = tr.u_dot_a()
+    ub = tr.u_dot_b()
+    for i in range(tr.n):
+        row = [
+            str(i), tr.model,
+            _fmt(None if tr.c is None else tr.c[i]),
+            _fmt(None if tr.d is None else tr.d[i]),
+            _fmt(ua[i]), _fmt(ub[i]),
+            _fmt(tr.sigma[i]) if tr.detected_a[i] else "",
+            _fmt(tr.tau[i]) if tr.detected_b[i] else "",
+            _fmt(bool(tr.detected_a[i])), _fmt(bool(tr.detected_b[i])),
+            str(int(tr.bits_a_to_b[i])), str(int(tr.bits_b_to_a[i])),
+        ]
+        fh.write(",".join(row) + "\n")
+    return fh.getvalue()
+
+
+def written_csv(tr) -> str:
+    fh = io.StringIO()
+    tr.to_csv(fh)
+    return fh.getvalue()
+
+
+def head(tr, n):
+    """The first n trials of a batch, as a batch of their own."""
+    cut = (lambda col: None if col is None else col[:n])
+    return TranscriptBatch(
+        tr.model, tr.causal_mode, tr.u[:n], tr.a_used[:n], tr.b_used[:n],
+        tr.sigma[:n], tr.tau[:n], v=cut(tr.v), c=cut(tr.c), d=cut(tr.d),
+        detected_a=tr.detected_a[:n], detected_b=tr.detected_b[:n],
+        bits_a_to_b=tr.bits_a_to_b[:n], bits_b_to_a=tr.bits_b_to_a[:n])
+
+
+RUNNERS = {
+    "tb": lambda n, seed: run_tb_protocol(n, X, B63, seed),
+    "tb-freewill": lambda n, seed: run_tb_freewill(n, X, B63, seed),
+    "shared-coin": lambda n, seed: run_shared_coin(n, seed),
+    "watch-pinned": lambda n, seed: run_watch_realization(n, "pinned", seed),
+    "watch-hall": lambda n, seed: run_watch_realization(n, "hall", seed),
+    "detection-symmetric":
+        lambda n, seed: run_detection_loophole(n, "symmetric", seed, record=True),
+    "detection-asymmetric":
+        lambda n, seed: run_detection_loophole(n, "asymmetric", seed, record=True),
+    "detection-sphere": lambda n, seed: run_detection_loophole(
+        n, "sphere", seed, n_directions=64, record=True),
+}
+
+
+@pytest.mark.parametrize("runner", RUNNERS.values(), ids=RUNNERS.keys())
+def test_transcript_writer_matches_reference_at_chunk_edges(runner):
+    tr = runner(_CSV_CHUNK_ROWS + 1, 41).transcripts
+    expected = reference_csv(tr).splitlines(keepends=True)
+    for n in (_CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1):
+        assert written_csv(head(tr, n)) == "".join(expected[:n + 1]), n
+
+
+@pytest.mark.parametrize("runner", RUNNERS.values(), ids=RUNNERS.keys())
+def test_transcript_writer_matches_reference_at_smallest_run(runner):
+    # Detection runs with no coincidence raise, so start where one runs.
+    for n in range(1, 100):
+        try:
+            tr = runner(n, 42).transcripts
+            break
+        except RuntimeError:
+            continue
+    assert written_csv(tr) == reference_csv(tr)
+
+
+def test_transcript_writer_keeps_signed_zeros_and_special_values():
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, -1e-300, 1.0, -1.0, 0.1]
+    n = 3 * len(special)
+    stream = RandomStream(43)
+    d = np.array(special * 3)
+    tr = TranscriptBatch(
+        "hand-built", CausalMode.SETTINGS_CAUSE_LAMBDA, stream.sphere(n), X, B63,
+        sigma=np.roll(d, 1), tau=np.roll(d, 2), c=np.arange(n) % 3 - 1, d=d,
+        detected_a=np.arange(n) % 4 != 0, detected_b=np.arange(n) % 5 != 0,
+        bits_a_to_b=np.arange(n) % 2, bits_b_to_a=7)
+    text = written_csv(tr)
+    assert text == reference_csv(tr)
+    cells = [line.split(",") for line in text.splitlines()[1:]]
+    assert {row[3] for row in cells} >= {"0", "-0", "nan", "inf", "-inf", "1e-300"}
+    assert cells[1][2] == "0" and cells[0][2] == "-1"  # integer c, no ".0"
+    assert cells[0][6] == "" and cells[0][7] == ""  # undetected on both sides
+
+
+def test_binned_outcome_counts_match_add_at_reference():
+    stream = RandomStream(44)
+    n = 50_000
+    t = np.concatenate([stream.uniform(n) * 2 - 1, [-1.0, 1.0, 0.0, 1.0 / 6]])
+    values = np.array([1.0, -1.0, 0.0, -0.0, np.nan])
+    sigma = values[stream.integers(0, len(values), len(t))]
+    tau = values[stream.integers(0, len(values), len(t))]
+    counts, t_sums = binned_outcome_counts(t, sigma, tau)
+
+    # The four-cell np.add.at version this replaced.
+    idx = np.clip(np.digitize(t, np.linspace(-1.0, 1.0, 13)) - 1, 0, 11)
+    expected = np.zeros((12, 2, 2), dtype=np.int64)
+    sp = sigma > 0
+    tp = tau > 0
+    for i, (sm, tm) in enumerate(((sp, tp), (sp, ~tp), (~sp, tp), (~sp, ~tp))):
+        np.add.at(expected[:, i // 2, i % 2], idx[sm & tm], 1)
+    assert counts.dtype == np.int64 and counts.shape == (12, 2, 2)
+    assert np.array_equal(counts, expected)
+    assert np.array_equal(t_sums, np.bincount(idx, weights=t, minlength=12))
