@@ -408,7 +408,9 @@ def written_csv(tr) -> str:
 
 def head(tr, n):
     """The first n trials of a batch, as a batch of their own."""
-    cut = (lambda col: None if col is None else col[:n])
+    def cut(col):
+        return None if col is None else col[:n]
+
     return TranscriptBatch(
         tr.model, tr.causal_mode, tr.u[:n], tr.a_used[:n], tr.b_used[:n],
         tr.sigma[:n], tr.tau[:n], v=cut(tr.v), c=cut(tr.c), d=cut(tr.d),
@@ -478,7 +480,7 @@ def test_binned_outcome_counts_match_add_at_reference():
     tau = values[stream.integers(0, len(values), len(t))]
     counts, t_sums = binned_outcome_counts(t, sigma, tau)
 
-    # The four-cell np.add.at version this replaced.
+    # Reference: one np.add.at per outcome cell.
     idx = np.clip(np.digitize(t, np.linspace(-1.0, 1.0, 13)) - 1, 0, 11)
     expected = np.zeros((12, 2, 2), dtype=np.int64)
     sp = sigma > 0
