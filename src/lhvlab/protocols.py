@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -150,7 +151,10 @@ def _cells(x: np.ndarray, shown=None, dense: bool = False) -> list:
     """
     kind = x.dtype.kind
     if dense and kind == "f" and shown is None:
-        return list(map("{:.9g}".format, x.tolist()))
+        # float(v) then ".9g", as _fmt does; float.__format__ skips the
+        # format-string parsing of "{:.9g}".format.
+        return list(map(float.__format__, x.astype(np.float64, copy=False).tolist(),
+                        repeat(".9g")))
     if kind in "biu":
         keys = x
     elif kind == "f":
