@@ -130,6 +130,11 @@ def _validate(parser, args) -> None:
         parser.error(f"--model {args.model} needs --p in [0, 1]")
     if args.command == "chsh" and args.trials and spec.draw is None:
         parser.error(f"--model {args.model} has a law but no sampler; drop --trials")
+    if args.command == "protocol" and args.name not in ("tb", "tb-freewill"):
+        given = [f"--{opt}" for opt in ("a", "b", "vec-a", "vec-b")
+                 if getattr(args, opt.replace("-", "_")) is not None]
+        if given:
+            parser.error(f"--name {args.name} sets its own settings; drop {' '.join(given)}")
     if (args.command == "protocol" and args.name == "detection-loophole"
             and args.mode == "sphere" and args.delta_omega is None
             and args.n_directions is None):

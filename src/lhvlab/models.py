@@ -20,16 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RandomStream, assert_unit, sgn
+from .geometry import X_HAT, Y_HAT, RandomStream, assert_unit, sgn
 
 LAW_TOL = 1e-12
 
-# Rejection envelope for the maximal-measurement-dependence sampler.
-# sup of (1-f)/(8*arccos f) over f in [-1, 1] is ~0.0905764 (attained
-# near f = -0.689, where tan(arccos(f)/2) = arccos(f)), so the constant
-# below clears a 1.05x safety margin. Verified by grid scan in
-# _check_hall_envelope at import.
-HALL_ENVELOPE = 0.0952
+# Rows per block when hall_sample turns its uniforms into spins; bounds the
+# temporary arrays whatever the trial count.
+_HALL_BLOCK = 1 << 16
 
 _OUT_INDEX = {1: 0, -1: 1}
 _OUTCOMES = (1, -1)
@@ -288,40 +285,63 @@ def hall_settings_conditional(u, a, b):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _check_hall_envelope():
-    f = np.linspace(-1.0, 1.0, 100_001)
-    peak = float(_hall_g(f).max())
-    if HALL_ENVELOPE < 1.05 * peak:
-        raise AssertionError(
-            f"rejection envelope {HALL_ENVELOPE} below 1.05 * scanned peak {peak}")
-
-
-_check_hall_envelope()
-
-
 def hall_sample(a, b, n: int, stream: RandomStream) -> np.ndarray:
-    """Draw n hidden spins from hall_density by rejection against the
-    constant envelope HALL_ENVELOPE.
+    """Draw n hidden spins from hall_density, exactly, from 4n uniforms.
 
-    Aborts if any candidate density exceeds the envelope, which would
-    silently bias acceptance.
+    a and b are unit vectors, or (n, 3) rows of per-trial settings. The
+    density is constant on each of the four lunes cut by the planes normal
+    to a and b: the two where sgn(u.a) = sgn(u.b) carry (1 + a.b)/4 each,
+    the other two (1 - a.b)/4. Trial i reads the uniforms i, n + i, 2n + i
+    and 3n + i: they pick the pair, the lune of the pair, the height along
+    a x b and the azimuth across the lune.
     """
-    a = assert_unit(a, "a")
-    b = assert_unit(b, "b")
+    a = _setting_rows(a, n, "a")
+    b = _setting_rows(b, n, "b")
+    w = stream.uniform((4, n))
     out = np.empty((n, 3))
-    filled = 0
-    while filled < n:
-        m = max(2 * (n - filled), 1024)
-        cand = stream.sphere(m)
-        dens = hall_density(cand, a, b)
-        if np.any(dens > HALL_ENVELOPE):
-            raise RuntimeError(
-                f"envelope violation: density {float(dens.max())} > {HALL_ENVELOPE}")
-        acc = stream.uniform(m) * HALL_ENVELOPE < dens
-        take = cand[acc][: n - filled]
-        out[filled:filled + len(take)] = take
-        filled += len(take)
+    for lo in range(0, n, _HALL_BLOCK):
+        rows = slice(lo, lo + _HALL_BLOCK)
+        out[rows] = _lune_points(a if a.ndim == 1 else a[rows],
+                                 b if b.ndim == 1 else b[rows], w[:, rows])
     return out
+
+
+def _setting_rows(x, n: int, name: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return assert_unit(x, name)
+    if x.shape != (n, 3) or np.any(np.abs(_dot(x, x) - 1.0) > 1e-9):
+        raise ValueError(f"{name} must be a unit vector or ({n}, 3) unit rows")
+    return x
+
+
+def _lune_points(a, b, w):
+    """Spins from the uniforms w at the settings a, b (vectors or rows). In
+    the frame e1 = a, e2, e3 along a x b, b lies at azimuth theta, and the
+    lunes with sgn(u.a) = +1 are (theta - pi/2, pi/2) where sgn(u.b) = +1
+    and (-pi/2, theta - pi/2) where it is -1; the other two turn these by pi."""
+    e1 = a / np.sqrt(_dot(a, a))[..., None]
+    t = _dot(a, b)
+    axis = np.cross(e1, b)
+    # Drop the rounding error along a, which is large next to |a x b| when b ~ +-a.
+    axis -= _dot(axis, e1)[..., None] * e1
+    s = np.sqrt(_dot(axis, axis))
+    theta = np.arctan2(s, t)
+    flat = s < 1e-12
+    if np.any(flat):
+        # b = +-a up to rounding: the lunes between them are empty, so any
+        # axis normal to a will do.
+        spare = np.cross(e1, np.where(np.abs(e1[..., :1]) < 0.5, X_HAT, Y_HAT))
+        axis = np.where(flat[..., None], spare, axis)
+    e3 = axis / np.sqrt(_dot(axis, axis))[..., None]
+    e2 = np.cross(e3, e1)
+    same = w[0] < (1.0 + t) / 2.0
+    phi = np.where(same, theta + (math.pi - theta) * w[3], theta * w[3]) - math.pi / 2
+    z = 2.0 * w[2] - 1.0
+    r = np.sqrt(1.0 - z * z)
+    r = np.where(w[1] < 0.5, r, -r)
+    return ((r * np.cos(phi))[:, None] * e1 + (r * np.sin(phi))[:, None] * e2
+            + z[:, None] * e3)
 
 
 def hall_outcomes(u, a, b):

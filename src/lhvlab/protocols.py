@@ -24,7 +24,8 @@ from itertools import repeat
 import numpy as np
 
 from .geometry import RandomStream, assert_unit, planar_setting, sgn, substream
-from .models import JointLaw2x2, hall_outcomes, malus_draw, one_bit_tau, singlet_law
+from .models import (JointLaw2x2, hall_outcomes, hall_sample, malus_draw, one_bit_tau,
+                     singlet_law)
 
 
 class PartyRole(str, Enum):
@@ -337,18 +338,16 @@ class ProtocolResult:
 
 def _resolve_policy(policy, n: int, stream: RandomStream):
     """Per-trial settings from a policy: 'random' draws from the given
-    station stream; a single vector or a list of vectors is used as-is
-    (lists cycle). Random draws always burn the same stream budget."""
+    station stream; a single unit vector is used on every trial. Random
+    draws always burn the same stream budget."""
     if isinstance(policy, str):
         if policy == "random":
             return stream.sphere(n)
         raise ValueError(f"unknown settings policy {policy!r}")
     arr = np.asarray(policy, dtype=float)
-    if arr.ndim == 1:
-        assert_unit(arr, "setting")
-        return np.broadcast_to(arr, (n, 3))
-    reps = int(np.ceil(n / arr.shape[0]))
-    return np.tile(arr, (reps, 1))[:n]
+    if arr.shape != (3,):
+        raise ValueError(f"a settings policy is 'random' or one unit vector, not {policy!r}")
+    return np.broadcast_to(assert_unit(arr, "setting"), (n, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -705,8 +704,7 @@ def run_watch_realization(n_trials: int, model: str, seed: int,
         c_col: np.ndarray | None = j
         d_col: np.ndarray | None = d
     else:
-        w0 = substream(seed, STREAM_W0)
-        u = _sample_hall_per_trial(z_a, z_b, w0)
+        u = hall_sample(z_a, z_b, n_trials, substream(seed, STREAM_W0))
         sigma, tau = hall_outcomes(u, a_used, b_used)
         c_col = None
         d_col = None
@@ -726,30 +724,6 @@ def run_watch_realization(n_trials: int, model: str, seed: int,
     return ProtocolResult(f"watch-{model}", n_trials, law, channels,
                           CausalMode.LAMBDA_CAUSES_SETTINGS,
                           transcripts=transcripts, singlet_comparison=comparison)
-
-
-def _sample_hall_per_trial(a_rows: np.ndarray, b_rows: np.ndarray,
-                           stream: RandomStream) -> np.ndarray:
-    """Rejection-sample one hidden spin per trial from the
-    setting-conditioned density with per-trial settings."""
-    from .models import HALL_ENVELOPE, _hall_g
-
-    n = len(a_rows)
-    out = np.empty((n, 3))
-    pending = np.arange(n)
-    while pending.size:
-        cand = stream.sphere(pending.size)
-        accept_draw = stream.uniform(pending.size)
-        t = np.einsum("ij,ij->i", a_rows[pending], b_rows[pending])
-        f = (sgn(np.einsum("ij,ij->i", cand, a_rows[pending]))
-             * sgn(-np.einsum("ij,ij->i", cand, b_rows[pending])) * t)
-        dens = _hall_g(f)
-        if np.any(dens > HALL_ENVELOPE):
-            raise RuntimeError("envelope violation in per-trial sampling")
-        acc = accept_draw * HALL_ENVELOPE < dens
-        out[pending[acc]] = cand[acc]
-        pending = pending[~acc]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,10 @@ BAD_INPUT = {
     "vec-norm-overflows": ["law", "--model", "singlet", "--vec-a", "1e300,1e300,0"],
     "angle-nan": ["audit", "--mode", "honest", "--a", "nan"],
     "seed-negative": ["law", "--model", "singlet", "--seed", "-1"],
+    "shared-coin-a": ["protocol", "--name", "shared-coin", "--a", "30"],
+    "detection-vec-b": ["protocol", "--name", "detection-loophole", "--vec-b", "0,0,1"],
+    "watch-pinned-b": ["protocol", "--name", "watch-pinned", "--b", "45"],
+    "watch-hall-vec-a": ["protocol", "--name", "watch-hall", "--vec-a", "1,0,0"],
     "sphere-without-cell": ["protocol", "--name", "detection-loophole", "--mode", "sphere"],
     "sphere-odd-directions": ["protocol", "--name", "detection-loophole", "--mode",
                               "sphere", "--n-directions", "7"],

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from lhvlab.geometry import RandomStream, planar_setting, sgn
-from lhvlab.models import (HALL_ENVELOPE, INCOMPATIBLE_PRIORS, MODEL_IDS, MODELS, JointLaw2x2,
+from lhvlab.models import (INCOMPATIBLE_PRIORS, MODEL_IDS, MODELS, JointLaw2x2,
                            analytic_law, pinned_spin_outcomes, pinned_spin_sample,
                            estimate_law, hall_density, hall_f, hall_outcomes,
                            hall_sample, hall_settings_conditional,
@@ -13,7 +13,7 @@ from lhvlab.models import (HALL_ENVELOPE, INCOMPATIBLE_PRIORS, MODEL_IDS, MODELS
                            sample_outcomes, singlet_law, tb_conditional,
                            tb_extension_law, tb_extension_sample,
                            tb_freewill_density, tb_freewill_sample,
-                           tb_outcomes, uniform_law, _hall_g)
+                           tb_outcomes, uniform_law, _hall_g, _HALL_BLOCK)
 
 X = planar_setting(0.0)
 Y = planar_setting(90.0)
@@ -204,18 +204,6 @@ def test_hall_density_normalizes():
     assert abs(integral - 1.0) < 0.005
 
 
-def test_hall_envelope_clears_scanned_peak():
-    f = np.linspace(-1.0, 1.0, 100_000)
-    assert HALL_ENVELOPE >= 1.05 * float(_hall_g(f).max())
-
-
-def test_hall_rejection_acceptance_rate_positive():
-    # Mean density over the envelope is the acceptance rate, ~0.84.
-    u = RandomStream(78).sphere(100_000)
-    rate = float(np.mean(hall_density(u, X, planar_setting(37.0)) / HALL_ENVELOPE))
-    assert 0.5 < rate < 1.0
-
-
 def _expected_bin_probs(alpha_deg, beta_deg, n_z=10, n_phi=10):
     """Exact bin probabilities of the hidden-spin density for planar
     settings: the sign regions are bounded by meridians, so each z-slice
@@ -276,8 +264,6 @@ def test_hall_sample_reproduces_singlet():
 def test_hall_equal_settings_with_dot_product_above_one():
     # a.a rounds to 1 + 2e-16 here, so hall_f gives -1 - 2e-16; arccos of
     # that is NaN, and both rejection samplers used to accept nothing.
-    from lhvlab.protocols import _sample_hall_per_trial
-
     a = planar_setting(225.0)
     assert float(np.dot(a, a)) > 1.0
     assert _hall_g(np.array([np.nextafter(-1.0, -2.0)]))[0] == pytest.approx(
@@ -286,9 +272,131 @@ def test_hall_equal_settings_with_dot_product_above_one():
     est = estimate_law("hall", a, a, n, RandomStream(16))
     assert est.max_abs_diff(singlet_law(a, a)) <= 5 * est.std_error()
     rows = np.tile(a, (n, 1))
-    u = _sample_hall_per_trial(rows, rows, RandomStream(17))
+    u = hall_sample(rows, rows, n, RandomStream(17))
     est = JointLaw2x2.from_outcomes(*hall_outcomes(u, a, a))
     assert est.max_abs_diff(singlet_law(a, a)) <= 5 * est.std_error()
+
+
+def _watch_like_rows(n, seed):
+    stream = RandomStream(seed)
+    return stream.sphere(n), stream.sphere(n)
+
+
+@pytest.mark.parametrize("rows", [False, True], ids=["vectors", "rows"])
+def test_hall_sample_draws_exactly_four_uniforms_per_trial(rows):
+    n = 12_345
+    a, b = _watch_like_rows(n, 40) if rows else (X, planar_setting(63.0))
+    stream = RandomStream(41)
+    hall_sample(a, b, n, stream)
+    assert stream.counter == 4 * n
+    hall_sample(a, b, n, stream)
+    assert stream.counter == 8 * n
+
+
+class _FixedUniforms:
+    """Stands in for a RandomStream and hands out preset uniforms."""
+
+    def __init__(self, w):
+        self.w = w
+
+    def uniform(self, size):
+        assert size == self.w.shape
+        return self.w
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_hall_sample_is_the_same_on_row_slices(offset):
+    # Trial i reads uniforms i, n + i, 2n + i and 3n + i and its own
+    # settings only, so slices fed their part of the draws give the same
+    # spins as one call, whatever the block edges.
+    n = _HALL_BLOCK + offset
+    a, b = _watch_like_rows(n, 42)
+    w = RandomStream(43).uniform((4, n))
+    whole = hall_sample(a, b, n, _FixedUniforms(w))
+    for cut in (1, 1000, n // 2, n - 1):
+        parts = [hall_sample(a[s], b[s], len(a[s]), _FixedUniforms(w[:, s]))
+                 for s in (slice(0, cut), slice(cut, n))]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+def _lune_cells(u, a, b):
+    """0: both signs +, 1: u.a > 0 > u.b, 2: u.b > 0 > u.a, 3: both -."""
+    return 2 * (sgn(u @ a) < 0) + (sgn(u @ b) < 0)
+
+
+def _random_rotation(seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+def test_hall_sample_fits_exact_lune_masses_off_plane():
+    # Settings with every component nonzero; each lune's mass is exact.
+    a = np.array([1.0, 2.0, 2.0]) / 3.0
+    b = np.array([-2.0, 3.0, 6.0]) / 7.0
+    t = float(a @ b)
+    n = 1_000_000
+    u = hall_sample(a, b, n, RandomStream(44))
+    counts = np.bincount(_lune_cells(u, a, b), minlength=4)
+    expected = n * np.array([1 + t, 1 - t, 1 - t, 1 + t]) / 4
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    assert stats.chi2.sf(stat, df=3) > 0.001
+
+
+def test_hall_sample_fits_rotated_planar_bins():
+    # Rotating the planar settings (0, 63 degrees) to a general position and
+    # the spins back must reproduce the planar test's exact 100-bin law.
+    rot = _random_rotation(45)
+    n = 1_000_000
+    u = hall_sample(rot @ X, rot @ planar_setting(63.0), n, RandomStream(46)) @ rot
+    z_idx = np.clip(((u[:, 2] + 1.0) / 0.2).astype(int), 0, 9)
+    phi = np.mod(np.arctan2(u[:, 1], u[:, 0]), 2 * math.pi)
+    phi_idx = np.clip((phi / (2 * math.pi / 10)).astype(int), 0, 9)
+    counts = np.bincount(z_idx * 10 + phi_idx, minlength=100)
+    expected = n * _expected_bin_probs(0.0, 63.0)
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    assert stats.chi2.sf(stat, df=99) > 0.001
+
+
+@pytest.mark.parametrize("rows", [False, True], ids=["vectors", "rows"])
+@pytest.mark.parametrize("theta", [1e-9, 1e-7, 1e-5, 0.0, math.pi, math.pi - 1e-9],
+                         ids=["1e-9", "1e-7", "1e-5", "a=b", "a=-b", "pi-1e-9"])
+@pytest.mark.parametrize("a", [X, np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)],
+                         ids=["axis", "off-axis"])
+def test_hall_sample_near_parallel_settings(a, theta, rows):
+    # The axis a x b is tiny or zero here: the spins must stay unit vectors
+    # and the law must still be the singlet's.
+    p = np.cross(a, Y if abs(a[1]) < 0.5 else X)
+    p /= np.linalg.norm(p)
+    b = math.cos(theta) * a + math.sin(theta) * p
+    b /= np.linalg.norm(b)
+    n = 200_000
+    u = hall_sample(np.tile(a, (n, 1)) if rows else a, np.tile(b, (n, 1)) if rows else b,
+                    n, RandomStream(47))
+    assert np.abs(np.linalg.norm(u, axis=1) - 1.0).max() <= 1e-12
+    est = JointLaw2x2.from_outcomes(*hall_outcomes(u, a, b))
+    assert est.max_abs_diff(singlet_law(a, b)) <= 5 * est.std_error()
+    # The mass sits in the right lunes: none in those that a = +-b empties.
+    cells = np.bincount(_lune_cells(u, a, b), minlength=4)
+    empty = [1, 2] if theta < 1.0 else [0, 3]
+    assert cells[empty].sum() <= 1
+
+
+def test_hall_sample_spins_are_unit_for_settings_nearly_unit():
+    # Settings pass the unit check within 1e-9; the spins are unit anyway.
+    a = X * (1 + 4e-10)
+    for b in (planar_setting(63.0) * (1 - 4e-10), a):
+        u = hall_sample(a, b, 10_000, RandomStream(49))
+        assert np.abs(np.linalg.norm(u, axis=1) - 1.0).max() <= 1e-12
+
+
+def test_hall_sample_rejects_bad_settings():
+    with pytest.raises(ValueError):
+        hall_sample(X, 2 * Y, 10, RandomStream(48))
+    with pytest.raises(ValueError):
+        hall_sample(np.tile(X, (9, 1)), Y, 10, RandomStream(48))
+    with pytest.raises(ValueError):
+        hall_sample(np.tile(2 * X, (10, 1)), Y, 10, RandomStream(48))
 
 
 def test_hall_outcomes_direct():

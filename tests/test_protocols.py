@@ -132,6 +132,16 @@ def test_shared_coin_locality_fault_injection():
     assert np.array_equal(base.transcripts.sigma, corrupt.transcripts.sigma)
 
 
+@pytest.mark.parametrize("policy", [[[2.0, 0.0, 0.0], [0.0, 3.0, 0.0]],
+                                    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                                    [2.0, 0.0, 0.0], [1.0, 0.0], "fixed"])
+def test_shared_coin_rejects_a_policy_that_is_not_one_unit_vector(policy):
+    with pytest.raises(ValueError):
+        run_shared_coin(10, seed=14, a_policy=policy)
+    with pytest.raises(ValueError):
+        run_shared_coin(10, seed=14, b_policy=policy)
+
+
 # ---------------------------------------------------------------------------
 # Detection loophole
 
