@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -124,21 +125,32 @@ def _norm(v) -> float:
         return float(np.linalg.norm(v))
 
 
+def _unread(parser, args, dests, who: str) -> None:
+    """Reject the options among dests that the run would ignore."""
+    given = " ".join("--" + d.replace("_", "-") for d in dests if getattr(args, d) is not None)
+    if given:
+        parser.error(f"{who} does not read {given}")
+
+
 def _validate(parser, args) -> None:
     spec = MODELS[args.model] if args.command in ("law", "simulate", "chsh") else None
     if spec is not None and spec.needs_p and not (args.p is not None and 0 <= args.p <= 1):
         parser.error(f"--model {args.model} needs --p in [0, 1]")
     if args.command == "chsh" and args.trials and spec.draw is None:
         parser.error(f"--model {args.model} has a law but no sampler; drop --trials")
-    if args.command == "protocol" and args.name not in ("tb", "tb-freewill"):
-        given = [f"--{opt}" for opt in ("a", "b", "vec-a", "vec-b")
-                 if getattr(args, opt.replace("-", "_")) is not None]
-        if given:
-            parser.error(f"--name {args.name} sets its own settings; drop {' '.join(given)}")
-    if (args.command == "protocol" and args.name == "detection-loophole"
-            and args.mode == "sphere" and args.delta_omega is None
-            and args.n_directions is None):
-        parser.error("sphere mode needs --delta-omega or --n-directions")
+    if args.command == "feasibility" and args.from_model:
+        _unread(parser, args, ("correlators", "tol"), "--from-model")
+    if args.command == "protocol":
+        # --mode is written into every protocol report's config, so it is
+        # always accepted; the cell options are read in sphere mode only.
+        reads = set(_protocols()[args.name][1])
+        if args.mode != "sphere":
+            reads -= {"delta_omega", "n_directions"}
+        who = f"--name {args.name}" + (f" --mode {args.mode}" if "mode" in reads else "")
+        dests = ("a", "vec_a", "b", "vec_b", "delta_omega", "n_directions")
+        _unread(parser, args, [d for d in dests if d.removeprefix("vec_") not in reads], who)
+        if "n_directions" in reads and args.delta_omega is None and args.n_directions is None:
+            parser.error("sphere mode needs --delta-omega or --n-directions")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,18 +209,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, trials_default=100_000)
 
     p = sub.add_parser("protocol", help="run a two-station protocol with metered channels")
-    p.add_argument("--name", required=True,
-                   choices=["tb", "tb-freewill", "shared-coin",
-                            "detection-loophole", "watch-pinned", "watch-hall"])
+    p.add_argument("--name", required=True, choices=tuple(_protocols()))
     p.add_argument("--mode", default="symmetric",
                    choices=["symmetric", "asymmetric", "sphere"],
-                   help="detection-loophole variant")
+                   help="variant of the detection protocol")
     p.add_argument("--delta-omega", default=None,
                    type=_typed(float, lambda w: 0 < w < 4 * math.pi, "a number in (0, 4*pi)"),
-                   help="solid-angle cell for detection-loophole sphere mode")
+                   help="solid-angle cell for the detection protocol's sphere mode")
     p.add_argument("--n-directions", default=None,
                    type=_typed(int, lambda n: n >= 2 and n % 2 == 0, "an even integer >= 2"),
-                   help="grid size for detection-loophole sphere mode")
+                   help="grid size for the detection protocol's sphere mode")
     p.add_argument("--transcript", default=None, help="write the per-trial CSV here")
     add_settings(p)
     add_common(p, trials_default=100_000)
@@ -326,67 +336,73 @@ def _cmd_feasibility(args) -> int:
     return _finish(args, config, results, checks)
 
 
+def _zero_station_bits(res) -> dict:
+    return _check("zero_station_bits", res.channels.station_to_station_bits == 0)
+
+
+def _binned_singlet(res) -> dict:
+    dev = res.singlet_comparison["max_abs_dev"]
+    return _check("singlet_within_binned_tolerance", dev <= 0.02, f"max_abs_dev={dev:.6g}")
+
+
+def _one_bit_checks(res) -> list:
+    bits = res.channels.as_dict()
+    return [_check("one_bit_per_trial", bits["bits_a_to_b"] == res.n_trials),
+            _check("no_return_bits", bits["bits_b_to_a"] == 0)]
+
+
+def _shared_coin_checks(res) -> list:
+    return [_zero_station_bits(res),
+            _check("two_shared_draws_per_trial", res.shared_draws_total == 2 * res.n_trials),
+            _binned_singlet(res)]
+
+
+def _watch_checks(res) -> list:
+    return [_zero_station_bits(res), _binned_singlet(res)]
+
+
+def _detection_checks(rep) -> list:
+    eff, want = rep.efficiency, rep.expected_efficiency
+    band = 3.0 * math.sqrt(want * (1 - want) / rep.n_pairs)
+    return [_check("efficiency_within_3se", abs(eff - want) <= max(band, 0.01),
+                   f"efficiency={eff:.6g}, expected={want:.6g}"),
+            _check("conditional_law_near_singlet", rep.singlet_deviation <= 0.01,
+                   f"deviation={rep.singlet_deviation:.6g}")]
+
+
+def _protocols() -> dict:
+    """The `protocol --name` table: name -> (run, options, checks).
+
+    run(trials, seed=, record=, **options) runs the protocol, options names
+    the keyword options it reads, and checks(result) gives its invariant
+    checks in report order. Like the model dict in _cmd_freewill, the table
+    is built on each call, so the runners are read from this module's names
+    at call time and a wrapper installed on them sees the calls."""
+    return {
+        "tb": (run_tb_protocol, ("a", "b"), _one_bit_checks),
+        "tb-freewill": (run_tb_freewill, ("a", "b"), lambda res: [_zero_station_bits(res)]),
+        "shared-coin": (run_shared_coin, (), _shared_coin_checks),
+        "detection-loophole": (run_detection_loophole, ("mode", "delta_omega", "n_directions"),
+                               _detection_checks),
+        "watch-pinned": (partial(run_watch_realization, model="pinned"), (), _watch_checks),
+        "watch-hall": (partial(run_watch_realization, model="hall"), (), _watch_checks),
+    }
+
+
 def _cmd_protocol(args) -> int:
-    checks = []
-    if args.name == "detection-loophole":
-        try:
-            rep = run_detection_loophole(args.trials, args.mode, args.seed,
-                                         delta_omega=args.delta_omega,
-                                         n_directions=args.n_directions,
-                                         record=bool(args.transcript))
-        except RuntimeError as exc:  # zero coincidences
-            raise SystemExit(f"detection-loophole with {args.trials} trials: {exc}")
-        band = 3.0 * math.sqrt(rep.expected_efficiency
-                               * (1 - rep.expected_efficiency) / args.trials)
-        checks.append(_check(
-            "efficiency_within_3se",
-            abs(rep.efficiency - rep.expected_efficiency) <= max(band, 0.01),
-            f"efficiency={rep.efficiency:.6g}, expected={rep.expected_efficiency:.6g}"))
-        checks.append(_check("conditional_law_near_singlet",
-                             rep.singlet_deviation <= 0.01,
-                             f"deviation={rep.singlet_deviation:.6g}"))
-        results = rep.summary()
-        transcripts = rep.transcripts
-    else:
-        a = _setting(args, "a", 0.0)
-        b = _setting(args, "b", 60.0)
-        record = bool(args.transcript)
-        if args.name == "tb":
-            res = run_tb_protocol(args.trials, a, b, args.seed, record=record)
-            checks.append(_check("one_bit_per_trial",
-                                 res.channels.bits(*_AB) == args.trials))
-            checks.append(_check("no_return_bits", res.channels.bits(*_BA) == 0))
-        elif args.name == "tb-freewill":
-            res = run_tb_freewill(args.trials, a, b, args.seed, record=record)
-            checks.append(_check("zero_station_bits",
-                                 res.channels.station_to_station_bits == 0))
-        elif args.name == "shared-coin":
-            res = run_shared_coin(args.trials, args.seed, record=record)
-            checks.append(_check("zero_station_bits",
-                                 res.channels.station_to_station_bits == 0))
-            checks.append(_check("two_shared_draws_per_trial",
-                                 res.shared_draws_total == 2 * args.trials))
-        else:
-            model = "pinned" if args.name == "watch-pinned" else "hall"
-            res = run_watch_realization(args.trials, model, args.seed, record=record)
-            checks.append(_check("zero_station_bits",
-                                 res.channels.station_to_station_bits == 0))
-        if res.singlet_comparison is not None:
-            checks.append(_check("singlet_within_binned_tolerance",
-                                 res.singlet_comparison["max_abs_dev"] <= 0.02,
-                                 f"max_abs_dev={res.singlet_comparison['max_abs_dev']:.6g}"))
-        results = res.summary()
-        transcripts = res.transcripts
-    if args.transcript and transcripts is not None:
+    run, reads, checks = _protocols()[args.name]
+    values = dict(vars(args), a=_setting(args, "a", 0.0), b=_setting(args, "b", 60.0))
+    options = {opt: values[opt] for opt in reads}
+    try:
+        res = run(args.trials, seed=args.seed, record=bool(args.transcript), **options)
+    except RuntimeError as exc:  # zero coincidences, or a desynchronised watch
+        raise SystemExit(f"{args.name} with {args.trials} trials: {exc}")
+    if args.transcript:
         with open(args.transcript, "w", encoding="utf-8") as fh:
-            transcripts.to_csv(fh)
+            res.transcripts.to_csv(fh)
     config = {"name": args.name, "trials": args.trials, "mode": args.mode,
-              "delta_omega": args.delta_omega}
-    return _finish(args, config, results, checks)
-
-
-_AB = ("station_a", "station_b")
-_BA = ("station_b", "station_a")
+              "delta_omega": args.delta_omega, **options}
+    return _finish(args, config, res.summary(), checks(res))
 
 
 def _cmd_signal(args) -> int:

@@ -57,12 +57,6 @@ class JointLaw2x2:
         """Expectation of sigma*tau."""
         return float(self.p[0, 0] - self.p[0, 1] - self.p[1, 0] + self.p[1, 1])
 
-    def marginal_sigma(self, sigma: int) -> float:
-        return float(self.p[_OUT_INDEX[sigma]].sum())
-
-    def marginal_tau(self, tau: int) -> float:
-        return float(self.p[:, _OUT_INDEX[tau]].sum())
-
     def std_error(self) -> float:
         """Worst-case Monte Carlo standard error per entry (0 if analytic)."""
         if not self.n_trials:

@@ -316,7 +316,6 @@ class ProtocolResult:
     shared_draws_total: int = 0
     transcripts: TranscriptBatch | None = None
     singlet_comparison: dict | None = None
-    extras: dict = field(default_factory=dict)
 
     def summary(self) -> dict:
         out = {
@@ -332,7 +331,6 @@ class ProtocolResult:
             out["singlet_comparison"] = {
                 k: self.singlet_comparison[k]
                 for k in ("max_abs_dev", "n_bins", "min_bin_count")}
-        out.update(self.extras)
         return out
 
 
@@ -390,7 +388,6 @@ def _run_one_bit(model: str, bits_a_to_b: int, n_trials: int, a, b, seed: int,
 
     channels = ChannelLedger(n_trials)
     channels.send(PartyRole.STATION_A, PartyRole.STATION_B, bits_a_to_b)
-    channels.send(PartyRole.STATION_B, PartyRole.STATION_A, 0)
 
     # Station B: own setting, shared (u, v) and the bit. Never reads a.
     tau = one_bit_tau(u, v, c, b)
@@ -435,10 +432,6 @@ def run_shared_coin(n_trials: int, seed: int, a_policy="random",
     sigma = malus_draw(u, a_used, sa)
     tau = malus_draw(v, b_used, sb)
 
-    channels = ChannelLedger(n_trials)
-    channels.send(PartyRole.STATION_A, PartyRole.STATION_B, 0)
-    channels.send(PartyRole.STATION_B, PartyRole.STATION_A, 0)
-
     law = JointLaw2x2.from_outcomes(sigma, tau)
     t = np.einsum("ij,ij->i", a_used, b_used)
     comparison = binned_singlet_deviation(t, sigma, tau)
@@ -447,7 +440,7 @@ def run_shared_coin(n_trials: int, seed: int, a_policy="random",
         a_used, b_used, sigma, tau, v=v, c=c, d=d,
         a_requested=a_free, b_requested=b_free, shared_draws=2,
     ) if record else None
-    return ProtocolResult("shared-coin", n_trials, law, channels,
+    return ProtocolResult("shared-coin", n_trials, law, ChannelLedger(n_trials),
                           CausalMode.LAMBDA_CAUSES_SETTINGS,
                           shared_draws_total=2 * n_trials,
                           transcripts=transcripts, singlet_comparison=comparison)
@@ -639,7 +632,6 @@ class Watch:
 
 WATCH_A = Watch(1.0, math.sqrt(2.0))
 WATCH_B = Watch(math.sqrt(3.0), math.sqrt(5.0))
-WATCH_0 = Watch(math.sqrt(7.0), math.sqrt(11.0))
 EMISSION_STEP = math.pi / 10.0
 TIME_OF_FLIGHT = 1.0
 
@@ -709,10 +701,6 @@ def run_watch_realization(n_trials: int, model: str, seed: int,
         c_col = None
         d_col = None
 
-    channels = ChannelLedger(n_trials)
-    channels.send(PartyRole.STATION_A, PartyRole.STATION_B, 0)
-    channels.send(PartyRole.STATION_B, PartyRole.STATION_A, 0)
-
     law = JointLaw2x2.from_outcomes(sigma, tau)
     t = np.einsum("ij,ij->i", a_used, b_used)
     comparison = binned_singlet_deviation(t, sigma, tau)
@@ -721,7 +709,7 @@ def run_watch_realization(n_trials: int, model: str, seed: int,
         sigma, tau, v=-u, c=c_col, d=d_col,
         a_requested=a_used, b_requested=b_used,
     ) if record else None
-    return ProtocolResult(f"watch-{model}", n_trials, law, channels,
+    return ProtocolResult(f"watch-{model}", n_trials, law, ChannelLedger(n_trials),
                           CausalMode.LAMBDA_CAUSES_SETTINGS,
                           transcripts=transcripts, singlet_comparison=comparison)
 
@@ -857,24 +845,20 @@ def run_conspiracy_audit(n_trials: int, a, b, mode: str, seed: int) -> AuditResu
         raise ValueError(f"unknown audit mode {mode!r}")
     a = assert_unit(a, "a")
     b = assert_unit(b, "b")
-    ent = substream(seed, STREAM_ENTANGLER)
-    shared = substream(seed, STREAM_SHARED_AB)
-    sa = substream(seed, STREAM_A)
-    sb = substream(seed, STREAM_B)
-
-    u = ent.sphere(n_trials)
     if mode == "slave":
-        c = shared.bits(n_trials)
-        d = shared.signs(n_trials)
-        forced_a = (c == 0)
-        a_used = np.where(forced_a[:, None], d[:, None] * u, np.broadcast_to(a, (n_trials, 3)))
-        b_used = np.where(~forced_a[:, None], -d[:, None] * u, np.broadcast_to(b, (n_trials, 3)))
+        # The shared-coin realization with the declared settings as the
+        # stations' free choices.
+        res = run_shared_coin(n_trials, seed, a, b)
+        u, a_used, b_used = res.transcripts.u, res.transcripts.a_used, res.transcripts.b_used
+        law = res.law
+        dev = res.singlet_comparison["max_abs_dev"]
     else:
+        u = substream(seed, STREAM_ENTANGLER).sphere(n_trials)
         a_used = np.broadcast_to(a, (n_trials, 3))
         b_used = np.broadcast_to(b, (n_trials, 3))
-
-    sigma = malus_draw(u, a_used, sa)
-    tau = malus_draw(-u, b_used, sb)
+        law = JointLaw2x2.from_outcomes(malus_draw(u, a_used, substream(seed, STREAM_A)),
+                                        malus_draw(-u, b_used, substream(seed, STREAM_B)))
+        dev = law.max_abs_diff(singlet_law(a, b))
 
     dev_a = ~np.all(a_used == a, axis=1)
     dev_b = ~np.all(b_used == b, axis=1)
@@ -885,11 +869,4 @@ def run_conspiracy_audit(n_trials: int, a, b, mode: str, seed: int) -> AuditResu
         ua = np.abs(np.einsum("ij,ij->i", u, a_used)[dev_a])
         ub = np.abs(np.einsum("ij,ij->i", u, b_used)[dev_b])
         match = bool(np.all(ua >= 1.0 - 1e-9) and np.all(ub >= 1.0 - 1e-9))
-
-    law = JointLaw2x2.from_outcomes(sigma, tau)
-    if mode == "slave":
-        t = np.einsum("ij,ij->i", a_used, b_used)
-        dev = binned_singlet_deviation(t, sigma, tau)["max_abs_dev"]
-    else:
-        dev = law.max_abs_diff(singlet_law(a, b))
     return AuditResult(mode, n_trials, deviations, match, law, float(dev))

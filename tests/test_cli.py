@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from lhvlab.cli import build_parser, main
+from lhvlab.cli import _protocols, build_parser, main
 from lhvlab.models import MODEL_IDS, MODELS
+from lhvlab.protocols import WatchDesyncError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -306,6 +307,20 @@ BAD_INPUT = {
                               "sphere", "--n-directions", "7"],
     "sphere-cell-too-large": ["protocol", "--name", "detection-loophole", "--mode",
                               "sphere", "--delta-omega", "13"],
+    "shared-coin-delta-omega": ["protocol", "--name", "shared-coin", "--delta-omega", "1.0",
+                                "--trials", "1000"],
+    "tb-n-directions": ["protocol", "--name", "tb", "--n-directions", "8",
+                        "--trials", "1000"],
+    "watch-hall-delta-omega": ["protocol", "--name", "watch-hall", "--delta-omega", "1.0",
+                               "--trials", "1000"],
+    "symmetric-n-directions": ["protocol", "--name", "detection-loophole",
+                               "--n-directions", "8", "--trials", "1000"],
+    "asymmetric-delta-omega": ["protocol", "--name", "detection-loophole", "--mode",
+                               "asymmetric", "--delta-omega", "1.0", "--trials", "1000"],
+    "from-model-correlators": ["feasibility", "--from-model", "hall",
+                               "--correlators", "1,1,1,1", "--trials", "1000"],
+    "from-model-tol": ["feasibility", "--from-model", "pinned",
+                       "--tol", "0.1,0.1,0.1,0.1", "--trials", "1000"],
 }
 
 
@@ -354,3 +369,76 @@ def test_model_choices_come_from_the_table():
     assert _cli_choices("law", "--model") == _cli_choices("chsh", "--model") == everything
     assert _cli_choices("simulate", "--model") == sampled
     assert _cli_choices("feasibility", "--from-model") == local
+
+
+PROTOCOL_NAMES = {"tb", "tb-freewill", "shared-coin", "detection-loophole",
+                  "watch-pinned", "watch-hall"}
+BASE_CONFIG = {"name", "trials", "mode", "delta_omega"}
+BINNED = "singlet_within_binned_tolerance"
+DETECTION = ["efficiency_within_3se", "conditional_law_near_singlet"]
+
+# case -> (protocol argv, check names in report order, config keys beyond BASE_CONFIG)
+PROTOCOL_CASES = {
+    "tb": (["--name", "tb", "--a", "30", "--b", "120"],
+           ["one_bit_per_trial", "no_return_bits"], {"a", "b"}),
+    "tb-freewill": (["--name", "tb-freewill", "--vec-a", "0,0,2", "--b", "90"],
+                    ["zero_station_bits"], {"a", "b"}),
+    "shared-coin": (["--name", "shared-coin"],
+                    ["zero_station_bits", "two_shared_draws_per_trial", BINNED], set()),
+    "detection-symmetric": (["--name", "detection-loophole"], DETECTION, {"n_directions"}),
+    "detection-asymmetric": (["--name", "detection-loophole", "--mode", "asymmetric"],
+                             DETECTION, {"n_directions"}),
+    "detection-sphere": (["--name", "detection-loophole", "--mode", "sphere",
+                          "--n-directions", "16"], DETECTION, {"n_directions"}),
+    "watch-pinned": (["--name", "watch-pinned"], ["zero_station_bits", BINNED], set()),
+    "watch-hall": (["--name", "watch-hall"], ["zero_station_bits", BINNED], set()),
+}
+
+
+def test_protocol_choices_come_from_the_table():
+    assert _cli_choices("protocol", "--name") == set(_protocols()) == PROTOCOL_NAMES
+    assert {argv[1] for argv, _, _ in PROTOCOL_CASES.values()} == PROTOCOL_NAMES
+
+
+@pytest.mark.parametrize("argv, names, extra", PROTOCOL_CASES.values(),
+                         ids=PROTOCOL_CASES.keys())
+def test_protocol_reports_checks_and_config(tmp_path, argv, names, extra):
+    csv_path = tmp_path / "transcript.csv"
+    rc, report = run_json(tmp_path, "protocol", *argv, "--trials", "3000", "--seed", "7",
+                          "--transcript", str(csv_path))
+    assert rc in (0, 1)
+    assert [c["name"] for c in report["invariant_checks"]] == names
+    config = report["config"]
+    assert set(config) == BASE_CONFIG | extra
+    assert config["trials"] == 3000 and config["delta_omega"] is None
+    if "a" in extra:
+        angles = {"30": [math.sqrt(3) / 2, 0.5, 0.0], "0,0,2": [0.0, 0.0, 1.0]}
+        assert config["a"] == pytest.approx(angles[argv[3]], abs=1e-9)
+    if "n_directions" in extra:
+        assert config["n_directions"] == (16 if "sphere" in argv else None)
+    assert len(csv_path.read_text().splitlines()) == 3001
+
+
+def test_protocol_runner_error_fails_in_one_line(monkeypatch):
+    # The table reads the runner's module name at call time, so the patch
+    # takes effect.
+    def desync(*args, **kwargs):
+        raise WatchDesyncError("station watch reconstruction differs from entangler")
+
+    monkeypatch.setattr("lhvlab.cli.run_watch_realization", desync)
+    with pytest.raises(SystemExit) as exc:
+        main(["protocol", "--name", "watch-pinned", "--trials", "10"])
+    assert exc.value.code == ("watch-pinned with 10 trials: "
+                              "station watch reconstruction differs from entangler")
+
+
+def test_protocol_config_records_the_settings_read(tmp_path):
+    # The same protocol at other settings or another grid carries another config.
+    for first, second in ((["--name", "tb"], ["--name", "tb", "--a", "30", "--b", "120"]),
+                          (["--name", "detection-loophole", "--mode", "sphere",
+                            "--n-directions", "8"],
+                           ["--name", "detection-loophole", "--mode", "sphere",
+                            "--n-directions", "16"])):
+        _, one = run_json(tmp_path, "protocol", *first, "--trials", "2000")
+        _, two = run_json(tmp_path, "protocol", *second, "--trials", "2000")
+        assert one["config"] != two["config"]

@@ -331,6 +331,24 @@ def test_audit_slave_mode_deviates_toward_hidden_spin():
     assert res.singlet_deviation < 0.01
 
 
+def test_slave_audit_is_the_shared_coin_realization():
+    n, seed = 20_000, 34
+    audit = run_conspiracy_audit(n, X, B63, "slave", seed=seed)
+    coin = run_shared_coin(n, seed, X, B63)
+    assert np.array_equal(audit.law.p, coin.law.p)
+    assert audit.singlet_deviation == coin.singlet_comparison["max_abs_dev"]
+    t = coin.transcripts
+    deviations = 0
+    for used, declared in ((t.a_used, X), (t.b_used, B63)):
+        moved = ~np.all(used == declared, axis=1)
+        deviations += int(np.count_nonzero(moved))
+        # Every deviation lands exactly on +u or -u.
+        used, u = used[moved], t.u[moved]
+        assert np.all(np.all(used == u, axis=1) | np.all(used == -u, axis=1))
+    assert audit.deviations == deviations == n
+    assert audit.deviations_match_u
+
+
 def test_audit_third_party_switch_restores_compliance():
     res = run_conspiracy_audit(100_000, X, B63, "third-party", seed=32)
     assert res.deviations == 0

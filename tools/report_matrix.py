@@ -1,0 +1,160 @@
+"""Hash every output of a fixed matrix of command-line runs.
+
+    python3 tools/report_matrix.py [CHECKOUT] [--keep DIR]
+
+Each case runs as ``python -m lhvlab.cli ...`` on the source of CHECKOUT
+(default: the checkout that holds this file). The script prints one
+``name sha256`` line for each report, each transcript, and each run's
+stderr plus exit status. Two checkouts give byte-identical outputs exactly
+where their listings agree:
+
+    diff <(python3 tools/report_matrix.py A) <(python3 tools/report_matrix.py B)
+
+The matrix covers every subcommand, every protocol name and detection
+mode, every audit mode, two seeds and, where a command samples, 1,000 and
+65,537 trials; every protocol run writes a transcript. --keep DIR keeps
+the outputs for a closer look. The script uses the standard library only,
+so it runs against any checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+JOBS = 2  # runs at a time
+SEEDS = (11, 1011)
+TRIALS = (1000, 65537)
+
+LAW_MODELS = ("singlet", "uniform", "mixed", "tb", "tb-ext1", "tb-ext2", "tb-freewill",
+              "pinned", "hall")
+SAMPLED_MODELS = ("mixed", "tb", "tb-ext1", "tb-ext2", "tb-freewill", "pinned", "hall")
+LOCAL_MODELS = ("tb-freewill", "pinned", "hall")
+P = {"tb-ext1": ("--p", "0.3"), "tb-ext2": ("--p", "0.7")}
+
+# name -> argv, for commands that read --trials; each runs at every seed
+# and every trial count.
+SAMPLED = {
+    **{f"simulate.{m}": ("simulate", "--model", m, *P.get(m, ())) for m in SAMPLED_MODELS},
+    "simulate.hall.angles": ("simulate", "--model", "hall", "--a", "30", "--b", "120"),
+    "simulate.pinned.vectors": ("simulate", "--model", "pinned", "--vec-a", "1,2,3",
+                                "--vec-b", "0,1,-1"),
+    **{f"chsh-mc.{m}": ("chsh", "--model", m, *P.get(m, ())) for m in SAMPLED_MODELS},
+    **{f"feasibility.from-{m}": ("feasibility", "--from-model", m) for m in LOCAL_MODELS},
+    "feasibility.from-pinned.marginals": ("feasibility", "--from-model", "pinned",
+                                          "--marginals", "0,0,0,0"),
+    "protocol.tb": ("protocol", "--name", "tb"),
+    "protocol.tb.angles": ("protocol", "--name", "tb", "--a", "30", "--b", "120"),
+    "protocol.tb.vectors": ("protocol", "--name", "tb", "--vec-a", "0,0,1",
+                            "--vec-b", "1,1,0"),
+    "protocol.tb-freewill": ("protocol", "--name", "tb-freewill"),
+    "protocol.tb-freewill.angles": ("protocol", "--name", "tb-freewill", "--a", "10",
+                                    "--b", "70"),
+    "protocol.shared-coin": ("protocol", "--name", "shared-coin"),
+    "protocol.detection.symmetric": ("protocol", "--name", "detection-loophole",
+                                     "--mode", "symmetric"),
+    "protocol.detection.asymmetric": ("protocol", "--name", "detection-loophole",
+                                      "--mode", "asymmetric"),
+    "protocol.detection.sphere16": ("protocol", "--name", "detection-loophole",
+                                    "--mode", "sphere", "--n-directions", "16"),
+    "protocol.detection.sphere-cell": ("protocol", "--name", "detection-loophole",
+                                       "--mode", "sphere", "--delta-omega", "0.5"),
+    "protocol.watch-pinned": ("protocol", "--name", "watch-pinned"),
+    "protocol.watch-hall": ("protocol", "--name", "watch-hall"),
+    "signal.action": ("signal", "--mode", "action"),
+    "signal.action.message": ("signal", "--mode", "action", "--message", "0110"),
+    "signal.slave-will": ("signal", "--mode", "slave-will"),
+    **{f"audit.{mode}{tag}": ("audit", "--mode", mode, *settings)
+       for mode in ("honest", "slave", "third-party")
+       for tag, settings in (("", ()), (".angles", ("--a", "0", "--b", "63")),
+                             (".vectors", ("--vec-a", "1,0,0", "--vec-b", "0.6,0.8,0")))},
+}
+
+# name -> argv, for commands without --trials; each runs at every seed.
+EXACT = {
+    **{f"law.{m}": ("law", "--model", m, "--a", "30", "--b", "120", *P.get(m, ()))
+       for m in LAW_MODELS},
+    "law.singlet.vectors": ("law", "--model", "singlet", "--vec-a", "0,0,1",
+                            "--vec-b", "1,0,1"),
+    "law.singlet.scan": ("law", "--model", "singlet", "--scan", "0:180:7"),
+    "law.tb-ext1.scan": ("law", "--model", "tb-ext1", "--p", "0.5", "--scan", "0:90:4"),
+    **{f"chsh.{m}": ("chsh", "--model", m, *P.get(m, ())) for m in LAW_MODELS},
+    "feasibility.feasible": ("feasibility", "--correlators", "0.5,0.5,0.5,-0.5"),
+    "feasibility.tsirelson": ("feasibility", "--correlators",
+                              "0.7071,0.7071,0.7071,-0.7071"),
+    "feasibility.band": ("feasibility", "--correlators", "0.75,0.75,0.75,-0.75",
+                         "--tol", "0.1,0.1,0.1,0.1"),
+    "feasibility.marginals": ("feasibility", "--correlators", "0.5,0.5,0.5,0.5",
+                              "--marginals", "0.2,0.2,0.2,0.2"),
+    **{f"freewill.{m}": ("freewill", "--model", m, "--n", "4")
+       for m in ("pinned", "independent", "dictated")},
+    # Failing runs: their stderr and exit status are outputs too.
+    "error.no-coincidences": ("protocol", "--name", "detection-loophole", "--trials", "2"),
+    "error.law-without-p": ("law", "--model", "tb-ext1"),
+    "error.bad-correlators": ("feasibility", "--correlators", "1,x,0,0"),
+}
+
+
+def cases():
+    """(name, argv, writes a transcript) for every run of the matrix."""
+    for seed in SEEDS:
+        for name, argv in EXACT.items():
+            yield f"{name}/s{seed}", (*argv, "--seed", str(seed)), False
+        for name, argv in SAMPLED.items():
+            for trials in TRIALS:
+                yield (f"{name}/s{seed}/t{trials}",
+                       (*argv, "--seed", str(seed), "--trials", str(trials)),
+                       argv[0] == "protocol")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(checkout: Path, work: Path, name: str, argv, transcript: bool) -> list:
+    """Run one case; return its `name sha256` lines."""
+    stem = str(work / name.replace("/", "_"))
+    out = Path(stem + ".json")
+    csv = Path(stem + ".csv")
+    cmd = [sys.executable, "-m", "lhvlab.cli", *argv, "--out", str(out)]
+    if transcript:
+        cmd += ["--transcript", str(csv)]
+    env = {k: v for k, v in os.environ.items() if k != "LHV_LAB_SEED"}
+    env["PYTHONPATH"] = str(checkout / "src")
+    proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True, timeout=600)
+    lines = [f"{name}/report {_sha(out.read_bytes()) if out.exists() else 'absent'}"]
+    if transcript:
+        lines.append(f"{name}/transcript {_sha(csv.read_bytes()) if csv.exists() else 'absent'}")
+    status = proc.stderr + f"\nexit {proc.returncode}\n".encode()
+    Path(stem + ".stderr").write_bytes(status)
+    lines.append(f"{name}/stderr+exit {_sha(status)}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).parents[1])
+    parser.add_argument("--keep", type=Path, default=None,
+                        help="write the outputs here instead of a temporary directory")
+    args = parser.parse_args(argv)
+    checkout = args.checkout.resolve()
+    if not (checkout / "src" / "lhvlab" / "cli.py").exists():
+        parser.error(f"{checkout} holds no src/lhvlab/cli.py")
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) if args.keep is None else args.keep.resolve()
+        work.mkdir(parents=True, exist_ok=True)
+        with ThreadPoolExecutor(JOBS) as pool:
+            runs = pool.map(lambda case: run_case(checkout, work, *case), cases())
+            for lines in runs:
+                print("\n".join(lines), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
