@@ -140,6 +140,13 @@ def _validate(parser, args) -> None:
         parser.error(f"--model {args.model} has a law but no sampler; drop --trials")
     if args.command == "feasibility" and args.from_model:
         _unread(parser, args, ("correlators", "tol"), "--from-model")
+    elif args.command == "feasibility" and args.correlators is not None:
+        _unread(parser, args, ("a", "vec_a", "a2", "vec_a2", "b", "vec_b", "b2", "vec_b2",
+                               "trials"), "--correlators")
+    if args.command == "law" and args.scan:
+        _unread(parser, args, ("b", "vec_b"), "--scan")
+    if args.command == "signal" and args.message:
+        _unread(parser, args, ("message_bits",), "--message")
     if args.command == "protocol":
         # --mode is written into every protocol report's config, so it is
         # always accepted; the cell options are read in sphere mode only.
@@ -205,8 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-model", default=None,
                    choices=[m for m, spec in MODELS.items() if spec.local],
                    help="estimate counterfactual correlators from a model instead")
+    p.add_argument("--trials", type=_POSITIVE, default=None,
+                   help="trials per correlator with --from-model (default 100000)")
     add_settings(p, names=("a", "a2", "b", "b2"))
-    add_common(p, trials_default=100_000)
+    add_common(p)
 
     p = sub.add_parser("protocol", help="run a two-station protocol with metered channels")
     p.add_argument("--name", required=True, choices=tuple(_protocols()))
@@ -226,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("signal", help="attempted signaling: action vs slave-will")
     p.add_argument("--mode", required=True, choices=["action", "slave-will"])
     p.add_argument("--message", type=_BITS, default=None, help="bit string, e.g. 0110")
-    p.add_argument("--message-bits", type=_POSITIVE, default=1000,
-                   help="length of the all-zeros default message")
+    p.add_argument("--message-bits", type=_POSITIVE, default=None,
+                   help="length of the all-zeros default message (default 1000)")
     add_common(p, trials_default=40_000)
 
     p = sub.add_parser("freewill", help="measurement-dependence measures on a discretized model")
@@ -312,11 +321,12 @@ def _parse_floats(text, count, what):
 
 def _cmd_feasibility(args) -> int:
     if args.from_model:
+        trials = args.trials or 100_000
         ests = counterfactual_correlators(args.from_model, *_chsh_settings(args),
-                                          args.trials, RandomStream(args.seed))
+                                          trials, RandomStream(args.seed))
         correlators = [Fraction(e.value).limit_denominator(10**9) for e in ests]
         tol = [Fraction(3.0 * e.std_error).limit_denominator(10**9) for e in ests]
-        config = {"from_model": args.from_model, "trials": args.trials}
+        config = {"from_model": args.from_model, "trials": trials}
     else:
         if not args.correlators:
             raise SystemExit("provide --correlators or --from-model")
@@ -326,7 +336,12 @@ def _cmd_feasibility(args) -> int:
             raise SystemExit(f"--tol needs nonnegative values, got {args.tol!r}")
         config = {"correlators": correlators, "tol": tol}
     marginals = _parse_floats(args.marginals, 4, "--marginals") if args.marginals else None
-    result = fine_feasibility(correlators, marginals, correlator_tol=tol)
+    try:
+        result = fine_feasibility(correlators, marginals, correlator_tol=tol)
+    except ValueError as exc:  # a correlator or marginal outside [-1, 1]
+        flag = "--marginals" if "marginal" in str(exc) else "--correlators"
+        raise SystemExit(f"{flag} needs values in [-1, 1], "
+                         f"got {getattr(args, flag[2:])!r} ({exc})")
     checks = [_check("lp_facet_agreement",
                      result.facet_feasible is None
                      or result.facet_feasible == result.lp_feasible)]
@@ -406,7 +421,7 @@ def _cmd_protocol(args) -> int:
 
 
 def _cmd_signal(args) -> int:
-    message = args.message or [0] * args.message_bits
+    message = args.message or [0] * (args.message_bits or 1000)
     res = run_signaling_experiment(message, args.mode, args.trials, args.seed)
     checks = [_check("usable_fraction_near_half",
                      abs(res.usable_fraction - 0.5) <= 0.02,

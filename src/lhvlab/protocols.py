@@ -25,7 +25,7 @@ import numpy as np
 
 from .geometry import RandomStream, assert_unit, planar_setting, sgn, substream
 from .models import (JointLaw2x2, hall_outcomes, hall_sample, malus_draw, one_bit_tau,
-                     singlet_law)
+                     singlet_law, tb_freewill_sample)
 
 
 class PartyRole(str, Enum):
@@ -334,6 +334,33 @@ class ProtocolResult:
         return out
 
 
+def _protocol_result(model: str, causal_mode: CausalMode, record: bool, u, a_used, b_used,
+                     sigma, tau, v=None, bits_a_to_b: int = 0, shared_draws: int = 0,
+                     **columns) -> ProtocolResult:
+    """The end of every ProtocolResult run: the law, the binned singlet
+    comparison when the settings vary per trial, the transcript if
+    recorded (partner spin v, -u unless given), and the A->B meter.
+    shared_draws counts station-to-station draws per trial."""
+    n = len(u)
+    channels = ChannelLedger(n)
+    if bits_a_to_b:
+        channels.send(PartyRole.STATION_A, PartyRole.STATION_B, bits_a_to_b)
+    comparison = binned_singlet_deviation(np.einsum("ij,ij->i", a_used, b_used), sigma,
+                                          tau) if np.ndim(a_used) == 2 else None
+    transcripts = TranscriptBatch(
+        model, causal_mode, u, a_used, b_used, sigma, tau, v=-u if v is None else v,
+        bits_a_to_b=bits_a_to_b, shared_draws=shared_draws, **columns) if record else None
+    return ProtocolResult(model, n, JointLaw2x2.from_outcomes(sigma, tau), channels,
+                          causal_mode, shared_draws_total=shared_draws * n,
+                          transcripts=transcripts, singlet_comparison=comparison)
+
+
+def _malus_pair(u, a_used, b_used, sa: RandomStream, sb: RandomStream):
+    """Zero-communication station step: spins u and -u, each station a
+    Malus detector on its own stream."""
+    return malus_draw(u, a_used, sa), malus_draw(-u, b_used, sb)
+
+
 def _resolve_policy(policy, n: int, stream: RandomStream):
     """Per-trial settings from a policy: 'random' draws from the given
     station stream; a single unit vector is used on every trial. Random
@@ -377,28 +404,15 @@ def _run_one_bit(model: str, bits_a_to_b: int, n_trials: int, a, b, seed: int,
                  record: bool) -> ProtocolResult:
     a = assert_unit(a, "a")
     b = assert_unit(b, "b")
-    ent = substream(seed, STREAM_ENTANGLER)
-    u = ent.sphere(n_trials)
-    v = ent.sphere(n_trials)
-
     # Station A: local outcome and the bit c = sgn(u.a) sgn(v.a), sent to
-    # B or held as a hidden variable.
+    # B or held as a hidden variable; the rule is the same either way.
+    u, v, c = tb_freewill_sample(a, b, n_trials, substream(seed, STREAM_ENTANGLER))
     sigma = sgn(u @ a)
-    c = sigma * sgn(v @ a)
-
-    channels = ChannelLedger(n_trials)
-    channels.send(PartyRole.STATION_A, PartyRole.STATION_B, bits_a_to_b)
-
     # Station B: own setting, shared (u, v) and the bit. Never reads a.
     tau = one_bit_tau(u, v, c, b)
-
-    law = JointLaw2x2.from_outcomes(sigma, tau)
-    transcripts = TranscriptBatch(
-        model, CausalMode.SETTINGS_CAUSE_LAMBDA, u, a, b, sigma, tau, v=v, c=c,
-        a_requested=a, b_requested=b, bits_a_to_b=bits_a_to_b, bits_b_to_a=0,
-    ) if record else None
-    return ProtocolResult(model, n_trials, law, channels,
-                          CausalMode.SETTINGS_CAUSE_LAMBDA, transcripts=transcripts)
+    return _protocol_result(model, CausalMode.SETTINGS_CAUSE_LAMBDA, record, u, a, b,
+                            sigma, tau, bits_a_to_b=bits_a_to_b, v=v, c=c,
+                            a_requested=a, b_requested=b)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +433,6 @@ def run_shared_coin(n_trials: int, seed: int, a_policy="random",
     sb = substream(seed, STREAM_B)
 
     u = ent.sphere(n_trials)
-    v = -u
     c = shared.bits(n_trials)
     d = shared.signs(n_trials)
 
@@ -427,23 +440,12 @@ def run_shared_coin(n_trials: int, seed: int, a_policy="random",
     b_free = _resolve_policy(b_policy, n_trials, sb)
     forced_a = (c == 0)
     a_used = np.where(forced_a[:, None], d[:, None] * u, a_free)
-    b_used = np.where(~forced_a[:, None], d[:, None] * v, b_free)
+    b_used = np.where(~forced_a[:, None], -d[:, None] * u, b_free)  # d*v, v = -u
 
-    sigma = malus_draw(u, a_used, sa)
-    tau = malus_draw(v, b_used, sb)
-
-    law = JointLaw2x2.from_outcomes(sigma, tau)
-    t = np.einsum("ij,ij->i", a_used, b_used)
-    comparison = binned_singlet_deviation(t, sigma, tau)
-    transcripts = TranscriptBatch(
-        "shared-coin", CausalMode.LAMBDA_CAUSES_SETTINGS, u,
-        a_used, b_used, sigma, tau, v=v, c=c, d=d,
-        a_requested=a_free, b_requested=b_free, shared_draws=2,
-    ) if record else None
-    return ProtocolResult("shared-coin", n_trials, law, ChannelLedger(n_trials),
-                          CausalMode.LAMBDA_CAUSES_SETTINGS,
-                          shared_draws_total=2 * n_trials,
-                          transcripts=transcripts, singlet_comparison=comparison)
+    sigma, tau = _malus_pair(u, a_used, b_used, sa, sb)
+    return _protocol_result("shared-coin", CausalMode.LAMBDA_CAUSES_SETTINGS, record, u,
+                            a_used, b_used, sigma, tau, shared_draws=2, c=c, d=d,
+                            a_requested=a_free, b_requested=b_free)
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +507,6 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
     and spin drawn from an antipodally closed grid of N cells of solid
     angle delta_omega = 4*pi/N; expected efficiency delta_omega/(2*pi).
     """
-    ent = substream(seed, STREAM_ENTANGLER)
-    sa = substream(seed, STREAM_A)
-    sb = substream(seed, STREAM_B)
-
     if mode in ("symmetric", "asymmetric"):
         if settings_a is None:
             settings_a = np.array([planar_setting(0.0), planar_setting(90.0)])
@@ -516,55 +514,37 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
             settings_b = np.array([planar_setting(45.0), planar_setting(135.0)])
         settings_a = np.atleast_2d(np.asarray(settings_a, float))
         settings_b = np.atleast_2d(np.asarray(settings_b, float))
-        if mode == "symmetric":
-            u_values = np.vstack([settings_a, -settings_a, settings_b, -settings_b])
-            expected_eff = 2.0 / len(u_values)
-            c_a = ent.bits(n_trials)
-        else:
-            u_values = np.vstack([settings_b, -settings_b])
-            expected_eff = 2.0 / len(u_values)
-            c_a = np.zeros(n_trials, dtype=np.int64)
+        u_values = np.vstack([settings_a, -settings_a, settings_b, -settings_b]
+                             if mode == "symmetric" else [settings_b, -settings_b])
         # Duplicate vectors (not antipodes) would double-weight an atom.
         gram = u_values @ u_values.T - 2.0 * np.eye(len(u_values))
         if gram.max() > 1.0 - 1e-6:
             raise ValueError("instruction-set directions must be pairwise distinct")
-        ia = sa.integers(0, len(settings_a), n_trials)
-        ib = sb.integers(0, len(settings_b), n_trials)
-        a_used = settings_a[ia]
-        b_used = settings_b[ib]
-        iu = ent.integers(0, len(u_values), n_trials)
-        u = u_values[iu]
-        match_a = np.abs(np.einsum("ij,ij->i", u, a_used)) >= 1.0 - 1e-9
-        match_b = np.abs(np.einsum("ij,ij->i", u, b_used)) >= 1.0 - 1e-9
     elif mode == "sphere":
         if n_directions is None:
             if delta_omega is None:
                 raise ValueError("sphere mode needs delta_omega or n_directions")
             n_directions = 2 * int(round(2.0 * math.pi / delta_omega))
-        grid = _fibonacci_antipodal_grid(n_directions)
-        half = n_directions // 2
-        expected_eff = 2.0 / n_directions
-        c_a = ent.bits(n_trials)
-        ia = sa.integers(0, n_directions, n_trials)
-        ib = sb.integers(0, n_directions, n_trials)
-        iu = ent.integers(0, n_directions, n_trials)
-        a_used = grid[ia]
-        b_used = grid[ib]
-        u = grid[iu]
-        anti = (iu + half) % n_directions
-        match_a = (iu == ia) | (anti == ia)
-        match_b = (iu == ib) | (anti == ib)
+        settings_a = settings_b = u_values = _fibonacci_antipodal_grid(n_directions)
     else:
         raise ValueError(f"unknown detection mode {mode!r}")
 
-    v = -u
-    c_b = 1 - c_a
-    fires_a = (c_a == 0) | match_a
-    fires_b = (c_b == 0) | match_b
+    ent = substream(seed, STREAM_ENTANGLER)
+    sa = substream(seed, STREAM_A)
+    sb = substream(seed, STREAM_B)
+    # Side A always fires in asymmetric mode; otherwise the firing bit is a coin.
+    c_a = np.zeros(n_trials, dtype=np.int64) if mode == "asymmetric" else ent.bits(n_trials)
+    ia = sa.integers(0, len(settings_a), n_trials)
+    ib = sb.integers(0, len(settings_b), n_trials)
+    a_used = settings_a[ia]
+    b_used = settings_b[ib]
+    u = u_values[ent.integers(0, len(u_values), n_trials)]
+    # The flagged particle fires only when its setting lies along +-u.
+    fires_a = (c_a == 0) | (np.abs(np.einsum("ij,ij->i", u, a_used)) >= 1.0 - 1e-9)
+    fires_b = (c_a == 1) | (np.abs(np.einsum("ij,ij->i", u, b_used)) >= 1.0 - 1e-9)
     coincidence = fires_a & fires_b
-
-    sigma = malus_draw(u, a_used, sa)
-    tau = malus_draw(v, b_used, sb)
+    sigma, tau = _malus_pair(u, a_used, b_used, sa, sb)
+    expected_eff = 2.0 / len(u_values)
 
     n_coinc = int(np.count_nonzero(coincidence))
     if n_coinc == 0:
@@ -602,7 +582,7 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
 
     transcripts = TranscriptBatch(
         f"detection-{mode}", CausalMode.SETTINGS_CAUSE_LAMBDA, u, a_used,
-        b_used, sigma, tau, v=v, c=c_a, detected_a=fires_a, detected_b=fires_b,
+        b_used, sigma, tau, v=-u, c=c_a, detected_a=fires_a, detected_b=fires_b,
     ) if record else None
     return EfficiencyReport(
         mode=mode,
@@ -689,29 +669,15 @@ def run_watch_realization(n_trials: int, model: str, seed: int,
     if model == "pinned":
         j = ent.bits(n_trials)
         d = ent.signs(n_trials)
-        zj = np.where((j == 0)[:, None], z_a, z_b)
-        u = d[:, None] * zj
-        sigma = malus_draw(u, a_used, sa)
-        tau = malus_draw(-u, b_used, sb)
-        c_col: np.ndarray | None = j
-        d_col: np.ndarray | None = d
+        u = d[:, None] * np.where((j == 0)[:, None], z_a, z_b)
+        sigma, tau = _malus_pair(u, a_used, b_used, sa, sb)
     else:
+        j = d = None
         u = hall_sample(z_a, z_b, n_trials, substream(seed, STREAM_W0))
         sigma, tau = hall_outcomes(u, a_used, b_used)
-        c_col = None
-        d_col = None
-
-    law = JointLaw2x2.from_outcomes(sigma, tau)
-    t = np.einsum("ij,ij->i", a_used, b_used)
-    comparison = binned_singlet_deviation(t, sigma, tau)
-    transcripts = TranscriptBatch(
-        f"watch-{model}", CausalMode.LAMBDA_CAUSES_SETTINGS, u, a_used, b_used,
-        sigma, tau, v=-u, c=c_col, d=d_col,
-        a_requested=a_used, b_requested=b_used,
-    ) if record else None
-    return ProtocolResult(f"watch-{model}", n_trials, law, ChannelLedger(n_trials),
-                          CausalMode.LAMBDA_CAUSES_SETTINGS,
-                          transcripts=transcripts, singlet_comparison=comparison)
+    return _protocol_result(f"watch-{model}", CausalMode.LAMBDA_CAUSES_SETTINGS, record, u,
+                            a_used, b_used, sigma, tau, c=j, d=d,
+                            a_requested=a_used, b_requested=b_used)
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +805,9 @@ def run_conspiracy_audit(n_trials: int, a, b, mode: str, seed: int) -> AuditResu
     mode 'slave': the hidden variables dictate one station's setting each
     trial; every deviation lands exactly on +-u and the singlet survives.
     mode 'third-party': an independent party re-imposes the declared
-    settings at the last moment; deviations drop back to zero.
+    settings at the last moment. Whatever the hidden variables dictated
+    is overridden, so the run is the honest one: the same code, streams
+    and summary (but for mode), with zero deviations and a uniform spin.
     """
     if mode not in ("honest", "slave", "third-party"):
         raise ValueError(f"unknown audit mode {mode!r}")
@@ -856,8 +824,8 @@ def run_conspiracy_audit(n_trials: int, a, b, mode: str, seed: int) -> AuditResu
         u = substream(seed, STREAM_ENTANGLER).sphere(n_trials)
         a_used = np.broadcast_to(a, (n_trials, 3))
         b_used = np.broadcast_to(b, (n_trials, 3))
-        law = JointLaw2x2.from_outcomes(malus_draw(u, a_used, substream(seed, STREAM_A)),
-                                        malus_draw(-u, b_used, substream(seed, STREAM_B)))
+        law = JointLaw2x2.from_outcomes(*_malus_pair(u, a_used, b_used, substream(seed, STREAM_A),
+                                                     substream(seed, STREAM_B)))
         dev = law.max_abs_diff(singlet_law(a, b))
 
     dev_a = ~np.all(a_used == a, axis=1)

@@ -211,6 +211,8 @@ def test_feasibility_command(tmp_path):
     ("--marginals", "0,0,nan,0"),
     ("--tol", "0.1,0.1,0.1,tiny"),
     ("--tol", "0.1,-0.1,0.1,0.1"),
+    ("--correlators", "2,0,0,0"),
+    ("--marginals", "0,0,3,0"),
 ])
 def test_feasibility_bad_numbers_fail_in_one_line(tmp_path, flag, value):
     argv = ["--correlators=0,0,0,0", f"{flag}={value}"]
@@ -321,6 +323,13 @@ BAD_INPUT = {
                                "--correlators", "1,1,1,1", "--trials", "1000"],
     "from-model-tol": ["feasibility", "--from-model", "pinned",
                        "--tol", "0.1,0.1,0.1,0.1", "--trials", "1000"],
+    "correlators-a": ["feasibility", "--correlators", "0,0,0,0", "--a", "30"],
+    "correlators-vec-b2": ["feasibility", "--correlators", "0,0,0,0", "--vec-b2", "0,0,1"],
+    "correlators-trials": ["feasibility", "--correlators", "0,0,0,0", "--trials", "7"],
+    "scan-b": ["law", "--model", "singlet", "--scan", "0:90:3", "--b", "45"],
+    "scan-vec-b": ["law", "--model", "singlet", "--scan", "0:90:3", "--vec-b", "0,1,0"],
+    "message-message-bits": ["signal", "--mode", "action", "--message", "0110",
+                             "--message-bits", "9"],
 }
 
 

@@ -184,6 +184,26 @@ def test_detection_validation():
                                settings_b=[planar_setting(45.0), planar_setting(135.0)])
 
 
+def _along(u, x):
+    return np.all(u == x, axis=1) | np.all(u == -x, axis=1)
+
+
+@pytest.mark.parametrize("mode, n_directions", [
+    ("symmetric", None), ("asymmetric", None),
+    ("sphere", 2), ("sphere", 64), ("sphere", 20_000),
+])
+def test_detection_fire_flags_are_the_match_rule(mode, n_directions):
+    # The flagged particle fires exactly when its setting equals +-u.
+    rep = run_detection_loophole(100_000, mode, seed=20, n_directions=n_directions,
+                                 record=True)
+    tr = rep.transcripts
+    assert np.array_equal(tr.detected_a, (tr.c == 0) | _along(tr.u, tr.a_used))
+    assert np.array_equal(tr.detected_b, (tr.c == 1) | _along(tr.u, tr.b_used))
+    if n_directions == 2:
+        # One antipodal pair: every setting lies along the spin.
+        assert rep.efficiency == 1.0
+
+
 def test_detection_transcript_records_detection_flags():
     rep = run_detection_loophole(5000, "symmetric", seed=19, record=True)
     tr = rep.transcripts
@@ -353,6 +373,13 @@ def test_audit_third_party_switch_restores_compliance():
     res = run_conspiracy_audit(100_000, X, B63, "third-party", seed=32)
     assert res.deviations == 0
     assert res.singlet_deviation > 0.05
+
+
+def test_third_party_audit_is_the_honest_run():
+    third = run_conspiracy_audit(50_000, X, B63, "third-party", seed=11).summary()
+    honest = run_conspiracy_audit(50_000, X, B63, "honest", seed=11).summary()
+    assert third.pop("mode") == "third-party" and honest.pop("mode") == "honest"
+    assert third == honest
 
 
 def test_audit_validation():

@@ -65,6 +65,9 @@ SAMPLED = {
                                     "--mode", "sphere", "--n-directions", "16"),
     "protocol.detection.sphere-cell": ("protocol", "--name", "detection-loophole",
                                        "--mode", "sphere", "--delta-omega", "0.5"),
+    # 12,566 directions: the fire rule on a fine grid.
+    "protocol.detection.sphere-fine": ("protocol", "--name", "detection-loophole",
+                                       "--mode", "sphere", "--delta-omega", "0.001"),
     "protocol.watch-pinned": ("protocol", "--name", "watch-pinned"),
     "protocol.watch-hall": ("protocol", "--name", "watch-hall"),
     "signal.action": ("signal", "--mode", "action"),
