@@ -113,8 +113,8 @@ def _typed(convert, ok, expect):
 _POSITIVE = _typed(int, lambda n: n > 0, "a positive integer")
 _SEED = _typed(int, lambda n: n >= 0, f"a nonnegative integer (--seed or ${SEED_ENV})")
 _ANGLE = _typed(float, math.isfinite, "a finite angle in degrees")
-_BITS = _typed(lambda t: [int(ch) for ch in t], lambda bits: set(bits) <= {0, 1},
-               "a string of 0s and 1s")
+_BITS = _typed(lambda t: [int(ch) for ch in t], lambda bits: bits and set(bits) <= {0, 1},
+               "a nonempty string of 0s and 1s")
 _VECTOR = _typed(lambda t: np.array([float(x) for x in t.split(",")]),
                  lambda v: v.shape == (3,) and 0 < _norm(v) < math.inf,
                  "x,y,z with a finite nonzero norm")
@@ -145,7 +145,7 @@ def _validate(parser, args) -> None:
                                "trials"), "--correlators")
     if args.command == "law" and args.scan:
         _unread(parser, args, ("b", "vec_b"), "--scan")
-    if args.command == "signal" and args.message:
+    if args.command == "signal" and args.message is not None:
         _unread(parser, args, ("message_bits",), "--message")
     if args.command == "protocol":
         # --mode is written into every protocol report's config, so it is
@@ -338,9 +338,10 @@ def _cmd_feasibility(args) -> int:
     marginals = _parse_floats(args.marginals, 4, "--marginals") if args.marginals else None
     try:
         result = fine_feasibility(correlators, marginals, correlator_tol=tol)
-    except ValueError as exc:  # a correlator or marginal outside [-1, 1]
+    except ValueError as exc:  # a correlator or marginal out of range
         flag = "--marginals" if "marginal" in str(exc) else "--correlators"
-        raise SystemExit(f"{flag} needs values in [-1, 1], "
+        bound = "[-1 - tol, 1 + tol]" if flag == "--correlators" and tol else "[-1, 1]"
+        raise SystemExit(f"{flag} needs values in {bound}, "
                          f"got {getattr(args, flag[2:])!r} ({exc})")
     checks = [_check("lp_facet_agreement",
                      result.facet_feasible is None
@@ -421,7 +422,7 @@ def _cmd_protocol(args) -> int:
 
 
 def _cmd_signal(args) -> int:
-    message = args.message or [0] * (args.message_bits or 1000)
+    message = [0] * (args.message_bits or 1000) if args.message is None else args.message
     res = run_signaling_experiment(message, args.mode, args.trials, args.seed)
     checks = [_check("usable_fraction_near_half",
                      abs(res.usable_fraction - 0.5) <= 0.02,

@@ -1,9 +1,10 @@
 """Deterministic geometry and randomness substrate.
 
-Unit vectors on the sphere, the global sign convention, and seeded
-splittable random streams. Everything downstream (model samplers,
-protocol state machines) draws exclusively through :class:`RandomStream`
-so that a run is reproducible bit-for-bit from its master seed.
+Unit vectors on the sphere, the one per-trial dot product (every u.x of
+the model rules and protocol runners rounds alike), the global sign
+convention, and seeded splittable random streams. Everything downstream
+draws exclusively through :class:`RandomStream` so that a run is
+reproducible bit-for-bit from its master seed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ UNIT_TOL = 1e-12
 
 X_HAT = np.array([1.0, 0.0, 0.0])
 Y_HAT = np.array([0.0, 1.0, 0.0])
-Z_HAT = np.array([0.0, 0.0, 1.0])
+
+
+def dot(u, x):
+    """u.x over the last axis, summed left to right as
+    np.sum(u * x, axis=-1) sums (the same bits), without the temporary."""
+    u = np.asarray(u, dtype=float)
+    x = np.asarray(x, dtype=float)
+    return u[..., 0] * x[..., 0] + u[..., 1] * x[..., 1] + u[..., 2] * x[..., 2]
 
 
 def sgn(x):

@@ -157,9 +157,10 @@ class MasterProb16:
         return cls._from_weights([1] * 16, 16)
 
     @classmethod
-    def random(cls, stream: RandomStream, resolution: int = 1000) -> "MasterProb16":
-        """Random rational distribution: integer weights normalized exactly."""
-        w = stream.integers(0, resolution, 16).tolist()
+    def random(cls, stream: RandomStream) -> "MasterProb16":
+        """Random rational distribution: integer weights below 1000,
+        normalized exactly."""
+        w = stream.integers(0, 1000, 16).tolist()
         if sum(w) == 0:
             w[0] = 1
         return cls._from_weights(w, sum(w))
@@ -242,8 +243,7 @@ def _facet_check(C, M):
     return worst is None, worst
 
 
-def fine_feasibility(correlators4, marginals4=None, correlator_tol=None,
-                     marginal_tol=None) -> FeasibilityResult:
+def fine_feasibility(correlators4, marginals4=None, correlator_tol=None) -> FeasibilityResult:
     """Decide whether a master probability reproduces the given pairwise
     correlators (order: C(a,b), C(a2,b), C(a,b2), C(a2,b2)) and single
     marginals (m_a, m_a2, m_b, m_b2; default 0).
@@ -252,27 +252,27 @@ def fine_feasibility(correlators4, marginals4=None, correlator_tol=None,
     nonnegative atoms, (ii) the facet inequalities (pairwise-law
     nonnegativity plus the 8 CHSH facets). With zero tolerances they are
     cross-validated and any disagreement raises. With nonzero tolerances
-    each constraint is relaxed to a band (for Monte Carlo estimates) and
-    the LP alone decides.
+    each correlator is relaxed to a band (for Monte Carlo estimates) up to
+    |C[i]| <= 1 + tol[i], and the LP alone decides.
     """
     C = [Fraction(x) for x in correlators4]
     M = [Fraction(x) for x in (marginals4 if marginals4 is not None else [0, 0, 0, 0])]
     ct = [Fraction(x) for x in (correlator_tol if correlator_tol is not None else [0] * 4)]
-    mt = [Fraction(x) for x in (marginal_tol if marginal_tol is not None else [0] * 4)]
-    if len(C) != 4 or len(M) != 4 or len(ct) != 4 or len(mt) != 4:
-        raise ValueError("need 4 correlators, 4 marginals, and 4+4 tolerances")
+    if len(C) != 4 or len(M) != 4 or len(ct) != 4:
+        raise ValueError("need 4 correlators, 4 marginals, and 4 tolerances")
     for i, c in enumerate(C):
         if abs(c) > 1 + ct[i]:
-            raise ValueError(f"inconsistent input: |C[{i}]| = {float(abs(c))} > 1")
+            raise ValueError(f"inconsistent input: |C[{i}]| = {float(abs(c))} > "
+                             f"{float(1 + ct[i]):.15g}")
     for i, m in enumerate(M):
-        if abs(m) > 1 + mt[i]:
+        if abs(m) > 1:
             raise ValueError(f"inconsistent input: |marginal[{i}]| = {float(abs(m))} > 1")
 
     A_eq = [[1] * 16]
     b_eq = [1]
     A_ub = []
     b_ub = []
-    for rows, vals, tols in ((_CORR_ROWS, C, ct), (_MARG_ROWS, M, mt)):
+    for rows, vals, tols in ((_CORR_ROWS, C, ct), (_MARG_ROWS, M, [0] * 4)):
         for row, val, tol in zip(rows, vals, tols):
             if tol == 0:
                 A_eq.append(row)
@@ -289,7 +289,7 @@ def fine_feasibility(correlators4, marginals4=None, correlator_tol=None,
     if lp_feasible and all(c == 0 for c in C) and all(m == 0 for m in M):
         witness = MasterProb16.uniform()  # canonical witness for the trivial input
 
-    relaxed = any(t != 0 for t in ct + mt)
+    relaxed = any(t != 0 for t in ct)
     facet_feasible, violated = _facet_check(C, M)
     if not relaxed and facet_feasible != lp_feasible:
         raise AssertionError(

@@ -7,6 +7,9 @@ place that dispatches over ids. All samplers are pure
 functions of their inputs and a :class:`~lhvlab.geometry.RandomStream`;
 vector arguments broadcast, so the same functions serve single trials
 and batched Monte Carlo.
+The shared rules are written once, for models and protocol runners alike:
+``law_table``, ``malus_outcome`` and the one-bit stations ``one_bit_station_a``
+and ``one_bit_tau``.
 
 Conventions: outcomes are +-1, analyzers and hidden spins are unit
 vectors, and the sign convention sgn(0) = +1 applies throughout.
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import X_HAT, Y_HAT, RandomStream, assert_unit, sgn
+from .geometry import X_HAT, Y_HAT, RandomStream, assert_unit, dot, sgn
 
 LAW_TOL = 1e-12
 
@@ -90,37 +93,35 @@ class JointLaw2x2:
         return f"JointLaw2x2({self.p.tolist()})"
 
 
+def law_table(q) -> np.ndarray:
+    """P(sigma, tau) = (1 - sigma*tau q)/4: fair marginals, correlator -q."""
+    return np.array([[1 - q, 1 + q], [1 + q, 1 - q]]) / 4.0
+
+
 def uniform_law() -> JointLaw2x2:
-    return JointLaw2x2(np.full((2, 2), 0.25))
+    return JointLaw2x2(law_table(0.0))
 
 
 def singlet_law(a, b) -> JointLaw2x2:
     """Reference joint law P(sigma, tau) = (1 - sigma*tau a.b)/4."""
-    t = float(np.dot(assert_unit(a, "a"), assert_unit(b, "b")))
-    p = np.array([[1 - t, 1 + t], [1 + t, 1 - t]]) / 4.0
-    return JointLaw2x2(p)
-
-
-def _dot(u, x):
-    """u.x over the last axis, summed left to right as
-    np.sum(u * x, axis=-1) sums (the same bits), without the temporary."""
-    u = np.asarray(u, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return u[..., 0] * x[..., 0] + u[..., 1] * x[..., 1] + u[..., 2] * x[..., 2]
+    return JointLaw2x2(law_table(float(np.dot(assert_unit(a, "a"), assert_unit(b, "b")))))
 
 
 def malus_marginal(u, n, outcome):
     """Malus probability (1 + outcome * u.n)/2 for hidden spin u and analyzer n."""
-    return (1.0 + np.asarray(outcome) * _dot(u, n)) / 2.0
+    return (1.0 + np.asarray(outcome) * dot(u, n)) / 2.0
+
+
+def malus_outcome(u, n, noise):
+    """Malus detector: +1 where the uniform noise is below (1 + u.n)/2, else -1."""
+    return np.where(noise < malus_marginal(u, n, 1), 1.0, -1.0)
 
 
 def malus_draw(u, n, stream: RandomStream):
     """Sample +-1 outcomes from the Malus marginal, one uniform per trial."""
-    p_plus = malus_marginal(u, n, 1)
-    size = None if np.ndim(p_plus) == 0 else np.shape(p_plus)[0]
-    draw = stream.uniform(size)
-    out = np.where(draw < p_plus, 1.0, -1.0)
-    return float(out) if np.ndim(p_plus) == 0 else out
+    shape = np.broadcast_shapes(np.shape(u), np.shape(n))[:-1]
+    out = malus_outcome(u, n, stream.uniform(shape[0] if shape else None))
+    return out if shape else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +134,21 @@ def tb_outcomes(u, v, a, b):
     sigma = sgn(u.a); the bit c = sgn(u.a)*sgn(v.a) travels to the other
     station, which outputs tau = -sgn((u + c v).b).
     """
-    sigma = sgn(_dot(u, a))
-    c = sigma * sgn(_dot(v, a))
+    sigma, c = one_bit_station_a(u, v, a)
     return sigma, one_bit_tau(u, v, c, b)
+
+
+def one_bit_station_a(u, v, a):
+    """First-station rule of the one-bit model: sigma = sgn(u.a) and the
+    bit c = sgn(u.a)*sgn(v.a), from the shared (u, v) and the setting a."""
+    sigma = sgn(dot(u, a))
+    return sigma, sigma * sgn(dot(v, a))
 
 
 def one_bit_tau(u, v, c, b):
     """Second-station rule of the one-bit model: tau = -sgn((u + c v).b),
     from the shared (u, v), the bit c and the local setting b only."""
-    return -sgn(_dot(u + np.asarray(c)[..., None] * np.asarray(v), b))
+    return -sgn(dot(u + np.asarray(c)[..., None] * np.asarray(v), b))
 
 
 class IncompatiblePriors:
@@ -185,8 +192,7 @@ def tb_extension_law(p: float, family: int, a, b) -> JointLaw2x2:
     _check_extension(p, family)
     t = float(np.dot(assert_unit(a, "a"), assert_unit(b, "b")))
     k = (2.0 * p - 1.0) if family == 1 else p
-    q = k * t
-    return JointLaw2x2(np.array([[1 - q, 1 + q], [1 + q, 1 - q]]) / 4.0)
+    return JointLaw2x2(law_table(k * t))
 
 
 def tb_extension_sample(p: float, family: int, u, v, a, b, stream: RandomStream):
@@ -213,10 +219,10 @@ def _tb_extension_rule(family: int, hidden, a, b):
     """Outcomes of an extension from (u, v, keep), where keep marks the
     trials on which the first station keeps its deterministic value."""
     u, v, keep = hidden
-    S = sgn(u @ a)
-    sigma = np.where(keep, S, -S)
-    c = (S if family == 1 else sigma) * sgn(v @ a)
-    return sigma, one_bit_tau(u, v, c, b)
+    S, c = one_bit_station_a(u, v, a)
+    if family == 2:  # the bit follows the flip
+        c = np.where(keep, c, -c)
+    return np.where(keep, S, -S), one_bit_tau(u, v, c, b)
 
 
 def tb_freewill_density(u, v, c, a, b):
@@ -225,19 +231,14 @@ def tb_freewill_density(u, v, c, a, b):
     Uniform over (u, v) times an indicator selecting the bit value
     compatible with the setting: c must equal sgn(u.a)*sgn(v.a).
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    want = sgn(np.sum(u * a, axis=-1)) * sgn(np.sum(v * a, axis=-1))
-    match = np.asarray(c) == want
+    match = np.asarray(c) == one_bit_station_a(u, v, a)[1]
     return np.where(match, 1.0 / (4.0 * math.pi) ** 2, 0.0)
 
 
 def tb_freewill_sample(a, b, n: int, stream: RandomStream):
     """Draw (u, v, c) with u, v uniform and c fixed by the constraint."""
-    u = stream.sphere(n)
-    v = stream.sphere(n)
-    c = sgn(u @ a) * sgn(v @ a)
-    return u, v, c
+    u, v = stream.sphere(n), stream.sphere(n)
+    return u, v, one_bit_station_a(u, v, a)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +250,7 @@ def hall_f(u, a, b):
     spin fixed to -u. Invariant under u -> -u."""
     u = np.asarray(u, dtype=float)
     t = float(np.dot(a, b))
-    return sgn(_dot(u, a)) * sgn(-_dot(u, b)) * t
+    return sgn(dot(u, a)) * sgn(-dot(u, b)) * t
 
 
 def _hall_g(f):
@@ -304,7 +305,7 @@ def _setting_rows(x, n: int, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         return assert_unit(x, name)
-    if x.shape != (n, 3) or np.any(np.abs(_dot(x, x) - 1.0) > 1e-9):
+    if x.shape != (n, 3) or np.any(np.abs(dot(x, x) - 1.0) > 1e-9):
         raise ValueError(f"{name} must be a unit vector or ({n}, 3) unit rows")
     return x
 
@@ -314,12 +315,12 @@ def _lune_points(a, b, w):
     the frame e1 = a, e2, e3 along a x b, b lies at azimuth theta, and the
     lunes with sgn(u.a) = +1 are (theta - pi/2, pi/2) where sgn(u.b) = +1
     and (-pi/2, theta - pi/2) where it is -1; the other two turn these by pi."""
-    e1 = a / np.sqrt(_dot(a, a))[..., None]
-    t = _dot(a, b)
+    e1 = a / np.sqrt(dot(a, a))[..., None]
+    t = dot(a, b)
     axis = np.cross(e1, b)
     # Drop the rounding error along a, which is large next to |a x b| when b ~ +-a.
-    axis -= _dot(axis, e1)[..., None] * e1
-    s = np.sqrt(_dot(axis, axis))
+    axis -= dot(axis, e1)[..., None] * e1
+    s = np.sqrt(dot(axis, axis))
     theta = np.arctan2(s, t)
     flat = s < 1e-12
     if np.any(flat):
@@ -327,7 +328,7 @@ def _lune_points(a, b, w):
         # axis normal to a will do.
         spare = np.cross(e1, np.where(np.abs(e1[..., :1]) < 0.5, X_HAT, Y_HAT))
         axis = np.where(flat[..., None], spare, axis)
-    e3 = axis / np.sqrt(_dot(axis, axis))[..., None]
+    e3 = axis / np.sqrt(dot(axis, axis))[..., None]
     e2 = np.cross(e3, e1)
     same = w[0] < (1.0 + t) / 2.0
     phi = np.where(same, theta + (math.pi - theta) * w[3], theta * w[3]) - math.pi / 2
@@ -340,7 +341,7 @@ def _lune_points(a, b, w):
 
 def hall_outcomes(u, a, b):
     """Deterministic outcomes sigma = sgn(u.a), tau = sgn(-u.b)."""
-    return sgn(_dot(u, a)), sgn(-_dot(u, b))
+    return sgn(dot(u, a)), sgn(-dot(u, b))
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +373,7 @@ def pinned_spin_outcomes(u, a, b, stream: RandomStream):
 def _pinned_rule(hidden, x, y):
     """Malus outcomes from the spin and each side's uniform noise draw."""
     u, noise_a, noise_b = hidden
-    return (np.where(noise_a < malus_marginal(u, x, 1), 1.0, -1.0),
-            np.where(noise_b < malus_marginal(-u, y, 1), 1.0, -1.0))
+    return malus_outcome(u, x, noise_a), malus_outcome(-u, y, noise_b)
 
 
 def mixed_law(a, b) -> JointLaw2x2:
@@ -384,9 +384,7 @@ def mixed_law(a, b) -> JointLaw2x2:
     At a.b = 0 the sgn(0) = +1 convention applies; callers that care can
     flag orthogonal settings.
     """
-    s = sgn(float(np.dot(assert_unit(a, "a"), assert_unit(b, "b"))))
-    p = np.array([[1 - s, 1 + s], [1 + s, 1 - s]]) / 4.0
-    return JointLaw2x2(p)
+    return JointLaw2x2(law_table(sgn(float(np.dot(assert_unit(a, "a"), assert_unit(b, "b"))))))
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +459,7 @@ MODELS = {
                          ModelFlags(False, True, False, True, False), needs_p=True),
     # The bit c is a hidden variable, fixed at the reference setting a.
     "tb-freewill": ModelSpec(_singlet, lambda a, b, n, s, p: tb_freewill_sample(a, b, n, s),
-                             lambda h, x, y: (sgn(_dot(h[0], x)), one_bit_tau(*h, y)),
+                             lambda h, x, y: (sgn(dot(h[0], x)), one_bit_tau(*h, y)),
                              ModelFlags(True, True, True, False, False), local=True),
     "pinned": ModelSpec(_singlet, _draw_pinned, _pinned_rule,
                         ModelFlags(False, True, True, False, True), local=True),

@@ -23,9 +23,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .geometry import RandomStream, assert_unit, planar_setting, sgn, substream
-from .models import (JointLaw2x2, hall_outcomes, hall_sample, malus_draw, one_bit_tau,
-                     singlet_law, tb_freewill_sample)
+from .geometry import RandomStream, assert_unit, dot, planar_setting, sgn, substream
+from .models import (JointLaw2x2, hall_outcomes, hall_sample, law_table, malus_draw,
+                     one_bit_station_a, one_bit_tau, singlet_law)
 
 
 class PartyRole(str, Enum):
@@ -144,7 +144,8 @@ _CSV_CHUNK_ROWS = 1 << 15
 
 
 def _cells(x: np.ndarray, shown=None, dense: bool = False) -> list:
-    """[_fmt(v) for v in x], with "" where shown is false.
+    """[_fmt(v) for v in x], with "" where shown is false, for a bool, int
+    or float column.
 
     A dense float column is formatted value by value. Any other column
     formats each distinct value once and looks its cells up; floats are
@@ -156,14 +157,7 @@ def _cells(x: np.ndarray, shown=None, dense: bool = False) -> list:
         # format-string parsing of "{:.9g}".format.
         return list(map(float.__format__, x.astype(np.float64, copy=False).tolist(),
                         repeat(".9g")))
-    if kind in "biu":
-        keys = x
-    elif kind == "f":
-        keys = np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
-    elif shown is None:
-        return list(map(_fmt, x))
-    else:
-        return [_fmt(v) if s else "" for v, s in zip(x, shown)]
+    keys = np.ascontiguousarray(x, dtype=np.float64).view(np.int64) if kind == "f" else x
     distinct, inverse = np.unique(keys, return_inverse=True)
     if kind == "f":
         distinct = distinct.view(np.float64)
@@ -207,10 +201,10 @@ class TranscriptBatch:
         return self.n
 
     def u_dot_a(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.u, self.a_used)
+        return dot(self.u, self.a_used)
 
     def u_dot_b(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.u, self.b_used)
+        return dot(self.u, self.b_used)
 
     def row(self, i: int) -> TrialTranscript:
         return TrialTranscript(
@@ -289,10 +283,8 @@ def deviation_from_binned_counts(counts, t_sums) -> dict:
         cnt = int(counts[k].sum())
         if cnt == 0:
             continue
-        law = counts[k] / cnt
         tmean = float(t_sums[k]) / cnt
-        q = np.array([[1 - tmean, 1 + tmean], [1 + tmean, 1 - tmean]]) / 4.0
-        dev = float(np.abs(law - q).max())
+        dev = float(np.abs(counts[k] / cnt - law_table(tmean)).max())
         max_dev = max(max_dev, dev)
         min_count = cnt if min_count is None else min(min_count, cnt)
         bins.append({"t_mean": tmean, "count": cnt, "max_abs_dev": dev})
@@ -345,8 +337,8 @@ def _protocol_result(model: str, causal_mode: CausalMode, record: bool, u, a_use
     channels = ChannelLedger(n)
     if bits_a_to_b:
         channels.send(PartyRole.STATION_A, PartyRole.STATION_B, bits_a_to_b)
-    comparison = binned_singlet_deviation(np.einsum("ij,ij->i", a_used, b_used), sigma,
-                                          tau) if np.ndim(a_used) == 2 else None
+    comparison = (binned_singlet_deviation(dot(a_used, b_used), sigma, tau)
+                  if np.ndim(a_used) == 2 else None)
     transcripts = TranscriptBatch(
         model, causal_mode, u, a_used, b_used, sigma, tau, v=-u if v is None else v,
         bits_a_to_b=bits_a_to_b, shared_draws=shared_draws, **columns) if record else None
@@ -359,6 +351,11 @@ def _malus_pair(u, a_used, b_used, sa: RandomStream, sb: RandomStream):
     """Zero-communication station step: spins u and -u, each station a
     Malus detector on its own stream."""
     return malus_draw(u, a_used, sa), malus_draw(-u, b_used, sb)
+
+
+def _along_axis(u, x):
+    """Whether the spin u lies along +-x, up to rounding."""
+    return np.abs(dot(u, x)) >= 1.0 - 1e-9
 
 
 def _resolve_policy(policy, n: int, stream: RandomStream):
@@ -404,10 +401,11 @@ def _run_one_bit(model: str, bits_a_to_b: int, n_trials: int, a, b, seed: int,
                  record: bool) -> ProtocolResult:
     a = assert_unit(a, "a")
     b = assert_unit(b, "b")
+    ent = substream(seed, STREAM_ENTANGLER)
+    u, v = ent.sphere(n_trials), ent.sphere(n_trials)
     # Station A: local outcome and the bit c = sgn(u.a) sgn(v.a), sent to
     # B or held as a hidden variable; the rule is the same either way.
-    u, v, c = tb_freewill_sample(a, b, n_trials, substream(seed, STREAM_ENTANGLER))
-    sigma = sgn(u @ a)
+    sigma, c = one_bit_station_a(u, v, a)
     # Station B: own setting, shared (u, v) and the bit. Never reads a.
     tau = one_bit_tau(u, v, c, b)
     return _protocol_result(model, CausalMode.SETTINGS_CAUSE_LAMBDA, record, u, a, b,
@@ -540,8 +538,8 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
     b_used = settings_b[ib]
     u = u_values[ent.integers(0, len(u_values), n_trials)]
     # The flagged particle fires only when its setting lies along +-u.
-    fires_a = (c_a == 0) | (np.abs(np.einsum("ij,ij->i", u, a_used)) >= 1.0 - 1e-9)
-    fires_b = (c_a == 1) | (np.abs(np.einsum("ij,ij->i", u, b_used)) >= 1.0 - 1e-9)
+    fires_a = (c_a == 0) | _along_axis(u, a_used)
+    fires_b = (c_a == 1) | _along_axis(u, b_used)
     coincidence = fires_a & fires_b
     sigma, tau = _malus_pair(u, a_used, b_used, sa, sb)
     expected_eff = 2.0 / len(u_values)
@@ -570,15 +568,11 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
     else:
         # Per-trial reference comparison: mean indicator minus the exact
         # singlet entry at each trial's realized settings.
-        t = np.einsum("ij,ij->i", a_used, b_used)[coincidence]
+        ref = law_table(dot(a_used, b_used)[coincidence])
         sc = sigma[coincidence]
         tc = tau[coincidence]
-        dev = 0.0
-        for s in (1.0, -1.0):
-            for tt in (1.0, -1.0):
-                emp = ((sc == s) & (tc == tt)).astype(float)
-                ref = (1.0 - s * tt * t) / 4.0
-                dev = max(dev, abs(float(np.mean(emp - ref))))
+        dev = max(abs(float(np.mean(((sc == s) & (tc == t)) - ref[i, j])))
+                  for i, s in enumerate((1.0, -1.0)) for j, t in enumerate((1.0, -1.0)))
 
     transcripts = TranscriptBatch(
         f"detection-{mode}", CausalMode.SETTINGS_CAUSE_LAMBDA, u, a_used,
@@ -754,7 +748,7 @@ def run_signaling_experiment(message, mode: str, n_trials: int, seed: int,
         fresh = ent.signs(n_usable)
         u_final = fresh[:, None] * b
     v_final = -u_final
-    tau = sgn(v_final @ b)
+    tau = sgn(dot(v_final, b))
     received = (tau > 0).astype(np.int64)
 
     success = float(np.mean(received == intended)) if n_usable else 0.0
@@ -831,10 +825,6 @@ def run_conspiracy_audit(n_trials: int, a, b, mode: str, seed: int) -> AuditResu
     dev_a = ~np.all(a_used == a, axis=1)
     dev_b = ~np.all(b_used == b, axis=1)
     deviations = int(np.count_nonzero(dev_a) + np.count_nonzero(dev_b))
-
-    match = True
-    if deviations:
-        ua = np.abs(np.einsum("ij,ij->i", u, a_used)[dev_a])
-        ub = np.abs(np.einsum("ij,ij->i", u, b_used)[dev_b])
-        match = bool(np.all(ua >= 1.0 - 1e-9) and np.all(ub >= 1.0 - 1e-9))
+    match = bool(np.all(_along_axis(u[dev_a], a_used[dev_a]))
+                 and np.all(_along_axis(u[dev_b], b_used[dev_b])))
     return AuditResult(mode, n_trials, deviations, match, law, float(dev))

@@ -222,6 +222,17 @@ def test_feasibility_bad_numbers_fail_in_one_line(tmp_path, flag, value):
     assert message.startswith(flag + " needs ") and "\n" not in message
 
 
+def test_feasibility_range_is_widened_by_tol(tmp_path):
+    tol = "--tol=0.1,0.1,0.1,0.1"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "feasibility", "--correlators=1.5,0,0,0", tol)
+    assert str(exc.value.code) == (
+        "--correlators needs values in [-1 - tol, 1 + tol], got '1.5,0,0,0' "
+        "(inconsistent input: |C[0]| = 1.5 > 1.1)")
+    rc, report = run_json(tmp_path, "feasibility", "--correlators=1.05,0,0,0", tol)
+    assert rc == 0 and report["results"]["feasible"]
+
+
 def test_feasibility_bad_number_exit_status():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-m", "lhvlab.cli", "feasibility",
@@ -330,6 +341,9 @@ BAD_INPUT = {
     "scan-vec-b": ["law", "--model", "singlet", "--scan", "0:90:3", "--vec-b", "0,1,0"],
     "message-message-bits": ["signal", "--mode", "action", "--message", "0110",
                              "--message-bits", "9"],
+    "message-empty": ["signal", "--mode", "action", "--message", ""],
+    "message-empty-message-bits": ["signal", "--mode", "action", "--message", "",
+                                   "--message-bits", "9"],
 }
 
 

@@ -6,8 +6,8 @@ import pytest
 from scipy import stats
 
 from lhvlab.geometry import RandomStream, planar_setting, sgn, substream
-from lhvlab.models import singlet_law
-from lhvlab.protocols import (_CSV_CHUNK_ROWS, CSV_HEADER, EMISSION_STEP,
+from lhvlab.models import MODELS, singlet_law
+from lhvlab.protocols import (_CSV_CHUNK_ROWS, CSV_HEADER, EMISSION_STEP, STREAM_A, STREAM_B,
                               TIME_OF_FLIGHT, WATCH_A, WATCH_B, CausalMode,
                               PartyRole, TranscriptBatch, _fmt,
                               binned_outcome_counts, binned_singlet_deviation,
@@ -524,6 +524,43 @@ def test_transcript_writer_keeps_signed_zeros_and_special_values():
     assert {row[3] for row in cells} >= {"0", "-0", "nan", "inf", "-inf", "1e-300"}
     assert cells[1][2] == "0" and cells[0][2] == "-1"  # integer c, no ".0"
     assert cells[0][6] == "" and cells[0][7] == ""  # undetected on both sides
+
+
+def _malus_hidden(skip=None):
+    """The pinned model's hidden variables: the spin and each station's
+    Malus noise, replayed from a fresh stream after the draws that come
+    before it there, skip(stream, n)."""
+    def hidden(tr, seed):
+        noise = []
+        for stream in (substream(seed, STREAM_A), substream(seed, STREAM_B)):
+            if skip is not None:
+                skip(stream, tr.n)
+            noise.append(stream.uniform(tr.n))
+        return tr.u, *noise
+    return "pinned", hidden
+
+
+# Runner -> (model id, the model's hidden variables rebuilt from the transcript).
+RUNNER_RULES = {
+    "tb": ("tb", lambda tr, seed: (tr.u, tr.v)),
+    "tb-freewill": ("tb-freewill", lambda tr, seed: (tr.u, tr.v, tr.c)),
+    # The random settings, or the setting indices, come first on the
+    # station streams.
+    "shared-coin": _malus_hidden(lambda s, n: s.sphere(n)),
+    "watch-pinned": _malus_hidden(),
+    "watch-hall": ("hall", lambda tr, seed: tr.u),
+    "detection-symmetric": _malus_hidden(lambda s, n: s.integers(0, 2, n)),
+    "detection-asymmetric": _malus_hidden(lambda s, n: s.integers(0, 2, n)),
+    "detection-sphere": _malus_hidden(lambda s, n: s.integers(0, 64, n)),
+}
+
+
+@pytest.mark.parametrize("name", RUNNER_RULES)
+def test_runners_apply_the_model_rules(name):
+    model, hidden = RUNNER_RULES[name]
+    tr = RUNNERS[name](5000, 43).transcripts
+    sigma, tau = MODELS[model].outcomes(hidden(tr, 43), tr.a_used, tr.b_used)
+    assert np.array_equal(sigma, tr.sigma) and np.array_equal(tau, tr.tau)
 
 
 def test_binned_outcome_counts_match_add_at_reference():

@@ -38,3 +38,8 @@ def test_protocol_runs_write_transcripts():
                if argv[0] == "protocol" and not name.startswith("error.")]
     assert sampled and all(transcript for _, transcript in sampled)
     assert {argv[argv.index("--trials") + 1] for argv, _ in sampled} == {"1000", "65537"}
+
+
+def test_matrix_runs_every_demo():
+    demos = {p.stem for p in (Path(__file__).parents[1] / "demos").glob("*.py")}
+    assert demos and set(matrix.DEMOS) == demos

@@ -5,22 +5,24 @@
 Each case runs as ``python -m lhvlab.cli ...`` on the source of CHECKOUT
 (default: the checkout that holds this file). The script prints one
 ``name sha256`` line for each report, each transcript, and each run's
-stderr plus exit status. Two checkouts give byte-identical outputs exactly
-where their listings agree:
+stderr plus exit status, then one for the stdout plus exit status of each
+script in CHECKOUT's ``demos/``. Two checkouts give byte-identical outputs
+exactly where their listings agree:
 
     diff <(python3 tools/report_matrix.py A) <(python3 tools/report_matrix.py B)
 
 The matrix covers every subcommand, every protocol name and detection
 mode, every audit mode, two seeds and, where a command samples, 1,000 and
-65,537 trials; every protocol run writes a transcript. --keep DIR keeps
-the outputs for a closer look. The script uses the standard library only,
-so it runs against any checkout.
+65,537 trials; every protocol run writes a transcript. DEMOS lists every
+script in demos/. --keep DIR keeps the outputs for a closer look. The
+script uses the standard library only, so it runs against any checkout.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -29,6 +31,9 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 JOBS = 2  # runs at a time
+DEMOS = ("chsh_three_bounds", "detection_loophole", "limited_free_will",
+         "master_probability_and_cards", "resource_budgets",
+         "singlet_from_classical_models")
 SEEDS = (11, 1011)
 TRIALS = (1000, 65537)
 
@@ -120,6 +125,12 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _env(checkout: Path) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "LHV_LAB_SEED"}
+    env["PYTHONPATH"] = str(checkout / "src")
+    return env
+
+
 def run_case(checkout: Path, work: Path, name: str, argv, transcript: bool) -> list:
     """Run one case; return its `name sha256` lines."""
     stem = str(work / name.replace("/", "_"))
@@ -128,9 +139,8 @@ def run_case(checkout: Path, work: Path, name: str, argv, transcript: bool) -> l
     cmd = [sys.executable, "-m", "lhvlab.cli", *argv, "--out", str(out)]
     if transcript:
         cmd += ["--transcript", str(csv)]
-    env = {k: v for k, v in os.environ.items() if k != "LHV_LAB_SEED"}
-    env["PYTHONPATH"] = str(checkout / "src")
-    proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True, timeout=600)
+    proc = subprocess.run(cmd, cwd=work, env=_env(checkout), capture_output=True,
+                          timeout=600)
     lines = [f"{name}/report {_sha(out.read_bytes()) if out.exists() else 'absent'}"]
     if transcript:
         lines.append(f"{name}/transcript {_sha(csv.read_bytes()) if csv.exists() else 'absent'}")
@@ -138,6 +148,16 @@ def run_case(checkout: Path, work: Path, name: str, argv, transcript: bool) -> l
     Path(stem + ".stderr").write_bytes(status)
     lines.append(f"{name}/stderr+exit {_sha(status)}")
     return lines
+
+
+def run_demo(checkout: Path, work: Path, name: str) -> list:
+    """Run demos/<name>.py; return its `name sha256` line. Its stderr is
+    left out: warnings there carry the checkout's path."""
+    proc = subprocess.run([sys.executable, str(checkout / "demos" / f"{name}.py")],
+                          cwd=work, env=_env(checkout), capture_output=True, timeout=600)
+    status = proc.stdout + f"\nexit {proc.returncode}\n".encode()
+    (work / f"demo.{name}.stdout").write_bytes(status)
+    return [f"demo.{name}/stdout+exit {_sha(status)}"]
 
 
 def main(argv=None) -> int:
@@ -154,7 +174,8 @@ def main(argv=None) -> int:
         work.mkdir(parents=True, exist_ok=True)
         with ThreadPoolExecutor(JOBS) as pool:
             runs = pool.map(lambda case: run_case(checkout, work, *case), cases())
-            for lines in runs:
+            demos = pool.map(lambda name: run_demo(checkout, work, name), DEMOS)
+            for lines in itertools.chain(runs, demos):
                 print("\n".join(lines), flush=True)
     return 0
 
