@@ -152,7 +152,8 @@ def run_case(checkout: Path, work: Path, name: str, argv, transcript: bool) -> l
 
 def run_demo(checkout: Path, work: Path, name: str) -> list:
     """Run demos/<name>.py; return its `name sha256` line. Its stderr is
-    left out: warnings there carry the checkout's path."""
+    left out, since a Python warning names the file it came from, which
+    differs between checkouts."""
     proc = subprocess.run([sys.executable, str(checkout / "demos" / f"{name}.py")],
                           cwd=work, env=_env(checkout), capture_output=True, timeout=600)
     status = proc.stdout + f"\nexit {proc.returncode}\n".encode()
