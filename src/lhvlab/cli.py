@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -120,6 +120,18 @@ _VECTOR = _typed(lambda t: np.array([float(x) for x in t.split(",")]),
                  "x,y,z with a finite nonzero norm")
 
 
+class _FromEnvironment(str):
+    """The --seed default, which stands for $LHV_LAB_SEED (or DEFAULT_SEED)."""
+
+
+def _seed(text):
+    """--seed type. The environment is read on each parse, not when the
+    parser is built, so one parser serves every main call."""
+    if isinstance(text, _FromEnvironment):
+        text = os.environ.get(SEED_ENV, str(DEFAULT_SEED))
+    return _SEED(text)
+
+
 def _norm(v) -> float:
     with np.errstate(over="ignore"):
         return float(np.linalg.norm(v))
@@ -168,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, trials_default=None):
-        # A string default goes through the type check too.
-        p.add_argument("--seed", type=_SEED, default=os.environ.get(SEED_ENV, str(DEFAULT_SEED)),
+        # A string default goes through the type check too, on every parse.
+        p.add_argument("--seed", type=_seed, default=_FromEnvironment(),
                        help=f"master seed (default: ${SEED_ENV} or {DEFAULT_SEED})")
         p.add_argument("--out", default=None, help="write the JSON report here")
         if trials_default is not None:
@@ -335,7 +347,9 @@ def _cmd_feasibility(args) -> int:
         if tol is not None and min(tol) < 0:
             raise SystemExit(f"--tol needs nonnegative values, got {args.tol!r}")
         config = {"correlators": correlators, "tol": tol}
-    marginals = _parse_floats(args.marginals, 4, "--marginals") if args.marginals else None
+    marginals = None
+    if args.marginals:
+        marginals = config["marginals"] = _parse_floats(args.marginals, 4, "--marginals")
     try:
         result = fine_feasibility(correlators, marginals, correlator_tol=tol)
     except ValueError as exc:  # a correlator or marginal out of range
@@ -477,8 +491,11 @@ _COMMANDS = {
 }
 
 
+_parser = cache(build_parser)  # one parser per process; see _seed
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
     return _COMMANDS[args.command](args)

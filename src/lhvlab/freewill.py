@@ -6,10 +6,14 @@ the L1 distance between the conditional hidden-variable distributions)
 and the mutual information between the settings pair and the hidden
 variables under uniform independent setting priors.
 
-Conditional weights are exact rationals; entropies are evaluated in
-floating point, which is exact whenever the grid size is a power of two.
-The continuous-setting limit of the mutual information diverges, so only
-discretized models are quantified here.
+Each conditional distribution is held as a row of integers over one
+common denominator D, the lcm of the weights' denominators, so M is
+exact: int64 numpy blocks while 2D fits in int64, Python ints beyond.
+Entropies are evaluated in floating point from the same integers, each
+probability a correctly rounded integer quotient; they are exact
+whenever the grid size is a power of two. The continuous-setting limit
+of the mutual information diverges, so only discretized models are
+quantified here.
 """
 
 from __future__ import annotations
@@ -18,6 +22,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+_BLOCK = 1 << 16  # int64 elements per block of the pairwise L1 scan
+
 
 @dataclass(frozen=True)
 class DiscretizedModel:
@@ -25,8 +33,8 @@ class DiscretizedModel:
     the second (uniform independent priors), and for every settings pair
     a finite conditional distribution over hidden-variable atoms.
 
-    conditional[(i, j)] maps atom keys to exact Fraction weights that sum
-    to 1 for each pair.
+    conditional[(i, j)] maps atom keys to exact weights (int or Fraction)
+    that sum to 1 for each pair.
     """
 
     n_a: int
@@ -37,6 +45,8 @@ class DiscretizedModel:
         for (i, j), dist in self.conditional.items():
             if not (0 <= i < self.n_a and 0 <= j < self.n_b):
                 raise ValueError(f"settings index {(i, j)} out of range")
+            if not all(isinstance(w, (int, Fraction)) for w in dist.values()):
+                raise ValueError(f"conditional weights at {(i, j)} must be int or Fraction")
             if sum(dist.values()) != 1:
                 raise ValueError(f"conditional weights at {(i, j)} must sum to exactly 1")
             if any(w < 0 for w in dist.values()):
@@ -82,25 +92,52 @@ def dictated_settings_model(n: int) -> DiscretizedModel:
     return DiscretizedModel(n_a=n, n_b=n, conditional=conditional)
 
 
+def _integer_rows(model: DiscretizedModel) -> tuple[int, list, int]:
+    """(D, rows, number of atoms): rows[k] is the k-th conditional of the
+    model as {atom index: weight * D}, nonzero weights only.
+
+    Atoms are indexed in order of their first nonzero weight, scanning
+    the pairs and each distribution in model order.
+    """
+    dists = model.conditional.values()
+    denom = math.lcm(*(w.denominator for dist in dists for w in dist.values()))
+    index: dict = {}
+    rows = [{index.setdefault(atom, len(index)): w.numerator * (denom // w.denominator)
+             for atom, w in dist.items() if w} for dist in dists]
+    return denom, rows, len(index)
+
+
+def _sup_l1(denom: int, rows: list, n_atoms: int) -> float:
+    """Largest L1 distance between two rows, over D."""
+    unique = list({tuple(sorted(row.items())): row for row in rows}.values())
+    if len(unique) < 2:
+        return 0.0
+    if 2 * denom >= 2**63:  # a sum of |differences| could overflow int64
+        dense = [[row.get(k, 0) for k in range(n_atoms)] for row in unique]
+        best = max(sum(abs(x - y) for x, y in zip(u, v))
+                   for i, u in enumerate(dense) for v in dense[i + 1:])
+        return best / denom
+    dense = np.zeros((len(unique), n_atoms), dtype=np.int64)
+    at, atom, weight = zip(*((i, k, w) for i, row in enumerate(unique) for k, w in row.items()))
+    dense[at, atom] = weight
+    step = max(1, math.isqrt(_BLOCK // n_atoms))
+    best = 0
+    for i in range(0, len(unique), step):
+        block = dense[i:i + step, None, :]
+        for j in range(i, len(unique), step):
+            best = max(best, int(np.abs(block - dense[None, j:j + step]).sum(axis=2).max()))
+            if best == 2 * denom:
+                return 2.0
+    return best / denom
+
+
 def measure_M(model: DiscretizedModel) -> float:
     """sup over setting pairs of sum_lambda |mu(lambda|a,b) - mu(lambda|a',b')|.
 
-    Computed in exact rational arithmetic, then converted; the value lies
-    in [0, 2] and 2 means no setting freedom at all by this measure.
+    Computed exactly on integer rows, then converted; the value lies in
+    [0, 2] and 2 means no setting freedom at all by this measure.
     """
-    pairs = list(model.conditional)
-    best = Fraction(0)
-    for x in range(len(pairs)):
-        dx = model.conditional[pairs[x]]
-        for y in range(x + 1, len(pairs)):
-            dy = model.conditional[pairs[y]]
-            keys = set(dx) | set(dy)
-            dist = sum(abs(dx.get(k, Fraction(0)) - dy.get(k, Fraction(0))) for k in keys)
-            if dist > best:
-                best = dist
-                if best == 2:
-                    return 2.0
-    return float(best)
+    return _sup_l1(*_integer_rows(model))
 
 
 @dataclass(frozen=True)
@@ -121,31 +158,27 @@ def mutual_information(model: DiscretizedModel) -> FreeWillReport:
 
     Decomposed as H(a,b) - sum_lambda p(lambda) H(a,b | lambda) with the
     settings prior uniform and independent; I_max = log2(n_a * n_b).
+    With integer weights w over D, p(lambda) = sum_pairs w / (D n_a n_b)
+    and p(a,b | lambda) = w / sum_pairs w.
     """
-    prior = Fraction(1, model.n_a * model.n_b)
-    # p(lambda) and the conditional p(a,b | lambda)
-    p_lambda: dict = {}
-    joint: dict = {}
-    for pair, dist in model.conditional.items():
-        for atom, w in dist.items():
-            if w == 0:
-                continue
-            p_lambda[atom] = p_lambda.get(atom, Fraction(0)) + prior * w
-            joint[(pair, atom)] = prior * w
-
+    denom, rows, n_atoms = _integer_rows(model)
+    columns: list = [[] for _ in range(n_atoms)]
+    for row in rows:
+        for k, w in row.items():
+            columns[k].append(w)
     h_settings = math.log2(model.n_a * model.n_b)
+    scale = denom * model.n_a * model.n_b
     h_cond = 0.0
-    for atom, pl in p_lambda.items():
+    for weights in columns:
+        total = sum(weights)
         h_atom = 0.0
-        for pair in model.conditional:
-            pj = joint.get((pair, atom))
-            if pj:
-                q = pj / pl
-                h_atom -= float(q) * math.log2(float(q))
-        h_cond += float(pl) * h_atom
+        for w in weights:
+            q = w / total
+            h_atom -= q * math.log2(q)
+        h_cond += total / scale * h_atom
     i_bits = h_settings - h_cond
     return FreeWillReport(
-        M=measure_M(model),
+        M=_sup_l1(denom, rows, n_atoms),
         I_bits=i_bits,
         I_max_bits=h_settings,
         n_a=model.n_a,

@@ -103,6 +103,16 @@ def test_golden_feasibility_reports(tmp_path, golden, argv):
     assert raw == (GOLDEN / golden).read_bytes()
 
 
+def test_feasibility_config_records_marginals(tmp_path):
+    marginals = ["--marginals", "0,0.25,0,-0.5"]
+    for argv in (["--correlators", "0.5,0.5,0.5,-0.5"],
+                 ["--from-model", "pinned", "--trials", "2000"]):
+        _, report = run_json(tmp_path, "feasibility", *argv, *marginals)
+        assert report["config"]["marginals"] == [0.0, 0.25, 0.0, -0.5]
+        _, report = run_json(tmp_path, "feasibility", *argv)
+        assert "marginals" not in report["config"]
+
+
 def test_chsh_values(tmp_path):
     _, report = run_json(tmp_path, "chsh", "--model", "singlet")
     assert abs(report["results"]["E"] - 2 * math.sqrt(2)) < 1e-8
@@ -372,6 +382,23 @@ def test_bad_seed_environment_fails_in_one_line(capsys, monkeypatch):
         main(["law", "--model", "singlet"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_cached_parser_reads_the_seed_environment_on_every_call(tmp_path, capsys,
+                                                                monkeypatch):
+    monkeypatch.setenv("LHV_LAB_SEED", "777")
+    _, report = run_json(tmp_path, "law", "--model", "singlet")
+    assert report["seed"] == 777
+    monkeypatch.setenv("LHV_LAB_SEED", "seven")
+    with pytest.raises(SystemExit) as exc:
+        main(["law", "--model", "singlet"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "lhvlab law: error: argument --seed: expected a nonnegative integer "
+        "(--seed or $LHV_LAB_SEED), got 'seven'\n")
+    monkeypatch.delenv("LHV_LAB_SEED")
+    _, report = run_json(tmp_path, "law", "--model", "singlet")
+    assert report["seed"] == 12345
 
 
 def _cli_choices(command, option):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lhvlab.freewill import (DiscretizedModel, dictated_settings_model,
                              discretized_setting_tied_model, measure_M,
@@ -81,3 +83,95 @@ def test_discretized_model_validation():
         DiscretizedModel(2, 1, {(0, 0): {("a",): Fraction(1)}})
     with pytest.raises(ValueError):
         discretized_setting_tied_model(1)
+    with pytest.raises(ValueError, match="int or Fraction"):
+        DiscretizedModel(1, 1, {(0, 0): {"x": 0.5, "y": 0.5}})
+
+
+# The rational algorithm the integer measures replace, kept as the oracle.
+
+def _reference_M(model):
+    pairs = list(model.conditional)
+    best = Fraction(0)
+    for x in range(len(pairs)):
+        dx = model.conditional[pairs[x]]
+        for y in range(x + 1, len(pairs)):
+            dy = model.conditional[pairs[y]]
+            keys = set(dx) | set(dy)
+            dist = sum(abs(dx.get(k, Fraction(0)) - dy.get(k, Fraction(0))) for k in keys)
+            if dist > best:
+                best = dist
+                if best == 2:
+                    return 2.0
+    return float(best)
+
+
+def _reference_I(model):
+    prior = Fraction(1, model.n_a * model.n_b)
+    p_lambda = {}
+    joint = {}
+    for pair, dist in model.conditional.items():
+        for atom, w in dist.items():
+            if w == 0:
+                continue
+            p_lambda[atom] = p_lambda.get(atom, Fraction(0)) + prior * w
+            joint[(pair, atom)] = prior * w
+    h_cond = 0.0
+    for atom, pl in p_lambda.items():
+        h_atom = 0.0
+        for pair in model.conditional:
+            pj = joint.get((pair, atom))
+            if pj:
+                q = pj / pl
+                h_atom -= float(q) * math.log2(float(q))
+        h_cond += float(pl) * h_atom
+    return math.log2(model.n_a * model.n_b) - h_cond
+
+
+# Numerators up to 2**70 make the common denominator pass 2**62, which
+# sends measure_M to its Python-int path; small ones keep it in int64.
+_NUMERATORS = st.one_of(st.integers(0, 6), st.integers(0, 2**70))
+
+
+@st.composite
+def _models(draw):
+    n_a, n_b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    shared = draw(st.integers(1, 4))  # atoms any pair may use
+    conditional = {}
+    for i in range(n_a):
+        for j in range(n_b):
+            atoms = [("shared", k) for k in range(shared)] + [("own", i, j)]
+            nums = draw(st.lists(_NUMERATORS, min_size=len(atoms), max_size=len(atoms))
+                        .filter(any))
+            # Repeated draws make identical rows, which the scan drops.
+            if conditional and draw(st.booleans()):
+                conditional[(i, j)] = dict(next(iter(conditional.values())))
+                continue
+            conditional[(i, j)] = {atom: Fraction(x, sum(nums))
+                                   for atom, x in zip(atoms, nums)}
+    return DiscretizedModel(n_a, n_b, conditional)
+
+
+def _assert_matches_reference(model):
+    rep = mutual_information(model)
+    assert measure_M(model) == rep.M == _reference_M(model)
+    assert rep.I_bits == _reference_I(model)
+    assert rep.I_max_bits == math.log2(model.n_a * model.n_b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_models())
+def test_measures_equal_the_rational_reference(model):
+    _assert_matches_reference(model)
+
+
+def test_measures_equal_the_rational_reference_on_both_paths():
+    big = 2**61 - 1  # the lcm of big, big - 2 and big - 4 is far above 2**62
+    for denoms in ((3, 5, 7, 9), (big, big - 2, big - 4, 11)):
+        conditional = {(0, j): {"x": Fraction(1, d), "y": Fraction(d - 1, d)}
+                       for j, d in enumerate(denoms)}
+        conditional[(0, 1)]["z"] = Fraction(0)
+        _assert_matches_reference(DiscretizedModel(1, 4, conditional))
+    for build in (discretized_setting_tied_model, setting_independent_model,
+                  dictated_settings_model):
+        for n in (2, 3, 5, 6):
+            _assert_matches_reference(build(n))

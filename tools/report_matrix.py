@@ -13,7 +13,9 @@ exactly where their listings agree:
 
 The matrix covers every subcommand, every protocol name and detection
 mode, every audit mode, two seeds and, where a command samples, 1,000 and
-65,537 trials; every protocol run writes a transcript. DEMOS lists every
+65,537 trials; every protocol run writes a transcript. The free-will
+models run at n = 4, where every entropy is exact, and at n = 12, where
+they round. DEMOS lists every
 script in demos/. --keep DIR keeps the outputs for a closer look. The
 script uses the standard library only, so it runs against any checkout.
 """
@@ -101,6 +103,9 @@ EXACT = {
     "feasibility.marginals": ("feasibility", "--correlators", "0.5,0.5,0.5,0.5",
                               "--marginals", "0.2,0.2,0.2,0.2"),
     **{f"freewill.{m}": ("freewill", "--model", m, "--n", "4")
+       for m in ("pinned", "independent", "dictated")},
+    # At n = 12 the entropies are rounded floats, not exact ones.
+    **{f"freewill.{m}.n12": ("freewill", "--model", m, "--n", "12")
        for m in ("pinned", "independent", "dictated")},
     # Failing runs: their stderr and exit status are outputs too.
     "error.no-coincidences": ("protocol", "--name", "detection-loophole", "--trials", "2"),
