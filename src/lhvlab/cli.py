@@ -8,8 +8,10 @@ the LHV_LAB_SEED environment variable) and reports a stable JSON schema:
 
 All floats are rounded to 9 significant digits before serialization so
 repeated runs with one seed are byte-identical. Exit status is 0 iff
-every invariant check of the run passed; bad input exits with one line
-on stderr and status 2.
+every invariant check of the run passed. Bad input exits with one line
+on stderr: status 2 for a bad option value or an ignored option, status 1
+for a malformed or out-of-range number list (--correlators, --marginals,
+--tol, --scan) and for a protocol run that cannot finish.
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ def _validate(parser, args) -> None:
     elif args.command == "feasibility" and args.correlators is not None:
         _unread(parser, args, ("a", "vec_a", "a2", "vec_a2", "b", "vec_b", "b2", "vec_b2",
                                "trials"), "--correlators")
-    if args.command == "law" and args.scan:
+    if args.command == "law" and args.scan is not None:
         _unread(parser, args, ("b", "vec_b"), "--scan")
     if args.command == "signal" and args.message is not None:
         _unread(parser, args, ("message_bits",), "--message")
@@ -269,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_law(args) -> int:
     a = _setting(args, "a", 0.0)
     b = _setting(args, "b", 0.0)
-    if args.scan:
+    if args.scan is not None:
         try:
             start, stop, count = args.scan.split(":")
             ends = [float(start), float(stop)]
@@ -340,15 +342,15 @@ def _cmd_feasibility(args) -> int:
         tol = [Fraction(3.0 * e.std_error).limit_denominator(10**9) for e in ests]
         config = {"from_model": args.from_model, "trials": trials}
     else:
-        if not args.correlators:
+        if args.correlators is None:
             raise SystemExit("provide --correlators or --from-model")
         correlators = _parse_floats(args.correlators, 4, "--correlators")
-        tol = _parse_floats(args.tol, 4, "--tol") if args.tol else None
+        tol = _parse_floats(args.tol, 4, "--tol") if args.tol is not None else None
         if tol is not None and min(tol) < 0:
             raise SystemExit(f"--tol needs nonnegative values, got {args.tol!r}")
         config = {"correlators": correlators, "tol": tol}
     marginals = None
-    if args.marginals:
+    if args.marginals is not None:
         marginals = config["marginals"] = _parse_floats(args.marginals, 4, "--marginals")
     try:
         result = fine_feasibility(correlators, marginals, correlator_tol=tol)

@@ -8,8 +8,8 @@ functions of their inputs and a :class:`~lhvlab.geometry.RandomStream`;
 vector arguments broadcast, so the same functions serve single trials
 and batched Monte Carlo.
 The shared rules are written once, for models and protocol runners alike:
-``law_table``, ``malus_outcome`` and the one-bit stations ``one_bit_station_a``
-and ``one_bit_tau``.
+``outcome_counts``, ``law_table``, ``malus_outcome`` and the one-bit
+stations ``one_bit_station_a`` and ``one_bit_tau``.
 
 Conventions: outcomes are +-1, analyzers and hidden spins are unit
 vectors, and the sign convention sgn(0) = +1 applies throughout.
@@ -73,24 +73,30 @@ class JointLaw2x2:
         return {f"p({s:+d},{t:+d})": self.prob(s, t) for s in _OUTCOMES for t in _OUTCOMES}
 
     @classmethod
-    def from_outcomes(cls, sigma, tau) -> "JointLaw2x2":
-        """Empirical law from arrays of +-1 outcomes."""
-        sigma = np.asarray(sigma)
-        tau = np.asarray(tau)
-        n = sigma.size
+    def from_counts(cls, counts) -> "JointLaw2x2":
+        """Empirical law from a 2x2 table of outcome counts."""
+        n = int(counts.sum())
         if n == 0:
             raise ValueError("cannot estimate a law from zero trials")
-        p = np.empty((2, 2))
-        sp = sigma > 0
-        tp = tau > 0
-        p[0, 0] = np.count_nonzero(sp & tp)
-        p[0, 1] = np.count_nonzero(sp & ~tp)
-        p[1, 0] = np.count_nonzero(~sp & tp)
-        p[1, 1] = np.count_nonzero(~sp & ~tp)
-        return cls(p / n, n_trials=n)
+        return cls(counts / n, n_trials=n)
+
+    @classmethod
+    def from_outcomes(cls, sigma, tau) -> "JointLaw2x2":
+        """Empirical law from arrays of +-1 outcomes."""
+        return cls.from_counts(outcome_counts(sigma, tau)[0])
 
     def __repr__(self):
         return f"JointLaw2x2({self.p.tolist()})"
+
+
+def outcome_counts(sigma, tau, group=0, n_groups: int = 1) -> np.ndarray:
+    """(n_groups, 2, 2) int64 counts of the outcome pairs, trial i counted
+    in group[i], each table in JointLaw2x2 order: +1 first, and an outcome
+    that is not positive (NaN included) counted as -1. Tables over disjoint
+    sets of trials sum to the table over their union."""
+    cell = 2 * ~(np.asarray(sigma) > 0) + ~(np.asarray(tau) > 0)
+    return np.bincount(np.ravel(4 * np.asarray(group) + cell),
+                       minlength=4 * n_groups).reshape(n_groups, 2, 2)
 
 
 def law_table(q) -> np.ndarray:
@@ -276,8 +282,7 @@ def hall_density(u, a, b):
 def hall_settings_conditional(u, a, b):
     """Conditional density of the settings pair (a, b) given u, under a
     uniform prior on settings; equals hall_density / (4*pi)."""
-    out = _hall_g(hall_f(u, a, b)) / (4.0 * math.pi)
-    return float(out) if np.ndim(out) == 0 else out
+    return hall_density(u, a, b) / (4.0 * math.pi)
 
 
 def hall_sample(a, b, n: int, stream: RandomStream) -> np.ndarray:

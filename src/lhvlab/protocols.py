@@ -25,7 +25,7 @@ import numpy as np
 
 from .geometry import RandomStream, assert_unit, dot, planar_setting, sgn, substream
 from .models import (JointLaw2x2, hall_outcomes, hall_sample, law_table, malus_draw,
-                     one_bit_station_a, one_bit_tau, singlet_law)
+                     one_bit_station_a, one_bit_tau, outcome_counts, singlet_law)
 
 
 class PartyRole(str, Enum):
@@ -56,19 +56,21 @@ class WatchDesyncError(RuntimeError):
 
 @dataclass
 class MeteredChannel:
+    """A channel that carries bits_per_trial bits on each of n_trials trials."""
+
     sender: PartyRole
     receiver: PartyRole
-    payload_bits: np.ndarray | None = None  # per-trial payload length
+    n_trials: int
+    bits_per_trial: int = 0
 
     @property
     def bits_sent(self) -> int:
-        return 0 if self.payload_bits is None else int(self.payload_bits.sum())
+        return self.n_trials * self.bits_per_trial
 
     def log(self):
-        if self.payload_bits is None:
-            return []
-        idx = np.nonzero(self.payload_bits)[0]
-        return [(int(i), int(self.payload_bits[i])) for i in idx]
+        """(trial index, bits) for every trial that carried bits."""
+        bits = self.bits_per_trial
+        return [(i, bits) for i in range(self.n_trials)] if bits else []
 
 
 class ChannelLedger:
@@ -78,11 +80,10 @@ class ChannelLedger:
         self.n_trials = n_trials
         self.channels: dict = {}
 
-    def send(self, sender: PartyRole, receiver: PartyRole, bits_per_trial) -> None:
-        ch = self.channels.setdefault((sender, receiver), MeteredChannel(sender, receiver))
-        bits = np.broadcast_to(np.asarray(bits_per_trial, dtype=np.int64),
-                               (self.n_trials,)).copy()
-        ch.payload_bits = bits if ch.payload_bits is None else ch.payload_bits + bits
+    def send(self, sender: PartyRole, receiver: PartyRole, bits_per_trial: int) -> None:
+        key = (sender, receiver)
+        ch = self.channels.setdefault(key, MeteredChannel(*key, self.n_trials))
+        ch.bits_per_trial += int(bits_per_trial)
 
     def bits(self, sender: PartyRole, receiver: PartyRole) -> int:
         ch = self.channels.get((sender, receiver))
@@ -255,16 +256,9 @@ def binned_outcome_counts(t, sigma, tau, n_bins: int = 12):
     realized setting overlap t = a.b. Counts from independent runs may be
     summed before calling deviation_from_binned_counts."""
     t = np.asarray(t, float)
-    sigma = np.asarray(sigma)
-    tau = np.asarray(tau)
-    edges = np.linspace(-1.0, 1.0, n_bins + 1)
-    idx = np.clip(np.digitize(t, edges) - 1, 0, n_bins - 1)
-    # Cell 2*(sigma <= 0) + (tau <= 0): (+,+), (+,-), (-,+), (-,-); a NaN
-    # outcome counts as negative.
-    cell = 2 * ~(sigma > 0) + ~(tau > 0)
-    counts = np.bincount(4 * idx + cell, minlength=4 * n_bins).reshape(n_bins, 2, 2)
-    t_sums = np.bincount(idx, weights=t, minlength=n_bins)
-    return counts, t_sums
+    idx = np.clip(np.digitize(t, np.linspace(-1.0, 1.0, n_bins + 1)) - 1, 0, n_bins - 1)
+    return outcome_counts(sigma, tau, idx, n_bins), np.bincount(idx, weights=t,
+                                                                minlength=n_bins)
 
 
 def deviation_from_binned_counts(counts, t_sums) -> dict:
@@ -547,30 +541,28 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
     n_coinc = int(np.count_nonzero(coincidence))
     if n_coinc == 0:
         raise RuntimeError("no coincidences recorded; cannot form conditional law")
-    cond_law = JointLaw2x2.from_outcomes(sigma[coincidence], tau[coincidence])
+    sc, tc = sigma[coincidence], tau[coincidence]
+    cond_law = JointLaw2x2.from_outcomes(sc, tc)
 
     per_setting = {}
     if mode in ("symmetric", "asymmetric"):
+        # One table over the setting pairs k = i * len(settings_b) + j.
+        nb = len(settings_b)
+        pair_counts = outcome_counts(sc, tc, (ia * nb + ib)[coincidence], len(settings_a) * nb)
         dev = 0.0
-        for i in range(len(settings_a)):
-            for j in range(len(settings_b)):
-                m = coincidence & (ia == i) & (ib == j)
-                if not np.any(m):
-                    continue
-                law_ij = JointLaw2x2.from_outcomes(sigma[m], tau[m])
-                ref = singlet_law(settings_a[i], settings_b[j])
-                per_setting[f"a{i}b{j}"] = {
-                    "law": law_ij.as_dict(),
-                    "n": int(np.count_nonzero(m)),
-                    "max_abs_dev": law_ij.max_abs_diff(ref),
-                }
-                dev = max(dev, law_ij.max_abs_diff(ref))
+        for k, counts in enumerate(pair_counts):
+            if not counts.any():
+                continue
+            i, j = divmod(k, nb)
+            law_ij = JointLaw2x2.from_counts(counts)
+            dev_ij = law_ij.max_abs_diff(singlet_law(settings_a[i], settings_b[j]))
+            per_setting[f"a{i}b{j}"] = {"law": law_ij.as_dict(), "n": law_ij.n_trials,
+                                        "max_abs_dev": dev_ij}
+            dev = max(dev, dev_ij)
     else:
         # Per-trial reference comparison: mean indicator minus the exact
         # singlet entry at each trial's realized settings.
         ref = law_table(dot(a_used, b_used)[coincidence])
-        sc = sigma[coincidence]
-        tc = tau[coincidence]
         dev = max(abs(float(np.mean(((sc == s) & (tc == t)) - ref[i, j])))
                   for i, s in enumerate((1.0, -1.0)) for j, t in enumerate((1.0, -1.0)))
 
@@ -682,7 +674,7 @@ def run_watch_realization(n_trials: int, model: str, seed: int,
 class SignalingResult:
     mode: str
     n_trials: int
-    usable_mask: np.ndarray
+    n_usable: int
     usable_fraction: float
     intended: np.ndarray
     received: np.ndarray
@@ -693,7 +685,7 @@ class SignalingResult:
         return {
             "mode": self.mode,
             "n_trials": self.n_trials,
-            "n_usable": int(self.usable_mask.sum()),
+            "n_usable": self.n_usable,
             "usable_fraction": self.usable_fraction,
             "success_rate": self.success_rate,
             "empirical_entropy": self.empirical_entropy,
@@ -736,8 +728,7 @@ def run_signaling_experiment(message, mode: str, n_trials: int, seed: int,
 
     ent = substream(seed, STREAM_ENTANGLER)
     atom = ent.integers(0, 4, n_trials)  # 0:+a 1:-a 2:+b 3:-b
-    usable = atom < 2
-    n_usable = int(np.count_nonzero(usable))
+    n_usable = int(np.count_nonzero(atom < 2))
 
     intended = message[np.arange(n_usable) % message.size]
 
@@ -755,7 +746,7 @@ def run_signaling_experiment(message, mode: str, n_trials: int, seed: int,
     return SignalingResult(
         mode=mode,
         n_trials=n_trials,
-        usable_mask=usable,
+        n_usable=n_usable,
         usable_fraction=n_usable / n_trials,
         intended=intended,
         received=received,

@@ -223,6 +223,10 @@ def test_feasibility_command(tmp_path):
     ("--tol", "0.1,-0.1,0.1,0.1"),
     ("--correlators", "2,0,0,0"),
     ("--marginals", "0,0,3,0"),
+    # An empty value is malformed, not absent.
+    ("--correlators", ""),
+    ("--marginals", ""),
+    ("--tol", ""),
 ])
 def test_feasibility_bad_numbers_fail_in_one_line(tmp_path, flag, value):
     argv = ["--correlators=0,0,0,0", f"{flag}={value}"]
@@ -368,7 +372,7 @@ def test_bad_input_fails_in_one_line(capsys, argv):
     assert captured.err.startswith("lhvlab") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("scan", ["0:inf:3", "nan:90:3", "0:90:x"])
+@pytest.mark.parametrize("scan", ["0:inf:3", "nan:90:3", "0:90:x", ""])
 def test_law_scan_bad_range_fails_in_one_line(tmp_path, scan):
     with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
         warnings.simplefilter("error")

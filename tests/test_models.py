@@ -9,7 +9,7 @@ from lhvlab.models import (INCOMPATIBLE_PRIORS, MODEL_IDS, MODELS, JointLaw2x2,
                            analytic_law, pinned_spin_outcomes, pinned_spin_sample,
                            estimate_law, hall_density, hall_f, hall_outcomes,
                            hall_sample, hall_settings_conditional,
-                           malus_marginal, mixed_law, model_flags,
+                           malus_marginal, mixed_law, model_flags, outcome_counts,
                            sample_outcomes, singlet_law, tb_conditional,
                            tb_extension_law, tb_extension_sample,
                            tb_freewill_density, tb_freewill_sample,
@@ -50,6 +50,63 @@ def test_malus_marginal():
     assert malus_marginal(X, Y, -1) == pytest.approx(0.5)
     n = planar_setting(60.0)  # u.n = 0.5
     assert malus_marginal(X, n, -1) == pytest.approx(0.25)
+
+
+OUTCOME_VALUES = np.array([1.0, -1.0, 0.0, -0.0, np.nan])
+
+
+def _count_nonzero_table(sigma, tau):
+    """Reference: the four cells of one outcome table as count_nonzero masks."""
+    sp = sigma > 0
+    tp = tau > 0
+    return np.array([[np.count_nonzero(sp & tp), np.count_nonzero(sp & ~tp)],
+                     [np.count_nonzero(~sp & tp), np.count_nonzero(~sp & ~tp)]])
+
+
+def _mixed_outcomes(seed: int, n: int):
+    """Every pair of OUTCOME_VALUES once, then n random pairs of them."""
+    stream = RandomStream(seed)
+    sigma = np.concatenate([np.repeat(OUTCOME_VALUES, 5),
+                            OUTCOME_VALUES[stream.integers(0, 5, n)]])
+    tau = np.concatenate([np.tile(OUTCOME_VALUES, 5),
+                          OUTCOME_VALUES[stream.integers(0, 5, n)]])
+    return sigma, tau, stream
+
+
+def test_outcome_counts_match_count_nonzero_reference():
+    sigma, tau, stream = _mixed_outcomes(61, 20_000)
+    counts = outcome_counts(sigma, tau)
+    assert counts.dtype == np.int64 and counts.shape == (1, 2, 2)
+    assert np.array_equal(counts[0], _count_nonzero_table(sigma, tau))
+    law = JointLaw2x2.from_outcomes(sigma, tau)
+    assert law.n_trials == len(sigma)
+    assert np.array_equal(law.p, _count_nonzero_table(sigma, tau) / len(sigma))
+    # Group 7 of 8 receives no trial and keeps a zero table.
+    group = stream.integers(0, 7, len(sigma))
+    grouped = outcome_counts(sigma, tau, group, 8)
+    assert grouped.dtype == np.int64 and grouped.shape == (8, 2, 2)
+    for g in range(8):
+        assert np.array_equal(grouped[g], _count_nonzero_table(sigma[group == g],
+                                                               tau[group == g]))
+    assert not grouped[7].any()
+
+
+def test_outcome_counts_over_windows_sum_to_the_whole_run():
+    sigma, tau, stream = _mixed_outcomes(62, 1_000_003)
+    group = stream.integers(0, 12, len(sigma))
+    whole = outcome_counts(sigma, tau, group, 12)
+    merged = sum(outcome_counts(sigma[lo:lo + 65_537], tau[lo:lo + 65_537],
+                                group[lo:lo + 65_537], 12)
+                 for lo in range(0, len(sigma), 65_537))
+    assert np.array_equal(merged, whole)
+    assert np.array_equal(merged.sum(axis=0), outcome_counts(sigma, tau)[0])
+
+
+def test_law_from_zero_trials_is_an_error():
+    with pytest.raises(ValueError, match="zero trials"):
+        JointLaw2x2.from_outcomes([], [])
+    with pytest.raises(ValueError, match="zero trials"):
+        JointLaw2x2.from_counts(np.zeros((2, 2), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

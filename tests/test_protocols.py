@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from lhvlab.geometry import RandomStream, planar_setting, sgn, substream
-from lhvlab.models import MODELS, singlet_law
+from lhvlab.models import MODELS, JointLaw2x2, singlet_law
 from lhvlab.protocols import (_CSV_CHUNK_ROWS, CSV_HEADER, EMISSION_STEP, STREAM_A, STREAM_B,
                               TIME_OF_FLIGHT, WATCH_A, WATCH_B, CausalMode,
                               PartyRole, TranscriptBatch, _fmt,
@@ -35,6 +35,17 @@ def test_tb_protocol_bit_accounting_is_exact():
     assert res.channels.communication_assisted
     ch = res.channels.channels[A_TO_B]
     assert ch.bits_sent == sum(bits for _, bits in ch.log())
+
+
+def test_tb_ledger_meters_one_bit_on_every_trial():
+    n = 1000
+    ledger = run_tb_protocol(n, X, B63, seed=5, record=False).channels
+    ch = ledger.channels[A_TO_B]
+    assert ch.bits_sent == n
+    assert ch.log() == [(i, 1) for i in range(n)]
+    assert list(ledger.channels) == [A_TO_B]
+    assert B_TO_A not in ledger.channels
+    assert run_tb_freewill(n, X, B63, seed=5, record=False).channels.channels == {}
 
 
 def test_tb_protocol_converges_to_singlet():
@@ -202,6 +213,57 @@ def test_detection_fire_flags_are_the_match_rule(mode, n_directions):
     if n_directions == 2:
         # One antipodal pair: every setting lies along the spin.
         assert rep.efficiency == 1.0
+
+
+def _masked_per_setting(rep, settings_a, settings_b):
+    """Reference: the per-setting laws and their worst deviation from the
+    singlet, one coincidence mask and four count_nonzero calls per pair."""
+    tr = rep.transcripts
+    coincidence = tr.detected_a & tr.detected_b
+    per_setting, dev = {}, 0.0
+    for i, x in enumerate(settings_a):
+        for j, y in enumerate(settings_b):
+            m = (coincidence & np.all(tr.a_used == x, axis=1)
+                 & np.all(tr.b_used == y, axis=1))
+            n = int(np.count_nonzero(m))
+            if n == 0:
+                continue
+            sp = tr.sigma[m] > 0
+            tp = tr.tau[m] > 0
+            p = np.array([[np.count_nonzero(sp & tp), np.count_nonzero(sp & ~tp)],
+                          [np.count_nonzero(~sp & tp), np.count_nonzero(~sp & ~tp)]])
+            law = JointLaw2x2(p / n, n_trials=n)
+            ref = singlet_law(x, y)
+            per_setting[f"a{i}b{j}"] = {"law": law.as_dict(), "n": n,
+                                        "max_abs_dev": law.max_abs_diff(ref)}
+            dev = max(dev, law.max_abs_diff(ref))
+    return per_setting, dev
+
+
+DEFAULT_A = [planar_setting(0.0), planar_setting(90.0)]
+DEFAULT_B = [planar_setting(45.0), planar_setting(135.0)]
+GRID_A = [planar_setting(0.0), planar_setting(60.0), np.array([0.6, 0.0, 0.8])]
+GRID_B = [planar_setting(30.0), np.array([0.0, 0.6, -0.8])]
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+@pytest.mark.parametrize("n, seed, settings_a, settings_b", [
+    (200_000, 41, None, None),
+    (200_000, 42, GRID_A, GRID_B),
+    # Few enough trials that some setting pair has no coincidence.
+    (12, 1, None, None),
+])
+def test_detection_per_setting_matches_masked_reference(mode, n, seed, settings_a, settings_b):
+    rep = run_detection_loophole(n, mode, seed, settings_a=settings_a,
+                                 settings_b=settings_b, record=True)
+    settings_a = DEFAULT_A if settings_a is None else settings_a
+    settings_b = DEFAULT_B if settings_b is None else settings_b
+    per_setting, dev = _masked_per_setting(rep, settings_a, settings_b)
+    assert rep.per_setting == per_setting
+    assert rep.singlet_deviation == dev
+    assert sum(entry["n"] for entry in per_setting.values()) == rep.n_coincidences
+    if n == 12:
+        assert 0 < len(per_setting) < len(settings_a) * len(settings_b)
 
 
 def test_detection_transcript_records_detection_flags():

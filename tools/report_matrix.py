@@ -111,6 +111,12 @@ EXACT = {
     "error.no-coincidences": ("protocol", "--name", "detection-loophole", "--trials", "2"),
     "error.law-without-p": ("law", "--model", "tb-ext1"),
     "error.bad-correlators": ("feasibility", "--correlators", "1,x,0,0"),
+    # An empty value is a malformed one, not an absent one.
+    "error.empty-marginals": ("feasibility", "--correlators", "0.5,0.5,0.5,-0.5",
+                              "--marginals", ""),
+    "error.empty-tol": ("feasibility", "--correlators", "0.5,0.5,0.5,-0.5", "--tol", ""),
+    "error.empty-correlators": ("feasibility", "--correlators", ""),
+    "error.empty-scan": ("law", "--model", "singlet", "--scan", ""),
 }
 
 
