@@ -2,18 +2,28 @@
 
 Unit vectors on the sphere, the one per-trial dot product (every u.x of
 the model rules and protocol runners rounds alike), the global sign
-convention, and seeded splittable random streams. Everything downstream
-draws exclusively through :class:`RandomStream` so that a run is
-reproducible bit-for-bit from its master seed.
+convention, seeded splittable random streams, and ``chunked``, the one
+loop over the trials of a Monte Carlo run. Everything downstream draws
+exclusively through :class:`RandomStream` so that a run is reproducible
+bit-for-bit from its master seed.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
 UNIT_TOL = 1e-12
+
+# Rows per chunk of a Monte Carlo trial loop (see chunked).
+_CHUNK_ROWS = 1 << 16
+
+_pool = None  # (workers, executor), made by the first run of two or more chunks
+_pool_lock = threading.Lock()
+_worker = threading.local()  # .busy is set in the pool's threads
 
 X_HAT = np.array([1.0, 0.0, 0.0])
 Y_HAT = np.array([0.0, 1.0, 0.0])
@@ -39,6 +49,53 @@ def sgn(x):
         raise ValueError("sgn requires finite input")
     out = np.where(x >= 0.0, 1.0, -1.0)
     return float(out) if out.ndim == 0 else out
+
+
+def chunked(n: int, work) -> list:
+    """[work(rows) for each slice rows of range(n), _CHUNK_ROWS at a time],
+    in order; one empty slice when n is 0.
+
+    A run draws its random numbers whole first; work turns the draws of its
+    rows into outcomes, counts and columns. work must write only its own
+    rows of shared arrays, so results do not depend on the chunk size or
+    the thread count. The chunks run on a pool of one thread per CPU of the
+    process (numpy releases the GIL inside large ufuncs), or inline for a
+    single chunk, a single CPU or a call from inside a chunk. An exception
+    raised by a chunk re-raises as it is.
+    """
+    chunks = [slice(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, max(n, 1), _CHUNK_ROWS)]
+    if len(chunks) == 1 or getattr(_worker, "busy", False) or (workers := _workers()) == 1:
+        return [work(rows) for rows in chunks]
+    return list(_executor(workers).map(work, chunks))
+
+
+def _workers() -> int:
+    """CPUs in this process's affinity mask."""
+    return len(os.sched_getaffinity(0))
+
+
+def _executor(workers: int):
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != workers:
+            from concurrent.futures import ThreadPoolExecutor  # import on first use
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)
+            _pool = (workers, ThreadPoolExecutor(workers, initializer=_mark_busy))
+        return _pool[1]
+
+
+def _mark_busy() -> None:
+    _worker.busy = True
+
+
+def _forget_pool() -> None:
+    """A forked child has none of the pool's threads: it makes its own."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 def normalize(v) -> np.ndarray:
@@ -102,12 +159,12 @@ class RandomStream:
     def signs(self, size=None):
         """Fair draws from {-1.0, +1.0}."""
         u = self.uniform(size)
-        return np.where(np.asarray(u) < 0.5, -1.0, 1.0) if size is not None else (-1.0 if u < 0.5 else 1.0)
+        return uniform_signs(u) if size is not None else (-1.0 if u < 0.5 else 1.0)
 
     def bits(self, size=None):
         """Fair draws from {0, 1}."""
         u = self.uniform(size)
-        return (np.asarray(u) < 0.5).astype(np.int64) if size is not None else int(u < 0.5)
+        return uniform_bits(u) if size is not None else int(u < 0.5)
 
     def integers(self, low: int, high: int, size=None):
         """Uniform integers in [low, high)."""
@@ -119,22 +176,47 @@ class RandomStream:
         return sample_uniform_sphere(self, size)
 
 
+def uniform_signs(w):
+    """-1.0 where a uniform is below 1/2, else +1.0: the draws of signs()."""
+    return np.where(np.asarray(w) < 0.5, -1.0, 1.0)
+
+
+def uniform_bits(w):
+    """1 where a uniform is below 1/2, else 0, as int64: the draws of bits()."""
+    return (np.asarray(w) < 0.5).astype(np.int64)
+
+
 def substream(master_seed: int, trial_index: int) -> RandomStream:
     """Deterministic per-trial (or per-party) stream. Distinct
     trial_index values map to distinct stream ids by construction."""
     return RandomStream(master_seed, trial_index)
 
 
-def sample_uniform_sphere(stream: RandomStream, size=None):
-    """Uniform direction(s) on the unit sphere.
+def sphere_rows(stream: RandomStream, n: int):
+    """Draw the uniforms of n points on the sphere now, all z then all
+    azimuths; return points(rows), the points of the trials in the slice rows.
 
     Area-preserving inverse transform: z uniform in [-1, 1], azimuth
     uniform in [0, 2*pi). Exactly two uniform draws per vector, never
     rejection, so the draw count per sample is fixed.
     """
+    wz, wphi = stream.uniform(n), stream.uniform(n)
+
+    def points(rows):
+        z = 2.0 * wz[rows] - 1.0
+        phi = 2.0 * math.pi * wphi[rows]
+        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
+    return points
+
+
+def sample_uniform_sphere(stream: RandomStream, size=None):
+    """Uniform direction(s) on the unit sphere; see sphere_rows."""
     n = 1 if size is None else int(size)
-    z = 2.0 * stream.uniform(n) - 1.0
-    phi = 2.0 * math.pi * stream.uniform(n)
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    out = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
+    points = sphere_rows(stream, n)
+    out = np.empty((n, 3))
+
+    def fill(rows):
+        out[rows] = points(rows)
+    chunked(n, fill)
     return out[0] if size is None else out

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exactlp import _integer_scaled, feasible_point
-from .geometry import RandomStream
+from .geometry import RandomStream, chunked
 from .models import JointLaw2x2, analytic_law, model_spec, sample_outcomes
 
 BELL_BOUND = 2.0
@@ -60,7 +60,11 @@ def correlator(source) -> CorrelatorEstimate:
         se = math.sqrt(max(0.0, 1.0 - value * value) / n) if n else 0.0
         return CorrelatorEstimate(value, se, n)
     sigma, tau = source
-    prod = np.asarray(sigma) * np.asarray(tau)
+    return _product_correlator(np.asarray(sigma) * np.asarray(tau))
+
+
+def _product_correlator(prod) -> CorrelatorEstimate:
+    """Mean and standard error of the per-trial products sigma*tau."""
     n = prod.size
     if n == 0:
         raise ValueError("cannot estimate a correlator from zero trials")
@@ -320,8 +324,16 @@ def counterfactual_correlators(model_id: str, a, a2, b, b2, n: int,
     if not spec.local:
         raise KeyError(f"no counterfactual sampler for model {model_id!r}")
     hidden = spec.draw(a, b, n, stream, None)
-    return tuple(correlator(spec.outcomes(hidden, x, y))
-                 for x, y in ((a, b), (a2, b), (a, b2), (a2, b2)))
+    pairs = ((a, b), (a2, b), (a, b2), (a2, b2))
+    prods = [np.empty(n) for _ in pairs]
+
+    def fill(rows):
+        h = hidden(rows)
+        for prod, (x, y) in zip(prods, pairs):
+            sigma, tau = spec.outcomes(h, x, y)
+            prod[rows] = sigma * tau
+    chunked(n, fill)
+    return tuple(map(_product_correlator, prods))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ functions of their inputs and a :class:`~lhvlab.geometry.RandomStream`;
 vector arguments broadcast, so the same functions serve single trials
 and batched Monte Carlo.
 The shared rules are written once, for models and protocol runners alike:
-``outcome_counts``, ``law_table``, ``malus_outcome`` and the one-bit
-stations ``one_bit_station_a`` and ``one_bit_tau``.
+``outcome_counts``, ``law_table``, the detectors ``sign_outcome`` and
+``malus_outcome``, and the one-bit stations ``one_bit_station_a`` and
+``one_bit_tau``. A sampled run draws its random numbers whole and then
+turns them into outcomes chunk by chunk (``geometry.chunked``).
 
 Conventions: outcomes are +-1, analyzers and hidden spins are unit
 vectors, and the sign convention sgn(0) = +1 applies throughout.
@@ -23,13 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import X_HAT, Y_HAT, RandomStream, assert_unit, dot, sgn
+from .geometry import (X_HAT, Y_HAT, RandomStream, assert_unit, chunked, dot, sgn,
+                       sphere_rows, uniform_bits, uniform_signs)
 
 LAW_TOL = 1e-12
-
-# Rows per block when hall_sample turns its uniforms into spins; bounds the
-# temporary arrays whatever the trial count.
-_HALL_BLOCK = 1 << 16
 
 _OUT_INDEX = {1: 0, -1: 1}
 _OUTCOMES = (1, -1)
@@ -123,11 +122,10 @@ def malus_outcome(u, n, noise):
     return np.where(noise < malus_marginal(u, n, 1), 1.0, -1.0)
 
 
-def malus_draw(u, n, stream: RandomStream):
-    """Sample +-1 outcomes from the Malus marginal, one uniform per trial."""
-    shape = np.broadcast_shapes(np.shape(u), np.shape(n))[:-1]
-    out = malus_outcome(u, n, stream.uniform(shape[0] if shape else None))
-    return out if shape else float(out)
+def sign_outcome(u, n):
+    """Sign-rule detector: sgn(u.n), the deterministic outcome of spin u
+    at analyzer n."""
+    return sgn(dot(u, n))
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +145,8 @@ def tb_outcomes(u, v, a, b):
 def one_bit_station_a(u, v, a):
     """First-station rule of the one-bit model: sigma = sgn(u.a) and the
     bit c = sgn(u.a)*sgn(v.a), from the shared (u, v) and the setting a."""
-    sigma = sgn(dot(u, a))
-    return sigma, sigma * sgn(dot(v, a))
+    sigma = sign_outcome(u, a)
+    return sigma, sigma * sign_outcome(v, a)
 
 
 def one_bit_tau(u, v, c, b):
@@ -254,9 +252,8 @@ def tb_freewill_sample(a, b, n: int, stream: RandomStream):
 def hall_f(u, a, b):
     """Correlation kernel sgn(u.a) * sgn(-u.b) * (a.b), with the partner
     spin fixed to -u. Invariant under u -> -u."""
-    u = np.asarray(u, dtype=float)
-    t = float(np.dot(a, b))
-    return sgn(dot(u, a)) * sgn(-dot(u, b)) * t
+    sigma, tau = hall_outcomes(np.asarray(u, dtype=float), a, b)
+    return sigma * tau * float(np.dot(a, b))
 
 
 def _hall_g(f):
@@ -295,14 +292,12 @@ def hall_sample(a, b, n: int, stream: RandomStream) -> np.ndarray:
     and 3n + i: they pick the pair, the lune of the pair, the height along
     a x b and the azimuth across the lune.
     """
-    a = _setting_rows(a, n, "a")
-    b = _setting_rows(b, n, "b")
-    w = stream.uniform((4, n))
+    spins = _draw_hall(a, b, n, stream, None)
     out = np.empty((n, 3))
-    for lo in range(0, n, _HALL_BLOCK):
-        rows = slice(lo, lo + _HALL_BLOCK)
-        out[rows] = _lune_points(a if a.ndim == 1 else a[rows],
-                                 b if b.ndim == 1 else b[rows], w[:, rows])
+
+    def fill(rows):
+        out[rows] = spins(rows)
+    chunked(n, fill)
     return out
 
 
@@ -315,8 +310,9 @@ def _setting_rows(x, n: int, name: str) -> np.ndarray:
     return x
 
 
-def _lune_points(a, b, w):
-    """Spins from the uniforms w at the settings a, b (vectors or rows). In
+def hall_spins(a, b, w):
+    """Hall spins from the (4, m) uniforms w of m trials (see hall_sample)
+    at the settings a, b (vectors or (m, 3) rows). In
     the frame e1 = a, e2, e3 along a x b, b lies at azimuth theta, and the
     lunes with sgn(u.a) = +1 are (theta - pi/2, pi/2) where sgn(u.b) = +1
     and (-pi/2, theta - pi/2) where it is -1; the other two turn these by pi."""
@@ -346,7 +342,7 @@ def _lune_points(a, b, w):
 
 def hall_outcomes(u, a, b):
     """Deterministic outcomes sigma = sgn(u.a), tau = sgn(-u.b)."""
-    return sgn(dot(u, a)), sgn(-dot(u, b))
+    return sign_outcome(u, a), sign_outcome(-u, b)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +360,11 @@ def pinned_spin_sample(a, b, n: int, stream: RandomStream):
     b = assert_unit(b, "b")
     c = stream.bits(n)
     d = stream.signs(n)
-    u = np.where((c == 0)[:, None], d[:, None] * a, -d[:, None] * b)
-    return u, c, d
+    return _atom_spins(c, d, a, b), c, d
+
+
+def _atom_spins(c, d, a, b):
+    return np.where((c == 0)[:, None], d[:, None] * a, -d[:, None] * b)
 
 
 def pinned_spin_outcomes(u, a, b, stream: RandomStream):
@@ -410,12 +409,14 @@ class ModelFlags:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """law(a, b, p) is the closed-form joint law; draw(a, b, n, stream, p)
-    the hidden variables of n trials at the settings (a, b), or None for a
-    law without a sampler; outcomes(hidden, x, y) the (sigma, tau) they
-    give at the settings (x, y). local marks the singlet constructions
-    whose rule is local (sigma reads only x, tau only y), so one frozen
-    draw gives outcomes at every setting pair: the counterfactual reading.
+    """law(a, b, p) is the closed-form joint law. draw(a, b, n, stream, p)
+    makes the draws of n trials at the settings (a, b) and returns
+    hidden(rows), the hidden variables of the trials in the slice rows; it
+    is None for a law without a sampler. outcomes(hidden, x, y) is the
+    (sigma, tau) they give at the settings (x, y). local marks the singlet
+    constructions whose rule is local (sigma reads only x, tau only y), so
+    one frozen draw gives outcomes at every setting pair: the
+    counterfactual reading.
     (The mixed model's rule is local too, but its law is not the singlet.)
     """
 
@@ -428,17 +429,49 @@ class ModelSpec:
 
 
 def _draw_uv(a, b, n, stream, p):
-    return stream.sphere(n), stream.sphere(n)
+    u, v = sphere_rows(stream, n), sphere_rows(stream, n)
+    return lambda rows: (u(rows), v(rows))
 
 
 def _draw_tb_extension(a, b, n, stream, p):
     _check_extension(p)
-    return *_draw_uv(a, b, n, stream, p), stream.uniform(n) < p
+    uv = _draw_uv(a, b, n, stream, p)
+    w = stream.uniform(n)
+    return lambda rows: (*uv(rows), w[rows] < p)
+
+
+def _draw_tb_freewill(a, b, n, stream, p):
+    """(u, v) and the bit c fixed by the constraint at the reference a."""
+    uv = _draw_uv(a, b, n, stream, p)
+
+    def hidden(rows):
+        u, v = uv(rows)
+        return u, v, one_bit_station_a(u, v, a)[1]
+    return hidden
+
+
+def _draw_atoms(a, b, n, stream, p):
+    """The atomic spins of pinned_spin_sample: coins c, then signs d."""
+    a = assert_unit(a, "a")
+    b = assert_unit(b, "b")
+    wc, wd = stream.uniform(n), stream.uniform(n)
+    return lambda rows: _atom_spins(uniform_bits(wc[rows]), uniform_signs(wd[rows]), a, b)
 
 
 def _draw_pinned(a, b, n, stream, p):
     """The atomic spin plus each side's Malus noise draw."""
-    return pinned_spin_sample(a, b, n, stream)[0], stream.uniform(n), stream.uniform(n)
+    spins = _draw_atoms(a, b, n, stream, p)
+    noise_a, noise_b = stream.uniform(n), stream.uniform(n)
+    return lambda rows: (spins(rows), noise_a[rows], noise_b[rows])
+
+
+def _draw_hall(a, b, n, stream, p):
+    """The 4n uniforms of hall_sample; a and b are vectors or (n, 3) rows."""
+    a = _setting_rows(a, n, "a")
+    b = _setting_rows(b, n, "b")
+    w = stream.uniform((4, n))
+    return lambda rows: hall_spins(a if a.ndim == 1 else a[rows],
+                                   b if b.ndim == 1 else b[rows], w[:, rows])
 
 
 # Entries call the public functions by name, at call time, so a wrapper
@@ -463,16 +496,16 @@ MODELS = {
                          lambda h, x, y: _tb_extension_rule(2, h, x, y),
                          ModelFlags(False, True, False, True, False), needs_p=True),
     # The bit c is a hidden variable, fixed at the reference setting a.
-    "tb-freewill": ModelSpec(_singlet, lambda a, b, n, s, p: tb_freewill_sample(a, b, n, s),
-                             lambda h, x, y: (sgn(dot(h[0], x)), one_bit_tau(*h, y)),
+    "tb-freewill": ModelSpec(_singlet, _draw_tb_freewill,
+                             lambda h, x, y: (sign_outcome(h[0], x), one_bit_tau(*h, y)),
                              ModelFlags(True, True, True, False, False), local=True),
     "pinned": ModelSpec(_singlet, _draw_pinned, _pinned_rule,
                         ModelFlags(False, True, True, False, True), local=True),
-    "hall": ModelSpec(_singlet, lambda a, b, n, s, p: hall_sample(a, b, n, s), _hall_rule,
+    "hall": ModelSpec(_singlet, _draw_hall, _hall_rule,
                       ModelFlags(True, True, True, False, False), local=True),
     # The atomic spins without the Malus noise, under the sign rule.
     "mixed": ModelSpec(lambda a, b, p: mixed_law(a, b),
-                       lambda a, b, n, s, p: pinned_spin_sample(a, b, n, s)[0], _hall_rule,
+                       _draw_atoms, _hall_rule,
                        ModelFlags(True, True, True, False, False)),
 }
 
@@ -498,19 +531,33 @@ def analytic_law(model_id: str, a, b, p: float | None = None) -> JointLaw2x2:
     return model_spec(model_id).law(a, b, p)
 
 
-def sample_outcomes(model_id: str, a, b, n: int, stream: RandomStream,
-                    p: float | None = None):
-    """Draw n outcome pairs from the named model at fixed settings."""
+def _sampled(model_id: str, a, b, n: int, stream: RandomStream, p, take) -> list:
+    """Draw n trials of the named model at fixed settings, then
+    take(rows, sigma, tau) for each chunk of rows; the list of what it
+    returns."""
     a = assert_unit(a, "a")
     b = assert_unit(b, "b")
     spec = model_spec(model_id)
     if spec.draw is None:
         raise KeyError(f"model {model_id!r} has a law but no sampler")
-    return spec.outcomes(spec.draw(a, b, n, stream, p), a, b)
+    hidden = spec.draw(a, b, n, stream, p)
+    return chunked(n, lambda rows: take(rows, *spec.outcomes(hidden(rows), a, b)))
+
+
+def sample_outcomes(model_id: str, a, b, n: int, stream: RandomStream,
+                    p: float | None = None):
+    """Draw n outcome pairs from the named model at fixed settings."""
+    sigma, tau = np.empty(n), np.empty(n)
+
+    def fill(rows, s, t):
+        sigma[rows], tau[rows] = s, t
+    _sampled(model_id, a, b, n, stream, p, fill)
+    return sigma, tau
 
 
 def estimate_law(model_id: str, a, b, n: int, stream: RandomStream,
                  p: float | None = None) -> JointLaw2x2:
     """Monte Carlo estimate of the joint law at fixed settings."""
-    sigma, tau = sample_outcomes(model_id, a, b, n, stream, p=p)
-    return JointLaw2x2.from_outcomes(sigma, tau)
+    counts = _sampled(model_id, a, b, n, stream, p,
+                      lambda rows, s, t: outcome_counts(s, t)[0])
+    return JointLaw2x2.from_counts(sum(counts))

@@ -12,6 +12,12 @@ outcomes in the zero-communication protocols.
 Channel accounting is exact: counters are incremented per trial, not
 estimated, and a nonzero station-to-station count marks the run
 communication-assisted.
+
+Every runner makes its draws whole and in a fixed order first, then runs
+the per-trial rules chunk by chunk (``geometry.chunked``), summing integer
+outcome counts over the chunks. Columns that later steps read whole (the
+transcript, the overlaps of the binned comparison) are written into
+full-length arrays, and every float sum takes one pass over them.
 """
 
 from __future__ import annotations
@@ -23,9 +29,11 @@ from itertools import repeat
 
 import numpy as np
 
-from .geometry import RandomStream, assert_unit, dot, planar_setting, sgn, substream
-from .models import (JointLaw2x2, hall_outcomes, hall_sample, law_table, malus_draw,
-                     one_bit_station_a, one_bit_tau, outcome_counts, singlet_law)
+from .geometry import (RandomStream, assert_unit, chunked, dot, planar_setting, sphere_rows,
+                       substream, uniform_bits, uniform_signs)
+from .models import (JointLaw2x2, hall_outcomes, hall_spins, law_table, malus_outcome,
+                     one_bit_station_a, one_bit_tau, outcome_counts, sign_outcome,
+                     singlet_law)
 
 
 class PartyRole(str, Enum):
@@ -251,12 +259,36 @@ class TranscriptBatch:
             fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
-def binned_outcome_counts(t, sigma, tau, n_bins: int = 12):
+N_BINS = 12  # overlap bins of the binned singlet comparison
+
+
+class _Columns(dict):
+    """Full-length per-trial columns filled chunk by chunk: put(rows, name=x)
+    writes x into those rows of the column name, made by its first put."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def put(self, rows, **columns) -> None:
+        for name, x in columns.items():
+            full = self.get(name)
+            if full is None:
+                x = np.asarray(x)
+                full = self.setdefault(name, np.empty((self.n, *x.shape[1:]), x.dtype))
+            full[rows] = x
+
+
+def _bin_index(t, n_bins: int):
+    return np.clip(np.digitize(t, np.linspace(-1.0, 1.0, n_bins + 1)) - 1, 0, n_bins - 1)
+
+
+def binned_outcome_counts(t, sigma, tau, n_bins: int = N_BINS):
     """Per-bin outcome counts and overlap sums for trials binned by the
     realized setting overlap t = a.b. Counts from independent runs may be
     summed before calling deviation_from_binned_counts."""
     t = np.asarray(t, float)
-    idx = np.clip(np.digitize(t, np.linspace(-1.0, 1.0, n_bins + 1)) - 1, 0, n_bins - 1)
+    idx = _bin_index(t, n_bins)
     return outcome_counts(sigma, tau, idx, n_bins), np.bincount(idx, weights=t,
                                                                 minlength=n_bins)
 
@@ -286,7 +318,7 @@ def deviation_from_binned_counts(counts, t_sums) -> dict:
             "min_bin_count": min_count or 0, "bins": bins}
 
 
-def binned_singlet_deviation(t, sigma, tau, n_bins: int = 12) -> dict:
+def binned_singlet_deviation(t, sigma, tau, n_bins: int = N_BINS) -> dict:
     """Compare outcomes against the singlet law, binning trials by the
     realized setting overlap t = a.b."""
     return deviation_from_binned_counts(*binned_outcome_counts(t, sigma, tau, n_bins))
@@ -320,31 +352,54 @@ class ProtocolResult:
         return out
 
 
-def _protocol_result(model: str, causal_mode: CausalMode, record: bool, u, a_used, b_used,
-                     sigma, tau, v=None, bits_a_to_b: int = 0, shared_draws: int = 0,
-                     **columns) -> ProtocolResult:
-    """The end of every ProtocolResult run: the law, the binned singlet
-    comparison when the settings vary per trial, the transcript if
-    recorded (partner spin v, -u unless given), and the A->B meter.
-    shared_draws counts station-to-station draws per trial."""
-    n = len(u)
+def _protocol_run(model: str, causal_mode: CausalMode, n: int, record: bool, trials,
+                  bits_a_to_b: int = 0, shared_draws: int = 0, **fixed) -> ProtocolResult:
+    """The chunk loop and result of every ProtocolResult run.
+
+    trials(rows) gives the per-trial columns of the trials in the slice
+    rows: u, sigma, tau, and any of the transcript's other columns; fixed
+    gives the columns that hold one vector on every trial. Without a fixed
+    a_used the settings vary per trial, and the run is compared with the
+    singlet law in overlap bins. The transcript, if recorded, has the
+    partner spin v = -u unless trials gives v. bits_a_to_b is the A->B
+    meter and shared_draws the station-to-station draws, per trial.
+    """
+    binned = "a_used" not in fixed
+    n_groups = N_BINS if binned else 1
+    overlaps = _Columns(n)
+    columns = _Columns(n)
+
+    def work(rows):
+        trial = trials(rows)
+        group = 0
+        if binned:
+            t = dot(trial["a_used"], trial["b_used"])
+            group = _bin_index(t, N_BINS)
+            overlaps.put(rows, t=t, bin=group)
+        if record:
+            if "v" not in trial:
+                trial["v"] = -trial["u"]
+            columns.put(rows, **trial)
+        return outcome_counts(trial["sigma"], trial["tau"], group, n_groups)
+
+    counts = sum(chunked(n, work))
+    comparison = deviation_from_binned_counts(counts, np.bincount(
+        overlaps["bin"], weights=overlaps["t"], minlength=N_BINS)) if binned else None
     channels = ChannelLedger(n)
     if bits_a_to_b:
         channels.send(PartyRole.STATION_A, PartyRole.STATION_B, bits_a_to_b)
-    comparison = (binned_singlet_deviation(dot(a_used, b_used), sigma, tau)
-                  if np.ndim(a_used) == 2 else None)
-    transcripts = TranscriptBatch(
-        model, causal_mode, u, a_used, b_used, sigma, tau, v=-u if v is None else v,
-        bits_a_to_b=bits_a_to_b, shared_draws=shared_draws, **columns) if record else None
-    return ProtocolResult(model, n, JointLaw2x2.from_outcomes(sigma, tau), channels,
+    transcripts = TranscriptBatch(model, causal_mode, **fixed, **columns,
+                                  bits_a_to_b=bits_a_to_b,
+                                  shared_draws=shared_draws) if record else None
+    return ProtocolResult(model, n, JointLaw2x2.from_counts(counts.sum(0)), channels,
                           causal_mode, shared_draws_total=shared_draws * n,
                           transcripts=transcripts, singlet_comparison=comparison)
 
 
-def _malus_pair(u, a_used, b_used, sa: RandomStream, sb: RandomStream):
+def _malus_pair(u, a_used, b_used, noise_a, noise_b):
     """Zero-communication station step: spins u and -u, each station a
-    Malus detector on its own stream."""
-    return malus_draw(u, a_used, sa), malus_draw(-u, b_used, sb)
+    Malus detector reading its own noise draw."""
+    return malus_outcome(u, a_used, noise_a), malus_outcome(-u, b_used, noise_b)
 
 
 def _along_axis(u, x):
@@ -352,18 +407,19 @@ def _along_axis(u, x):
     return np.abs(dot(u, x)) >= 1.0 - 1e-9
 
 
-def _resolve_policy(policy, n: int, stream: RandomStream):
-    """Per-trial settings from a policy: 'random' draws from the given
-    station stream; a single unit vector is used on every trial. Random
-    draws always burn the same stream budget."""
+def _policy(policy, n: int, stream: RandomStream):
+    """A station's free settings: 'random' draws n sphere points from its
+    stream now and gives points(rows); a single unit vector is used on
+    every trial and given as it is. Random draws always burn the same
+    stream budget."""
     if isinstance(policy, str):
         if policy == "random":
-            return stream.sphere(n)
+            return sphere_rows(stream, n)
         raise ValueError(f"unknown settings policy {policy!r}")
     arr = np.asarray(policy, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"a settings policy is 'random' or one unit vector, not {policy!r}")
-    return np.broadcast_to(assert_unit(arr, "setting"), (n, 3))
+    return assert_unit(arr, "setting")
 
 
 # ---------------------------------------------------------------------------
@@ -396,15 +452,18 @@ def _run_one_bit(model: str, bits_a_to_b: int, n_trials: int, a, b, seed: int,
     a = assert_unit(a, "a")
     b = assert_unit(b, "b")
     ent = substream(seed, STREAM_ENTANGLER)
-    u, v = ent.sphere(n_trials), ent.sphere(n_trials)
-    # Station A: local outcome and the bit c = sgn(u.a) sgn(v.a), sent to
-    # B or held as a hidden variable; the rule is the same either way.
-    sigma, c = one_bit_station_a(u, v, a)
-    # Station B: own setting, shared (u, v) and the bit. Never reads a.
-    tau = one_bit_tau(u, v, c, b)
-    return _protocol_result(model, CausalMode.SETTINGS_CAUSE_LAMBDA, record, u, a, b,
-                            sigma, tau, bits_a_to_b=bits_a_to_b, v=v, c=c,
-                            a_requested=a, b_requested=b)
+    u_at, v_at = sphere_rows(ent, n_trials), sphere_rows(ent, n_trials)
+
+    def trials(rows):
+        u, v = u_at(rows), v_at(rows)
+        # Station A: local outcome and the bit c = sgn(u.a) sgn(v.a), sent
+        # to B or held as a hidden variable; the rule is the same either way.
+        sigma, c = one_bit_station_a(u, v, a)
+        # Station B: own setting, shared (u, v) and the bit. Never reads a.
+        return {"u": u, "v": v, "c": c, "sigma": sigma, "tau": one_bit_tau(u, v, c, b)}
+    return _protocol_run(model, CausalMode.SETTINGS_CAUSE_LAMBDA, n_trials, record, trials,
+                         bits_a_to_b=bits_a_to_b, a_used=a, b_used=b, a_requested=a,
+                         b_requested=b)
 
 
 # ---------------------------------------------------------------------------
@@ -419,25 +478,40 @@ def run_shared_coin(n_trials: int, seed: int, a_policy="random",
     Malus draws from each station's own stream. Zero bits cross between
     the stations; the shared stream is metered as 2 draws per trial.
     """
+    return _shared_coin(n_trials, seed, a_policy, b_policy, record)
+
+
+def _shared_coin(n_trials: int, seed: int, a_policy, b_policy, record: bool,
+                 each_chunk=None) -> ProtocolResult:
+    """run_shared_coin, calling each_chunk(rows, trial) with the columns of
+    every chunk of trials if given."""
     ent = substream(seed, STREAM_ENTANGLER)
     shared = substream(seed, STREAM_SHARED_AB)
     sa = substream(seed, STREAM_A)
     sb = substream(seed, STREAM_B)
 
-    u = ent.sphere(n_trials)
-    c = shared.bits(n_trials)
-    d = shared.signs(n_trials)
+    u_at = sphere_rows(ent, n_trials)
+    wc, wd = shared.uniform(n_trials), shared.uniform(n_trials)  # the coins c, d
+    free = {"a_requested": _policy(a_policy, n_trials, sa),
+            "b_requested": _policy(b_policy, n_trials, sb)}
+    fixed = {k: f for k, f in free.items() if not callable(f)}
+    noise_a, noise_b = sa.uniform(n_trials), sb.uniform(n_trials)
 
-    a_free = _resolve_policy(a_policy, n_trials, sa)
-    b_free = _resolve_policy(b_policy, n_trials, sb)
-    forced_a = (c == 0)
-    a_used = np.where(forced_a[:, None], d[:, None] * u, a_free)
-    b_used = np.where(~forced_a[:, None], -d[:, None] * u, b_free)  # d*v, v = -u
-
-    sigma, tau = _malus_pair(u, a_used, b_used, sa, sb)
-    return _protocol_result("shared-coin", CausalMode.LAMBDA_CAUSES_SETTINGS, record, u,
-                            a_used, b_used, sigma, tau, shared_draws=2, c=c, d=d,
-                            a_requested=a_free, b_requested=b_free)
+    def trials(rows):
+        u = u_at(rows)
+        c, d = uniform_bits(wc[rows]), uniform_signs(wd[rows])
+        req = {k: f(rows) if callable(f) else f for k, f in free.items()}
+        forced_a = (c == 0)
+        a_used = np.where(forced_a[:, None], d[:, None] * u, req["a_requested"])
+        b_used = np.where(~forced_a[:, None], -d[:, None] * u, req["b_requested"])  # d*v, v = -u
+        sigma, tau = _malus_pair(u, a_used, b_used, noise_a[rows], noise_b[rows])
+        trial = {"u": u, "c": c, "d": d, "a_used": a_used, "b_used": b_used,
+                 "sigma": sigma, "tau": tau, **{k: x for k, x in req.items() if k not in fixed}}
+        if each_chunk is not None:
+            each_chunk(rows, trial)
+        return trial
+    return _protocol_run("shared-coin", CausalMode.LAMBDA_CAUSES_SETTINGS, n_trials, record,
+                         trials, shared_draws=2, **fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -525,30 +599,48 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
     sa = substream(seed, STREAM_A)
     sb = substream(seed, STREAM_B)
     # Side A always fires in asymmetric mode; otherwise the firing bit is a coin.
-    c_a = np.zeros(n_trials, dtype=np.int64) if mode == "asymmetric" else ent.bits(n_trials)
+    w_fire = None if mode == "asymmetric" else ent.uniform(n_trials)
     ia = sa.integers(0, len(settings_a), n_trials)
     ib = sb.integers(0, len(settings_b), n_trials)
-    a_used = settings_a[ia]
-    b_used = settings_b[ib]
-    u = u_values[ent.integers(0, len(u_values), n_trials)]
-    # The flagged particle fires only when its setting lies along +-u.
-    fires_a = (c_a == 0) | _along_axis(u, a_used)
-    fires_b = (c_a == 1) | _along_axis(u, b_used)
-    coincidence = fires_a & fires_b
-    sigma, tau = _malus_pair(u, a_used, b_used, sa, sb)
+    iu = ent.integers(0, len(u_values), n_trials)
+    noise_a, noise_b = sa.uniform(n_trials), sb.uniform(n_trials)
+    # Symmetric and asymmetric modes count coincidences per setting pair
+    # k = i * len(settings_b) + j; sphere mode keeps the coincidences whole.
+    nb = len(settings_b)
+    n_pairs = len(settings_a) * nb if mode != "sphere" else 1
+    keep = _Columns(n_trials)
+
+    def work(rows):
+        c_a = (np.zeros(rows.stop - rows.start, dtype=np.int64) if w_fire is None
+               else uniform_bits(w_fire[rows]))
+        a_used, b_used, u = settings_a[ia[rows]], settings_b[ib[rows]], u_values[iu[rows]]
+        # The flagged particle fires only when its setting lies along +-u.
+        fires_a = (c_a == 0) | _along_axis(u, a_used)
+        fires_b = (c_a == 1) | _along_axis(u, b_used)
+        coincidence = fires_a & fires_b
+        sigma, tau = _malus_pair(u, a_used, b_used, noise_a[rows], noise_b[rows])
+        if mode == "sphere":
+            keep.put(rows, coincidence=coincidence, sigma=sigma, tau=tau,
+                     t=dot(a_used, b_used))
+        if record:
+            keep.put(rows, u=u, v=-u, a_used=a_used, b_used=b_used, sigma=sigma, tau=tau,
+                     c=c_a, detected_a=fires_a, detected_b=fires_b)
+        pair = ia[rows] * nb + ib[rows] if n_pairs > 1 else 0
+        # Trials without a coincidence go to one extra group, then dropped.
+        return outcome_counts(sigma, tau, np.where(coincidence, pair, n_pairs),
+                              n_pairs + 1)[:n_pairs]
+
+    pair_counts = sum(chunked(n_trials, work))
     expected_eff = 2.0 / len(u_values)
 
-    n_coinc = int(np.count_nonzero(coincidence))
+    cond_counts = pair_counts.sum(0)
+    n_coinc = int(cond_counts.sum())
     if n_coinc == 0:
         raise RuntimeError("no coincidences recorded; cannot form conditional law")
-    sc, tc = sigma[coincidence], tau[coincidence]
-    cond_law = JointLaw2x2.from_outcomes(sc, tc)
+    cond_law = JointLaw2x2.from_counts(cond_counts)
 
     per_setting = {}
     if mode in ("symmetric", "asymmetric"):
-        # One table over the setting pairs k = i * len(settings_b) + j.
-        nb = len(settings_b)
-        pair_counts = outcome_counts(sc, tc, (ia * nb + ib)[coincidence], len(settings_a) * nb)
         dev = 0.0
         for k, counts in enumerate(pair_counts):
             if not counts.any():
@@ -562,13 +654,16 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
     else:
         # Per-trial reference comparison: mean indicator minus the exact
         # singlet entry at each trial's realized settings.
-        ref = law_table(dot(a_used, b_used)[coincidence])
+        coincidence = keep["coincidence"]
+        sc, tc = keep["sigma"][coincidence], keep["tau"][coincidence]
+        ref = law_table(keep["t"][coincidence])
         dev = max(abs(float(np.mean(((sc == s) & (tc == t)) - ref[i, j])))
                   for i, s in enumerate((1.0, -1.0)) for j, t in enumerate((1.0, -1.0)))
 
     transcripts = TranscriptBatch(
-        f"detection-{mode}", CausalMode.SETTINGS_CAUSE_LAMBDA, u, a_used,
-        b_used, sigma, tau, v=-u, c=c_a, detected_a=fires_a, detected_b=fires_b,
+        f"detection-{mode}", CausalMode.SETTINGS_CAUSE_LAMBDA, keep["u"], keep["a_used"],
+        keep["b_used"], keep["sigma"], keep["tau"], v=keep["v"], c=keep["c"],
+        detected_a=keep["detected_a"], detected_b=keep["detected_b"],
     ) if record else None
     return EfficiencyReport(
         mode=mode,
@@ -637,33 +732,40 @@ def run_watch_realization(n_trials: int, model: str, seed: int,
     """
     if model not in ("pinned", "hall"):
         raise ValueError(f"watch realization model must be pinned or hall, got {model!r}")
-    ent = substream(seed, STREAM_ENTANGLER)
-    sa = substream(seed, STREAM_A)
-    sb = substream(seed, STREAM_B)
-
-    ticks = start_tick + np.arange(n_trials, dtype=float)
-    t_emit = ticks * EMISSION_STEP
-    z_a = watch_vector(t_emit, WATCH_A)
-    z_b = watch_vector(t_emit, WATCH_B)
-
-    arrival = t_emit + TIME_OF_FLIGHT
-    a_used = station_watch_vectors(arrival, WATCH_A)
-    b_used = station_watch_vectors(arrival, WATCH_B)
-    if not (np.array_equal(a_used, z_a) and np.array_equal(b_used, z_b)):
-        raise WatchDesyncError("station watch reconstruction differs from entangler")
-
     if model == "pinned":
-        j = ent.bits(n_trials)
-        d = ent.signs(n_trials)
-        u = d[:, None] * np.where((j == 0)[:, None], z_a, z_b)
-        sigma, tau = _malus_pair(u, a_used, b_used, sa, sb)
+        ent = substream(seed, STREAM_ENTANGLER)
+        wj, wd = ent.uniform(n_trials), ent.uniform(n_trials)  # watch choice j, sign d
+        noise_a = substream(seed, STREAM_A).uniform(n_trials)
+        noise_b = substream(seed, STREAM_B).uniform(n_trials)
     else:
-        j = d = None
-        u = hall_sample(z_a, z_b, n_trials, substream(seed, STREAM_W0))
-        sigma, tau = hall_outcomes(u, a_used, b_used)
-    return _protocol_result(f"watch-{model}", CausalMode.LAMBDA_CAUSES_SETTINGS, record, u,
-                            a_used, b_used, sigma, tau, c=j, d=d,
-                            a_requested=a_used, b_requested=b_used)
+        w = substream(seed, STREAM_W0).uniform((4, n_trials))  # see hall_sample
+
+    def trials(rows):
+        t_emit = (start_tick + np.arange(rows.start, rows.stop, dtype=float)) * EMISSION_STEP
+        z_a = watch_vector(t_emit, WATCH_A)
+        z_b = watch_vector(t_emit, WATCH_B)
+        arrival = t_emit + TIME_OF_FLIGHT
+        a_used = station_watch_vectors(arrival, WATCH_A)
+        b_used = station_watch_vectors(arrival, WATCH_B)
+        if not (np.array_equal(a_used, z_a) and np.array_equal(b_used, z_b)):
+            raise WatchDesyncError("station watch reconstruction differs from entangler")
+        trial = {"a_used": a_used, "b_used": b_used}
+        if model == "pinned":
+            j, d = uniform_bits(wj[rows]), uniform_signs(wd[rows])
+            u = d[:, None] * np.where((j == 0)[:, None], z_a, z_b)
+            sigma, tau = _malus_pair(u, a_used, b_used, noise_a[rows], noise_b[rows])
+            trial.update(c=j, d=d)
+        else:
+            u = hall_spins(z_a, z_b, w[:, rows])
+            sigma, tau = hall_outcomes(u, a_used, b_used)
+        return {**trial, "u": u, "sigma": sigma, "tau": tau}
+
+    res = _protocol_run(f"watch-{model}", CausalMode.LAMBDA_CAUSES_SETTINGS, n_trials, record,
+                        trials)
+    if record:  # the watch vectors are the requested settings too
+        tr = res.transcripts
+        tr.a_requested, tr.b_requested = tr.a_used, tr.b_used
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -728,19 +830,20 @@ def run_signaling_experiment(message, mode: str, n_trials: int, seed: int,
 
     ent = substream(seed, STREAM_ENTANGLER)
     atom = ent.integers(0, 4, n_trials)  # 0:+a 1:-a 2:+b 3:-b
-    n_usable = int(np.count_nonzero(atom < 2))
+    n_usable = int(sum(chunked(n_trials, lambda rows: np.count_nonzero(atom[rows] < 2))))
+    fresh = ent.uniform(n_usable) if mode == "slave-will" else None  # fresh signs
+    intended = np.empty(n_usable, dtype=np.int64)
+    received = np.empty(n_usable, dtype=np.int64)
 
-    intended = message[np.arange(n_usable) % message.size]
-
-    if mode == "action":
-        # Switch target d*(+-b); action-at-a-distance re-forces u = +-b.
-        u_final = np.where((intended == 1)[:, None], -b, b)
-    else:
-        fresh = ent.signs(n_usable)
-        u_final = fresh[:, None] * b
-    v_final = -u_final
-    tau = sgn(dot(v_final, b))
-    received = (tau > 0).astype(np.int64)
+    def work(rows):
+        intended[rows] = message[np.arange(rows.start, rows.stop) % message.size]
+        if fresh is None:
+            # Switch target d*(+-b); action-at-a-distance re-forces u = +-b.
+            u_final = np.where((intended[rows] == 1)[:, None], -b, b)
+        else:
+            u_final = uniform_signs(fresh[rows])[:, None] * b
+        received[rows] = sign_outcome(-u_final, b) > 0
+    chunked(n_usable, work)
 
     success = float(np.mean(received == intended)) if n_usable else 0.0
     return SignalingResult(
@@ -800,22 +903,38 @@ def run_conspiracy_audit(n_trials: int, a, b, mode: str, seed: int) -> AuditResu
     b = assert_unit(b, "b")
     if mode == "slave":
         # The shared-coin realization with the declared settings as the
-        # stations' free choices.
-        res = run_shared_coin(n_trials, seed, a, b)
-        u, a_used, b_used = res.transcripts.u, res.transcripts.a_used, res.transcripts.b_used
-        law = res.law
-        dev = res.singlet_comparison["max_abs_dev"]
-    else:
-        u = substream(seed, STREAM_ENTANGLER).sphere(n_trials)
-        a_used = np.broadcast_to(a, (n_trials, 3))
-        b_used = np.broadcast_to(b, (n_trials, 3))
-        law = JointLaw2x2.from_outcomes(*_malus_pair(u, a_used, b_used, substream(seed, STREAM_A),
-                                                     substream(seed, STREAM_B)))
-        dev = law.max_abs_diff(singlet_law(a, b))
+        # stations' free choices, audited chunk by chunk as it runs.
+        audits = {}
 
+        def audit(rows, trial):
+            audits[rows.start] = _audit(trial["u"], trial["a_used"], trial["b_used"], a, b)
+        res = _shared_coin(n_trials, seed, a, b, False, audit)
+        law, dev = res.law, res.singlet_comparison["max_abs_dev"]
+        audits = list(audits.values())
+    else:
+        u_at = sphere_rows(substream(seed, STREAM_ENTANGLER), n_trials)
+        noise_a = substream(seed, STREAM_A).uniform(n_trials)
+        noise_b = substream(seed, STREAM_B).uniform(n_trials)
+
+        def honest(rows):
+            u = u_at(rows)
+            a_used = np.broadcast_to(a, u.shape)
+            b_used = np.broadcast_to(b, u.shape)
+            counts = outcome_counts(*_malus_pair(u, a_used, b_used, noise_a[rows],
+                                                 noise_b[rows]))[0]
+            return counts, _audit(u, a_used, b_used, a, b)
+        counts, audits = zip(*chunked(n_trials, honest))
+        law = JointLaw2x2.from_counts(sum(counts))
+        dev = law.max_abs_diff(singlet_law(a, b))
+    return AuditResult(mode, n_trials, sum(k for k, _ in audits), all(m for _, m in audits),
+                       law, float(dev))
+
+
+def _audit(u, a_used, b_used, a, b):
+    """(trials whose used settings differ from the declared a and b, counted
+    per side; whether every such setting lies along +-u)."""
     dev_a = ~np.all(a_used == a, axis=1)
     dev_b = ~np.all(b_used == b, axis=1)
-    deviations = int(np.count_nonzero(dev_a) + np.count_nonzero(dev_b))
-    match = bool(np.all(_along_axis(u[dev_a], a_used[dev_a]))
-                 and np.all(_along_axis(u[dev_b], b_used[dev_b])))
-    return AuditResult(mode, n_trials, deviations, match, law, float(dev))
+    return (int(np.count_nonzero(dev_a) + np.count_nonzero(dev_b)),
+            bool(np.all(_along_axis(u[dev_a], a_used[dev_a]))
+                 and np.all(_along_axis(u[dev_b], b_used[dev_b]))))

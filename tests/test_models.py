@@ -13,7 +13,8 @@ from lhvlab.models import (INCOMPATIBLE_PRIORS, MODEL_IDS, MODELS, JointLaw2x2,
                            sample_outcomes, singlet_law, tb_conditional,
                            tb_extension_law, tb_extension_sample,
                            tb_freewill_density, tb_freewill_sample,
-                           tb_outcomes, uniform_law, _hall_g, _HALL_BLOCK)
+                           tb_outcomes, uniform_law, _hall_g)
+from lhvlab.geometry import _CHUNK_ROWS
 
 X = planar_setting(0.0)
 Y = planar_setting(90.0)
@@ -366,7 +367,7 @@ def test_hall_sample_is_the_same_on_row_slices(offset):
     # Trial i reads uniforms i, n + i, 2n + i and 3n + i and its own
     # settings only, so slices fed their part of the draws give the same
     # spins as one call, whatever the block edges.
-    n = _HALL_BLOCK + offset
+    n = _CHUNK_ROWS + offset
     a, b = _watch_like_rows(n, 42)
     w = RandomStream(43).uniform((4, n))
     whole = hall_sample(a, b, n, _FixedUniforms(w))

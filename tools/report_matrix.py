@@ -13,7 +13,8 @@ exactly where their listings agree:
 
 The matrix covers every subcommand, every protocol name and detection
 mode, every audit mode, two seeds and, where a command samples, 1,000 and
-65,537 trials; every protocol run writes a transcript. The free-will
+65,537 trials; every protocol run writes a transcript. CHUNKED runs the
+other sampling commands once more over several 65,536-row chunks. The free-will
 models run at n = 4, where every entropy is exact, and at n = 12, where
 they round. DEMOS lists every
 script in demos/. --keep DIR keeps the outputs for a closer look. The
@@ -86,6 +87,15 @@ SAMPLED = {
                              (".vectors", ("--vec-a", "1,0,0", "--vec-b", "0.6,0.8,0")))},
 }
 
+# Names in SAMPLED that also run at seed 11 and 200,003 trials: three full
+# 65,536-row chunks of a Monte Carlo run plus a 3,395-row tail. The
+# protocol runs span two chunks at 65,537 trials already.
+CHUNKED_TRIALS = 200_003
+CHUNKED = (*(f"simulate.{m}" for m in SAMPLED_MODELS), "chsh-mc.mixed",
+           *(f"feasibility.from-{m}" for m in LOCAL_MODELS),
+           *(f"audit.{mode}" for mode in ("honest", "slave", "third-party")),
+           "signal.action", "signal.slave-will")
+
 # name -> argv, for commands without --trials; each runs at every seed.
 EXACT = {
     **{f"law.{m}": ("law", "--model", m, "--a", "30", "--b", "120", *P.get(m, ()))
@@ -130,6 +140,9 @@ def cases():
                 yield (f"{name}/s{seed}/t{trials}",
                        (*argv, "--seed", str(seed), "--trials", str(trials)),
                        argv[0] == "protocol")
+    for name in CHUNKED:
+        yield (f"{name}/s11/t{CHUNKED_TRIALS}",
+               (*SAMPLED[name], "--seed", "11", "--trials", str(CHUNKED_TRIALS)), False)
 
 
 def _sha(data: bytes) -> str:
