@@ -241,8 +241,8 @@ def tb_freewill_density(u, v, c, a, b):
 
 def tb_freewill_sample(a, b, n: int, stream: RandomStream):
     """Draw (u, v, c) with u, v uniform and c fixed by the constraint."""
-    u, v = stream.sphere(n), stream.sphere(n)
-    return u, v, one_bit_station_a(u, v, a)[1]
+    return _filled(n, _draw_tb_freewill(a, b, n, stream, None),
+                   np.empty((n, 3)), np.empty((n, 3)), np.empty(n))
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +293,7 @@ def hall_sample(a, b, n: int, stream: RandomStream) -> np.ndarray:
     a x b and the azimuth across the lune.
     """
     spins = _draw_hall(a, b, n, stream, None)
-    out = np.empty((n, 3))
-
-    def fill(rows):
-        out[rows] = spins(rows)
-    chunked(n, fill)
-    return out
+    return _filled(n, lambda rows: (spins(rows),), np.empty((n, 3)))[0]
 
 
 def _setting_rows(x, n: int, name: str) -> np.ndarray:
@@ -356,15 +351,8 @@ def pinned_spin_sample(a, b, n: int, stream: RandomStream):
     at u = d*a, c = 1 puts it at u = -d*b (so the partner spin -u equals
     d*b). Each of the four atoms carries weight 1/4.
     """
-    a = assert_unit(a, "a")
-    b = assert_unit(b, "b")
-    c = stream.bits(n)
-    d = stream.signs(n)
-    return _atom_spins(c, d, a, b), c, d
-
-
-def _atom_spins(c, d, a, b):
-    return np.where((c == 0)[:, None], d[:, None] * a, -d[:, None] * b)
+    return _filled(n, _draw_atoms(a, b, n, stream, None),
+                   np.empty((n, 3)), np.empty(n, dtype=np.int64), np.empty(n))
 
 
 def pinned_spin_outcomes(u, a, b, stream: RandomStream):
@@ -428,6 +416,16 @@ class ModelSpec:
     needs_p: bool = False
 
 
+def _filled(n: int, hidden, *outs) -> tuple:
+    """outs, each filled with its part of hidden(rows), chunk by chunk: the
+    whole arrays of a public sampler."""
+    def fill(rows):
+        for out, part in zip(outs, hidden(rows)):
+            out[rows] = part
+    chunked(n, fill)
+    return outs
+
+
 def _draw_uv(a, b, n, stream, p):
     u, v = sphere_rows(stream, n), sphere_rows(stream, n)
     return lambda rows: (u(rows), v(rows))
@@ -451,18 +449,23 @@ def _draw_tb_freewill(a, b, n, stream, p):
 
 
 def _draw_atoms(a, b, n, stream, p):
-    """The atomic spins of pinned_spin_sample: coins c, then signs d."""
+    """The coins c, then the signs d, of pinned_spin_sample, as bits() and
+    signs() draw them; hidden(rows) is (u, c, d)."""
     a = assert_unit(a, "a")
     b = assert_unit(b, "b")
     wc, wd = stream.uniform(n), stream.uniform(n)
-    return lambda rows: _atom_spins(uniform_bits(wc[rows]), uniform_signs(wd[rows]), a, b)
+
+    def hidden(rows):
+        c, d = uniform_bits(wc[rows]), uniform_signs(wd[rows])
+        return np.where((c == 0)[:, None], d[:, None] * a, -d[:, None] * b), c, d
+    return hidden
 
 
 def _draw_pinned(a, b, n, stream, p):
     """The atomic spin plus each side's Malus noise draw."""
-    spins = _draw_atoms(a, b, n, stream, p)
+    atoms = _draw_atoms(a, b, n, stream, p)
     noise_a, noise_b = stream.uniform(n), stream.uniform(n)
-    return lambda rows: (spins(rows), noise_a[rows], noise_b[rows])
+    return lambda rows: (atoms(rows)[0], noise_a[rows], noise_b[rows])
 
 
 def _draw_hall(a, b, n, stream, p):
@@ -505,7 +508,7 @@ MODELS = {
                       ModelFlags(True, True, True, False, False), local=True),
     # The atomic spins without the Malus noise, under the sign rule.
     "mixed": ModelSpec(lambda a, b, p: mixed_law(a, b),
-                       _draw_atoms, _hall_rule,
+                       _draw_atoms, lambda h, x, y: _hall_rule(h[0], x, y),
                        ModelFlags(True, True, True, False, False)),
 }
 

@@ -830,7 +830,7 @@ def run_signaling_experiment(message, mode: str, n_trials: int, seed: int,
 
     ent = substream(seed, STREAM_ENTANGLER)
     atom = ent.integers(0, 4, n_trials)  # 0:+a 1:-a 2:+b 3:-b
-    n_usable = int(sum(chunked(n_trials, lambda rows: np.count_nonzero(atom[rows] < 2))))
+    n_usable = int(np.count_nonzero(atom < 2))
     fresh = ent.uniform(n_usable) if mode == "slave-will" else None  # fresh signs
     intended = np.empty(n_usable, dtype=np.int64)
     received = np.empty(n_usable, dtype=np.int64)

@@ -13,7 +13,8 @@ import pytest
 from lhvlab import geometry, protocols
 from lhvlab.geometry import RandomStream, chunked, planar_setting
 from lhvlab.inequalities import chsh_mc, counterfactual_correlators
-from lhvlab.models import MODEL_IDS, MODELS, estimate_law
+from lhvlab.models import (MODEL_IDS, MODELS, estimate_law, hall_sample, pinned_spin_sample,
+                           tb_freewill_sample)
 
 SIZES = (999, 1000, 1001, 3017)
 WORKERS = (1, 2, 3)
@@ -57,6 +58,25 @@ def _model_outputs(model, n):
 @pytest.mark.parametrize("model", MODEL_IDS)
 def test_samplers_are_the_same_in_any_chunk_layout(monkeypatch, model, n):
     for workers, whole, chunked_run in _layouts(monkeypatch, lambda: _model_outputs(model, n)):
+        assert chunked_run == whole, workers
+
+
+SAMPLERS = {
+    "sphere": lambda n, stream: (stream.sphere(n),),
+    "hall": lambda n, stream: (hall_sample(A, B, n, stream),),
+    "tb-freewill": lambda n, stream: tb_freewill_sample(A, B, n, stream),
+    "pinned": lambda n, stream: pinned_spin_sample(A, B, n, stream),
+}
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("name", SAMPLERS)
+def test_public_samplers_are_the_same_in_any_chunk_layout(monkeypatch, name, n):
+    def outputs():
+        stream = RandomStream(11, 4)
+        arrays = SAMPLERS[name](n, stream)
+        return [(x.dtype.str, x.shape, x.tobytes()) for x in arrays], stream.counter
+    for workers, whole, chunked_run in _layouts(monkeypatch, outputs):
         assert chunked_run == whole, workers
 
 
