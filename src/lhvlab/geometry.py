@@ -2,8 +2,9 @@
 
 Unit vectors on the sphere, the one per-trial dot product (every u.x of
 the model rules and protocol runners rounds alike), the global sign
-convention, seeded splittable random streams, and ``chunked``, the one
-loop over the trials of a Monte Carlo run. Everything downstream draws
+convention, seeded splittable random streams, ``chunked``, the one loop
+over the trials of a Monte Carlo run, and ``gathered``/``Columns``, the one
+fill of full-length arrays from its chunks. Everything downstream draws
 exclusively through :class:`RandomStream` so that a run is reproducible
 bit-for-bit from its master seed.
 """
@@ -69,6 +70,32 @@ def chunked(n: int, work) -> list:
     return list(_executor(workers).map(work, chunks))
 
 
+class Columns(dict):
+    """Full-length per-trial columns filled chunk by chunk: put(rows, parts)
+    writes each part into those rows of its column, which the first put of
+    the part makes with the part's trailing shape and dtype."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def put(self, rows, parts: dict) -> None:
+        for name, x in parts.items():
+            full = self.get(name)
+            if full is None:
+                x = np.asarray(x)
+                full = self.setdefault(name, np.empty((self.n, *x.shape[1:]), x.dtype))
+            full[rows] = x
+
+
+def gathered(n: int, work) -> tuple:
+    """The full-length arrays of the parts of work(rows), one per part,
+    each chunk's parts written into their rows (see chunked)."""
+    columns = Columns(n)
+    chunked(n, lambda rows: columns.put(rows, dict(enumerate(work(rows)))))
+    return tuple(columns[k] for k in range(len(columns)))
+
+
 def _workers() -> int:
     """CPUs in this process's affinity mask."""
     return len(os.sched_getaffinity(0))
@@ -121,9 +148,15 @@ def planar_setting(angle_deg: float) -> np.ndarray:
 
 
 def assert_unit(v, name: str = "vector") -> np.ndarray:
+    """v as floats if it is a unit vector or rows of them; else ValueError
+    naming the first vector whose norm^2 is NaN or off 1 by over 1e-9."""
     v = np.asarray(v, dtype=float)
-    if abs(float(np.dot(v, v)) - 1.0) > 1e-9:
-        raise ValueError(f"{name} must be a unit vector, got norm^2={float(np.dot(v, v))!r}")
+    norm2 = np.sum(v * v, axis=-1)
+    bad = np.flatnonzero(~(np.abs(norm2 - 1.0) <= 1e-9))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{name} must be a unit vector, got {v.reshape(norm2.size, -1)[i]!r} "
+                         f"with norm^2={float(norm2.ravel()[i])!r}")
     return v
 
 
@@ -214,9 +247,5 @@ def sample_uniform_sphere(stream: RandomStream, size=None):
     """Uniform direction(s) on the unit sphere; see sphere_rows."""
     n = 1 if size is None else int(size)
     points = sphere_rows(stream, n)
-    out = np.empty((n, 3))
-
-    def fill(rows):
-        out[rows] = points(rows)
-    chunked(n, fill)
+    out, = gathered(n, lambda rows: (points(rows),))
     return out[0] if size is None else out

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exactlp import _integer_scaled, feasible_point
-from .geometry import RandomStream, chunked
+from .geometry import RandomStream, gathered
 from .models import JointLaw2x2, analytic_law, model_spec, sample_outcomes
 
 BELL_BOUND = 2.0
@@ -325,15 +325,11 @@ def counterfactual_correlators(model_id: str, a, a2, b, b2, n: int,
         raise KeyError(f"no counterfactual sampler for model {model_id!r}")
     hidden = spec.draw(a, b, n, stream, None)
     pairs = ((a, b), (a2, b), (a, b2), (a2, b2))
-    prods = [np.empty(n) for _ in pairs]
 
-    def fill(rows):
+    def products(rows):
         h = hidden(rows)
-        for prod, (x, y) in zip(prods, pairs):
-            sigma, tau = spec.outcomes(h, x, y)
-            prod[rows] = sigma * tau
-    chunked(n, fill)
-    return tuple(map(_product_correlator, prods))
+        return [np.multiply(*spec.outcomes(h, x, y)) for x, y in pairs]
+    return tuple(map(_product_correlator, gathered(n, products)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ vector arguments broadcast, so the same functions serve single trials
 and batched Monte Carlo.
 The shared rules are written once, for models and protocol runners alike:
 ``outcome_counts``, ``law_table``, the detectors ``sign_outcome`` and
-``malus_outcome``, and the one-bit stations ``one_bit_station_a`` and
-``one_bit_tau``. A sampled run draws its random numbers whole and then
-turns them into outcomes chunk by chunk (``geometry.chunked``).
+``malus_outcome``, the Malus station pair ``malus_pair``, and the one-bit
+stations ``one_bit_station_a`` and ``one_bit_tau``. A sampled run draws its
+random numbers whole and then turns them into outcomes chunk by chunk
+(``geometry.chunked``); whole arrays are filled by ``geometry.gathered``.
 
 Conventions: outcomes are +-1, analyzers and hidden spins are unit
 vectors, and the sign convention sgn(0) = +1 applies throughout.
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (X_HAT, Y_HAT, RandomStream, assert_unit, chunked, dot, sgn,
-                       sphere_rows, uniform_bits, uniform_signs)
+from .geometry import (X_HAT, Y_HAT, RandomStream, assert_unit, chunked, dot, gathered,
+                       sgn, sphere_rows, uniform_bits, uniform_signs)
 
 LAW_TOL = 1e-12
 
@@ -45,6 +46,8 @@ class JointLaw2x2:
         p = np.asarray(p, dtype=float)
         if p.shape != (2, 2):
             raise ValueError("joint law needs a 2x2 table")
+        if not np.all(np.isfinite(p)):
+            raise ValueError(f"joint law entries must be finite, got {p!r}")
         if np.any(p < -LAW_TOL):
             raise ValueError(f"negative probability in joint law: {p!r}")
         if abs(float(p.sum()) - 1.0) > LAW_TOL:
@@ -241,8 +244,7 @@ def tb_freewill_density(u, v, c, a, b):
 
 def tb_freewill_sample(a, b, n: int, stream: RandomStream):
     """Draw (u, v, c) with u, v uniform and c fixed by the constraint."""
-    return _filled(n, _draw_tb_freewill(a, b, n, stream, None),
-                   np.empty((n, 3)), np.empty((n, 3)), np.empty(n))
+    return gathered(n, _draw_tb_freewill(a, b, n, stream, None))
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +295,13 @@ def hall_sample(a, b, n: int, stream: RandomStream) -> np.ndarray:
     a x b and the azimuth across the lune.
     """
     spins = _draw_hall(a, b, n, stream, None)
-    return _filled(n, lambda rows: (spins(rows),), np.empty((n, 3)))[0]
+    return gathered(n, lambda rows: (spins(rows),))[0]
 
 
 def _setting_rows(x, n: int, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return assert_unit(x, name)
-    if x.shape != (n, 3) or np.any(np.abs(dot(x, x) - 1.0) > 1e-9):
-        raise ValueError(f"{name} must be a unit vector or ({n}, 3) unit rows")
+    x = assert_unit(x, name)
+    if x.ndim != 1 and x.shape != (n, 3):
+        raise ValueError(f"{name} must be a unit vector or ({n}, 3) unit rows, got {x.shape}")
     return x
 
 
@@ -351,19 +351,20 @@ def pinned_spin_sample(a, b, n: int, stream: RandomStream):
     at u = d*a, c = 1 puts it at u = -d*b (so the partner spin -u equals
     d*b). Each of the four atoms carries weight 1/4.
     """
-    return _filled(n, _draw_atoms(a, b, n, stream, None),
-                   np.empty((n, 3)), np.empty(n, dtype=np.int64), np.empty(n))
+    return gathered(n, _draw_atoms(a, b, n, stream, None))
 
 
 def pinned_spin_outcomes(u, a, b, stream: RandomStream):
     """Independent Malus draws on each side: sigma from (u, a), tau from
     (-u, b)."""
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    return _pinned_rule((u, stream.uniform(len(u)), stream.uniform(len(u))), a, b)
+    return malus_pair((u, stream.uniform(len(u)), stream.uniform(len(u))), a, b)
 
 
-def _pinned_rule(hidden, x, y):
-    """Malus outcomes from the spin and each side's uniform noise draw."""
+def malus_pair(hidden, x, y):
+    """Zero-communication station pair: from hidden = (u, noise_a, noise_b),
+    spins u and -u, each station a Malus detector at its own setting (x or
+    y) reading its own noise draw."""
     u, noise_a, noise_b = hidden
     return malus_outcome(u, x, noise_a), malus_outcome(-u, y, noise_b)
 
@@ -414,16 +415,6 @@ class ModelSpec:
     flags: ModelFlags | None = None
     local: bool = False
     needs_p: bool = False
-
-
-def _filled(n: int, hidden, *outs) -> tuple:
-    """outs, each filled with its part of hidden(rows), chunk by chunk: the
-    whole arrays of a public sampler."""
-    def fill(rows):
-        for out, part in zip(outs, hidden(rows)):
-            out[rows] = part
-    chunked(n, fill)
-    return outs
 
 
 def _draw_uv(a, b, n, stream, p):
@@ -502,7 +493,7 @@ MODELS = {
     "tb-freewill": ModelSpec(_singlet, _draw_tb_freewill,
                              lambda h, x, y: (sign_outcome(h[0], x), one_bit_tau(*h, y)),
                              ModelFlags(True, True, True, False, False), local=True),
-    "pinned": ModelSpec(_singlet, _draw_pinned, _pinned_rule,
+    "pinned": ModelSpec(_singlet, _draw_pinned, malus_pair,
                         ModelFlags(False, True, True, False, True), local=True),
     "hall": ModelSpec(_singlet, _draw_hall, _hall_rule,
                       ModelFlags(True, True, True, False, False), local=True),
@@ -534,33 +525,27 @@ def analytic_law(model_id: str, a, b, p: float | None = None) -> JointLaw2x2:
     return model_spec(model_id).law(a, b, p)
 
 
-def _sampled(model_id: str, a, b, n: int, stream: RandomStream, p, take) -> list:
-    """Draw n trials of the named model at fixed settings, then
-    take(rows, sigma, tau) for each chunk of rows; the list of what it
-    returns."""
+def _sampled(model_id: str, a, b, n: int, stream: RandomStream, p):
+    """Draw n trials of the named model at fixed settings; return
+    outcomes(rows), the (sigma, tau) of the trials in the slice rows."""
     a = assert_unit(a, "a")
     b = assert_unit(b, "b")
     spec = model_spec(model_id)
     if spec.draw is None:
         raise KeyError(f"model {model_id!r} has a law but no sampler")
     hidden = spec.draw(a, b, n, stream, p)
-    return chunked(n, lambda rows: take(rows, *spec.outcomes(hidden(rows), a, b)))
+    return lambda rows: spec.outcomes(hidden(rows), a, b)
 
 
 def sample_outcomes(model_id: str, a, b, n: int, stream: RandomStream,
                     p: float | None = None):
     """Draw n outcome pairs from the named model at fixed settings."""
-    sigma, tau = np.empty(n), np.empty(n)
-
-    def fill(rows, s, t):
-        sigma[rows], tau[rows] = s, t
-    _sampled(model_id, a, b, n, stream, p, fill)
-    return sigma, tau
+    return gathered(n, _sampled(model_id, a, b, n, stream, p))
 
 
 def estimate_law(model_id: str, a, b, n: int, stream: RandomStream,
                  p: float | None = None) -> JointLaw2x2:
     """Monte Carlo estimate of the joint law at fixed settings."""
-    counts = _sampled(model_id, a, b, n, stream, p,
-                      lambda rows, s, t: outcome_counts(s, t)[0])
+    outcomes = _sampled(model_id, a, b, n, stream, p)
+    counts = chunked(n, lambda rows: outcome_counts(*outcomes(rows))[0])
     return JointLaw2x2.from_counts(sum(counts))

@@ -14,10 +14,11 @@ estimated, and a nonzero station-to-station count marks the run
 communication-assisted.
 
 Every runner makes its draws whole and in a fixed order first, then runs
-the per-trial rules chunk by chunk (``geometry.chunked``), summing integer
-outcome counts over the chunks. Columns that later steps read whole (the
-transcript, the overlaps of the binned comparison) are written into
-full-length arrays, and every float sum takes one pass over them.
+the per-trial rules chunk by chunk. Every run that counts outcome pairs
+does so in ``_tally``, which sums integer counts per group over the chunks.
+Only the overlaps t with their groups and a recorded transcript stay whole
+(``geometry.Columns``), and the per-group overlap sums take one pass over
+them; the signaling bits are filled by ``geometry.gathered``.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .geometry import (RandomStream, assert_unit, chunked, dot, planar_setting, sphere_rows,
-                       substream, uniform_bits, uniform_signs)
-from .models import (JointLaw2x2, hall_outcomes, hall_spins, law_table, malus_outcome,
+from .geometry import (Columns, RandomStream, assert_unit, chunked, dot, gathered,
+                       planar_setting, sphere_rows, substream, uniform_bits, uniform_signs)
+from .models import (JointLaw2x2, hall_outcomes, hall_spins, law_table, malus_pair,
                      one_bit_station_a, one_bit_tau, outcome_counts, sign_outcome,
                      singlet_law)
 
@@ -262,23 +263,6 @@ class TranscriptBatch:
 N_BINS = 12  # overlap bins of the binned singlet comparison
 
 
-class _Columns(dict):
-    """Full-length per-trial columns filled chunk by chunk: put(rows, name=x)
-    writes x into those rows of the column name, made by its first put."""
-
-    def __init__(self, n: int):
-        super().__init__()
-        self.n = n
-
-    def put(self, rows, **columns) -> None:
-        for name, x in columns.items():
-            full = self.get(name)
-            if full is None:
-                x = np.asarray(x)
-                full = self.setdefault(name, np.empty((self.n, *x.shape[1:]), x.dtype))
-            full[rows] = x
-
-
 def _bin_index(t, n_bins: int):
     return np.clip(np.digitize(t, np.linspace(-1.0, 1.0, n_bins + 1)) - 1, 0, n_bins - 1)
 
@@ -352,9 +336,37 @@ class ProtocolResult:
         return out
 
 
+def _tally(n: int, record: bool, trials, n_groups: int = 1):
+    """The chunk loop of every run that counts outcome pairs.
+
+    trials(rows) gives the columns of the trials in the slice rows: sigma,
+    tau, optionally each trial's group (default 0) and overlap t, and the
+    transcript's other columns. Returns the (n_groups, 2, 2) counts, the
+    per-group sums of t (None without t) and, if record, the full-length
+    transcript columns, with the partner spin v = -u unless trials gives v.
+    """
+    columns = Columns(n)
+
+    def work(rows):
+        trial = trials(rows)
+        group = trial.pop("group", 0)
+        if "t" in trial:
+            columns.put(rows, {"t": trial.pop("t"), "group": group})
+        if record:
+            if "v" not in trial:
+                trial["v"] = -trial["u"]
+            columns.put(rows, trial)
+        return outcome_counts(trial["sigma"], trial["tau"], group, n_groups)
+
+    counts = sum(chunked(n, work))
+    t_sums = np.bincount(columns.pop("group"), weights=columns.pop("t"),
+                         minlength=n_groups) if "t" in columns else None
+    return counts, t_sums, columns
+
+
 def _protocol_run(model: str, causal_mode: CausalMode, n: int, record: bool, trials,
                   bits_a_to_b: int = 0, shared_draws: int = 0, **fixed) -> ProtocolResult:
-    """The chunk loop and result of every ProtocolResult run.
+    """The tally and result of every ProtocolResult run.
 
     trials(rows) gives the per-trial columns of the trials in the slice
     rows: u, sigma, tau, and any of the transcript's other columns; fixed
@@ -365,26 +377,16 @@ def _protocol_run(model: str, causal_mode: CausalMode, n: int, record: bool, tri
     meter and shared_draws the station-to-station draws, per trial.
     """
     binned = "a_used" not in fixed
-    n_groups = N_BINS if binned else 1
-    overlaps = _Columns(n)
-    columns = _Columns(n)
 
-    def work(rows):
+    def binned_trials(rows):
         trial = trials(rows)
-        group = 0
-        if binned:
-            t = dot(trial["a_used"], trial["b_used"])
-            group = _bin_index(t, N_BINS)
-            overlaps.put(rows, t=t, bin=group)
-        if record:
-            if "v" not in trial:
-                trial["v"] = -trial["u"]
-            columns.put(rows, **trial)
-        return outcome_counts(trial["sigma"], trial["tau"], group, n_groups)
+        trial["t"] = dot(trial["a_used"], trial["b_used"])
+        trial["group"] = _bin_index(trial["t"], N_BINS)
+        return trial
 
-    counts = sum(chunked(n, work))
-    comparison = deviation_from_binned_counts(counts, np.bincount(
-        overlaps["bin"], weights=overlaps["t"], minlength=N_BINS)) if binned else None
+    counts, t_sums, columns = _tally(n, record, binned_trials if binned else trials,
+                                     N_BINS if binned else 1)
+    comparison = deviation_from_binned_counts(counts, t_sums) if binned else None
     channels = ChannelLedger(n)
     if bits_a_to_b:
         channels.send(PartyRole.STATION_A, PartyRole.STATION_B, bits_a_to_b)
@@ -394,12 +396,6 @@ def _protocol_run(model: str, causal_mode: CausalMode, n: int, record: bool, tri
     return ProtocolResult(model, n, JointLaw2x2.from_counts(counts.sum(0)), channels,
                           causal_mode, shared_draws_total=shared_draws * n,
                           transcripts=transcripts, singlet_comparison=comparison)
-
-
-def _malus_pair(u, a_used, b_used, noise_a, noise_b):
-    """Zero-communication station step: spins u and -u, each station a
-    Malus detector reading its own noise draw."""
-    return malus_outcome(u, a_used, noise_a), malus_outcome(-u, b_used, noise_b)
 
 
 def _along_axis(u, x):
@@ -504,7 +500,7 @@ def _shared_coin(n_trials: int, seed: int, a_policy, b_policy, record: bool,
         forced_a = (c == 0)
         a_used = np.where(forced_a[:, None], d[:, None] * u, req["a_requested"])
         b_used = np.where(~forced_a[:, None], -d[:, None] * u, req["b_requested"])  # d*v, v = -u
-        sigma, tau = _malus_pair(u, a_used, b_used, noise_a[rows], noise_b[rows])
+        sigma, tau = malus_pair((u, noise_a[rows], noise_b[rows]), a_used, b_used)
         trial = {"u": u, "c": c, "d": d, "a_used": a_used, "b_used": b_used,
                  "sigma": sigma, "tau": tau, **{k: x for k, x in req.items() if k not in fixed}}
         if each_chunk is not None:
@@ -578,8 +574,8 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
             settings_a = np.array([planar_setting(0.0), planar_setting(90.0)])
         if settings_b is None:
             settings_b = np.array([planar_setting(45.0), planar_setting(135.0)])
-        settings_a = np.atleast_2d(np.asarray(settings_a, float))
-        settings_b = np.atleast_2d(np.asarray(settings_b, float))
+        settings_a = assert_unit(np.atleast_2d(settings_a), "settings_a")
+        settings_b = assert_unit(np.atleast_2d(settings_b), "settings_b")
         u_values = np.vstack([settings_a, -settings_a, settings_b, -settings_b]
                              if mode == "symmetric" else [settings_b, -settings_b])
         # Duplicate vectors (not antipodes) would double-weight an atom.
@@ -605,32 +601,30 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
     iu = ent.integers(0, len(u_values), n_trials)
     noise_a, noise_b = sa.uniform(n_trials), sb.uniform(n_trials)
     # Symmetric and asymmetric modes count coincidences per setting pair
-    # k = i * len(settings_b) + j; sphere mode keeps the coincidences whole.
+    # k = i * len(settings_b) + j; sphere mode counts them in one group and
+    # sums their overlaps a.b.
     nb = len(settings_b)
     n_pairs = len(settings_a) * nb if mode != "sphere" else 1
-    keep = _Columns(n_trials)
 
-    def work(rows):
+    def trials(rows):
         c_a = (np.zeros(rows.stop - rows.start, dtype=np.int64) if w_fire is None
                else uniform_bits(w_fire[rows]))
         a_used, b_used, u = settings_a[ia[rows]], settings_b[ib[rows]], u_values[iu[rows]]
         # The flagged particle fires only when its setting lies along +-u.
         fires_a = (c_a == 0) | _along_axis(u, a_used)
         fires_b = (c_a == 1) | _along_axis(u, b_used)
-        coincidence = fires_a & fires_b
-        sigma, tau = _malus_pair(u, a_used, b_used, noise_a[rows], noise_b[rows])
-        if mode == "sphere":
-            keep.put(rows, coincidence=coincidence, sigma=sigma, tau=tau,
-                     t=dot(a_used, b_used))
-        if record:
-            keep.put(rows, u=u, v=-u, a_used=a_used, b_used=b_used, sigma=sigma, tau=tau,
-                     c=c_a, detected_a=fires_a, detected_b=fires_b)
+        sigma, tau = malus_pair((u, noise_a[rows], noise_b[rows]), a_used, b_used)
         pair = ia[rows] * nb + ib[rows] if n_pairs > 1 else 0
         # Trials without a coincidence go to one extra group, then dropped.
-        return outcome_counts(sigma, tau, np.where(coincidence, pair, n_pairs),
-                              n_pairs + 1)[:n_pairs]
+        trial = {"u": u, "a_used": a_used, "b_used": b_used, "sigma": sigma, "tau": tau,
+                 "c": c_a, "detected_a": fires_a, "detected_b": fires_b,
+                 "group": np.where(fires_a & fires_b, pair, n_pairs)}
+        if mode == "sphere":
+            trial["t"] = dot(a_used, b_used)
+        return trial
 
-    pair_counts = sum(chunked(n_trials, work))
+    counts, t_sums, columns = _tally(n_trials, record, trials, n_pairs + 1)
+    pair_counts = counts[:n_pairs]
     expected_eff = 2.0 / len(u_values)
 
     cond_counts = pair_counts.sum(0)
@@ -652,19 +646,12 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
                                         "max_abs_dev": dev_ij}
             dev = max(dev, dev_ij)
     else:
-        # Per-trial reference comparison: mean indicator minus the exact
-        # singlet entry at each trial's realized settings.
-        coincidence = keep["coincidence"]
-        sc, tc = keep["sigma"][coincidence], keep["tau"][coincidence]
-        ref = law_table(keep["t"][coincidence])
-        dev = max(abs(float(np.mean(((sc == s) & (tc == t)) - ref[i, j])))
-                  for i, s in enumerate((1.0, -1.0)) for j, t in enumerate((1.0, -1.0)))
+        # The singlet entry at the coincidences' mean overlap: the law is
+        # linear in a.b, so this is the mean of the per-trial entries.
+        dev = deviation_from_binned_counts(pair_counts, t_sums[:1])["max_abs_dev"]
 
-    transcripts = TranscriptBatch(
-        f"detection-{mode}", CausalMode.SETTINGS_CAUSE_LAMBDA, keep["u"], keep["a_used"],
-        keep["b_used"], keep["sigma"], keep["tau"], v=keep["v"], c=keep["c"],
-        detected_a=keep["detected_a"], detected_b=keep["detected_b"],
-    ) if record else None
+    transcripts = TranscriptBatch(f"detection-{mode}", CausalMode.SETTINGS_CAUSE_LAMBDA,
+                                  **columns) if record else None
     return EfficiencyReport(
         mode=mode,
         n_pairs=n_trials,
@@ -753,7 +740,7 @@ def run_watch_realization(n_trials: int, model: str, seed: int,
         if model == "pinned":
             j, d = uniform_bits(wj[rows]), uniform_signs(wd[rows])
             u = d[:, None] * np.where((j == 0)[:, None], z_a, z_b)
-            sigma, tau = _malus_pair(u, a_used, b_used, noise_a[rows], noise_b[rows])
+            sigma, tau = malus_pair((u, noise_a[rows], noise_b[rows]), a_used, b_used)
             trial.update(c=j, d=d)
         else:
             u = hall_spins(z_a, z_b, w[:, rows])
@@ -832,18 +819,16 @@ def run_signaling_experiment(message, mode: str, n_trials: int, seed: int,
     atom = ent.integers(0, 4, n_trials)  # 0:+a 1:-a 2:+b 3:-b
     n_usable = int(np.count_nonzero(atom < 2))
     fresh = ent.uniform(n_usable) if mode == "slave-will" else None  # fresh signs
-    intended = np.empty(n_usable, dtype=np.int64)
-    received = np.empty(n_usable, dtype=np.int64)
 
-    def work(rows):
-        intended[rows] = message[np.arange(rows.start, rows.stop) % message.size]
+    def bits(rows):
+        sent = message[np.arange(rows.start, rows.stop) % message.size]
         if fresh is None:
             # Switch target d*(+-b); action-at-a-distance re-forces u = +-b.
-            u_final = np.where((intended[rows] == 1)[:, None], -b, b)
+            u_final = np.where((sent == 1)[:, None], -b, b)
         else:
             u_final = uniform_signs(fresh[rows])[:, None] * b
-        received[rows] = sign_outcome(-u_final, b) > 0
-    chunked(n_usable, work)
+        return sent, (sign_outcome(-u_final, b) > 0).astype(np.int64)
+    intended, received = gathered(n_usable, bits)
 
     success = float(np.mean(received == intended)) if n_usable else 0.0
     return SignalingResult(
@@ -901,16 +886,15 @@ def run_conspiracy_audit(n_trials: int, a, b, mode: str, seed: int) -> AuditResu
         raise ValueError(f"unknown audit mode {mode!r}")
     a = assert_unit(a, "a")
     b = assert_unit(b, "b")
+    audits = {}  # each chunk's _audit, taken as the chunk runs
+
+    def audit(rows, trial):
+        audits[rows.start] = _audit(trial["u"], trial["a_used"], trial["b_used"], a, b)
     if mode == "slave":
         # The shared-coin realization with the declared settings as the
-        # stations' free choices, audited chunk by chunk as it runs.
-        audits = {}
-
-        def audit(rows, trial):
-            audits[rows.start] = _audit(trial["u"], trial["a_used"], trial["b_used"], a, b)
+        # stations' free choices.
         res = _shared_coin(n_trials, seed, a, b, False, audit)
         law, dev = res.law, res.singlet_comparison["max_abs_dev"]
-        audits = list(audits.values())
     else:
         u_at = sphere_rows(substream(seed, STREAM_ENTANGLER), n_trials)
         noise_a = substream(seed, STREAM_A).uniform(n_trials)
@@ -920,14 +904,15 @@ def run_conspiracy_audit(n_trials: int, a, b, mode: str, seed: int) -> AuditResu
             u = u_at(rows)
             a_used = np.broadcast_to(a, u.shape)
             b_used = np.broadcast_to(b, u.shape)
-            counts = outcome_counts(*_malus_pair(u, a_used, b_used, noise_a[rows],
-                                                 noise_b[rows]))[0]
-            return counts, _audit(u, a_used, b_used, a, b)
-        counts, audits = zip(*chunked(n_trials, honest))
-        law = JointLaw2x2.from_counts(sum(counts))
+            sigma, tau = malus_pair((u, noise_a[rows], noise_b[rows]), a_used, b_used)
+            trial = {"u": u, "a_used": a_used, "b_used": b_used, "sigma": sigma, "tau": tau}
+            audit(rows, trial)
+            return trial
+        counts, _, _ = _tally(n_trials, False, honest)
+        law = JointLaw2x2.from_counts(counts[0])
         dev = law.max_abs_diff(singlet_law(a, b))
-    return AuditResult(mode, n_trials, sum(k for k, _ in audits), all(m for _, m in audits),
-                       law, float(dev))
+    return AuditResult(mode, n_trials, sum(k for k, _ in audits.values()),
+                       all(m for _, m in audits.values()), law, float(dev))
 
 
 def _audit(u, a_used, b_used, a, b):

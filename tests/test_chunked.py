@@ -197,3 +197,21 @@ def test_forked_child_makes_its_own_pool(monkeypatch):
             child.kill()
     assert child.exitcode == 0
     assert starts == [0, 10, 20, 30, 40]
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 20, 21, 35])
+def test_gathered_fills_each_part_whole(monkeypatch, n):
+    # 10-row chunks on 2 threads: n = 0, one row, and both sides of the
+    # chunk edges; each part keeps its dtype and trailing shape.
+    _chunking(monkeypatch, 10, 2)
+
+    def parts(rows):
+        i = np.arange(rows.start, rows.stop)
+        return i, i / 7.0, np.stack([i, -i, 2 * i], axis=-1) * 0.5, i % 3 == 0
+
+    got = geometry.gathered(n, parts)
+    want = parts(slice(0, n))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lhvlab.geometry import (RandomStream, normalize, planar_setting,
+from lhvlab.geometry import (RandomStream, assert_unit, normalize, planar_setting,
                              sample_uniform_sphere, sgn, substream,
                              unit_vector)
 
@@ -112,3 +112,23 @@ def test_stream_signs_bits_integers():
     assert set(np.unique(bits)) == {0, 1}
     ints = s.integers(0, 4, 1000)
     assert ints.min() >= 0 and ints.max() <= 3
+
+
+@pytest.mark.parametrize("v, bad", [
+    ([math.nan, 0.0, 0.0], "nan"),
+    ([2.0, 0.0, 0.0], "2."),
+    ([[1.0, 0.0, 0.0], [0.0, math.nan, 0.0]], "nan"),
+    ([[1.0, 0.0, 0.0], [0.0, 0.5, 0.0]], "0.5"),
+])
+def test_assert_unit_rejects_nan_and_names_the_bad_vector(v, bad):
+    with pytest.raises(ValueError, match="setting must be a unit vector") as info:
+        assert_unit(v, "setting")
+    assert bad in str(info.value)
+    assert "negative probability" not in str(info.value)
+
+
+def test_assert_unit_accepts_unit_vectors_and_rows():
+    x = planar_setting(30.0)
+    assert np.array_equal(assert_unit(x), x)
+    rows = np.array([x, planar_setting(120.0), [0.0, 0.0, -1.0]])
+    assert np.array_equal(assert_unit(rows), rows)

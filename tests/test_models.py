@@ -739,3 +739,30 @@ def test_model_table_ids():
     assert set(MODELS) == {"singlet", "uniform", *MODEL_IDS}
     for model, spec in MODELS.items():
         assert (spec.draw is None) == (spec.outcomes is None) == (spec.flags is None), model
+
+
+NAN_VECTOR = [math.nan, 0.0, 0.0]
+
+
+def test_singlet_law_rejects_a_nan_setting():
+    for a, b in ((NAN_VECTOR, X), (X, NAN_VECTOR)):
+        with pytest.raises(ValueError, match="nan") as info:
+            singlet_law(a, b)
+        assert "negative probability" not in str(info.value)
+
+
+def test_joint_law_rejects_a_nan_table():
+    for p in ([[math.nan, 0.5], [0.25, 0.25]], [[math.nan] * 2] * 2):
+        with pytest.raises(ValueError, match="nan") as info:
+            JointLaw2x2(p)
+        assert "negative probability" not in str(info.value)
+
+
+def test_hall_sample_rejects_a_nan_settings_row():
+    n = 5
+    rows = np.array([planar_setting(10.0 * k) for k in range(n)])
+    rows[3] = NAN_VECTOR
+    for a, b in ((rows, X), (X, rows)):
+        with pytest.raises(ValueError, match="nan") as info:
+            hall_sample(a, b, n, RandomStream(40))
+        assert "negative probability" not in str(info.value)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lhvlab.geometry import RandomStream, planar_setting, sgn, substream
-from lhvlab.models import MODELS, JointLaw2x2, singlet_law
+from lhvlab import protocols
+from lhvlab.geometry import RandomStream, dot, planar_setting, sgn, substream
+from lhvlab.models import MODELS, JointLaw2x2, law_table, singlet_law
 from lhvlab.protocols import (_CSV_CHUNK_ROWS, CSV_HEADER, EMISSION_STEP, STREAM_A, STREAM_B,
                               TIME_OF_FLIGHT, WATCH_A, WATCH_B, CausalMode,
                               PartyRole, TranscriptBatch, _fmt,
@@ -145,7 +146,8 @@ def test_shared_coin_locality_fault_injection():
 
 @pytest.mark.parametrize("policy", [[[2.0, 0.0, 0.0], [0.0, 3.0, 0.0]],
                                     [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
-                                    [2.0, 0.0, 0.0], [1.0, 0.0], "fixed"])
+                                    [2.0, 0.0, 0.0], [1.0, 0.0], "fixed",
+                                    [math.nan, 0.0, 0.0]])
 def test_shared_coin_rejects_a_policy_that_is_not_one_unit_vector(policy):
     with pytest.raises(ValueError):
         run_shared_coin(10, seed=14, a_policy=policy)
@@ -644,3 +646,59 @@ def test_binned_outcome_counts_match_add_at_reference():
     assert counts.dtype == np.int64 and counts.shape == (12, 2, 2)
     assert np.array_equal(counts, expected)
     assert np.array_equal(t_sums, np.bincount(idx, weights=t, minlength=12))
+
+
+# ---------------------------------------------------------------------------
+# Settings that are not unit vectors, NaN included, are rejected
+
+NAN_VECTOR = [math.nan, 0.0, 0.0]
+
+
+def _no_draws(monkeypatch):
+    def substream(seed, stream_id):
+        raise AssertionError("a stream was made before the settings were checked")
+    monkeypatch.setattr(protocols, "substream", substream)
+
+
+@pytest.mark.parametrize("mode", ["honest", "slave", "third-party"])
+def test_audit_rejects_a_nan_setting(monkeypatch, mode):
+    _no_draws(monkeypatch)
+    for a, b in ((NAN_VECTOR, X), (X, NAN_VECTOR)):
+        with pytest.raises(ValueError, match="nan"):
+            run_conspiracy_audit(10, a, b, mode, 1)
+
+
+@pytest.mark.parametrize("row, shown", [([2.0, 0.0, 0.0], "norm^2=4.0"),
+                                        ([0.5, 0.0, 0.0], "norm^2=0.25"),
+                                        (NAN_VECTOR, "norm^2=nan")])
+@pytest.mark.parametrize("side", ["settings_a", "settings_b"])
+@pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+def test_detection_rejects_settings_that_are_not_unit_before_any_draw(
+        monkeypatch, mode, side, row, shown):
+    _no_draws(monkeypatch)
+    settings = {side: [row, [0.0, 1.0, 0.0]]}
+    with pytest.raises(ValueError, match=f"{side} must be a unit vector") as info:
+        run_detection_loophole(100_000, mode, 1, **settings)
+    assert shown in str(info.value)
+
+
+def _per_trial_mean_deviation(rep) -> float:
+    """Sphere mode's deviation as the per-trial mean over the coincidences
+    of the transcript: the mean of each outcome indicator minus the singlet
+    entry at each trial's overlap a.b, worst over the four cells."""
+    tr = rep.transcripts
+    coincidence = tr.detected_a & tr.detected_b
+    sc, tc = tr.sigma[coincidence], tr.tau[coincidence]
+    ref = law_table(dot(tr.a_used[coincidence], tr.b_used[coincidence]))
+    return max(abs(float(np.mean(((sc == s) & (tc == t)) - ref[i, j])))
+               for i, s in enumerate((1.0, -1.0)) for j, t in enumerate((1.0, -1.0)))
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("n_directions", [2, 8, 64, 12_566])
+def test_sphere_deviation_is_the_per_trial_mean(n_directions, seed):
+    rep = run_detection_loophole(200_000, "sphere", seed, n_directions=n_directions,
+                                 record=True)
+    reference = _per_trial_mean_deviation(rep)
+    assert abs(rep.singlet_deviation - reference) <= 1e-15
+    assert f"{rep.singlet_deviation:.9g}" == f"{reference:.9g}"

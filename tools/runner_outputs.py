@@ -1,0 +1,163 @@
+"""Hash every output of a fixed set of in-process library runs.
+
+    python3 tools/runner_outputs.py [CHECKOUT]
+
+The script imports lhvlab from CHECKOUT/src (default: the checkout that
+holds this file) and prints one ``name sha256`` line per output. Two
+checkouts give byte-identical outputs exactly where their listings agree:
+
+    diff <(python3 tools/runner_outputs.py A) <(python3 tools/runner_outputs.py B)
+
+It complements report_matrix.py, whose protocol runs stop at 65,537 trials
+because each one writes a transcript. Here, at seeds 5 and 6:
+
+- every runner runs at 1,000,003 trials, and the runners that can record
+  run again at 200,003 trials with their transcript; the outputs are the
+  summary, per_setting, the binned comparison, the transcript CSV and, for
+  signal, the bit arrays;
+- singlet_deviation is an output of its own, once in full and once at 9
+  significant digits, so that a last-bit change shows apart from the rest;
+- estimate_law, sample_outcomes and counterfactual_correlators run for
+  every sampling model, and the four public samplers draw once, with the
+  stream counter after each.
+
+The script uses the standard library and the checkout's lhvlab only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+SEEDS = (5, 6)
+TRIALS = 1_000_003
+RECORDED_TRIALS = 200_003
+MESSAGE = (0, 1, 1, 0, 1)
+P = {"tb-ext1": 0.3, "tb-ext2": 0.7}
+
+
+def _digest(value) -> str:
+    """sha256 of value: arrays by dtype, shape and bytes, sequences item
+    by item, strings as UTF-8, anything else by repr."""
+    h = hashlib.sha256()
+
+    def feed(x):
+        if hasattr(x, "tobytes") and hasattr(x, "dtype"):
+            h.update(f"array {x.dtype.str} {x.shape}\n".encode())
+            h.update(x.tobytes())
+        elif isinstance(x, (tuple, list)):
+            h.update(f"{type(x).__name__} {len(x)}\n".encode())
+            for item in x:
+                feed(item)
+        else:
+            h.update((x if isinstance(x, str) else repr(x)).encode())
+            h.update(b"\n")
+    feed(value)
+    return h.hexdigest()
+
+
+def runners(lhv):
+    """name -> (run(n, seed, record), whether it records a transcript)."""
+    g, p = lhv.geometry, lhv.protocols
+    a, b = g.planar_setting(0.0), g.planar_setting(75.0)
+    grid_a = [g.planar_setting(x) for x in (0.0, 60.0, 120.0)]
+    grid_b = [g.planar_setting(x) for x in (30.0, 100.0)]
+    detection = {
+        "detection-symmetric": {"mode": "symmetric"},
+        "detection-asymmetric": {"mode": "asymmetric"},
+        "detection-grid": {"mode": "symmetric", "settings_a": grid_a, "settings_b": grid_b},
+        "detection-sphere64": {"mode": "sphere", "n_directions": 64},
+        "detection-sphere-fine": {"mode": "sphere", "delta_omega": 0.001},
+    }
+    return {
+        "tb": (lambda n, s, r: p.run_tb_protocol(n, a, b, s, r), True),
+        "tb-freewill": (lambda n, s, r: p.run_tb_freewill(n, a, b, s, r), True),
+        "shared-coin": (lambda n, s, r: p.run_shared_coin(n, s, record=r), True),
+        "shared-coin-fixed": (lambda n, s, r: p.run_shared_coin(n, s, a, b, r), True),
+        **{f"watch-{m}": (lambda n, s, r, m=m: p.run_watch_realization(n, m, s, r), True)
+           for m in ("pinned", "hall")},
+        **{name: (lambda n, s, r, kw=kw: p.run_detection_loophole(n, seed=s, record=r, **kw),
+                  True) for name, kw in detection.items()},
+        **{f"audit-{m}": (lambda n, s, r, m=m: p.run_conspiracy_audit(n, a, b, m, s), False)
+           for m in ("honest", "slave", "third-party")},
+        **{f"signal-{m}": (lambda n, s, r, m=m: p.run_signaling_experiment(MESSAGE, m, n, s),
+                           False) for m in ("action", "slave-will")},
+    }
+
+
+def runner_outputs(lhv, seed: int):
+    """(name, value) for every runner output at the given seed."""
+    for name, (run, records) in runners(lhv).items():
+        for n, record in ((TRIALS, False), (RECORDED_TRIALS, True)):
+            if record and not records:
+                continue
+            res = run(n, seed, record)
+            stem = f"{name}/s{seed}/t{n}"
+            summary = res.summary()
+            if "singlet_deviation" in summary:
+                dev = summary.pop("singlet_deviation")
+                yield f"{stem}/singlet_deviation", dev
+                yield f"{stem}/singlet_deviation.9g", f"{dev:.9g}"
+            yield f"{stem}/summary", summary
+            for part in ("per_setting", "singlet_comparison"):
+                if hasattr(res, part):
+                    yield f"{stem}/{part}", getattr(res, part)
+            if hasattr(res, "intended"):
+                yield f"{stem}/bits", (res.intended, res.received)
+            if record:
+                fh = io.StringIO()
+                res.transcripts.to_csv(fh)
+                yield f"{stem}/csv", fh.getvalue()
+
+
+def model_outputs(lhv, seed: int):
+    """(name, value) for every model's sampled law, outcomes and
+    counterfactual correlators, and for the four public samplers."""
+    g, m, q = lhv.geometry, lhv.models, lhv.inequalities
+    a, b = g.planar_setting(0.0), g.planar_setting(75.0)
+    a2, b2 = g.planar_setting(45.0), g.planar_setting(135.0)
+    for model in m.MODEL_IDS:
+        stem = f"model.{model}/s{seed}/t{TRIALS}"
+        stream = g.RandomStream(seed, 1)
+        law = m.estimate_law(model, a, b, TRIALS, stream, p=P.get(model))
+        yield f"{stem}/estimate_law", (law.p, law.n_trials, stream.counter)
+        stream = g.RandomStream(seed, 2)
+        yield (f"{stem}/sample_outcomes",
+               (m.sample_outcomes(model, a, b, TRIALS, stream, p=P.get(model)), stream.counter))
+        if m.MODELS[model].local:
+            stream = g.RandomStream(seed, 3)
+            estimates = q.counterfactual_correlators(model, a, a2, b, b2, TRIALS, stream)
+            yield (f"{stem}/counterfactual_correlators",
+                   ([e.as_dict() for e in estimates], stream.counter))
+    samplers = {
+        "sphere": lambda stream: stream.sphere(TRIALS),
+        "hall_sample": lambda stream: m.hall_sample(a, b, TRIALS, stream),
+        "tb_freewill_sample": lambda stream: m.tb_freewill_sample(a, b, TRIALS, stream),
+        "pinned_spin_sample": lambda stream: m.pinned_spin_sample(a, b, TRIALS, stream),
+    }
+    for name, draw in samplers.items():
+        stream = g.RandomStream(seed, 4)
+        yield f"sampler.{name}/s{seed}/t{TRIALS}", (draw(stream), stream.counter)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).parents[1])
+    args = parser.parse_args(argv)
+    src = args.checkout.resolve() / "src"
+    if not (src / "lhvlab" / "protocols.py").exists():
+        parser.error(f"{args.checkout} holds no src/lhvlab/protocols.py")
+    sys.path.insert(0, str(src))
+    import lhvlab  # loads every module
+    for seed in SEEDS:
+        for outputs in (runner_outputs, model_outputs):
+            for name, value in outputs(lhvlab, seed):
+                print(name, _digest(value), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
