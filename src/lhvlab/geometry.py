@@ -247,5 +247,5 @@ def sample_uniform_sphere(stream: RandomStream, size=None):
     """Uniform direction(s) on the unit sphere; see sphere_rows."""
     n = 1 if size is None else int(size)
     points = sphere_rows(stream, n)
-    out, = gathered(n, lambda rows: (points(rows),))
+    out = gathered(n, lambda rows: (points(rows),))[0]
     return out[0] if size is None else out
