@@ -2,11 +2,13 @@
 
 Unit vectors on the sphere, the one per-trial dot product (every u.x of
 the model rules and protocol runners rounds alike), the global sign
-convention, seeded splittable random streams, ``chunked``, the one loop
-over the trials of a Monte Carlo run, and ``gathered``/``Columns``, the one
-fill of full-length arrays from its chunks. Everything downstream draws
-exclusively through :class:`RandomStream` so that a run is reproducible
-bit-for-bit from its master seed.
+convention, seeded splittable random streams whose uniforms a run reserves
+whole and reads window by window (``RandomStream.uniform_rows``),
+``streamed``/``chunked``, the one loop over the trials of a Monte Carlo
+run, and ``gathered``/``Columns``, the one fill of full-length arrays from
+its chunks. Everything downstream draws exclusively through
+:class:`RandomStream` so that a run is reproducible bit-for-bit from its
+master seed.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import deque
 
 import numpy as np
 
@@ -52,22 +55,42 @@ def sgn(x):
     return float(out) if out.ndim == 0 else out
 
 
+def streamed(n: int, work):
+    """Yield work(rows) for each slice rows of range(n), _CHUNK_ROWS at a
+    time, in order; one empty slice when n is 0.
+
+    work reads the draws of its rows through windows (see
+    RandomStream.uniform_rows) and turns them into outcomes, counts and
+    columns. work must write only its own rows of shared arrays, so results
+    do not depend on the chunk size or the thread count. The chunks run on a
+    pool of one thread per CPU of the process (numpy releases the GIL inside
+    large ufuncs), at most two per thread ahead of the one yielded next, so
+    memory stays bounded whatever n is; a single chunk, a single CPU or a
+    call from inside a chunk runs inline. An exception raised by a chunk
+    re-raises as it is.
+    """
+    chunks = (slice(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, max(n, 1), _CHUNK_ROWS))
+    if n <= _CHUNK_ROWS or getattr(_worker, "busy", False) or (workers := _workers()) == 1:
+        yield from map(work, chunks)
+        return
+    executor = _executor(workers)
+    pending = deque()
+    try:
+        for rows in chunks:
+            pending.append(executor.submit(work, rows))
+            if len(pending) > 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def chunked(n: int, work) -> list:
     """[work(rows) for each slice rows of range(n), _CHUNK_ROWS at a time],
-    in order; one empty slice when n is 0.
-
-    A run draws its random numbers whole first; work turns the draws of its
-    rows into outcomes, counts and columns. work must write only its own
-    rows of shared arrays, so results do not depend on the chunk size or
-    the thread count. The chunks run on a pool of one thread per CPU of the
-    process (numpy releases the GIL inside large ufuncs), or inline for a
-    single chunk, a single CPU or a call from inside a chunk. An exception
-    raised by a chunk re-raises as it is.
-    """
-    chunks = [slice(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, max(n, 1), _CHUNK_ROWS)]
-    if len(chunks) == 1 or getattr(_worker, "busy", False) or (workers := _workers()) == 1:
-        return [work(rows) for rows in chunks]
-    return list(_executor(workers).map(work, chunks))
+    in order (see streamed)."""
+    return list(streamed(n, work))
 
 
 class Columns(dict):
@@ -189,6 +212,40 @@ class RandomStream:
         self._count(size)
         return self._gen.random(size)
 
+    def uniform_rows(self, size):
+        """Reserve the draws of uniform(size) now, for size n or (k, n), and
+        return draw(rows): uniform(size)[..., rows] for a slice rows of
+        range(n), computed when asked for.
+
+        Every uniform takes one 64-bit Philox word, and Philox computes the
+        words of any counter directly (Salmon et al., SC11), so each call of
+        draw reads only its own windows of the stream. The counter and the
+        generator state move on at once exactly as the whole draw moves
+        them, so later draws do not change.
+        """
+        k, n = (1, size) if np.ndim(size) == 0 else size
+        bits = self._gen.bit_generator
+        state = bits.state
+        key = state["state"]["key"]
+        counter = sum(int(c) << (64 * i) for i, c in enumerate(state["state"]["counter"]))
+        start = 4 * counter - 4 + state["buffer_pos"]  # the word the next draw reads
+        self._count(size)
+        if k * n:
+            end = _philox_at(key, start + k * n - 1)
+            end.random_raw(1)
+            bits.state = {**end.state, "has_uint32": state["has_uint32"],
+                          "uinteger": state["uinteger"]}
+
+        def draw(rows):
+            lo, hi, step = rows.indices(n)
+            if step != 1:
+                raise ValueError(f"draw reads contiguous rows, not the slice {rows!r}")
+            out = np.empty((k, max(hi - lo, 0)))
+            for j in range(k):
+                np.random.Generator(_philox_at(key, start + j * n + lo)).random(out=out[j])
+            return out if np.ndim(size) else out[0]
+        return draw
+
     def signs(self, size=None):
         """Fair draws from {-1.0, +1.0}."""
         u = self.uniform(size)
@@ -219,6 +276,13 @@ def uniform_bits(w):
     return (np.asarray(w) < 0.5).astype(np.int64)
 
 
+def _philox_at(key, word: int):
+    """A Philox keyed by key whose next draw reads the given word."""
+    bits = np.random.Philox(key=key).advance(word // 4)
+    bits.random_raw(word % 4)
+    return bits
+
+
 def substream(master_seed: int, trial_index: int) -> RandomStream:
     """Deterministic per-trial (or per-party) stream. Distinct
     trial_index values map to distinct stream ids by construction."""
@@ -226,18 +290,19 @@ def substream(master_seed: int, trial_index: int) -> RandomStream:
 
 
 def sphere_rows(stream: RandomStream, n: int):
-    """Draw the uniforms of n points on the sphere now, all z then all
+    """Reserve the uniforms of n points on the sphere, all z then all
     azimuths; return points(rows), the points of the trials in the slice rows.
 
     Area-preserving inverse transform: z uniform in [-1, 1], azimuth
     uniform in [0, 2*pi). Exactly two uniform draws per vector, never
     rejection, so the draw count per sample is fixed.
     """
-    wz, wphi = stream.uniform(n), stream.uniform(n)
+    w = stream.uniform_rows((2, n))
 
     def points(rows):
-        z = 2.0 * wz[rows] - 1.0
-        phi = 2.0 * math.pi * wphi[rows]
+        wz, wphi = w(rows)
+        z = 2.0 * wz - 1.0
+        phi = 2.0 * math.pi * wphi
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
     return points

@@ -10,9 +10,10 @@ and batched Monte Carlo.
 The shared rules are written once, for models and protocol runners alike:
 ``outcome_counts``, ``law_table``, the detectors ``sign_outcome`` and
 ``malus_outcome``, the Malus station pair ``malus_pair``, and the one-bit
-stations ``one_bit_station_a`` and ``one_bit_tau``. A sampled run draws its
-random numbers whole and then turns them into outcomes chunk by chunk
-(``geometry.chunked``); whole arrays are filled by ``geometry.gathered``.
+stations ``one_bit_station_a`` and ``one_bit_tau``. A sampled run reserves
+its uniforms whole and then reads them and turns them into outcomes chunk
+by chunk (``RandomStream.uniform_rows``, ``geometry.chunked``); whole
+arrays are filled by ``geometry.gathered``.
 
 Conventions: outcomes are +-1, analyzers and hidden spins are unit
 vectors, and the sign convention sgn(0) = +1 applies throughout.
@@ -399,7 +400,7 @@ class ModelFlags:
 @dataclass(frozen=True)
 class ModelSpec:
     """law(a, b, p) is the closed-form joint law. draw(a, b, n, stream, p)
-    makes the draws of n trials at the settings (a, b) and returns
+    reserves the draws of n trials at the settings (a, b) and returns
     hidden(rows), the hidden variables of the trials in the slice rows; it
     is None for a law without a sampler. outcomes(hidden, x, y) is the
     (sigma, tau) they give at the settings (x, y). local marks the singlet
@@ -425,8 +426,8 @@ def _draw_uv(a, b, n, stream, p):
 def _draw_tb_extension(a, b, n, stream, p):
     _check_extension(p)
     uv = _draw_uv(a, b, n, stream, p)
-    w = stream.uniform(n)
-    return lambda rows: (*uv(rows), w[rows] < p)
+    w = stream.uniform_rows(n)
+    return lambda rows: (*uv(rows), w(rows) < p)
 
 
 def _draw_tb_freewill(a, b, n, stream, p):
@@ -444,10 +445,11 @@ def _draw_atoms(a, b, n, stream, p):
     signs() draw them; hidden(rows) is (u, c, d)."""
     a = assert_unit(a, "a")
     b = assert_unit(b, "b")
-    wc, wd = stream.uniform(n), stream.uniform(n)
+    w = stream.uniform_rows((2, n))
 
     def hidden(rows):
-        c, d = uniform_bits(wc[rows]), uniform_signs(wd[rows])
+        wc, wd = w(rows)
+        c, d = uniform_bits(wc), uniform_signs(wd)
         return np.where((c == 0)[:, None], d[:, None] * a, -d[:, None] * b), c, d
     return hidden
 
@@ -455,17 +457,17 @@ def _draw_atoms(a, b, n, stream, p):
 def _draw_pinned(a, b, n, stream, p):
     """The atomic spin plus each side's Malus noise draw."""
     atoms = _draw_atoms(a, b, n, stream, p)
-    noise_a, noise_b = stream.uniform(n), stream.uniform(n)
-    return lambda rows: (atoms(rows)[0], noise_a[rows], noise_b[rows])
+    noise = stream.uniform_rows((2, n))
+    return lambda rows: (atoms(rows)[0], *noise(rows))
 
 
 def _draw_hall(a, b, n, stream, p):
     """The 4n uniforms of hall_sample; a and b are vectors or (n, 3) rows."""
     a = _setting_rows(a, n, "a")
     b = _setting_rows(b, n, "b")
-    w = stream.uniform((4, n))
+    w = stream.uniform_rows((4, n))
     return lambda rows: hall_spins(a if a.ndim == 1 else a[rows],
-                                   b if b.ndim == 1 else b[rows], w[:, rows])
+                                   b if b.ndim == 1 else b[rows], w(rows))
 
 
 # Entries call the public functions by name, at call time, so a wrapper

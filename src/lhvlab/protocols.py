@@ -13,12 +13,15 @@ Channel accounting is exact: counters are incremented per trial, not
 estimated, and a nonzero station-to-station count marks the run
 communication-assisted.
 
-Every runner makes its draws whole and in a fixed order first, then runs
-the per-trial rules chunk by chunk. Every run that counts outcome pairs
-does so in ``_tally``, which sums integer counts per group over the chunks.
-Only the overlaps t with their groups and a recorded transcript stay whole
-(``geometry.Columns``), and the per-group overlap sums take one pass over
-them; the signaling bits are filled by ``geometry.gathered``.
+Every runner reserves its draws whole and in a fixed order first, then
+runs the per-trial rules chunk by chunk, each chunk reading its own
+windows of the uniforms (``RandomStream.uniform_rows``); only ``integers``
+draws, whose word count depends on their values, are made whole. Every run
+that counts outcome pairs does so in ``_tally``, which sums integer counts
+per group over the chunks and folds each chunk's overlaps t into the
+per-group sums in chunk order, so the sums are those of one pass. Only a
+recorded transcript stays whole (``geometry.Columns``); the signaling bits
+are filled by ``geometry.gathered``.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .geometry import (Columns, RandomStream, assert_unit, chunked, dot, gathered,
-                       planar_setting, sphere_rows, substream, uniform_bits, uniform_signs)
+from .geometry import (Columns, assert_unit, dot, gathered, planar_setting, sphere_rows,
+                       streamed, substream, uniform_bits, uniform_signs)
 from .models import (JointLaw2x2, hall_outcomes, hall_spins, law_table, malus_pair,
                      one_bit_station_a, one_bit_tau, outcome_counts, sign_outcome,
                      singlet_law)
@@ -344,23 +347,26 @@ def _tally(n: int, record: bool, trials, n_groups: int = 1):
     transcript's other columns. Returns the (n_groups, 2, 2) counts, the
     per-group sums of t (None without t) and, if record, the full-length
     transcript columns, with the partner spin v = -u unless trials gives v.
+    The chunks' overlaps are added in trial order as the chunks complete,
+    so the sums are bit for bit those of one np.bincount pass.
     """
     columns = Columns(n)
 
     def work(rows):
         trial = trials(rows)
-        group = trial.pop("group", 0)
-        if "t" in trial:
-            columns.put(rows, {"t": trial.pop("t"), "group": group})
+        group, t = trial.pop("group", 0), trial.pop("t", None)
         if record:
             if "v" not in trial:
                 trial["v"] = -trial["u"]
             columns.put(rows, trial)
-        return outcome_counts(trial["sigma"], trial["tau"], group, n_groups)
+        return outcome_counts(trial["sigma"], trial["tau"], group, n_groups), group, t
 
-    counts = sum(chunked(n, work))
-    t_sums = np.bincount(columns.pop("group"), weights=columns.pop("t"),
-                         minlength=n_groups) if "t" in columns else None
+    counts, t_sums = 0, None
+    for chunk_counts, group, t in streamed(n, work):
+        counts = counts + chunk_counts
+        if t is not None:
+            t_sums = np.zeros(n_groups) if t_sums is None else t_sums
+            np.add.at(t_sums, np.broadcast_to(group, t.shape), t)
     return counts, t_sums, columns
 
 
@@ -403,14 +409,13 @@ def _along_axis(u, x):
     return np.abs(dot(u, x)) >= 1.0 - 1e-9
 
 
-def _policy(policy, n: int, stream: RandomStream):
-    """A station's free settings: 'random' draws n sphere points from its
-    stream now and gives points(rows); a single unit vector is used on
-    every trial and given as it is. Random draws always burn the same
-    stream budget."""
+def _policy(policy):
+    """A station's fixed setting: None for 'random', whose settings are
+    sphere points drawn from the station's stream (always the same stream
+    budget), or the one unit vector used on every trial."""
     if isinstance(policy, str):
         if policy == "random":
-            return sphere_rows(stream, n)
+            return None
         raise ValueError(f"unknown settings policy {policy!r}")
     arr = np.asarray(policy, dtype=float)
     if arr.shape != (3,):
@@ -481,28 +486,31 @@ def _shared_coin(n_trials: int, seed: int, a_policy, b_policy, record: bool,
                  each_chunk=None) -> ProtocolResult:
     """run_shared_coin, calling each_chunk(rows, trial) with the columns of
     every chunk of trials if given."""
+    policies = {"a_requested": _policy(a_policy), "b_requested": _policy(b_policy)}
+    fixed = {k: x for k, x in policies.items() if x is not None}
     ent = substream(seed, STREAM_ENTANGLER)
     shared = substream(seed, STREAM_SHARED_AB)
     sa = substream(seed, STREAM_A)
     sb = substream(seed, STREAM_B)
 
     u_at = sphere_rows(ent, n_trials)
-    wc, wd = shared.uniform(n_trials), shared.uniform(n_trials)  # the coins c, d
-    free = {"a_requested": _policy(a_policy, n_trials, sa),
-            "b_requested": _policy(b_policy, n_trials, sb)}
-    fixed = {k: f for k, f in free.items() if not callable(f)}
-    noise_a, noise_b = sa.uniform(n_trials), sb.uniform(n_trials)
+    coins = shared.uniform_rows((2, n_trials))  # the coins c, d
+    free = {k: sphere_rows(stream, n_trials)
+            for k, stream in (("a_requested", sa), ("b_requested", sb)) if k not in fixed}
+    noise_a, noise_b = sa.uniform_rows(n_trials), sb.uniform_rows(n_trials)
 
     def trials(rows):
         u = u_at(rows)
-        c, d = uniform_bits(wc[rows]), uniform_signs(wd[rows])
-        req = {k: f(rows) if callable(f) else f for k, f in free.items()}
+        wc, wd = coins(rows)
+        c, d = uniform_bits(wc), uniform_signs(wd)
+        drawn = {k: points(rows) for k, points in free.items()}
+        req = {**fixed, **drawn}
         forced_a = (c == 0)
         a_used = np.where(forced_a[:, None], d[:, None] * u, req["a_requested"])
         b_used = np.where(~forced_a[:, None], -d[:, None] * u, req["b_requested"])  # d*v, v = -u
-        sigma, tau = malus_pair((u, noise_a[rows], noise_b[rows]), a_used, b_used)
+        sigma, tau = malus_pair((u, noise_a(rows), noise_b(rows)), a_used, b_used)
         trial = {"u": u, "c": c, "d": d, "a_used": a_used, "b_used": b_used,
-                 "sigma": sigma, "tau": tau, **{k: x for k, x in req.items() if k not in fixed}}
+                 "sigma": sigma, "tau": tau, **drawn}
         if each_chunk is not None:
             each_chunk(rows, trial)
         return trial
@@ -595,11 +603,11 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
     sa = substream(seed, STREAM_A)
     sb = substream(seed, STREAM_B)
     # Side A always fires in asymmetric mode; otherwise the firing bit is a coin.
-    w_fire = None if mode == "asymmetric" else ent.uniform(n_trials)
+    w_fire = None if mode == "asymmetric" else ent.uniform_rows(n_trials)
     ia = sa.integers(0, len(settings_a), n_trials)
     ib = sb.integers(0, len(settings_b), n_trials)
     iu = ent.integers(0, len(u_values), n_trials)
-    noise_a, noise_b = sa.uniform(n_trials), sb.uniform(n_trials)
+    noise_a, noise_b = sa.uniform_rows(n_trials), sb.uniform_rows(n_trials)
     # Symmetric and asymmetric modes count coincidences per setting pair
     # k = i * len(settings_b) + j; sphere mode counts them in one group and
     # sums their overlaps a.b.
@@ -608,12 +616,12 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
 
     def trials(rows):
         c_a = (np.zeros(rows.stop - rows.start, dtype=np.int64) if w_fire is None
-               else uniform_bits(w_fire[rows]))
+               else uniform_bits(w_fire(rows)))
         a_used, b_used, u = settings_a[ia[rows]], settings_b[ib[rows]], u_values[iu[rows]]
         # The flagged particle fires only when its setting lies along +-u.
         fires_a = (c_a == 0) | _along_axis(u, a_used)
         fires_b = (c_a == 1) | _along_axis(u, b_used)
-        sigma, tau = malus_pair((u, noise_a[rows], noise_b[rows]), a_used, b_used)
+        sigma, tau = malus_pair((u, noise_a(rows), noise_b(rows)), a_used, b_used)
         pair = ia[rows] * nb + ib[rows] if n_pairs > 1 else 0
         # Trials without a coincidence go to one extra group, then dropped.
         trial = {"u": u, "a_used": a_used, "b_used": b_used, "sigma": sigma, "tau": tau,
@@ -721,11 +729,11 @@ def run_watch_realization(n_trials: int, model: str, seed: int,
         raise ValueError(f"watch realization model must be pinned or hall, got {model!r}")
     if model == "pinned":
         ent = substream(seed, STREAM_ENTANGLER)
-        wj, wd = ent.uniform(n_trials), ent.uniform(n_trials)  # watch choice j, sign d
-        noise_a = substream(seed, STREAM_A).uniform(n_trials)
-        noise_b = substream(seed, STREAM_B).uniform(n_trials)
+        coins = ent.uniform_rows((2, n_trials))  # watch choice j, sign d
+        noise_a = substream(seed, STREAM_A).uniform_rows(n_trials)
+        noise_b = substream(seed, STREAM_B).uniform_rows(n_trials)
     else:
-        w = substream(seed, STREAM_W0).uniform((4, n_trials))  # see hall_sample
+        w = substream(seed, STREAM_W0).uniform_rows((4, n_trials))  # see hall_sample
 
     def trials(rows):
         t_emit = (start_tick + np.arange(rows.start, rows.stop, dtype=float)) * EMISSION_STEP
@@ -738,12 +746,13 @@ def run_watch_realization(n_trials: int, model: str, seed: int,
             raise WatchDesyncError("station watch reconstruction differs from entangler")
         trial = {"a_used": a_used, "b_used": b_used}
         if model == "pinned":
-            j, d = uniform_bits(wj[rows]), uniform_signs(wd[rows])
+            wj, wd = coins(rows)
+            j, d = uniform_bits(wj), uniform_signs(wd)
             u = d[:, None] * np.where((j == 0)[:, None], z_a, z_b)
-            sigma, tau = malus_pair((u, noise_a[rows], noise_b[rows]), a_used, b_used)
+            sigma, tau = malus_pair((u, noise_a(rows), noise_b(rows)), a_used, b_used)
             trial.update(c=j, d=d)
         else:
-            u = hall_spins(z_a, z_b, w[:, rows])
+            u = hall_spins(z_a, z_b, w(rows))
             sigma, tau = hall_outcomes(u, a_used, b_used)
         return {**trial, "u": u, "sigma": sigma, "tau": tau}
 
@@ -807,6 +816,8 @@ def run_signaling_experiment(message, mode: str, n_trials: int, seed: int,
     """
     if mode not in ("action", "slave-will"):
         raise ValueError(f"mode must be 'action' or 'slave-will', got {mode!r}")
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be at least 1, got {n_trials!r}")
     a = planar_setting(angle_a)
     b = planar_setting(angle_b)
     if abs(float(np.dot(a, b))) > 1e-9:
@@ -818,7 +829,7 @@ def run_signaling_experiment(message, mode: str, n_trials: int, seed: int,
     ent = substream(seed, STREAM_ENTANGLER)
     atom = ent.integers(0, 4, n_trials)  # 0:+a 1:-a 2:+b 3:-b
     n_usable = int(np.count_nonzero(atom < 2))
-    fresh = ent.uniform(n_usable) if mode == "slave-will" else None  # fresh signs
+    fresh = ent.uniform_rows(n_usable) if mode == "slave-will" else None  # fresh signs
 
     def bits(rows):
         sent = message[np.arange(rows.start, rows.stop) % message.size]
@@ -826,7 +837,7 @@ def run_signaling_experiment(message, mode: str, n_trials: int, seed: int,
             # Switch target d*(+-b); action-at-a-distance re-forces u = +-b.
             u_final = np.where((sent == 1)[:, None], -b, b)
         else:
-            u_final = uniform_signs(fresh[rows])[:, None] * b
+            u_final = uniform_signs(fresh(rows))[:, None] * b
         return sent, (sign_outcome(-u_final, b) > 0).astype(np.int64)
     intended, received = gathered(n_usable, bits)
 
@@ -897,14 +908,14 @@ def run_conspiracy_audit(n_trials: int, a, b, mode: str, seed: int) -> AuditResu
         law, dev = res.law, res.singlet_comparison["max_abs_dev"]
     else:
         u_at = sphere_rows(substream(seed, STREAM_ENTANGLER), n_trials)
-        noise_a = substream(seed, STREAM_A).uniform(n_trials)
-        noise_b = substream(seed, STREAM_B).uniform(n_trials)
+        noise_a = substream(seed, STREAM_A).uniform_rows(n_trials)
+        noise_b = substream(seed, STREAM_B).uniform_rows(n_trials)
 
         def honest(rows):
             u = u_at(rows)
             a_used = np.broadcast_to(a, u.shape)
             b_used = np.broadcast_to(b, u.shape)
-            sigma, tau = malus_pair((u, noise_a[rows], noise_b[rows]), a_used, b_used)
+            sigma, tau = malus_pair((u, noise_a(rows), noise_b(rows)), a_used, b_used)
             trial = {"u": u, "a_used": a_used, "b_used": b_used, "sigma": sigma, "tau": tau}
             audit(rows, trial)
             return trial

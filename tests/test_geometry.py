@@ -132,3 +132,63 @@ def test_assert_unit_accepts_unit_vectors_and_rows():
     assert np.array_equal(assert_unit(x), x)
     rows = np.array([x, planar_setting(120.0), [0.0, 0.0, -1.0]])
     assert np.array_equal(assert_unit(rows), rows)
+
+
+def _plain(x):
+    """A generator state with its arrays as lists, so states compare with ==."""
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    return x.tolist() if isinstance(x, np.ndarray) else x
+
+
+# Draws made before the window: none, then odd-length integers calls that
+# leave the window mid-block and a 32-bit half buffered (k = 12,566 is the
+# sphere-fine grid, whose word count depends on the values).
+PRIORS = {
+    "none": lambda s: None,
+    "int2x1": lambda s: s.integers(0, 2, 1),
+    "int12566x3": lambda s: s.integers(0, 12_566, 3),
+    "int20x5+uniform": lambda s: (s.integers(0, 20, 5), s.uniform(1)),
+}
+
+
+@pytest.mark.parametrize("size", [*range(10), 65_535, 65_536, 65_537, (4, 5), (2, 65_537),
+                                  (3, 0)])
+def test_uniform_rows_are_the_whole_draw_in_any_slicing(size):
+    rng = np.random.default_rng(7)
+    n = size if np.ndim(size) == 0 else size[1]
+    starts = set()
+    for offset in range(8):
+        for prior in PRIORS.values():
+            whole_stream, window_stream = RandomStream(17, 2), RandomStream(17, 2)
+            for s in (whole_stream, window_stream):
+                s.uniform(offset)
+                prior(s)
+            state = whole_stream._gen.bit_generator.state
+            starts.add((state["buffer_pos"], state["has_uint32"]))
+            whole = whole_stream.uniform(size)
+            draw = window_stream.uniform_rows(size)
+            # The stream is where the whole draw leaves it, before any row is read.
+            assert window_stream.counter == whole_stream.counter
+            assert (_plain(window_stream._gen.bit_generator.state)
+                    == _plain(whole_stream._gen.bit_generator.state))
+            # Rows in contiguous slices (one of them empty), read in any order.
+            cuts = np.sort(rng.integers(0, n + 1, 4))
+            pieces = [slice(lo, hi) for lo, hi in zip([0, *cuts], [*cuts, n])]
+            for i in rng.permutation(len(pieces)):
+                got = draw(pieces[i])
+                assert got.shape == whole[..., pieces[i]].shape
+                assert got.tobytes() == whole[..., pieces[i]].tobytes()
+            for rows in (slice(None), slice(-3, None), slice(n // 2, n + 5)):
+                assert draw(rows).tobytes() == whole[..., rows].tobytes()
+            # Later draws of either kind go on from the same place.
+            assert whole_stream.uniform(5).tobytes() == window_stream.uniform(5).tobytes()
+            assert whole_stream.integers(0, 9, 5).tolist() == window_stream.integers(0, 9, 5).tolist()
+    # Windows started at every word of a block, with and without a half buffered.
+    assert starts == {(pos, half) for pos in (1, 2, 3, 4) for half in (0, 1)}
+
+
+def test_uniform_rows_read_contiguous_rows_only():
+    draw = RandomStream(18).uniform_rows(10)
+    with pytest.raises(ValueError, match="contiguous"):
+        draw(slice(0, 10, 2))

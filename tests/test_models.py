@@ -361,6 +361,10 @@ class _FixedUniforms:
         assert size == self.w.shape
         return self.w
 
+    def uniform_rows(self, size):
+        assert size == self.w.shape
+        return lambda rows: self.w[..., rows]
+
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_hall_sample_is_the_same_on_row_slices(offset):

@@ -155,6 +155,15 @@ def test_shared_coin_rejects_a_policy_that_is_not_one_unit_vector(policy):
         run_shared_coin(10, seed=14, b_policy=policy)
 
 
+@pytest.mark.parametrize("policy", [[2.0, 0.0, 0.0], "fixed", [math.nan, 0.0, 0.0]])
+@pytest.mark.parametrize("side", ["a_policy", "b_policy"])
+def test_shared_coin_checks_a_fixed_policy_before_any_draw(monkeypatch, side, policy):
+    streams = _recorded_streams(monkeypatch)
+    with pytest.raises(ValueError):
+        run_shared_coin(1000, 1, **{side: policy})
+    assert sum(s.counter for s in streams) == 0
+
+
 # ---------------------------------------------------------------------------
 # Detection loophole
 
@@ -393,6 +402,26 @@ def test_signaling_validation():
         run_signaling_experiment([], "action", 100, seed=28)
     with pytest.raises(ValueError):
         run_signaling_experiment([0, 2], "action", 100, seed=29)
+
+
+def _recorded_streams(monkeypatch):
+    """Every stream the runners make, in order."""
+    streams = []
+
+    def substream(seed, stream_id):
+        streams.append(RandomStream(seed, stream_id))
+        return streams[-1]
+    monkeypatch.setattr(protocols, "substream", substream)
+    return streams
+
+
+@pytest.mark.parametrize("n_trials", [0, -1])
+@pytest.mark.parametrize("mode", ["action", "slave-will"])
+def test_signaling_rejects_fewer_than_one_trial_before_any_draw(monkeypatch, mode, n_trials):
+    streams = _recorded_streams(monkeypatch)
+    with pytest.raises(ValueError, match="n_trials"):
+        run_signaling_experiment([0, 1], mode, n_trials, seed=30)
+    assert sum(s.counter for s in streams) == 0
 
 
 # ---------------------------------------------------------------------------

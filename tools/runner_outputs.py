@@ -19,7 +19,12 @@ because each one writes a transcript. Here, at seeds 5 and 6:
   significant digits, so that a last-bit change shows apart from the rest;
 - estimate_law, sample_outcomes and counterfactual_correlators run for
   every sampling model, and the four public samplers draw once, with the
-  stream counter after each.
+  stream counter after each;
+- every runner at 1,000,003 trials, estimate_law for every sampling model
+  and the four public samplers run once more (names marked ``@mid``) on
+  streams that first draw 3 uniforms and 5 integers in [0, 12,566), so
+  that every window of uniforms starts mid-block, with a 32-bit half of a
+  word buffered.
 
 The script uses the standard library and the checkout's lhvlab only.
 """
@@ -88,29 +93,44 @@ def runners(lhv):
     }
 
 
+def _run_outputs(stem: str, res, record: bool):
+    """(name, value) for every output of one runner's result."""
+    summary = res.summary()
+    if "singlet_deviation" in summary:
+        dev = summary.pop("singlet_deviation")
+        yield f"{stem}/singlet_deviation", dev
+        yield f"{stem}/singlet_deviation.9g", f"{dev:.9g}"
+    yield f"{stem}/summary", summary
+    for part in ("per_setting", "singlet_comparison"):
+        if hasattr(res, part):
+            yield f"{stem}/{part}", getattr(res, part)
+    if hasattr(res, "intended"):
+        yield f"{stem}/bits", (res.intended, res.received)
+    if record:
+        fh = io.StringIO()
+        res.transcripts.to_csv(fh)
+        yield f"{stem}/csv", fh.getvalue()
+
+
 def runner_outputs(lhv, seed: int):
     """(name, value) for every runner output at the given seed."""
     for name, (run, records) in runners(lhv).items():
         for n, record in ((TRIALS, False), (RECORDED_TRIALS, True)):
             if record and not records:
                 continue
-            res = run(n, seed, record)
-            stem = f"{name}/s{seed}/t{n}"
-            summary = res.summary()
-            if "singlet_deviation" in summary:
-                dev = summary.pop("singlet_deviation")
-                yield f"{stem}/singlet_deviation", dev
-                yield f"{stem}/singlet_deviation.9g", f"{dev:.9g}"
-            yield f"{stem}/summary", summary
-            for part in ("per_setting", "singlet_comparison"):
-                if hasattr(res, part):
-                    yield f"{stem}/{part}", getattr(res, part)
-            if hasattr(res, "intended"):
-                yield f"{stem}/bits", (res.intended, res.received)
-            if record:
-                fh = io.StringIO()
-                res.transcripts.to_csv(fh)
-                yield f"{stem}/csv", fh.getvalue()
+            yield from _run_outputs(f"{name}/s{seed}/t{n}", run(n, seed, record), record)
+
+
+def samplers(lhv):
+    """name -> draw(stream) for the four public samplers."""
+    g, m = lhv.geometry, lhv.models
+    a, b = g.planar_setting(0.0), g.planar_setting(75.0)
+    return {
+        "sphere": lambda stream: stream.sphere(TRIALS),
+        "hall_sample": lambda stream: m.hall_sample(a, b, TRIALS, stream),
+        "tb_freewill_sample": lambda stream: m.tb_freewill_sample(a, b, TRIALS, stream),
+        "pinned_spin_sample": lambda stream: m.pinned_spin_sample(a, b, TRIALS, stream),
+    }
 
 
 def model_outputs(lhv, seed: int):
@@ -132,15 +152,42 @@ def model_outputs(lhv, seed: int):
             estimates = q.counterfactual_correlators(model, a, a2, b, b2, TRIALS, stream)
             yield (f"{stem}/counterfactual_correlators",
                    ([e.as_dict() for e in estimates], stream.counter))
-    samplers = {
-        "sphere": lambda stream: stream.sphere(TRIALS),
-        "hall_sample": lambda stream: m.hall_sample(a, b, TRIALS, stream),
-        "tb_freewill_sample": lambda stream: m.tb_freewill_sample(a, b, TRIALS, stream),
-        "pinned_spin_sample": lambda stream: m.pinned_spin_sample(a, b, TRIALS, stream),
-    }
-    for name, draw in samplers.items():
+    for name, draw in samplers(lhv).items():
         stream = g.RandomStream(seed, 4)
         yield f"sampler.{name}/s{seed}/t{TRIALS}", (draw(stream), stream.counter)
+
+
+def mid_block(stream):
+    """stream after 3 uniforms and 5 integers in [0, 12,566): its next
+    uniform reads a word in the middle of a Philox block, and a 32-bit half
+    of a word is buffered."""
+    stream.uniform(3)
+    stream.integers(0, 12_566, 5)
+    return stream
+
+
+def mid_block_outputs(lhv, seed: int):
+    """(name, value) for every runner at TRIALS without a transcript, for
+    estimate_law of every sampling model and for the four public samplers,
+    each stream taken through mid_block first."""
+    g, m, p = lhv.geometry, lhv.models, lhv.protocols
+    made = p.substream
+    p.substream = lambda master_seed, stream_id: mid_block(made(master_seed, stream_id))
+    try:
+        for name, (run, _) in runners(lhv).items():
+            yield from _run_outputs(f"{name}@mid/s{seed}/t{TRIALS}", run(TRIALS, seed, False),
+                                    False)
+    finally:
+        p.substream = made
+    a, b = g.planar_setting(0.0), g.planar_setting(75.0)
+    for model in m.MODEL_IDS:
+        stream = mid_block(g.RandomStream(seed, 1))
+        law = m.estimate_law(model, a, b, TRIALS, stream, p=P.get(model))
+        yield (f"model.{model}@mid/s{seed}/t{TRIALS}/estimate_law",
+               (law.p, law.n_trials, stream.counter))
+    for name, draw in samplers(lhv).items():
+        stream = mid_block(g.RandomStream(seed, 4))
+        yield f"sampler.{name}@mid/s{seed}/t{TRIALS}", (draw(stream), stream.counter)
 
 
 def main(argv=None) -> int:
@@ -153,7 +200,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(src))
     import lhvlab  # loads every module
     for seed in SEEDS:
-        for outputs in (runner_outputs, model_outputs):
+        for outputs in (runner_outputs, model_outputs, mid_block_outputs):
             for name, value in outputs(lhvlab, seed):
                 print(name, _digest(value), flush=True)
     return 0
