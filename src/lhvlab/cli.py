@@ -11,7 +11,8 @@ repeated runs with one seed are byte-identical. Exit status is 0 iff
 every invariant check of the run passed. Bad input exits with one line
 on stderr: status 2 for a bad option value or an ignored option, status 1
 for a malformed or out-of-range number list (--correlators, --marginals,
---tol, --scan) and for a protocol run that cannot finish.
+--tol, --scan), for a protocol run that cannot finish and for an --out or
+--transcript file that cannot be opened.
 """
 
 from __future__ import annotations
@@ -56,9 +57,18 @@ def _round_floats(obj):
     return obj
 
 
+def _open_out(path: str, option: str):
+    """path opened for writing text; one line naming option and path if it
+    cannot be."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise SystemExit(f"{option}: cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with _open_out(out_path, "--out") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -430,7 +440,7 @@ def _cmd_protocol(args) -> int:
     except RuntimeError as exc:  # zero coincidences, or a desynchronised watch
         raise SystemExit(f"{args.name} with {args.trials} trials: {exc}")
     if args.transcript:
-        with open(args.transcript, "w", encoding="utf-8") as fh:
+        with _open_out(args.transcript, "--transcript") as fh:
             res.transcripts.to_csv(fh)
     config = {"name": args.name, "trials": args.trials, "mode": args.mode,
               "delta_omega": args.delta_omega, **options}

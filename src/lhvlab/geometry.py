@@ -55,9 +55,9 @@ def sgn(x):
     return float(out) if out.ndim == 0 else out
 
 
-def streamed(n: int, work):
-    """Yield work(rows) for each slice rows of range(n), _CHUNK_ROWS at a
-    time, in order; one empty slice when n is 0.
+def streamed(n: int, work, rows: int | None = None):
+    """Yield work(chunk) for each slice chunk of range(n), rows (default
+    _CHUNK_ROWS) at a time, in order; one empty slice when n is 0.
 
     work reads the draws of its rows through windows (see
     RandomStream.uniform_rows) and turns them into outcomes, counts and
@@ -69,15 +69,16 @@ def streamed(n: int, work):
     call from inside a chunk runs inline. An exception raised by a chunk
     re-raises as it is.
     """
-    chunks = (slice(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, max(n, 1), _CHUNK_ROWS))
-    if n <= _CHUNK_ROWS or getattr(_worker, "busy", False) or (workers := _workers()) == 1:
+    rows = _CHUNK_ROWS if rows is None else rows
+    chunks = (slice(lo, min(lo + rows, n)) for lo in range(0, max(n, 1), rows))
+    if n <= rows or getattr(_worker, "busy", False) or (workers := _workers()) == 1:
         yield from map(work, chunks)
         return
     executor = _executor(workers)
     pending = deque()
     try:
-        for rows in chunks:
-            pending.append(executor.submit(work, rows))
+        for chunk in chunks:
+            pending.append(executor.submit(work, chunk))
             if len(pending) > 2 * workers:
                 yield pending.popleft().result()
         while pending:

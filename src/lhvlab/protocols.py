@@ -22,6 +22,11 @@ per group over the chunks and folds each chunk's overlaps t into the
 per-group sums in chunk order, so the sums are those of one pass. Only a
 recorded transcript stays whole (``geometry.Columns``); the signaling bits
 are filled by ``geometry.gathered``.
+
+``TranscriptBatch.to_csv`` formats each chunk of rows as one NUL-padded
+byte matrix, every cell built in numpy (the overlaps by a %.9g rule that
+hands any value it cannot prove to ``_fmt``), on the same thread pool, and
+writes the chunks in order.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
 
 import numpy as np
 
@@ -155,29 +159,112 @@ def _fmt(x) -> str:
 # Rows per to_csv write; bounds the writer's transient memory.
 _CSV_CHUNK_ROWS = 1 << 15
 
+# 10**k for k in 0..22, each exact in float64.
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+# y = |x| * 10**k is rounded once, by at most 2**-24 in [1e8, 1e9), so its
+# rint is that of the exact product unless its fraction is this close to 1/2.
+_TIE = 2.0 ** -22
 
-def _cells(x: np.ndarray, shown=None, dense: bool = False) -> list:
-    """[_fmt(v) for v in x], with "" where shown is false, for a bool, int
-    or float column.
 
-    A dense float column is formatted value by value. Any other column
-    formats each distinct value once and looks its cells up; floats are
-    told apart by their bits, so 0.0, -0.0 and NaN keep their own cells.
+def _text_cells(strings) -> np.ndarray:
+    """ASCII strings as the rows of a NUL-padded (len, width) uint8 matrix."""
+    a = np.array(strings, dtype=bytes)
+    return a.view(np.uint8).reshape(len(a), a.itemsize)
+
+
+def _words(strings) -> np.ndarray:
+    """ASCII strings of at most 4 bytes as NUL-padded 4-byte words."""
+    return np.array(strings, dtype="S4").view(np.uint32)
+
+
+def _digit_words() -> tuple:
+    """The 4 decimal digits of each k in 0..9999 as a 4-byte word: all of
+    them; without trailing zeros; without leading zeros (but for k = 0)."""
+    k = np.arange(10_000)[:, None]
+    digits = k // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    shown = (True, k % np.array([10_000, 1000, 100, 10]) > 0, k >= np.array([1000, 100, 10, 0]))
+    return tuple(np.where(s, digits, 0).astype(np.uint8).view(np.uint32)[:, 0] for s in shown)
+
+
+# Cells are built from 4-byte words; NULs may sit anywhere in a cell, as
+# they are dropped. _float_cells' first word is looked up by (sign, integer
+# digit, point) and its second word by (-e, d0).
+_DIGITS4, _TRIMMED4, _PLAIN4 = _digit_words()
+_LEAD = _words([s + str(k) + p for s in ("", "-") for k in range(10) for p in ("", ".")])
+_FIRST = _words([("0" * (z - 1) + str(d) if z else "") for z in range(5) for d in range(10)])
+
+
+def _cells(x: np.ndarray, shown=None) -> np.ndarray:
+    """_text_cells([_fmt(v) for v in x]), with "" where shown is false, for a
+    bool, int or float column.
+
+    Each distinct value is formatted once and its cells are looked up;
+    floats are told apart by their bits, so 0.0, -0.0 and NaN keep their own
+    cells.
     """
     kind = x.dtype.kind
-    if dense and kind == "f" and shown is None:
-        # float(v) then ".9g", as _fmt does; float.__format__ skips the
-        # format-string parsing of "{:.9g}".format.
-        return list(map(float.__format__, x.astype(np.float64, copy=False).tolist(),
-                        repeat(".9g")))
     keys = np.ascontiguousarray(x, dtype=np.float64).view(np.int64) if kind == "f" else x
     distinct, inverse = np.unique(keys, return_inverse=True)
     if kind == "f":
         distinct = distinct.view(np.float64)
-    table = np.array([_fmt(v) for v in distinct] + [""], dtype=object)
+    table = _text_cells([_fmt(v) for v in distinct] + [""])
     if shown is not None:
         inverse = np.where(shown, inverse, len(distinct))
-    return table[inverse].tolist()
+    return table[inverse]
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """_cells of a float column of mostly distinct values, computed in numpy.
+
+    %.9g writes |x| with 9 significant digits d0..d8 and decimal exponent e
+    in fixed notation when -4 <= e <= 8, trailing zeros dropped. Here the
+    digits are those of rint(y), y = |x| * 10**(8 - e) in [1e8, 1e9), for 0
+    and for -4 <= e <= 0 (|x| < 10 covers the overlaps u.x); a carry to 1e9
+    moves e up one. Every other value, and every y within _TIE of a half,
+    goes through _cells. A cell is four 4-byte words: sign, integer digit
+    and point; the zeros after the point and d0 (e < 0); d1..d4; d5..d8.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    ax = np.abs(x)
+    near = (ax >= 1e-5) & (ax < 10.0)  # false for NaN
+    a = np.where(near, ax, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    y = a * _POW10[8 - e]
+    e += (y >= 1e9).astype(np.int64) - (y < 1e8)  # log10 rounded across a power of ten
+    y = a * _POW10[8 - e]
+    r = np.rint(y).astype(np.int64)
+    carry = r == 10 ** 9
+    e = np.where(near, e + carry, 0)
+    r = np.where(near, np.where(carry, 10 ** 8, r), 0)
+    slow = ~(near & (np.abs(y - np.floor(y) - 0.5) >= _TIE) & (e >= -4) & (e <= 0) | (ax == 0))
+
+    d0, mid, low = r // 10 ** 8, r // 10 ** 4 % 10 ** 4, r % 10 ** 4
+    point = (e < 0) | (mid > 0) | (low > 0)
+    out = np.empty((len(x), 4), np.uint32)
+    out[:, 0] = _LEAD.take((np.signbit(x) * 10 + np.where(e < 0, 0, d0)) * 2 + point)
+    out[:, 1] = _FIRST.take(-e * 10 + d0, mode="clip")  # slow rows: e may be out of range
+    out[:, 2] = np.where(low > 0, _DIGITS4.take(mid), _TRIMMED4.take(mid))
+    out[:, 3] = _TRIMMED4.take(low)
+    out = out.view(np.uint8)
+    if slow.any():
+        cells = _cells(x[slow])
+        out[slow] = np.pad(cells, ((0, 0), (0, 16 - cells.shape[1])))
+    return out
+
+
+def _index_cells(lo: int, hi: int) -> np.ndarray:
+    """The trial indices lo..hi-1 in decimal, as _text_cells rows: one 4-byte
+    word per 4 digits, the leading group without its leading zeros and the
+    groups above it empty."""
+    i = np.arange(lo, hi, dtype=np.int64)
+    groups = -(-len(str(max(hi - 1, 0))) // 4)
+    out = np.empty((hi - lo, groups), np.uint32)
+    for k in range(groups):
+        digits = i // 10 ** (4 * k) % 10 ** 4
+        out[:, groups - 1 - k] = np.where(
+            i >= 10 ** (4 * k + 4), _DIGITS4.take(digits),
+            np.where((i >= 10 ** (4 * k)) | (k == 0), _PLAIN4.take(digits), 0))
+    return out.view(np.uint8)
 
 
 class TranscriptBatch:
@@ -242,25 +329,42 @@ class TranscriptBatch:
         )
 
     def to_csv(self, fh) -> None:
-        """Stream one row per trial under the fixed header, formatting
-        whole columns of _CSV_CHUNK_ROWS rows at a time (one write each)."""
+        """Stream one row per trial under the fixed header, one write per
+        chunk of _CSV_CHUNK_ROWS rows; the chunks are formatted on the
+        thread pool of geometry.streamed and written in order."""
         fh.write(CSV_HEADER + "\n")
-        ua = self.u_dot_a()
-        ub = self.u_dot_b()
-        for lo in range(0, self.n, _CSV_CHUNK_ROWS):
-            rows = slice(lo, min(lo + _CSV_CHUNK_ROWS, self.n))
-            m = rows.stop - lo
-            cols = [
-                map(str, range(lo, rows.stop)), [self.model] * m,
-                [""] * m if self.c is None else _cells(self.c[rows]),
-                [""] * m if self.d is None else _cells(self.d[rows]),
-                _cells(ua[rows], dense=True), _cells(ub[rows], dense=True),
-                _cells(self.sigma[rows], self.detected_a[rows]),
-                _cells(self.tau[rows], self.detected_b[rows]),
-                _cells(self.detected_a[rows]), _cells(self.detected_b[rows]),
-                _cells(self.bits_a_to_b[rows]), _cells(self.bits_b_to_a[rows]),
-            ]
-            fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+        for text in streamed(self.n, self._csv_rows, _CSV_CHUNK_ROWS):
+            fh.write(text)
+
+    def _csv_rows(self, rows) -> str:
+        """The CSV rows of the trials in the slice rows.
+
+        Every column's cells are NUL-padded byte rows (no cell holds a NUL),
+        laid side by side in one matrix with ',' between them and a newline
+        at the end of each row; dropping the NULs leaves the text.
+        """
+        m = rows.stop - rows.start
+        empty = np.zeros((1, 0), np.uint8)
+        cols = [
+            _index_cells(rows.start, rows.stop),
+            np.frombuffer(self.model.encode(), np.uint8)[None, :],
+            empty if self.c is None else _cells(self.c[rows]),
+            empty if self.d is None else _cells(self.d[rows]),
+            _float_cells(dot(self.u[rows], self.a_used[rows])),
+            _float_cells(dot(self.u[rows], self.b_used[rows])),
+            _cells(self.sigma[rows], self.detected_a[rows]),
+            _cells(self.tau[rows], self.detected_b[rows]),
+            _cells(self.detected_a[rows]), _cells(self.detected_b[rows]),
+            _cells(self.bits_a_to_b[rows]), _cells(self.bits_b_to_a[rows]),
+        ]
+        mat = np.zeros((m, sum(col.shape[1] + 1 for col in cols)), np.uint8)
+        at = 0
+        for col in cols:
+            mat[:, at:at + col.shape[1]] = col
+            at += col.shape[1] + 1
+            mat[:, at - 1] = ord(",")
+        mat[:, -1] = ord("\n")
+        return mat[mat != 0].tobytes().decode()
 
 
 N_BINS = 12  # overlap bins of the binned singlet comparison

@@ -496,3 +496,19 @@ def test_protocol_config_records_the_settings_read(tmp_path):
         _, one = run_json(tmp_path, "protocol", *first, "--trials", "2000")
         _, two = run_json(tmp_path, "protocol", *second, "--trials", "2000")
         assert one["config"] != two["config"]
+
+
+@pytest.mark.parametrize("option, argv", [
+    ("--transcript", ["protocol", "--name", "tb", "--trials", "1000"]),
+    ("--out", ["law", "--model", "pinned"]),
+    ("--out", ["protocol", "--name", "shared-coin", "--trials", "1000"]),
+])
+def test_unwritable_output_path_fails_in_one_line(tmp_path, option, argv):
+    path = str(tmp_path / "missing" / "x.out")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "lhvlab.cli", *argv, option, path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"{option}: ") and path in proc.stderr
