@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -177,6 +178,7 @@ def _words(strings) -> np.ndarray:
     return np.array(strings, dtype="S4").view(np.uint32)
 
 
+@cache  # built by the first transcript written, not at import
 def _digit_words() -> tuple:
     """The 4 decimal digits of each k in 0..9999 as a 4-byte word: all of
     them; without trailing zeros; without leading zeros (but for k = 0)."""
@@ -189,7 +191,6 @@ def _digit_words() -> tuple:
 # Cells are built from 4-byte words; NULs may sit anywhere in a cell, as
 # they are dropped. _float_cells' first word is looked up by (sign, integer
 # digit, point) and its second word by (-e, d0).
-_DIGITS4, _TRIMMED4, _PLAIN4 = _digit_words()
 _LEAD = _words([s + str(k) + p for s in ("", "-") for k in range(10) for p in ("", ".")])
 _FIRST = _words([("0" * (z - 1) + str(d) if z else "") for z in range(5) for d in range(10)])
 
@@ -243,8 +244,9 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     out = np.empty((len(x), 4), np.uint32)
     out[:, 0] = _LEAD.take((np.signbit(x) * 10 + np.where(e < 0, 0, d0)) * 2 + point)
     out[:, 1] = _FIRST.take(-e * 10 + d0, mode="clip")  # slow rows: e may be out of range
-    out[:, 2] = np.where(low > 0, _DIGITS4.take(mid), _TRIMMED4.take(mid))
-    out[:, 3] = _TRIMMED4.take(low)
+    digits4, trimmed4, _ = _digit_words()
+    out[:, 2] = np.where(low > 0, digits4.take(mid), trimmed4.take(mid))
+    out[:, 3] = trimmed4.take(low)
     out = out.view(np.uint8)
     if slow.any():
         cells = _cells(x[slow])
@@ -259,11 +261,12 @@ def _index_cells(lo: int, hi: int) -> np.ndarray:
     i = np.arange(lo, hi, dtype=np.int64)
     groups = -(-len(str(max(hi - 1, 0))) // 4)
     out = np.empty((hi - lo, groups), np.uint32)
+    digits4, _, plain4 = _digit_words()
     for k in range(groups):
         digits = i // 10 ** (4 * k) % 10 ** 4
         out[:, groups - 1 - k] = np.where(
-            i >= 10 ** (4 * k + 4), _DIGITS4.take(digits),
-            np.where((i >= 10 ** (4 * k)) | (k == 0), _PLAIN4.take(digits), 0))
+            i >= 10 ** (4 * k + 4), digits4.take(digits),
+            np.where((i >= 10 ** (4 * k)) | (k == 0), plain4.take(digits), 0))
     return out.view(np.uint8)
 
 
