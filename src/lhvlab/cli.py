@@ -12,7 +12,9 @@ every invariant check of the run passed. Bad input exits with one line
 on stderr: status 2 for a bad option value or an ignored option, status 1
 for a malformed or out-of-range number list (--correlators, --marginals,
 --tol, --scan), for a protocol run that cannot finish and for an --out or
---transcript file that cannot be opened.
+--transcript file that cannot be opened. Both files are opened before the
+run, so an unwritable path fails before any draw, and a run that fails
+removes them: it leaves no partial transcript and no report.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 from functools import cache, partial
 
@@ -66,12 +70,33 @@ def _open_out(path: str, option: str):
         raise SystemExit(f"{option}: cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _write(text: str, out_path: str | None) -> None:
-    if out_path:
-        with _open_out(out_path, "--out") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+@contextmanager
+def _opened(args):
+    """Open the run's --transcript and --out files, in that order, in place
+    of their paths on args. If the run raises, each file whose path names
+    a regular file itself (not a device, a pipe or a link such as
+    /dev/stdout) is removed before the exception goes on."""
+    files = []
+    try:
+        for option in ("transcript", "out"):
+            if getattr(args, option, None):
+                files.append(_open_out(getattr(args, option), f"--{option}"))
+                setattr(args, option, files[-1])
+        yield
+    except BaseException:
+        for fh in files:
+            with suppress(OSError):
+                st = os.lstat(fh.name)
+                if stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.fstat(fh.fileno())):
+                    os.remove(fh.name)
+        raise
+    finally:
+        for fh in files:
+            fh.close()
+
+
+def _write(text: str, out) -> None:
+    (out or sys.stdout).write(text)
 
 
 def _check(name: str, passed: bool, detail: str = "") -> dict:
@@ -436,12 +461,10 @@ def _cmd_protocol(args) -> int:
     values = dict(vars(args), a=_setting(args, "a", 0.0), b=_setting(args, "b", 60.0))
     options = {opt: values[opt] for opt in reads}
     try:
-        res = run(args.trials, seed=args.seed, record=bool(args.transcript), **options)
+        # The runner writes the transcript to the open file as it runs.
+        res = run(args.trials, seed=args.seed, record=args.transcript or False, **options)
     except RuntimeError as exc:  # zero coincidences, or a desynchronised watch
         raise SystemExit(f"{args.name} with {args.trials} trials: {exc}")
-    if args.transcript:
-        with _open_out(args.transcript, "--transcript") as fh:
-            res.transcripts.to_csv(fh)
     config = {"name": args.name, "trials": args.trials, "mode": args.mode,
               "delta_omega": args.delta_omega, **options}
     return _finish(args, config, res.summary(), checks(res))
@@ -510,7 +533,8 @@ def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
-    return _COMMANDS[args.command](args)
+    with _opened(args):
+        return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

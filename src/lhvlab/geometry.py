@@ -262,6 +262,28 @@ class RandomStream:
         self._count(size)
         return self._gen.integers(low, high, size=size)
 
+    def integer_pieces(self, low: int, high: int, n: int):
+        """Yield the draws of integers(low, high, n) in order, in pieces of
+        at most _CHUNK_ROWS.
+
+        Generator.integers keeps a buffered 32-bit half in the bit
+        generator's state, not in the call, so consecutive calls give the
+        values, the state and the counter of one whole call. Each piece is
+        drawn when it is asked for: take them all before the next draw.
+        """
+        for lo in range(0, n, _CHUNK_ROWS):
+            yield self.integers(low, high, min(_CHUNK_ROWS, n - lo))
+
+    def indices(self, k: int, n: int) -> np.ndarray:
+        """integers(0, k, n), the same values and stream state, stored in the
+        narrowest unsigned dtype that holds k - 1 (uint8 up to k = 256)."""
+        out = np.empty(n, np.min_scalar_type(k - 1))
+        at = 0
+        for piece in self.integer_pieces(0, k, n):
+            out[at:at + len(piece)] = piece
+            at += len(piece)
+        return out
+
     def sphere(self, size=None):
         """Uniform unit vectors on the sphere; see sample_uniform_sphere."""
         return sample_uniform_sphere(self, size)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .exactlp import _integer_scaled, feasible_point
 from .geometry import RandomStream, gathered
-from .models import JointLaw2x2, analytic_law, model_spec, sample_outcomes
+from .models import JointLaw2x2, _sampled, analytic_law, model_spec
 
 BELL_BOUND = 2.0
 CIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -64,13 +64,22 @@ def correlator(source) -> CorrelatorEstimate:
 
 
 def _product_correlator(prod) -> CorrelatorEstimate:
-    """Mean and standard error of the per-trial products sigma*tau."""
+    """Mean and standard error of the per-trial products sigma*tau.
+
+    The products are summed as one contiguous float64 column whatever their
+    dtype, so an int8 column gives the bits of its float64 values."""
     n = prod.size
     if n == 0:
         raise ValueError("cannot estimate a correlator from zero trials")
+    prod = np.ascontiguousarray(prod, dtype=np.float64)
     value = float(prod.mean())
     se = float(prod.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return CorrelatorEstimate(value, se, n)
+
+
+def _products(sigma, tau) -> np.ndarray:
+    """The per-trial products of +-1 outcomes, stored as int8."""
+    return np.multiply(sigma, tau).astype(np.int8)
 
 
 @dataclass
@@ -122,9 +131,12 @@ def chsh_analytic(model_id: str, a, a2, b, b2, p: float | None = None) -> ChshRe
 
 def chsh_mc(model_id: str, a, a2, b, b2, n: int, stream: RandomStream,
             p: float | None = None) -> ChshReport:
-    """CHSH from n Monte Carlo trials per setting pair."""
-    cs = [correlator(sample_outcomes(model_id, x, y, n, stream, p=p))
-          for x, y in ((a, b), (a2, b), (a, b2), (a2, b2))]
+    """CHSH from n Monte Carlo trials per setting pair, each pair drawn in
+    turn and kept only as its int8 products."""
+    def products(x, y):
+        outcomes = _sampled(model_id, x, y, n, stream, p)
+        return gathered(n, lambda rows: (_products(*outcomes(rows)),))[0]
+    cs = [_product_correlator(products(x, y)) for x, y in ((a, b), (a2, b), (a, b2), (a2, b2))]
     return chsh_from_correlators(*cs, settings=_settings_dict(a, a2, b, b2))
 
 
@@ -328,7 +340,7 @@ def counterfactual_correlators(model_id: str, a, a2, b, b2, n: int,
 
     def products(rows):
         h = hidden(rows)
-        return [np.multiply(*spec.outcomes(h, x, y)) for x, y in pairs]
+        return [_products(*spec.outcomes(h, x, y)) for x, y in pairs]
     return tuple(map(_product_correlator, gathered(n, products)))
 
 

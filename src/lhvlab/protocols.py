@@ -15,18 +15,22 @@ communication-assisted.
 
 Every runner reserves its draws whole and in a fixed order first, then
 runs the per-trial rules chunk by chunk, each chunk reading its own
-windows of the uniforms (``RandomStream.uniform_rows``); only ``integers``
-draws, whose word count depends on their values, are made whole. Every run
-that counts outcome pairs does so in ``_tally``, which sums integer counts
-per group over the chunks and folds each chunk's overlaps t into the
-per-group sums in chunk order, so the sums are those of one pass. Only a
-recorded transcript stays whole (``geometry.Columns``); the signaling bits
-are filled by ``geometry.gathered``.
+windows of the uniforms (``RandomStream.uniform_rows``). ``integers``
+draws, whose word count depends on their values, are made in order, piece
+by piece: detection keeps its index draws in the narrowest unsigned dtype
+(``RandomStream.indices``), and the signaling run only counts its atoms.
+Every run that counts outcome pairs does so in ``_tally``, which sums
+integer counts per group over the chunks and folds each chunk's overlaps t
+into the per-group sums in chunk order, so the sums are those of one pass.
 
-``TranscriptBatch.to_csv`` formats each chunk of rows as one NUL-padded
-byte matrix, every cell built in numpy (the overlaps by a %.9g rule that
-hands any value it cannot prove to ``_fmt``), on the same thread pool, and
-writes the chunks in order.
+A runner's ``record`` is False, True or an open text file. With a file,
+each chunk formats its own CSV rows and ``_tally`` writes them in trial
+order, so nothing whole-length is kept; with True the run keeps a
+``TranscriptBatch`` of whole columns (``geometry.Columns``), whose
+``to_csv`` writes the same bytes. Both go through ``_csv_rows``, which
+lays out a chunk of rows as one NUL-padded byte matrix, every cell built
+in numpy (the overlaps by a %.9g rule that hands any value it cannot prove
+to ``_fmt``). The signaling bits are filled by ``geometry.gathered``.
 """
 
 from __future__ import annotations
@@ -65,6 +69,9 @@ STREAM_SHARED_AB = 3
 STREAM_W0 = 4
 
 CSV_HEADER = "trial_index,model,c,d,u_dot_a,u_dot_b,sigma,tau,detA,detB,bitsAB,bitsBA"
+# The per-trial columns _csv_rows reads.
+_CSV_COLUMNS = ("u", "a_used", "b_used", "sigma", "tau", "c", "d", "detected_a", "detected_b",
+                "bits_a_to_b", "bits_b_to_a")
 
 
 class WatchDesyncError(RuntimeError):
@@ -199,15 +206,21 @@ def _cells(x: np.ndarray, shown=None) -> np.ndarray:
     """_text_cells([_fmt(v) for v in x]), with "" where shown is false, for a
     bool, int or float column.
 
-    Each distinct value is formatted once and its cells are looked up;
-    floats are told apart by their bits, so 0.0, -0.0 and NaN keep their own
-    cells.
+    A broadcast or all-equal column is formatted once, without a sort; in
+    any other column each distinct value is formatted once and its cells are
+    looked up. Floats are told apart by their bits, so 0.0, -0.0 and NaN
+    keep their own cells.
     """
     kind = x.dtype.kind
-    keys = np.ascontiguousarray(x, dtype=np.float64).view(np.int64) if kind == "f" else x
-    distinct, inverse = np.unique(keys, return_inverse=True)
+    keys = x[:1] if len(x) and x.strides[0] == 0 else x  # one row of a broadcast column
     if kind == "f":
-        distinct = distinct.view(np.float64)
+        keys = np.ascontiguousarray(keys, dtype=np.float64).view(np.int64)
+    if len(x) and (keys == keys[0]).all():
+        distinct, inverse = x[:1], np.zeros(len(x), np.intp)
+    else:
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        if kind == "f":
+            distinct = distinct.view(np.float64)
     table = _text_cells([_fmt(v) for v in distinct] + [""])
     if shown is not None:
         inverse = np.where(shown, inverse, len(distinct))
@@ -268,6 +281,46 @@ def _index_cells(lo: int, hi: int) -> np.ndarray:
             i >= 10 ** (4 * k + 4), digits4.take(digits),
             np.where((i >= 10 ** (4 * k)) | (k == 0), plain4.take(digits), 0))
     return out.view(np.uint8)
+
+
+def _csv_rows(model: str, start: int, cols) -> str:
+    """The CSV rows of the trials start, start + 1, ... of a run of model,
+    from their columns cols: u, a_used and b_used (a row per trial, or one
+    vector for all), sigma, tau and any of c, d, detected_a, detected_b
+    (default true), bits_a_to_b and bits_b_to_a (default 0), the last four
+    a value per trial or one for all. Other entries of cols are not read.
+
+    Every column's cells are NUL-padded byte rows (no cell holds a NUL),
+    laid side by side in one matrix with ',' between them and a newline at
+    the end of each row; dropping the NULs leaves the text.
+    """
+    u = cols["u"]
+    m = len(u)
+
+    def each(name, default):
+        return np.broadcast_to(cols.get(name, default), (m,))
+    shown_a, shown_b = each("detected_a", True), each("detected_b", True)
+    c, d = cols.get("c"), cols.get("d")
+    empty = np.zeros((1, 0), np.uint8)
+    parts = [
+        _index_cells(start, start + m),
+        np.frombuffer(model.encode(), np.uint8)[None, :],
+        empty if c is None else _cells(c),
+        empty if d is None else _cells(d),
+        _float_cells(dot(u, cols["a_used"])),
+        _float_cells(dot(u, cols["b_used"])),
+        _cells(cols["sigma"], shown_a), _cells(cols["tau"], shown_b),
+        _cells(shown_a), _cells(shown_b),
+        _cells(each("bits_a_to_b", 0)), _cells(each("bits_b_to_a", 0)),
+    ]
+    mat = np.zeros((m, sum(part.shape[1] + 1 for part in parts)), np.uint8)
+    at = 0
+    for part in parts:
+        mat[:, at:at + part.shape[1]] = part
+        at += part.shape[1] + 1
+        mat[:, at - 1] = ord(",")
+    mat[:, -1] = ord("\n")
+    return mat[mat != 0].tobytes().decode()
 
 
 class TranscriptBatch:
@@ -333,41 +386,15 @@ class TranscriptBatch:
 
     def to_csv(self, fh) -> None:
         """Stream one row per trial under the fixed header, one write per
-        chunk of _CSV_CHUNK_ROWS rows; the chunks are formatted on the
-        thread pool of geometry.streamed and written in order."""
+        chunk of _CSV_CHUNK_ROWS rows; the chunks are formatted by _csv_rows
+        on the thread pool of geometry.streamed and written in order."""
         fh.write(CSV_HEADER + "\n")
-        for text in streamed(self.n, self._csv_rows, _CSV_CHUNK_ROWS):
+        for text in streamed(self.n, self._csv_chunk, _CSV_CHUNK_ROWS):
             fh.write(text)
 
-    def _csv_rows(self, rows) -> str:
-        """The CSV rows of the trials in the slice rows.
-
-        Every column's cells are NUL-padded byte rows (no cell holds a NUL),
-        laid side by side in one matrix with ',' between them and a newline
-        at the end of each row; dropping the NULs leaves the text.
-        """
-        m = rows.stop - rows.start
-        empty = np.zeros((1, 0), np.uint8)
-        cols = [
-            _index_cells(rows.start, rows.stop),
-            np.frombuffer(self.model.encode(), np.uint8)[None, :],
-            empty if self.c is None else _cells(self.c[rows]),
-            empty if self.d is None else _cells(self.d[rows]),
-            _float_cells(dot(self.u[rows], self.a_used[rows])),
-            _float_cells(dot(self.u[rows], self.b_used[rows])),
-            _cells(self.sigma[rows], self.detected_a[rows]),
-            _cells(self.tau[rows], self.detected_b[rows]),
-            _cells(self.detected_a[rows]), _cells(self.detected_b[rows]),
-            _cells(self.bits_a_to_b[rows]), _cells(self.bits_b_to_a[rows]),
-        ]
-        mat = np.zeros((m, sum(col.shape[1] + 1 for col in cols)), np.uint8)
-        at = 0
-        for col in cols:
-            mat[:, at:at + col.shape[1]] = col
-            at += col.shape[1] + 1
-            mat[:, at - 1] = ord(",")
-        mat[:, -1] = ord("\n")
-        return mat[mat != 0].tobytes().decode()
+    def _csv_chunk(self, rows) -> str:
+        return _csv_rows(self.model, rows.start, {
+            k: x[rows] for k in _CSV_COLUMNS if (x := getattr(self, k)) is not None})
 
 
 N_BINS = 12  # overlap bins of the binned singlet comparison
@@ -446,30 +473,40 @@ class ProtocolResult:
         return out
 
 
-def _tally(n: int, record: bool, trials, n_groups: int = 1):
+def _tally(n: int, record, trials, n_groups: int = 1, model: str = "", **fixed):
     """The chunk loop of every run that counts outcome pairs.
 
     trials(rows) gives the columns of the trials in the slice rows: sigma,
     tau, optionally each trial's group (default 0) and overlap t, and the
-    transcript's other columns. Returns the (n_groups, 2, 2) counts, the
-    per-group sums of t (None without t) and, if record, the full-length
-    transcript columns, with the partner spin v = -u unless trials gives v.
-    The chunks' overlaps are added in trial order as the chunks complete,
-    so the sums are bit for bit those of one np.bincount pass.
+    transcript's other columns; fixed gives the columns that hold one value
+    on every trial. Returns the (n_groups, 2, 2) counts, the per-group sums
+    of t (None without t) and, if record is True, the full-length transcript
+    columns (else None), with the partner spin v = -u unless trials gives v.
+    If record is a file, the transcript CSV of model is written to it
+    instead: each chunk formats its own rows (_csv_rows) and the chunks are
+    written in trial order. A recording run takes _CSV_CHUNK_ROWS rows per
+    chunk. The chunks' overlaps are added in trial order as the chunks
+    complete, so the sums are bit for bit those of one np.bincount pass.
     """
-    columns = Columns(n)
+    to_file = hasattr(record, "write")
+    columns = Columns(n) if record and not to_file else None
 
     def work(rows):
         trial = trials(rows)
         group, t = trial.pop("group", 0), trial.pop("t", None)
-        if record:
+        text = _csv_rows(model, rows.start, {**fixed, **trial}) if to_file else ""
+        if columns is not None:
             if "v" not in trial:
                 trial["v"] = -trial["u"]
             columns.put(rows, trial)
-        return outcome_counts(trial["sigma"], trial["tau"], group, n_groups), group, t
+        return outcome_counts(trial["sigma"], trial["tau"], group, n_groups), group, t, text
 
+    if to_file:
+        record.write(CSV_HEADER + "\n")
     counts, t_sums = 0, None
-    for chunk_counts, group, t in streamed(n, work):
+    for chunk_counts, group, t, text in streamed(n, work, _CSV_CHUNK_ROWS if record else None):
+        if to_file:
+            record.write(text)
         counts = counts + chunk_counts
         if t is not None:
             t_sums = np.zeros(n_groups) if t_sums is None else t_sums
@@ -477,7 +514,7 @@ def _tally(n: int, record: bool, trials, n_groups: int = 1):
     return counts, t_sums, columns
 
 
-def _protocol_run(model: str, causal_mode: CausalMode, n: int, record: bool, trials,
+def _protocol_run(model: str, causal_mode: CausalMode, n: int, record, trials,
                   bits_a_to_b: int = 0, shared_draws: int = 0, **fixed) -> ProtocolResult:
     """The tally and result of every ProtocolResult run.
 
@@ -485,9 +522,10 @@ def _protocol_run(model: str, causal_mode: CausalMode, n: int, record: bool, tri
     rows: u, sigma, tau, and any of the transcript's other columns; fixed
     gives the columns that hold one vector on every trial. Without a fixed
     a_used the settings vary per trial, and the run is compared with the
-    singlet law in overlap bins. The transcript, if recorded, has the
-    partner spin v = -u unless trials gives v. bits_a_to_b is the A->B
-    meter and shared_draws the station-to-station draws, per trial.
+    singlet law in overlap bins. record is False, True (the result keeps
+    the transcript, with the partner spin v = -u unless trials gives v) or
+    a file the transcript CSV is written to (see _tally). bits_a_to_b is the
+    A->B meter and shared_draws the station-to-station draws, per trial.
     """
     binned = "a_used" not in fixed
 
@@ -498,14 +536,15 @@ def _protocol_run(model: str, causal_mode: CausalMode, n: int, record: bool, tri
         return trial
 
     counts, t_sums, columns = _tally(n, record, binned_trials if binned else trials,
-                                     N_BINS if binned else 1)
+                                     N_BINS if binned else 1, model, **fixed,
+                                     bits_a_to_b=bits_a_to_b)
     comparison = deviation_from_binned_counts(counts, t_sums) if binned else None
     channels = ChannelLedger(n)
     if bits_a_to_b:
         channels.send(PartyRole.STATION_A, PartyRole.STATION_B, bits_a_to_b)
     transcripts = TranscriptBatch(model, causal_mode, **fixed, **columns,
                                   bits_a_to_b=bits_a_to_b,
-                                  shared_draws=shared_draws) if record else None
+                                  shared_draws=shared_draws) if columns is not None else None
     return ProtocolResult(model, n, JointLaw2x2.from_counts(counts.sum(0)), channels,
                           causal_mode, shared_draws_total=shared_draws * n,
                           transcripts=transcripts, singlet_comparison=comparison)
@@ -534,7 +573,7 @@ def _policy(policy):
 # One-bit communication protocol
 
 
-def run_tb_protocol(n_trials: int, a, b, seed: int, record: bool = True) -> ProtocolResult:
+def run_tb_protocol(n_trials: int, a, b, seed: int, record=True) -> ProtocolResult:
     """Shared uniform (u, v) from the entangler; station A computes sigma
     and a single bit that crosses the A->B channel every trial; station B
     combines the bit with its shared hidden variables.
@@ -544,7 +583,7 @@ def run_tb_protocol(n_trials: int, a, b, seed: int, record: bool = True) -> Prot
     return _run_one_bit("tb", 1, n_trials, a, b, seed, record)
 
 
-def run_tb_freewill(n_trials: int, a, b, seed: int, record: bool = True) -> ProtocolResult:
+def run_tb_freewill(n_trials: int, a, b, seed: int, record=True) -> ProtocolResult:
     """Constrained-choice reading of the one-bit protocol: the bit is a
     hidden variable and station A's setting must satisfy
     c = sgn(u.a) sgn(v.a); no station-to-station channel carries anything.
@@ -556,7 +595,7 @@ def run_tb_freewill(n_trials: int, a, b, seed: int, record: bool = True) -> Prot
 
 
 def _run_one_bit(model: str, bits_a_to_b: int, n_trials: int, a, b, seed: int,
-                 record: bool) -> ProtocolResult:
+                 record) -> ProtocolResult:
     a = assert_unit(a, "a")
     b = assert_unit(b, "b")
     ent = substream(seed, STREAM_ENTANGLER)
@@ -579,7 +618,7 @@ def _run_one_bit(model: str, bits_a_to_b: int, n_trials: int, a, b, seed: int,
 
 
 def run_shared_coin(n_trials: int, seed: int, a_policy="random",
-                              b_policy="random", record: bool = True) -> ProtocolResult:
+                              b_policy="random", record=True) -> ProtocolResult:
     """Stations hold identical pseudo-random streams producing coins
     (c, d) each trial. When c = 0, station A orients along d*u and
     station B chooses freely; when c = 1 the roles reverse. Outcomes are
@@ -589,7 +628,7 @@ def run_shared_coin(n_trials: int, seed: int, a_policy="random",
     return _shared_coin(n_trials, seed, a_policy, b_policy, record)
 
 
-def _shared_coin(n_trials: int, seed: int, a_policy, b_policy, record: bool,
+def _shared_coin(n_trials: int, seed: int, a_policy, b_policy, record,
                  each_chunk=None) -> ProtocolResult:
     """run_shared_coin, calling each_chunk(rows, trial) with the columns of
     every chunk of trials if given."""
@@ -672,7 +711,7 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
                            settings_a=None, settings_b=None,
                            delta_omega: float | None = None,
                            n_directions: int | None = None,
-                           record: bool = False) -> EfficiencyReport:
+                           record=False) -> EfficiencyReport:
     """Each particle carries a bit and a hidden spin; the particle whose
     bit is set fires only when its station's setting coincides with the
     spin axis, the other behaves as a plain Malus detector.
@@ -711,9 +750,9 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
     sb = substream(seed, STREAM_B)
     # Side A always fires in asymmetric mode; otherwise the firing bit is a coin.
     w_fire = None if mode == "asymmetric" else ent.uniform_rows(n_trials)
-    ia = sa.integers(0, len(settings_a), n_trials)
-    ib = sb.integers(0, len(settings_b), n_trials)
-    iu = ent.integers(0, len(u_values), n_trials)
+    ia = sa.indices(len(settings_a), n_trials)
+    ib = sb.indices(len(settings_b), n_trials)
+    iu = ent.indices(len(u_values), n_trials)
     noise_a, noise_b = sa.uniform_rows(n_trials), sb.uniform_rows(n_trials)
     # Symmetric and asymmetric modes count coincidences per setting pair
     # k = i * len(settings_b) + j; sphere mode counts them in one group and
@@ -729,7 +768,8 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
         fires_a = (c_a == 0) | _along_axis(u, a_used)
         fires_b = (c_a == 1) | _along_axis(u, b_used)
         sigma, tau = malus_pair((u, noise_a(rows), noise_b(rows)), a_used, b_used)
-        pair = ia[rows] * nb + ib[rows] if n_pairs > 1 else 0
+        # The indices are stored narrow; int64 keeps the pair from wrapping.
+        pair = ia[rows].astype(np.int64) * nb + ib[rows] if n_pairs > 1 else 0
         # Trials without a coincidence go to one extra group, then dropped.
         trial = {"u": u, "a_used": a_used, "b_used": b_used, "sigma": sigma, "tau": tau,
                  "c": c_a, "detected_a": fires_a, "detected_b": fires_b,
@@ -738,7 +778,8 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
             trial["t"] = dot(a_used, b_used)
         return trial
 
-    counts, t_sums, columns = _tally(n_trials, record, trials, n_pairs + 1)
+    model = f"detection-{mode}"
+    counts, t_sums, columns = _tally(n_trials, record, trials, n_pairs + 1, model)
     pair_counts = counts[:n_pairs]
     expected_eff = 2.0 / len(u_values)
 
@@ -765,8 +806,8 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
         # linear in a.b, so this is the mean of the per-trial entries.
         dev = deviation_from_binned_counts(pair_counts, t_sums[:1])["max_abs_dev"]
 
-    transcripts = TranscriptBatch(f"detection-{mode}", CausalMode.SETTINGS_CAUSE_LAMBDA,
-                                  **columns) if record else None
+    transcripts = TranscriptBatch(model, CausalMode.SETTINGS_CAUSE_LAMBDA,
+                                  **columns) if columns is not None else None
     return EfficiencyReport(
         mode=mode,
         n_pairs=n_trials,
@@ -821,7 +862,7 @@ def station_watch_vectors(arrival_times, watch: Watch) -> np.ndarray:
 
 
 def run_watch_realization(n_trials: int, model: str, seed: int,
-                          record: bool = True, start_tick: int = 0) -> ProtocolResult:
+                          record=True, start_tick: int = 0) -> ProtocolResult:
     """Entangler and stations hold synchronized watches; the per-trial
     settings are the watch vectors, so no station-to-station shared
     randomness exists (each station shares state only with the entangler).
@@ -865,7 +906,7 @@ def run_watch_realization(n_trials: int, model: str, seed: int,
 
     res = _protocol_run(f"watch-{model}", CausalMode.LAMBDA_CAUSES_SETTINGS, n_trials, record,
                         trials)
-    if record:  # the watch vectors are the requested settings too
+    if res.transcripts is not None:  # the watch vectors are the requested settings too
         tr = res.transcripts
         tr.a_requested, tr.b_requested = tr.a_used, tr.b_used
     return res
@@ -934,8 +975,8 @@ def run_signaling_experiment(message, mode: str, n_trials: int, seed: int,
         raise ValueError("message must be a nonempty bit sequence")
 
     ent = substream(seed, STREAM_ENTANGLER)
-    atom = ent.integers(0, 4, n_trials)  # 0:+a 1:-a 2:+b 3:-b
-    n_usable = int(np.count_nonzero(atom < 2))
+    # The atoms 0:+a 1:-a 2:+b 3:-b, drawn and counted piece by piece.
+    n_usable = sum(int(np.count_nonzero(atom < 2)) for atom in ent.integer_pieces(0, 4, n_trials))
     fresh = ent.uniform_rows(n_usable) if mode == "slave-will" else None  # fresh signs
 
     def bits(rows):

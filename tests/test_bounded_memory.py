@@ -1,16 +1,23 @@
-"""Monte Carlo runs without a transcript take bounded memory: each chunk
-reads its own windows of the draws and the overlap sums are folded chunk by
-chunk, so the tracemalloc peak at 4n trials stays within 1.25 times the
-peak at n. The runs use 2,048-row chunks on 2 threads, so that n = 32,768
-is already 16 chunks and the test stays quick. How far the two threads'
-chunks overlap is chance, so the peak at n is the larger of two runs. The
-transcript writer is held to the same bound at its own chunk size."""
+"""Monte Carlo runs take bounded memory: each chunk reads its own windows
+of the draws and the overlap sums are folded chunk by chunk, so the
+tracemalloc peak at 4n trials stays within 1.25 times the peak at n. The
+runs use 2,048-row chunks on 2 threads, so that n = 32,768 is already 16
+chunks and the test stays quick. How far the two threads' chunks overlap is
+chance, so the peak at n is the larger of two runs. The CLI writes a
+transcript chunk by chunk as the run goes, and is held to the same bound;
+so is the transcript writer of a recorded run, at its own chunk size.
 
+The runs that still keep a whole-length array are held to its stated size
+per trial instead, on one thread, where the chunks run inline and the peak
+does not depend on chance."""
+
+import os
 import tracemalloc
 
 import pytest
 
 from lhvlab import geometry, protocols
+from lhvlab.cli import main
 from lhvlab.geometry import RandomStream, planar_setting
 from lhvlab.models import MODEL_IDS, estimate_law
 
@@ -65,3 +72,60 @@ def test_transcript_writer_memory_does_not_grow_with_rows(monkeypatch):
     peak_small = max(_peak(lambda _: small.to_csv(_Discard()), n) for _ in range(2))
     peak_large = _peak(lambda _: large.to_csv(_Discard()), 4 * n)
     assert peak_large <= 1.25 * peak_small, (peak_small, peak_large)
+
+
+# The detection runs keep their three index draws (setting a, setting b and
+# spin) whole, one byte per trial each.
+CLI_TRANSCRIPTS = {
+    "tb": (["--name", "tb"], 0),
+    "shared-coin": (["--name", "shared-coin"], 0),
+    "watch-pinned": (["--name", "watch-pinned"], 0),
+    "detection-sphere": (["--name", "detection-loophole", "--mode", "sphere",
+                          "--n-directions", "16"], 3),
+}
+
+
+@pytest.mark.parametrize("name", CLI_TRANSCRIPTS)
+def test_cli_transcript_memory_does_not_grow_with_trials(monkeypatch, tmp_path, name):
+    monkeypatch.setattr(geometry, "_CHUNK_ROWS", 1 << 11)
+    monkeypatch.setattr(protocols, "_CSV_CHUNK_ROWS", 1 << 11)
+    monkeypatch.setattr(geometry, "_workers", lambda: 2)
+    argv, per_trial = CLI_TRANSCRIPTS[name]
+
+    def run(n):
+        main(["protocol", *argv, "--trials", str(n), "--seed", "5",
+              "--transcript", str(tmp_path / "transcript.csv"),
+              "--out", str(tmp_path / "report.json")])
+    run(100)  # the parser and the digit tables are built once per process
+    # A chunk's CSV text waits for the writer, so how many chunks are alive
+    # at once varies more here: the peak at 4n is the smaller of two runs.
+    small = max(_peak(run, N) for _ in range(2))
+    large = min(_peak(run, 4 * N) for _ in range(2))
+    assert large - per_trial * 3 * N <= 1.25 * small, (small, large)
+
+
+def _cli(*argv):
+    return lambda n: main([*argv, "--trials", str(n), "--seed", "5", "--out", os.devnull])
+
+
+# Bytes per trial of the whole-length arrays a run keeps at its peak.
+GROWING = {
+    # The three index draws, stored as uint8.
+    **{f"detection-{mode}": (3, lambda n, mode=mode: protocols.run_detection_loophole(
+        n, mode, 5, n_directions=16)) for mode in ("symmetric", "asymmetric", "sphere")},
+    # One setting pair's int8 products, then their float64 copy and the
+    # float64 deviations that std makes.
+    "chsh": (17, _cli("chsh", "--model", "mixed")),
+    # Four int8 product columns, then one float64 copy and its deviations.
+    "feasibility-from-model": (20, _cli("feasibility", "--from-model", "pinned")),
+}
+
+
+@pytest.mark.parametrize("name", GROWING)
+def test_whole_length_arrays_keep_their_stated_size(monkeypatch, name):
+    monkeypatch.setattr(geometry, "_CHUNK_ROWS", 1 << 11)
+    monkeypatch.setattr(geometry, "_workers", lambda: 1)
+    per_trial, run = GROWING[name]
+    run(100)
+    small, large = _peak(run, N), _peak(run, 4 * N)
+    assert large - small <= per_trial * 3 * N + 4096, (small, large)

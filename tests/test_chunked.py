@@ -27,6 +27,7 @@ GRID_B = np.array([planar_setting(30.0), planar_setting(100.0)])
 
 def _chunking(monkeypatch, rows, workers):
     monkeypatch.setattr(geometry, "_CHUNK_ROWS", rows)
+    monkeypatch.setattr(protocols, "_CSV_CHUNK_ROWS", rows)  # the chunks of a recording run
     monkeypatch.setattr(geometry, "_workers", lambda: workers)
 
 

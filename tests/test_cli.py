@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from lhvlab import cli
 from lhvlab.cli import _protocols, build_parser, main
 from lhvlab.models import MODEL_IDS, MODELS
 from lhvlab.protocols import WatchDesyncError
@@ -512,3 +514,66 @@ def test_unwritable_output_path_fails_in_one_line(tmp_path, option, argv):
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"{option}: ") and path in proc.stderr
+
+
+def test_output_paths_are_opened_before_the_run(tmp_path, monkeypatch):
+    # An unwritable path fails before any draw: the runners must not run.
+    def never(*args, **kwargs):
+        raise AssertionError("the run started before its output paths were opened")
+
+    for name in ("run_tb_protocol", "run_shared_coin"):
+        monkeypatch.setattr(cli, name, never)
+    bad = str(tmp_path / "missing" / "x.out")
+    good = tmp_path / "transcript.csv"
+    for option, argv in (("--transcript", ["--name", "tb"]),
+                         ("--out", ["--name", "shared-coin", "--transcript", str(good)])):
+        with pytest.raises(SystemExit) as exc:
+            main(["protocol", *argv, "--trials", "1000", option, bad])
+        assert exc.value.code.startswith(f"{option}: cannot write {bad}: ")
+        assert not good.exists()
+
+
+def test_failed_run_leaves_no_transcript_and_no_report(tmp_path):
+    # The transcript is written while the run goes; a run that then fails
+    # removes it, and the report is never written.
+    transcript, report = tmp_path / "transcript.csv", tmp_path / "report.json"
+    with pytest.raises(SystemExit, match="no coincidences recorded"):
+        main(["protocol", "--name", "detection-loophole", "--mode", "sphere",
+              "--delta-omega", "0.001", "--trials", "1000", "--seed", "11",
+              "--transcript", str(transcript), "--out", str(report)])
+    assert not transcript.exists() and not report.exists()
+
+
+STREAMED_PROTOCOLS = {
+    **{name: ["--name", name]
+       for name in ("tb", "tb-freewill", "shared-coin", "watch-pinned", "watch-hall")},
+    **{f"detection-{mode}": ["--name", "detection-loophole", "--mode", mode]
+       for mode in ("symmetric", "asymmetric")},
+    "detection-sphere": ["--name", "detection-loophole", "--mode", "sphere",
+                         "--n-directions", "16"],
+}
+
+
+@pytest.mark.parametrize("trials", [1, 32_767, 32_769, 65_537, 200_003])
+@pytest.mark.parametrize("argv", STREAMED_PROTOCOLS.values(), ids=STREAMED_PROTOCOLS.keys())
+def test_streamed_transcript_is_the_recorded_one(tmp_path, monkeypatch, argv, trials):
+    # The CLI's transcript is formatted chunk by chunk during the run; the
+    # same run with record=True keeps its columns, and to_csv writes them.
+    recorded = []
+    for name in ("run_tb_protocol", "run_tb_freewill", "run_shared_coin",
+                 "run_detection_loophole", "run_watch_realization"):
+        def run(*args, record, real=getattr(cli, name), **kwargs):
+            recorded.append(real(*args, record=True, **kwargs).transcripts)
+            return real(*args, record=record, **kwargs)
+        monkeypatch.setattr(cli, name, run)
+    path = tmp_path / "transcript.csv"
+    try:
+        main(["protocol", *argv, "--trials", str(trials), "--seed", "3",
+              "--transcript", str(path), "--out", str(tmp_path / "report.json")])
+    except SystemExit as exc:  # a detection run too short for a coincidence
+        assert "no coincidences recorded" in exc.code
+        assert not recorded and not path.exists()
+        return
+    fh = io.StringIO()
+    recorded[0].to_csv(fh)
+    assert path.read_bytes() == fh.getvalue().encode()

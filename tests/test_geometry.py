@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lhvlab import geometry
 from lhvlab.geometry import (RandomStream, assert_unit, normalize, planar_setting,
                              sample_uniform_sphere, sgn, substream,
                              unit_vector)
@@ -192,3 +193,29 @@ def test_uniform_rows_read_contiguous_rows_only():
     draw = RandomStream(18).uniform_rows(10)
     with pytest.raises(ValueError, match="contiguous"):
         draw(slice(0, 10, 2))
+
+
+
+@pytest.mark.parametrize("k", [2, 4, 8, 12_566])
+@pytest.mark.parametrize("prior", PRIORS.values(), ids=PRIORS.keys())
+@pytest.mark.parametrize("rows, n", [(1, 300), (7, 1000), (None, 2 * 65_536 + 3)])
+def test_integer_pieces_are_the_whole_draw(monkeypatch, k, prior, rows, n):
+    # Generator.integers keeps its buffered 32-bit half in the bit generator,
+    # so consecutive pieces (after any of PRIORS, some of which leave a half
+    # buffered) give the whole draw's values, state and counter; indices
+    # keeps the same values in the narrowest unsigned dtype.
+    if rows is not None:
+        monkeypatch.setattr(geometry, "_CHUNK_ROWS", rows)
+    whole_stream, piece_stream, index_stream = streams = [RandomStream(23, 1) for _ in range(3)]
+    for s in streams:
+        prior(s)
+    whole = whole_stream.integers(0, k, n)
+    pieces = list(piece_stream.integer_pieces(0, k, n))
+    indices = index_stream.indices(k, n)
+    assert max(map(len, pieces)) == min(n, geometry._CHUNK_ROWS)
+    assert np.concatenate(pieces).tolist() == whole.tolist()
+    assert indices.dtype == (np.uint8 if k <= 256 else np.uint16)
+    assert indices.tolist() == whole.tolist()
+    for s in (piece_stream, index_stream):
+        assert s.counter == whole_stream.counter
+        assert _plain(s._gen.bit_generator.state) == _plain(whole_stream._gen.bit_generator.state)

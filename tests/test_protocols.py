@@ -277,6 +277,16 @@ def test_detection_per_setting_matches_masked_reference(mode, n, seed, settings_
         assert 0 < len(per_setting) < len(settings_a) * len(settings_b)
 
 
+def test_detection_counts_every_pair_of_twenty_settings_a_side():
+    # 400 setting pairs: the indices are stored as uint8, so a pair number
+    # i * 20 + j worked out in uint8 would wrap at 256 and merge pairs.
+    settings_a = [planar_setting(9.0 * i) for i in range(20)]
+    settings_b = [planar_setting(9.0 * i + 4.5) for i in range(20)]
+    rep = run_detection_loophole(400_000, "symmetric", 43, settings_a, settings_b)
+    assert set(rep.per_setting) == {f"a{i}b{j}" for i in range(20) for j in range(20)}
+    assert sum(entry["n"] for entry in rep.per_setting.values()) == rep.n_coincidences
+
+
 def test_detection_transcript_records_detection_flags():
     rep = run_detection_loophole(5000, "symmetric", seed=19, record=True)
     tr = rep.transcripts

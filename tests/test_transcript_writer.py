@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lhvlab import geometry, protocols
-from lhvlab.protocols import _float_cells, _fmt
+from lhvlab.protocols import _cells, _float_cells, _fmt, _text_cells
 from test_protocols import RUNNERS, reference_csv
 
 
@@ -56,6 +56,40 @@ def test_dense_cells_match_fmt_on_any_float(values):
 @given(st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=50))
 def test_dense_cells_match_fmt_on_overlaps(values):
     assert dense_cells(values) == [_fmt(x) for x in values]
+
+
+CELL_COLUMNS = {
+    "constant-int": np.full(40, 3, np.int64),
+    "broadcast-int": np.broadcast_to(np.int64(1), (40,)),
+    "constant-bool": np.ones(40, bool),
+    "broadcast-bool": np.broadcast_to(True, (40,)),
+    "mixed-int": np.arange(40) % 3 - 1,
+    "constant-float": np.full(40, -1.0),
+    "broadcast-float": np.broadcast_to(0.25, (40,)),
+    "zeros": np.array([0.0, -0.0] * 20),
+    "negative-zero": np.full(40, -0.0),
+    "nan": np.full(40, math.nan),
+    "broadcast-nan": np.broadcast_to(math.nan, (40,)),
+    "mixed-float": np.array([math.nan, 0.0, -0.0, 1.0, -1.0] * 8),
+    "empty": np.zeros(0),
+}
+SHOWN = {
+    "all": None,
+    "some": lambda m: np.arange(m) % 3 > 0,
+    "broadcast": lambda m: np.broadcast_to(False, (m,)),
+}
+
+
+@pytest.mark.parametrize("shown", SHOWN.values(), ids=SHOWN.keys())
+@pytest.mark.parametrize("column", CELL_COLUMNS.values(), ids=CELL_COLUMNS.keys())
+def test_cells_match_fmt_for_constant_broadcast_and_mixed_columns(column, shown):
+    # Constant and broadcast columns skip the sort; 0.0, -0.0 and NaN keep
+    # their own cells. A cell may be wider than its text: NULs are dropped.
+    visible = np.ones(len(column), bool) if shown is None else shown(len(column))
+    expected = _text_cells([_fmt(v) if show else "" for v, show in zip(column, visible)])
+    got = _cells(column, None if shown is None else visible)
+    assert len(got) == len(expected)
+    assert [bytes(row[row != 0]) for row in got] == [bytes(row[row != 0]) for row in expected]
 
 
 def written(tr) -> str:
