@@ -463,7 +463,7 @@ def _cmd_protocol(args) -> int:
     try:
         # The runner writes the transcript to the open file as it runs.
         res = run(args.trials, seed=args.seed, record=args.transcript or False, **options)
-    except RuntimeError as exc:  # zero coincidences, or a desynchronised watch
+    except (RuntimeError, ValueError) as exc:  # e.g. zero coincidences, a grid too large
         raise SystemExit(f"{args.name} with {args.trials} trials: {exc}")
     config = {"name": args.name, "trials": args.trials, "mode": args.mode,
               "delta_omega": args.delta_omega, **options}

@@ -7,8 +7,9 @@ and the mutual information between the settings pair and the hidden
 variables under uniform independent setting priors.
 
 Each conditional distribution is held as a row of integers over one
-common denominator D, the lcm of the weights' denominators, so M is
-exact: int64 numpy blocks while 2D fits in int64, Python ints beyond.
+common denominator D, the lcm of the weights' denominators, built and
+checked once when the model is made, so M is exact: int64 numpy blocks
+while 2D fits in int64, Python ints beyond.
 Entropies are evaluated in floating point from the same integers, each
 probability a correctly rounded integer quotient; they are exact
 whenever the grid size is a power of two. The continuous-setting limit
@@ -34,7 +35,7 @@ class DiscretizedModel:
     a finite conditional distribution over hidden-variable atoms.
 
     conditional[(i, j)] maps atom keys to exact weights (int or Fraction)
-    that sum to 1 for each pair.
+    that sum to 1 for each pair, checked on the rows of _integer_rows.
     """
 
     n_a: int
@@ -47,12 +48,15 @@ class DiscretizedModel:
                 raise ValueError(f"settings index {(i, j)} out of range")
             if not all(isinstance(w, (int, Fraction)) for w in dist.values()):
                 raise ValueError(f"conditional weights at {(i, j)} must be int or Fraction")
-            if sum(dist.values()) != 1:
+        denom, rows, n_atoms = _integer_rows(self.conditional.values())
+        for (i, j), row in zip(self.conditional, rows):
+            if sum(row.values()) != denom:
                 raise ValueError(f"conditional weights at {(i, j)} must sum to exactly 1")
-            if any(w < 0 for w in dist.values()):
+            if any(w < 0 for w in row.values()):
                 raise ValueError("conditional weights must be nonnegative")
         if len(self.conditional) != self.n_a * self.n_b:
             raise ValueError("need one conditional distribution per settings pair")
+        object.__setattr__(self, "_rows", (denom, rows, n_atoms))
 
 
 def discretized_setting_tied_model(n: int) -> DiscretizedModel:
@@ -92,14 +96,13 @@ def dictated_settings_model(n: int) -> DiscretizedModel:
     return DiscretizedModel(n_a=n, n_b=n, conditional=conditional)
 
 
-def _integer_rows(model: DiscretizedModel) -> tuple[int, list, int]:
-    """(D, rows, number of atoms): rows[k] is the k-th conditional of the
-    model as {atom index: weight * D}, nonzero weights only.
+def _integer_rows(dists) -> tuple[int, list, int]:
+    """(D, rows, number of atoms): rows[k] is the k-th distribution of
+    dists as {atom index: weight * D}, nonzero weights only.
 
     Atoms are indexed in order of their first nonzero weight, scanning
-    the pairs and each distribution in model order.
+    the distributions and each one in order.
     """
-    dists = model.conditional.values()
     denom = math.lcm(*(w.denominator for dist in dists for w in dist.values()))
     index: dict = {}
     rows = [{index.setdefault(atom, len(index)): w.numerator * (denom // w.denominator)
@@ -137,7 +140,7 @@ def measure_M(model: DiscretizedModel) -> float:
     Computed exactly on integer rows, then converted; the value lies in
     [0, 2] and 2 means no setting freedom at all by this measure.
     """
-    return _sup_l1(*_integer_rows(model))
+    return _sup_l1(*model._rows)
 
 
 @dataclass(frozen=True)
@@ -161,7 +164,7 @@ def mutual_information(model: DiscretizedModel) -> FreeWillReport:
     With integer weights w over D, p(lambda) = sum_pairs w / (D n_a n_b)
     and p(a,b | lambda) = w / sum_pairs w.
     """
-    denom, rows, n_atoms = _integer_rows(model)
+    denom, rows, n_atoms = model._rows
     columns: list = [[] for _ in range(n_atoms)]
     for row in rows:
         for k, w in row.items():

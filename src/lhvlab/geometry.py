@@ -312,11 +312,18 @@ def substream(master_seed: int, trial_index: int) -> RandomStream:
     return RandomStream(master_seed, trial_index)
 
 
+def sphere_point(z, phi) -> np.ndarray:
+    """(r cos phi, r sin phi, z), r = sqrt(1 - z^2), along a new last axis: the
+    one area-preserving map of heights z and azimuths phi to the sphere."""
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
+
+
 def sphere_rows(stream: RandomStream, n: int):
     """Reserve the uniforms of n points on the sphere, all z then all
     azimuths; return points(rows), the points of the trials in the slice rows.
 
-    Area-preserving inverse transform: z uniform in [-1, 1], azimuth
+    Inverse transform (see sphere_point): z uniform in [-1, 1], azimuth
     uniform in [0, 2*pi). Exactly two uniform draws per vector, never
     rejection, so the draw count per sample is fixed.
     """
@@ -324,10 +331,7 @@ def sphere_rows(stream: RandomStream, n: int):
 
     def points(rows):
         wz, wphi = w(rows)
-        z = 2.0 * wz - 1.0
-        phi = 2.0 * math.pi * wphi
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
+        return sphere_point(2.0 * wz - 1.0, 2.0 * math.pi * wphi)
     return points
 
 

@@ -42,11 +42,11 @@ from functools import cache
 
 import numpy as np
 
-from .geometry import (Columns, assert_unit, dot, gathered, planar_setting, sphere_rows,
-                       streamed, substream, uniform_bits, uniform_signs)
-from .models import (JointLaw2x2, hall_outcomes, hall_spins, law_table, malus_pair,
-                     one_bit_station_a, one_bit_tau, outcome_counts, sign_outcome,
-                     singlet_law)
+from .geometry import (Columns, assert_unit, dot, gathered, planar_setting, sphere_point,
+                       sphere_rows, streamed, substream, uniform_bits, uniform_signs)
+from .models import (JointLaw2x2, _draw_uv, hall_outcomes, hall_spins, law_table,
+                     malus_pair, one_bit_station_a, one_bit_tau, outcome_counts,
+                     sign_outcome, singlet_law)
 
 
 class PartyRole(str, Enum):
@@ -598,11 +598,10 @@ def _run_one_bit(model: str, bits_a_to_b: int, n_trials: int, a, b, seed: int,
                  record) -> ProtocolResult:
     a = assert_unit(a, "a")
     b = assert_unit(b, "b")
-    ent = substream(seed, STREAM_ENTANGLER)
-    u_at, v_at = sphere_rows(ent, n_trials), sphere_rows(ent, n_trials)
+    uv = _draw_uv(a, b, n_trials, substream(seed, STREAM_ENTANGLER), None)
 
     def trials(rows):
-        u, v = u_at(rows), v_at(rows)
+        u, v = uv(rows)
         # Station A: local outcome and the bit c = sgn(u.a) sgn(v.a), sent
         # to B or held as a hidden variable; the rule is the same either way.
         sigma, c = one_bit_station_a(u, v, a)
@@ -700,10 +699,7 @@ def _fibonacci_antipodal_grid(n_directions: int) -> np.ndarray:
         raise ValueError("need an even number of directions >= 2")
     m = n_directions // 2
     k = np.arange(m)
-    z = (k + 0.5) / m
-    phi = 2.0 * math.pi * k * (math.sqrt(5.0) - 1.0) / 2.0
-    r = np.sqrt(1.0 - z * z)
-    upper = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    upper = sphere_point((k + 0.5) / m, 2.0 * math.pi * k * (math.sqrt(5.0) - 1.0) / 2.0)
     return np.vstack([upper, -upper])
 
 
@@ -846,11 +842,7 @@ def watch_vector(t, watch: Watch):
     t = np.asarray(t, dtype=float)
     ps = np.mod(t / watch.period_small, 1.0)
     pl = np.mod(t / watch.period_large, 1.0)
-    z = 2.0 * ps - 1.0
-    phi = 2.0 * math.pi * pl
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    out = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
-    return out
+    return sphere_point(2.0 * ps - 1.0, 2.0 * math.pi * pl)
 
 
 def station_watch_vectors(arrival_times, watch: Watch) -> np.ndarray:

@@ -193,6 +193,21 @@ def test_protocol_zero_coincidences_exit_status():
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
+# Grids numpy refuses to size at all; a grid it would try to allocate (2e9
+# directions take tens of GB) is left untested.
+@pytest.mark.parametrize("cells", [["--n-directions", "100000000000000000000"],
+                                   ["--delta-omega", "1e-300"]])
+def test_protocol_unsizable_grid_fails_in_one_line(cells):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "lhvlab.cli", "protocol", "--name",
+                           "detection-loophole", "--mode", "sphere", *cells],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert "Maximum allowed size exceeded" in proc.stderr
+
+
 def test_signal_commands(tmp_path):
     rc, report = run_json(tmp_path, "signal", "--mode", "slave-will",
                           "--trials", "30000", "--seed", "4")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lhvlab import freewill
 from lhvlab.freewill import (DiscretizedModel, dictated_settings_model,
                              discretized_setting_tied_model, measure_M,
                              mutual_information, setting_independent_model)
@@ -85,6 +86,44 @@ def test_discretized_model_validation():
         discretized_setting_tied_model(1)
     with pytest.raises(ValueError, match="int or Fraction"):
         DiscretizedModel(1, 1, {(0, 0): {"x": 0.5, "y": 0.5}})
+
+
+@pytest.mark.parametrize("conditional, message", [
+    ({(1, 0): {"x": 1}}, r"settings index \(1, 0\) out of range"),
+    ({(0, 0): {"x": Fraction(1, 2)}}, r"conditional weights at \(0, 0\) must sum to exactly 1"),
+    ({(0, 0): {"x": Fraction(3, 2), "y": Fraction(-1, 2)}},
+     r"^conditional weights must be nonnegative$"),
+    ({(0, 0): {"x": 0.5, "y": 0.5}}, r"conditional weights at \(0, 0\) must be int or Fraction"),
+])
+def test_discretized_model_rejects_each_fault_with_its_message(conditional, message):
+    with pytest.raises(ValueError, match=message):
+        DiscretizedModel(1, 1, conditional)
+
+
+def test_discretized_model_accepts_huge_denominators_and_int_weights():
+    d = 2**70 + 1
+    model = DiscretizedModel(1, 2, {(0, 0): {"x": Fraction(1, d), "y": Fraction(d - 1, d)},
+                                    (0, 1): {"x": 1, "y": 0}})
+    assert measure_M(model) == _reference_M(model)
+    assert mutual_information(model).I_bits == _reference_I(model)
+
+
+def test_models_are_checked_without_fraction_sums_and_turned_into_rows_once(monkeypatch):
+    calls = []
+    rows = freewill._integer_rows
+    monkeypatch.setattr(freewill, "_integer_rows", lambda dists: calls.append(1) or rows(dists))
+
+    def no_arithmetic(*args):
+        raise AssertionError("Fraction arithmetic")
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Fraction, name, no_arithmetic)
+    for build in (discretized_setting_tied_model, setting_independent_model,
+                  dictated_settings_model):
+        calls.clear()
+        model = build(4)
+        measure_M(model)
+        mutual_information(model)
+        assert calls == [1]
 
 
 # The rational algorithm the integer measures replace, kept as the oracle.

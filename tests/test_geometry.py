@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lhvlab import geometry
+from lhvlab import geometry, protocols
 from lhvlab.geometry import (RandomStream, assert_unit, normalize, planar_setting,
                              sample_uniform_sphere, sgn, substream,
                              unit_vector)
@@ -219,3 +219,46 @@ def test_integer_pieces_are_the_whole_draw(monkeypatch, k, prior, rows, n):
     for s in (piece_stream, index_stream):
         assert s.counter == whole_stream.counter
         assert _plain(s._gen.bit_generator.state) == _plain(whole_stream._gen.bit_generator.state)
+
+
+# The sphere points each producer made with its own copy of the map before
+# geometry.sphere_point was the one map, written out as they were.
+
+def _inline_point(z, phi, axis=-1, clip=True):
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z) if clip else 1.0 - z * z)
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=axis)
+
+
+@pytest.mark.parametrize("n", [1, 7, 65_537, 150_001])
+def test_sphere_samples_are_the_inline_map_of_the_whole_draw(n):
+    stream, twin = RandomStream(17, 3), RandomStream(17, 3)
+    wz, wphi = twin.uniform((2, n))
+    expected = _inline_point(2.0 * wz - 1.0, 2.0 * math.pi * wphi)
+    got = sample_uniform_sphere(stream, n)
+    assert got.dtype == expected.dtype and got.shape == expected.shape == (n, 3)
+    assert got.tobytes() == expected.tobytes()
+    assert stream.counter == twin.counter
+    assert stream.uniform(3).tobytes() == twin.uniform(3).tobytes()  # the same state
+
+
+@pytest.mark.parametrize("watch", [protocols.WATCH_A, protocols.WATCH_B])
+def test_watch_vectors_are_the_inline_map(watch):
+    t = np.arange(-5, 200_000) * protocols.EMISSION_STEP
+    ps = np.mod(t / watch.period_small, 1.0)
+    pl = np.mod(t / watch.period_large, 1.0)
+    expected = _inline_point(2.0 * ps - 1.0, 2.0 * math.pi * pl)
+    assert protocols.watch_vector(t, watch).tobytes() == expected.tobytes()
+    one = protocols.watch_vector(7 * protocols.EMISSION_STEP, watch)
+    assert one.shape == (3,) and one.tobytes() == expected[12].tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 8, 64, 12_566])
+def test_detection_grid_is_the_inline_map(n):
+    m = n // 2
+    k = np.arange(m)
+    z = (k + 0.5) / m
+    phi = 2.0 * math.pi * k * (math.sqrt(5.0) - 1.0) / 2.0
+    upper = _inline_point(z, phi, axis=1, clip=False)
+    expected = np.vstack([upper, -upper])
+    got = protocols._fibonacci_antipodal_grid(n)
+    assert got.shape == (n, 3) and got.tobytes() == expected.tobytes()

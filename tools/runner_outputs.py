@@ -24,7 +24,10 @@ because each one writes a transcript. Here, at seeds 5 and 6:
   and the four public samplers run once more (names marked ``@mid``) on
   streams that first draw 3 uniforms and 5 integers in [0, 12,566), so
   that every window of uniforms starts mid-block, with a 32-bit half of a
-  word buffered.
+  word buffered;
+- mutual_information's whole report (M, I and I_max in full) for each
+  free-will model builder at n = 4, 12 and 16, and for one model whose
+  denominators pass 2**70.
 
 The script uses the standard library and the checkout's lhvlab only.
 """
@@ -35,6 +38,7 @@ import argparse
 import hashlib
 import io
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 SEEDS = (5, 6)
@@ -190,6 +194,22 @@ def mid_block_outputs(lhv, seed: int):
         yield f"sampler.{name}@mid/s{seed}/t{TRIALS}", (draw(stream), stream.counter)
 
 
+def freewill_outputs(lhv):
+    """(name, repr of the FreeWillReport) for each free-will builder at n = 4,
+    12 and 16, and for a model whose denominators pass 2**70."""
+    f = lhv.freewill
+    builders = {"pinned": f.discretized_setting_tied_model,
+                "independent": f.setting_independent_model,
+                "dictated": f.dictated_settings_model}
+    for name, build in builders.items():
+        for n in (4, 12, 16):
+            yield f"freewill.{name}/n{n}", repr(f.mutual_information(build(n)))
+    conditional = {(0, j): {"x": Fraction(1, d), "y": Fraction(d - 1, d)}
+                   for j, d in enumerate((2**70 + 1, 2**70 + 3, 3))}
+    model = f.DiscretizedModel(1, 3, conditional)
+    yield "freewill.big-denominators", repr(f.mutual_information(model))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).parents[1])
@@ -203,6 +223,8 @@ def main(argv=None) -> int:
         for outputs in (runner_outputs, model_outputs, mid_block_outputs):
             for name, value in outputs(lhvlab, seed):
                 print(name, _digest(value), flush=True)
+    for name, value in freewill_outputs(lhvlab):
+        print(name, _digest(value), flush=True)
     return 0
 
 
