@@ -1,12 +1,13 @@
 """Deterministic geometry and randomness substrate.
 
-Unit vectors on the sphere, the one per-trial dot product (every u.x of
-the model rules and protocol runners rounds alike), the global sign
-convention, seeded splittable random streams whose uniforms a run reserves
-whole and reads window by window (``RandomStream.uniform_rows``),
-``streamed``/``chunked``, the one loop over the trials of a Monte Carlo
-run, and ``gathered``/``Columns``, the one fill of full-length arrays from
-its chunks. Everything downstream draws exclusively through
+Unit vectors on the sphere (n of them as a column-major (n, 3) array), the
+one per-trial dot product (every u.x of the model rules and protocol
+runners rounds alike), the global sign convention and the branch-free +-1
+and selection kernels, seeded splittable random streams whose uniforms a
+run reserves whole and reads window by window
+(``RandomStream.uniform_rows``), ``streamed``/``chunked``, the one loop over
+the trials of a Monte Carlo run, and ``gathered``/``Columns``, the one fill
+of full-length arrays from its chunks. Everything downstream draws exclusively through
 :class:`RandomStream` so that a run is reproducible bit-for-bit from its
 master seed.
 """
@@ -35,10 +36,17 @@ Y_HAT = np.array([0.0, 1.0, 0.0])
 
 def dot(u, x):
     """u.x over the last axis, summed left to right as
-    np.sum(u * x, axis=-1) sums (the same bits), without the temporary."""
+    np.sum(u * x, axis=-1) sums (the same bits), accumulated in place.
+    Rows of column-major (n, 3) arrays are read as contiguous columns."""
     u = np.asarray(u, dtype=float)
     x = np.asarray(x, dtype=float)
-    return u[..., 0] * x[..., 0] + u[..., 1] * x[..., 1] + u[..., 2] * x[..., 2]
+    out = u[..., 0] * x[..., 0]
+    if out.ndim == 0:
+        return out + u[..., 1] * x[..., 1] + u[..., 2] * x[..., 2]
+    term = u[..., 1] * x[..., 1]
+    out += term
+    out += np.multiply(u[..., 2], x[..., 2], out=term)
+    return out
 
 
 def sgn(x):
@@ -46,12 +54,15 @@ def sgn(x):
 
     The convention at zero is fixed globally; the zero set has measure
     zero under every sampler here, so estimated probabilities do not
-    depend on it (test-verified).
+    depend on it (test-verified). The sign is the comparison times 2 minus
+    1, exact arithmetic: np.where's loop branches on each element, and on
+    random signs it mispredicts so often that it takes about five times as
+    long.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("sgn requires finite input")
-    out = np.where(x >= 0.0, 1.0, -1.0)
+    out = (x >= 0.0) * 2.0 - 1.0
     return float(out) if out.ndim == 0 else out
 
 
@@ -290,8 +301,20 @@ class RandomStream:
 
 
 def uniform_signs(w):
-    """-1.0 where a uniform is below 1/2, else +1.0: the draws of signs()."""
-    return np.where(np.asarray(w) < 0.5, -1.0, 1.0)
+    """-1.0 where a uniform is below 1/2, else +1.0: the draws of signs(),
+    by exact arithmetic on the comparison (see sgn)."""
+    return (np.asarray(w) < 0.5) * -2.0 + 1.0
+
+
+def select(mask, x, y) -> np.ndarray:
+    """np.where(mask, x, y) for floats, bit for bit, without its branch: the
+    bits of y, with those that differ from x's flipped where mask is set."""
+    xi = np.asarray(x, dtype=float).view(np.int64)
+    yi = np.asarray(y, dtype=float).view(np.int64)
+    flips = xi ^ yi  # mask broadcasts to the shape of x and y
+    flips &= -np.asarray(mask, dtype=np.int64)
+    flips ^= yi
+    return flips.view(np.float64)
 
 
 def uniform_bits(w):
@@ -314,9 +337,20 @@ def substream(master_seed: int, trial_index: int) -> RandomStream:
 
 def sphere_point(z, phi) -> np.ndarray:
     """(r cos phi, r sin phi, z), r = sqrt(1 - z^2), along a new last axis: the
-    one area-preserving map of heights z and azimuths phi to the sphere."""
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
+    one area-preserving map of heights z and azimuths phi to the sphere.
+
+    The coordinates are written into a (3, ...) buffer whose transpose is
+    returned, so n points are a column-major (n, 3) array: each coordinate
+    is one contiguous column (see dot)."""
+    out = np.empty((3, *np.broadcast_shapes(np.shape(z), np.shape(phi))))
+    x, y, r = out[0, ...], out[1, ...], out[2, ...]  # r until z is written
+    np.multiply(z, z, out=r)
+    np.subtract(1.0, r, out=r)
+    np.sqrt(np.maximum(0.0, r, out=r), out=r)
+    np.multiply(r, np.cos(phi, out=x), out=x)
+    np.multiply(r, np.sin(phi, out=y), out=y)
+    out[2, ...] = z
+    return np.moveaxis(out, 0, -1)
 
 
 def sphere_rows(stream: RandomStream, n: int):

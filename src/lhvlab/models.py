@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (X_HAT, Y_HAT, RandomStream, assert_unit, chunked, dot, gathered,
-                       sgn, sphere_rows, uniform_bits, uniform_signs)
+                       select, sgn, sphere_rows, uniform_bits, uniform_signs)
 
 LAW_TOL = 1e-12
 
@@ -122,8 +122,9 @@ def malus_marginal(u, n, outcome):
 
 
 def malus_outcome(u, n, noise):
-    """Malus detector: +1 where the uniform noise is below (1 + u.n)/2, else -1."""
-    return np.where(noise < malus_marginal(u, n, 1), 1.0, -1.0)
+    """Malus detector: +1 where the uniform noise is below (1 + u.n)/2, else -1,
+    by exact arithmetic on the comparison (see geometry.sgn)."""
+    return (noise < malus_marginal(u, n, 1)) * 2.0 - 1.0
 
 
 def sign_outcome(u, n):
@@ -225,12 +226,14 @@ def _check_extension(p, family: int = 1) -> None:
 
 def _tb_extension_rule(family: int, hidden, a, b):
     """Outcomes of an extension from (u, v, keep), where keep marks the
-    trials on which the first station keeps its deterministic value."""
+    trials on which the first station keeps its deterministic value. The
+    flip is a product with the exact +-1 of keep (see geometry.sgn)."""
     u, v, keep = hidden
     S, c = one_bit_station_a(u, v, a)
+    flip = keep * 2.0 - 1.0
     if family == 2:  # the bit follows the flip
-        c = np.where(keep, c, -c)
-    return np.where(keep, S, -S), one_bit_tau(u, v, c, b)
+        c = c * flip
+    return S * flip, one_bit_tau(u, v, c, b)
 
 
 def tb_freewill_density(u, v, c, a, b):
@@ -308,7 +311,8 @@ def _setting_rows(x, n: int, name: str) -> np.ndarray:
 
 def hall_spins(a, b, w):
     """Hall spins from the (4, m) uniforms w of m trials (see hall_sample)
-    at the settings a, b (vectors or (m, 3) rows). In
+    at the settings a, b (vectors or (m, 3) rows), as a column-major (m, 3)
+    array. In
     the frame e1 = a, e2, e3 along a x b, b lies at azimuth theta, and the
     lunes with sgn(u.a) = +1 are (theta - pi/2, pi/2) where sgn(u.b) = +1
     and (-pi/2, theta - pi/2) where it is -1; the other two turn these by pi."""
@@ -328,12 +332,19 @@ def hall_spins(a, b, w):
     e3 = axis / np.sqrt(dot(axis, axis))[..., None]
     e2 = np.cross(e3, e1)
     same = w[0] < (1.0 + t) / 2.0
-    phi = np.where(same, theta + (math.pi - theta) * w[3], theta * w[3]) - math.pi / 2
+    phi = select(same, theta + (math.pi - theta) * w[3], theta * w[3])
+    phi -= math.pi / 2
     z = 2.0 * w[2] - 1.0
-    r = np.sqrt(1.0 - z * z)
-    r = np.where(w[1] < 0.5, r, -r)
-    return ((r * np.cos(phi))[:, None] * e1 + (r * np.sin(phi))[:, None] * e2
-            + z[:, None] * e3)
+    r = z * z
+    np.sqrt(np.subtract(1.0, r, out=r), out=r)
+    r *= (w[1] < 0.5) * 2.0 - 1.0  # the lune pair's side, an exact sign flip
+    rc, rs = r * np.cos(phi), r * np.sin(phi)
+    out, term = np.empty((3, len(z))), np.empty(len(z))
+    for k, row in enumerate(out):
+        np.multiply(rc, e1[..., k], out=row)
+        row += np.multiply(rs, e2[..., k], out=term)
+        row += np.multiply(z, e3[..., k], out=term)
+    return out.T
 
 
 def hall_outcomes(u, a, b):
@@ -442,15 +453,17 @@ def _draw_tb_freewill(a, b, n, stream, p):
 
 def _draw_atoms(a, b, n, stream, p):
     """The coins c, then the signs d, of pinned_spin_sample, as bits() and
-    signs() draw them; hidden(rows) is (u, c, d)."""
-    a = assert_unit(a, "a")
-    b = assert_unit(b, "b")
+    signs() draw them; hidden(rows) is (u, c, d), u column-major. u is the
+    column c of the table (a b) times the exact sign d (c = 0) or -d."""
+    table = np.stack([assert_unit(a, "a"), assert_unit(b, "b")], axis=1)
     w = stream.uniform_rows((2, n))
 
     def hidden(rows):
         wc, wd = w(rows)
         c, d = uniform_bits(wc), uniform_signs(wd)
-        return np.where((c == 0)[:, None], d[:, None] * a, -d[:, None] * b), c, d
+        u = table.take(c, axis=1)
+        u *= (c * -2 + 1) * d
+        return u.T, c, d
     return hidden
 
 

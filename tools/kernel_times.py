@@ -1,0 +1,87 @@
+"""Time the per-trial kernels of one Monte Carlo chunk.
+
+    python3 tools/kernel_times.py [CHECKOUT] [--rows N]
+
+The script imports lhvlab from CHECKOUT/src (default: the checkout that
+holds this file), calls each kernel in-process, on one thread, on fixed
+inputs of N rows (default 65,536, the rows of one chunk of
+geometry.chunked), and prints one ``name ms`` line per kernel: the best of
+7 calls, in milliseconds. Running it on two checkouts compares their
+kernels on the same inputs:
+
+    python3 tools/kernel_times.py A; python3 tools/kernel_times.py B
+
+The kernels are the outcome rules sgn, malus_outcome and uniform_signs,
+the dot product against one vector, the sphere map sphere_point, the Hall
+spins, the overlap bins and the watch vectors of the protocol runners, and
+one chunk's window of a reserved uniform draw (RandomStream.uniform_rows).
+perfbench's tracer sees only whole calls of the traced functions, so it
+cannot time these per chunk.
+
+The script uses the standard library and the checkout's lhvlab only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import sys
+import time
+from pathlib import Path
+
+ROWS = 1 << 16
+REPEATS = 7
+SEED = 2024
+
+
+def kernels(lhv, n: int) -> dict:
+    """name -> a call of that kernel on fixed inputs of n rows."""
+    g, m, p = lhv.geometry, lhv.models, lhv.protocols
+    w = g.RandomStream(SEED, 0).uniform((4, n))
+    z, phi = 2.0 * w[0] - 1.0, 2.0 * math.pi * w[1]
+    u = g.sphere_point(z, phi)  # in the layout the checkout's sampler makes
+    a, b = g.planar_setting(0.0), g.planar_setting(75.0)
+    t = (123 + g.RandomStream(SEED, 1).uniform(n) * n) * p.EMISSION_STEP
+    stream = g.RandomStream(SEED, 2)
+    return {
+        "sgn": lambda: g.sgn(z),
+        "malus_outcome": lambda: m.malus_outcome(u, a, w[2]),
+        "uniform_signs": lambda: g.uniform_signs(w[3]),
+        "dot": lambda: g.dot(u, a),
+        "sphere_point": lambda: g.sphere_point(z, phi),
+        "hall_spins": lambda: m.hall_spins(a, b, w),
+        "_bin_index": lambda: p._bin_index(z, p.N_BINS),
+        "watch_vector": lambda: p.watch_vector(t, p.WATCH_A),
+        "uniform_rows": lambda: stream.uniform_rows((2, n))(slice(0, n)),
+    }
+
+
+def best_ms(call) -> float:
+    """The fastest of REPEATS calls, in milliseconds."""
+    best = math.inf
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).parents[1])
+    parser.add_argument("--rows", type=int, default=ROWS, help="rows per call (default 65,536)")
+    args = parser.parse_args(argv)
+    src = args.checkout.resolve() / "src"
+    if not (src / "lhvlab" / "geometry.py").exists():
+        parser.error(f"{args.checkout} holds no src/lhvlab/geometry.py")
+    if args.rows < 1:
+        parser.error(f"--rows must be at least 1, got {args.rows}")
+    sys.path.insert(0, str(src))
+    import lhvlab  # loads every module
+    for name, call in kernels(lhvlab, args.rows).items():
+        print(f"{name} {best_ms(call):.3f}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
