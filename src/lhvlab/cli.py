@@ -310,13 +310,14 @@ def _cmd_law(args) -> int:
         try:
             start, stop, count = args.scan.split(":")
             ends = [float(start), float(stop)]
-            if not all(map(math.isfinite, ends)):
+            count = int(count)
+            if not all(map(math.isfinite, ends)) or count < 0:
                 raise ValueError(args.scan)
-            angles = np.linspace(*ends, int(count))
         except ValueError:
-            raise SystemExit("--scan expects START:STOP:COUNT with finite angles")
+            raise SystemExit("--scan expects START:STOP:COUNT with finite angles and a "
+                             f"nonnegative integer COUNT, got {args.scan!r}") from None
         lines = ["# angle_deg correlator"]
-        for ang in angles:
+        for ang in np.linspace(*ends, count):
             law = analytic_law(args.model, a, planar_setting(float(ang)), p=args.p)
             lines.append(f"{float(ang):.9g} {law.correlator():.9g}")
         _write("\n".join(lines) + "\n", args.out)
@@ -534,7 +535,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _validate(parser, args)
     with _opened(args):
-        return _COMMANDS[args.command](args)
+        try:
+            return _COMMANDS[args.command](args)
+        except MemoryError:
+            raise SystemExit(f"lhvlab {args.command}: error: out of memory; ask for fewer "
+                             "trials, angles or message bits") from None
 
 
 if __name__ == "__main__":

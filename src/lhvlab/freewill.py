@@ -162,7 +162,8 @@ def mutual_information(model: DiscretizedModel) -> FreeWillReport:
     Decomposed as H(a,b) - sum_lambda p(lambda) H(a,b | lambda) with the
     settings prior uniform and independent; I_max = log2(n_a * n_b).
     With integer weights w over D, p(lambda) = sum_pairs w / (D n_a n_b)
-    and p(a,b | lambda) = w / sum_pairs w.
+    and p(a,b | lambda) = w / sum_pairs w. I is a KL divergence, so it is
+    never negative: a difference that rounds below 0 is reported as 0.
     """
     denom, rows, n_atoms = model._rows
     columns: list = [[] for _ in range(n_atoms)]
@@ -179,7 +180,7 @@ def mutual_information(model: DiscretizedModel) -> FreeWillReport:
             q = w / total
             h_atom -= q * math.log2(q)
         h_cond += total / scale * h_atom
-    i_bits = h_settings - h_cond
+    i_bits = max(0.0, h_settings - h_cond)
     return FreeWillReport(
         M=_sup_l1(denom, rows, n_atoms),
         I_bits=i_bits,

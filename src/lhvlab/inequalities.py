@@ -20,8 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from .exactlp import _integer_scaled, feasible_point
-from .geometry import RandomStream, gathered
-from .models import JointLaw2x2, _sampled, analytic_law, model_spec
+from .geometry import RandomStream, chunked
+from .models import JointLaw2x2, analytic_law, estimate_law, model_spec, outcome_counts
 
 BELL_BOUND = 2.0
 CIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -53,33 +53,21 @@ class CorrelatorEstimate:
 
 
 def correlator(source) -> CorrelatorEstimate:
-    """Correlator of sigma*tau from a JointLaw2x2 or a pair of outcome arrays."""
-    if isinstance(source, JointLaw2x2):
-        value = source.correlator()
-        n = source.n_trials or 0
+    """Correlator of sigma*tau from a JointLaw2x2 or a pair of outcome arrays.
+
+    For a law counted over n trials, d of which have sigma*tau = -1, the
+    value is (n - 2d)/n and the standard error is the ddof=1 one of the +-1
+    products, 2 sqrt(d (n - d)/(n - 1))/n (0 at n = 1): the bits of the mean
+    of their float64 column, and its std(ddof=1)/sqrt(n) to rounding."""
+    law = source if isinstance(source, JointLaw2x2) else JointLaw2x2.from_outcomes(*source)
+    n = law.n_trials or 0
+    if law.counts is None:
+        value = law.correlator()
         se = math.sqrt(max(0.0, 1.0 - value * value) / n) if n else 0.0
         return CorrelatorEstimate(value, se, n)
-    sigma, tau = source
-    return _product_correlator(np.asarray(sigma) * np.asarray(tau))
-
-
-def _product_correlator(prod) -> CorrelatorEstimate:
-    """Mean and standard error of the per-trial products sigma*tau.
-
-    The products are summed as one contiguous float64 column whatever their
-    dtype, so an int8 column gives the bits of its float64 values."""
-    n = prod.size
-    if n == 0:
-        raise ValueError("cannot estimate a correlator from zero trials")
-    prod = np.ascontiguousarray(prod, dtype=np.float64)
-    value = float(prod.mean())
-    se = float(prod.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return CorrelatorEstimate(value, se, n)
-
-
-def _products(sigma, tau) -> np.ndarray:
-    """The per-trial products of +-1 outcomes, stored as int8."""
-    return np.multiply(sigma, tau).astype(np.int8)
+    d = int(law.counts[0, 1]) + int(law.counts[1, 0])
+    se = 2.0 * math.sqrt(d * (n - d) / (n - 1)) / n if n > 1 else 0.0
+    return CorrelatorEstimate((n - 2 * d) / n, se, n)
 
 
 @dataclass
@@ -122,22 +110,22 @@ def _settings_dict(a, a2, b, b2) -> dict:
             (("a", a), ("a2", a2), ("b", b), ("b2", b2))}
 
 
+def _chsh(law, a, a2, b, b2) -> ChshReport:
+    """CHSH from law(x, y) at the four setting pairs, taken in turn."""
+    cs = [correlator(law(x, y)) for x, y in ((a, b), (a2, b), (a, b2), (a2, b2))]
+    return chsh_from_correlators(*cs, settings=_settings_dict(a, a2, b, b2))
+
+
 def chsh_analytic(model_id: str, a, a2, b, b2, p: float | None = None) -> ChshReport:
     """CHSH from a model's closed-form law at the four setting pairs."""
-    cs = [correlator(analytic_law(model_id, x, y, p=p))
-          for x, y in ((a, b), (a2, b), (a, b2), (a2, b2))]
-    return chsh_from_correlators(*cs, settings=_settings_dict(a, a2, b, b2))
+    return _chsh(lambda x, y: analytic_law(model_id, x, y, p=p), a, a2, b, b2)
 
 
 def chsh_mc(model_id: str, a, a2, b, b2, n: int, stream: RandomStream,
             p: float | None = None) -> ChshReport:
     """CHSH from n Monte Carlo trials per setting pair, each pair drawn in
-    turn and kept only as its int8 products."""
-    def products(x, y):
-        outcomes = _sampled(model_id, x, y, n, stream, p)
-        return gathered(n, lambda rows: (_products(*outcomes(rows)),))[0]
-    cs = [_product_correlator(products(x, y)) for x, y in ((a, b), (a2, b), (a, b2), (a2, b2))]
-    return chsh_from_correlators(*cs, settings=_settings_dict(a, a2, b, b2))
+    turn and kept only as its outcome-count table."""
+    return _chsh(lambda x, y: estimate_law(model_id, x, y, n, stream, p=p), a, a2, b, b2)
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +326,10 @@ def counterfactual_correlators(model_id: str, a, a2, b, b2, n: int,
     hidden = spec.draw(a, b, n, stream, None)
     pairs = ((a, b), (a2, b), (a, b2), (a2, b2))
 
-    def products(rows):
+    def counts(rows):
         h = hidden(rows)
-        return [_products(*spec.outcomes(h, x, y)) for x, y in pairs]
-    return tuple(map(_product_correlator, gathered(n, products)))
+        return np.array([outcome_counts(*spec.outcomes(h, x, y))[0] for x, y in pairs])
+    return tuple(correlator(JointLaw2x2.from_counts(c)) for c in sum(chunked(n, counts)))
 
 
 # ---------------------------------------------------------------------------

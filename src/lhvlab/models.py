@@ -40,8 +40,12 @@ class JointLaw2x2:
     """Joint probability table for a pair of +-1 outcomes at fixed settings.
 
     Indexed by (sigma, tau) with +1 first; entries must be nonnegative
-    and sum to one within LAW_TOL.
+    and sum to one within LAW_TOL. A law estimated from trials keeps their
+    integer (2, 2) outcome-count table as counts; a closed-form law has
+    counts None.
     """
+
+    counts = None
 
     def __init__(self, p, n_trials: int | None = None):
         p = np.asarray(p, dtype=float)
@@ -77,11 +81,13 @@ class JointLaw2x2:
 
     @classmethod
     def from_counts(cls, counts) -> "JointLaw2x2":
-        """Empirical law from a 2x2 table of outcome counts."""
+        """Empirical law from a 2x2 table of outcome counts, kept as counts."""
         n = int(counts.sum())
         if n == 0:
             raise ValueError("cannot estimate a law from zero trials")
-        return cls(counts / n, n_trials=n)
+        law = cls(counts / n, n_trials=n)
+        law.counts = counts
+        return law
 
     @classmethod
     def from_outcomes(cls, sigma, tau) -> "JointLaw2x2":

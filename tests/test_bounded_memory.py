@@ -129,3 +129,23 @@ def test_whole_length_arrays_keep_their_stated_size(monkeypatch, name):
     run(100)
     small, large = _peak(run, N), _peak(run, 4 * N)
     assert large - small <= per_trial * 3 * N + 4096, (small, large)
+
+
+# chsh --trials and feasibility --from-model read their correlators from
+# outcome-count tables summed chunk by chunk, so they keep no per-trial
+# column either.
+CLI_CORRELATORS = {
+    "chsh": _cli("chsh", "--model", "mixed"),
+    "feasibility-from-model": _cli("feasibility", "--from-model", "pinned"),
+}
+
+
+@pytest.mark.parametrize("name", CLI_CORRELATORS)
+def test_cli_correlator_memory_does_not_grow_with_trials(monkeypatch, name):
+    monkeypatch.setattr(geometry, "_CHUNK_ROWS", 1 << 11)
+    monkeypatch.setattr(geometry, "_workers", lambda: 2)
+    run = CLI_CORRELATORS[name]
+    run(100)  # the parser is built once per process
+    small = max(_peak(run, N) for _ in range(2))
+    large = _peak(run, 4 * N)
+    assert large <= 1.25 * small, (small, large)

@@ -592,3 +592,43 @@ def test_streamed_transcript_is_the_recorded_one(tmp_path, monkeypatch, argv, tr
     fh = io.StringIO()
     recorded[0].to_csv(fh)
     assert path.read_bytes() == fh.getvalue().encode()
+
+
+def test_freewill_independent_reports_no_information(tmp_path):
+    # At n = 12 the two entropies round apart; I is a KL divergence, never < 0.
+    rc, report = run_json(tmp_path, "freewill", "--model", "independent", "--n", "12")
+    assert rc == 0
+    assert report["results"]["I_bits"] == 0.0
+
+
+def test_law_scan_negative_count_names_the_count(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "law", "--model", "singlet", "--scan", "0:90:-3")
+    assert exc.value.code == ("--scan expects START:STOP:COUNT with finite angles and a "
+                              "nonnegative integer COUNT, got '0:90:-3'")
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+# Each command's allocation fails through a monkeypatch, never for real.
+OVERSIZED = {
+    "law": (["law", "--model", "singlet", "--scan", "0:1:5"], (cli.np, "linspace")),
+    "signal": (["signal", "--mode", "action", "--message-bits", "5", "--trials", "100"],
+               (cli, "run_signaling_experiment")),
+}
+
+
+@pytest.mark.parametrize("command", OVERSIZED)
+def test_out_of_memory_fails_in_one_line_and_removes_the_report(tmp_path, monkeypatch,
+                                                                command):
+    argv, (owner, name) = OVERSIZED[command]
+    monkeypatch.setattr(owner, name, _out_of_memory)
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert message.startswith(f"lhvlab {command}: error: out of memory")
+    assert not out.exists()

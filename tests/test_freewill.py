@@ -163,7 +163,7 @@ def _reference_I(model):
                 q = pj / pl
                 h_atom -= float(q) * math.log2(float(q))
         h_cond += float(pl) * h_atom
-    return math.log2(model.n_a * model.n_b) - h_cond
+    return max(0.0, math.log2(model.n_a * model.n_b) - h_cond)
 
 
 # Numerators up to 2**70 make the common denominator pass 2**62, which

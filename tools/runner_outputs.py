@@ -17,9 +17,9 @@ because each one writes a transcript. Here, at seeds 5 and 6:
   signal, the bit arrays;
 - singlet_deviation is an output of its own, once in full and once at 9
   significant digits, so that a last-bit change shows apart from the rest;
-- estimate_law, sample_outcomes and counterfactual_correlators run for
-  every sampling model, and the four public samplers draw once, with the
-  stream counter after each;
+- estimate_law, sample_outcomes, chsh_mc and counterfactual_correlators
+  run for every sampling model, and the four public samplers draw once,
+  with the stream counter after each;
 - every runner at 1,000,003 trials, estimate_law for every sampling model
   and the four public samplers run once more (names marked ``@mid``) on
   streams that first draw 3 uniforms and 5 integers in [0, 12,566), so
@@ -138,8 +138,8 @@ def samplers(lhv):
 
 
 def model_outputs(lhv, seed: int):
-    """(name, value) for every model's sampled law, outcomes and
-    counterfactual correlators, and for the four public samplers."""
+    """(name, value) for every model's sampled law, outcomes, CHSH report
+    and counterfactual correlators, and for the four public samplers."""
     g, m, q = lhv.geometry, lhv.models, lhv.inequalities
     a, b = g.planar_setting(0.0), g.planar_setting(75.0)
     a2, b2 = g.planar_setting(45.0), g.planar_setting(135.0)
@@ -151,6 +151,9 @@ def model_outputs(lhv, seed: int):
         stream = g.RandomStream(seed, 2)
         yield (f"{stem}/sample_outcomes",
                (m.sample_outcomes(model, a, b, TRIALS, stream, p=P.get(model)), stream.counter))
+        stream = g.RandomStream(seed, 5)
+        report = q.chsh_mc(model, a, a2, b, b2, TRIALS, stream, p=P.get(model))
+        yield f"{stem}/chsh_mc", (report.as_dict(), stream.counter)
         if m.MODELS[model].local:
             stream = g.RandomStream(seed, 3)
             estimates = q.counterfactual_correlators(model, a, a2, b, b2, TRIALS, stream)
