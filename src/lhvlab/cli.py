@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .freewill import (dictated_settings_model, discretized_setting_tied_model,
                        mutual_information, setting_independent_model)
-from .geometry import RandomStream, planar_setting
+from .geometry import RandomStream, normalize, planar_setting
 from .inequalities import (chsh_analytic, chsh_mc, counterfactual_correlators,
                            fine_feasibility, ALGEBRAIC_BOUND)
 from .models import MODEL_IDS, MODELS, analytic_law, estimate_law
@@ -44,6 +44,8 @@ from .protocols import (run_conspiracy_audit, run_detection_loophole,
 
 DEFAULT_SEED = 12345
 SEED_ENV = "LHV_LAB_SEED"
+# |z| beyond which a two-sided normal test fails a correct run with probability 1e-5.
+_Z_TWO_SIDED = 4.4172
 
 
 def _round_floats(obj):
@@ -114,7 +116,7 @@ def _finish(args, config: dict, results: dict, checks: list) -> int:
 def _setting(args, name: str, default_deg: float) -> np.ndarray:
     vec = getattr(args, f"vec_{name}")
     if vec is not None:
-        return vec / float(np.linalg.norm(vec))
+        return normalize(vec)
     angle = getattr(args, name)
     return planar_setting(default_deg if angle is None else angle)
 
@@ -152,8 +154,10 @@ _SEED = _typed(int, lambda n: n >= 0, f"a nonnegative integer (--seed or ${SEED_
 _ANGLE = _typed(float, math.isfinite, "a finite angle in degrees")
 _BITS = _typed(lambda t: [int(ch) for ch in t], lambda bits: bits and set(bits) <= {0, 1},
                "a nonempty string of 0s and 1s")
+# normalize refuses a zero or non-finite norm, or a length other than 3, with
+# the ValueError that _typed reports.
 _VECTOR = _typed(lambda t: np.array([float(x) for x in t.split(",")]),
-                 lambda v: v.shape == (3,) and 0 < _norm(v) < math.inf,
+                 lambda v: normalize(v).shape == (3,),
                  "x,y,z with a finite nonzero norm")
 
 
@@ -167,11 +171,6 @@ def _seed(text):
     if isinstance(text, _FromEnvironment):
         text = os.environ.get(SEED_ENV, str(DEFAULT_SEED))
     return _SEED(text)
-
-
-def _norm(v) -> float:
-    with np.errstate(over="ignore"):
-        return float(np.linalg.norm(v))
 
 
 def _unread(parser, args, dests, who: str) -> None:
@@ -482,6 +481,13 @@ def _cmd_signal(args) -> int:
     else:
         checks.append(_check("received_bits_random", res.empirical_entropy >= 0.99,
                              f"entropy={res.empirical_entropy:.6g}"))
+        # Bits that carry no message match it on half the usable trials, so
+        # the success rate is binomial about 1/2; no usable trial leaks none.
+        n, rate = res.n_usable, res.success_rate
+        se = 0.5 / math.sqrt(n) if n else math.inf
+        z = (rate - 0.5) / se if n else 0.0
+        checks.append(_check("received_bits_independent_of_message", abs(z) <= _Z_TWO_SIDED,
+                             f"success_rate={rate:.6g}, se={se:.6g}, z={z:.6g}"))
     config = {"mode": args.mode, "trials": args.trials,
               "message_bits": len(message)}
     return _finish(args, config, res.summary(), checks)

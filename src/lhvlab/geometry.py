@@ -1,10 +1,10 @@
 """Deterministic geometry and randomness substrate.
 
 Unit vectors on the sphere (n of them as a column-major (n, 3) array), the
-one per-trial dot product (every u.x of the model rules and protocol
-runners rounds alike), the global sign convention and the branch-free +-1
-and selection kernels, seeded splittable random streams whose uniforms a
-run reserves whole and reads window by window
+one dot product (every u.x of the model rules and protocol runners, every
+closed-form a.b and every norm rounds alike), the global sign convention
+and the branch-free +-1 and selection kernels, seeded splittable random
+streams whose uniforms a run reserves whole and reads window by window
 (``RandomStream.uniform_rows``), ``streamed``/``chunked``, the one loop over
 the trials of a Monte Carlo run, and ``gathered``/``Columns``, the one fill
 of full-length arrays from its chunks. Everything downstream draws exclusively through
@@ -26,7 +26,10 @@ UNIT_TOL = 1e-12
 # Rows per chunk of a Monte Carlo trial loop (see chunked).
 _CHUNK_ROWS = 1 << 16
 
-_pool = None  # (workers, executor), made by the first run of two or more chunks
+# (workers, executor), made by the first run of two or more chunks. It lives
+# as long as the process: an executor per run cut mc_sweep's work rate by
+# 6-13 % (3 of 3 pairs), more than thread start-up explains.
+_pool = None
 _pool_lock = threading.Lock()
 _worker = threading.local()  # .busy is set in the pool's threads
 
@@ -161,10 +164,13 @@ os.register_at_fork(after_in_child=_forget_pool)
 
 
 def normalize(v) -> np.ndarray:
-    """Scale v to unit length. Idempotent: a vector already within
-    UNIT_TOL of unit norm is returned unchanged."""
+    """Scale v to unit length |v| = sqrt(dot(v, v)). Idempotent: a vector
+    already within UNIT_TOL of unit norm is returned unchanged."""
     v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
+    if v.shape != (3,):
+        raise ValueError(f"can normalize a 3-vector only, got shape {v.shape}")
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norm = math.sqrt(dot(v, v))
     if norm == 0.0 or not math.isfinite(norm):
         raise ValueError("cannot normalize zero or non-finite vector")
     if abs(norm - 1.0) <= UNIT_TOL:
@@ -184,9 +190,12 @@ def planar_setting(angle_deg: float) -> np.ndarray:
 
 def assert_unit(v, name: str = "vector") -> np.ndarray:
     """v as floats if it is a unit vector or rows of them; else ValueError
-    naming the first vector whose norm^2 is NaN or off 1 by over 1e-9."""
+    naming the first vector whose norm^2, dot(v, v), is NaN or off 1 by
+    over 1e-9."""
     v = np.asarray(v, dtype=float)
-    norm2 = np.sum(v * v, axis=-1)
+    if v.shape[-1:] != (3,):
+        raise ValueError(f"{name} must be a 3-vector or rows of them, got shape {v.shape}")
+    norm2 = dot(v, v)
     bad = np.flatnonzero(~(np.abs(norm2 - 1.0) <= 1e-9))
     if bad.size:
         i = bad[0]

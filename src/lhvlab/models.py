@@ -8,9 +8,10 @@ functions of their inputs and a :class:`~lhvlab.geometry.RandomStream`;
 vector arguments broadcast, so the same functions serve single trials
 and batched Monte Carlo.
 The shared rules are written once, for models and protocol runners alike:
-``outcome_counts``, ``law_table``, the detectors ``sign_outcome`` and
-``malus_outcome``, the Malus station pair ``malus_pair``, and the one-bit
-stations ``one_bit_station_a`` and ``one_bit_tau``. A sampled run reserves
+``outcome_counts``, ``law_table``, ``overlap``, the detectors
+``sign_outcome`` and ``malus_outcome``, the Malus station pair
+``malus_pair``, and the one-bit stations ``one_bit_station_a`` and
+``one_bit_tau``. A sampled run reserves
 its uniforms whole and then reads them and turns them into outcomes chunk
 by chunk (``RandomStream.uniform_rows``, ``geometry.chunked``); whole
 arrays are filled by ``geometry.gathered``.
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (X_HAT, Y_HAT, RandomStream, assert_unit, chunked, dot, gathered,
-                       select, sgn, sphere_rows, uniform_bits, uniform_signs)
+from .geometry import (X_HAT, Y_HAT, RandomStream, assert_unit, chunked, dot, gathered, select,
+                       sgn, sphere_point, sphere_rows, uniform_bits, uniform_signs)
 
 LAW_TOL = 1e-12
 
@@ -117,9 +118,15 @@ def uniform_law() -> JointLaw2x2:
     return JointLaw2x2(law_table(0.0))
 
 
+def overlap(a, b) -> float:
+    """a.b of the unit settings a and b, by geometry.dot: the closed forms
+    read the same bits as the per-trial rules, which sum u.x the same way."""
+    return float(dot(assert_unit(a, "a"), assert_unit(b, "b")))
+
+
 def singlet_law(a, b) -> JointLaw2x2:
     """Reference joint law P(sigma, tau) = (1 - sigma*tau a.b)/4."""
-    return JointLaw2x2(law_table(float(np.dot(assert_unit(a, "a"), assert_unit(b, "b")))))
+    return JointLaw2x2(law_table(overlap(a, b)))
 
 
 def malus_marginal(u, n, outcome):
@@ -205,9 +212,8 @@ def tb_extension_law(p: float, family: int, a, b) -> JointLaw2x2:
     outcome and gives (1 - p sigma*tau a.b)/4.
     """
     _check_extension(p, family)
-    t = float(np.dot(assert_unit(a, "a"), assert_unit(b, "b")))
     k = (2.0 * p - 1.0) if family == 1 else p
-    return JointLaw2x2(law_table(k * t))
+    return JointLaw2x2(law_table(k * overlap(a, b)))
 
 
 def tb_extension_sample(p: float, family: int, u, v, a, b, stream: RandomStream):
@@ -265,6 +271,8 @@ def hall_f(u, a, b):
     """Correlation kernel sgn(u.a) * sgn(-u.b) * (a.b), with the partner
     spin fixed to -u. Invariant under u -> -u."""
     sigma, tau = hall_outcomes(np.asarray(u, dtype=float), a, b)
+    # np.dot, not overlap: a.b only scales f, so its last bit decides no
+    # sign, and hall_density keeps the bits its tests pin.
     return sigma * tau * float(np.dot(a, b))
 
 
@@ -340,11 +348,10 @@ def hall_spins(a, b, w):
     same = w[0] < (1.0 + t) / 2.0
     phi = select(same, theta + (math.pi - theta) * w[3], theta * w[3])
     phi -= math.pi / 2
-    z = 2.0 * w[2] - 1.0
-    r = z * z
-    np.sqrt(np.subtract(1.0, r, out=r), out=r)
-    r *= (w[1] < 0.5) * 2.0 - 1.0  # the lune pair's side, an exact sign flip
-    rc, rs = r * np.cos(phi), r * np.sin(phi)
+    rc, rs, z = sphere_point(2.0 * w[2] - 1.0, phi).T
+    side = (w[1] < 0.5) * 2.0 - 1.0  # the lune pair's side, an exact sign flip
+    rc *= side
+    rs *= side
     out, term = np.empty((3, len(z))), np.empty(len(z))
     for k, row in enumerate(out):
         np.multiply(rc, e1[..., k], out=row)
@@ -392,10 +399,16 @@ def mixed_law(a, b) -> JointLaw2x2:
     atomic hidden-spin distribution but replaces Malus outcomes with the
     deterministic sign rule.
 
-    At a.b = 0 the sgn(0) = +1 convention applies; callers that care can
-    flag orthogonal settings.
+    At a.b = +-0 (orthogonal settings, by overlap) each atom's overlap with
+    the other station's setting is a signed zero, which sgn reads as +1:
+    the atom d*a gives (d, +1) and the atom -d*b gives (+1, d). The law is
+    then p(+1,+1) = 1/2, p(+1,-1) = p(-1,+1) = 1/4, p(-1,-1) = 0, with
+    correlator 0, which is what the sampler draws.
     """
-    return JointLaw2x2(law_table(sgn(float(np.dot(assert_unit(a, "a"), assert_unit(b, "b"))))))
+    t = overlap(a, b)
+    if t == 0.0:
+        return JointLaw2x2([[0.5, 0.25], [0.25, 0.0]])
+    return JointLaw2x2(law_table(sgn(t)))
 
 
 # ---------------------------------------------------------------------------

@@ -984,7 +984,7 @@ def run_signaling_experiment(message, mode: str, n_trials: int, seed: int,
         raise ValueError(f"n_trials must be at least 1, got {n_trials!r}")
     a = planar_setting(angle_a)
     b = planar_setting(angle_b)
-    if abs(float(np.dot(a, b))) > 1e-9:
+    if abs(float(dot(a, b))) > 1e-9:
         raise ValueError("signaling protocol requires orthogonal axes")
     message = np.asarray(message, dtype=np.int64)
     if message.size == 0 or np.any((message != 0) & (message != 1)):
