@@ -14,12 +14,16 @@ for a malformed or out-of-range number list (--correlators, --marginals,
 --tol, --scan), for a protocol run that cannot finish and for an --out or
 --transcript file that cannot be opened. Both files are opened before the
 run, so an unwritable path fails before any draw, and a run that fails
-removes them: it leaves no partial transcript and no report.
+removes them: it leaves no partial transcript and no report. On glibc,
+main keeps freed memory mapped for the rest of the process, so the
+temporaries of a Monte Carlo run are not faulted in again chunk by chunk
+(see _keep_chunk_memory).
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -535,17 +539,56 @@ _COMMANDS = {
 
 _parser = cache(build_parser)  # one parser per process; see _seed
 
+# The mallopt calls main makes: (M_MMAP_THRESHOLD, 32 MiB) and
+# (M_TRIM_THRESHOLD, 256 MiB), with glibc's parameter numbers (malloc.h).
+_MALLOPT = ((-3, 32 << 20), (-1, 256 << 20))
+
+
+@cache
+def _keep_chunk_memory() -> bool:
+    """Keep freed chunk temporaries mapped for the rest of the process, on
+    glibc only; returns whether the allocator was set.
+
+    Every 65,536-row chunk of a Monte Carlo run allocates and frees the same
+    temporaries of up to 2 MiB. At glibc's defaults, blocks from 128 KiB up
+    are mmapped and freed memory at the heap top is trimmed, so each chunk
+    faults its temporaries in again. Here blocks below 32 MiB come from the
+    heap (some glibc releases refuse an mmap threshold above half their
+    64 MiB thread heap), and up to 256 MiB of free heap stays mapped.
+    Setting either parameter also stops glibc from moving the thresholds as
+    large blocks are freed, so whether a command's temporaries are recycled
+    no longer depends on what earlier commands freed. main calls this once
+    per process; library callers keep the default allocator."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return all([mallopt(param, value) for param, value in _MALLOPT])
+
+
+def _memory_hint(args) -> str:
+    """What to ask less of when a command runs out of memory."""
+    if args.command == "protocol" and args.name == "detection-loophole" \
+            and args.mode == "sphere":
+        return ("fewer trials or sphere directions (a larger --delta-omega or a smaller "
+                "--n-directions)")
+    return "fewer trials, angles or message bits"
+
 
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
+    _keep_chunk_memory()
     with _opened(args):
         try:
             return _COMMANDS[args.command](args)
         except MemoryError:
-            raise SystemExit(f"lhvlab {args.command}: error: out of memory; ask for fewer "
-                             "trials, angles or message bits") from None
+            raise SystemExit(f"lhvlab {args.command}: error: out of memory; ask for "
+                             f"{_memory_hint(args)}") from None
 
 
 if __name__ == "__main__":

@@ -76,7 +76,8 @@ _CSV_COLUMNS = ("u", "a_used", "b_used", "sigma", "tau", "c", "d", "detected_a",
 
 
 class WatchDesyncError(RuntimeError):
-    """A station's reconstructed watch vector differs from the entangler's."""
+    """A station's reconstructed emission epoch, and so its watch vector,
+    differs from the entangler's."""
 
 
 @dataclass
@@ -869,12 +870,17 @@ def _phase(x):
     return x - np.floor(x)
 
 
-def station_watch_vectors(arrival_times, watch: Watch) -> np.ndarray:
-    """Reconstruct the emission-epoch watch vector at a station: subtract
-    the known time of flight, then snap to the emission tick so the
-    reconstruction is exact rather than drifting by float roundoff."""
+def _emission_epoch(arrival_times) -> np.ndarray:
+    """The emission epoch a station reconstructs from arrival times:
+    subtract the known time of flight, then snap to the emission tick so
+    the reconstruction is exact rather than drifting by float roundoff."""
     k = np.rint((np.asarray(arrival_times) - TIME_OF_FLIGHT) / EMISSION_STEP)
-    return watch_vector(k * EMISSION_STEP, watch)
+    return k * EMISSION_STEP
+
+
+def station_watch_vectors(arrival_times, watch: Watch) -> np.ndarray:
+    """Reconstruct the emission-epoch watch vector at a station."""
+    return watch_vector(_emission_epoch(arrival_times), watch)
 
 
 def run_watch_realization(n_trials: int, model: str, seed: int,
@@ -901,23 +907,23 @@ def run_watch_realization(n_trials: int, model: str, seed: int,
 
     def trials(rows):
         t_emit = (start_tick + np.arange(rows.start, rows.stop, dtype=float)) * EMISSION_STEP
+        # The stations read their watches at the epoch they reconstruct; if it
+        # is t_emit bit for bit, their vectors are the entangler's z_a, z_b.
+        epoch = _emission_epoch(t_emit + TIME_OF_FLIGHT)
+        if not np.array_equal(epoch.view(np.int64), t_emit.view(np.int64)):
+            raise WatchDesyncError("station watch reconstruction differs from entangler")
         z_a = watch_vector(t_emit, WATCH_A)
         z_b = watch_vector(t_emit, WATCH_B)
-        arrival = t_emit + TIME_OF_FLIGHT
-        a_used = station_watch_vectors(arrival, WATCH_A)
-        b_used = station_watch_vectors(arrival, WATCH_B)
-        if not (np.array_equal(a_used, z_a) and np.array_equal(b_used, z_b)):
-            raise WatchDesyncError("station watch reconstruction differs from entangler")
-        trial = {"a_used": a_used, "b_used": b_used}
+        trial = {"a_used": z_a, "b_used": z_b}
         if model == "pinned":
             wj, wd = coins(rows)
             j, d = uniform_bits(wj), uniform_signs(wd)
             u = (d * select(j == 0, z_a.T, z_b.T)).T
-            sigma, tau = malus_pair((u, noise_a(rows), noise_b(rows)), a_used, b_used)
+            sigma, tau = malus_pair((u, noise_a(rows), noise_b(rows)), z_a, z_b)
             trial.update(c=j, d=d)
         else:
             u = hall_spins(z_a, z_b, w(rows))
-            sigma, tau = hall_outcomes(u, a_used, b_used)
+            sigma, tau = hall_outcomes(u, z_a, z_b)
         return {**trial, "u": u, "sigma": sigma, "tau": tau}
 
     res = _protocol_run(f"watch-{model}", CausalMode.LAMBDA_CAUSES_SETTINGS, n_trials, record,

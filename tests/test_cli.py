@@ -632,3 +632,23 @@ def test_out_of_memory_fails_in_one_line_and_removes_the_report(tmp_path, monkey
     assert isinstance(message, str) and "\n" not in message
     assert message.startswith(f"lhvlab {command}: error: out of memory")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", [["--delta-omega", "1e-9"], ["--n-directions", "8"]])
+def test_out_of_memory_in_a_sphere_grid_names_the_sphere_directions(monkeypatch, grid):
+    # --delta-omega 1e-9 asks for about 1.26e10 directions; the grid's
+    # allocation fails through a monkeypatch, never for real.
+    monkeypatch.setattr("lhvlab.protocols._fibonacci_antipodal_grid", _out_of_memory)
+    with pytest.raises(SystemExit) as exc:
+        main(["protocol", "--name", "detection-loophole", "--mode", "sphere", *grid])
+    assert exc.value.code == ("lhvlab protocol: error: out of memory; ask for fewer trials or "
+                              "sphere directions (a larger --delta-omega or a smaller "
+                              "--n-directions)")
+
+
+def test_out_of_memory_in_other_protocols_keeps_the_general_hint(monkeypatch):
+    monkeypatch.setattr("lhvlab.cli.run_tb_protocol", _out_of_memory)
+    with pytest.raises(SystemExit) as exc:
+        main(["protocol", "--name", "tb", "--mode", "sphere"])
+    assert exc.value.code == ("lhvlab protocol: error: out of memory; ask for fewer trials, "
+                              "angles or message bits")

@@ -21,3 +21,11 @@ def test_kernel_times_prints_one_line_per_kernel_at_1024_rows_within_a_second(ca
     assert [line.split()[0] for line in lines] == KERNELS
     assert all(float(line.split()[1]) >= 0.0 for line in lines)
     assert elapsed < 1.0
+
+
+def test_kernel_times_prints_the_minor_faults_per_call_as_a_third_column(capsys):
+    assert tool.main(["--rows", "1024"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [fields[0] for fields in lines] == KERNELS
+    assert all(len(fields) == 3 for fields in lines)
+    assert all(float(fields[2]) >= 0.0 for fields in lines)

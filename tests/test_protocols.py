@@ -331,6 +331,39 @@ def test_watch_station_reconstruction_is_exact():
         assert np.array_equal(ent, station)
 
 
+def _one_tick_late(epoch):
+    return lambda arrival: epoch(arrival + EMISSION_STEP)
+
+
+def _last_row_one_ulp_off(epoch):
+    def reconstruct(arrival):
+        k = epoch(arrival)
+        k[-1] = np.nextafter(k[-1], math.inf)
+        return k
+    return reconstruct
+
+
+@pytest.mark.parametrize("model", ["pinned", "hall"])
+@pytest.mark.parametrize("fault", [_one_tick_late, _last_row_one_ulp_off])
+def test_watch_runner_raises_when_a_station_epoch_drifts(monkeypatch, model, fault):
+    # The runner reuses the entangler's vectors, so its epoch check is all
+    # that stands between a drifting station clock and a silent desync.
+    monkeypatch.setattr(protocols, "_emission_epoch", fault(protocols._emission_epoch))
+    with pytest.raises(protocols.WatchDesyncError,
+                       match="^station watch reconstruction differs from entangler$"):
+        run_watch_realization(70_000, model, seed=3, record=False)
+
+
+@pytest.mark.parametrize("model", ["pinned", "hall"])
+def test_watch_runner_settings_are_the_station_reconstructions(model):
+    res = run_watch_realization(70_000, model, seed=3, record=True, start_tick=-5)
+    t = (np.arange(70_000) - 5) * EMISSION_STEP
+    tr = res.transcripts
+    for used, watch in ((tr.a_used, WATCH_A), (tr.b_used, WATCH_B)):
+        station = station_watch_vectors(t + TIME_OF_FLIGHT, watch)
+        assert np.array_equal(used.view(np.int64), station.view(np.int64))
+
+
 def test_watch_pinned_recovers_singlet():
     res = run_watch_realization(2_000_000, "pinned", seed=20, record=False)
     assert res.channels.station_to_station_bits == 0

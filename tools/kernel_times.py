@@ -5,9 +5,10 @@
 The script imports lhvlab from CHECKOUT/src (default: the checkout that
 holds this file), calls each kernel in-process, on one thread, on fixed
 inputs of N rows (default 65,536, the rows of one chunk of
-geometry.chunked), and prints one ``name ms`` line per kernel: the best of
-7 calls, in milliseconds. Running it on two checkouts compares their
-kernels on the same inputs:
+geometry.chunked), and prints one ``name ms faults`` line per kernel: the
+best of 7 calls, in milliseconds, and the minor page faults per call
+(``ru_minflt`` over the 7 calls). Running it on two checkouts compares
+their kernels on the same inputs:
 
     python3 tools/kernel_times.py A; python3 tools/kernel_times.py B
 
@@ -18,6 +19,12 @@ one chunk's window of a reserved uniform draw (RandomStream.uniform_rows).
 perfbench's tracer sees only whole calls of the traced functions, so it
 cannot time these per chunk.
 
+The script never enters lhvlab.cli.main, so it runs on the library's
+default allocator: at glibc's defaults a freed temporary of 128 KiB or more
+goes back to the OS and is faulted in again by the next call (geometry.dot
+takes about 224 faults per call at 65,536 rows), where a command-line run
+keeps it mapped (see lhvlab.cli._keep_chunk_memory).
+
 The script uses the standard library and the checkout's lhvlab only.
 """
 
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import resource
 import sys
 import time
 from pathlib import Path
@@ -56,14 +64,17 @@ def kernels(lhv, n: int) -> dict:
     }
 
 
-def best_ms(call) -> float:
-    """The fastest of REPEATS calls, in milliseconds."""
+def measure(call) -> tuple[float, float]:
+    """The fastest of REPEATS calls, in milliseconds, and the minor page
+    faults per call over all REPEATS."""
     best = math.inf
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(REPEATS):
         start = time.perf_counter()
         call()
         best = min(best, time.perf_counter() - start)
-    return best * 1e3
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return best * 1e3, faults / REPEATS
 
 
 def main(argv=None) -> int:
@@ -79,7 +90,8 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(src))
     import lhvlab  # loads every module
     for name, call in kernels(lhvlab, args.rows).items():
-        print(f"{name} {best_ms(call):.3f}", flush=True)
+        ms, faults = measure(call)
+        print(f"{name} {ms:.3f} {faults:.1f}", flush=True)
     return 0
 
 
