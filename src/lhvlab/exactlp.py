@@ -25,6 +25,30 @@ integer matrix). Bland's entering rule and the ratio test (compared by
 cross-multiplication, ties broken by the lower basis index) make the same
 choices as on the rational tableau, so the pivot sequence, the final
 basis and the returned point are exactly those of rational pivoting.
+
+Packed rows. The coefficient entries of a row (original and slack
+columns, objective row included) are held as one integer
+``sum(x_j << (b*j))``, so a pivot updates a whole row with one big-integer
+``(v*p - f*P) // d``. This is exact because the update is linear and
+``d`` divides every ``x*p - f*y``: the packed value is divisible by ``d``
+and the lanes of its quotient are the new entries. An entry is read by
+adding the bias ``sum(2**(b-1) << (b*j))``, which makes every lane
+nonnegative, then shifting, masking and subtracting ``2**(b-1)``.
+
+Lane width. After any pivot sequence every coefficient entry is, up to
+sign, a minor of the matrix whose rows are the initial coefficient rows
+(with their implicit artificial column) and the phase-1 cost row (a one
+on each artificial): ``d`` times a reduced cost is ``-det [[B, a_j],
+[c_B, c_j]]`` and ``d`` times a tableau entry is ``det B`` with one
+column replaced. Hadamard's bound ``H``, the product of those rows'
+norms each rounded up, bounds every entry, so lanes of
+``b = H.bit_length() + 2`` bits hold each one with a spare bit; the
+products inside an update are exact Python integers of any size.
+
+The right-hand sides stay a plain list of integers, the objective's
+included. That column carries ``D_B``, which can be huge (the lcm of
+several 1e9 denominators for Monte Carlo bands, 2**1074 for a
+subnormal tolerance); packed, it would widen every lane to its size.
 """
 
 from __future__ import annotations
@@ -34,24 +58,55 @@ from fractions import Fraction
 
 
 def _integer_scaled(values):
-    """Integers z and the least D > 0 with z[i] == D * values[i]."""
+    """Integers z and the least D > 0 with z[i] == D * values[i]; all-int
+    input comes back as a list of the same ints with D = 1."""
+    if set(map(type, values)) <= {int}:
+        return list(values), 1
     exact = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
     denom = math.lcm(*(x.denominator for x in exact))
     return [x.numerator * (denom // x.denominator) for x in exact], denom
 
 
-def _pivot(tableau, obj, leave, enter, d):
-    """One fraction-free pivot on tableau[leave][enter], in place; returns
-    the pivot, which is the next running denominator."""
-    piv_row = tableau[leave]
-    p = piv_row[enter]
-    for i, row in enumerate(tableau):
-        if i != leave:
-            f = row[enter]
-            tableau[i] = [(x * p - f * y) // d for x, y in zip(row, piv_row)]
-    f = obj[enter]
-    obj[:] = [(x * p - f * y) // d for x, y in zip(obj, piv_row)]
+def _ceil_sqrt(s):
+    return math.isqrt(s - 1) + 1
+
+
+def _pivot(tableau, column, leave, d):
+    """One fraction-free pivot on row leave, in place; returns the pivot,
+    which is the next running denominator.
+
+    tableau is (rows, rhs, b): the packed rows with the objective last,
+    their right-hand sides, and the lane width b. column holds every row's
+    entry in the entering column."""
+    rows, rhs, _ = tableau
+    p = column[leave]
+    piv_row, piv_rhs = rows[leave], rhs[leave]
+    for i, f in enumerate(column):
+        if i == leave:
+            continue
+        if f:
+            rows[i] = (rows[i] * p - f * piv_row) // d
+            rhs[i] = (rhs[i] * p - f * piv_rhs) // d
+        elif p != d:  # only scaled; unchanged when p == d
+            rows[i] = rows[i] * p // d
+            rhs[i] = rhs[i] * p // d
     return p
+
+
+def _checked_shapes(A_eq, b_eq, A_ub, b_ub):
+    """The number of columns (0 without rows); raises ValueError on a
+    ragged row or a right-hand side whose length does not match its rows."""
+    for name, A, b in (("eq", A_eq, b_eq), ("ub", A_ub, b_ub)):
+        if len(b) != len(A):
+            raise ValueError(f"A_{name} has {len(A)} rows but b_{name} has {len(b)} entries")
+    first = "A_eq row 0" if A_eq else "A_ub row 0"
+    n = len((A_eq or A_ub or [()])[0])
+    for name, A in (("A_eq", A_eq), ("A_ub", A_ub)):
+        for i, row in enumerate(A):
+            if len(row) != n:
+                raise ValueError(f"{name} row {i} has {len(row)} entries, "
+                                 f"but {first} has {n}")
+    return n
 
 
 def feasible_point(A_eq, b_eq, A_ub=(), b_ub=()):
@@ -59,58 +114,81 @@ def feasible_point(A_eq, b_eq, A_ub=(), b_ub=()):
 
     Returns a list of Fractions, or None when the system is infeasible.
     Inequalities are handled through nonnegative slack variables; the
-    returned point contains only the original variables.
+    returned point contains only the original variables. Raises
+    ValueError when a row's length or a right-hand side's length does not
+    match.
     """
     A_eq = [list(row) for row in A_eq]
     A_ub = [list(row) for row in A_ub]
+    b_eq, b_ub = list(b_eq), list(b_ub)
+    n = _checked_shapes(A_eq, b_eq, A_ub, b_ub)
     if not A_eq and not A_ub:
         return []
-    n = len(A_eq[0]) if A_eq else len(A_ub[0])
-    k = len(A_ub)
-    m = len(A_eq) + k
+    n_eq, k = len(A_eq), len(A_ub)
+    m = n_eq + k
     width = n + k  # original + slack; the artificials n+k.. are implicit
 
     coefs, d_a = _integer_scaled([x for row in A_eq + A_ub for x in row])
-    rhs, d_b = _integer_scaled(list(b_eq) + list(b_ub))
-    tableau = []
-    for i in range(m):
-        row = coefs[i * n:(i + 1) * n] + [0] * k
-        if i >= len(A_eq):
-            row[n + i - len(A_eq)] = d_a  # slack column, scaled with A
-        row.append(rhs[i])
+    rhs, d_b = _integer_scaled(b_eq + b_ub)
+    rows = [coefs[i * n:(i + 1) * n] for i in range(m)]
+    # Hadamard's bound on every entry: the rows' norms rounded up, each row
+    # with its slack entry d_a (inequalities) and its artificial's one,
+    # times that of the cost row, which has m ones.
+    bound = _ceil_sqrt(m)
+    for i, row in enumerate(rows):
+        bound *= _ceil_sqrt(sum([x * x for x in row]) + (d_a * d_a + 1 if i >= n_eq else 1))
+    bits = bound.bit_length() + 2
+    shifts = range(0, bits * n, bits)
+    packed = []
+    for i, row in enumerate(rows):
+        v = sum([x << s for x, s in zip(row, shifts)])
+        if i >= n_eq:
+            v += d_a << (bits * (n + i - n_eq))  # slack column, scaled with A
         if rhs[i] < 0:  # phase 1 needs b >= 0
-            row = [-x for x in row]
-        tableau.append(row)
+            v, rhs[i] = -v, -rhs[i]
+        packed.append(v)
+    # Reduced costs z_j - c_j for minimizing the sum of artificials: with
+    # an all-artificial basis, z_j is the column sum, and packed rows add
+    # lane by lane.
+    packed.append(sum(packed))
+    rhs.append(sum(rhs))
     basis = [width + i for i in range(m)]
 
-    # Reduced costs z_j - c_j for minimizing the sum of artificials: with
-    # an all-artificial basis, z_j is the column sum.
-    obj = [sum(col) for col in zip(*tableau)]
-
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    ones = ((1 << (bits * width)) - 1) // mask  # a one in every lane
+    bias = half * ones
+    tableau = (packed, rhs, bits)
     d = 1
     while True:
-        enter = next((j for j in range(width) if obj[j] > 0), None)
-        if enter is None:
+        # Lane j of obj + bias - ones is obj_j + 2**(b-1) - 1, in [0, 2**b)
+        # since |obj_j| < 2**(b-2); its top bit is set iff obj_j > 0, and
+        # Bland's rule enters the lowest such j.
+        positive = (packed[-1] + bias - ones) & bias
+        if not positive:
             break
+        enter = ((positive & -positive).bit_length() - 1) // bits
+        shift = bits * enter
+        column = [(((v + bias) >> shift) & mask) - half for v in packed]
         leave = None
-        for i, row in enumerate(tableau):
-            coef = row[enter]
+        for i in range(m):
+            coef = column[i]
             if coef > 0:
                 if leave is None:
-                    leave, num, den = i, row[-1], coef
+                    leave, num, den = i, rhs[i], coef
                     continue
-                lhs, best = row[-1] * den, num * coef
+                lhs, best = rhs[i] * den, num * coef
                 if lhs < best or (lhs == best and basis[i] < basis[leave]):
-                    leave, num, den = i, row[-1], coef
+                    leave, num, den = i, rhs[i], coef
         if leave is None:
             raise RuntimeError("phase-1 objective unbounded; malformed input")
-        d = _pivot(tableau, obj, leave, enter, d)
+        d = _pivot(tableau, column, leave, d)
         basis[leave] = enter
 
-    if any(row[-1] for row, j in zip(tableau, basis) if j >= width):
+    if any(r for r, j in zip(rhs, basis) if j >= width):
         return None
     x = [Fraction(0)] * n
-    for row, j in zip(tableau, basis):
+    for r, j in zip(rhs, basis):
         if j < n:
-            x[j] = Fraction(row[-1] * d_a, d * d_b)
+            x[j] = Fraction(r * d_a, d * d_b)
     return x

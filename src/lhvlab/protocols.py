@@ -1097,8 +1097,10 @@ def run_conspiracy_audit(n_trials: int, a, b, mode: str, seed: int) -> AuditResu
 def _audit(u, a_used, b_used, a, b):
     """(trials whose used settings differ from the declared a and b, counted
     per side; whether every such setting lies along +-u)."""
-    dev_a = ~np.all(a_used == a, axis=1)
-    dev_b = ~np.all(b_used == b, axis=1)
+    # Column by column and without row gathers, which cost about 1 ms each
+    # on the column-major rows of a chunk.
+    dev_a = (a_used[:, 0] != a[0]) | (a_used[:, 1] != a[1]) | (a_used[:, 2] != a[2])
+    dev_b = (b_used[:, 0] != b[0]) | (b_used[:, 1] != b[1]) | (b_used[:, 2] != b[2])
     return (int(np.count_nonzero(dev_a) + np.count_nonzero(dev_b)),
-            bool(np.all(_along_axis(u[dev_a], a_used[dev_a]))
-                 and np.all(_along_axis(u[dev_b], b_used[dev_b]))))
+            bool(np.all(_along_axis(u, a_used) | ~dev_a)
+                 and np.all(_along_axis(u, b_used) | ~dev_b)))

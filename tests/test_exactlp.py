@@ -9,9 +9,12 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lhvlab import exactlp, inequalities
 from lhvlab.exactlp import feasible_point
+
+_pivot = exactlp._pivot
 
 
 def fraction_feasible_point(A_eq, b_eq, A_ub=(), b_ub=()):
@@ -123,3 +126,93 @@ def test_degenerate_ties_follow_basis_order():
 def test_rational_and_float_coefficients(A_eq, b_eq, A_ub, b_ub):
     assert feasible_point(A_eq, b_eq, A_ub, b_ub) == fraction_feasible_point(
         A_eq, b_eq, A_ub, b_ub)
+
+
+@pytest.mark.parametrize("args, message", [
+    (([[1, 1], [1]], [1, 1]), "A_eq row 1 has 1 entries, but A_eq row 0 has 2"),
+    (([[1, 1]], [1, 2]), "A_eq has 1 rows but b_eq has 2 entries"),
+    (([[1, 1]], [1], [[1, 0, 5]], [1]), "A_ub row 0 has 3 entries, but A_eq row 0 has 2"),
+    (([[1, 1], [1, 0]], [1]), "A_eq has 2 rows but b_eq has 1 entries"),
+    (([], [], [[1, 1], [1]], [1, 1]), "A_ub row 1 has 1 entries, but A_ub row 0 has 2"),
+    (([[1]], [1], [[1]], []), "A_ub has 1 rows but b_ub has 0 entries"),
+    (([], [1]), "A_eq has 0 rows but b_eq has 1 entries"),
+])
+def test_malformed_shapes_raise_value_error(args, message):
+    with pytest.raises(ValueError) as info:
+        feasible_point(*args)
+    assert str(info.value) == message
+
+
+def packed_lanes(v, bits, count):
+    """The signed bits-wide lanes of a packed tableau row, lowest first,
+    padded with zeros to count."""
+    half, mask, lanes = 1 << (bits - 1), (1 << bits) - 1, []
+    while v:
+        lanes.append(((v + half) & mask) - half)
+        v = (v - lanes[-1]) >> bits
+    assert len(lanes) <= count, "a nonzero lane past the last column"
+    return lanes + [0] * (count - len(lanes))
+
+
+def list_pivot(tableau, leave, enter, d):
+    """The fraction-free pivot on list rows (the entries, then the
+    right-hand side; the objective row last) that packed rows replaced."""
+    piv_row = tableau[leave]
+    p = piv_row[enter]
+    for i, row in enumerate(tableau):
+        if i != leave:
+            f = row[enter]
+            tableau[i] = [(x * p - f * y) // d for x, y in zip(row, piv_row)]
+    return p
+
+
+def list_checked_pivot(width):
+    """A stand-in for exactlp._pivot that, around each pivot, decodes every
+    row and requires the packed pivot to give list_pivot's rows."""
+    def pivot(tableau, column, leave, d):
+        rows, rhs, bits = tableau
+        expected = [packed_lanes(v, bits, width) + [r] for v, r in zip(rows, rhs)]
+        enter = next(j for j in range(width) if expected[-1][j] > 0)  # Bland's rule
+        assert column == [row[enter] for row in expected]
+        assert list_pivot(expected, leave, enter, d) == _pivot(tableau, column, leave, d)
+        assert [packed_lanes(v, bits, width) + [r] for v, r in zip(rows, rhs)] == expected
+        return column[leave]
+    return pivot
+
+
+# Entries of one kind per system (or all kinds mixed), so that all-int
+# systems stay small and tie often, and scaled ones reach 2**70
+# denominators. The entries come from a drawn random.Random: drawing
+# hundreds of them one by one through hypothesis takes seconds.
+ENTRIES = {
+    "int": lambda rng: rng.randint(-3, 3),
+    "fraction": lambda rng: Fraction(rng.randint(-36, 36), rng.randint(1, 12)),
+    "float": lambda rng: rng.randint(-2**53, 2**53) / 2**rng.choice((0, 3, 53, 70)),
+    "2**70": lambda rng: Fraction(rng.randint(-2**72, 2**72), 2**70 + 1),
+}
+ENTRIES["mixed"] = lambda rng: rng.choice(list(ENTRIES.values()))(rng)
+
+
+@st.composite
+def lp_systems(draw):
+    """(A_eq, b_eq, A_ub, b_ub) with 1 to 13 rows and up to 24 columns,
+    slack columns included."""
+    n_eq = draw(st.integers(0, 13))
+    k = draw(st.integers(int(n_eq == 0), 13 - n_eq))
+    n = draw(st.integers(1, 24 - k))
+    coef = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    rhs = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    rng = draw(st.randoms(use_true_random=False))
+    A_eq, A_ub = ([[coef(rng) for _ in range(n)] for _ in range(count)] for count in (n_eq, k))
+    b_eq, b_ub = ([rhs(rng) for _ in range(count)] for count in (n_eq, k))
+    return A_eq, b_eq, A_ub, b_ub
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(lp_systems())
+def test_packed_pivot_gives_the_list_rows_and_the_rational_point(args):
+    A_eq, _, A_ub, _ = args
+    width = len((A_eq or A_ub)[0]) + len(A_ub)
+    with mock.patch.object(exactlp, "_pivot", list_checked_pivot(width)):
+        got = feasible_point(*args)
+    assert got == fraction_feasible_point(*args)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lhvlab import exactlp
 from lhvlab.inequalities import CHSH_FACETS, _facet_check, fine_feasibility
+from test_exactlp import packed_lanes
 
 SIXTEENTHS = st.integers(-16, 16).map(lambda k: Fraction(k, 16))
 QUARTET = st.lists(SIXTEENTHS, min_size=4, max_size=4)
@@ -52,15 +53,18 @@ def on_pair_facet(draw):
 _pivot = exactlp._pivot
 
 
-def _checked_pivot(tableau, obj, leave, enter, d):
+def _checked_pivot(tableau, column, leave, d):
     """exactlp._pivot, asserting a positive pivot and exact divisions."""
-    p = tableau[leave][enter]
+    rows, rhs, bits = tableau
+    p = column[leave]
     assert p > 0 and d > 0
-    piv_row = tableau[leave]
-    for row in [r for i, r in enumerate(tableau) if i != leave] + [obj]:
-        f = row[enter]
-        assert all((x * p - f * y) % d == 0 for x, y in zip(row, piv_row))
-    return _pivot(tableau, obj, leave, enter, d)
+    count = max(v.bit_length() for v in rows) // bits + 1  # every lane
+    piv_row = packed_lanes(rows[leave], bits, count) + [rhs[leave]]
+    for i, f in enumerate(column):  # the objective row is the last
+        if i != leave:
+            row = packed_lanes(rows[i], bits, count) + [rhs[i]]
+            assert all((x * p - f * y) % d == 0 for x, y in zip(row, piv_row))
+    return _pivot(tableau, column, leave, d)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)

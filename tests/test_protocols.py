@@ -505,6 +505,37 @@ def test_slave_audit_is_the_shared_coin_realization():
     assert audit.deviations_match_u
 
 
+def _gathered_audit(u, a_used, b_used, a, b):
+    """The audit as it was first written: gather each side's deviating
+    rows, then test them."""
+    dev_a = ~np.all(a_used == a, axis=1)
+    dev_b = ~np.all(b_used == b, axis=1)
+    return (int(np.count_nonzero(dev_a) + np.count_nonzero(dev_b)),
+            bool(np.all(protocols._along_axis(u[dev_a], a_used[dev_a]))
+                 and np.all(protocols._along_axis(u[dev_b], b_used[dev_b]))))
+
+
+@pytest.mark.parametrize("off_u", [None, "a", "b"])
+def test_audit_matches_the_gathered_formula(off_u):
+    # Rows 0-1 deviate on neither side, 2-3 on side a, 4-5 on side b and
+    # 6-7 on both; every deviation lies on +-u, but for one row moved off
+    # it on side off_u. The rows are column-major, as a chunk holds them.
+    u = np.asfortranarray(RandomStream(7, 0).sphere(8))
+    a_used = np.asfortranarray(np.tile(X, (8, 1)))
+    b_used = np.asfortranarray(np.tile(B63, (8, 1)))
+    a_used[[2, 3, 6, 7]] = u[[2, 3, 6, 7]] * [[1], [-1], [1], [-1]]
+    b_used[[4, 5, 6, 7]] = u[[4, 5, 6, 7]] * [[-1], [1], [1], [-1]]
+    if off_u:
+        (a_used if off_u == "a" else b_used)[6] = planar_setting(10.0)
+    got = protocols._audit(u, a_used, b_used, X, B63)
+    assert got == _gathered_audit(u, a_used, b_used, X, B63) == (8, off_u is None)
+    # The declared settings broadcast over every row, as the honest runs
+    # hold them: no deviation, whatever u is.
+    a_used, b_used = np.broadcast_to(X, u.shape), np.broadcast_to(B63, u.shape)
+    got = protocols._audit(u, a_used, b_used, X, B63)
+    assert got == _gathered_audit(u, a_used, b_used, X, B63) == (0, True)
+
+
 def test_audit_third_party_switch_restores_compliance():
     res = run_conspiracy_audit(100_000, X, B63, "third-party", seed=32)
     assert res.deviations == 0

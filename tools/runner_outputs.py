@@ -27,7 +27,12 @@ because each one writes a transcript. Here, at seeds 5 and 6:
   word buffered;
 - mutual_information's whole report (M, I and I_max in full) for each
   free-will model builder at n = 4, 12 and 16, and for one model whose
-  denominators pass 2**70.
+  denominators pass 2**70;
+- exactlp.feasible_point's point or None for fixed seeded systems: those
+  of tools/lp_times.py in steps of 1/16 and 1/64 (exact, marginals and
+  band feasibility, 1e9-denominator bands, one and two rows), systems with
+  coefficients over 2**70-sized denominators, and systems whose right-hand
+  sides are all zero, so that every ratio ties.
 
 The script uses the standard library and the checkout's lhvlab only.
 """
@@ -36,7 +41,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import io
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -46,6 +53,8 @@ TRIALS = 1_000_003
 RECORDED_TRIALS = 200_003
 MESSAGE = (0, 1, 1, 0, 1)
 P = {"tb-ext1": 0.3, "tb-ext2": 0.7}
+LP_SEED = 7
+LP_COUNT = 16
 
 
 def _digest(value) -> str:
@@ -213,6 +222,40 @@ def freewill_outputs(lhv):
     yield "freewill.big-denominators", repr(f.mutual_information(model))
 
 
+def lp_systems(seed: int, count: int):
+    """name -> count seeded systems: tools/lp_times.py's shapes in steps of
+    1/16 and 1/64, then 2**70-sized denominators and all-zero right-hand
+    sides on random shapes of up to 13 rows, with and without inequalities."""
+    spec = importlib.util.spec_from_file_location("lp_times",
+                                                  Path(__file__).with_name("lp_times.py"))
+    lp_times = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lp_times)
+    for den in (16, 64):
+        for shape, batch in lp_times.systems(seed, count, den).items():
+            yield f"{shape}/d{den}", batch
+    rng = random.Random(seed)
+
+    def big():
+        return Fraction(rng.randint(-2**72, 2**72), 2**70 + rng.randint(0, 3))
+    entries = {"2**70": (big, big),  # (coefficient, right-hand side)
+               "ties": (lambda: rng.randint(-2, 2), lambda: rng.choice((0, 0, 0, 1)))}
+    for name, (coef, rhs) in entries.items():
+        batch = []
+        for _ in range(count):
+            n_eq, k, n = rng.randint(1, 9), rng.randint(0, 4), rng.randint(2, 16)
+            A_eq, A_ub = ([[coef() for _ in range(n)] for _ in range(rows)] for rows in (n_eq, k))
+            b_eq, b_ub = ([rhs() for _ in range(rows)] for rows in (n_eq, k))
+            batch.append((A_eq, b_eq, A_ub, b_ub))
+        yield name, batch
+
+
+def lp_outputs(lhv):
+    """(name, the points or Nones) for every batch of lp_systems."""
+    solve = lhv.exactlp.feasible_point
+    for name, batch in lp_systems(LP_SEED, LP_COUNT):
+        yield f"lp.{name}/s{LP_SEED}", [solve(*args) for args in batch]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).parents[1])
@@ -226,8 +269,9 @@ def main(argv=None) -> int:
         for outputs in (runner_outputs, model_outputs, mid_block_outputs):
             for name, value in outputs(lhvlab, seed):
                 print(name, _digest(value), flush=True)
-    for name, value in freewill_outputs(lhvlab):
-        print(name, _digest(value), flush=True)
+    for outputs in (freewill_outputs, lp_outputs):
+        for name, value in outputs(lhvlab):
+            print(name, _digest(value), flush=True)
     return 0
 
 
