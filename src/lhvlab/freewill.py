@@ -6,10 +6,13 @@ the L1 distance between the conditional hidden-variable distributions)
 and the mutual information between the settings pair and the hidden
 variables under uniform independent setting priors.
 
-Each conditional distribution is held as a row of integers over one
-common denominator D, the lcm of the weights' denominators, built and
-checked once when the model is made, so M is exact: int64 numpy blocks
-while 2D fits in int64, Python ints beyond.
+Each conditional distribution is held as a sparse row of integers over
+one common denominator D, the lcm of the weights' denominators, built
+and checked in one pass when the model is made, so M is exact. Every
+row is nonnegative and sums to D, so M comes from the overlaps
+sum_k min(u_k, v_k) on the atoms that two or more distinct rows hold
+(int64 while 2D fits in int64, Python ints beyond), and a pair of rows
+that overlap nowhere settles M = 2 at once.
 Entropies are evaluated in floating point from the same integers, each
 probability a correctly rounded integer quotient; they are exact
 whenever the grid size is a power of two. The continuous-setting limit
@@ -22,10 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
-_BLOCK = 1 << 16  # int64 elements per block of the pairwise L1 scan
+_BLOCK = 1 << 14  # elements per block of the pairwise overlap scan
 
 
 @dataclass(frozen=True)
@@ -35,7 +39,7 @@ class DiscretizedModel:
     a finite conditional distribution over hidden-variable atoms.
 
     conditional[(i, j)] maps atom keys to exact weights (int or Fraction)
-    that sum to 1 for each pair, checked on the rows of _integer_rows.
+    that sum to 1 for each pair, checked by _integer_rows.
     """
 
     n_a: int
@@ -43,20 +47,13 @@ class DiscretizedModel:
     conditional: dict
 
     def __post_init__(self):
-        for (i, j), dist in self.conditional.items():
-            if not (0 <= i < self.n_a and 0 <= j < self.n_b):
-                raise ValueError(f"settings index {(i, j)} out of range")
-            if not all(isinstance(w, (int, Fraction)) for w in dist.values()):
-                raise ValueError(f"conditional weights at {(i, j)} must be int or Fraction")
-        denom, rows, n_atoms = _integer_rows(self.conditional.values())
-        for (i, j), row in zip(self.conditional, rows):
-            if sum(row.values()) != denom:
-                raise ValueError(f"conditional weights at {(i, j)} must sum to exactly 1")
-            if any(w < 0 for w in row.values()):
-                raise ValueError("conditional weights must be nonnegative")
+        for field in ("n_a", "n_b"):
+            if getattr(self, field) < 1:
+                raise ValueError(f"{field} must be at least 1")
+        rows = _integer_rows(self)
         if len(self.conditional) != self.n_a * self.n_b:
             raise ValueError("need one conditional distribution per settings pair")
-        object.__setattr__(self, "_rows", (denom, rows, n_atoms))
+        object.__setattr__(self, "_rows", rows)
 
 
 def discretized_setting_tied_model(n: int) -> DiscretizedModel:
@@ -69,15 +66,11 @@ def discretized_setting_tied_model(n: int) -> DiscretizedModel:
     """
     if n < 2:
         raise ValueError("need at least two settings per side")
-    conditional = {}
     quarter = Fraction(1, 4)
-    for i in range(n):
-        for j in range(n):
-            dist = {}
-            for d in (1, -1):
-                dist[(0, d, "a", i)] = quarter
-                dist[(1, d, "b", j)] = quarter
-            conditional[(i, j)] = dist
+    a = [((0, 1, "a", i), (0, -1, "a", i)) for i in range(n)]
+    b = [((1, 1, "b", j), (1, -1, "b", j)) for j in range(n)]
+    conditional = {(i, j): {a[i][0]: quarter, b[j][0]: quarter, a[i][1]: quarter, b[j][1]: quarter}
+                   for i in range(n) for j in range(n)}
     return DiscretizedModel(n_a=n, n_b=n, conditional=conditional)
 
 
@@ -91,47 +84,105 @@ def setting_independent_model(n: int) -> DiscretizedModel:
 def dictated_settings_model(n: int) -> DiscretizedModel:
     """The hidden variable determines both settings: I reaches its
     maximum 2*log2(n), the total absence of free choice."""
-    conditional = {(i, j): {("pair", i, j): Fraction(1)}
-                   for i in range(n) for j in range(n)}
+    one = Fraction(1)
+    conditional = {(i, j): {("pair", i, j): one} for i in range(n) for j in range(n)}
     return DiscretizedModel(n_a=n, n_b=n, conditional=conditional)
 
 
-def _integer_rows(dists) -> tuple[int, list, int]:
-    """(D, rows, number of atoms): rows[k] is the k-th distribution of
-    dists as {atom index: weight * D}, nonzero weights only.
+def _integer_rows(model) -> tuple[int, list, int]:
+    """(D, rows, number of atoms) for model.conditional, checked in one pass.
 
-    Atoms are indexed in order of their first nonzero weight, scanning
-    the distributions and each one in order.
+    rows[k] is the k-th distribution as (atom indices, weights * D), two
+    tuples over its nonzero weights, and D is the lcm of the weights'
+    denominators. Atoms are indexed in order of their first nonzero
+    weight, scanning the distributions and each one in order. The first
+    faulty pair raises, for its index, its weight types, its sum or its
+    signs, in that order.
     """
-    denom = math.lcm(*(w.denominator for dist in dists for w in dist.values()))
-    index: dict = {}
-    rows = [{index.setdefault(atom, len(index)): w.numerator * (denom // w.denominator)
-             for atom, w in dist.items() if w} for dist in dists]
+    n_a, n_b = model.n_a, model.n_b
+    denom, index, rows, denoms = 1, {}, [], []
+    for (i, j), dist in model.conditional.items():
+        if not (0 <= i < n_a and 0 <= j < n_b):
+            raise ValueError(f"settings index {(i, j)} out of range")
+        atoms, weights = [], []
+        for atom, w in dist.items():
+            if not isinstance(w, (int, Fraction)):
+                raise ValueError(f"conditional weights at {(i, j)} must be int or Fraction")
+            num, den = w.as_integer_ratio()
+            if num:
+                if den != denom:
+                    if denom % den:  # D grows; this row's weights so far grow with it
+                        grow = den // math.gcd(denom, den)
+                        denom *= grow
+                        weights = [x * grow for x in weights]
+                    num *= denom // den
+                atoms.append(index.setdefault(atom, len(index)))
+                weights.append(num)
+        if sum(weights) != denom:
+            raise ValueError(f"conditional weights at {(i, j)} must sum to exactly 1")
+        if min(weights) < 0:
+            raise ValueError("conditional weights must be nonnegative")
+        rows.append((tuple(atoms), tuple(weights)))
+        denoms.append(denom)
+    if denoms and denoms[0] != denom:  # rows built before D last grew
+        rows = [row if d == denom else (row[0], tuple(x * (denom // d) for x in row[1]))
+                for row, d in zip(rows, denoms)]
     return denom, rows, len(index)
 
 
 def _sup_l1(denom: int, rows: list, n_atoms: int) -> float:
-    """Largest L1 distance between two rows, over D."""
-    unique = list({tuple(sorted(row.items())): row for row in rows}.values())
-    if len(unique) < 2:
+    """Largest L1 distance between two rows, over D.
+
+    Every row is nonnegative and sums to D, so L1(u, v) = 2D - 2 sum_k
+    min(u_k, v_k): only atoms held by two or more distinct rows enter an
+    overlap, and two rows that overlap nowhere are at the largest
+    distance, 2D. The rows are scanned in blocks over those shared atoms,
+    each block against itself and the blocks before it, until such a pair
+    turns up. Equal rows are scanned once: rows are compared as written,
+    and, when two of them may hold one set of atoms (each row's atoms
+    hashed to one order-free sum), again as sorted (atom, weight) pairs.
+    """
+    unique = list(dict.fromkeys(rows))
+    m = len(unique)
+    if m < 2:
         return 0.0
-    if 2 * denom >= 2**63:  # a sum of |differences| could overflow int64
-        dense = [[row.get(k, 0) for k in range(n_atoms)] for row in unique]
-        best = max(sum(abs(x - y) for x, y in zip(u, v))
-                   for i, u in enumerate(dense) for v in dense[i + 1:])
-        return best / denom
-    dense = np.zeros((len(unique), n_atoms), dtype=np.int64)
-    at, atom, weight = zip(*((i, k, w) for i, row in enumerate(unique) for k, w in row.items()))
-    dense[at, atom] = weight
-    step = max(1, math.isqrt(_BLOCK // n_atoms))
-    best = 0
-    for i in range(0, len(unique), step):
-        block = dense[i:i + step, None, :]
-        for j in range(i, len(unique), step):
-            best = max(best, int(np.abs(block - dense[None, j:j + step]).sum(axis=2).max()))
-            if best == 2 * denom:
+    atom_rows, weight_rows = zip(*unique)
+    sizes = np.fromiter(map(len, atom_rows), np.intp, m)
+    atoms = np.fromiter(chain.from_iterable(atom_rows), np.intp, sizes.sum())
+    shared = np.bincount(atoms, minlength=n_atoms) > 1
+    keep = shared[atoms]
+    held = np.repeat(np.arange(m), sizes)[keep]  # the row of each kept weight
+    per_row = np.bincount(held, minlength=m)
+    if not per_row.all():  # a row that shares no atom overlaps no other row
+        return 2.0
+    mixed = atoms.astype(np.uint64)
+    mixed += 1
+    mixed *= np.uint64(0x9E3779B97F4A7C15)
+    mixed ^= mixed >> np.uint64(29)
+    signatures = np.sort(np.add.reduceat(mixed, np.cumsum(sizes) - sizes))
+    if (signatures[1:] == signatures[:-1]).any():  # two rows may hold one set of atoms
+        distinct = list({tuple(sorted(zip(*row))): row for row in unique}.values())
+        if len(distinct) < m:
+            return _sup_l1(denom, distinct, n_atoms)
+    # int64 while 2D < 2**63, so 2D and every overlap (at most D) fit; Python ints beyond.
+    dtype = np.int64 if 2 * denom < 2**63 else object
+    weights = np.fromiter(chain.from_iterable(weight_rows), dtype, atoms.size)[keep]
+    column = (np.cumsum(shared) - 1)[atoms[keep]]
+    ends = np.concatenate(([0], np.cumsum(per_row)))
+    width = int(np.count_nonzero(shared))
+    step = max(1, math.isqrt(_BLOCK // width))
+    seen, least = [], denom
+    for start in range(0, m, step):
+        stop = min(start + step, m)
+        block = np.zeros((stop - start, width), dtype)
+        at = slice(ends[start], ends[stop])
+        block[held[at] - start, column[at]] = weights[at]
+        seen.append(block)
+        for other in seen:
+            least = min(least, int(np.minimum(block[:, None], other).sum(axis=2).min()))
+            if not least:
                 return 2.0
-    return best / denom
+    return 2 * (denom - least) / denom
 
 
 def measure_M(model: DiscretizedModel) -> float:
@@ -167,8 +218,8 @@ def mutual_information(model: DiscretizedModel) -> FreeWillReport:
     """
     denom, rows, n_atoms = model._rows
     columns: list = [[] for _ in range(n_atoms)]
-    for row in rows:
-        for k, w in row.items():
+    for atoms, weights in rows:
+        for k, w in zip(atoms, weights):
             columns[k].append(w)
     h_settings = math.log2(model.n_a * model.n_b)
     scale = denom * model.n_a * model.n_b

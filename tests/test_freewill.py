@@ -1,4 +1,7 @@
+import itertools
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -100,6 +103,37 @@ def test_discretized_model_rejects_each_fault_with_its_message(conditional, mess
         DiscretizedModel(1, 1, conditional)
 
 
+@pytest.mark.parametrize("n_a, n_b, field", [(0, 0, "n_a"), (0, 3, "n_a"), (3, 0, "n_b"),
+                                             (-1, 2, "n_a")])
+def test_discretized_model_rejects_models_without_settings(n_a, n_b, field):
+    with pytest.raises(ValueError, match=f"^{field} must be at least 1$"):
+        DiscretizedModel(n_a, n_b, {})
+
+
+_FAULTS = {  # a faulty distribution at (0, k) -> its message
+    "index": ({"x": 1}, r"settings index \(5, {k}\) out of range"),
+    "type": ({"x": 0.5, "y": 0.5}, r"conditional weights at \(0, {k}\) must be int or Fraction"),
+    "sum": ({"x": Fraction(1, 2)}, r"conditional weights at \(0, {k}\) must sum to exactly 1"),
+    "sign": ({"x": Fraction(3, 2), "y": Fraction(-1, 2)},
+             r"^conditional weights must be nonnegative$"),
+    "sum-and-sign": ({"x": Fraction(3, 2), "y": Fraction(-1, 4)},
+                     r"conditional weights at \(0, {k}\) must sum to exactly 1"),
+}
+
+
+@pytest.mark.parametrize("first, second", list(itertools.product(_FAULTS, repeat=2)))
+def test_the_first_faulty_pair_decides_the_message(first, second):
+    # The first and third pairs are faulty, the second and fourth are not;
+    # within one pair the sum check comes before the sign check.
+    conditional = {}
+    for k, fault in ((0, first), (1, None), (2, second), (3, None)):
+        dist, _ = _FAULTS.get(fault, ({"x": Fraction(1, 3), "y": Fraction(2, 3)}, None))
+        conditional[(5, k) if fault == "index" else (0, k)] = dist
+    message = _FAULTS[first][1].format(k=0)
+    with pytest.raises(ValueError, match=message):
+        DiscretizedModel(1, 4, conditional)
+
+
 def test_discretized_model_accepts_huge_denominators_and_int_weights():
     d = 2**70 + 1
     model = DiscretizedModel(1, 2, {(0, 0): {"x": Fraction(1, d), "y": Fraction(d - 1, d)},
@@ -172,17 +206,25 @@ _NUMERATORS = st.one_of(st.integers(0, 6), st.integers(0, 2**70))
 
 
 @st.composite
-def _models(draw):
+def _models(draw, kind="mixed"):
+    """Random models: in "mixed" every row may weigh each shared atom and
+    holds one atom of its own, and repeated draws copy the first row; in
+    "apart" every row holds atoms of its own only; in "together" every row
+    holds every shared atom with a positive weight, so every pair of rows
+    overlaps and the scan runs to its end."""
     n_a, n_b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     shared = draw(st.integers(1, 4))  # atoms any pair may use
+    numerators = _NUMERATORS.filter(bool) if kind == "together" else _NUMERATORS
     conditional = {}
     for i in range(n_a):
         for j in range(n_b):
-            atoms = [("shared", k) for k in range(shared)] + [("own", i, j)]
-            nums = draw(st.lists(_NUMERATORS, min_size=len(atoms), max_size=len(atoms))
+            atoms = {"mixed": [("shared", k) for k in range(shared)] + [("own", i, j)],
+                     "apart": [("own", i, j, k) for k in range(shared)],
+                     "together": [("shared", k) for k in range(shared)]}[kind]
+            nums = draw(st.lists(numerators, min_size=len(atoms), max_size=len(atoms))
                         .filter(any))
             # Repeated draws make identical rows, which the scan drops.
-            if conditional and draw(st.booleans()):
+            if kind == "mixed" and conditional and draw(st.booleans()):
                 conditional[(i, j)] = dict(next(iter(conditional.values())))
                 continue
             conditional[(i, j)] = {atom: Fraction(x, sum(nums))
@@ -214,3 +256,42 @@ def test_measures_equal_the_rational_reference_on_both_paths():
                   dictated_settings_model):
         for n in (2, 3, 5, 6):
             _assert_matches_reference(build(n))
+
+
+@pytest.mark.parametrize("kind", ["apart", "together"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_measures_equal_the_rational_reference_on_every_layout(kind, data):
+    model = data.draw(_models(kind))
+    _assert_matches_reference(model)
+    assert kind != "apart" or len(model.conditional) == 1 or measure_M(model) == 2.0
+
+
+def test_equal_distributions_in_another_key_order_are_merged(monkeypatch):
+    # Each distribution is written twice, in two key orders. Once the copies
+    # are merged, one row is left (M = 0), or two rows that share no atom
+    # (M = 2): either way before any dense block is built.
+    half = Fraction(1, 2)
+    one = {(0, 0): {"y": half, "z": half}, (0, 1): {"z": half, "y": half}}
+    two = {**one, (0, 2): {"u": half, "v": half}, (0, 3): {"v": half, "u": half}}
+    models = [DiscretizedModel(1, 2, one), DiscretizedModel(1, 4, two)]
+    monkeypatch.setattr(freewill.np, "zeros", None)
+    assert [measure_M(model) for model in models] == [0.0, 2.0]
+    monkeypatch.undo()
+    assert [_reference_M(model) for model in models] == [0.0, 2.0]
+
+
+def test_dictated_model_is_measured_without_a_dense_block():
+    # The rows share no atom, so M = 2 needs no rows x atoms matrix (4,096
+    # x 4,096 int64 would be 128 MiB).
+    model = dictated_settings_model(64)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        rep = mutual_information(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert rep.M == 2.0 and rep.I_bits == rep.I_max_bits == 12.0
+    assert peak < 16 * 2**20

@@ -26,8 +26,12 @@ because each one writes a transcript. Here, at seeds 5 and 6:
   that every window of uniforms starts mid-block, with a 32-bit half of a
   word buffered;
 - mutual_information's whole report (M, I and I_max in full) for each
-  free-will model builder at n = 4, 12 and 16, and for one model whose
-  denominators pass 2**70;
+  free-will model builder at n = 4, 12, 16, 32 and 64, for one model whose
+  denominators pass 2**70, and for seeded models whose rows share some of
+  their atoms, with duplicate rows and zero weights: on int64 and on
+  Python-int rows, with every pair of rows overlapping (so that M lies
+  strictly between 0 and 2 and the overlap scan runs to its end) and
+  without;
 - exactlp.feasible_point's point or None for fixed seeded systems: those
   of tools/lp_times.py in steps of 1/16 and 1/64 (exact, marginals and
   band feasibility, 1e9-denominator bands, one and two rows), systems with
@@ -206,20 +210,50 @@ def mid_block_outputs(lhv, seed: int):
         yield f"sampler.{name}@mid/s{seed}/t{TRIALS}", (draw(stream), stream.counter)
 
 
+def freewill_models(f, seed: int):
+    """name -> seeded DiscretizedModel: each row holds a random subset of
+    the shared atoms, with zero weights among them, and an atom of its own;
+    about one row in four repeats an earlier one. A hub atom held with a
+    positive weight by every row makes every pair of rows overlap."""
+    rng = random.Random(seed)
+    shapes = {"shared": (3, 4, 6, 6, False), "shared-hub": (12, 12, 40, 6, True),
+              "shared-hub-2**70": (6, 5, 10, 2**70, True)}
+    models = {}
+    for name, (n_a, n_b, n_shared, top, hub) in shapes.items():
+        conditional = {}
+        for i in range(n_a):
+            for j in range(n_b):
+                if conditional and rng.random() < 0.25:
+                    conditional[(i, j)] = dict(rng.choice(list(conditional.values())))
+                    continue
+                atoms = [("shared", k) for k in rng.sample(range(n_shared),
+                                                           rng.randint(1, n_shared))]
+                atoms += [("own", i, j)] + [("hub",)] * hub
+                nums = [rng.randint(0, top) for _ in atoms[:-1]] + [rng.randint(1, top)]
+                conditional[(i, j)] = {atom: Fraction(x, sum(nums))
+                                       for atom, x in zip(atoms, nums)}
+        models[name] = f.DiscretizedModel(n_a, n_b, conditional)
+    return models
+
+
 def freewill_outputs(lhv):
     """(name, repr of the FreeWillReport) for each free-will builder at n = 4,
-    12 and 16, and for a model whose denominators pass 2**70."""
+    12, 16, 32 and 64, for a model whose denominators pass 2**70 and for
+    the seeded models of freewill_models."""
     f = lhv.freewill
     builders = {"pinned": f.discretized_setting_tied_model,
                 "independent": f.setting_independent_model,
                 "dictated": f.dictated_settings_model}
     for name, build in builders.items():
-        for n in (4, 12, 16):
+        for n in (4, 12, 16, 32, 64):
             yield f"freewill.{name}/n{n}", repr(f.mutual_information(build(n)))
     conditional = {(0, j): {"x": Fraction(1, d), "y": Fraction(d - 1, d)}
                    for j, d in enumerate((2**70 + 1, 2**70 + 3, 3))}
     model = f.DiscretizedModel(1, 3, conditional)
     yield "freewill.big-denominators", repr(f.mutual_information(model))
+    for seed in SEEDS:
+        for name, model in freewill_models(f, seed).items():
+            yield f"freewill.{name}/s{seed}", repr(f.mutual_information(model))
 
 
 def lp_systems(seed: int, count: int):
