@@ -32,6 +32,7 @@ import sys
 from contextlib import contextmanager, suppress
 from fractions import Fraction
 from functools import cache, partial
+from statistics import NormalDist
 
 import numpy as np
 
@@ -48,8 +49,8 @@ from .protocols import (run_conspiracy_audit, run_detection_loophole,
 
 DEFAULT_SEED = 12345
 SEED_ENV = "LHV_LAB_SEED"
-# |z| beyond which a two-sided normal test fails a correct run with probability 1e-5.
-_Z_TWO_SIDED = 4.4172
+# Probability that a sampled check fails a correct run (see _z_check).
+ALPHA = 1e-5
 
 
 def _round_floats(obj):
@@ -107,6 +108,65 @@ def _write(text: str, out) -> None:
 
 def _check(name: str, passed: bool, detail: str = "") -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
+
+
+def cell_z(count, n, p):
+    """Binomial z and se of each cell, count of n trials against the
+    reference probability p (arrays that broadcast): se = sqrt(p(1 - p)/n),
+    z = (count/n - p)/se. A cell that matches p, or has no trials, has z 0;
+    any other cell with se 0 has an infinite z."""
+    count, n, p = np.broadcast_arrays(*(np.asarray(x, float) for x in (count, n, p)))
+    p = np.clip(p, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        se = np.sqrt(p * (1.0 - p)) / np.sqrt(n)
+        diff = np.where(n > 0, count / n - p, 0.0)
+        return np.where(diff == 0.0, 0.0, diff / se), se
+
+
+def z_bound(k: int) -> float:
+    """The |z| that k cells may reach: the two-sided normal quantile at
+    ALPHA / k (Bonferroni)."""
+    return NormalDist().inv_cdf(1.0 - ALPHA / (2 * k))
+
+
+def binomial_tail(count: float, n: float, p: float) -> float:
+    """An upper bound on the binomial(n, p) probability of a count at least
+    as far from n p as count, on count's side: pmf(count) / (1 - r), where
+    r < 1 is the ratio of the next term outward to pmf(count), and the
+    ratios only shrink further out."""
+    p = min(max(p, 0.0), 1.0)
+    if p in (0.0, 1.0):
+        return float(count == n * p)
+    if count > n * p:
+        r = (n - count) / (count + 1) * p / (1 - p)
+    else:
+        r = count / (n - count + 1) * (1 - p) / p
+    log_pmf = (math.lgamma(n + 1) - math.lgamma(count + 1) - math.lgamma(n - count + 1)
+               + count * math.log(p) + (n - count) * math.log1p(-p))
+    return math.exp(log_pmf) / (1.0 - r)
+
+
+def _z_check(name: str, count, n, p, detail) -> dict:
+    """The one rule of every sampled check, over k cells (cell_z): a cell
+    fails iff its |z| exceeds z_bound(k) and its binomial_tail is at most
+    ALPHA / (2k). So a correct run fails with probability at most ALPHA,
+    at any count and whatever the dependence between the cells; the tail
+    is needed where a cell expects few counts, as the normal tail is then
+    far too light. detail is the check's text, or a function of the
+    cells' z and se that gives it."""
+    count, n, p = np.broadcast_arrays(*(np.asarray(x, float) for x in (count, n, p)))
+    z, se = cell_z(count, n, p)
+    far = np.abs(z) > z_bound(z.size)
+    passed = all(binomial_tail(*cell) > ALPHA / (2 * z.size)
+                 for cell in zip(count[far].tolist(), n[far].tolist(), p[far].tolist()))
+    return _check(name, passed, detail(z, se) if callable(detail) else detail)
+
+
+def _law_check(name: str, counts, reference, detail: str) -> dict:
+    """_z_check of (..., 2, 2) outcome counts against the reference law of
+    each table: every entry is a cell, out of its own table's trials."""
+    counts = np.asarray(counts)
+    return _z_check(name, counts, counts.sum(axis=(-2, -1), keepdims=True), reference, detail)
 
 
 def _finish(args, config: dict, results: dict, checks: list) -> int:
@@ -341,7 +401,8 @@ def _cmd_simulate(args) -> int:
     dev = est.max_abs_diff(ref)
     se = est.std_error()
     checks = [_check("law_normalized", True),
-              _check("dev_within_5se", dev <= 5.0 * se, f"max_abs_dev={dev:.6g}, se={se:.6g}")]
+              _law_check("dev_within_5se", est.counts, ref.p,
+                         f"max_abs_dev={dev:.6g}, se={se:.6g}")]
     results = {"estimated_law": est.as_dict(), "analytic_law": ref.as_dict(),
                "max_abs_dev": dev, "std_err": se, "correlator": est.correlator()}
     config = {"model": args.model, "trials": args.trials, "p": args.p,
@@ -412,8 +473,9 @@ def _zero_station_bits(res) -> dict:
 
 
 def _binned_singlet(res) -> dict:
-    dev = res.singlet_comparison["max_abs_dev"]
-    return _check("singlet_within_binned_tolerance", dev <= 0.02, f"max_abs_dev={dev:.6g}")
+    comparison = res.singlet_comparison
+    return _law_check("singlet_within_binned_tolerance", comparison["counts"],
+                      comparison["reference"], f"max_abs_dev={comparison['max_abs_dev']:.6g}")
 
 
 def _one_bit_checks(res) -> list:
@@ -434,11 +496,10 @@ def _watch_checks(res) -> list:
 
 def _detection_checks(rep) -> list:
     eff, want = rep.efficiency, rep.expected_efficiency
-    band = 3.0 * math.sqrt(want * (1 - want) / rep.n_pairs)
-    return [_check("efficiency_within_3se", abs(eff - want) <= max(band, 0.01),
-                   f"efficiency={eff:.6g}, expected={want:.6g}"),
-            _check("conditional_law_near_singlet", rep.singlet_deviation <= 0.01,
-                   f"deviation={rep.singlet_deviation:.6g}")]
+    return [_z_check("efficiency_within_3se", rep.n_coincidences, rep.n_pairs, want,
+                     f"efficiency={eff:.6g}, expected={want:.6g}"),
+            _law_check("conditional_law_near_singlet", rep.counts, rep.reference,
+                       f"deviation={rep.singlet_deviation:.6g}")]
 
 
 def _protocols() -> dict:
@@ -477,21 +538,21 @@ def _cmd_protocol(args) -> int:
 def _cmd_signal(args) -> int:
     message = [0] * (args.message_bits or 1000) if args.message is None else args.message
     res = run_signaling_experiment(message, args.mode, args.trials, args.seed)
-    checks = [_check("usable_fraction_near_half",
-                     abs(res.usable_fraction - 0.5) <= 0.02,
-                     f"usable_fraction={res.usable_fraction:.6g}")]
+    checks = [_z_check("usable_fraction_near_half", res.n_usable, res.n_trials, 0.5,
+                       f"usable_fraction={res.usable_fraction:.6g}")]
     if args.mode == "action":
         checks.append(_check("message_delivered", res.success_rate == 1.0))
     else:
+        # The one check held to a fixed floor: a leak of a balanced message
+        # keeps the entropy near 1, and the next check sees it.
         checks.append(_check("received_bits_random", res.empirical_entropy >= 0.99,
                              f"entropy={res.empirical_entropy:.6g}"))
         # Bits that carry no message match it on half the usable trials, so
-        # the success rate is binomial about 1/2; no usable trial leaks none.
-        n, rate = res.n_usable, res.success_rate
-        se = 0.5 / math.sqrt(n) if n else math.inf
-        z = (rate - 0.5) / se if n else 0.0
-        checks.append(_check("received_bits_independent_of_message", abs(z) <= _Z_TWO_SIDED,
-                             f"success_rate={rate:.6g}, se={se:.6g}, z={z:.6g}"))
+        # the matches are binomial about 1/2; no usable trial leaks none.
+        checks.append(_z_check(
+            "received_bits_independent_of_message", res.n_matches, res.n_usable, 0.5,
+            lambda z, se: f"success_rate={res.success_rate:.6g}, se={float(se):.6g}, "
+                          f"z={float(z):.6g}"))
     config = {"mode": args.mode, "trials": args.trials,
               "message_bits": len(message)}
     return _finish(args, config, res.summary(), checks)

@@ -428,10 +428,13 @@ def deviation_from_binned_counts(counts, t_sums) -> dict:
     singlet table at each bin's mean overlap.
 
     The law is linear in the overlap, so comparing against the bin-mean
-    overlap introduces no discretization bias.
+    overlap introduces no discretization bias. Besides the deviations, the
+    result keeps the (n_bins, 2, 2) counts and, as reference, the singlet
+    table each bin is compared with (zeros for an empty bin).
     """
     counts = np.asarray(counts)
     t_sums = np.asarray(t_sums, float)
+    reference = np.zeros(counts.shape)
     max_dev = 0.0
     min_count = None
     bins = []
@@ -440,12 +443,14 @@ def deviation_from_binned_counts(counts, t_sums) -> dict:
         if cnt == 0:
             continue
         tmean = float(t_sums[k]) / cnt
-        dev = float(np.abs(counts[k] / cnt - law_table(tmean)).max())
+        reference[k] = law_table(tmean)
+        dev = float(np.abs(counts[k] / cnt - reference[k]).max())
         max_dev = max(max_dev, dev)
         min_count = cnt if min_count is None else min(min_count, cnt)
         bins.append({"t_mean": tmean, "count": cnt, "max_abs_dev": dev})
     return {"max_abs_dev": max_dev, "n_bins": counts.shape[0],
-            "min_bin_count": min_count or 0, "bins": bins}
+            "min_bin_count": min_count or 0, "bins": bins, "counts": counts,
+            "reference": reference}
 
 
 def binned_singlet_deviation(t, sigma, tau, n_bins: int = N_BINS) -> dict:
@@ -693,6 +698,10 @@ class EfficiencyReport:
     expected_efficiency: float
     per_setting: dict = field(default_factory=dict)
     transcripts: TranscriptBatch | None = None
+    # The (groups, 2, 2) coincidence counts per setting pair (one group in
+    # sphere mode) and the singlet table each group is compared with.
+    counts: np.ndarray | None = None
+    reference: np.ndarray | None = None
 
     def summary(self) -> dict:
         return {
@@ -807,19 +816,21 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
     per_setting = {}
     if mode in ("symmetric", "asymmetric"):
         dev = 0.0
+        reference = np.array([singlet_law(x, y).p for x in settings_a for y in settings_b])
         for k, counts in enumerate(pair_counts):
             if not counts.any():
                 continue
             i, j = divmod(k, nb)
             law_ij = JointLaw2x2.from_counts(counts)
-            dev_ij = law_ij.max_abs_diff(singlet_law(settings_a[i], settings_b[j]))
+            dev_ij = float(np.abs(law_ij.p - reference[k]).max())
             per_setting[f"a{i}b{j}"] = {"law": law_ij.as_dict(), "n": law_ij.n_trials,
                                         "max_abs_dev": dev_ij}
             dev = max(dev, dev_ij)
     else:
         # The singlet entry at the coincidences' mean overlap: the law is
         # linear in a.b, so this is the mean of the per-trial entries.
-        dev = deviation_from_binned_counts(pair_counts, t_sums[:1])["max_abs_dev"]
+        comparison = deviation_from_binned_counts(pair_counts, t_sums[:1])
+        dev, reference = comparison["max_abs_dev"], comparison["reference"]
 
     transcripts = TranscriptBatch(model, CausalMode.SETTINGS_CAUSE_LAMBDA,
                                   **columns) if columns is not None else None
@@ -833,6 +844,8 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
         expected_efficiency=float(expected_eff),
         per_setting=per_setting,
         transcripts=transcripts,
+        counts=pair_counts,
+        reference=reference,
     )
 
 
@@ -946,6 +959,7 @@ class SignalingResult:
     usable_fraction: float
     intended: np.ndarray
     received: np.ndarray
+    n_matches: int  # usable trials whose received bit is the intended one
     success_rate: float
     empirical_entropy: float
 
@@ -1009,7 +1023,7 @@ def run_signaling_experiment(message, mode: str, n_trials: int, seed: int,
         return sent, (sign_outcome(-u_final, b) > 0).astype(np.int64)
     intended, received = gathered(n_usable, bits)
 
-    success = float(np.mean(received == intended)) if n_usable else 0.0
+    n_matches = int(np.count_nonzero(received == intended))
     return SignalingResult(
         mode=mode,
         n_trials=n_trials,
@@ -1017,7 +1031,8 @@ def run_signaling_experiment(message, mode: str, n_trials: int, seed: int,
         usable_fraction=n_usable / n_trials,
         intended=intended,
         received=received,
-        success_rate=success,
+        n_matches=n_matches,
+        success_rate=n_matches / n_usable if n_usable else 0.0,
         empirical_entropy=_binary_entropy(received),
     )
 

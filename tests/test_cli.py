@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import io
 import json
 import math
@@ -10,12 +11,17 @@ from pathlib import Path
 
 import pytest
 
+import lhvlab
 from lhvlab import cli
 from lhvlab.cli import _protocols, build_parser, main
 from lhvlab.models import MODEL_IDS, MODELS
 from lhvlab.protocols import WatchDesyncError
 
 GOLDEN = Path(__file__).parent / "golden"
+_SPEC = importlib.util.spec_from_file_location(
+    "check_rates", Path(__file__).parents[1] / "tools" / "check_rates.py")
+check_rates = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(check_rates)
 
 
 def run_cli(tmp_path, *argv):
@@ -161,9 +167,10 @@ def test_protocol_detection_asymmetric(tmp_path):
 
 
 def test_protocol_failing_check_sets_exit_code(tmp_path):
-    # 100 trials cannot hold the binned comparison band: checks fail, rc 1.
-    rc, report = run_json(tmp_path, "protocol", "--name", "watch-hall",
-                          "--trials", "100", "--seed", "3")
+    # A real defect: station B measures the spin +u, not its partner's -u,
+    # so the binned comparison fails and the run exits 1.
+    with check_rates.mutated(lhvlab, "b-spin-plus-u"):
+        rc, report = run_json(tmp_path, "protocol", "--name", "shared-coin", "--seed", "3")
     assert rc == 1
     assert not all(c["passed"] for c in report["invariant_checks"])
 
