@@ -543,10 +543,10 @@ def _cmd_signal(args) -> int:
     if args.mode == "action":
         checks.append(_check("message_delivered", res.success_rate == 1.0))
     else:
-        # The one check held to a fixed floor: a leak of a balanced message
-        # keeps the entropy near 1, and the next check sees it.
-        checks.append(_check("received_bits_random", res.empirical_entropy >= 0.99,
-                             f"entropy={res.empirical_entropy:.6g}"))
+        # Fair received bits are ones on half the usable trials. A leak of
+        # a balanced message keeps them so, and the next check sees it.
+        checks.append(_z_check("received_bits_random", np.count_nonzero(res.received),
+                               res.n_usable, 0.5, f"entropy={res.empirical_entropy:.6g}"))
         # Bits that carry no message match it on half the usable trials, so
         # the matches are binomial about 1/2; no usable trial leaks none.
         checks.append(_z_check(

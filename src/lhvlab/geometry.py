@@ -1,6 +1,9 @@
 """Deterministic geometry and randomness substrate.
 
-Unit vectors on the sphere (n of them as a column-major (n, 3) array), the
+Unit vectors on the sphere (n of them as a column-major (n, 3) array, made
+by ``sphere_point`` from heights and azimuths in turns, whose cos and sin
+``turn_cos_sin`` computes from a table and short polynomials, in IEEE
+arithmetic only, so the bits do not depend on the C library), the
 one dot product (every u.x of the model rules and protocol runners, every
 closed-form a.b and every norm rounds alike), the global sign convention
 and the branch-free +-1 and selection kernels, seeded splittable random
@@ -32,6 +35,45 @@ _CHUNK_ROWS = 1 << 16
 _pool = None
 _pool_lock = threading.Lock()
 _worker = threading.local()  # .busy is set in the pool's threads
+
+# Points per block of the sphere map (see sphere_point). With the chunk
+# pool on two threads (2 vCPU Sapphire Rapids, numpy 2.4.6, the allocator
+# as cli.main sets it) a million sampled points took 19-22 ms at 32,768
+# and 65,536 rows, 20-24 ms at 16,384 and 27-30 ms at 8,192 (libm cos and
+# sin: 31-33 ms); on one thread the map took 13-19 ns per point at 32,768
+# and 17-20 ns at 65,536.
+_TRIG_ROWS = 1 << 15
+
+# turn_cos_sin's table: cos(2 pi k/_TURN_N) for k = 0, ..., _TURN_N/4,
+# correctly rounded, a quarter wave from which symmetry gives both whole
+# tables (+ 0.0 makes their zeros +0.0).
+_TURN_N = 256
+_QUARTER_COS = np.array([
+    1.0, 0.9996988186962042, 0.9987954562051724, 0.9972904566786902,
+    0.9951847266721969, 0.99247953459871, 0.989176509964781, 0.9852776423889412,
+    0.9807852804032304, 0.9757021300385286, 0.970031253194544, 0.9637760657954398,
+    0.9569403357322088, 0.9495281805930367, 0.9415440651830208, 0.9329927988347388,
+    0.9238795325112867, 0.9142097557035307, 0.9039892931234433, 0.8932243011955153,
+    0.881921264348355, 0.8700869911087115, 0.8577286100002721, 0.8448535652497071,
+    0.8314696123025452, 0.8175848131515837, 0.8032075314806449, 0.7883464276266062,
+    0.773010453362737, 0.7572088465064846, 0.7409511253549591, 0.7242470829514669,
+    0.7071067811865476, 0.6895405447370669, 0.6715589548470184, 0.6531728429537768,
+    0.6343932841636455, 0.6152315905806268, 0.5956993044924334, 0.5758081914178453,
+    0.5555702330196022, 0.5349976198870973, 0.5141027441932218, 0.49289819222978404,
+    0.47139673682599764, 0.4496113296546066, 0.4275550934302821, 0.40524131400498986,
+    0.3826834323650898, 0.35989503653498817, 0.33688985339222005, 0.31368174039889146,
+    0.2902846772544624, 0.26671275747489837, 0.2429801799032639, 0.2191012401568698,
+    0.19509032201612828, 0.17096188876030122, 0.14673047445536175, 0.1224106751992162,
+    0.0980171403295606, 0.07356456359966743, 0.049067674327418015, 0.024541228522912288,
+    0.0])
+_COS_TURNS = np.concatenate([_QUARTER_COS[:-1], -_QUARTER_COS[:0:-1],
+                             -_QUARTER_COS[:-1], _QUARTER_COS[:0:-1]]) + 0.0
+_SIN_TURNS = np.roll(_COS_TURNS, _TURN_N // 4)
+# Taylor coefficients of sin x and cos x - 1 in e = x N / (2 pi), lowest
+# first, correctly rounded: e (w, -w^3/6, w^5/120) and e^2 (-w^2/2, w^4/24,
+# -w^6/720), w = 2 pi / N.
+_SIN_POLY = (0.02454369260617026, -2.4641574764489986e-06, 7.421954185344935e-11)
+_COS_POLY = (-0.0003011964233730883, 1.5119880908790113e-08, -3.036036034369748e-13)
 
 X_HAT = np.array([1.0, 0.0, 0.0])
 Y_HAT = np.array([0.0, 1.0, 0.0])
@@ -344,21 +386,86 @@ def substream(master_seed: int, trial_index: int) -> RandomStream:
     return RandomStream(master_seed, trial_index)
 
 
-def sphere_point(z, phi) -> np.ndarray:
-    """(r cos phi, r sin phi, z), r = sqrt(1 - z^2), along a new last axis: the
-    one area-preserving map of heights z and azimuths phi to the sphere.
+def turn_cos_sin(turns, out=None):
+    """cos(2 pi t) and sin(2 pi t) of the turns t, a float array, written
+    into out = (c, s) (arrays of t's shape) if given; returns (c, s).
+
+    With N = _TURN_N = 256, j = rint(N t) and e = N t - j (|e| <= 1/2), 2 pi t
+    is the table angle 2 pi k/N, k = j mod N, plus x = 2 pi e/N. Then
+    c = ct + (ct pc - st ps) and s = st + (st pc + ct ps), where ct, st are
+    the table's cos and sin of 2 pi k/N and pc = cos x - 1, ps = sin x are
+    Taylor polynomials in e. Only IEEE *, +, rint and the table enter, so
+    the bits do not depend on the C library. The error bound is derived
+    in sphere_point."""
+    t = np.asarray(turns, dtype=float)
+    c, s = (np.empty(t.shape), np.empty(t.shape)) if out is None else out
+    e, j, pc, e2 = (np.empty(t.shape) for _ in range(4))
+    k = e2.view(np.int64)  # the index until e2 is needed
+    np.multiply(t, _TURN_N, out=e)
+    np.rint(e, out=j)
+    np.copyto(k, j, casting="unsafe")
+    np.bitwise_and(k, _TURN_N - 1, out=k)
+    np.take(_COS_TURNS, k, out=c, mode="clip")
+    np.take(_SIN_TURNS, k, out=s, mode="clip")
+    e -= j
+    np.multiply(e, e, out=e2)
+    ps = np.multiply(e2, _SIN_POLY[2], out=j)
+    ps += _SIN_POLY[1]
+    ps *= e2
+    ps += _SIN_POLY[0]
+    ps *= e
+    np.multiply(e2, _COS_POLY[2], out=pc)
+    pc += _COS_POLY[1]
+    pc *= e2
+    pc += _COS_POLY[0]
+    pc *= e2
+    dc = np.multiply(c, pc, out=e)
+    dc -= np.multiply(s, ps, out=e2)
+    pc *= s
+    pc += np.multiply(c, ps, out=ps)
+    c += dc
+    s += pc
+    return c, s
+
+
+def sphere_point(z, turns) -> np.ndarray:
+    """(r cos 2 pi t, r sin 2 pi t, z), r = sqrt(1 - z^2), along a new last
+    axis: the one area-preserving map of heights z and azimuths t, in turns,
+    to the sphere.
+
+    cos 2 pi t and sin 2 pi t come from turn_cos_sin, and for |t| < 2**55
+    each is within 2**-52 of its true value:
+    - the reduction rounds nowhere: N t is exact, and so is e = N t - j,
+      as j = rint(N t) is within 1/2 of it (Sterbenz);
+    - the table holds correctly rounded values, off by at most half an
+      ulp, 2**-54;
+    - the final sum ct + (...) rounds once, by at most 2**-54;
+    - the Taylor terms left out, x**7/5040 and x**8/40320 at
+      |x| <= pi/256 < 0.0123, are below 1e-17, and the roundings inside
+      the correction term, which is below 0.0123 in size, add under
+      1e-17.
+    Whole, half and quarter turns are exact: (1, 0), (-1, 0), (0, +-1).
+    The azimuth is taken in turns because only then is the reduction
+    exact: cos(fl(2 pi w)) is off by up to 6.9e-16 from rounding its
+    argument alone.
 
     The coordinates are written into a (3, ...) buffer whose transpose is
     returned, so n points are a column-major (n, 3) array: each coordinate
-    is one contiguous column (see dot)."""
-    out = np.empty((3, *np.broadcast_shapes(np.shape(z), np.shape(phi))))
-    x, y, r = out[0, ...], out[1, ...], out[2, ...]  # r until z is written
-    np.multiply(z, z, out=r)
-    np.subtract(1.0, r, out=r)
-    np.sqrt(np.maximum(0.0, r, out=r), out=r)
-    np.multiply(r, np.cos(phi, out=x), out=x)
-    np.multiply(r, np.sin(phi, out=y), out=y)
+    is one contiguous column (see dot). The map runs _TRIG_ROWS points at
+    a time, so its temporaries stay in cache."""
+    shape = np.broadcast_shapes(np.shape(z), np.shape(turns))
+    out = np.empty((3, *shape))
     out[2, ...] = z
+    x, y, zs = (out[i, ...].reshape(-1) for i in range(3))
+    t = np.broadcast_to(turns, shape).reshape(-1)
+    for lo in range(0, t.size, _TRIG_ROWS):
+        rows = slice(lo, lo + _TRIG_ROWS)
+        c, s = turn_cos_sin(t[rows], out=(x[rows], y[rows]))
+        r = np.multiply(zs[rows], zs[rows])
+        np.subtract(1.0, r, out=r)
+        np.sqrt(np.maximum(0.0, r, out=r), out=r)
+        c *= r
+        s *= r
     return np.moveaxis(out, 0, -1)
 
 
@@ -367,14 +474,14 @@ def sphere_rows(stream: RandomStream, n: int):
     azimuths; return points(rows), the points of the trials in the slice rows.
 
     Inverse transform (see sphere_point): z uniform in [-1, 1], azimuth
-    uniform in [0, 2*pi). Exactly two uniform draws per vector, never
+    uniform in [0, 1) turns. Exactly two uniform draws per vector, never
     rejection, so the draw count per sample is fixed.
     """
     w = stream.uniform_rows((2, n))
 
     def points(rows):
         wz, wphi = w(rows)
-        return sphere_point(2.0 * wz - 1.0, 2.0 * math.pi * wphi)
+        return sphere_point(2.0 * wz - 1.0, wphi)
     return points
 
 

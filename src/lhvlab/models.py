@@ -328,8 +328,9 @@ def hall_spins(a, b, w):
     at the settings a, b (vectors or (m, 3) rows), as a column-major (m, 3)
     array. In
     the frame e1 = a, e2, e3 along a x b, b lies at azimuth theta, and the
-    lunes with sgn(u.a) = +1 are (theta - pi/2, pi/2) where sgn(u.b) = +1
-    and (-pi/2, theta - pi/2) where it is -1; the other two turn these by pi."""
+    lunes with sgn(u.a) = +1 are (theta - 1/4, 1/4) where sgn(u.b) = +1
+    and (-1/4, theta - 1/4) where it is -1, in turns; the other two turn
+    these by half a turn."""
     e1 = a / np.sqrt(dot(a, a))[..., None]
     t = dot(a, b)
     axis = np.cross(e1, b)
@@ -346,8 +347,9 @@ def hall_spins(a, b, w):
     e3 = axis / np.sqrt(dot(axis, axis))[..., None]
     e2 = np.cross(e3, e1)
     same = w[0] < (1.0 + t) / 2.0
-    phi = select(same, theta + (math.pi - theta) * w[3], theta * w[3])
-    phi -= math.pi / 2
+    theta /= 2.0 * math.pi  # in turns from here on
+    phi = select(same, theta + (0.5 - theta) * w[3], theta * w[3])
+    phi -= 0.25
     rc, rs, z = sphere_point(2.0 * w[2] - 1.0, phi).T
     side = (w[1] < 0.5) * 2.0 - 1.0  # the lune pair's side, an exact sign flip
     rc *= side

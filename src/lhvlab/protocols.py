@@ -723,7 +723,7 @@ def _fibonacci_antipodal_grid(n_directions: int) -> np.ndarray:
         raise ValueError("need an even number of directions >= 2")
     m = n_directions // 2
     k = np.arange(m)
-    upper = sphere_point((k + 0.5) / m, 2.0 * math.pi * k * (math.sqrt(5.0) - 1.0) / 2.0)
+    upper = sphere_point((k + 0.5) / m, _phase(k * (math.sqrt(5.0) - 1.0) / 2.0))
     return np.vstack([upper, -upper])
 
 
@@ -873,7 +873,7 @@ def watch_vector(t, watch: Watch):
     phase fixes cos(theta) in [-1, 1], the large hand's phase the azimuth."""
     t = np.asarray(t, dtype=float)
     return sphere_point(2.0 * _phase(t / watch.period_small) - 1.0,
-                        2.0 * math.pi * _phase(t / watch.period_large))
+                        _phase(t / watch.period_large))
 
 
 def _phase(x):

@@ -222,18 +222,20 @@ def test_integer_pieces_are_the_whole_draw(monkeypatch, k, prior, rows, n):
 
 
 # The sphere points each producer made with its own copy of the map before
-# geometry.sphere_point was the one map, written out as they were.
+# geometry.sphere_point was the one map, written out as they were, with the
+# azimuth in turns and its cos and sin from geometry.turn_cos_sin.
 
-def _inline_point(z, phi, axis=-1, clip=True):
+def _inline_point(z, turns, axis=-1, clip=True):
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z) if clip else 1.0 - z * z)
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=axis)
+    c, s = geometry.turn_cos_sin(turns)
+    return np.stack([r * c, r * s, z], axis=axis)
 
 
 @pytest.mark.parametrize("n", [1, 7, 65_537, 150_001])
 def test_sphere_samples_are_the_inline_map_of_the_whole_draw(n):
     stream, twin = RandomStream(17, 3), RandomStream(17, 3)
     wz, wphi = twin.uniform((2, n))
-    expected = _inline_point(2.0 * wz - 1.0, 2.0 * math.pi * wphi)
+    expected = _inline_point(2.0 * wz - 1.0, wphi)
     got = sample_uniform_sphere(stream, n)
     assert got.dtype == expected.dtype and got.shape == expected.shape == (n, 3)
     assert got.tobytes() == expected.tobytes()
@@ -246,7 +248,7 @@ def test_watch_vectors_are_the_inline_map(watch):
     t = np.arange(-5, 200_000) * protocols.EMISSION_STEP
     ps = np.mod(t / watch.period_small, 1.0)
     pl = np.mod(t / watch.period_large, 1.0)
-    expected = _inline_point(2.0 * ps - 1.0, 2.0 * math.pi * pl)
+    expected = _inline_point(2.0 * ps - 1.0, pl)
     assert protocols.watch_vector(t, watch).tobytes() == expected.tobytes()
     one = protocols.watch_vector(7 * protocols.EMISSION_STEP, watch)
     assert one.shape == (3,) and one.tobytes() == expected[12].tobytes()
@@ -257,8 +259,8 @@ def test_detection_grid_is_the_inline_map(n):
     m = n // 2
     k = np.arange(m)
     z = (k + 0.5) / m
-    phi = 2.0 * math.pi * k * (math.sqrt(5.0) - 1.0) / 2.0
-    upper = _inline_point(z, phi, axis=1, clip=False)
+    turns = np.mod(k * (math.sqrt(5.0) - 1.0) / 2.0, 1.0)
+    upper = _inline_point(z, turns, axis=1, clip=False)
     expected = np.vstack([upper, -upper])
     got = protocols._fibonacci_antipodal_grid(n)
     assert got.shape == (n, 3) and got.tobytes() == expected.tobytes()

@@ -9,8 +9,8 @@ _SPEC = importlib.util.spec_from_file_location(
 tool = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(tool)
 
-KERNELS = ["sgn", "malus_outcome", "uniform_signs", "dot", "sphere_point", "hall_spins",
-           "_bin_index", "watch_vector", "uniform_rows"]
+KERNELS = ["sgn", "malus_outcome", "uniform_signs", "dot", "sphere_point", "sphere_rows",
+           "hall_spins", "_bin_index", "watch_vector", "uniform_rows"]
 
 
 def test_kernel_times_prints_one_line_per_kernel_at_1024_rows_within_a_second(capsys):

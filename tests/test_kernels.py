@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from lhvlab import models, protocols
 from lhvlab.geometry import (X_HAT, Y_HAT, RandomStream, dot, planar_setting, select, sgn,
-                             sphere_point, sphere_rows, uniform_signs)
+                             sphere_point, sphere_rows, turn_cos_sin, uniform_signs)
 from lhvlab.models import (_draw_atoms, _tb_extension_rule, hall_spins, malus_marginal,
                            malus_outcome, one_bit_station_a, one_bit_tau)
 from lhvlab.protocols import (EMISSION_STEP, WATCH_A, WATCH_B, _bin_index, _phase,
@@ -135,7 +135,8 @@ def test_select_broadcasts_one_column_against_rows():
 
 
 def _where_hall_spins(a, b, w):
-    """hall_spins as it was written with np.where and row-major products."""
+    """hall_spins as it was written with np.where and row-major products,
+    with the azimuth in turns and its cos and sin from turn_cos_sin."""
     e1 = a / np.sqrt(_dot(a, a))[..., None]
     t = _dot(a, b)
     axis = np.cross(e1, b)
@@ -149,12 +150,13 @@ def _where_hall_spins(a, b, w):
     e3 = axis / np.sqrt(_dot(axis, axis))[..., None]
     e2 = np.cross(e3, e1)
     same = w[0] < (1.0 + t) / 2.0
-    phi = np.where(same, theta + (math.pi - theta) * w[3], theta * w[3]) - math.pi / 2
+    theta = theta / (2.0 * math.pi)
+    turns = np.where(same, theta + (0.5 - theta) * w[3], theta * w[3]) - 0.25
     z = 2.0 * w[2] - 1.0
     r = np.sqrt(1.0 - z * z)
     r = np.where(w[1] < 0.5, r, -r)
-    return ((r * np.cos(phi))[:, None] * e1 + (r * np.sin(phi))[:, None] * e2
-            + z[:, None] * e3)
+    c, s = turn_cos_sin(turns)
+    return (r * c)[:, None] * e1 + (r * s)[:, None] * e2 + z[:, None] * e3
 
 
 @PROPERTY
@@ -229,7 +231,7 @@ def test_watch_vectors_at_integer_phases_are_the_mod_map():
     t = np.arange(-40.0, 41.0)  # WATCH_A's small hand has period 1: integer phases
     ps, pl = np.mod(t / WATCH_A.period_small, 1.0), np.mod(t / WATCH_A.period_large, 1.0)
     assert np.all(ps == 0.0) and not np.signbit(_phase(t)).any()
-    expected = _stack_point(2.0 * ps - 1.0, 2.0 * math.pi * pl)
+    expected = _stack_point(2.0 * ps - 1.0, pl)
     assert _same_bits(np.ascontiguousarray(watch_vector(t, WATCH_A)), expected)
 
 
@@ -238,16 +240,17 @@ def test_watch_run_from_a_negative_tick_uses_the_mod_map_of_its_ticks():
     t = np.arange(-1_000, -700) * EMISSION_STEP
     for watch, used in ((WATCH_A, run.transcripts.a_used), (WATCH_B, run.transcripts.b_used)):
         ps, pl = np.mod(t / watch.period_small, 1.0), np.mod(t / watch.period_large, 1.0)
-        assert _same_bits(used, _stack_point(2.0 * ps - 1.0, 2.0 * math.pi * pl))
+        assert _same_bits(used, _stack_point(2.0 * ps - 1.0, pl))
 
 
 # ---------------------------------------------------------------------------
 # Column-major producers
 
 
-def _stack_point(z, phi):
+def _stack_point(z, turns):
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
+    c, s = turn_cos_sin(turns)
+    return np.stack([r * c, r * s, z], axis=-1)
 
 
 def _column_major_equal(got, expected):
@@ -260,9 +263,9 @@ def _column_major_equal(got, expected):
 def test_sphere_points_and_rows_are_column_major():
     stream, twin = RandomStream(5, 1), RandomStream(5, 1)
     wz, wphi = twin.uniform((2, 1_000))
-    z, phi = 2.0 * wz - 1.0, 2.0 * math.pi * wphi
-    _column_major_equal(sphere_point(z, phi), _stack_point(z, phi))
-    _column_major_equal(sphere_rows(stream, 1_000)(slice(0, 1_000)), _stack_point(z, phi))
+    z = 2.0 * wz - 1.0
+    _column_major_equal(sphere_point(z, wphi), _stack_point(z, wphi))
+    _column_major_equal(sphere_rows(stream, 1_000)(slice(0, 1_000)), _stack_point(z, wphi))
     one = sphere_point(0.25, 1.0)
     assert one.shape == (3,) and _same_bits(one, _stack_point(0.25, 1.0))
 
@@ -281,7 +284,7 @@ def test_watch_vectors_are_column_major():
     for watch in (WATCH_A, WATCH_B):
         ps, pl = np.mod(t / watch.period_small, 1.0), np.mod(t / watch.period_large, 1.0)
         _column_major_equal(watch_vector(t, watch),
-                            _stack_point(2.0 * ps - 1.0, 2.0 * math.pi * pl))
+                            _stack_point(2.0 * ps - 1.0, pl))
 
 
 @pytest.mark.parametrize("a, b", [(planar_setting(0.0), planar_setting(90.0)),

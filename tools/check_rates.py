@@ -42,6 +42,8 @@ P = {"tb-ext1": ("--p", "0.3"), "tb-ext2": ("--p", "0.7")}
 # name -> argv without --seed or --trials.
 COMMANDS = {
     **{f"simulate-{m}": ("simulate", "--model", m, *P.get(m, ())) for m in SAMPLED_MODELS},
+    "protocol-tb": ("protocol", "--name", "tb"),
+    "protocol-tb-freewill": ("protocol", "--name", "tb-freewill"),
     "shared-coin": ("protocol", "--name", "shared-coin"),
     "detection-symmetric": ("protocol", "--name", "detection-loophole"),
     "detection-asymmetric": ("protocol", "--name", "detection-loophole", "--mode", "asymmetric"),
@@ -50,6 +52,7 @@ COMMANDS = {
     "watch-pinned": ("protocol", "--name", "watch-pinned"),
     "watch-hall": ("protocol", "--name", "watch-hall"),
     "signal-slave-will": ("signal", "--mode", "slave-will"),
+    "audit-slave": ("audit", "--mode", "slave"),
 }
 
 

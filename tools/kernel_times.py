@@ -13,9 +13,12 @@ their kernels on the same inputs:
     python3 tools/kernel_times.py A; python3 tools/kernel_times.py B
 
 The kernels are the outcome rules sgn, malus_outcome and uniform_signs,
-the dot product against one vector, the sphere map sphere_point, the Hall
-spins, the overlap bins and the watch vectors of the protocol runners, and
-one chunk's window of a reserved uniform draw (RandomStream.uniform_rows).
+the dot product against one vector, the sphere map sphere_point (fed its
+azimuths in turns or in radians, whichever the checkout's map takes),
+sphere_rows (a stream's reserved draws of N points and their map, the
+same draws in every checkout), the Hall spins, the overlap bins and the
+watch vectors of the protocol runners, and one chunk's window of a
+reserved uniform draw (RandomStream.uniform_rows).
 perfbench's tracer sees only whole calls of the traced functions, so it
 cannot time these per chunk.
 
@@ -31,6 +34,7 @@ The script uses the standard library and the checkout's lhvlab only.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import resource
 import sys
@@ -46,7 +50,9 @@ def kernels(lhv, n: int) -> dict:
     """name -> a call of that kernel on fixed inputs of n rows."""
     g, m, p = lhv.geometry, lhv.models, lhv.protocols
     w = g.RandomStream(SEED, 0).uniform((4, n))
-    z, phi = 2.0 * w[0] - 1.0, 2.0 * math.pi * w[1]
+    z = 2.0 * w[0] - 1.0
+    turns = "turns" in inspect.signature(g.sphere_point).parameters
+    phi = w[1] if turns else 2.0 * math.pi * w[1]  # the azimuth the map takes
     u = g.sphere_point(z, phi)  # in the layout the checkout's sampler makes
     a, b = g.planar_setting(0.0), g.planar_setting(75.0)
     t = (123 + g.RandomStream(SEED, 1).uniform(n) * n) * p.EMISSION_STEP
@@ -57,6 +63,7 @@ def kernels(lhv, n: int) -> dict:
         "uniform_signs": lambda: g.uniform_signs(w[3]),
         "dot": lambda: g.dot(u, a),
         "sphere_point": lambda: g.sphere_point(z, phi),
+        "sphere_rows": lambda: g.sphere_rows(g.RandomStream(SEED, 3), n)(slice(0, n)),
         "hall_spins": lambda: m.hall_spins(a, b, w),
         "_bin_index": lambda: p._bin_index(z, p.N_BINS),
         "watch_vector": lambda: p.watch_vector(t, p.WATCH_A),
