@@ -5,7 +5,8 @@ by ``sphere_point`` from heights and azimuths in turns, whose cos and sin
 ``turn_cos_sin`` computes from a table and short polynomials, in IEEE
 arithmetic only, so the bits do not depend on the C library), the
 one dot product (every u.x of the model rules and protocol runners, every
-closed-form a.b and every norm rounds alike), the global sign convention
+closed-form a.b and every norm rounds alike), the one cross product
+``cross`` (np.cross's bits, rows column-major), the global sign convention
 and the branch-free +-1 and selection kernels, seeded splittable random
 streams whose uniforms a run reserves whole and reads window by window
 (``RandomStream.uniform_rows``), ``streamed``/``chunked``, the one loop over
@@ -92,6 +93,22 @@ def dot(u, x):
     out += term
     out += np.multiply(u[..., 2], x[..., 2], out=term)
     return out
+
+
+def cross(u, x):
+    """u x x over the last axis, with np.cross's bits: coordinate k is
+    u_i x_j - u_j x_i, (i, j) = (k + 1, k + 2) mod 3. The coordinates are
+    written into a (3, ...) buffer whose transpose is returned, as in
+    sphere_point, so rows come out column-major."""
+    u = np.asarray(u, dtype=float)
+    x = np.asarray(x, dtype=float)
+    shape = np.broadcast_shapes(u.shape[:-1], x.shape[:-1])
+    out, term = np.empty((3, *shape)), np.empty(shape)
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        np.multiply(u[..., i], x[..., j], out=out[k, ...])
+        out[k, ...] -= np.multiply(u[..., j], x[..., i], out=term)
+    return np.moveaxis(out, 0, -1)
 
 
 def sgn(x):

@@ -319,16 +319,20 @@ def counterfactual_correlators(model_id: str, a, a2, b, b2, n: int,
     computed from the same draw by the model's local outcome rule (with
     common per-side noise for the stochastic model), which is the
     counterfactual reading under which a master probability exists.
+    As sigma reads only its own setting and tau only its own (see
+    ModelSpec), each side is evaluated once per setting: the rule runs at
+    (a, b) and at (a2, b2), and the four pairs are counted from the two.
     """
     spec = model_spec(model_id)
     if not spec.local:
         raise KeyError(f"no counterfactual sampler for model {model_id!r}")
     hidden = spec.draw(a, b, n, stream, None)
-    pairs = ((a, b), (a2, b), (a, b2), (a2, b2))
 
     def counts(rows):
         h = hidden(rows)
-        return np.array([outcome_counts(*spec.outcomes(h, x, y))[0] for x, y in pairs])
+        (s, t), (s2, t2) = spec.outcomes(h, a, b), spec.outcomes(h, a2, b2)
+        pairs = ((s, t), (s2, t), (s, t2), (s2, t2))
+        return np.array([outcome_counts(x, y)[0] for x, y in pairs])
     return tuple(correlator(JointLaw2x2.from_counts(c)) for c in sum(chunked(n, counts)))
 
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (X_HAT, Y_HAT, RandomStream, assert_unit, chunked, dot, gathered, select,
-                       sgn, sphere_point, sphere_rows, uniform_bits, uniform_signs)
+from .geometry import (X_HAT, Y_HAT, RandomStream, assert_unit, chunked, cross, dot, gathered,
+                       select, sgn, sphere_point, sphere_rows, uniform_bits, uniform_signs)
 
 LAW_TOL = 1e-12
 
@@ -103,9 +103,15 @@ def outcome_counts(sigma, tau, group=0, n_groups: int = 1) -> np.ndarray:
     """(n_groups, 2, 2) int64 counts of the outcome pairs, trial i counted
     in group[i], each table in JointLaw2x2 order: +1 first, and an outcome
     that is not positive (NaN included) counted as -1. Tables over disjoint
-    sets of trials sum to the table over their union."""
-    cell = 2 * ~(np.asarray(sigma) > 0) + ~(np.asarray(tau) > 0)
-    return np.bincount(np.ravel(4 * np.asarray(group) + cell),
+    sets of trials sum to the table over their union. One table is counted
+    from its positive sigma, tau and pairs alone, with no cell index."""
+    s, t = np.asarray(sigma) > 0, np.asarray(tau) > 0
+    if n_groups == 1 and np.ndim(group) == 0:
+        s, t = np.broadcast_arrays(s, t)
+        both, ns, nt = (np.count_nonzero(x) for x in (s & t, s, t))
+        return np.array([[[both, ns - both], [nt - both, s.size - ns - nt + both]]],
+                        dtype=np.int64)
+    return np.bincount(np.ravel(4 * np.asarray(group) + 2 * ~s + ~t),
                        minlength=4 * n_groups).reshape(n_groups, 2, 2)
 
 
@@ -137,7 +143,13 @@ def malus_marginal(u, n, outcome):
 def malus_outcome(u, n, noise):
     """Malus detector: +1 where the uniform noise is below (1 + u.n)/2, else -1,
     by exact arithmetic on the comparison (see geometry.sgn)."""
-    return (noise < malus_marginal(u, n, 1)) * 2.0 - 1.0
+    return _malus_sign(noise, 1.0 + dot(u, n))
+
+
+def _malus_sign(noise, twice_p):
+    """+1 where 2 noise < twice_p, else -1: noise < twice_p/2 compared
+    without the halving, as both scalings by 2 are exact."""
+    return (np.multiply(noise, 2.0) < twice_p) * 2.0 - 1.0
 
 
 def sign_outcome(u, n):
@@ -169,8 +181,14 @@ def one_bit_station_a(u, v, a):
 
 def one_bit_tau(u, v, c, b):
     """Second-station rule of the one-bit model: tau = -sgn((u + c v).b),
-    from the shared (u, v), the bit c and the local setting b only."""
-    return -sgn(dot(u + np.asarray(c)[..., None] * np.asarray(v), b))
+    from the shared (u, v), the bit c and the local setting b only.
+    (u + c v).b is summed coordinate by coordinate as geometry.dot sums it,
+    with the same bits, and b is one vector or rows of them."""
+    u, v, b = (np.asarray(x, dtype=float) for x in (u, v, b))
+    out = (v[..., 0] * c + u[..., 0]) * b[..., 0]
+    for k in (1, 2):
+        out += (v[..., k] * c + u[..., k]) * b[..., k]
+    return -sgn(out)
 
 
 class IncompatiblePriors:
@@ -333,7 +351,7 @@ def hall_spins(a, b, w):
     these by half a turn."""
     e1 = a / np.sqrt(dot(a, a))[..., None]
     t = dot(a, b)
-    axis = np.cross(e1, b)
+    axis = cross(e1, b)
     # Drop the rounding error along a, which is large next to |a x b| when b ~ +-a.
     axis -= dot(axis, e1)[..., None] * e1
     s = np.sqrt(dot(axis, axis))
@@ -342,10 +360,10 @@ def hall_spins(a, b, w):
     if np.any(flat):
         # b = +-a up to rounding: the lunes between them are empty, so any
         # axis normal to a will do.
-        spare = np.cross(e1, np.where(np.abs(e1[..., :1]) < 0.5, X_HAT, Y_HAT))
+        spare = cross(e1, np.where(np.abs(e1[..., :1]) < 0.5, X_HAT, Y_HAT))
         axis = np.where(flat[..., None], spare, axis)
     e3 = axis / np.sqrt(dot(axis, axis))[..., None]
-    e2 = np.cross(e3, e1)
+    e2 = cross(e3, e1)
     same = w[0] < (1.0 + t) / 2.0
     theta /= 2.0 * math.pi  # in turns from here on
     phi = select(same, theta + (0.5 - theta) * w[3], theta * w[3])
@@ -363,8 +381,10 @@ def hall_spins(a, b, w):
 
 
 def hall_outcomes(u, a, b):
-    """Deterministic outcomes sigma = sgn(u.a), tau = sgn(-u.b)."""
-    return sign_outcome(u, a), sign_outcome(-u, b)
+    """Deterministic outcomes sigma = sgn(u.a), tau = sgn(-u.b). tau is sgn
+    of the negated u.b: -(u.b) is (-u).b but for the sign of an exact zero,
+    and sgn(+-0) = +1."""
+    return sign_outcome(u, a), sgn(-dot(u, b))
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +411,11 @@ def pinned_spin_outcomes(u, a, b, stream: RandomStream):
 def malus_pair(hidden, x, y):
     """Zero-communication station pair: from hidden = (u, noise_a, noise_b),
     spins u and -u, each station a Malus detector at its own setting (x or
-    y) reading its own noise draw."""
+    y) reading its own noise draw. Station B compares against 1 - u.y:
+    (-u).y is -(u.y) but for the sign of an exact zero, which 1 + t cannot
+    see."""
     u, noise_a, noise_b = hidden
-    return malus_outcome(u, x, noise_a), malus_outcome(-u, y, noise_b)
+    return malus_outcome(u, x, noise_a), _malus_sign(noise_b, 1.0 - dot(u, y))
 
 
 def mixed_law(a, b) -> JointLaw2x2:
@@ -436,9 +458,12 @@ class ModelSpec:
     hidden(rows), the hidden variables of the trials in the slice rows; it
     is None for a law without a sampler. outcomes(hidden, x, y) is the
     (sigma, tau) they give at the settings (x, y). local marks the singlet
-    constructions whose rule is local (sigma reads only x, tau only y), so
-    one frozen draw gives outcomes at every setting pair: the
-    counterfactual reading.
+    constructions whose rule is local: sigma reads only the hidden
+    variables and x, tau only the hidden variables and y, each side its
+    own noise draw whatever the other side's setting. So one frozen draw
+    gives outcomes at every setting pair, the counterfactual reading, and
+    the sigma of outcomes(h, x, y) is the same bits for every y (tau for
+    every x): counterfactual runs evaluate each side once per setting.
     (The mixed model's rule is local too, but its law is not the singlet.)
     """
 

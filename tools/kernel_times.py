@@ -17,8 +17,13 @@ the dot product against one vector, the sphere map sphere_point (fed its
 azimuths in turns or in radians, whichever the checkout's map takes),
 sphere_rows (a stream's reserved draws of N points and their map, the
 same draws in every checkout), the Hall spins, the overlap bins and the
-watch vectors of the protocol runners, and one chunk's window of a
-reserved uniform draw (RandomStream.uniform_rows).
+watch vectors of the protocol runners, one chunk's window of a
+reserved uniform draw (RandomStream.uniform_rows), the cross product of
+N spin rows with N setting rows (geometry.cross, or np.cross where the
+checkout has no geometry.cross), the station kernels malus_pair (both
+Malus stations against one setting each), hall_outcomes and one_bit_tau
+(the one-bit model's second station, from N spins, N partner spins and
+N bits), and outcome_counts over one table of N outcome pairs.
 perfbench's tracer sees only whole calls of the traced functions, so it
 cannot time these per chunk.
 
@@ -28,7 +33,7 @@ goes back to the OS and is faulted in again by the next call (geometry.dot
 takes about 224 faults per call at 65,536 rows), where a command-line run
 keeps it mapped (see lhvlab.cli._keep_chunk_memory).
 
-The script uses the standard library and the checkout's lhvlab only.
+The script uses the standard library, numpy and the checkout's lhvlab only.
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ import resource
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROWS = 1 << 16
 REPEATS = 7
@@ -57,6 +64,11 @@ def kernels(lhv, n: int) -> dict:
     a, b = g.planar_setting(0.0), g.planar_setting(75.0)
     t = (123 + g.RandomStream(SEED, 1).uniform(n) * n) * p.EMISSION_STEP
     stream = g.RandomStream(SEED, 2)
+    v = g.sphere_point(-z, w[2] if turns else 2.0 * math.pi * w[2])
+    x = g.sphere_point(2.0 * w[3] - 1.0, phi)  # per-trial setting rows
+    c = g.uniform_signs(w[3])
+    sigma, tau = m.malus_pair((u, w[2], w[3]), a, b)
+    cross = getattr(g, "cross", np.cross)
     return {
         "sgn": lambda: g.sgn(z),
         "malus_outcome": lambda: m.malus_outcome(u, a, w[2]),
@@ -68,6 +80,11 @@ def kernels(lhv, n: int) -> dict:
         "_bin_index": lambda: p._bin_index(z, p.N_BINS),
         "watch_vector": lambda: p.watch_vector(t, p.WATCH_A),
         "uniform_rows": lambda: stream.uniform_rows((2, n))(slice(0, n)),
+        "cross": lambda: cross(u, x),
+        "malus_pair": lambda: m.malus_pair((u, w[2], w[3]), a, b),
+        "hall_outcomes": lambda: m.hall_outcomes(u, a, b),
+        "one_bit_tau": lambda: m.one_bit_tau(u, v, c, b),
+        "outcome_counts": lambda: m.outcome_counts(sigma, tau),
     }
 
 
