@@ -28,9 +28,13 @@ each chunk formats its own CSV rows and ``_tally`` writes them in trial
 order, so nothing whole-length is kept; with True the run keeps a
 ``TranscriptBatch`` of whole columns (``geometry.Columns``), whose
 ``to_csv`` writes the same bytes. Both go through ``_csv_rows``, which
-lays out a chunk of rows as one NUL-padded byte matrix, every cell built
-in numpy (the overlaps by a %.9g rule that hands any value it cannot prove
-to ``_fmt``). The signaling bits are filled by ``geometry.gathered``.
+lays out a chunk of rows as one matrix of NUL-padded 4-byte words and
+drops the NULs once. Each row is the trial index, ",model,c,d" and
+",sigma,tau,detA,detB,bitsAB,bitsBA\n", each gathered from a table of
+joined cells by one mixed-radix code of its small-alphabet columns, and
+between them the two overlaps, written in numpy by a %.9g rule that hands
+any value it cannot prove to ``_fmt``. The signaling bits are filled by
+``geometry.gathered``.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
+from itertools import product
 
 import numpy as np
 
@@ -174,6 +179,10 @@ _POW10 = np.array([float(10 ** k) for k in range(23)])
 # y = |x| * 10**k is rounded once, by at most 2**-24 in [1e8, 1e9), so its
 # rint is that of the exact product unless its fraction is this close to 1/2.
 _TIE = 2.0 ** -22
+# A column of at most _SMALL distinct values is coded without a sort, and
+# neighbouring such columns share a table of at most _JOINT joined cells.
+_SMALL = 16
+_JOINT = 1 << 12
 
 
 def _text_cells(strings) -> np.ndarray:
@@ -182,26 +191,37 @@ def _text_cells(strings) -> np.ndarray:
     return a.view(np.uint8).reshape(len(a), a.itemsize)
 
 
-def _words(strings) -> np.ndarray:
-    """ASCII strings of at most 4 bytes as NUL-padded 4-byte words."""
-    return np.array(strings, dtype="S4").view(np.uint32)
+# Cells are built from 4-byte words; NULs may sit anywhere in a cell, as
+# they are dropped.
+def _word_cells(strings) -> np.ndarray:
+    """Strings, UTF-8 encoded and NUL-padded to whole 4-byte words, as the
+    rows of a (len, words) uint32 matrix."""
+    a = np.array([s.encode() for s in strings])
+    return a.astype(f"S{-(-a.itemsize // 4) * 4}").view(np.uint32).reshape(len(a), -1)
 
 
 @cache  # built by the first transcript written, not at import
-def _digit_words() -> tuple:
-    """The 4 decimal digits of each k in 0..9999 as a 4-byte word: all of
-    them; without trailing zeros; without leading zeros (but for k = 0)."""
+def _digit_words() -> np.ndarray:
+    """The 4 decimal digits of each k in 0..9999 as a 4-byte word, in three
+    rows: all of them; without trailing zeros; without leading zeros (but
+    for k = 0)."""
     k = np.arange(10_000)[:, None]
     digits = k // np.array([1000, 100, 10, 1]) % 10 + ord("0")
     shown = (True, k % np.array([10_000, 1000, 100, 10]) > 0, k >= np.array([1000, 100, 10, 0]))
-    return tuple(np.where(s, digits, 0).astype(np.uint8).view(np.uint32)[:, 0] for s in shown)
+    return np.stack([np.where(s, digits, 0).astype(np.uint8).view(np.uint32)[:, 0] for s in shown])
 
 
-# Cells are built from 4-byte words; NULs may sit anywhere in a cell, as
-# they are dropped. _float_cells' first word is looked up by (sign, integer
-# digit, point) and its second word by (-e, d0).
-_LEAD = _words([s + str(k) + p for s in ("", "-") for k in range(10) for p in ("", ".")])
-_FIRST = _words([("0" * (z - 1) + str(d) if z else "") for z in range(5) for d in range(10)])
+@cache  # one table per prefix, built on first use
+def _lead_words(prefix: str) -> np.ndarray:
+    """The first two words of a _float_cells cell, as one uint64 indexed by
+    (sign, -e, d0, point): prefix (at most one character), sign, then the
+    integer digit and point, or "0.", the zeros after the point and d0 when
+    e < 0, at the end of the 8 bytes. The NULs before them run on from the
+    part before the cell, and one long run of NULs costs less to drop than
+    several short ones."""
+    cells = [prefix + s + (d + p if z == 0 else "0." + "0" * (z - 1) + d)
+             for s in ("", "-") for z in range(5) for d in "0123456789" for p in ("", ".")]
+    return _word_cells([cell.rjust(8, "\0") for cell in cells]).view(np.uint64)[:, 0]
 
 
 def _cells(x: np.ndarray, shown=None) -> np.ndarray:
@@ -229,60 +249,156 @@ def _cells(x: np.ndarray, shown=None) -> np.ndarray:
     return table[inverse]
 
 
-def _float_cells(x: np.ndarray) -> np.ndarray:
-    """_cells of a float column of mostly distinct values, computed in numpy.
+def _small_codes(x: np.ndarray, shown=None):
+    """The cells of a nonempty column as _cells writes them, as (codes,
+    texts): row i's cell is texts[codes[i]], and codes is None where every
+    row's is texts[0]. None for a column of more than _SMALL distinct values.
+
+    Nothing is sorted: a bool is its own code, an int its offset from the
+    column's least value, and a float the order in which its bits first
+    appear, so 0.0, -0.0 and NaN keep their own cells.
+    """
+    kind = x.dtype.kind
+    if x.strides[0] == 0:
+        codes, values = None, x[:1]
+    elif kind == "b":
+        codes, values = (x.view(np.uint8), (False, True)) if x.any() and not x.all() else (None, x[:1])
+    elif kind in "iu":
+        lo, hi = int(x.min()), int(x.max())
+        if hi - lo >= _SMALL:
+            return None
+        codes = (x - x.dtype.type(lo)).astype(np.uint8) if hi > lo else None
+        values = range(lo, hi + 1)
+    elif kind == "f":
+        keys = np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+        codes, found = np.zeros(len(x), np.uint8), [0]
+        seen = keys == keys[0]
+        while not seen[first := seen.argmin()]:  # the first row not yet coded
+            if len(found) == _SMALL:
+                return None
+            same = keys == keys[first]
+            codes += same * np.uint8(len(found))
+            seen |= same
+            found.append(first)
+        codes, values = (codes if len(found) > 1 else None), x[found]
+    else:
+        return None
+    texts = [_fmt(v) for v in values]
+    if shown is not None and not (shown := shown.astype(bool, copy=False)).all():
+        codes = (0 if codes is None else codes * shown) + ~shown * np.uint8(len(texts))
+        texts.append("")
+    return codes, texts
+
+
+def _joint_parts(pieces) -> list:
+    """The word rows of a run of pieces, each a text or a (column, shown)
+    pair: one row of words per row of the columns, or one for all.
+
+    Neighbouring pieces share one table of their joined cells, looked up
+    by a mixed-radix code of the columns' _small_codes; a column of more
+    distinct values than that takes _cells and a part of its own.
+    """
+    parts, run, code, size = [], [], None, 1
+
+    def flush():
+        if run:
+            table = _word_cells(["".join(cells) for cells in product(*run)])
+            parts.append(table if code is None else table.take(code, axis=0))
+
+    for piece in pieces:
+        coded = ((None, [piece]) if isinstance(piece, str) else _small_codes(*piece))
+        if coded is None:
+            flush()
+            cells = _cells(*piece)
+            parts.append(np.pad(cells, ((0, 0), (0, -cells.shape[1] % 4))).view(np.uint32))
+            run, code, size = [], None, 1
+            continue
+        codes, texts = coded
+        if size * len(texts) > _JOINT:
+            flush()
+            run, code, size = [], None, 1
+        run.append(texts)
+        size *= len(texts)
+        if codes is not None:
+            code = codes.astype(np.intp) if code is None else code * len(texts) + codes
+    flush()
+    return parts
+
+
+def _float_cells(x: np.ndarray, prefix: str = "") -> np.ndarray:
+    """_cells of a float column of mostly distinct values, each cell after
+    prefix (at most one character), computed in numpy; for an (n, k) array,
+    each row's k cells side by side.
 
     %.9g writes |x| with 9 significant digits d0..d8 and decimal exponent e
     in fixed notation when -4 <= e <= 8, trailing zeros dropped. Here the
-    digits are those of rint(y), y = |x| * 10**(8 - e) in [1e8, 1e9), for 0
-    and for -4 <= e <= 0 (|x| < 10 covers the overlaps u.x); a carry to 1e9
-    moves e up one. Every other value, and every y within _TIE of a half,
-    goes through _cells. A cell is four 4-byte words: sign, integer digit
-    and point; the zeros after the point and d0 (e < 0); d1..d4; d5..d8.
+    digits are those of r = rint(y), y = |x| * 10**(8 - e) in [1e8, 1e9), for
+    0 and for 1e-4 <= |x| <= 9 (|x| <= 1 covers the overlaps u.x); a carry
+    to 1e9 moves e up one. Every other value, and every y within _TIE of a
+    half, goes through _fmt, one row at a time. A cell is four 4-byte words:
+    two for prefix, sign, then the integer digit and point, or "0.", the
+    zeros after the point and d0 when e < 0 (_lead_words); d1..d4; d5..d8.
+    Only a _fmt cell longer than that widens the rows.
     """
     x = np.asarray(x, dtype=np.float64)
     ax = np.abs(x)
-    near = (ax >= 1e-5) & (ax < 10.0)  # false for NaN
-    a = np.where(near, ax, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    y = a * _POW10[8 - e]
-    e += (y >= 1e9).astype(np.int64) - (y < 1e8)  # log10 rounded across a power of ten
-    y = a * _POW10[8 - e]
-    r = np.rint(y).astype(np.int64)
+    a = np.fmax(np.fmin(ax, 9.0), 1e-4)  # NaN becomes 9
+    near = a == ax
+    e = np.floor(np.log10(a)).astype(np.int32)
+    y = a * _POW10.take(8 - e)
+    if ((y < 1e8) | (y >= 1e9)).any():  # log10 rounded across a power of ten
+        e += y >= 1e9
+        e -= y < 1e8
+        y = a * _POW10.take(8 - e)
+    rounded = np.rint(y)
+    r = rounded.astype(np.int32)
     carry = r == 10 ** 9
-    e = np.where(near, e + carry, 0)
-    r = np.where(near, np.where(carry, 10 ** 8, r), 0)
-    slow = ~(near & (np.abs(y - np.floor(y) - 0.5) >= _TIE) & (e >= -4) & (e <= 0) | (ax == 0))
+    e += carry
+    r -= carry * np.int32(9 * 10 ** 8)
+    slow = (ax != 0) & ~near | (np.abs(y - rounded) > 0.5 - _TIE)
+    r *= near  # 0 has no digits and no exponent
+    e *= near
 
-    d0, mid, low = r // 10 ** 8, r // 10 ** 4 % 10 ** 4, r % 10 ** 4
-    point = (e < 0) | (mid > 0) | (low > 0)
-    out = np.empty((len(x), 4), np.uint32)
-    out[:, 0] = _LEAD.take((np.signbit(x) * 10 + np.where(e < 0, 0, d0)) * 2 + point)
-    out[:, 1] = _FIRST.take(-e * 10 + d0, mode="clip")  # slow rows: e may be out of range
-    digits4, trimmed4, _ = _digit_words()
-    out[:, 2] = np.where(low > 0, digits4.take(mid), trimmed4.take(mid))
-    out[:, 3] = trimmed4.take(low)
-    out = out.view(np.uint8)
+    top = r // 10 ** 4  # d0..d4
+    low = r - top * 10 ** 4
+    d0 = top // 10 ** 4
+    mid = top - d0 * 10 ** 4
+    point = mid + low > 0
+    words = _digit_words()
+    out = np.empty(x.shape + (4,), np.uint32)
+    out.view(np.uint64)[..., 0] = _lead_words(prefix).take(  # slow cells may be out of range
+        (d0 - 10 * e) * 2 + point + np.signbit(x) * np.int32(100), mode="clip")
+    out[..., 2] = words[:2].ravel().take(mid + (low == 0) * np.int32(10_000))
+    out[..., 3] = words[1].take(low)
     if slow.any():
-        cells = _cells(x[slow])
-        out[slow] = np.pad(cells, ((0, 0), (0, 16 - cells.shape[1])))
-    return out
+        cells = _word_cells([prefix + _fmt(v) for v in x[slow]])
+        width = max(4, cells.shape[1])
+        out = np.pad(out, ((0, 0),) * x.ndim + ((0, width - 4),))
+        out[slow] = np.pad(cells, ((0, 0), (0, width - cells.shape[1])))
+    return out.reshape(len(x), -1).view(np.uint8)
 
 
 def _index_cells(lo: int, hi: int) -> np.ndarray:
-    """The trial indices lo..hi-1 in decimal, as _text_cells rows: one 4-byte
-    word per 4 digits, the leading group without its leading zeros and the
+    """The trial indices lo..hi-1 in decimal as rows of 4-byte words, one
+    word per 4 digits: the leading group without its leading zeros and the
     groups above it empty."""
-    i = np.arange(lo, hi, dtype=np.int64)
     groups = -(-len(str(max(hi - 1, 0))) // 4)
     out = np.empty((hi - lo, groups), np.uint32)
-    digits4, _, plain4 = _digit_words()
-    for k in range(groups):
-        digits = i // 10 ** (4 * k) % 10 ** 4
-        out[:, groups - 1 - k] = np.where(
-            i >= 10 ** (4 * k + 4), digits4.take(digits),
-            np.where((i >= 10 ** (4 * k)) | (k == 0), plain4.take(digits), 0))
-    return out.view(np.uint8)
+    words = _digit_words()
+    # The lowest group changes every row: without leading zeros below
+    # 10**4, with them from there on.
+    digits = np.arange(lo % 10 ** 4, lo % 10 ** 4 + hi - lo)
+    full = max(10 ** 4 - lo, 0)
+    out[:full, -1] = words[2].take(digits[:full])
+    out[full:, -1] = words[0].take(digits[full:], mode="wrap")
+    # Group k is one word for each run of 10**(4k) indices i with the same
+    # i // 10**(4k) = b: empty for b = 0.
+    for k in range(1, groups):
+        step = 10 ** (4 * k)
+        for b in range(lo // step, (hi - 1) // step + 1):
+            word = words[0 if b >= 10 ** 4 else 2][b % 10 ** 4] if b else 0
+            out[max(b * step - lo, 0):(b + 1) * step - lo, groups - 1 - k] = word
+    return out
 
 
 def _csv_rows(model: str, start: int, cols) -> str:
@@ -292,37 +408,40 @@ def _csv_rows(model: str, start: int, cols) -> str:
     (default true), bits_a_to_b and bits_b_to_a (default 0), the last four
     a value per trial or one for all. Other entries of cols are not read.
 
-    Every column's cells are NUL-padded byte rows (no cell holds a NUL),
-    laid side by side in one matrix with ',' between them and a newline at
-    the end of each row; dropping the NULs leaves the text.
+    Every part of a row is a run of whole 4-byte words whose NULs are
+    dropped: the trial index (_index_cells); ",model,c,d" from one table of
+    joined cells; ",u_dot_a" and ",u_dot_b" (_float_cells); and
+    ",sigma,tau,detA,detB,bitsAB,bitsBA\\n" from another (_joint_parts).
+    The parts are laid side by side in one word matrix, and dropping its
+    NULs leaves the text. The index and the overlaps pad mostly in front
+    and the tables behind, so most rows hold three runs of NULs: the fewer
+    the runs, the less the drop costs.
     """
     u = cols["u"]
     m = len(u)
+    if not m:
+        return ""
 
     def each(name, default):
         return np.broadcast_to(cols.get(name, default), (m,))
     shown_a, shown_b = each("detected_a", True), each("detected_b", True)
     c, d = cols.get("c"), cols.get("d")
-    empty = np.zeros((1, 0), np.uint8)
     parts = [
         _index_cells(start, start + m),
-        np.frombuffer(model.encode(), np.uint8)[None, :],
-        empty if c is None else _cells(c),
-        empty if d is None else _cells(d),
-        _float_cells(dot(u, cols["a_used"])),
-        _float_cells(dot(u, cols["b_used"])),
-        _cells(cols["sigma"], shown_a), _cells(cols["tau"], shown_b),
-        _cells(shown_a), _cells(shown_b),
-        _cells(each("bits_a_to_b", 0)), _cells(each("bits_b_to_a", 0)),
+        *_joint_parts([f",{model},", "" if c is None else (c, None),
+                       ",", "" if d is None else (d, None)]),
+        _float_cells(np.stack((dot(u, cols["a_used"]), dot(u, cols["b_used"])), axis=1),
+                     ",").view(np.uint32),
+        *_joint_parts([",", (cols["sigma"], shown_a), ",", (cols["tau"], shown_b),
+                       ",", (shown_a, None), ",", (shown_b, None),
+                       ",", (each("bits_a_to_b", 0), None), ",", (each("bits_b_to_a", 0), None),
+                       "\n"]),
     ]
-    mat = np.zeros((m, sum(part.shape[1] + 1 for part in parts)), np.uint8)
-    at = 0
-    for part in parts:
-        mat[:, at:at + part.shape[1]] = part
-        at += part.shape[1] + 1
-        mat[:, at - 1] = ord(",")
-    mat[:, -1] = ord("\n")
-    return mat[mat != 0].tobytes().decode()
+    text = np.concatenate([np.broadcast_to(part, (m, part.shape[1])) for part in parts], axis=1)
+    del parts  # each transient is freed as soon as the next step holds its bytes
+    text = text.view(np.uint8).ravel()
+    text = text[text != 0]
+    return str(text, "utf-8")
 
 
 class TranscriptBatch:

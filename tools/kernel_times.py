@@ -23,15 +23,19 @@ N spin rows with N setting rows (geometry.cross, or np.cross where the
 checkout has no geometry.cross), the station kernels malus_pair (both
 Malus stations against one setting each), hall_outcomes and one_bit_tau
 (the one-bit model's second station, from N spins, N partner spins and
-N bits), and outcome_counts over one table of N outcome pairs.
-perfbench's tracer sees only whole calls of the traced functions, so it
-cannot time these per chunk.
+N bits), outcome_counts over one table of N outcome pairs, and csv_rows,
+the transcript rows of one 32,768-row chunk (protocols._CSV_CHUNK_ROWS,
+whatever N is) in a shared-coin layout: both coins, both overlaps against
+per-trial settings, and outcomes, with about 10 % and 20 % of the sigma
+and tau cells undetected. perfbench's tracer sees only whole calls of the
+traced functions, so it cannot time these per chunk.
 
-The script never enters lhvlab.cli.main, so it runs on the library's
-default allocator: at glibc's defaults a freed temporary of 128 KiB or more
-goes back to the OS and is faulted in again by the next call (geometry.dot
-takes about 224 faults per call at 65,536 rows), where a command-line run
-keeps it mapped (see lhvlab.cli._keep_chunk_memory).
+The kernels run under the allocator the command line sets
+(lhvlab.cli._keep_chunk_memory, called first where the checkout has it),
+so a freed temporary stays mapped between calls, as in a command-line
+run, and two checkouts are timed alike: at glibc's defaults whether a
+temporary of 128 KiB or more is faulted in again depends on what the
+process freed before.
 
 The script uses the standard library, numpy and the checkout's lhvlab only.
 """
@@ -51,6 +55,8 @@ import numpy as np
 ROWS = 1 << 16
 REPEATS = 7
 SEED = 2024
+CSV_ROWS = 1 << 15
+CSV_START = 3 * CSV_ROWS  # a chunk whose trial indices have 5 digits
 
 
 def kernels(lhv, n: int) -> dict:
@@ -69,6 +75,7 @@ def kernels(lhv, n: int) -> dict:
     c = g.uniform_signs(w[3])
     sigma, tau = m.malus_pair((u, w[2], w[3]), a, b)
     cross = getattr(g, "cross", np.cross)
+    rows = csv_columns(lhv)
     return {
         "sgn": lambda: g.sgn(z),
         "malus_outcome": lambda: m.malus_outcome(u, a, w[2]),
@@ -85,7 +92,27 @@ def kernels(lhv, n: int) -> dict:
         "hall_outcomes": lambda: m.hall_outcomes(u, a, b),
         "one_bit_tau": lambda: m.one_bit_tau(u, v, c, b),
         "outcome_counts": lambda: m.outcome_counts(sigma, tau),
+        "csv_rows": lambda: p._csv_rows("shared-coin", CSV_START, rows),
     }
+
+
+def csv_columns(lhv) -> dict:
+    """The columns of one shared-coin transcript chunk of CSV_ROWS trials,
+    built from one stream's uniforms by the same arithmetic in every
+    checkout: unit spins and settings from z and turns, coins and outcomes
+    as signs, and detection flags as thresholds."""
+    w = lhv.geometry.RandomStream(SEED, 4).uniform((8, CSV_ROWS))
+
+    def unit(z, turns):
+        r = np.sqrt(1.0 - z * z)
+        return np.stack([r * np.cos(2 * math.pi * turns), r * np.sin(2 * math.pi * turns), z], 1)
+
+    def signs(x):
+        return np.where(x < 0.5, 1.0, -1.0)
+    return {"u": unit(2 * w[0] - 1, w[1]), "a_used": unit(2 * w[2] - 1, w[3]),
+            "b_used": unit(2 * w[4] - 1, w[5]), "c": signs(w[6]).astype(np.int64),
+            "d": signs(w[7]), "sigma": signs(w[3]), "tau": signs(w[5]),
+            "detected_a": w[2] < 0.9, "detected_b": w[4] < 0.8}
 
 
 def measure(call) -> tuple[float, float]:
@@ -113,6 +140,9 @@ def main(argv=None) -> int:
         parser.error(f"--rows must be at least 1, got {args.rows}")
     sys.path.insert(0, str(src))
     import lhvlab  # loads every module
+    import lhvlab.cli
+    if hasattr(lhvlab.cli, "_keep_chunk_memory"):
+        lhvlab.cli._keep_chunk_memory()
     for name, call in kernels(lhvlab, args.rows).items():
         ms, faults = measure(call)
         print(f"{name} {ms:.3f} {faults:.1f}", flush=True)
