@@ -527,7 +527,7 @@ def _cmd_protocol(args) -> int:
     options = {opt: values[opt] for opt in reads}
     try:
         # The runner writes the transcript to the open file as it runs.
-        res = run(args.trials, seed=args.seed, record=args.transcript or False, **options)
+        res = run(args.trials, seed=args.seed, record=args.transcript or None, **options)
     except (RuntimeError, ValueError) as exc:  # e.g. zero coincidences, a grid too large
         raise SystemExit(f"{args.name} with {args.trials} trials: {exc}")
     config = {"name": args.name, "trials": args.trials, "mode": args.mode,

@@ -23,18 +23,16 @@ Every run that counts outcome pairs does so in ``_tally``, which sums
 integer counts per group over the chunks and folds each chunk's overlaps t
 into the per-group sums in chunk order, so the sums are those of one pass.
 
-A runner's ``record`` is False, True or an open text file. With a file,
-each chunk formats its own CSV rows and ``_tally`` writes them in trial
-order, so nothing whole-length is kept; with True the run keeps a
-``TranscriptBatch`` of whole columns (``geometry.Columns``), whose
-``to_csv`` writes the same bytes. Both go through ``_csv_rows``, which
-lays out a chunk of rows as one matrix of NUL-padded 4-byte words and
-drops the NULs once. Each row is the trial index, ",model,c,d" and
-",sigma,tau,detA,detB,bitsAB,bitsBA\n", each gathered from a table of
-joined cells by one mixed-radix code of its small-alphabet columns, and
-between them the two overlaps, written in numpy by a %.9g rule that hands
-any value it cannot prove to ``_fmt``. The signaling bits are filled by
-``geometry.gathered``.
+A runner's ``record`` is None (no transcript; False means the same) or an
+open text file, which ``_tally`` streams the transcript CSV to: each chunk
+formats its own rows and they are written in trial order, so no
+whole-length column is kept. ``_csv_rows`` lays out a chunk of rows as one
+matrix of NUL-padded 4-byte words and drops the NULs once. Each row is the
+trial index, ",model,c,d" and ",sigma,tau,detA,detB,bitsAB,bitsBA\n",
+each gathered from a table of joined cells by one mixed-radix code of its
+small-alphabet columns, and between them the two overlaps, written in
+numpy by a %.9g rule that hands any value it cannot prove to ``_fmt``.
+The signaling bits are filled by ``geometry.gathered``.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from itertools import product
 
 import numpy as np
 
-from .geometry import (Columns, assert_unit, dot, gathered, planar_setting, select,
+from .geometry import (assert_unit, dot, gathered, planar_setting, select,
                        sphere_point, sphere_rows, streamed, substream, uniform_bits,
                        uniform_signs)
 from .models import (JointLaw2x2, _draw_uv, hall_outcomes, hall_spins, law_table,
@@ -137,30 +135,6 @@ class ChannelLedger:
         }
 
 
-@dataclass
-class TrialTranscript:
-    """One trial's record, expanded from the columnar batch."""
-
-    trial_index: int
-    model: str
-    u: np.ndarray
-    v: np.ndarray | None
-    c: float | None
-    d: float | None
-    a_requested: np.ndarray | None
-    b_requested: np.ndarray | None
-    a_used: np.ndarray
-    b_used: np.ndarray
-    sigma: float | None
-    tau: float | None
-    detected_a: bool
-    detected_b: bool
-    bits_a_to_b: int
-    bits_b_to_a: int
-    shared_draws: int
-    causal_mode: CausalMode
-
-
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -171,7 +145,8 @@ def _fmt(x) -> str:
     return f"{float(x):.9g}"
 
 
-# Rows per to_csv write; bounds the writer's transient memory.
+# Rows per chunk of a recording run: each chunk's CSV text is one write,
+# so this bounds the writer's transient memory.
 _CSV_CHUNK_ROWS = 1 << 15
 
 # 10**k for k in 0..22, each exact in float64.
@@ -445,65 +420,31 @@ def _csv_rows(model: str, start: int, cols) -> str:
 
 
 class TranscriptBatch:
-    """Column-oriented per-trial records for one protocol run."""
+    """The transcript CSV of columns a caller already holds, written by
+    to_csv through _csv_rows as a recording run writes its own; no runner
+    makes one. It stays because the benchmark's tracer times to_csv by
+    name, reading its n and its file argument fh.
 
-    def __init__(self, model: str, causal_mode: CausalMode, u, a_used, b_used,
-                 sigma, tau, v=None, c=None, d=None, a_requested=None,
-                 b_requested=None, detected_a=None, detected_b=None,
-                 bits_a_to_b=0, bits_b_to_a=0, shared_draws=0):
+    u is a row per trial; a_used and b_used a row per trial or one vector
+    for all; sigma, tau, c and d a value per trial; detected_a, detected_b
+    (default true), bits_a_to_b and bits_b_to_a (default 0) a value per
+    trial or one for all."""
+
+    def __init__(self, model: str, u, a_used, b_used, sigma, tau, c=None, d=None,
+                 detected_a=True, detected_b=True, bits_a_to_b=0, bits_b_to_a=0):
         self.model = model
-        self.causal_mode = causal_mode
-        n = len(u)
-        self.n = n
+        self.n = n = len(u)
         self.u = np.asarray(u)
-        self.v = None if v is None else np.asarray(v)
-        self.c = None if c is None else np.asarray(c)
-        self.d = None if d is None else np.asarray(d)
         self.a_used = np.broadcast_to(np.asarray(a_used, float), (n, 3))
         self.b_used = np.broadcast_to(np.asarray(b_used, float), (n, 3))
-        self.a_requested = None if a_requested is None else np.broadcast_to(
-            np.asarray(a_requested, float), (n, 3))
-        self.b_requested = None if b_requested is None else np.broadcast_to(
-            np.asarray(b_requested, float), (n, 3))
         self.sigma = np.asarray(sigma)
         self.tau = np.asarray(tau)
-        ones = np.ones(n, dtype=bool)
-        self.detected_a = ones if detected_a is None else np.asarray(detected_a, bool)
-        self.detected_b = ones if detected_b is None else np.asarray(detected_b, bool)
+        self.c = None if c is None else np.asarray(c)
+        self.d = None if d is None else np.asarray(d)
+        self.detected_a = np.broadcast_to(np.asarray(detected_a, bool), (n,))
+        self.detected_b = np.broadcast_to(np.asarray(detected_b, bool), (n,))
         self.bits_a_to_b = np.broadcast_to(np.asarray(bits_a_to_b, np.int64), (n,))
         self.bits_b_to_a = np.broadcast_to(np.asarray(bits_b_to_a, np.int64), (n,))
-        self.shared_draws = np.broadcast_to(np.asarray(shared_draws, np.int64), (n,))
-
-    def __len__(self) -> int:
-        return self.n
-
-    def u_dot_a(self) -> np.ndarray:
-        return dot(self.u, self.a_used)
-
-    def u_dot_b(self) -> np.ndarray:
-        return dot(self.u, self.b_used)
-
-    def row(self, i: int) -> TrialTranscript:
-        return TrialTranscript(
-            trial_index=i,
-            model=self.model,
-            u=self.u[i],
-            v=None if self.v is None else self.v[i],
-            c=None if self.c is None else float(self.c[i]),
-            d=None if self.d is None else float(self.d[i]),
-            a_requested=None if self.a_requested is None else self.a_requested[i],
-            b_requested=None if self.b_requested is None else self.b_requested[i],
-            a_used=self.a_used[i],
-            b_used=self.b_used[i],
-            sigma=float(self.sigma[i]) if self.detected_a[i] else None,
-            tau=float(self.tau[i]) if self.detected_b[i] else None,
-            detected_a=bool(self.detected_a[i]),
-            detected_b=bool(self.detected_b[i]),
-            bits_a_to_b=int(self.bits_a_to_b[i]),
-            bits_b_to_a=int(self.bits_b_to_a[i]),
-            shared_draws=int(self.shared_draws[i]),
-            causal_mode=self.causal_mode,
-        )
 
     def to_csv(self, fh) -> None:
         """Stream one row per trial under the fixed header, one write per
@@ -586,7 +527,6 @@ class ProtocolResult:
     channels: ChannelLedger
     causal_mode: CausalMode
     shared_draws_total: int = 0
-    transcripts: TranscriptBatch | None = None
     singlet_comparison: dict | None = None
 
     def summary(self) -> dict:
@@ -612,39 +552,37 @@ def _tally(n: int, record, trials, n_groups: int = 1, model: str = "", **fixed):
     trials(rows) gives the columns of the trials in the slice rows: sigma,
     tau, optionally each trial's group (default 0) and overlap t, and the
     transcript's other columns; fixed gives the columns that hold one value
-    on every trial. Returns the (n_groups, 2, 2) counts, the per-group sums
-    of t (None without t) and, if record is True, the full-length transcript
-    columns (else None), with the partner spin v = -u unless trials gives v.
-    If record is a file, the transcript CSV of model is written to it
-    instead: each chunk formats its own rows (_csv_rows) and the chunks are
-    written in trial order. A recording run takes _CSV_CHUNK_ROWS rows per
-    chunk. The chunks' overlaps are added in trial order as the chunks
-    complete, so the sums are bit for bit those of one np.bincount pass.
+    on every trial. Returns the (n_groups, 2, 2) counts and the per-group
+    sums of t (None without t). If record is an open text file (not None
+    or False), the transcript CSV of model is written to it: each chunk
+    formats its own rows (_csv_rows), the chunks are written in trial
+    order, and a recording run takes _CSV_CHUNK_ROWS rows per chunk. The
+    chunks' overlaps are added in trial order as the chunks complete, so
+    the sums are bit for bit those of one np.bincount pass.
     """
-    to_file = hasattr(record, "write")
-    columns = Columns(n) if record and not to_file else None
+    if record is False:
+        record = None
+    if record is not None and not hasattr(record, "write"):
+        raise TypeError(f"record must be None, False or an open text file, not {record!r}")
 
     def work(rows):
         trial = trials(rows)
         group, t = trial.pop("group", 0), trial.pop("t", None)
-        text = _csv_rows(model, rows.start, {**fixed, **trial}) if to_file else ""
-        if columns is not None:
-            if "v" not in trial:
-                trial["v"] = -trial["u"]
-            columns.put(rows, trial)
+        text = "" if record is None else _csv_rows(model, rows.start, {**fixed, **trial})
         return outcome_counts(trial["sigma"], trial["tau"], group, n_groups), group, t, text
 
-    if to_file:
+    if record is not None:
         record.write(CSV_HEADER + "\n")
     counts, t_sums = 0, None
-    for chunk_counts, group, t, text in streamed(n, work, _CSV_CHUNK_ROWS if record else None):
-        if to_file:
+    chunk_rows = None if record is None else _CSV_CHUNK_ROWS
+    for chunk_counts, group, t, text in streamed(n, work, chunk_rows):
+        if record is not None:
             record.write(text)
         counts = counts + chunk_counts
         if t is not None:
             t_sums = np.zeros(n_groups) if t_sums is None else t_sums
             np.add.at(t_sums, np.broadcast_to(group, t.shape), t)
-    return counts, t_sums, columns
+    return counts, t_sums
 
 
 def _protocol_run(model: str, causal_mode: CausalMode, n: int, record, trials,
@@ -655,10 +593,9 @@ def _protocol_run(model: str, causal_mode: CausalMode, n: int, record, trials,
     rows: u, sigma, tau, and any of the transcript's other columns; fixed
     gives the columns that hold one vector on every trial. Without a fixed
     a_used the settings vary per trial, and the run is compared with the
-    singlet law in overlap bins. record is False, True (the result keeps
-    the transcript, with the partner spin v = -u unless trials gives v) or
-    a file the transcript CSV is written to (see _tally). bits_a_to_b is the
-    A->B meter and shared_draws the station-to-station draws, per trial.
+    singlet law in overlap bins. record is None, False or a file the
+    transcript CSV is written to (see _tally). bits_a_to_b is the A->B
+    meter and shared_draws the station-to-station draws, per trial.
     """
     binned = "a_used" not in fixed
 
@@ -668,19 +605,15 @@ def _protocol_run(model: str, causal_mode: CausalMode, n: int, record, trials,
         trial["group"] = _bin_index(trial["t"], N_BINS)
         return trial
 
-    counts, t_sums, columns = _tally(n, record, binned_trials if binned else trials,
-                                     N_BINS if binned else 1, model, **fixed,
-                                     bits_a_to_b=bits_a_to_b)
+    counts, t_sums = _tally(n, record, binned_trials if binned else trials,
+                            N_BINS if binned else 1, model, **fixed, bits_a_to_b=bits_a_to_b)
     comparison = deviation_from_binned_counts(counts, t_sums) if binned else None
     channels = ChannelLedger(n)
     if bits_a_to_b:
         channels.send(PartyRole.STATION_A, PartyRole.STATION_B, bits_a_to_b)
-    transcripts = TranscriptBatch(model, causal_mode, **fixed, **columns,
-                                  bits_a_to_b=bits_a_to_b,
-                                  shared_draws=shared_draws) if columns is not None else None
     return ProtocolResult(model, n, JointLaw2x2.from_counts(counts.sum(0)), channels,
                           causal_mode, shared_draws_total=shared_draws * n,
-                          transcripts=transcripts, singlet_comparison=comparison)
+                          singlet_comparison=comparison)
 
 
 def _columns(x):
@@ -711,7 +644,7 @@ def _policy(policy):
 # One-bit communication protocol
 
 
-def run_tb_protocol(n_trials: int, a, b, seed: int, record=True) -> ProtocolResult:
+def run_tb_protocol(n_trials: int, a, b, seed: int, record=None) -> ProtocolResult:
     """Shared uniform (u, v) from the entangler; station A computes sigma
     and a single bit that crosses the A->B channel every trial; station B
     combines the bit with its shared hidden variables.
@@ -721,7 +654,7 @@ def run_tb_protocol(n_trials: int, a, b, seed: int, record=True) -> ProtocolResu
     return _run_one_bit("tb", 1, n_trials, a, b, seed, record)
 
 
-def run_tb_freewill(n_trials: int, a, b, seed: int, record=True) -> ProtocolResult:
+def run_tb_freewill(n_trials: int, a, b, seed: int, record=None) -> ProtocolResult:
     """Constrained-choice reading of the one-bit protocol: the bit is a
     hidden variable and station A's setting must satisfy
     c = sgn(u.a) sgn(v.a); no station-to-station channel carries anything.
@@ -746,8 +679,7 @@ def _run_one_bit(model: str, bits_a_to_b: int, n_trials: int, a, b, seed: int,
         # Station B: own setting, shared (u, v) and the bit. Never reads a.
         return {"u": u, "v": v, "c": c, "sigma": sigma, "tau": one_bit_tau(u, v, c, b)}
     return _protocol_run(model, CausalMode.SETTINGS_CAUSE_LAMBDA, n_trials, record, trials,
-                         bits_a_to_b=bits_a_to_b, a_used=a, b_used=b, a_requested=a,
-                         b_requested=b)
+                         bits_a_to_b=bits_a_to_b, a_used=a, b_used=b)
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +687,7 @@ def _run_one_bit(model: str, bits_a_to_b: int, n_trials: int, a, b, seed: int,
 
 
 def run_shared_coin(n_trials: int, seed: int, a_policy="random",
-                              b_policy="random", record=True) -> ProtocolResult:
+                              b_policy="random", record=None) -> ProtocolResult:
     """Stations hold identical pseudo-random streams producing coins
     (c, d) each trial. When c = 0, station A orients along d*u and
     station B chooses freely; when c = 1 the roles reverse. Outcomes are
@@ -799,7 +731,7 @@ def _shared_coin(n_trials: int, seed: int, a_policy, b_policy, record,
             each_chunk(rows, trial)
         return trial
     return _protocol_run("shared-coin", CausalMode.LAMBDA_CAUSES_SETTINGS, n_trials, record,
-                         trials, shared_draws=2, **fixed)
+                         trials, shared_draws=2)
 
 
 # ---------------------------------------------------------------------------
@@ -816,7 +748,6 @@ class EfficiencyReport:
     singlet_deviation: float
     expected_efficiency: float
     per_setting: dict = field(default_factory=dict)
-    transcripts: TranscriptBatch | None = None
     # The (groups, 2, 2) coincidence counts per setting pair (one group in
     # sphere mode) and the singlet table each group is compared with.
     counts: np.ndarray | None = None
@@ -850,7 +781,7 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
                            settings_a=None, settings_b=None,
                            delta_omega: float | None = None,
                            n_directions: int | None = None,
-                           record=False) -> EfficiencyReport:
+                           record=None) -> EfficiencyReport:
     """Each particle carries a bit and a hidden spin; the particle whose
     bit is set fires only when its station's setting coincides with the
     spin axis, the other behaves as a plain Malus detector.
@@ -922,7 +853,7 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
         return trial
 
     model = f"detection-{mode}"
-    counts, t_sums, columns = _tally(n_trials, record, trials, n_pairs + 1, model)
+    counts, t_sums = _tally(n_trials, record, trials, n_pairs + 1, model)
     pair_counts = counts[:n_pairs]
     expected_eff = 2.0 / len(u_values)
 
@@ -951,8 +882,6 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
         comparison = deviation_from_binned_counts(pair_counts, t_sums[:1])
         dev, reference = comparison["max_abs_dev"], comparison["reference"]
 
-    transcripts = TranscriptBatch(model, CausalMode.SETTINGS_CAUSE_LAMBDA,
-                                  **columns) if columns is not None else None
     return EfficiencyReport(
         mode=mode,
         n_pairs=n_trials,
@@ -962,7 +891,6 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
         singlet_deviation=float(dev),
         expected_efficiency=float(expected_eff),
         per_setting=per_setting,
-        transcripts=transcripts,
         counts=pair_counts,
         reference=reference,
     )
@@ -1016,7 +944,7 @@ def station_watch_vectors(arrival_times, watch: Watch) -> np.ndarray:
 
 
 def run_watch_realization(n_trials: int, model: str, seed: int,
-                          record=True, start_tick: int = 0) -> ProtocolResult:
+                          record=None, start_tick: int = 0) -> ProtocolResult:
     """Entangler and stations hold synchronized watches; the per-trial
     settings are the watch vectors, so no station-to-station shared
     randomness exists (each station shares state only with the entangler).
@@ -1058,12 +986,8 @@ def run_watch_realization(n_trials: int, model: str, seed: int,
             sigma, tau = hall_outcomes(u, z_a, z_b)
         return {**trial, "u": u, "sigma": sigma, "tau": tau}
 
-    res = _protocol_run(f"watch-{model}", CausalMode.LAMBDA_CAUSES_SETTINGS, n_trials, record,
-                        trials)
-    if res.transcripts is not None:  # the watch vectors are the requested settings too
-        tr = res.transcripts
-        tr.a_requested, tr.b_requested = tr.a_used, tr.b_used
-    return res
+    return _protocol_run(f"watch-{model}", CausalMode.LAMBDA_CAUSES_SETTINGS, n_trials,
+                         record, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -1206,7 +1130,7 @@ def run_conspiracy_audit(n_trials: int, a, b, mode: str, seed: int) -> AuditResu
     if mode == "slave":
         # The shared-coin realization with the declared settings as the
         # stations' free choices.
-        res = _shared_coin(n_trials, seed, a, b, False, audit)
+        res = _shared_coin(n_trials, seed, a, b, None, audit)
         law, dev = res.law, res.singlet_comparison["max_abs_dev"]
     else:
         u_at = sphere_rows(substream(seed, STREAM_ENTANGLER), n_trials)
@@ -1221,7 +1145,7 @@ def run_conspiracy_audit(n_trials: int, a, b, mode: str, seed: int) -> AuditResu
             trial = {"u": u, "a_used": a_used, "b_used": b_used, "sigma": sigma, "tau": tau}
             audit(rows, trial)
             return trial
-        counts, _, _ = _tally(n_trials, False, honest)
+        counts, _ = _tally(n_trials, None, honest)
         law = JointLaw2x2.from_counts(counts[0])
         dev = law.max_abs_diff(singlet_law(a, b))
     return AuditResult(mode, n_trials, sum(k for k, _ in audits.values()),

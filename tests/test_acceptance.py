@@ -27,6 +27,7 @@ from lhvlab.protocols import (PartyRole, binned_outcome_counts,
                               run_shared_coin,
                               run_signaling_experiment, run_tb_freewill,
                               run_tb_protocol, run_watch_realization)
+from recorded_runs import recorded
 
 N_TRIALS = 1_000_000
 SWEEP = [15.0 + 30.0 * k for k in range(12)]  # 12 planar angles, degrees
@@ -62,11 +63,10 @@ def test_criterion_01_singlet_reproduction():
     counts = np.zeros((12, 2, 2), dtype=np.int64)
     t_sums = np.zeros(12)
     for k in range(12):
-        res = run_watch_realization(N_TRIALS, "pinned", seed=4000 + k,
-                                    start_tick=k * N_TRIALS)
-        tr = res.transcripts
-        t = np.einsum("ij,ij->i", tr.a_used, tr.b_used)
-        c, s = binned_outcome_counts(t, tr.sigma, tr.tau, n_bins=12)
+        _, _, tr = recorded(run_watch_realization, N_TRIALS, "pinned", seed=4000 + k,
+                            start_tick=k * N_TRIALS)
+        t = np.einsum("ij,ij->i", tr["a_used"], tr["b_used"])
+        c, s = binned_outcome_counts(t, tr["sigma"], tr["tau"], n_bins=12)
         counts += c
         t_sums += s
     watch = deviation_from_binned_counts(counts, t_sums)

@@ -7,8 +7,8 @@ chance, and a run with more chunks is likelier to catch both threads at
 their peak together. So, after one warm-up run, the peak at n is the
 largest of four runs, which see as many chunks as the one run at 4n. The
 CLI writes a transcript chunk by chunk as the run goes, and is held to the
-same bound; so is the transcript writer of a recorded run, at its own chunk
-size.
+same bound; so is a library run recorded to an open file, at the writer's
+own chunk size.
 
 The runs that still keep a whole-length array are held to its stated size
 per trial instead, on one thread, where the chunks run inline and the peak
@@ -33,6 +33,12 @@ RUNS = {
     "tb-freewill": lambda n: protocols.run_tb_freewill(n, A, B, 5, record=False),
     "shared-coin": lambda n: protocols.run_shared_coin(n, 5, record=False),
     **{f"watch-{m}": (lambda n, m=m: protocols.run_watch_realization(n, m, 5, record=False))
+       for m in ("pinned", "hall")},
+    # Each runner's library default, which records nothing.
+    "tb-default": lambda n: protocols.run_tb_protocol(n, A, B, 5),
+    "tb-freewill-default": lambda n: protocols.run_tb_freewill(n, A, B, 5),
+    "shared-coin-default": lambda n: protocols.run_shared_coin(n, 5),
+    **{f"watch-{m}-default": (lambda n, m=m: protocols.run_watch_realization(n, m, 5))
        for m in ("pinned", "hall")},
     **{f"audit-{mode}": (lambda n, mode=mode: protocols.run_conspiracy_audit(n, A, B, mode, 5))
        for mode in ("honest", "slave")},
@@ -66,15 +72,18 @@ class _Discard:
         pass
 
 
-def test_transcript_writer_memory_does_not_grow_with_rows(monkeypatch):
-    # The writer keeps no whole-length column and no more than a few chunks
-    # of text, so 4n rows peak like n rows (n = 4 chunks).
+def test_recorded_run_memory_does_not_grow_with_rows(monkeypatch):
+    # A run recorded to an open file keeps no whole-length column and no
+    # more than a few chunks of text, so 4n rows peak like n rows (n = 4
+    # chunks).
     monkeypatch.setattr(geometry, "_workers", lambda: 2)
     n = 4 * protocols._CSV_CHUNK_ROWS
-    small = protocols.run_shared_coin(n, 5).transcripts
-    large = protocols.run_shared_coin(4 * n, 5).transcripts
-    peak_small = max(_peak(lambda _: small.to_csv(_Discard()), n) for _ in range(2))
-    peak_large = _peak(lambda _: large.to_csv(_Discard()), 4 * n)
+
+    def run(n):
+        protocols.run_shared_coin(n, 5, record=_Discard())
+    run(100)  # the digit tables are built once per process
+    peak_small = max(_peak(run, n) for _ in range(2))
+    peak_large = _peak(run, 4 * n)
     assert peak_large <= 1.25 * peak_small, (peak_small, peak_large)
 
 

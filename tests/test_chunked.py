@@ -2,7 +2,6 @@
 thread count: every sampler and runner is run in one chunk, then in
 1,000-row chunks on 1, 2 and 3 threads, and every output is compared."""
 
-import io
 import multiprocessing
 import sys
 import threading
@@ -15,6 +14,7 @@ from lhvlab.geometry import RandomStream, chunked, planar_setting
 from lhvlab.inequalities import chsh_mc, counterfactual_correlators
 from lhvlab.models import (MODEL_IDS, MODELS, estimate_law, hall_sample, pinned_spin_sample,
                            tb_freewill_sample)
+from recorded_runs import recorded
 
 SIZES = (999, 1000, 1001, 3017)
 WORKERS = (1, 2, 3)
@@ -81,18 +81,22 @@ def test_public_samplers_are_the_same_in_any_chunk_layout(monkeypatch, name, n):
         assert chunked_run == whole, workers
 
 
-RUNNERS = {
-    "tb": lambda n: protocols.run_tb_protocol(n, A, B, 5),
-    "tb-freewill": lambda n: protocols.run_tb_freewill(n, A, B, 5),
-    "shared-coin": lambda n: protocols.run_shared_coin(n, 5),
-    "shared-coin-fixed": lambda n: protocols.run_shared_coin(n, 5, A, B),
-    "watch-pinned": lambda n: protocols.run_watch_realization(n, "pinned", 5),
-    "watch-hall": lambda n: protocols.run_watch_realization(n, "hall", 5),
-    **{f"detection-{mode}": (lambda n, mode=mode: protocols.run_detection_loophole(
-        n, mode, 5, n_directions=64, record=True))
+# The runners that take record write their transcript, and it is compared too.
+RECORDING = {
+    "tb": lambda n, record: protocols.run_tb_protocol(n, A, B, 5, record),
+    "tb-freewill": lambda n, record: protocols.run_tb_freewill(n, A, B, 5, record),
+    "shared-coin": lambda n, record: protocols.run_shared_coin(n, 5, record=record),
+    "shared-coin-fixed": lambda n, record: protocols.run_shared_coin(n, 5, A, B, record),
+    "watch-pinned": lambda n, record: protocols.run_watch_realization(n, "pinned", 5, record),
+    "watch-hall": lambda n, record: protocols.run_watch_realization(n, "hall", 5, record),
+    **{f"detection-{mode}": (lambda n, record, mode=mode: protocols.run_detection_loophole(
+        n, mode, 5, n_directions=64, record=record))
        for mode in ("symmetric", "asymmetric", "sphere")},
-    "detection-grid": lambda n: protocols.run_detection_loophole(
-        n, "symmetric", 5, GRID_A, GRID_B, record=True),
+    "detection-grid": lambda n, record: protocols.run_detection_loophole(
+        n, "symmetric", 5, GRID_A, GRID_B, record=record),
+}
+RUNNERS = {
+    **RECORDING,
     **{f"audit-{mode}": (lambda n, mode=mode: protocols.run_conspiracy_audit(n, A, B, mode, 5))
        for mode in ("honest", "slave", "third-party")},
     **{f"signal-{mode}": (lambda n, mode=mode: protocols.run_signaling_experiment(
@@ -107,15 +111,13 @@ def _runner_outputs(monkeypatch, name, n):
         streams.append(RandomStream(seed, stream_id))
         return streams[-1]
     monkeypatch.setattr(protocols, "substream", recording_substream)
-    res = RUNNERS[name](n)
+    run = RUNNERS[name]
+    res, csv, _ = recorded(run, n) if name in RECORDING else (run(n), None, None)
     out = {"summary": res.summary(),
            "counters": [(s.stream_id, s.counter) for s in streams],
            "per_setting": getattr(res, "per_setting", None),
-           "comparison": getattr(res, "singlet_comparison", None)}
-    if getattr(res, "transcripts", None) is not None:
-        fh = io.StringIO()
-        res.transcripts.to_csv(fh)
-        out["csv"] = fh.getvalue()
+           "comparison": getattr(res, "singlet_comparison", None),
+           "csv": csv}
     if name.startswith("signal"):
         out["bits"] = (res.intended.tobytes(), res.received.tobytes())
     return repr(out)

@@ -579,13 +579,15 @@ STREAMED_PROTOCOLS = {
 @pytest.mark.parametrize("trials", [1, 32_767, 32_769, 65_537, 200_003])
 @pytest.mark.parametrize("argv", STREAMED_PROTOCOLS.values(), ids=STREAMED_PROTOCOLS.keys())
 def test_streamed_transcript_is_the_recorded_one(tmp_path, monkeypatch, argv, trials):
-    # The CLI's transcript is formatted chunk by chunk during the run; the
-    # same run with record=True keeps its columns, and to_csv writes them.
+    # The CLI writes its transcript to the file it opened; the same library
+    # run, recorded to a StringIO, writes the same text.
     recorded = []
     for name in ("run_tb_protocol", "run_tb_freewill", "run_shared_coin",
                  "run_detection_loophole", "run_watch_realization"):
         def run(*args, record, real=getattr(cli, name), **kwargs):
-            recorded.append(real(*args, record=True, **kwargs).transcripts)
+            fh = io.StringIO()
+            real(*args, record=fh, **kwargs)
+            recorded.append(fh.getvalue())
             return real(*args, record=record, **kwargs)
         monkeypatch.setattr(cli, name, run)
     path = tmp_path / "transcript.csv"
@@ -596,9 +598,7 @@ def test_streamed_transcript_is_the_recorded_one(tmp_path, monkeypatch, argv, tr
         assert "no coincidences recorded" in exc.code
         assert not recorded and not path.exists()
         return
-    fh = io.StringIO()
-    recorded[0].to_csv(fh)
-    assert path.read_bytes() == fh.getvalue().encode()
+    assert path.read_bytes() == recorded[0].encode()
 
 
 def test_freewill_independent_reports_no_information(tmp_path):

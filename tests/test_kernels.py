@@ -19,6 +19,7 @@ from lhvlab.models import (_draw_atoms, _tb_extension_rule, hall_spins, malus_ma
                            malus_outcome, one_bit_station_a, one_bit_tau)
 from lhvlab.protocols import (EMISSION_STEP, WATCH_A, WATCH_B, _bin_index, _phase,
                               _shared_coin, run_watch_realization, watch_vector)
+from recorded_runs import recorded
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 TINY = 5e-324  # the smallest subnormal
@@ -236,9 +237,9 @@ def test_watch_vectors_at_integer_phases_are_the_mod_map():
 
 
 def test_watch_run_from_a_negative_tick_uses_the_mod_map_of_its_ticks():
-    run = run_watch_realization(300, "pinned", 4, record=True, start_tick=-1_000)
+    _, _, tr = recorded(run_watch_realization, 300, "pinned", 4, start_tick=-1_000)
     t = np.arange(-1_000, -700) * EMISSION_STEP
-    for watch, used in ((WATCH_A, run.transcripts.a_used), (WATCH_B, run.transcripts.b_used)):
+    for watch, used in ((WATCH_A, tr["a_used"]), (WATCH_B, tr["b_used"])):
         ps, pl = np.mod(t / watch.period_small, 1.0), np.mod(t / watch.period_large, 1.0)
         assert _same_bits(used, _stack_point(2.0 * ps - 1.0, pl))
 
@@ -318,10 +319,10 @@ def test_watch_pinned_spin_rows_are_column_major(monkeypatch):
     pair = protocols.malus_pair
     monkeypatch.setattr(protocols, "malus_pair",
                         lambda hidden, x, y: spins.append(hidden[0]) or pair(hidden, x, y))
-    tr = run_watch_realization(3_000, "pinned", 12, record=True).transcripts
+    _, _, tr = recorded(run_watch_realization, 3_000, "pinned", 12)
     (u,) = spins
-    j, d = tr.c, tr.d
-    _column_major_equal(u, d[:, None] * np.where((j == 0)[:, None], tr.a_used, tr.b_used))
+    j, d = tr["c"], tr["d"]
+    _column_major_equal(u, d[:, None] * np.where((j == 0)[:, None], tr["a_used"], tr["b_used"]))
 
 
 def test_hall_spins_are_column_major_at_fixed_settings():

@@ -8,8 +8,8 @@ from scipy import stats
 from lhvlab import protocols
 from lhvlab.geometry import RandomStream, dot, planar_setting, sgn, substream
 from lhvlab.models import MODELS, JointLaw2x2, law_table, singlet_law
-from lhvlab.protocols import (_CSV_CHUNK_ROWS, CSV_HEADER, EMISSION_STEP, STREAM_A, STREAM_B,
-                              TIME_OF_FLIGHT, WATCH_A, WATCH_B, CausalMode,
+from lhvlab.protocols import (_CSV_CHUNK_ROWS, _CSV_COLUMNS, CSV_HEADER, EMISSION_STEP,
+                              STREAM_A, STREAM_B, TIME_OF_FLIGHT, WATCH_A, WATCH_B, CausalMode,
                               PartyRole, TranscriptBatch, _fmt,
                               binned_outcome_counts, binned_singlet_deviation,
                               run_conspiracy_audit, run_detection_loophole,
@@ -17,6 +17,7 @@ from lhvlab.protocols import (_CSV_CHUNK_ROWS, CSV_HEADER, EMISSION_STEP, STREAM
                               run_signaling_experiment, run_tb_freewill,
                               run_tb_protocol, run_watch_realization,
                               station_watch_vectors, watch_vector)
+from recorded_runs import recorded
 
 X = planar_setting(0.0)
 B63 = planar_setting(63.0)
@@ -55,20 +56,20 @@ def test_tb_protocol_converges_to_singlet():
 
 
 def test_tb_protocol_reproducible():
-    r1 = run_tb_protocol(20_000, X, B63, seed=3)
-    r2 = run_tb_protocol(20_000, X, B63, seed=3)
-    assert np.array_equal(r1.transcripts.sigma, r2.transcripts.sigma)
-    assert np.array_equal(r1.transcripts.tau, r2.transcripts.tau)
-    assert np.array_equal(r1.transcripts.u, r2.transcripts.u)
+    r1, _, t1 = recorded(run_tb_protocol, 20_000, X, B63, seed=3)
+    r2, _, t2 = recorded(run_tb_protocol, 20_000, X, B63, seed=3)
+    assert np.array_equal(t1["sigma"], t2["sigma"])
+    assert np.array_equal(t1["tau"], t2["tau"])
+    assert np.array_equal(t1["u"], t2["u"])
     assert r1.law.p.tolist() == r2.law.p.tolist()
 
 
 def test_tb_protocol_message_carries_remote_setting():
     # Positive control for the locality tests below: with one bit of
     # communication the partner outcomes do change when a changes.
-    r1 = run_tb_protocol(20_000, planar_setting(0.0), B63, seed=4)
-    r2 = run_tb_protocol(20_000, planar_setting(70.0), B63, seed=4)
-    assert not np.array_equal(r1.transcripts.tau, r2.transcripts.tau)
+    _, _, t1 = recorded(run_tb_protocol, 20_000, planar_setting(0.0), B63, seed=4)
+    _, _, t2 = recorded(run_tb_protocol, 20_000, planar_setting(70.0), B63, seed=4)
+    assert not np.array_equal(t1["tau"], t2["tau"])
 
 
 # ---------------------------------------------------------------------------
@@ -76,14 +77,13 @@ def test_tb_protocol_message_carries_remote_setting():
 
 
 def test_tb_freewill_zero_bits_and_constraint():
-    res = run_tb_freewill(50_000, X, B63, seed=5)
+    res, _, tr = recorded(run_tb_freewill, 50_000, X, B63, seed=5)
     assert res.channels.station_to_station_bits == 0
     assert not res.channels.communication_assisted
-    tr = res.transcripts
-    want = sgn(np.einsum("ij,ij->i", tr.u, tr.a_used)) * \
-        sgn(np.einsum("ij,ij->i", tr.v, tr.a_used))
-    assert np.array_equal(tr.c, want)
-    assert np.array_equal(np.asarray(tr.a_used), np.asarray(tr.a_requested))
+    want = sgn(np.einsum("ij,ij->i", tr["u"], tr["a_used"])) * \
+        sgn(np.einsum("ij,ij->i", tr["v"], tr["a_used"]))
+    assert np.array_equal(tr["c"], want)
+    assert np.all(tr["a_used"] == X)  # the requested setting is the one used
 
 
 def test_tb_freewill_converges_to_singlet():
@@ -93,14 +93,13 @@ def test_tb_freewill_converges_to_singlet():
 
 def test_tb_freewill_partner_outcome_local():
     # tau is a pure function of the logged global hidden variables and b.
-    res = run_tb_freewill(10_000, X, B63, seed=7)
-    tr = res.transcripts
-    recomputed = -sgn(np.einsum("ij,ij->i", tr.u + tr.c[:, None] * tr.v,
-                                tr.b_used))
-    assert np.array_equal(recomputed, tr.tau)
+    _, _, tr = recorded(run_tb_freewill, 10_000, X, B63, seed=7)
+    recomputed = -sgn(np.einsum("ij,ij->i", tr["u"] + tr["c"][:, None] * tr["v"],
+                                tr["b_used"]))
+    assert np.array_equal(recomputed, tr["tau"])
     # and sigma never reads b
-    r2 = run_tb_freewill(10_000, X, planar_setting(150.0), seed=7)
-    assert np.array_equal(res.transcripts.sigma, r2.transcripts.sigma)
+    _, _, t2 = recorded(run_tb_freewill, 10_000, X, planar_setting(150.0), seed=7)
+    assert np.array_equal(tr["sigma"], t2["sigma"])
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +115,13 @@ def test_shared_coin_budgets():
 
 
 def test_shared_coin_forced_branch():
-    res = run_shared_coin(20_000, seed=9)
-    tr = res.transcripts
-    m = (tr.c == 0) & (tr.d == 1)
-    assert np.all(tr.a_used[m] == tr.u[m])
-    assert np.all(tr.sigma[m] == 1.0)
-    m = (tr.c == 1) & (tr.d == 1)
-    assert np.all(tr.b_used[m] == tr.v[m])
-    assert np.all(tr.tau[m] == 1.0)
+    _, _, tr = recorded(run_shared_coin, 20_000, seed=9)
+    m = (tr["c"] == 0) & (tr["d"] == 1)
+    assert np.all(tr["a_used"][m] == tr["u"][m])
+    assert np.all(tr["sigma"][m] == 1.0)
+    m = (tr["c"] == 1) & (tr["d"] == 1)
+    assert np.all(tr["b_used"][m] == tr["v"][m])
+    assert np.all(tr["tau"][m] == 1.0)
 
 
 def test_shared_coin_recovers_singlet_binned():
@@ -135,13 +133,13 @@ def test_shared_coin_recovers_singlet_binned():
 def test_shared_coin_locality_fault_injection():
     # Corrupting the A side (different requested setting) must leave B's
     # outcomes untouched bit for bit, and symmetrically.
-    base = run_shared_coin(20_000, seed=11, a_policy=planar_setting(10.0))
-    corrupt = run_shared_coin(20_000, seed=11, a_policy=planar_setting(160.0))
-    assert np.array_equal(base.transcripts.tau, corrupt.transcripts.tau)
-    assert not np.array_equal(base.transcripts.sigma, corrupt.transcripts.sigma)
-    base = run_shared_coin(20_000, seed=12, b_policy=planar_setting(20.0))
-    corrupt = run_shared_coin(20_000, seed=12, b_policy=planar_setting(110.0))
-    assert np.array_equal(base.transcripts.sigma, corrupt.transcripts.sigma)
+    _, _, base = recorded(run_shared_coin, 20_000, seed=11, a_policy=planar_setting(10.0))
+    _, _, corrupt = recorded(run_shared_coin, 20_000, seed=11, a_policy=planar_setting(160.0))
+    assert np.array_equal(base["tau"], corrupt["tau"])
+    assert not np.array_equal(base["sigma"], corrupt["sigma"])
+    _, _, base = recorded(run_shared_coin, 20_000, seed=12, b_policy=planar_setting(20.0))
+    _, _, corrupt = recorded(run_shared_coin, 20_000, seed=12, b_policy=planar_setting(110.0))
+    assert np.array_equal(base["sigma"], corrupt["sigma"])
 
 
 @pytest.mark.parametrize("policy", [[[2.0, 0.0, 0.0], [0.0, 3.0, 0.0]],
@@ -216,31 +214,30 @@ def _along(u, x):
 ])
 def test_detection_fire_flags_are_the_match_rule(mode, n_directions):
     # The flagged particle fires exactly when its setting equals +-u.
-    rep = run_detection_loophole(100_000, mode, seed=20, n_directions=n_directions,
-                                 record=True)
-    tr = rep.transcripts
-    assert np.array_equal(tr.detected_a, (tr.c == 0) | _along(tr.u, tr.a_used))
-    assert np.array_equal(tr.detected_b, (tr.c == 1) | _along(tr.u, tr.b_used))
+    rep, _, tr = recorded(run_detection_loophole, 100_000, mode, seed=20,
+                          n_directions=n_directions)
+    assert np.array_equal(tr["detected_a"], (tr["c"] == 0) | _along(tr["u"], tr["a_used"]))
+    assert np.array_equal(tr["detected_b"], (tr["c"] == 1) | _along(tr["u"], tr["b_used"]))
     if n_directions == 2:
         # One antipodal pair: every setting lies along the spin.
         assert rep.efficiency == 1.0
 
 
-def _masked_per_setting(rep, settings_a, settings_b):
+def _masked_per_setting(tr, settings_a, settings_b):
     """Reference: the per-setting laws and their worst deviation from the
-    singlet, one coincidence mask and four count_nonzero calls per pair."""
-    tr = rep.transcripts
-    coincidence = tr.detected_a & tr.detected_b
+    singlet, one coincidence mask and four count_nonzero calls per pair, from
+    the transcript columns tr."""
+    coincidence = tr["detected_a"] & tr["detected_b"]
     per_setting, dev = {}, 0.0
     for i, x in enumerate(settings_a):
         for j, y in enumerate(settings_b):
-            m = (coincidence & np.all(tr.a_used == x, axis=1)
-                 & np.all(tr.b_used == y, axis=1))
+            m = (coincidence & np.all(tr["a_used"] == x, axis=1)
+                 & np.all(tr["b_used"] == y, axis=1))
             n = int(np.count_nonzero(m))
             if n == 0:
                 continue
-            sp = tr.sigma[m] > 0
-            tp = tr.tau[m] > 0
+            sp = tr["sigma"][m] > 0
+            tp = tr["tau"][m] > 0
             p = np.array([[np.count_nonzero(sp & tp), np.count_nonzero(sp & ~tp)],
                           [np.count_nonzero(~sp & tp), np.count_nonzero(~sp & ~tp)]])
             law = JointLaw2x2(p / n, n_trials=n)
@@ -265,11 +262,11 @@ GRID_B = [planar_setting(30.0), np.array([0.0, 0.6, -0.8])]
     (12, 1, None, None),
 ])
 def test_detection_per_setting_matches_masked_reference(mode, n, seed, settings_a, settings_b):
-    rep = run_detection_loophole(n, mode, seed, settings_a=settings_a,
-                                 settings_b=settings_b, record=True)
+    rep, _, tr = recorded(run_detection_loophole, n, mode, seed, settings_a=settings_a,
+                          settings_b=settings_b)
     settings_a = DEFAULT_A if settings_a is None else settings_a
     settings_b = DEFAULT_B if settings_b is None else settings_b
-    per_setting, dev = _masked_per_setting(rep, settings_a, settings_b)
+    per_setting, dev = _masked_per_setting(tr, settings_a, settings_b)
     assert rep.per_setting == per_setting
     assert rep.singlet_deviation == dev
     assert sum(entry["n"] for entry in per_setting.values()) == rep.n_coincidences
@@ -288,16 +285,13 @@ def test_detection_counts_every_pair_of_twenty_settings_a_side():
 
 
 def test_detection_transcript_records_detection_flags():
-    rep = run_detection_loophole(5000, "symmetric", seed=19, record=True)
-    tr = rep.transcripts
-    assert int(np.count_nonzero(tr.detected_a & tr.detected_b)) == rep.n_coincidences
-    buf = io.StringIO()
-    tr.to_csv(buf)
-    lines = buf.getvalue().splitlines()
+    rep, text, tr = recorded(run_detection_loophole, 5000, "symmetric", seed=19)
+    assert int(np.count_nonzero(tr["detected_a"] & tr["detected_b"])) == rep.n_coincidences
+    lines = text.splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 5001
     # undetected sides leave their outcome fields empty
-    first_miss = int(np.nonzero(~(tr.detected_a & tr.detected_b))[0][0])
+    first_miss = int(np.nonzero(~(tr["detected_a"] & tr["detected_b"]))[0][0])
     assert lines[1 + first_miss].split(",")[6:8].count("") >= 1
 
 
@@ -356,10 +350,9 @@ def test_watch_runner_raises_when_a_station_epoch_drifts(monkeypatch, model, fau
 
 @pytest.mark.parametrize("model", ["pinned", "hall"])
 def test_watch_runner_settings_are_the_station_reconstructions(model):
-    res = run_watch_realization(70_000, model, seed=3, record=True, start_tick=-5)
+    _, _, tr = recorded(run_watch_realization, 70_000, model, seed=3, start_tick=-5)
     t = (np.arange(70_000) - 5) * EMISSION_STEP
-    tr = res.transcripts
-    for used, watch in ((tr.a_used, WATCH_A), (tr.b_used, WATCH_B)):
+    for used, watch in ((tr["a_used"], WATCH_A), (tr["b_used"], WATCH_B)):
         station = station_watch_vectors(t + TIME_OF_FLIGHT, watch)
         assert np.array_equal(used.view(np.int64), station.view(np.int64))
 
@@ -379,11 +372,10 @@ def test_watch_hall_spin_follows_conditional_density():
     # Stratify by the realized setting overlap and classify the spin into
     # the four sign cells; the cell masses are exact functions of the
     # overlap, so the chi-square against them is an exact-oracle test.
-    res = run_watch_realization(300_000, "hall", seed=22)
-    tr = res.transcripts
-    t = np.einsum("ij,ij->i", tr.a_used, tr.b_used)
-    sa = sgn(np.einsum("ij,ij->i", tr.u, tr.a_used))
-    sb = sgn(np.einsum("ij,ij->i", tr.u, tr.b_used))
+    _, _, tr = recorded(run_watch_realization, 300_000, "hall", seed=22)
+    t = np.einsum("ij,ij->i", tr["a_used"], tr["b_used"])
+    sa = sgn(np.einsum("ij,ij->i", tr["u"], tr["a_used"]))
+    sb = sgn(np.einsum("ij,ij->i", tr["u"], tr["b_used"]))
     cell = ((sa > 0).astype(int) * 2 + (sb > 0).astype(int))
     strata = np.clip(((t + 1.0) * 5).astype(int), 0, 9)
     # same-sign cells carry (1+t)/4 each, differ-sign cells (1-t)/4
@@ -405,11 +397,11 @@ def test_watch_hall_spin_follows_conditional_density():
 
 
 def test_watch_reproducible_and_tick_offset():
-    r1 = run_watch_realization(5000, "pinned", seed=23)
-    r2 = run_watch_realization(5000, "pinned", seed=23)
-    assert np.array_equal(r1.transcripts.sigma, r2.transcripts.sigma)
-    r3 = run_watch_realization(5000, "pinned", seed=23, start_tick=5000)
-    assert not np.array_equal(r1.transcripts.a_used, r3.transcripts.a_used)
+    _, _, t1 = recorded(run_watch_realization, 5000, "pinned", seed=23)
+    _, _, t2 = recorded(run_watch_realization, 5000, "pinned", seed=23)
+    assert np.array_equal(t1["sigma"], t2["sigma"])
+    _, _, t3 = recorded(run_watch_realization, 5000, "pinned", seed=23, start_tick=5000)
+    assert not np.array_equal(t1["a_used"], t3["a_used"])
 
 
 # ---------------------------------------------------------------------------
@@ -490,16 +482,15 @@ def test_audit_slave_mode_deviates_toward_hidden_spin():
 def test_slave_audit_is_the_shared_coin_realization():
     n, seed = 20_000, 34
     audit = run_conspiracy_audit(n, X, B63, "slave", seed=seed)
-    coin = run_shared_coin(n, seed, X, B63)
+    coin, _, t = recorded(run_shared_coin, n, seed, X, B63)
     assert np.array_equal(audit.law.p, coin.law.p)
     assert audit.singlet_deviation == coin.singlet_comparison["max_abs_dev"]
-    t = coin.transcripts
     deviations = 0
-    for used, declared in ((t.a_used, X), (t.b_used, B63)):
+    for used, declared in ((t["a_used"], X), (t["b_used"], B63)):
         moved = ~np.all(used == declared, axis=1)
         deviations += int(np.count_nonzero(moved))
         # Every deviation lands exactly on +u or -u.
-        used, u = used[moved], t.u[moved]
+        used, u = used[moved], t["u"][moved]
         assert np.all(np.all(used == u, axis=1) | np.all(used == -u, axis=1))
     assert audit.deviations == deviations == n
     assert audit.deviations_match_u
@@ -559,18 +550,16 @@ def test_audit_validation():
 
 
 def test_transcript_csv_format():
-    res = run_tb_protocol(50, X, B63, seed=34)
-    buf = io.StringIO()
-    res.transcripts.to_csv(buf)
-    lines = buf.getvalue().splitlines()
+    res, text, _ = recorded(run_tb_protocol, 50, X, B63, seed=34)
+    lines = text.splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 51
     fields = lines[1].split(",")
     assert fields[0] == "0" and fields[1] == "tb"
     assert fields[10] == "1" and fields[11] == "0"  # bitsAB, bitsBA
-    row = res.transcripts.row(0)
-    assert row.bits_a_to_b == 1 and row.shared_draws == 0
-    assert row.causal_mode == CausalMode.SETTINGS_CAUSE_LAMBDA
+    # One bit crosses A->B on every trial, and no draw is shared.
+    assert res.channels.bits(*A_TO_B) == 50 and res.shared_draws_total == 0
+    assert res.causal_mode == CausalMode.SETTINGS_CAUSE_LAMBDA
 
 
 def test_binned_deviation_detects_wrong_law():
@@ -605,8 +594,8 @@ def reference_csv(tr) -> str:
     """The original writer: one row at a time, every cell through _fmt."""
     fh = io.StringIO()
     fh.write(CSV_HEADER + "\n")
-    ua = tr.u_dot_a()
-    ub = tr.u_dot_b()
+    ua = dot(tr.u, tr.a_used)
+    ub = dot(tr.u, tr.b_used)
     for i in range(tr.n):
         row = [
             str(i), tr.model,
@@ -628,51 +617,75 @@ def written_csv(tr) -> str:
     return fh.getvalue()
 
 
+def batch_of(model, columns) -> TranscriptBatch:
+    """The CSV columns of a recorded run as a batch."""
+    return TranscriptBatch(model, **{k: columns[k] for k in _CSV_COLUMNS if k in columns})
+
+
+def transcript(name, n, seed):
+    """(CSV text, batch of its columns) of RUNNERS[name] recorded."""
+    _, text, columns = recorded(RUNNERS[name], n, seed)
+    return text, batch_of(name, columns)
+
+
 def head(tr, n):
     """The first n trials of a batch, as a batch of their own."""
     def cut(col):
         return None if col is None else col[:n]
 
     return TranscriptBatch(
-        tr.model, tr.causal_mode, tr.u[:n], tr.a_used[:n], tr.b_used[:n],
-        tr.sigma[:n], tr.tau[:n], v=cut(tr.v), c=cut(tr.c), d=cut(tr.d),
-        detected_a=tr.detected_a[:n], detected_b=tr.detected_b[:n],
+        tr.model, tr.u[:n], tr.a_used[:n], tr.b_used[:n], tr.sigma[:n], tr.tau[:n],
+        c=cut(tr.c), d=cut(tr.d), detected_a=tr.detected_a[:n], detected_b=tr.detected_b[:n],
         bits_a_to_b=tr.bits_a_to_b[:n], bits_b_to_a=tr.bits_b_to_a[:n])
 
 
+# Runner -> run(n, seed, record); each name is the model its transcript names.
 RUNNERS = {
-    "tb": lambda n, seed: run_tb_protocol(n, X, B63, seed),
-    "tb-freewill": lambda n, seed: run_tb_freewill(n, X, B63, seed),
-    "shared-coin": lambda n, seed: run_shared_coin(n, seed),
-    "watch-pinned": lambda n, seed: run_watch_realization(n, "pinned", seed),
-    "watch-hall": lambda n, seed: run_watch_realization(n, "hall", seed),
+    "tb": lambda n, seed, record: run_tb_protocol(n, X, B63, seed, record),
+    "tb-freewill": lambda n, seed, record: run_tb_freewill(n, X, B63, seed, record),
+    "shared-coin": lambda n, seed, record: run_shared_coin(n, seed, record=record),
+    "watch-pinned": lambda n, seed, record: run_watch_realization(n, "pinned", seed, record),
+    "watch-hall": lambda n, seed, record: run_watch_realization(n, "hall", seed, record),
     "detection-symmetric":
-        lambda n, seed: run_detection_loophole(n, "symmetric", seed, record=True),
+        lambda n, seed, record: run_detection_loophole(n, "symmetric", seed, record=record),
     "detection-asymmetric":
-        lambda n, seed: run_detection_loophole(n, "asymmetric", seed, record=True),
-    "detection-sphere": lambda n, seed: run_detection_loophole(
-        n, "sphere", seed, n_directions=64, record=True),
+        lambda n, seed, record: run_detection_loophole(n, "asymmetric", seed, record=record),
+    "detection-sphere": lambda n, seed, record: run_detection_loophole(
+        n, "sphere", seed, n_directions=64, record=record),
 }
 
 
-@pytest.mark.parametrize("runner", RUNNERS.values(), ids=RUNNERS.keys())
-def test_transcript_writer_matches_reference_at_chunk_edges(runner):
-    tr = runner(_CSV_CHUNK_ROWS + 1, 41).transcripts
+@pytest.mark.parametrize("record", ["x.csv", True, 1])
+@pytest.mark.parametrize("name", RUNNERS)
+def test_runners_reject_a_record_that_is_not_a_file(tmp_path, monkeypatch, name, record):
+    # A path, or the retired True, is no file to write to: the run raises
+    # rather than record nothing.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(TypeError) as exc:
+        RUNNERS[name](10, 1, record)
+    assert str(exc.value) == f"record must be None, False or an open text file, not {record!r}"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", RUNNERS)
+def test_transcript_writer_matches_reference_at_chunk_edges(name):
+    text, tr = transcript(name, _CSV_CHUNK_ROWS + 1, 41)
     expected = reference_csv(tr).splitlines(keepends=True)
+    assert text == "".join(expected)
     for n in (_CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1):
         assert written_csv(head(tr, n)) == "".join(expected[:n + 1]), n
 
 
-@pytest.mark.parametrize("runner", RUNNERS.values(), ids=RUNNERS.keys())
-def test_transcript_writer_matches_reference_at_smallest_run(runner):
+@pytest.mark.parametrize("name", RUNNERS)
+def test_transcript_writer_matches_reference_at_smallest_run(name):
     # Detection runs with no coincidence raise, so start where one runs.
     for n in range(1, 100):
         try:
-            tr = runner(n, 42).transcripts
+            text, tr = transcript(name, n, 42)
             break
         except RuntimeError:
             continue
-    assert written_csv(tr) == reference_csv(tr)
+    assert text == written_csv(tr) == reference_csv(tr)
 
 
 def test_transcript_writer_keeps_signed_zeros_and_special_values():
@@ -681,8 +694,8 @@ def test_transcript_writer_keeps_signed_zeros_and_special_values():
     stream = RandomStream(43)
     d = np.array(special * 3)
     tr = TranscriptBatch(
-        "hand-built", CausalMode.SETTINGS_CAUSE_LAMBDA, stream.sphere(n), X, B63,
-        sigma=np.roll(d, 1), tau=np.roll(d, 2), c=np.arange(n) % 3 - 1, d=d,
+        "hand-built", stream.sphere(n), X, B63, sigma=np.roll(d, 1), tau=np.roll(d, 2),
+        c=np.arange(n) % 3 - 1, d=d,
         detected_a=np.arange(n) % 4 != 0, detected_b=np.arange(n) % 5 != 0,
         bits_a_to_b=np.arange(n) % 2, bits_b_to_a=7)
     text = written_csv(tr)
@@ -698,24 +711,26 @@ def _malus_hidden(skip=None):
     Malus noise, replayed from a fresh stream after the draws that come
     before it there, skip(stream, n)."""
     def hidden(tr, seed):
+        n = len(tr["u"])
         noise = []
         for stream in (substream(seed, STREAM_A), substream(seed, STREAM_B)):
             if skip is not None:
-                skip(stream, tr.n)
-            noise.append(stream.uniform(tr.n))
-        return tr.u, *noise
+                skip(stream, n)
+            noise.append(stream.uniform(n))
+        return tr["u"], *noise
     return "pinned", hidden
 
 
-# Runner -> (model id, the model's hidden variables rebuilt from the transcript).
+# Runner -> (model id, the model's hidden variables rebuilt from the
+# transcript columns).
 RUNNER_RULES = {
-    "tb": ("tb", lambda tr, seed: (tr.u, tr.v)),
-    "tb-freewill": ("tb-freewill", lambda tr, seed: (tr.u, tr.v, tr.c)),
+    "tb": ("tb", lambda tr, seed: (tr["u"], tr["v"])),
+    "tb-freewill": ("tb-freewill", lambda tr, seed: (tr["u"], tr["v"], tr["c"])),
     # The random settings, or the setting indices, come first on the
     # station streams.
     "shared-coin": _malus_hidden(lambda s, n: s.sphere(n)),
     "watch-pinned": _malus_hidden(),
-    "watch-hall": ("hall", lambda tr, seed: tr.u),
+    "watch-hall": ("hall", lambda tr, seed: tr["u"]),
     "detection-symmetric": _malus_hidden(lambda s, n: s.integers(0, 2, n)),
     "detection-asymmetric": _malus_hidden(lambda s, n: s.integers(0, 2, n)),
     "detection-sphere": _malus_hidden(lambda s, n: s.integers(0, 64, n)),
@@ -725,9 +740,9 @@ RUNNER_RULES = {
 @pytest.mark.parametrize("name", RUNNER_RULES)
 def test_runners_apply_the_model_rules(name):
     model, hidden = RUNNER_RULES[name]
-    tr = RUNNERS[name](5000, 43).transcripts
-    sigma, tau = MODELS[model].outcomes(hidden(tr, 43), tr.a_used, tr.b_used)
-    assert np.array_equal(sigma, tr.sigma) and np.array_equal(tau, tr.tau)
+    _, _, tr = recorded(RUNNERS[name], 5000, 43)
+    sigma, tau = MODELS[model].outcomes(hidden(tr, 43), tr["a_used"], tr["b_used"])
+    assert np.array_equal(sigma, tr["sigma"]) and np.array_equal(tau, tr["tau"])
 
 
 def test_binned_outcome_counts_match_add_at_reference():
@@ -785,14 +800,13 @@ def test_detection_rejects_settings_that_are_not_unit_before_any_draw(
     assert shown in str(info.value)
 
 
-def _per_trial_mean_deviation(rep) -> float:
+def _per_trial_mean_deviation(tr) -> float:
     """Sphere mode's deviation as the per-trial mean over the coincidences
-    of the transcript: the mean of each outcome indicator minus the singlet
-    entry at each trial's overlap a.b, worst over the four cells."""
-    tr = rep.transcripts
-    coincidence = tr.detected_a & tr.detected_b
-    sc, tc = tr.sigma[coincidence], tr.tau[coincidence]
-    ref = law_table(dot(tr.a_used[coincidence], tr.b_used[coincidence]))
+    of the transcript columns tr: the mean of each outcome indicator minus
+    the singlet entry at each trial's overlap a.b, worst over the four cells."""
+    coincidence = tr["detected_a"] & tr["detected_b"]
+    sc, tc = tr["sigma"][coincidence], tr["tau"][coincidence]
+    ref = law_table(dot(tr["a_used"][coincidence], tr["b_used"][coincidence]))
     return max(abs(float(np.mean(((sc == s) & (tc == t)) - ref[i, j])))
                for i, s in enumerate((1.0, -1.0)) for j, t in enumerate((1.0, -1.0)))
 
@@ -800,8 +814,8 @@ def _per_trial_mean_deviation(rep) -> float:
 @pytest.mark.parametrize("seed", [5, 6])
 @pytest.mark.parametrize("n_directions", [2, 8, 64, 12_566])
 def test_sphere_deviation_is_the_per_trial_mean(n_directions, seed):
-    rep = run_detection_loophole(200_000, "sphere", seed, n_directions=n_directions,
-                                 record=True)
-    reference = _per_trial_mean_deviation(rep)
+    rep, _, tr = recorded(run_detection_loophole, 200_000, "sphere", seed,
+                          n_directions=n_directions)
+    reference = _per_trial_mean_deviation(tr)
     assert abs(rep.singlet_deviation - reference) <= 1e-15
     assert f"{rep.singlet_deviation:.9g}" == f"{reference:.9g}"

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lhvlab import geometry, protocols
-from lhvlab.protocols import (_CSV_COLUMNS, CausalMode, TranscriptBatch, _cells, _csv_rows,
-                              _float_cells, _fmt, _joint_parts, _text_cells)
-from test_protocols import B63, RUNNERS, X, reference_csv
+from lhvlab.protocols import (_CSV_COLUMNS, TranscriptBatch, _cells, _csv_rows, _float_cells,
+                              _fmt, _joint_parts, _text_cells)
+from test_protocols import B63, RUNNERS, X, reference_csv, transcript
 
 
 def dense_cells(values) -> list:
@@ -159,8 +159,7 @@ def batch(n, overlaps=None, sigma=None, tau=None, **columns) -> TranscriptBatch:
         a_used, b_used = np.ones(3), np.array([-1.0, 1.0, 1.0])
     sigma = 2.0 * (stream.uniform(n) < 0.5) - 1.0 if sigma is None else sigma
     tau = 2.0 * (stream.uniform(n) < 0.5) - 1.0 if tau is None else tau
-    return TranscriptBatch("hand-built", CausalMode.SETTINGS_CAUSE_LAMBDA, u, a_used, b_used,
-                           sigma=sigma, tau=tau, **columns)
+    return TranscriptBatch("hand-built", u, a_used, b_used, sigma=sigma, tau=tau, **columns)
 
 
 def special_overlaps(n) -> np.ndarray:
@@ -170,8 +169,8 @@ def special_overlaps(n) -> np.ndarray:
 
 
 LAYOUTS = {
-    "shared-coin": lambda: RUNNERS["shared-coin"](300, 45).transcripts,
-    "detection-sphere": lambda: RUNNERS["detection-sphere"](300, 45).transcripts,
+    "shared-coin": lambda: transcript("shared-coin", 300, 45)[1],
+    "detection-sphere": lambda: transcript("detection-sphere", 300, 45)[1],
     "special-overlaps": lambda: batch(300, overlaps=special_overlaps(300)),
     "wide-columns": lambda: batch(
         300, c=np.arange(300) % 40 - 20, d=np.arange(300) % 23 * 0.25,
@@ -221,7 +220,7 @@ def written(tr) -> str:
 
 @pytest.mark.parametrize("name", RUNNERS)
 def test_writer_matches_reference_in_any_chunk_layout(monkeypatch, name):
-    tr = RUNNERS[name](3017, 44).transcripts
+    tr = transcript(name, 3017, 44)[1]
     expected = reference_csv(tr)
     monkeypatch.setattr(protocols, "_CSV_CHUNK_ROWS", 1000)
     for workers in (1, 2, 3):
@@ -249,10 +248,12 @@ class FailingSink:
 
 @pytest.mark.parametrize("good", [0, 1, 2])
 def test_writer_raises_what_the_sink_raises(monkeypatch, good):
-    tr = RUNNERS["shared-coin"](3017, 44).transcripts
+    tr = transcript("shared-coin", 3017, 44)[1]
     monkeypatch.setattr(protocols, "_CSV_CHUNK_ROWS", 1000)
     monkeypatch.setattr(geometry, "_workers", lambda: 2)
-    sink = FailingSink(good)
-    with pytest.raises(SinkFailed) as exc:
-        tr.to_csv(sink)
-    assert exc.value is sink.error and sink.writes == good + 1
+    # The batch's writer, then a run that streams its own transcript.
+    for write in (tr.to_csv, lambda sink: RUNNERS["shared-coin"](3017, 44, sink)):
+        sink = FailingSink(good)
+        with pytest.raises(SinkFailed) as exc:
+            write(sink)
+        assert exc.value is sink.error and sink.writes == good + 1

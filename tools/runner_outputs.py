@@ -82,7 +82,8 @@ def _digest(value) -> str:
 
 
 def runners(lhv):
-    """name -> (run(n, seed, record), whether it records a transcript)."""
+    """name -> (run(n, seed, record), whether it records a transcript), with
+    record None or an open text file."""
     g, p = lhv.geometry, lhv.protocols
     a, b = g.planar_setting(0.0), g.planar_setting(75.0)
     grid_a = [g.planar_setting(x) for x in (0.0, 60.0, 120.0)]
@@ -110,8 +111,9 @@ def runners(lhv):
     }
 
 
-def _run_outputs(stem: str, res, record: bool):
-    """(name, value) for every output of one runner's result."""
+def _run_outputs(stem: str, res, record):
+    """(name, value) for every output of one runner's result; record is the
+    StringIO the run wrote its transcript to, or None."""
     summary = res.summary()
     if "singlet_deviation" in summary:
         dev = summary.pop("singlet_deviation")
@@ -123,18 +125,19 @@ def _run_outputs(stem: str, res, record: bool):
             yield f"{stem}/{part}", getattr(res, part)
     if hasattr(res, "intended"):
         yield f"{stem}/bits", (res.intended, res.received)
-    if record:
-        fh = io.StringIO()
-        res.transcripts.to_csv(fh)
-        yield f"{stem}/csv", fh.getvalue()
+    if record is not None:
+        if getattr(res, "transcripts", None) is not None:  # a checkout that keeps the columns
+            res.transcripts.to_csv(record)
+        yield f"{stem}/csv", record.getvalue()
 
 
 def runner_outputs(lhv, seed: int):
     """(name, value) for every runner output at the given seed."""
     for name, (run, records) in runners(lhv).items():
-        for n, record in ((TRIALS, False), (RECORDED_TRIALS, True)):
-            if record and not records:
+        for n, recorded in ((TRIALS, False), (RECORDED_TRIALS, True)):
+            if recorded and not records:
                 continue
+            record = io.StringIO() if recorded else None
             yield from _run_outputs(f"{name}/s{seed}/t{n}", run(n, seed, record), record)
 
 
@@ -195,8 +198,8 @@ def mid_block_outputs(lhv, seed: int):
     p.substream = lambda master_seed, stream_id: mid_block(made(master_seed, stream_id))
     try:
         for name, (run, _) in runners(lhv).items():
-            yield from _run_outputs(f"{name}@mid/s{seed}/t{TRIALS}", run(TRIALS, seed, False),
-                                    False)
+            yield from _run_outputs(f"{name}@mid/s{seed}/t{TRIALS}", run(TRIALS, seed, None),
+                                    None)
     finally:
         p.substream = made
     a, b = g.planar_setting(0.0), g.planar_setting(75.0)
