@@ -10,10 +10,10 @@ closed-form a.b and every norm rounds alike), the one cross product
 and the branch-free +-1 and selection kernels, seeded splittable random
 streams whose uniforms a run reserves whole and reads window by window
 (``RandomStream.uniform_rows``), ``streamed``/``chunked``, the one loop over
-the trials of a Monte Carlo run, and ``gathered``/``Columns``, the one fill
-of full-length arrays from its chunks. Everything downstream draws exclusively through
-:class:`RandomStream` so that a run is reproducible bit-for-bit from its
-master seed.
+the trials of a Monte Carlo run, and ``gathered``, the one fill of
+full-length arrays from its chunks. Everything downstream draws
+exclusively through :class:`RandomStream` so that a run is reproducible
+bit-for-bit from its master seed.
 """
 
 from __future__ import annotations
@@ -167,29 +167,21 @@ def chunked(n: int, work) -> list:
     return list(streamed(n, work))
 
 
-class Columns(dict):
-    """Full-length per-trial columns filled chunk by chunk: put(rows, parts)
-    writes each part into those rows of its column, which the first put of
-    the part makes with the part's trailing shape and dtype."""
-
-    def __init__(self, n: int):
-        super().__init__()
-        self.n = n
-
-    def put(self, rows, parts: dict) -> None:
-        for name, x in parts.items():
-            full = self.get(name)
-            if full is None:
-                x = np.asarray(x)
-                full = self.setdefault(name, np.empty((self.n, *x.shape[1:]), x.dtype))
-            full[rows] = x
-
-
 def gathered(n: int, work) -> tuple:
     """The full-length arrays of the parts of work(rows), one per part,
-    each chunk's parts written into their rows (see chunked)."""
-    columns = Columns(n)
-    chunked(n, lambda rows: columns.put(rows, dict(enumerate(work(rows)))))
+    each chunk's parts written into their rows (see chunked). The first
+    chunk to finish part k makes its array, with the part's trailing shape
+    and dtype; setdefault keeps one array when two chunks race."""
+    columns = {}
+
+    def put(rows) -> None:
+        for k, x in enumerate(work(rows)):
+            full = columns.get(k)
+            if full is None:
+                x = np.asarray(x)
+                full = columns.setdefault(k, np.empty((n, *x.shape[1:]), x.dtype))
+            full[rows] = x
+    chunked(n, put)
     return tuple(columns[k] for k in range(len(columns)))
 
 

@@ -24,15 +24,17 @@ integer counts per group over the chunks and folds each chunk's overlaps t
 into the per-group sums in chunk order, so the sums are those of one pass.
 
 A runner's ``record`` is None (no transcript; False means the same) or an
-open text file, which ``_tally`` streams the transcript CSV to: each chunk
+open text file, checked before the run draws anything (``_transcript``).
+``_tally`` streams the transcript CSV to it, and is the one loop that
+writes a transcript, ``TranscriptBatch.to_csv`` included: each chunk
 formats its own rows and they are written in trial order, so no
 whole-length column is kept. ``_csv_rows`` lays out a chunk of rows as one
 matrix of NUL-padded 4-byte words and drops the NULs once. Each row is the
 trial index, ",model,c,d" and ",sigma,tau,detA,detB,bitsAB,bitsBA\n",
 each gathered from a table of joined cells by one mixed-radix code of its
-small-alphabet columns, and between them the two overlaps, written in
-numpy by a %.9g rule that hands any value it cannot prove to ``_fmt``.
-The signaling bits are filled by ``geometry.gathered``.
+columns (``_codes``, the one cell coder), and between them the two
+overlaps, written in numpy by a %.9g rule that hands any value it cannot
+prove to ``_fmt``. The signaling bits are filled by ``geometry.gathered``.
 """
 
 from __future__ import annotations
@@ -155,15 +157,9 @@ _POW10 = np.array([float(10 ** k) for k in range(23)])
 # rint is that of the exact product unless its fraction is this close to 1/2.
 _TIE = 2.0 ** -22
 # A column of at most _SMALL distinct values is coded without a sort, and
-# neighbouring such columns share a table of at most _JOINT joined cells.
+# neighbouring columns share a table of at most _JOINT joined cells.
 _SMALL = 16
 _JOINT = 1 << 12
-
-
-def _text_cells(strings) -> np.ndarray:
-    """ASCII strings as the rows of a NUL-padded (len, width) uint8 matrix."""
-    a = np.array(strings, dtype=bytes)
-    return a.view(np.uint8).reshape(len(a), a.itemsize)
 
 
 # Cells are built from 4-byte words; NULs may sit anywhere in a cell, as
@@ -199,68 +195,49 @@ def _lead_words(prefix: str) -> np.ndarray:
     return _word_cells([cell.rjust(8, "\0") for cell in cells]).view(np.uint64)[:, 0]
 
 
-def _cells(x: np.ndarray, shown=None) -> np.ndarray:
-    """_text_cells([_fmt(v) for v in x]), with "" where shown is false, for a
-    bool, int or float column.
+def _codes(x: np.ndarray, shown=None):
+    """The cells of a nonempty column, as (codes, texts): row i's cell is
+    texts[codes[i]], _fmt of its value or "" where shown is false, and codes
+    is None where every row's is texts[0].
 
-    A broadcast or all-equal column is formatted once, without a sort; in
-    any other column each distinct value is formatted once and its cells are
-    looked up. Floats are told apart by their bits, so 0.0, -0.0 and NaN
-    keep their own cells.
+    A column of at most _SMALL distinct values is coded without a sort: a
+    bool is its own code, an int its offset from the column's least value,
+    and a float the order in which its bits first appear. Any other column
+    takes np.unique's inverse. Floats are keyed by their bits, so 0.0, -0.0
+    and NaN keep their own cells.
     """
     kind = x.dtype.kind
-    keys = x[:1] if len(x) and x.strides[0] == 0 else x  # one row of a broadcast column
-    if kind == "f":
-        keys = np.ascontiguousarray(keys, dtype=np.float64).view(np.int64)
-    if len(x) and (keys == keys[0]).all():
-        distinct, inverse = x[:1], np.zeros(len(x), np.intp)
-    else:
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        if kind == "f":
-            distinct = distinct.view(np.float64)
-    table = _text_cells([_fmt(v) for v in distinct] + [""])
-    if shown is not None:
-        inverse = np.where(shown, inverse, len(distinct))
-    return table[inverse]
-
-
-def _small_codes(x: np.ndarray, shown=None):
-    """The cells of a nonempty column as _cells writes them, as (codes,
-    texts): row i's cell is texts[codes[i]], and codes is None where every
-    row's is texts[0]. None for a column of more than _SMALL distinct values.
-
-    Nothing is sorted: a bool is its own code, an int its offset from the
-    column's least value, and a float the order in which its bits first
-    appear, so 0.0, -0.0 and NaN keep their own cells.
-    """
-    kind = x.dtype.kind
+    keys, codes, values = x, None, None
     if x.strides[0] == 0:
-        codes, values = None, x[:1]
+        values = x[:1]
     elif kind == "b":
         codes, values = (x.view(np.uint8), (False, True)) if x.any() and not x.all() else (None, x[:1])
     elif kind in "iu":
         lo, hi = int(x.min()), int(x.max())
-        if hi - lo >= _SMALL:
-            return None
-        codes = (x - x.dtype.type(lo)).astype(np.uint8) if hi > lo else None
-        values = range(lo, hi + 1)
+        if hi - lo < _SMALL:
+            codes = (x - x.dtype.type(lo)).astype(np.uint8) if hi > lo else None
+            values = range(lo, hi + 1)
     elif kind == "f":
         keys = np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
         codes, found = np.zeros(len(x), np.uint8), [0]
         seen = keys == keys[0]
-        while not seen[first := seen.argmin()]:  # the first row not yet coded
-            if len(found) == _SMALL:
-                return None
+        # Until every row is coded (seen[first]) or _SMALL values are found.
+        while not seen[first := seen.argmin()] and len(found) < _SMALL:
             same = keys == keys[first]
             codes += same * np.uint8(len(found))
             seen |= same
             found.append(first)
-        codes, values = (codes if len(found) > 1 else None), x[found]
-    else:
-        return None
+        if seen[first]:
+            codes, values = (codes if len(found) > 1 else None), x[found]
+    if values is None:
+        values, codes = np.unique(keys, return_inverse=True)
+        if kind == "f":
+            values = values.view(np.float64)
     texts = [_fmt(v) for v in values]
     if shown is not None and not (shown := shown.astype(bool, copy=False)).all():
-        codes = (0 if codes is None else codes * shown) + ~shown * np.uint8(len(texts))
+        hidden = len(texts)  # the code of the "" cell, in uint8 while it fits
+        codes = ((0 if codes is None else codes * shown)
+                 + ~shown * np.min_scalar_type(hidden).type(hidden))
         texts.append("")
     return codes, texts
 
@@ -270,8 +247,9 @@ def _joint_parts(pieces) -> list:
     pair: one row of words per row of the columns, or one for all.
 
     Neighbouring pieces share one table of their joined cells, looked up
-    by a mixed-radix code of the columns' _small_codes; a column of more
-    distinct values than that takes _cells and a part of its own.
+    by a mixed-radix code of the columns' _codes, while the table holds at
+    most _JOINT cells; a column of more cells than that is a table of its
+    own.
     """
     parts, run, code, size = [], [], None, 1
 
@@ -281,14 +259,7 @@ def _joint_parts(pieces) -> list:
             parts.append(table if code is None else table.take(code, axis=0))
 
     for piece in pieces:
-        coded = ((None, [piece]) if isinstance(piece, str) else _small_codes(*piece))
-        if coded is None:
-            flush()
-            cells = _cells(*piece)
-            parts.append(np.pad(cells, ((0, 0), (0, -cells.shape[1] % 4))).view(np.uint32))
-            run, code, size = [], None, 1
-            continue
-        codes, texts = coded
+        codes, texts = (None, [piece]) if isinstance(piece, str) else _codes(*piece)
         if size * len(texts) > _JOINT:
             flush()
             run, code, size = [], None, 1
@@ -301,9 +272,9 @@ def _joint_parts(pieces) -> list:
 
 
 def _float_cells(x: np.ndarray, prefix: str = "") -> np.ndarray:
-    """_cells of a float column of mostly distinct values, each cell after
-    prefix (at most one character), computed in numpy; for an (n, k) array,
-    each row's k cells side by side.
+    """The _fmt cells of a float column of mostly distinct values, as rows
+    of NUL-padded bytes, each cell after prefix (at most one character),
+    computed in numpy; for an (n, k) array, each row's k cells side by side.
 
     %.9g writes |x| with 9 significant digits d0..d8 and decimal exponent e
     in fixed notation when -4 <= e <= 8, trailing zeros dropped. Here the
@@ -421,7 +392,7 @@ def _csv_rows(model: str, start: int, cols) -> str:
 
 class TranscriptBatch:
     """The transcript CSV of columns a caller already holds, written by
-    to_csv through _csv_rows as a recording run writes its own; no runner
+    to_csv through _tally as a recording run writes its own; no runner
     makes one. It stays because the benchmark's tracer times to_csv by
     name, reading its n and its file argument fh.
 
@@ -447,16 +418,14 @@ class TranscriptBatch:
         self.bits_b_to_a = np.broadcast_to(np.asarray(bits_b_to_a, np.int64), (n,))
 
     def to_csv(self, fh) -> None:
-        """Stream one row per trial under the fixed header, one write per
-        chunk of _CSV_CHUNK_ROWS rows; the chunks are formatted by _csv_rows
-        on the thread pool of geometry.streamed and written in order."""
-        fh.write(CSV_HEADER + "\n")
-        for text in streamed(self.n, self._csv_chunk, _CSV_CHUNK_ROWS):
-            fh.write(text)
+        """Write the transcript CSV to the open text file fh, as _tally
+        writes a recording run's."""
+        if not hasattr(fh, "write"):
+            raise TypeError(f"fh must be an open text file, not {fh!r}")
+        _tally(self.n, fh, self._csv_chunk, model=self.model)
 
-    def _csv_chunk(self, rows) -> str:
-        return _csv_rows(self.model, rows.start, {
-            k: x[rows] for k in _CSV_COLUMNS if (x := getattr(self, k)) is not None})
+    def _csv_chunk(self, rows) -> dict:
+        return {k: x[rows] for k in _CSV_COLUMNS if (x := getattr(self, k)) is not None}
 
 
 N_BINS = 12  # overlap bins of the binned singlet comparison
@@ -553,18 +522,14 @@ def _tally(n: int, record, trials, n_groups: int = 1, model: str = "", **fixed):
     tau, optionally each trial's group (default 0) and overlap t, and the
     transcript's other columns; fixed gives the columns that hold one value
     on every trial. Returns the (n_groups, 2, 2) counts and the per-group
-    sums of t (None without t). If record is an open text file (not None
-    or False), the transcript CSV of model is written to it: each chunk
-    formats its own rows (_csv_rows), the chunks are written in trial
-    order, and a recording run takes _CSV_CHUNK_ROWS rows per chunk. The
-    chunks' overlaps are added in trial order as the chunks complete, so
-    the sums are bit for bit those of one np.bincount pass.
+    sums of t (None without t). If record is an open text file (not None),
+    the transcript CSV of model is written to it: the header, then each
+    chunk's rows (_csv_rows), formatted on the thread pool of
+    geometry.streamed and written in trial order, one write per chunk of
+    _CSV_CHUNK_ROWS rows. The chunks' overlaps are added in trial order as
+    the chunks complete, so the sums are bit for bit those of one
+    np.bincount pass.
     """
-    if record is False:
-        record = None
-    if record is not None and not hasattr(record, "write"):
-        raise TypeError(f"record must be None, False or an open text file, not {record!r}")
-
     def work(rows):
         trial = trials(rows)
         group, t = trial.pop("group", 0), trial.pop("t", None)
@@ -585,6 +550,16 @@ def _tally(n: int, record, trials, n_groups: int = 1, model: str = "", **fixed):
     return counts, t_sums
 
 
+def _transcript(record):
+    """A runner's record as _tally takes it: None (no transcript; False
+    means the same) or an open text file. Checked before any draw."""
+    if record is None or record is False:
+        return None
+    if not hasattr(record, "write"):
+        raise TypeError(f"record must be None, False or an open text file, not {record!r}")
+    return record
+
+
 def _protocol_run(model: str, causal_mode: CausalMode, n: int, record, trials,
                   bits_a_to_b: int = 0, shared_draws: int = 0, **fixed) -> ProtocolResult:
     """The tally and result of every ProtocolResult run.
@@ -593,9 +568,9 @@ def _protocol_run(model: str, causal_mode: CausalMode, n: int, record, trials,
     rows: u, sigma, tau, and any of the transcript's other columns; fixed
     gives the columns that hold one vector on every trial. Without a fixed
     a_used the settings vary per trial, and the run is compared with the
-    singlet law in overlap bins. record is None, False or a file the
-    transcript CSV is written to (see _tally). bits_a_to_b is the A->B
-    meter and shared_draws the station-to-station draws, per trial.
+    singlet law in overlap bins. record is None or a file the transcript
+    CSV is written to (see _tally). bits_a_to_b is the A->B meter and
+    shared_draws the station-to-station draws, per trial.
     """
     binned = "a_used" not in fixed
 
@@ -667,6 +642,7 @@ def run_tb_freewill(n_trials: int, a, b, seed: int, record=None) -> ProtocolResu
 
 def _run_one_bit(model: str, bits_a_to_b: int, n_trials: int, a, b, seed: int,
                  record) -> ProtocolResult:
+    record = _transcript(record)
     a = assert_unit(a, "a")
     b = assert_unit(b, "b")
     uv = _draw_uv(a, b, n_trials, substream(seed, STREAM_ENTANGLER), None)
@@ -701,6 +677,7 @@ def _shared_coin(n_trials: int, seed: int, a_policy, b_policy, record,
                  each_chunk=None) -> ProtocolResult:
     """run_shared_coin, calling each_chunk(rows, trial) with the columns of
     every chunk of trials if given."""
+    record = _transcript(record)
     policies = {"a_requested": _policy(a_policy), "b_requested": _policy(b_policy)}
     fixed = {k: x for k, x in policies.items() if x is not None}
     ent = substream(seed, STREAM_ENTANGLER)
@@ -793,6 +770,7 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
     and spin drawn from an antipodally closed grid of N cells of solid
     angle delta_omega = 4*pi/N; expected efficiency delta_omega/(2*pi).
     """
+    record = _transcript(record)
     if mode in ("symmetric", "asymmetric"):
         if settings_a is None:
             settings_a = np.array([planar_setting(0.0), planar_setting(90.0)])
@@ -955,6 +933,7 @@ def run_watch_realization(n_trials: int, model: str, seed: int,
     setting-conditioned density via its own sampling stream and the
     station outcomes are deterministic signs.
     """
+    record = _transcript(record)
     if model not in ("pinned", "hall"):
         raise ValueError(f"watch realization model must be pinned or hall, got {model!r}")
     if model == "pinned":

@@ -21,13 +21,11 @@ from lhvlab.inequalities import (MasterProb16, card_deck_stats, chsh_analytic,
 from lhvlab.freewill import discretized_setting_tied_model, mutual_information
 from lhvlab.models import (JointLaw2x2, estimate_law, sample_outcomes,
                            singlet_law, tb_extension_law)
-from lhvlab.protocols import (PartyRole, binned_outcome_counts,
-                              deviation_from_binned_counts,
+from lhvlab.protocols import (PartyRole, deviation_from_binned_counts,
                               run_detection_loophole,
                               run_shared_coin,
                               run_signaling_experiment, run_tb_freewill,
                               run_tb_protocol, run_watch_realization)
-from recorded_runs import recorded
 
 N_TRIALS = 1_000_000
 SWEEP = [15.0 + 30.0 * k for k in range(12)]  # 12 planar angles, degrees
@@ -60,15 +58,16 @@ def test_criterion_01_singlet_reproduction():
     # The watch settings are dictated by the synchronized watches, so the
     # sweep is over twelve bins of the realized overlap, one million
     # trials per bin.
+    # Each run's own comparison holds its 12-bin counts, and each filled
+    # bin's mean overlap times its count gives back the bin's overlap sum.
     counts = np.zeros((12, 2, 2), dtype=np.int64)
     t_sums = np.zeros(12)
     for k in range(12):
-        _, _, tr = recorded(run_watch_realization, N_TRIALS, "pinned", seed=4000 + k,
-                            start_tick=k * N_TRIALS)
-        t = np.einsum("ij,ij->i", tr["a_used"], tr["b_used"])
-        c, s = binned_outcome_counts(t, tr["sigma"], tr["tau"], n_bins=12)
-        counts += c
-        t_sums += s
+        run = run_watch_realization(N_TRIALS, "pinned", seed=4000 + k, record=None,
+                                    start_tick=k * N_TRIALS).singlet_comparison
+        filled = np.flatnonzero(run["counts"].sum(axis=(1, 2)))
+        counts += run["counts"]
+        t_sums[filled] += [b["t_mean"] * b["count"] for b in run["bins"]]
     watch = deviation_from_binned_counts(counts, t_sums)
     assert watch["min_bin_count"] >= 500_000
     worst = max(worst, watch["max_abs_dev"])

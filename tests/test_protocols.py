@@ -659,12 +659,20 @@ RUNNERS = {
 @pytest.mark.parametrize("name", RUNNERS)
 def test_runners_reject_a_record_that_is_not_a_file(tmp_path, monkeypatch, name, record):
     # A path, or the retired True, is no file to write to: the run raises
-    # rather than record nothing.
+    # before it draws anything, rather than record nothing.
     monkeypatch.chdir(tmp_path)
+    draws = []
+    for method in ("uniform", "uniform_rows", "integers", "indices"):
+        def spy(self, *args, _real=getattr(RandomStream, method), _method=method, **kwargs):
+            draws.append(_method)
+            return _real(self, *args, **kwargs)
+        monkeypatch.setattr(RandomStream, method, spy)
     with pytest.raises(TypeError) as exc:
         RUNNERS[name](10, 1, record)
     assert str(exc.value) == f"record must be None, False or an open text file, not {record!r}"
-    assert not any(tmp_path.iterdir())
+    assert draws == [] and not any(tmp_path.iterdir())
+    RUNNERS[name](1000, 1, None)  # enough trials for a coincidence
+    assert draws  # the spies see a run's draws
 
 
 @pytest.mark.parametrize("name", RUNNERS)

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lhvlab import geometry, protocols
-from lhvlab.protocols import (_CSV_COLUMNS, TranscriptBatch, _cells, _csv_rows, _float_cells,
-                              _fmt, _joint_parts, _text_cells)
+from lhvlab.protocols import (_CSV_COLUMNS, TranscriptBatch, _codes, _csv_rows, _float_cells,
+                              _fmt, _joint_parts)
 from test_protocols import B63, RUNNERS, X, reference_csv, transcript
 
 
@@ -97,7 +97,6 @@ CELL_COLUMNS = {
     "nan": np.full(40, math.nan),
     "broadcast-nan": np.broadcast_to(math.nan, (40,)),
     "mixed-float": np.array([math.nan, 0.0, -0.0, 1.0, -1.0] * 8),
-    "empty": np.zeros(0),
     # More distinct values than a joint table codes, or values at the ends
     # of their dtype's range.
     "many-int": np.arange(40) % 37 - 18,
@@ -111,6 +110,9 @@ CELL_COLUMNS = {
     "uint64-high": np.array([2 ** 64 - 1, 2 ** 64 - 16] * 20, np.uint64),
     "float32": np.array([0.1, -0.0, 3.0] * 13 + [0.5], np.float32),
     "mixed-bool": np.arange(40) % 3 == 0,
+    # A table of its own, past _JOINT cells; a hidden-cell code past uint8.
+    "over-joint-int": np.arange(5000) * 7919 % 5000 - 2500,
+    "over-uint8-float": np.linspace(-1.0, 1.0, 300)[::-1],
 }
 SHOWN = {
     "all": None,
@@ -119,25 +121,24 @@ SHOWN = {
 }
 
 
+# _csv_rows codes no column of an empty chunk, so every column here has rows.
 @pytest.mark.parametrize("shown", SHOWN.values(), ids=SHOWN.keys())
 @pytest.mark.parametrize("column", CELL_COLUMNS.values(), ids=CELL_COLUMNS.keys())
 def test_cells_match_fmt_for_constant_broadcast_and_mixed_columns(column, shown):
-    # Constant and broadcast columns skip the sort; 0.0, -0.0 and NaN keep
-    # their own cells. A cell may be wider than its text: NULs are dropped.
+    # The coder alone: row i's cell is texts[codes[i]], and a fully shown
+    # column of one cell, constant or broadcast, has no codes at all.
     visible = np.ones(len(column), bool) if shown is None else shown(len(column))
-    expected = _text_cells([_fmt(v) if show else "" for v, show in zip(column, visible)])
-    got = _cells(column, None if shown is None else visible)
-    assert len(got) == len(expected)
-    assert [bytes(row[row != 0]) for row in got] == [bytes(row[row != 0]) for row in expected]
-
-
-# _csv_rows codes no column of an empty chunk.
-CODED_COLUMNS = {name: column for name, column in CELL_COLUMNS.items() if len(column)}
+    codes, texts = _codes(column, None if shown is None else visible)
+    cells = [texts[0]] * len(column) if codes is None else [texts[c] for c in codes]
+    assert cells == [_fmt(v) if show else "" for v, show in zip(column, visible)]
+    if shown is None:
+        assert (codes is None) == (len(set(cells)) == 1)
 
 
 @pytest.mark.parametrize("shown", SHOWN.values(), ids=SHOWN.keys())
-@pytest.mark.parametrize("column", CODED_COLUMNS.values(), ids=CODED_COLUMNS.keys())
+@pytest.mark.parametrize("column", CELL_COLUMNS.values(), ids=CELL_COLUMNS.keys())
 def test_joint_cells_match_fmt_for_any_column(column, shown):
+    # 0.0, -0.0 and NaN keep their own cells.
     visible = np.ones(len(column), bool) if shown is None else shown(len(column))
     expected = [f"<{_fmt(v) if show else ''}>" for v, show in zip(column, visible)]
     parts = _joint_parts(["<", (column, None if shown is None else visible), ">"])
@@ -216,6 +217,13 @@ def written(tr) -> str:
     fh = io.StringIO()
     tr.to_csv(fh)
     return fh.getvalue()
+
+
+@pytest.mark.parametrize("fh", [None, False, "x.csv"])
+def test_writer_needs_an_open_file(fh):
+    # _tally reads None and False as no transcript; to_csv has one to write.
+    with pytest.raises(TypeError):
+        batch(10).to_csv(fh)
 
 
 @pytest.mark.parametrize("name", RUNNERS)

@@ -14,36 +14,35 @@ their kernels on the same inputs:
 
 The kernels are the outcome rules sgn, malus_outcome and uniform_signs,
 the dot product against one vector, the sphere map sphere_point (fed its
-azimuths in turns or in radians, whichever the checkout's map takes),
-sphere_rows (a stream's reserved draws of N points and their map, the
-same draws in every checkout), the Hall spins, the overlap bins and the
-watch vectors of the protocol runners, one chunk's window of a
-reserved uniform draw (RandomStream.uniform_rows), the cross product of
-N spin rows with N setting rows (geometry.cross, or np.cross where the
-checkout has no geometry.cross), the station kernels malus_pair (both
-Malus stations against one setting each), hall_outcomes and one_bit_tau
-(the one-bit model's second station, from N spins, N partner spins and
-N bits), outcome_counts over one table of N outcome pairs, and csv_rows,
-the transcript rows of one 32,768-row chunk (protocols._CSV_CHUNK_ROWS,
-whatever N is) in a shared-coin layout: both coins, both overlaps against
-per-trial settings, and outcomes, with about 10 % and 20 % of the sigma
-and tau cells undetected. perfbench's tracer sees only whole calls of the
-traced functions, so it cannot time these per chunk.
+azimuths in turns), sphere_rows (a stream's reserved draws of N points
+and their map, the same draws in every checkout), the Hall spins, the
+overlap bins and the watch vectors of the protocol runners, one chunk's
+window of a reserved uniform draw (RandomStream.uniform_rows), the cross
+product of N spin rows with N setting rows (geometry.cross), the station
+kernels malus_pair (both Malus stations against one setting each),
+hall_outcomes and one_bit_tau (the one-bit model's second station, from
+N spins, N partner spins and N bits), outcome_counts over one table of N
+outcome pairs, and csv_rows, the transcript rows of one 32,768-row chunk
+(protocols._CSV_CHUNK_ROWS, whatever N is) in a shared-coin layout: both
+coins, both overlaps against per-trial settings, and outcomes, with about
+10 % and 20 % of the sigma and tau cells undetected. perfbench's tracer
+sees only whole calls of the traced functions, so it cannot time these
+per chunk.
 
 The kernels run under the allocator the command line sets
-(lhvlab.cli._keep_chunk_memory, called first where the checkout has it),
-so a freed temporary stays mapped between calls, as in a command-line
-run, and two checkouts are timed alike: at glibc's defaults whether a
-temporary of 128 KiB or more is faulted in again depends on what the
-process freed before.
+(lhvlab.cli._keep_chunk_memory, called first), so a freed temporary
+stays mapped between calls, as in a command-line run, and two checkouts
+are timed alike: at glibc's defaults whether a temporary of 128 KiB or
+more is faulted in again depends on what the process freed before.
 
-The script uses the standard library, numpy and the checkout's lhvlab only.
+A checkout needs a sphere_point that takes turns, geometry.cross and
+cli._keep_chunk_memory. The script uses the standard library, numpy and
+the checkout's lhvlab only.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import math
 import resource
 import sys
@@ -64,17 +63,15 @@ def kernels(lhv, n: int) -> dict:
     g, m, p = lhv.geometry, lhv.models, lhv.protocols
     w = g.RandomStream(SEED, 0).uniform((4, n))
     z = 2.0 * w[0] - 1.0
-    turns = "turns" in inspect.signature(g.sphere_point).parameters
-    phi = w[1] if turns else 2.0 * math.pi * w[1]  # the azimuth the map takes
+    phi = w[1]  # the azimuth, in turns
     u = g.sphere_point(z, phi)  # in the layout the checkout's sampler makes
     a, b = g.planar_setting(0.0), g.planar_setting(75.0)
     t = (123 + g.RandomStream(SEED, 1).uniform(n) * n) * p.EMISSION_STEP
     stream = g.RandomStream(SEED, 2)
-    v = g.sphere_point(-z, w[2] if turns else 2.0 * math.pi * w[2])
+    v = g.sphere_point(-z, w[2])
     x = g.sphere_point(2.0 * w[3] - 1.0, phi)  # per-trial setting rows
     c = g.uniform_signs(w[3])
     sigma, tau = m.malus_pair((u, w[2], w[3]), a, b)
-    cross = getattr(g, "cross", np.cross)
     rows = csv_columns(lhv)
     return {
         "sgn": lambda: g.sgn(z),
@@ -87,7 +84,7 @@ def kernels(lhv, n: int) -> dict:
         "_bin_index": lambda: p._bin_index(z, p.N_BINS),
         "watch_vector": lambda: p.watch_vector(t, p.WATCH_A),
         "uniform_rows": lambda: stream.uniform_rows((2, n))(slice(0, n)),
-        "cross": lambda: cross(u, x),
+        "cross": lambda: g.cross(u, x),
         "malus_pair": lambda: m.malus_pair((u, w[2], w[3]), a, b),
         "hall_outcomes": lambda: m.hall_outcomes(u, a, b),
         "one_bit_tau": lambda: m.one_bit_tau(u, v, c, b),
@@ -141,8 +138,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(src))
     import lhvlab  # loads every module
     import lhvlab.cli
-    if hasattr(lhvlab.cli, "_keep_chunk_memory"):
-        lhvlab.cli._keep_chunk_memory()
+    lhvlab.cli._keep_chunk_memory()
     for name, call in kernels(lhvlab, args.rows).items():
         ms, faults = measure(call)
         print(f"{name} {ms:.3f} {faults:.1f}", flush=True)

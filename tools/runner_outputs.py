@@ -38,7 +38,9 @@ because each one writes a transcript. Here, at seeds 5 and 6:
   coefficients over 2**70-sized denominators, and systems whose right-hand
   sides are all zero, so that every ratio ties.
 
-The script uses the standard library and the checkout's lhvlab only.
+A checkout's runners must write their transcript to the file given as
+record. The script uses the standard library and the checkout's lhvlab
+only.
 """
 
 from __future__ import annotations
@@ -126,8 +128,6 @@ def _run_outputs(stem: str, res, record):
     if hasattr(res, "intended"):
         yield f"{stem}/bits", (res.intended, res.received)
     if record is not None:
-        if getattr(res, "transcripts", None) is not None:  # a checkout that keeps the columns
-            res.transcripts.to_csv(record)
         yield f"{stem}/csv", record.getvalue()
 
 
