@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exactlp import _integer_scaled, feasible_point
-from .geometry import RandomStream, chunked
+from .geometry import RandomStream, streamed
 from .models import JointLaw2x2, analytic_law, estimate_law, model_spec, outcome_counts
 
 BELL_BOUND = 2.0
@@ -333,7 +333,7 @@ def counterfactual_correlators(model_id: str, a, a2, b, b2, n: int,
         (s, t), (s2, t2) = spec.outcomes(h, a, b), spec.outcomes(h, a2, b2)
         pairs = ((s, t), (s2, t), (s, t2), (s2, t2))
         return np.array([outcome_counts(x, y)[0] for x, y in pairs])
-    return tuple(correlator(JointLaw2x2.from_counts(c)) for c in sum(chunked(n, counts)))
+    return tuple(correlator(JointLaw2x2.from_counts(c)) for c in sum(streamed(n, counts)))
 
 
 # ---------------------------------------------------------------------------

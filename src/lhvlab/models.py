@@ -9,11 +9,12 @@ vector arguments broadcast, so the same functions serve single trials
 and batched Monte Carlo.
 The shared rules are written once, for models and protocol runners alike:
 ``outcome_counts``, ``law_table``, ``overlap``, the detectors
-``sign_outcome`` and ``malus_outcome``, the Malus station pair
-``malus_pair``, and the one-bit stations ``one_bit_station_a`` and
-``one_bit_tau``. A sampled run reserves
+``sign_outcome`` and ``malus_outcome`` (each reads u.x through
+``spin_map``, so a spin given as an atom code is read once per atom), the
+Malus station pair ``malus_pair``, and the one-bit stations
+``one_bit_station_a`` and ``one_bit_tau``. A sampled run reserves
 its uniforms whole and then reads them and turns them into outcomes chunk
-by chunk (``RandomStream.uniform_rows``, ``geometry.chunked``); whole
+by chunk (``RandomStream.uniform_rows``, ``geometry.streamed``); whole
 arrays are filled by ``geometry.gathered``.
 
 Conventions: outcomes are +-1, analyzers and hidden spins are unit
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (X_HAT, Y_HAT, RandomStream, assert_unit, chunked, cross, dot, gathered,
-                       select, sgn, sphere_point, sphere_rows, uniform_bits, uniform_signs)
+from .geometry import (X_HAT, Y_HAT, RandomStream, assert_unit, cross, dot, gathered, select,
+                       sgn, sphere_point, sphere_rows, streamed)
 
 LAW_TOL = 1e-12
 
@@ -104,15 +105,26 @@ def outcome_counts(sigma, tau, group=0, n_groups: int = 1) -> np.ndarray:
     in group[i], each table in JointLaw2x2 order: +1 first, and an outcome
     that is not positive (NaN included) counted as -1. Tables over disjoint
     sets of trials sum to the table over their union. One table is counted
-    from its positive sigma, tau and pairs alone, with no cell index."""
+    from its positive sigma, tau and pairs alone, with no cell index; a
+    group outside [0, n_groups) is a ValueError. The cell index
+    4 group + 2 (1 - s) + (1 - t) takes one byte per trial while
+    4 n_groups <= 256 (the binned tallies and detection's pair groups)."""
     s, t = np.asarray(sigma) > 0, np.asarray(tau) > 0
-    if n_groups == 1 and np.ndim(group) == 0:
+    if n_groups == 1 and np.ndim(group) == 0 and group == 0:
         s, t = np.broadcast_arrays(s, t)
         both, ns, nt = (np.count_nonzero(x) for x in (s & t, s, t))
         return np.array([[[both, ns - both], [nt - both, s.size - ns - nt + both]]],
                         dtype=np.int64)
-    return np.bincount(np.ravel(4 * np.asarray(group) + 2 * ~s + ~t),
-                       minlength=4 * n_groups).reshape(n_groups, 2, 2)
+    group, s, t = np.broadcast_arrays(group, s, t)
+    if group.size and not (0 <= group.min() and group.max() < n_groups):
+        raise ValueError(f"groups must lie in [0, {n_groups}), "
+                         f"got {group.min()!r} to {group.max()!r}")
+    cell = group.astype(np.uint8 if 4 * n_groups <= 256 else np.intp)
+    cell *= 4
+    cell |= 3
+    for x in (s, s, t):
+        cell -= x.view(np.uint8)
+    return np.bincount(cell.ravel(), minlength=4 * n_groups).reshape(n_groups, 2, 2)
 
 
 def law_table(q) -> np.ndarray:
@@ -140,10 +152,39 @@ def malus_marginal(u, n, outcome):
     return (1.0 + np.asarray(outcome) * dot(u, n)) / 2.0
 
 
+class AtomSpins:
+    """Hidden spins as atom codes: trial i's spin is the row table[code[i]]
+    of a few unit vectors, code a uint8 array. A rule reads u.x once per
+    table row and gives each trial its row's value (see spin_map)."""
+
+    def __init__(self, table, code):
+        self.table, self.code = table, code
+
+    def __len__(self):
+        return len(self.code)
+
+    def rows(self) -> np.ndarray:
+        """The per-trial spins, a column-major (m, 3) array."""
+        return self.table.T.take(self.code, axis=1).T
+
+
+def spin_map(f, u, x):
+    """f(u.x) for each trial's spin u: one spin, rows of them, or AtomSpins.
+    With atom codes and one setting x, f runs once per table row and each
+    trial takes its row's value: the same bits as on the trial's own row,
+    as dot sums every row alike. f gets a new array of u.x, which it may
+    overwrite."""
+    if isinstance(u, AtomSpins):
+        if np.ndim(x) == 1:
+            return f(dot(u.table, x)).take(u.code)
+        u = u.rows()
+    return f(dot(u, x))
+
+
 def malus_outcome(u, n, noise):
     """Malus detector: +1 where the uniform noise is below (1 + u.n)/2, else -1,
     by exact arithmetic on the comparison (see geometry.sgn)."""
-    return _malus_sign(noise, 1.0 + dot(u, n))
+    return _malus_sign(noise, spin_map(lambda t: 1.0 + t, u, n))
 
 
 def _malus_sign(noise, twice_p):
@@ -155,7 +196,7 @@ def _malus_sign(noise, twice_p):
 def sign_outcome(u, n):
     """Sign-rule detector: sgn(u.n), the deterministic outcome of spin u
     at analyzer n."""
-    return sgn(dot(u, n))
+    return spin_map(sgn, u, n)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +425,8 @@ def hall_outcomes(u, a, b):
     """Deterministic outcomes sigma = sgn(u.a), tau = sgn(-u.b). tau is sgn
     of the negated u.b: -(u.b) is (-u).b but for the sign of an exact zero,
     and sgn(+-0) = +1."""
-    return sign_outcome(u, a), sgn(-dot(u, b))
+    # Negated in place, so the n-long u.b is not held while sgn allocates.
+    return sign_outcome(u, a), spin_map(lambda t: sgn(np.negative(t, out=np.asarray(t))), u, b)
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +438,16 @@ def pinned_spin_sample(a, b, n: int, stream: RandomStream):
 
     Coins c in {0, 1} and d in {-1, +1} are uniform; c = 0 puts the spin
     at u = d*a, c = 1 puts it at u = -d*b (so the partner spin -u equals
-    d*b). Each of the four atoms carries weight 1/4.
+    d*b). Each of the four atoms carries weight 1/4. Returns the (n, 3)
+    spins u, the int64 coins c and the float signs d, decoded from the
+    atom codes the models draw.
     """
-    return gathered(n, _draw_atoms(a, b, n, stream, None))
+    atoms = _draw_atoms(a, b, n, stream, None)
+
+    def columns(rows):
+        spins = atoms(rows)[0]
+        return spins.rows(), (spins.code >> 1).astype(np.int64), (spins.code & 1) * -2.0 + 1.0
+    return gathered(n, columns)
 
 
 def pinned_spin_outcomes(u, a, b, stream: RandomStream):
@@ -415,7 +464,7 @@ def malus_pair(hidden, x, y):
     (-u).y is -(u.y) but for the sign of an exact zero, which 1 + t cannot
     see."""
     u, noise_a, noise_b = hidden
-    return malus_outcome(u, x, noise_a), _malus_sign(noise_b, 1.0 - dot(u, y))
+    return malus_outcome(u, x, noise_a), _malus_sign(noise_b, spin_map(lambda t: 1.0 - t, u, y))
 
 
 def mixed_law(a, b) -> JointLaw2x2:
@@ -465,6 +514,8 @@ class ModelSpec:
     the sigma of outcomes(h, x, y) is the same bits for every y (tau for
     every x): counterfactual runs evaluate each side once per setting.
     (The mixed model's rule is local too, but its law is not the singlet.)
+    The finite models, pinned and mixed, draw their hidden spins as atom
+    codes (AtomSpins); their rules take those or per-trial spin rows alike.
     """
 
     law: Callable
@@ -499,17 +550,20 @@ def _draw_tb_freewill(a, b, n, stream, p):
 
 def _draw_atoms(a, b, n, stream, p):
     """The coins c, then the signs d, of pinned_spin_sample, as bits() and
-    signs() draw them; hidden(rows) is (u, c, d), u column-major. u is the
-    column c of the table (a b) times the exact sign d (c = 0) or -d."""
-    table = np.stack([assert_unit(a, "a"), assert_unit(b, "b")], axis=1)
+    signs() draw them; hidden(rows) is (spins,), the trials' AtomSpins.
+    Each trial's atom is one byte, 2c + (d < 0), a row of the table
+    [a, -a, -b, b] made once per run: the spin d*a (c = 0) or -d*b (c = 1),
+    exactly, as negation is exact."""
+    a, b = assert_unit(a, "a"), assert_unit(b, "b")
+    table = np.stack([a, -a, -b, b])
     w = stream.uniform_rows((2, n))
 
     def hidden(rows):
         wc, wd = w(rows)
-        c, d = uniform_bits(wc), uniform_signs(wd)
-        u = table.take(c, axis=1)
-        u *= (c * -2 + 1) * d
-        return u.T, c, d
+        code = (wc < 0.5).view(np.uint8)  # c, as uniform_bits reads it
+        code += code
+        code += (wd < 0.5).view(np.uint8)  # d < 0, as uniform_signs reads it
+        return (AtomSpins(table, code),)
     return hidden
 
 
@@ -608,5 +662,5 @@ def estimate_law(model_id: str, a, b, n: int, stream: RandomStream,
                  p: float | None = None) -> JointLaw2x2:
     """Monte Carlo estimate of the joint law at fixed settings."""
     outcomes = _sampled(model_id, a, b, n, stream, p)
-    counts = chunked(n, lambda rows: outcome_counts(*outcomes(rows))[0])
-    return JointLaw2x2.from_counts(sum(counts))
+    counts = streamed(n, lambda rows: outcome_counts(*outcomes(rows))[0])
+    return JointLaw2x2.from_counts(sum(counts))  # summed as the chunks stream

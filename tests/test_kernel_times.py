@@ -11,7 +11,8 @@ _SPEC.loader.exec_module(tool)
 
 KERNELS = ["sgn", "malus_outcome", "uniform_signs", "dot", "sphere_point", "sphere_rows",
            "hall_spins", "_bin_index", "watch_vector", "uniform_rows", "cross", "malus_pair",
-           "hall_outcomes", "one_bit_tau", "outcome_counts", "csv_rows"]
+           "malus_pair_atoms", "hall_outcomes", "one_bit_tau", "outcome_counts",
+           "outcome_counts_binned", "csv_rows"]
 
 
 def test_kernel_times_prints_one_line_per_kernel_at_1024_rows_within_a_second(capsys):

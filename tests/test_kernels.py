@@ -16,7 +16,7 @@ from lhvlab import models, protocols
 from lhvlab.geometry import (X_HAT, Y_HAT, RandomStream, dot, planar_setting, select, sgn,
                              sphere_point, sphere_rows, turn_cos_sin, uniform_signs)
 from lhvlab.models import (_draw_atoms, _tb_extension_rule, hall_spins, malus_marginal,
-                           malus_outcome, one_bit_station_a, one_bit_tau)
+                           malus_outcome, one_bit_station_a, one_bit_tau, pinned_spin_sample)
 from lhvlab.protocols import (EMISSION_STEP, WATCH_A, WATCH_B, _bin_index, _phase,
                               _shared_coin, run_watch_realization, watch_vector)
 from recorded_runs import recorded
@@ -290,11 +290,20 @@ def test_watch_vectors_are_column_major():
 
 @pytest.mark.parametrize("a, b", [(planar_setting(0.0), planar_setting(90.0)),
                                   (planar_setting(10.0), planar_setting(250.0))])
-def test_atoms_hidden_spins_are_column_major(a, b):
+def test_atoms_materialized_spins_are_column_major(a, b):
+    # The atom codes' rows are the d*a / -d*b formula on the coins that
+    # bits() and signs() draw, and so are pinned_spin_sample's (u, c, d),
+    # whose arrays geometry.gathered fills in C order.
     n = 2_000
-    hidden = _draw_atoms(a, b, n, RandomStream(7, 1), None)
-    u, c, d = hidden(slice(0, n))
-    _column_major_equal(u, np.where((c == 0)[:, None], d[:, None] * a, -d[:, None] * b))
+    twin = RandomStream(7, 1)
+    c, d = twin.bits(n), twin.signs(n)
+    expected = np.where((c == 0)[:, None], d[:, None] * a, -d[:, None] * b)
+    (spins,) = _draw_atoms(a, b, n, RandomStream(7, 1), None)(slice(0, n))
+    _column_major_equal(spins.rows(), expected)
+    u, c_sampled, d_sampled = pinned_spin_sample(a, b, n, RandomStream(7, 1))
+    assert _same_bits(u, expected)
+    assert _same_bits(c_sampled, c) and c_sampled.dtype == c.dtype
+    assert _same_bits(d_sampled, d) and d_sampled.dtype == d.dtype
 
 
 @pytest.mark.parametrize("policies", [("random", "random"), ("a", "random"), ("a", "b")])

@@ -3,10 +3,12 @@
 Every closed-form a.b is overlap(a, b), the geometry.dot that the
 per-trial rules sum, and every unit vector is scaled by sqrt(dot(v, v)). So
 the mixed model's closed form agrees with its sampler even at exactly
-orthogonal settings, where a.b is a signed zero that sgn reads as +1. The
+orthogonal settings, where a.b is a signed zero that sgn reads as +1, and
+the pinned model's rule on its own four atoms gives the singlet law. The
 slave-will signalling check tests the received bits against the message.
 """
 
+import dataclasses
 import json
 import math
 
@@ -16,8 +18,8 @@ import pytest
 from lhvlab import cli, protocols
 from lhvlab.cli import build_parser, main
 from lhvlab.geometry import RandomStream, assert_unit, dot, normalize, planar_setting, sgn
-from lhvlab.models import (MODELS, law_table, mixed_law, outcome_counts, overlap,
-                           singlet_law, tb_extension_law)
+from lhvlab.models import (MODELS, AtomSpins, hall_outcomes, law_table, malus_outcome,
+                           mixed_law, outcome_counts, overlap, singlet_law, tb_extension_law)
 
 # The planar setting pairs of a 1-degree grid whose dot is exactly zero.
 ORTHOGONAL = [(a, (a + turn) % 360) for a in range(360) for turn in (90, 270)
@@ -73,6 +75,65 @@ def test_closed_forms_at_exactly_orthogonal_settings(a_deg, b_deg):
 def test_mixed_law_is_the_law_of_its_atoms():
     for a, b in _random_settings(100):
         assert _same_bits(mixed_law(a, b).p, _atom_law(a, b))
+
+
+# ---------------------------------------------------------------------------
+# The pinned model's exact law from its own atom table and rule
+
+ONE = np.float64(1.0).view(np.int64)
+
+
+def _plus_probability(station, spins, x, y):
+    """P(+1) of each atom at one station (0: sigma, 1: tau) of the pinned
+    model's rule, read off the rule itself: the noise below which that
+    station gives +1, found by bisection on the bits of [0, 1], with the
+    other station's noise held at 1/2. For a Malus station, +1 where
+    2 noise < threshold, that noise is threshold/2."""
+    rule = MODELS["pinned"].outcomes
+    lo = np.full(len(spins), -1, np.int64)  # below 0: never evaluated
+    hi = np.full(len(spins), ONE)  # +1 up to 1 counts as +1 on all of [0, 1)
+    while np.any(hi - lo > 1):
+        mid = hi - (hi - lo) // 2  # in (lo, hi), or hi once an atom has converged
+        noise = [np.full(len(spins), 0.5)] * 2
+        noise[station] = mid.view(np.float64)
+        plus = rule((spins, *noise), x, y)[station] > 0
+        lo, hi = np.where(plus, mid, lo), np.where(plus, hi, mid)
+    return hi.view(np.float64)
+
+
+def _pinned_exact_law(a, b):
+    """The law of the pinned model at (a, b): its four table rows, each of
+    weight 1/4, and each station's per-atom P(+1) from its rule."""
+    (drawn,) = MODELS["pinned"].draw(a, b, 0, RandomStream(0), None)(slice(0, 0))[:1]
+    spins = AtomSpins(drawn.table, np.arange(4, dtype=np.uint8))
+    p_sigma, p_tau = (_plus_probability(k, spins, a, b) for k in (0, 1))
+    sigma = np.stack([p_sigma, 1.0 - p_sigma])  # rows: +1, -1
+    tau = np.stack([p_tau, 1.0 - p_tau])
+    return sigma @ tau.T / 4.0
+
+
+def _pinned_law_is_singlet(a, b):
+    return np.abs(_pinned_exact_law(a, b) - law_table(dot(a, b))).max() <= 4 * np.spacing(0.25)
+
+
+def test_pinned_exact_law_from_its_atoms_is_the_singlet():
+    for a, b in _random_settings(100):
+        assert _pinned_law_is_singlet(a, b), (a, b)
+
+
+@pytest.mark.parametrize("a_deg, b_deg", ORTHOGONAL)
+def test_pinned_exact_law_at_exactly_orthogonal_settings(a_deg, b_deg):
+    assert _pinned_law_is_singlet(planar_setting(a_deg), planar_setting(b_deg))
+
+
+@pytest.mark.parametrize("variant", [
+    lambda h, x, y: hall_outcomes(h[0], x, y),  # the sign rule
+    lambda h, x, y: (malus_outcome(h[0], x, h[1]), malus_outcome(h[0], y, h[2])),  # B reads +u
+])
+def test_pinned_exact_law_check_fails_a_wrong_rule(monkeypatch, variant):
+    spec = MODELS["pinned"]
+    monkeypatch.setitem(MODELS, "pinned", dataclasses.replace(spec, outcomes=variant))
+    assert not all(_pinned_law_is_singlet(a, b) for a, b in _random_settings(20))
 
 
 def test_normalize_divides_by_the_root_of_dot():

@@ -20,9 +20,12 @@ overlap bins and the watch vectors of the protocol runners, one chunk's
 window of a reserved uniform draw (RandomStream.uniform_rows), the cross
 product of N spin rows with N setting rows (geometry.cross), the station
 kernels malus_pair (both Malus stations against one setting each),
+malus_pair_atoms (the same rule on the pinned model's drawn spins, in the
+form the checkout draws them: atom codes, or per-trial rows),
 hall_outcomes and one_bit_tau (the one-bit model's second station, from
 N spins, N partner spins and N bits), outcome_counts over one table of N
-outcome pairs, and csv_rows, the transcript rows of one 32,768-row chunk
+outcome pairs and outcome_counts_binned over the 12 overlap bins of the
+binned singlet comparison, and csv_rows, the transcript rows of one 32,768-row chunk
 (protocols._CSV_CHUNK_ROWS, whatever N is) in a shared-coin layout: both
 coins, both overlaps against per-trial settings, and outcomes, with about
 10 % and 20 % of the sigma and tau cells undetected. perfbench's tracer
@@ -72,6 +75,8 @@ def kernels(lhv, n: int) -> dict:
     x = g.sphere_point(2.0 * w[3] - 1.0, phi)  # per-trial setting rows
     c = g.uniform_signs(w[3])
     sigma, tau = m.malus_pair((u, w[2], w[3]), a, b)
+    bins = p._bin_index(z, p.N_BINS)
+    atoms = m._draw_atoms(a, b, n, g.RandomStream(SEED, 5), None)(slice(0, n))[0]
     rows = csv_columns(lhv)
     return {
         "sgn": lambda: g.sgn(z),
@@ -86,9 +91,11 @@ def kernels(lhv, n: int) -> dict:
         "uniform_rows": lambda: stream.uniform_rows((2, n))(slice(0, n)),
         "cross": lambda: g.cross(u, x),
         "malus_pair": lambda: m.malus_pair((u, w[2], w[3]), a, b),
+        "malus_pair_atoms": lambda: m.malus_pair((atoms, w[2], w[3]), a, b),
         "hall_outcomes": lambda: m.hall_outcomes(u, a, b),
         "one_bit_tau": lambda: m.one_bit_tau(u, v, c, b),
         "outcome_counts": lambda: m.outcome_counts(sigma, tau),
+        "outcome_counts_binned": lambda: m.outcome_counts(sigma, tau, bins, p.N_BINS),
         "csv_rows": lambda: p._csv_rows("shared-coin", CSV_START, rows),
     }
 
