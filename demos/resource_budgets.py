@@ -1,14 +1,15 @@
 """What each realization spends, counted exactly.
 
-Every protocol run meters its channels: classical bits crossing between
-the stations, and draws from a stream the two stations share. The
-singlet statistics can be bought several ways; the meters make the price
-explicit, and the checks here are hard equalities on counters, not
+Every protocol run counts what it spends: the classical bits that cross
+between the stations, each handed over through a meter, and the draws
+from a stream the two stations share, read off that stream's counter.
+The singlet statistics can be bought several ways; the counts make the
+price explicit, and the checks here are hard equalities on counters, not
 statistical estimates.
 """
 
 from lhvlab import planar_setting
-from lhvlab.protocols import (PartyRole, run_shared_coin,
+from lhvlab.protocols import (run_shared_coin,
                               run_tb_freewill, run_tb_protocol,
                               run_watch_realization)
 
@@ -28,13 +29,10 @@ rows.append(("synchronized watches", res, res.singlet_comparison["max_abs_dev"])
 print(f"{'realization':<28} {'bits A->B':>9} {'bits B->A':>9} "
       f"{'shared draws':>12} {'off singlet':>11}")
 for name, res, dev in rows:
-    ab = res.channels.bits(PartyRole.STATION_A, PartyRole.STATION_B)
-    ba = res.channels.bits(PartyRole.STATION_B, PartyRole.STATION_A)
-    print(f"{name:<28} {ab:>9} {ba:>9} {res.shared_draws_total:>12} "
+    print(f"{name:<28} {res.bits_a_to_b:>9} {res.bits_b_to_a:>9} {res.shared_draws_total:>12} "
           f"{dev:>11.4f}")
 
 print(f"\n(one-bit run sends exactly one bit per trial: "
-      f"{rows[0][1].channels.bits(PartyRole.STATION_A, PartyRole.STATION_B)} "
-      f"== {N}; every other meter reads zero)")
+      f"{rows[0][1].bits_a_to_b} == {N}; every other meter reads zero)")
 print("the watch realization shares state only between each station and "
       "the source, never between the stations")

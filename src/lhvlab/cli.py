@@ -468,30 +468,26 @@ def _cmd_feasibility(args) -> int:
     return _finish(args, config, results, checks)
 
 
-def _zero_station_bits(res) -> dict:
-    return _check("zero_station_bits", res.channels.station_to_station_bits == 0)
-
-
-def _binned_singlet(res) -> dict:
-    comparison = res.singlet_comparison
-    return _law_check("singlet_within_binned_tolerance", comparison["counts"],
-                      comparison["reference"], f"max_abs_dev={comparison['max_abs_dev']:.6g}")
-
-
-def _one_bit_checks(res) -> list:
-    bits = res.channels.as_dict()
-    return [_check("one_bit_per_trial", bits["bits_a_to_b"] == res.n_trials),
-            _check("no_return_bits", bits["bits_b_to_a"] == 0)]
-
-
-def _shared_coin_checks(res) -> list:
-    return [_zero_station_bits(res),
-            _check("two_shared_draws_per_trial", res.shared_draws_total == 2 * res.n_trials),
-            _binned_singlet(res)]
-
-
-def _watch_checks(res) -> list:
-    return [_zero_station_bits(res), _binned_singlet(res)]
+def _price_checks(bits_a_to_b: int, shared_draws: int):
+    """checks(res) of a protocol whose declared price is bits_a_to_b bits
+    from station A to station B and shared_draws draws of the stations'
+    shared stream per trial, and no bits from B to A: each declared figure
+    against the run's counted total, then the binned singlet check of a
+    run whose settings vary."""
+    def checks(res) -> list:
+        n = res.n_trials
+        out = ([_check("one_bit_per_trial", res.bits_a_to_b == bits_a_to_b * n),
+                _check("no_return_bits", res.bits_b_to_a == 0)] if bits_a_to_b else
+               [_check("zero_station_bits", res.bits_a_to_b + res.bits_b_to_a == 0)])
+        if shared_draws:
+            out.append(_check("two_shared_draws_per_trial",
+                              res.shared_draws_total == shared_draws * n))
+        if (comparison := res.singlet_comparison) is not None:
+            out.append(_law_check("singlet_within_binned_tolerance", comparison["counts"],
+                                  comparison["reference"],
+                                  f"max_abs_dev={comparison['max_abs_dev']:.6g}"))
+        return out
+    return checks
 
 
 def _detection_checks(rep) -> list:
@@ -507,17 +503,19 @@ def _protocols() -> dict:
 
     run(trials, seed=, record=, **options) runs the protocol, options names
     the keyword options it reads, and checks(result) gives its invariant
-    checks in report order. Like the model dict in _cmd_freewill, the table
-    is built on each call, so the runners are read from this module's names
-    at call time and a wrapper installed on them sees the calls."""
+    checks in report order; each protocol's price (_price_checks) is
+    declared here and nowhere else. Like the model dict in _cmd_freewill,
+    the table is built on each call, so the runners are read from this
+    module's names at call time and a wrapper installed on them sees the
+    calls."""
     return {
-        "tb": (run_tb_protocol, ("a", "b"), _one_bit_checks),
-        "tb-freewill": (run_tb_freewill, ("a", "b"), lambda res: [_zero_station_bits(res)]),
-        "shared-coin": (run_shared_coin, (), _shared_coin_checks),
+        "tb": (run_tb_protocol, ("a", "b"), _price_checks(1, 0)),
+        "tb-freewill": (run_tb_freewill, ("a", "b"), _price_checks(0, 0)),
+        "shared-coin": (run_shared_coin, (), _price_checks(0, 2)),
         "detection-loophole": (run_detection_loophole, ("mode", "delta_omega", "n_directions"),
                                _detection_checks),
-        "watch-pinned": (partial(run_watch_realization, model="pinned"), (), _watch_checks),
-        "watch-hall": (partial(run_watch_realization, model="hall"), (), _watch_checks),
+        "watch-pinned": (partial(run_watch_realization, model="pinned"), (), _price_checks(0, 0)),
+        "watch-hall": (partial(run_watch_realization, model="hall"), (), _price_checks(0, 0)),
     }
 
 

@@ -9,8 +9,13 @@ their own setting, their local/global hidden variables, and logged
 channel messages, so corrupting one side cannot move the other side's
 outcomes in the zero-communication protocols.
 
-Channel accounting is exact: counters are incremented per trial, not
-estimated, and a nonzero station-to-station count marks the run
+Prices are counted, not declared. Station B reads station A's bit only
+through the meter ``_a_to_b``, which adds one bit per trial to the
+chunk's ``bits_a_to_b`` column; ``_tally`` sums the ``bits_a_to_b`` and
+``bits_b_to_a`` columns of the chunks as it sums their outcome counts,
+and the transcript's bitsAB and bitsBA cells are those columns. A run's
+shared draws are how far the counter of the stations' shared stream
+moved during the run. A nonzero station-to-station count marks the run
 communication-assisted.
 
 Every runner reserves its draws whole and in a fixed order first, then
@@ -41,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cache
 from itertools import product
 
@@ -53,17 +57,6 @@ from .geometry import (assert_unit, dot, gathered, planar_setting, select,
 from .models import (JointLaw2x2, _draw_uv, hall_outcomes, hall_spins, law_table,
                      malus_pair, one_bit_station_a, one_bit_tau, outcome_counts,
                      sign_outcome, singlet_law)
-
-
-class PartyRole(str, Enum):
-    ENTANGLER = "entangler"
-    STATION_A = "station_a"
-    STATION_B = "station_b"
-
-
-class CausalMode(str, Enum):
-    SETTINGS_CAUSE_LAMBDA = "settings_cause_lambda"
-    LAMBDA_CAUSES_SETTINGS = "lambda_causes_settings"
 
 
 # Stream ids per party; fixed so runs are reproducible and so that one
@@ -83,58 +76,6 @@ _CSV_COLUMNS = ("u", "a_used", "b_used", "sigma", "tau", "c", "d", "detected_a",
 class WatchDesyncError(RuntimeError):
     """A station's reconstructed emission epoch, and so its watch vector,
     differs from the entangler's."""
-
-
-@dataclass
-class MeteredChannel:
-    """A channel that carries bits_per_trial bits on each of n_trials trials."""
-
-    sender: PartyRole
-    receiver: PartyRole
-    n_trials: int
-    bits_per_trial: int = 0
-
-    @property
-    def bits_sent(self) -> int:
-        return self.n_trials * self.bits_per_trial
-
-    def log(self):
-        """(trial index, bits) for every trial that carried bits."""
-        bits = self.bits_per_trial
-        return [(i, bits) for i in range(self.n_trials)] if bits else []
-
-
-class ChannelLedger:
-    """All channels of one run, keyed by (sender, receiver)."""
-
-    def __init__(self, n_trials: int):
-        self.n_trials = n_trials
-        self.channels: dict = {}
-
-    def send(self, sender: PartyRole, receiver: PartyRole, bits_per_trial: int) -> None:
-        key = (sender, receiver)
-        ch = self.channels.setdefault(key, MeteredChannel(*key, self.n_trials))
-        ch.bits_per_trial += int(bits_per_trial)
-
-    def bits(self, sender: PartyRole, receiver: PartyRole) -> int:
-        ch = self.channels.get((sender, receiver))
-        return ch.bits_sent if ch else 0
-
-    @property
-    def station_to_station_bits(self) -> int:
-        return (self.bits(PartyRole.STATION_A, PartyRole.STATION_B)
-                + self.bits(PartyRole.STATION_B, PartyRole.STATION_A))
-
-    @property
-    def communication_assisted(self) -> bool:
-        return self.station_to_station_bits > 0
-
-    def as_dict(self) -> dict:
-        return {
-            "bits_a_to_b": self.bits(PartyRole.STATION_A, PartyRole.STATION_B),
-            "bits_b_to_a": self.bits(PartyRole.STATION_B, PartyRole.STATION_A),
-            "communication_assisted": self.communication_assisted,
-        }
 
 
 def _fmt(x) -> str:
@@ -490,11 +431,17 @@ def binned_singlet_deviation(t, sigma, tau, n_bins: int = N_BINS) -> dict:
 
 @dataclass
 class ProtocolResult:
+    """A run's law and its counted price: the bits that crossed each way
+    between the stations (_tally) and the draws of the stations' shared
+    stream. causal_mode is "settings_cause_lambda" or
+    "lambda_causes_settings"."""
+
     model: str
     n_trials: int
     law: JointLaw2x2
-    channels: ChannelLedger
-    causal_mode: CausalMode
+    causal_mode: str
+    bits_a_to_b: int = 0
+    bits_b_to_a: int = 0
     shared_draws_total: int = 0
     singlet_comparison: dict | None = None
 
@@ -504,9 +451,10 @@ class ProtocolResult:
             "n_trials": self.n_trials,
             "law": self.law.as_dict(),
             "correlator": self.law.correlator(),
-            "channels": self.channels.as_dict(),
+            "channels": {"bits_a_to_b": self.bits_a_to_b, "bits_b_to_a": self.bits_b_to_a,
+                         "communication_assisted": self.bits_a_to_b + self.bits_b_to_a > 0},
             "shared_draws_total": self.shared_draws_total,
-            "causal_mode": self.causal_mode.value,
+            "causal_mode": self.causal_mode,
         }
         if self.singlet_comparison is not None:
             out["singlet_comparison"] = {
@@ -521,33 +469,37 @@ def _tally(n: int, record, trials, n_groups: int = 1, model: str = "", **fixed):
     trials(rows) gives the columns of the trials in the slice rows: sigma,
     tau, optionally each trial's group (default 0) and overlap t, and the
     transcript's other columns; fixed gives the columns that hold one value
-    on every trial. Returns the (n_groups, 2, 2) counts and the per-group
-    sums of t (None without t). If record is an open text file (not None),
-    the transcript CSV of model is written to it: the header, then each
-    chunk's rows (_csv_rows), formatted on the thread pool of
-    geometry.streamed and written in trial order, one write per chunk of
-    _CSV_CHUNK_ROWS rows. The chunks' overlaps are added in trial order as
-    the chunks complete, so the sums are bit for bit those of one
-    np.bincount pass.
+    on every trial. Returns the (n_groups, 2, 2) counts, the per-group
+    sums of t (None without t) and the totals of the bits_a_to_b and
+    bits_b_to_a columns (default 0) as two ints. If record is an open
+    text file (not None), the transcript CSV of model is written to it:
+    the header, then each chunk's rows (_csv_rows), formatted on the
+    thread pool of geometry.streamed and written in trial order, one write
+    per chunk of _CSV_CHUNK_ROWS rows. The chunks' overlaps are added in
+    trial order as the chunks complete, so the sums are bit for bit those
+    of one np.bincount pass.
     """
     def work(rows):
-        trial = trials(rows)
-        group, t = trial.pop("group", 0), trial.pop("t", None)
-        text = "" if record is None else _csv_rows(model, rows.start, {**fixed, **trial})
-        return outcome_counts(trial["sigma"], trial["tau"], group, n_groups), group, t, text
+        cols = {**fixed, **trials(rows)}
+        group, t = cols.pop("group", 0), cols.pop("t", None)
+        bits = [int(np.broadcast_to(cols.get(k, 0), (rows.stop - rows.start,)).sum())
+                for k in ("bits_a_to_b", "bits_b_to_a")]
+        text = "" if record is None else _csv_rows(model, rows.start, cols)
+        return outcome_counts(cols["sigma"], cols["tau"], group, n_groups), bits, group, t, text
 
     if record is not None:
         record.write(CSV_HEADER + "\n")
-    counts, t_sums = 0, None
+    counts, t_sums, bits = 0, None, (0, 0)
     chunk_rows = None if record is None else _CSV_CHUNK_ROWS
-    for chunk_counts, group, t, text in streamed(n, work, chunk_rows):
+    for chunk_counts, chunk_bits, group, t, text in streamed(n, work, chunk_rows):
         if record is not None:
             record.write(text)
         counts = counts + chunk_counts
+        bits = tuple(map(sum, zip(bits, chunk_bits)))
         if t is not None:
             t_sums = np.zeros(n_groups) if t_sums is None else t_sums
             np.add.at(t_sums, np.broadcast_to(group, t.shape), t)
-    return counts, t_sums
+    return counts, t_sums, bits
 
 
 def _transcript(record):
@@ -560,8 +512,8 @@ def _transcript(record):
     return record
 
 
-def _protocol_run(model: str, causal_mode: CausalMode, n: int, record, trials,
-                  bits_a_to_b: int = 0, shared_draws: int = 0, **fixed) -> ProtocolResult:
+def _protocol_run(model: str, causal_mode: str, n: int, record, trials,
+                  **fixed) -> ProtocolResult:
     """The tally and result of every ProtocolResult run.
 
     trials(rows) gives the per-trial columns of the trials in the slice
@@ -569,8 +521,8 @@ def _protocol_run(model: str, causal_mode: CausalMode, n: int, record, trials,
     gives the columns that hold one vector on every trial. Without a fixed
     a_used the settings vary per trial, and the run is compared with the
     singlet law in overlap bins. record is None or a file the transcript
-    CSV is written to (see _tally). bits_a_to_b is the A->B meter and
-    shared_draws the station-to-station draws, per trial.
+    CSV is written to (see _tally). The bits are those _tally counts; a
+    runner whose stations share a stream sets shared_draws_total.
     """
     binned = "a_used" not in fixed
 
@@ -580,15 +532,19 @@ def _protocol_run(model: str, causal_mode: CausalMode, n: int, record, trials,
         trial["group"] = _bin_index(trial["t"], N_BINS)
         return trial
 
-    counts, t_sums = _tally(n, record, binned_trials if binned else trials,
-                            N_BINS if binned else 1, model, **fixed, bits_a_to_b=bits_a_to_b)
+    counts, t_sums, bits = _tally(n, record, binned_trials if binned else trials,
+                                  N_BINS if binned else 1, model, **fixed)
     comparison = deviation_from_binned_counts(counts, t_sums) if binned else None
-    channels = ChannelLedger(n)
-    if bits_a_to_b:
-        channels.send(PartyRole.STATION_A, PartyRole.STATION_B, bits_a_to_b)
-    return ProtocolResult(model, n, JointLaw2x2.from_counts(counts.sum(0)), channels,
-                          causal_mode, shared_draws_total=shared_draws * n,
+    return ProtocolResult(model, n, JointLaw2x2.from_counts(counts.sum(0)), causal_mode, *bits,
                           singlet_comparison=comparison)
+
+
+def _a_to_b(bit, trial: dict):
+    """Hand station A's bit to station B through the A->B meter: count one
+    bit per trial in the bits_a_to_b column of the chunk's columns trial,
+    and return bit."""
+    trial["bits_a_to_b"] = trial.get("bits_a_to_b", 0) + 1
+    return bit
 
 
 def _columns(x):
@@ -624,9 +580,9 @@ def run_tb_protocol(n_trials: int, a, b, seed: int, record=None) -> ProtocolResu
     and a single bit that crosses the A->B channel every trial; station B
     combines the bit with its shared hidden variables.
 
-    The A->B meter reads exactly n_trials bits, B->A exactly 0.
+    The A->B meter counts exactly n_trials bits, B->A exactly 0.
     """
-    return _run_one_bit("tb", 1, n_trials, a, b, seed, record)
+    return _run_one_bit("tb", n_trials, a, b, seed, record, sends=True)
 
 
 def run_tb_freewill(n_trials: int, a, b, seed: int, record=None) -> ProtocolResult:
@@ -637,11 +593,11 @@ def run_tb_freewill(n_trials: int, a, b, seed: int, record=None) -> ProtocolResu
     The requested setting is always used; the constraint selects c, which
     is the dependent variable of the hidden-variable distribution.
     """
-    return _run_one_bit("tb-freewill", 0, n_trials, a, b, seed, record)
+    return _run_one_bit("tb-freewill", n_trials, a, b, seed, record, sends=False)
 
 
-def _run_one_bit(model: str, bits_a_to_b: int, n_trials: int, a, b, seed: int,
-                 record) -> ProtocolResult:
+def _run_one_bit(model: str, n_trials: int, a, b, seed: int, record,
+                 sends: bool) -> ProtocolResult:
     record = _transcript(record)
     a = assert_unit(a, "a")
     b = assert_unit(b, "b")
@@ -650,12 +606,15 @@ def _run_one_bit(model: str, bits_a_to_b: int, n_trials: int, a, b, seed: int,
     def trials(rows):
         u, v = uv(rows)
         # Station A: local outcome and the bit c = sgn(u.a) sgn(v.a), sent
-        # to B or held as a hidden variable; the rule is the same either way.
+        # to B through the meter or held as a hidden variable; the rule is
+        # the same either way.
         sigma, c = one_bit_station_a(u, v, a)
+        trial = {"u": u, "v": v, "c": c, "sigma": sigma}
         # Station B: own setting, shared (u, v) and the bit. Never reads a.
-        return {"u": u, "v": v, "c": c, "sigma": sigma, "tau": one_bit_tau(u, v, c, b)}
-    return _protocol_run(model, CausalMode.SETTINGS_CAUSE_LAMBDA, n_trials, record, trials,
-                         bits_a_to_b=bits_a_to_b, a_used=a, b_used=b)
+        trial["tau"] = one_bit_tau(u, v, _a_to_b(c, trial) if sends else c, b)
+        return trial
+    return _protocol_run(model, "settings_cause_lambda", n_trials, record, trials,
+                         a_used=a, b_used=b)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +627,8 @@ def run_shared_coin(n_trials: int, seed: int, a_policy="random",
     (c, d) each trial. When c = 0, station A orients along d*u and
     station B chooses freely; when c = 1 the roles reverse. Outcomes are
     Malus draws from each station's own stream. Zero bits cross between
-    the stations; the shared stream is metered as 2 draws per trial.
+    the stations, and the run counts the draws of the shared stream: 2
+    per trial.
     """
     return _shared_coin(n_trials, seed, a_policy, b_policy, record)
 
@@ -682,6 +642,7 @@ def _shared_coin(n_trials: int, seed: int, a_policy, b_policy, record,
     fixed = {k: x for k, x in policies.items() if x is not None}
     ent = substream(seed, STREAM_ENTANGLER)
     shared = substream(seed, STREAM_SHARED_AB)
+    shared_before = shared.counter  # the run's draws are how far it moves
     sa = substream(seed, STREAM_A)
     sb = substream(seed, STREAM_B)
 
@@ -707,8 +668,9 @@ def _shared_coin(n_trials: int, seed: int, a_policy, b_policy, record,
         if each_chunk is not None:
             each_chunk(rows, trial)
         return trial
-    return _protocol_run("shared-coin", CausalMode.LAMBDA_CAUSES_SETTINGS, n_trials, record,
-                         trials, shared_draws=2)
+    res = _protocol_run("shared-coin", "lambda_causes_settings", n_trials, record, trials)
+    res.shared_draws_total = shared.counter - shared_before
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +793,7 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
         return trial
 
     model = f"detection-{mode}"
-    counts, t_sums = _tally(n_trials, record, trials, n_pairs + 1, model)
+    counts, t_sums, _ = _tally(n_trials, record, trials, n_pairs + 1, model)
     pair_counts = counts[:n_pairs]
     expected_eff = 2.0 / len(u_values)
 
@@ -965,8 +927,7 @@ def run_watch_realization(n_trials: int, model: str, seed: int,
             sigma, tau = hall_outcomes(u, z_a, z_b)
         return {**trial, "u": u, "sigma": sigma, "tau": tau}
 
-    return _protocol_run(f"watch-{model}", CausalMode.LAMBDA_CAUSES_SETTINGS, n_trials,
-                         record, trials)
+    return _protocol_run(f"watch-{model}", "lambda_causes_settings", n_trials, record, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -1124,7 +1085,7 @@ def run_conspiracy_audit(n_trials: int, a, b, mode: str, seed: int) -> AuditResu
             trial = {"u": u, "a_used": a_used, "b_used": b_used, "sigma": sigma, "tau": tau}
             audit(rows, trial)
             return trial
-        counts, _ = _tally(n_trials, None, honest)
+        counts, _, _ = _tally(n_trials, None, honest)
         law = JointLaw2x2.from_counts(counts[0])
         dev = law.max_abs_diff(singlet_law(a, b))
     return AuditResult(mode, n_trials, sum(k for k, _ in audits.values()),

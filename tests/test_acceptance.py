@@ -21,7 +21,7 @@ from lhvlab.inequalities import (MasterProb16, card_deck_stats, chsh_analytic,
 from lhvlab.freewill import discretized_setting_tied_model, mutual_information
 from lhvlab.models import (JointLaw2x2, estimate_law, sample_outcomes,
                            singlet_law, tb_extension_law)
-from lhvlab.protocols import (PartyRole, deviation_from_binned_counts,
+from lhvlab.protocols import (deviation_from_binned_counts,
                               run_detection_loophole,
                               run_shared_coin,
                               run_signaling_experiment, run_tb_freewill,
@@ -103,12 +103,12 @@ def test_criterion_03_chsh_values():
 def test_criterion_04_resource_accounting():
     n = 100_000
     tb = run_tb_protocol(n, X, planar_setting(40.0), seed=7001, record=False)
-    ok = tb.channels.bits(PartyRole.STATION_A, PartyRole.STATION_B) == n
-    ok = ok and tb.channels.bits(PartyRole.STATION_B, PartyRole.STATION_A) == 0
+    ok = tb.bits_a_to_b == n
+    ok = ok and tb.bits_b_to_a == 0
     for res in (run_shared_coin(n, seed=7002, record=False),
                 run_tb_freewill(n, X, planar_setting(40.0), seed=7003, record=False),
                 run_watch_realization(n, "pinned", seed=7004, record=False)):
-        ok = ok and res.channels.station_to_station_bits == 0
+        ok = ok and res.bits_a_to_b + res.bits_b_to_a == 0
     _verdict(4, "channel meters: n bits one-way for the communication model, "
                 "0 station-to-station elsewhere", ok)
 

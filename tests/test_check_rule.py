@@ -113,6 +113,31 @@ def test_mutants_fail_at_the_default_trials(mutant, command, check):
     assert rc == 1 and check in _failed(report)
 
 
+@pytest.mark.parametrize("mutant, command, check", [
+    ("tb-two-bits", "protocol-tb", "one_bit_per_trial"),
+    ("shared-third-draw", "shared-coin", "two_shared_draws_per_trial"),
+])
+def test_price_mutants_fail_their_price_check_on_every_seed(mutant, command, check):
+    # A counted price is exact: the mutant fails its price check on every
+    # seed and leaves every other check as it was.
+    table = check_rates.failure_counts(lhvlab, [command], range(1, 21), 2000, mutant)[command]
+    assert table == {**dict.fromkeys(table, 0), check: 20}
+
+
+def test_a_third_shared_draw_moves_only_the_counter():
+    # The mutant's first two rows of shared uniforms are the coins of the
+    # correct run, so only the counted shared draws tell the runs apart.
+    runs = {}
+    for mutant in (None, "shared-third-draw"):
+        fh = io.StringIO()
+        with check_rates.mutated(lhvlab, mutant):
+            runs[mutant] = protocols.run_shared_coin(70_001, 3, record=fh).summary(), fh.getvalue()
+    (right, right_csv), (wrong, wrong_csv) = runs.values()
+    assert (right["shared_draws_total"], wrong["shared_draws_total"]) == (2 * 70_001, 3 * 70_001)
+    assert {**wrong, "shared_draws_total": 0} == {**right, "shared_draws_total": 0}
+    assert wrong_csv == right_csv
+
+
 @pytest.mark.parametrize("b", ["0", "180"], ids=["parallel", "antiparallel"])
 @pytest.mark.parametrize("model", check_rates.SAMPLED_MODELS)
 def test_every_sampled_model_passes_along_and_against_the_setting(model, b):

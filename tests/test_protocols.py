@@ -9,8 +9,8 @@ from lhvlab import protocols
 from lhvlab.geometry import RandomStream, dot, planar_setting, sgn, substream
 from lhvlab.models import MODELS, JointLaw2x2, law_table, singlet_law
 from lhvlab.protocols import (_CSV_CHUNK_ROWS, _CSV_COLUMNS, CSV_HEADER, EMISSION_STEP,
-                              STREAM_A, STREAM_B, TIME_OF_FLIGHT, WATCH_A, WATCH_B, CausalMode,
-                              PartyRole, TranscriptBatch, _fmt,
+                              STREAM_A, STREAM_B, STREAM_SHARED_AB, TIME_OF_FLIGHT, WATCH_A,
+                              WATCH_B, TranscriptBatch, _fmt,
                               binned_outcome_counts, binned_singlet_deviation,
                               run_conspiracy_audit, run_detection_loophole,
                               run_shared_coin,
@@ -22,8 +22,11 @@ from recorded_runs import recorded
 X = planar_setting(0.0)
 B63 = planar_setting(63.0)
 
-A_TO_B = (PartyRole.STATION_A, PartyRole.STATION_B)
-B_TO_A = (PartyRole.STATION_B, PartyRole.STATION_A)
+
+def csv_bits(text):
+    """The sums of the bitsAB and bitsBA cells of a transcript CSV."""
+    rows = [line.rsplit(",", 2)[1:] for line in text.splitlines()[1:]]
+    return sum(int(ab) for ab, _ in rows), sum(int(ba) for _, ba in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -32,22 +35,33 @@ B_TO_A = (PartyRole.STATION_B, PartyRole.STATION_A)
 
 def test_tb_protocol_bit_accounting_is_exact():
     res = run_tb_protocol(5000, X, B63, seed=1)
-    assert res.channels.bits(*A_TO_B) == 5000
-    assert res.channels.bits(*B_TO_A) == 0
-    assert res.channels.communication_assisted
-    ch = res.channels.channels[A_TO_B]
-    assert ch.bits_sent == sum(bits for _, bits in ch.log())
+    assert res.bits_a_to_b == 5000
+    assert res.bits_b_to_a == 0
+    assert res.summary()["channels"]["communication_assisted"]
+    # The counted total is the sum of the bits each trial sent.
+    _, text, tr = recorded(run_tb_protocol, 5000, X, B63, seed=1)
+    assert res.bits_a_to_b == int(tr["bits_a_to_b"].sum()) == csv_bits(text)[0]
 
 
-def test_tb_ledger_meters_one_bit_on_every_trial():
+def test_tb_meter_counts_one_bit_on_every_trial():
     n = 1000
-    ledger = run_tb_protocol(n, X, B63, seed=5, record=False).channels
-    ch = ledger.channels[A_TO_B]
-    assert ch.bits_sent == n
-    assert ch.log() == [(i, 1) for i in range(n)]
-    assert list(ledger.channels) == [A_TO_B]
-    assert B_TO_A not in ledger.channels
-    assert run_tb_freewill(n, X, B63, seed=5, record=False).channels.channels == {}
+    res, _, tr = recorded(run_tb_protocol, n, X, B63, seed=5)
+    assert res.bits_a_to_b == n
+    assert tr["bits_a_to_b"].tolist() == [1] * n
+    # Only the A->B channel carries bits.
+    assert res.bits_b_to_a == 0 and "bits_b_to_a" not in tr
+    free, text, tr = recorded(run_tb_freewill, n, X, B63, seed=5)
+    assert (free.bits_a_to_b, free.bits_b_to_a) == (0, 0) == csv_bits(text)
+    assert "bits_a_to_b" not in tr and "bits_b_to_a" not in tr
+
+
+@pytest.mark.parametrize("n", [1, 2 * _CSV_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("run, bits", [(run_tb_protocol, 1), (run_tb_freewill, 0)],
+                         ids=["tb", "tb-freewill"])
+def test_transcript_bit_columns_add_up_to_the_counted_totals(run, bits, n):
+    fh = io.StringIO()
+    res = run(n, X, B63, seed=11, record=fh)
+    assert csv_bits(fh.getvalue()) == (res.bits_a_to_b, res.bits_b_to_a) == (bits * n, 0)
 
 
 def test_tb_protocol_converges_to_singlet():
@@ -78,8 +92,8 @@ def test_tb_protocol_message_carries_remote_setting():
 
 def test_tb_freewill_zero_bits_and_constraint():
     res, _, tr = recorded(run_tb_freewill, 50_000, X, B63, seed=5)
-    assert res.channels.station_to_station_bits == 0
-    assert not res.channels.communication_assisted
+    assert res.bits_a_to_b + res.bits_b_to_a == 0
+    assert not res.summary()["channels"]["communication_assisted"]
     want = sgn(np.einsum("ij,ij->i", tr["u"], tr["a_used"])) * \
         sgn(np.einsum("ij,ij->i", tr["v"], tr["a_used"]))
     assert np.array_equal(tr["c"], want)
@@ -109,9 +123,27 @@ def test_tb_freewill_partner_outcome_local():
 def test_shared_coin_budgets():
     n = 30_000
     res = run_shared_coin(n, seed=8)
-    assert res.channels.station_to_station_bits == 0
+    assert res.bits_a_to_b + res.bits_b_to_a == 0
     assert res.shared_draws_total == 2 * n
-    assert res.causal_mode == CausalMode.LAMBDA_CAUSES_SETTINGS
+    assert res.causal_mode == "lambda_causes_settings"
+
+
+def test_shared_coin_counts_its_draws_on_a_stream_that_has_drawn(monkeypatch):
+    # The count is how far the shared stream's counter moves during the
+    # run, not where it ends: here every stream has drawn 8 values first.
+    n, streams, made = 70_001, [], protocols.substream
+
+    def drawn_first(master_seed, stream_id):
+        stream = made(master_seed, stream_id)
+        stream.uniform(3)
+        stream.integers(0, 12_566, 5)
+        streams.append(stream)
+        return stream
+    monkeypatch.setattr(protocols, "substream", drawn_first)
+    res = run_shared_coin(n, seed=8)
+    assert res.shared_draws_total == 2 * n
+    shared, = (s for s in streams if s.stream_id == STREAM_SHARED_AB)
+    assert shared.counter == 8 + 2 * n
 
 
 def test_shared_coin_forced_branch():
@@ -359,7 +391,7 @@ def test_watch_runner_settings_are_the_station_reconstructions(model):
 
 def test_watch_pinned_recovers_singlet():
     res = run_watch_realization(2_000_000, "pinned", seed=20, record=False)
-    assert res.channels.station_to_station_bits == 0
+    assert res.bits_a_to_b + res.bits_b_to_a == 0
     assert res.singlet_comparison["max_abs_dev"] < 0.005
 
 
@@ -558,8 +590,8 @@ def test_transcript_csv_format():
     assert fields[0] == "0" and fields[1] == "tb"
     assert fields[10] == "1" and fields[11] == "0"  # bitsAB, bitsBA
     # One bit crosses A->B on every trial, and no draw is shared.
-    assert res.channels.bits(*A_TO_B) == 50 and res.shared_draws_total == 0
-    assert res.causal_mode == CausalMode.SETTINGS_CAUSE_LAMBDA
+    assert res.bits_a_to_b == 50 and res.shared_draws_total == 0
+    assert res.causal_mode == "settings_cause_lambda"
 
 
 def test_binned_deviation_detects_wrong_law():

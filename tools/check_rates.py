@@ -22,7 +22,12 @@ catch it. The mutants are:
 - ``sign-rule``: the same stations answer by the sign rule sgn(u.x)
   instead of a Malus draw;
 - ``leak-10``: in ``signal --mode slave-will``, every tenth usable bit
-  arrives as sent.
+  arrives as sent;
+- ``tb-two-bits``: in the one-bit protocol, station A's bit goes to
+  station B through the A->B meter twice per trial;
+- ``shared-third-draw``: the stations' shared stream reserves one more
+  row of uniforms than asked for and hands over the rows asked for, so
+  shared-coin gets the same coins and only the stream's counter moves.
 
 The script uses the standard library and the checkout's lhvlab only.
 """
@@ -83,11 +88,38 @@ def _leak_10(lhv):
     return leaky
 
 
+def _tb_two_bits(lhv):
+    send = lhv.protocols._a_to_b
+
+    def twice(bit, trial):
+        return send(send(bit, trial), trial)
+    return twice
+
+
+def _shared_third_draw(lhv):
+    made, shared_id = lhv.protocols.substream, lhv.protocols.STREAM_SHARED_AB
+
+    def substream(master_seed, stream_id):
+        stream = made(master_seed, stream_id)
+        if stream_id == shared_id:
+            reserve = stream.uniform_rows
+
+            def uniform_rows(size):
+                k, n = size
+                draw = reserve((k + 1, n))
+                return lambda rows: draw(rows)[:k]
+            stream.uniform_rows = uniform_rows
+        return stream
+    return substream
+
+
 # name -> (lhvlab module, attribute, replacement made from lhvlab)
 MUTANTS = {
     "b-spin-plus-u": ("protocols", "malus_pair", _b_spin_plus_u),
     "sign-rule": ("protocols", "malus_pair", _sign_rule),
     "leak-10": ("protocols", "gathered", _leak_10),
+    "tb-two-bits": ("protocols", "_a_to_b", _tb_two_bits),
+    "shared-third-draw": ("protocols", "substream", _shared_third_draw),
 }
 
 
