@@ -543,7 +543,7 @@ def _cmd_signal(args) -> int:
     else:
         # Fair received bits are ones on half the usable trials. A leak of
         # a balanced message keeps them so, and the next check sees it.
-        checks.append(_z_check("received_bits_random", np.count_nonzero(res.received),
+        checks.append(_z_check("received_bits_random", res.counts[:, 0].sum(),
                                res.n_usable, 0.5, f"entropy={res.empirical_entropy:.6g}"))
         # Bits that carry no message match it on half the usable trials, so
         # the matches are binomial about 1/2; no usable trial leaks none.

@@ -27,6 +27,8 @@ by piece: detection keeps its index draws in the narrowest unsigned dtype
 Every run that counts outcome pairs does so in ``_tally``, which sums
 integer counts per group over the chunks and folds each chunk's overlaps t
 into the per-group sums in chunk order, so the sums are those of one pass.
+The signaling run counts its (intended, received) bit pairs there too:
+every result keeps its count table, and no per-trial column.
 
 A runner's ``record`` is None (no transcript; False means the same) or an
 open text file, checked before the run draws anything (``_transcript``).
@@ -39,21 +41,20 @@ trial index, ",model,c,d" and ",sigma,tau,detA,detB,bitsAB,bitsBA\n",
 each gathered from a table of joined cells by one mixed-radix code of its
 columns (``_codes``, the one cell coder), and between them the two
 overlaps, written in numpy by a %.9g rule that hands any value it cannot
-prove to ``_fmt``. The signaling bits are filled by ``geometry.gathered``.
+prove to ``_fmt``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
 import numpy as np
 
-from .geometry import (assert_unit, dot, gathered, planar_setting, select,
-                       sphere_point, sphere_rows, streamed, substream, uniform_bits,
-                       uniform_signs)
+from .geometry import (assert_unit, dot, planar_setting, select, sphere_point, sphere_rows,
+                       streamed, substream, uniform_bits, uniform_signs)
 from .models import (JointLaw2x2, _draw_uv, hall_outcomes, hall_spins, law_table,
                      malus_pair, one_bit_station_a, one_bit_tau, outcome_counts,
                      sign_outcome, singlet_law)
@@ -383,16 +384,6 @@ def _bin_index(t, n_bins: int):
     return np.clip(np.subtract(n_bins, above, dtype=np.intp), 0, n_bins - 1)
 
 
-def binned_outcome_counts(t, sigma, tau, n_bins: int = N_BINS):
-    """Per-bin outcome counts and overlap sums for trials binned by the
-    realized setting overlap t = a.b. Counts from independent runs may be
-    summed before calling deviation_from_binned_counts."""
-    t = np.asarray(t, float)
-    idx = _bin_index(t, n_bins)
-    return outcome_counts(sigma, tau, idx, n_bins), np.bincount(idx, weights=t,
-                                                                minlength=n_bins)
-
-
 def deviation_from_binned_counts(counts, t_sums) -> dict:
     """Worst absolute deviation of the per-bin empirical laws from the
     singlet table at each bin's mean overlap.
@@ -421,12 +412,6 @@ def deviation_from_binned_counts(counts, t_sums) -> dict:
     return {"max_abs_dev": max_dev, "n_bins": counts.shape[0],
             "min_bin_count": min_count or 0, "bins": bins, "counts": counts,
             "reference": reference}
-
-
-def binned_singlet_deviation(t, sigma, tau, n_bins: int = N_BINS) -> dict:
-    """Compare outcomes against the singlet law, binning trials by the
-    realized setting overlap t = a.b."""
-    return deviation_from_binned_counts(*binned_outcome_counts(t, sigma, tau, n_bins))
 
 
 @dataclass
@@ -686,9 +671,8 @@ class EfficiencyReport:
     conditional_law: JointLaw2x2
     singlet_deviation: float
     expected_efficiency: float
-    per_setting: dict = field(default_factory=dict)
-    # The (groups, 2, 2) coincidence counts per setting pair (one group in
-    # sphere mode) and the singlet table each group is compared with.
+    # The (groups, 2, 2) coincidence counts per setting pair (per overlap
+    # bin in sphere mode) and the singlet table each group is compared with.
     counts: np.ndarray | None = None
     reference: np.ndarray | None = None
 
@@ -765,10 +749,10 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
     iu = ent.indices(len(u_values), n_trials)
     noise_a, noise_b = sa.uniform_rows(n_trials), sb.uniform_rows(n_trials)
     # Symmetric and asymmetric modes count coincidences per setting pair
-    # k = i * len(settings_b) + j; sphere mode counts them in one group and
-    # sums their overlaps a.b.
+    # k = i * len(settings_b) + j, sphere mode per overlap bin of a.b
+    # (_bin_index), summing the bin's overlaps.
     nb = len(settings_b)
-    n_pairs = len(settings_a) * nb if mode != "sphere" else 1
+    n_groups = N_BINS if mode == "sphere" else len(settings_a) * nb
     # The (3, k) columns of each direction set: rows taken from them by index
     # come out column-major.
     tables = [np.ascontiguousarray(x.T) for x in (settings_a, settings_b, u_values)]
@@ -782,56 +766,47 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
         fires_a = (c_a == 0) | _along_axis(u, a_used)
         fires_b = (c_a == 1) | _along_axis(u, b_used)
         sigma, tau = malus_pair((u, noise_a(rows), noise_b(rows)), a_used, b_used)
-        # The indices are stored narrow; int64 keeps the pair from wrapping.
-        pair = ia[rows].astype(np.int64) * nb + ib[rows] if n_pairs > 1 else 0
-        # Trials without a coincidence go to one extra group, then dropped.
         trial = {"u": u, "a_used": a_used, "b_used": b_used, "sigma": sigma, "tau": tau,
-                 "c": c_a, "detected_a": fires_a, "detected_b": fires_b,
-                 "group": n_pairs + (fires_a & fires_b) * (pair - n_pairs)}
+                 "c": c_a, "detected_a": fires_a, "detected_b": fires_b}
         if mode == "sphere":
             trial["t"] = dot(a_used, b_used)
+            group = _bin_index(trial["t"], N_BINS)
+        else:
+            # The indices are stored narrow; int64 keeps the pair from wrapping.
+            group = ia[rows].astype(np.int64) * nb + ib[rows] if n_groups > 1 else 0
+        # Trials without a coincidence go to one extra group, then dropped.
+        trial["group"] = n_groups + (fires_a & fires_b) * (group - n_groups)
         return trial
 
     model = f"detection-{mode}"
-    counts, t_sums, _ = _tally(n_trials, record, trials, n_pairs + 1, model)
-    pair_counts = counts[:n_pairs]
-    expected_eff = 2.0 / len(u_values)
-
-    cond_counts = pair_counts.sum(0)
+    counts, t_sums, _ = _tally(n_trials, record, trials, n_groups + 1, model)
+    counts = counts[:n_groups]
+    cond_counts = counts.sum(0)
     n_coinc = int(cond_counts.sum())
     if n_coinc == 0:
         raise RuntimeError("no coincidences recorded; cannot form conditional law")
-    cond_law = JointLaw2x2.from_counts(cond_counts)
 
-    per_setting = {}
-    if mode in ("symmetric", "asymmetric"):
-        dev = 0.0
-        reference = np.array([singlet_law(x, y).p for x in settings_a for y in settings_b])
-        for k, counts in enumerate(pair_counts):
-            if not counts.any():
-                continue
-            i, j = divmod(k, nb)
-            law_ij = JointLaw2x2.from_counts(counts)
-            dev_ij = float(np.abs(law_ij.p - reference[k]).max())
-            per_setting[f"a{i}b{j}"] = {"law": law_ij.as_dict(), "n": law_ij.n_trials,
-                                        "max_abs_dev": dev_ij}
-            dev = max(dev, dev_ij)
+    if mode == "sphere":
+        reference = deviation_from_binned_counts(counts, t_sums[:n_groups])["reference"]
+        # The pooled figure, against the singlet entry at the coincidences'
+        # mean overlap: the law is linear in a.b, so this is the mean of the
+        # per-trial entries.
+        dev = np.abs(cond_counts / n_coinc - law_table(t_sums[:n_groups].sum() / n_coinc)).max()
     else:
-        # The singlet entry at the coincidences' mean overlap: the law is
-        # linear in a.b, so this is the mean of the per-trial entries.
-        comparison = deviation_from_binned_counts(pair_counts, t_sums[:1])
-        dev, reference = comparison["max_abs_dev"], comparison["reference"]
+        reference = np.array([singlet_law(x, y).p for x in settings_a for y in settings_b])
+        seen = counts.any(axis=(1, 2))
+        dev = np.abs(counts[seen] / counts[seen].sum(axis=(1, 2), keepdims=True)
+                     - reference[seen]).max()
 
     return EfficiencyReport(
         mode=mode,
         n_pairs=n_trials,
         n_coincidences=n_coinc,
         efficiency=n_coinc / n_trials,
-        conditional_law=cond_law,
+        conditional_law=JointLaw2x2.from_counts(cond_counts),
         singlet_deviation=float(dev),
-        expected_efficiency=float(expected_eff),
-        per_setting=per_setting,
-        counts=pair_counts,
+        expected_efficiency=2.0 / len(u_values),
+        counts=counts,
         reference=reference,
     )
 
@@ -940,8 +915,7 @@ class SignalingResult:
     n_trials: int
     n_usable: int
     usable_fraction: float
-    intended: np.ndarray
-    received: np.ndarray
+    counts: np.ndarray  # the usable trials' (intended, received) bit pairs, 1 first
     n_matches: int  # usable trials whose received bit is the intended one
     success_rate: float
     empirical_entropy: float
@@ -957,15 +931,21 @@ class SignalingResult:
         }
 
 
-def _binary_entropy(bits: np.ndarray) -> float:
-    if bits.size == 0:
-        return 0.0
-    p = float(np.mean(bits))
-    h = 0.0
-    for q in (p, 1.0 - p):
-        if q > 0.0:
-            h -= q * math.log2(q)
-    return h
+def _binary_entropy(ones: int, n: int) -> float:
+    """The entropy in bits of n bits of which ones are 1; 0 for n = 0."""
+    p = ones / n if n else 0.0
+    return 0.0 - sum(q * math.log2(q) for q in (p, 1.0 - p) if q > 0.0)  # +0.0, not -0.0
+
+
+def _signal_bits(rows, message, b, fresh) -> dict:
+    """The columns of the usable trials in the slice rows, as _tally counts
+    them: sigma, the message bit sent, and tau, the bit station B decodes
+    (bool). fresh is None in action mode, else the rows of fresh uniforms."""
+    sent = message[np.arange(rows.start, rows.stop) % message.size]
+    # Switch target d*(+-b); action-at-a-distance re-forces u = +-b.
+    d = 1 - 2 * sent if fresh is None else uniform_signs(fresh(rows))
+    u_final = (b[:, None] * d).T
+    return {"sigma": sent, "tau": sign_outcome(-u_final, b) > 0}
 
 
 def run_signaling_experiment(message, mode: str, n_trials: int, seed: int,
@@ -998,25 +978,18 @@ def run_signaling_experiment(message, mode: str, n_trials: int, seed: int,
     n_usable = sum(int(np.count_nonzero(atom < 2)) for atom in ent.integer_pieces(0, 4, n_trials))
     fresh = ent.uniform_rows(n_usable) if mode == "slave-will" else None  # fresh signs
 
-    def bits(rows):
-        sent = message[np.arange(rows.start, rows.stop) % message.size]
-        # Switch target d*(+-b); action-at-a-distance re-forces u = +-b.
-        d = 1 - 2 * sent if fresh is None else uniform_signs(fresh(rows))
-        u_final = (b[:, None] * d).T
-        return sent, (sign_outcome(-u_final, b) > 0).astype(np.int64)
-    intended, received = gathered(n_usable, bits)
+    counts = _tally(n_usable, None, lambda rows: _signal_bits(rows, message, b, fresh))[0][0]
 
-    n_matches = int(np.count_nonzero(received == intended))
+    n_matches = int(counts[0, 0] + counts[1, 1])
     return SignalingResult(
         mode=mode,
         n_trials=n_trials,
         n_usable=n_usable,
         usable_fraction=n_usable / n_trials,
-        intended=intended,
-        received=received,
+        counts=counts,
         n_matches=n_matches,
         success_rate=n_matches / n_usable if n_usable else 0.0,
-        empirical_entropy=_binary_entropy(received),
+        empirical_entropy=_binary_entropy(int(counts[:, 0].sum()), n_usable),
     )
 
 

@@ -42,6 +42,9 @@ RUNS = {
        for m in ("pinned", "hall")},
     **{f"audit-{mode}": (lambda n, mode=mode: protocols.run_conspiracy_audit(n, A, B, mode, 5))
        for mode in ("honest", "slave")},
+    # signal counts its (intended, received) bit pairs chunk by chunk.
+    **{f"signal-{mode}": (lambda n, mode=mode: protocols.run_signaling_experiment(
+        [0, 1, 1, 0, 1], mode, n, 5)) for mode in ("action", "slave-will")},
     **{f"estimate_law-{m}": (lambda n, m=m: estimate_law(m, A, B, n, RandomStream(5),
                                                          p=P.get(m)))
        for m in MODEL_IDS},

@@ -105,6 +105,8 @@ def test_correct_runs_that_failed_falsely_pass(argv):
 @pytest.mark.parametrize("command, check", [
     ("detection-symmetric", "conditional_law_near_singlet"),
     ("detection-asymmetric", "conditional_law_near_singlet"),
+    # Sphere mode judges each overlap bin, so the mutants show there too.
+    ("detection-sphere16", "conditional_law_near_singlet"),
     ("shared-coin", "singlet_within_binned_tolerance"),
 ])
 def test_mutants_fail_at_the_default_trials(mutant, command, check):

@@ -115,11 +115,9 @@ def _runner_outputs(monkeypatch, name, n):
     res, csv, _ = recorded(run, n) if name in RECORDING else (run(n), None, None)
     out = {"summary": res.summary(),
            "counters": [(s.stream_id, s.counter) for s in streams],
-           "per_setting": getattr(res, "per_setting", None),
+           "counts": getattr(res, "counts", None),
            "comparison": getattr(res, "singlet_comparison", None),
            "csv": csv}
-    if name.startswith("signal"):
-        out["bits"] = (res.intended.tobytes(), res.received.tobytes())
     return repr(out)
 
 

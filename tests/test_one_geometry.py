@@ -240,13 +240,15 @@ def test_slave_will_check_with_no_usable_trial_does_not_raise(tmp_path):
 @pytest.mark.parametrize("every", [10, 20])
 @pytest.mark.parametrize("message", [[], ["--message", "0110100110010110"]])
 def test_slave_will_fails_a_leak_of_the_message(tmp_path, monkeypatch, every, message):
-    gathered = protocols.gathered
+    signal_bits = protocols._signal_bits
 
-    def leaky(n, work):
-        intended, received = gathered(n, work)
-        received[::every] = intended[::every]  # every tenth (twentieth) usable bit arrives
-        return intended, received
-    monkeypatch.setattr(protocols, "gathered", leaky)
+    def leaky(rows, *args):
+        bits = signal_bits(rows, *args)
+        # Every tenth (twentieth) usable bit arrives: those of index 0 mod every.
+        first = -rows.start % every
+        bits["tau"][first::every] = bits["sigma"][first::every]
+        return bits
+    monkeypatch.setattr(protocols, "_signal_bits", leaky)
     rc, report = _run(tmp_path, "signal", "--mode", "slave-will", *message)
     checks = _checks(report)
     assert rc == 1

@@ -7,11 +7,11 @@ from scipy import stats
 
 from lhvlab import protocols
 from lhvlab.geometry import RandomStream, dot, planar_setting, sgn, substream
-from lhvlab.models import MODELS, JointLaw2x2, law_table, singlet_law
-from lhvlab.protocols import (_CSV_CHUNK_ROWS, _CSV_COLUMNS, CSV_HEADER, EMISSION_STEP,
+from lhvlab.models import MODELS, JointLaw2x2, law_table, outcome_counts, singlet_law
+from lhvlab.protocols import (_CSV_CHUNK_ROWS, _CSV_COLUMNS, CSV_HEADER, EMISSION_STEP, N_BINS,
                               STREAM_A, STREAM_B, STREAM_SHARED_AB, TIME_OF_FLIGHT, WATCH_A,
-                              WATCH_B, TranscriptBatch, _fmt,
-                              binned_outcome_counts, binned_singlet_deviation,
+                              WATCH_B, TranscriptBatch, _bin_index, _fmt,
+                              deviation_from_binned_counts,
                               run_conspiracy_audit, run_detection_loophole,
                               run_shared_coin,
                               run_signaling_experiment, run_tb_freewill,
@@ -203,8 +203,9 @@ def test_detection_symmetric_quarter_efficiency():
     assert abs(rep.efficiency - 0.25) < 0.01
     assert rep.expected_efficiency == 0.25
     assert rep.singlet_deviation < 0.01
-    for entry in rep.per_setting.values():
-        assert entry["max_abs_dev"] < 0.01
+    # Every setting pair's law, not only the pooled one, is near its singlet.
+    laws = rep.counts / rep.counts.sum(axis=(1, 2), keepdims=True)
+    assert (np.abs(laws - rep.reference).max(axis=(1, 2)) < 0.01).all()
 
 
 def test_detection_asymmetric_half_efficiency():
@@ -222,6 +223,22 @@ def test_detection_sphere_efficiency_tracks_cell_size(target):
     se = math.sqrt(target * (1 - target) / 1_000_000)
     assert abs(rep.efficiency - target) <= 3 * se
     assert rep.singlet_deviation < 0.01
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_detection_sphere_counts_coincidences_per_overlap_bin(n):
+    # Sphere mode bins its coincidences by a.b as the binned comparison
+    # does, and judges each filled bin at the bin's mean overlap.
+    rep, _, tr = recorded(run_detection_loophole, 100_000, "sphere", 21, n_directions=n)
+    m = tr["detected_a"] & tr["detected_b"]
+    counts, t_sums = _binned_counts(dot(tr["a_used"][m], tr["b_used"][m]),
+                                    tr["sigma"][m], tr["tau"][m])
+    assert np.array_equal(rep.counts, counts)
+    filled = counts.sum(axis=(1, 2))
+    # Four directions give only a few overlaps, so most bins stay empty.
+    assert np.count_nonzero(filled) == (N_BINS if n == 16 else 4)
+    assert np.array_equal(rep.reference, [law_table(s / k) if k else np.zeros((2, 2))
+                                          for s, k in zip(t_sums, filled)])
 
 
 def test_detection_validation():
@@ -255,29 +272,27 @@ def test_detection_fire_flags_are_the_match_rule(mode, n_directions):
         assert rep.efficiency == 1.0
 
 
-def _masked_per_setting(tr, settings_a, settings_b):
-    """Reference: the per-setting laws and their worst deviation from the
-    singlet, one coincidence mask and four count_nonzero calls per pair, from
-    the transcript columns tr."""
+def _masked_counts(tr, settings_a, settings_b):
+    """Reference: the coincidence counts per setting pair, their singlet
+    tables and the laws' worst deviation from them, one coincidence mask and
+    four count_nonzero calls per pair, from the transcript columns tr."""
     coincidence = tr["detected_a"] & tr["detected_b"]
-    per_setting, dev = {}, 0.0
-    for i, x in enumerate(settings_a):
-        for j, y in enumerate(settings_b):
+    counts, reference, dev = [], [], 0.0
+    for x in settings_a:
+        for y in settings_b:
             m = (coincidence & np.all(tr["a_used"] == x, axis=1)
                  & np.all(tr["b_used"] == y, axis=1))
             n = int(np.count_nonzero(m))
-            if n == 0:
-                continue
             sp = tr["sigma"][m] > 0
             tp = tr["tau"][m] > 0
             p = np.array([[np.count_nonzero(sp & tp), np.count_nonzero(sp & ~tp)],
                           [np.count_nonzero(~sp & tp), np.count_nonzero(~sp & ~tp)]])
-            law = JointLaw2x2(p / n, n_trials=n)
             ref = singlet_law(x, y)
-            per_setting[f"a{i}b{j}"] = {"law": law.as_dict(), "n": n,
-                                        "max_abs_dev": law.max_abs_diff(ref)}
-            dev = max(dev, law.max_abs_diff(ref))
-    return per_setting, dev
+            counts.append(p)
+            reference.append(ref.p)
+            if n:
+                dev = max(dev, JointLaw2x2(p / n, n_trials=n).max_abs_diff(ref))
+    return np.array(counts), np.array(reference), dev
 
 
 DEFAULT_A = [planar_setting(0.0), planar_setting(90.0)]
@@ -298,12 +313,13 @@ def test_detection_per_setting_matches_masked_reference(mode, n, seed, settings_
                           settings_b=settings_b)
     settings_a = DEFAULT_A if settings_a is None else settings_a
     settings_b = DEFAULT_B if settings_b is None else settings_b
-    per_setting, dev = _masked_per_setting(tr, settings_a, settings_b)
-    assert rep.per_setting == per_setting
+    counts, reference, dev = _masked_counts(tr, settings_a, settings_b)
+    assert rep.counts.dtype == np.int64 and np.array_equal(rep.counts, counts)
+    assert np.array_equal(rep.reference, reference)
     assert rep.singlet_deviation == dev
-    assert sum(entry["n"] for entry in per_setting.values()) == rep.n_coincidences
+    assert counts.sum() == rep.n_coincidences
     if n == 12:
-        assert 0 < len(per_setting) < len(settings_a) * len(settings_b)
+        assert 0 < np.count_nonzero(counts.sum(axis=(1, 2))) < len(settings_a) * len(settings_b)
 
 
 def test_detection_counts_every_pair_of_twenty_settings_a_side():
@@ -312,8 +328,8 @@ def test_detection_counts_every_pair_of_twenty_settings_a_side():
     settings_a = [planar_setting(9.0 * i) for i in range(20)]
     settings_b = [planar_setting(9.0 * i + 4.5) for i in range(20)]
     rep = run_detection_loophole(400_000, "symmetric", 43, settings_a, settings_b)
-    assert set(rep.per_setting) == {f"a{i}b{j}" for i in range(20) for j in range(20)}
-    assert sum(entry["n"] for entry in rep.per_setting.values()) == rep.n_coincidences
+    assert rep.counts.shape == (400, 2, 2) and rep.counts.any(axis=(1, 2)).all()
+    assert rep.counts.sum() == rep.n_coincidences
 
 
 def test_detection_transcript_records_detection_flags():
@@ -444,7 +460,8 @@ def test_signaling_action_mode_delivers_message():
     res = run_signaling_experiment([0] * 1000, "action", 40_000, seed=24)
     assert res.success_rate == 1.0
     assert res.empirical_entropy == 0.0
-    assert np.all(res.received == 0)
+    # Every usable trial sends a 0 and receives a 0.
+    assert res.counts.tolist() == [[0, 0], [0, res.n_usable]]
     assert abs(res.usable_fraction - 0.5) < 0.01
 
 
@@ -452,7 +469,10 @@ def test_signaling_action_mode_arbitrary_message():
     msg = [0, 1, 1, 0, 1, 0, 0, 1]
     res = run_signaling_experiment(msg, "action", 10_000, seed=25)
     assert res.success_rate == 1.0
-    assert np.array_equal(res.received, res.intended)
+    # Every received bit is the intended one, and both bits are sent.
+    assert res.counts[0, 1] == res.counts[1, 0] == 0
+    assert res.counts[0, 0] > 0 and res.counts[1, 1] > 0
+    assert res.n_matches == res.counts.sum() == res.n_usable
 
 
 def test_signaling_slave_will_randomizes():
@@ -594,13 +614,20 @@ def test_transcript_csv_format():
     assert res.causal_mode == "settings_cause_lambda"
 
 
+def _binned_counts(t, sigma, tau):
+    """The per-bin outcome counts and overlap sums of trials binned by their
+    overlap t (_bin_index), as deviation_from_binned_counts takes them."""
+    idx = _bin_index(t, N_BINS)
+    return outcome_counts(sigma, tau, idx, N_BINS), np.bincount(idx, weights=t, minlength=N_BINS)
+
+
 def test_binned_deviation_detects_wrong_law():
     stream = substream(35, 0)
     n = 200_000
     t = stream.uniform(n) * 2 - 1
     sigma = stream.signs(n)
     tau = stream.signs(n)  # independent: correlator 0 everywhere
-    res = binned_singlet_deviation(t, sigma, tau)
+    res = deviation_from_binned_counts(*_binned_counts(t, sigma, tau))
     assert res["max_abs_dev"] > 0.1  # uniform law is far from the singlet
 
 
@@ -614,7 +641,7 @@ def test_binned_deviation_passes_for_exact_singlet_sampler():
     p_anti = (1 + t) / 2
     r2 = stream.uniform(n)
     tau = np.where(r2 < p_anti, -sigma, sigma)
-    res = binned_singlet_deviation(t, sigma, tau)
+    res = deviation_from_binned_counts(*_binned_counts(t, sigma, tau))
     assert res["max_abs_dev"] < 0.01
 
 
@@ -785,17 +812,18 @@ def test_runners_apply_the_model_rules(name):
     assert np.array_equal(sigma, tr["sigma"]) and np.array_equal(tau, tr["tau"])
 
 
-def test_binned_outcome_counts_match_add_at_reference():
+def test_binned_counts_match_add_at_reference():
     stream = RandomStream(44)
     n = 50_000
     t = np.concatenate([stream.uniform(n) * 2 - 1, [-1.0, 1.0, 0.0, 1.0 / 6]])
     values = np.array([1.0, -1.0, 0.0, -0.0, np.nan])
     sigma = values[stream.integers(0, len(values), len(t))]
     tau = values[stream.integers(0, len(values), len(t))]
-    counts, t_sums = binned_outcome_counts(t, sigma, tau)
+    counts, t_sums = _binned_counts(t, sigma, tau)
 
-    # Reference: one np.add.at per outcome cell.
+    # Reference: digitize's bins, and one np.add.at per outcome cell.
     idx = np.clip(np.digitize(t, np.linspace(-1.0, 1.0, 13)) - 1, 0, 11)
+    assert np.array_equal(_bin_index(t, 12), idx)
     expected = np.zeros((12, 2, 2), dtype=np.int64)
     sp = sigma > 0
     tp = tau > 0

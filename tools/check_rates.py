@@ -79,12 +79,13 @@ def _sign_rule(lhv):
 
 
 def _leak_10(lhv):
-    gathered = lhv.protocols.gathered
+    signal_bits = lhv.protocols._signal_bits
 
-    def leaky(n, work):
-        intended, received = gathered(n, work)
-        received[::10] = intended[::10]
-        return intended, received
+    def leaky(rows, *args):
+        bits = signal_bits(rows, *args)
+        first = -rows.start % 10  # the chunk's first usable trial of index 0 mod 10
+        bits["tau"][first::10] = bits["sigma"][first::10]
+        return bits
     return leaky
 
 
@@ -117,7 +118,7 @@ def _shared_third_draw(lhv):
 MUTANTS = {
     "b-spin-plus-u": ("protocols", "malus_pair", _b_spin_plus_u),
     "sign-rule": ("protocols", "malus_pair", _sign_rule),
-    "leak-10": ("protocols", "gathered", _leak_10),
+    "leak-10": ("protocols", "_signal_bits", _leak_10),
     "tb-two-bits": ("protocols", "_a_to_b", _tb_two_bits),
     "shared-third-draw": ("protocols", "substream", _shared_third_draw),
 }

@@ -13,8 +13,9 @@ because each one writes a transcript. Here, at seeds 5 and 6:
 
 - every runner runs at 1,000,003 trials, and the runners that can record
   run again at 200,003 trials with their transcript; the outputs are the
-  summary, per_setting, the binned comparison, the transcript CSV and, for
-  signal, the bit arrays;
+  summary, the count table of a result that keeps one (detection's per
+  setting pair or overlap bin, signal's intended and received bit pairs),
+  the binned comparison and the transcript CSV;
 - singlet_deviation is an output of its own, once in full and once at 9
   significant digits, so that a last-bit change shows apart from the rest;
 - estimate_law, sample_outcomes, chsh_mc and counterfactual_correlators
@@ -122,11 +123,9 @@ def _run_outputs(stem: str, res, record):
         yield f"{stem}/singlet_deviation", dev
         yield f"{stem}/singlet_deviation.9g", f"{dev:.9g}"
     yield f"{stem}/summary", summary
-    for part in ("per_setting", "singlet_comparison"):
+    for part in ("counts", "singlet_comparison"):
         if hasattr(res, part):
             yield f"{stem}/{part}", getattr(res, part)
-    if hasattr(res, "intended"):
-        yield f"{stem}/bits", (res.intended, res.received)
     if record is not None:
         yield f"{stem}/csv", record.getvalue()
 
