@@ -15,9 +15,9 @@ for a malformed or out-of-range number list (--correlators, --marginals,
 --transcript file that cannot be opened. Both files are opened before the
 run, so an unwritable path fails before any draw, and a run that fails
 removes them: it leaves no partial transcript and no report. On glibc,
-main keeps freed memory mapped for the rest of the process, so the
-temporaries of a Monte Carlo run are not faulted in again chunk by chunk
-(see _keep_chunk_memory).
+main keeps freed memory mapped for the rest of the process, in one heap
+for all its threads, so the temporaries of a Monte Carlo run are not
+faulted in again chunk by chunk (see _keep_chunk_memory).
 """
 
 from __future__ import annotations
@@ -598,15 +598,16 @@ _COMMANDS = {
 
 _parser = cache(build_parser)  # one parser per process; see _seed
 
-# The mallopt calls main makes: (M_MMAP_THRESHOLD, 32 MiB) and
-# (M_TRIM_THRESHOLD, 256 MiB), with glibc's parameter numbers (malloc.h).
-_MALLOPT = ((-3, 32 << 20), (-1, 256 << 20))
+# The mallopt calls main makes: (M_MMAP_THRESHOLD, 32 MiB),
+# (M_TRIM_THRESHOLD, 256 MiB) and (M_ARENA_MAX, 1), with glibc's parameter
+# numbers (malloc.h).
+_MALLOPT = ((-3, 32 << 20), (-1, 256 << 20), (-8, 1))
 
 
 @cache
 def _keep_chunk_memory() -> bool:
-    """Keep freed chunk temporaries mapped for the rest of the process, on
-    glibc only; returns whether the allocator was set.
+    """Keep freed chunk temporaries mapped for the rest of the process, in
+    one heap, on glibc only; returns whether the allocator was set.
 
     Every 65,536-row chunk of a Monte Carlo run allocates and frees the same
     temporaries of up to 2 MiB. At glibc's defaults, blocks from 128 KiB up
@@ -614,10 +615,15 @@ def _keep_chunk_memory() -> bool:
     faults its temporaries in again. Here blocks below 32 MiB come from the
     heap (some glibc releases refuse an mmap threshold above half their
     64 MiB thread heap), and up to 256 MiB of free heap stays mapped.
-    Setting either parameter also stops glibc from moving the thresholds as
-    large blocks are freed, so whether a command's temporaries are recycled
-    no longer depends on what earlier commands freed. main calls this once
-    per process; library callers keep the default allocator."""
+    Setting either threshold also stops glibc from moving them as large
+    blocks are freed, so whether a command's temporaries are recycled no
+    longer depends on what earlier commands freed. Threads that have no
+    heap yet, the chunk pool's among them, share the main thread's (one
+    arena): with a heap per thread, each heap kept its own high-water mark,
+    so the process held the sum of the threads' peaks, often reached in
+    different commands. The threads allocate only while they hold the GIL,
+    so separate heaps bought no concurrency. main calls this once per
+    process; library callers keep the default allocator."""
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
             return False

@@ -105,10 +105,17 @@ def cross(u, x):
     shape = np.broadcast_shapes(u.shape[:-1], x.shape[:-1])
     out, term = np.empty((3, *shape)), np.empty(shape)
     for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        np.multiply(u[..., i], x[..., j], out=out[k, ...])
-        out[k, ...] -= np.multiply(u[..., j], x[..., i], out=term)
+        cross_coordinate(u, x, k, out[k, ...], term)
     return np.moveaxis(out, 0, -1)
+
+
+def cross_coordinate(u, x, k: int, out, term):
+    """Coordinate k of u x x, as cross computes it, written into out (term
+    is scratch of out's shape); returns out."""
+    i, j = (k + 1) % 3, (k + 2) % 3
+    np.multiply(u[..., i], x[..., j], out=out)
+    out -= np.multiply(u[..., j], x[..., i], out=term)
+    return out
 
 
 def sgn(x):

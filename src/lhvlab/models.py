@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (X_HAT, Y_HAT, RandomStream, assert_unit, cross, dot, gathered, select,
-                       sgn, sphere_point, sphere_rows, streamed)
+from .geometry import (X_HAT, Y_HAT, RandomStream, assert_unit, cross, cross_coordinate, dot,
+                       gathered, select, sgn, sphere_point, sphere_rows, streamed)
 
 LAW_TOL = 1e-12
 
@@ -389,12 +389,15 @@ def hall_spins(a, b, w):
     the frame e1 = a, e2, e3 along a x b, b lies at azimuth theta, and the
     lunes with sgn(u.a) = +1 are (theta - 1/4, 1/4) where sgn(u.b) = +1
     and (-1/4, theta - 1/4) where it is -1, in turns; the other two turn
-    these by half a turn."""
+    these by half a turn. The frame is built in place, a coordinate at a
+    time, so per-trial settings hold few (m, 3) buffers at once."""
     e1 = a / np.sqrt(dot(a, a))[..., None]
     t = dot(a, b)
     axis = cross(e1, b)
     # Drop the rounding error along a, which is large next to |a x b| when b ~ +-a.
-    axis -= dot(axis, e1)[..., None] * e1
+    along = dot(axis, e1)
+    for k in range(3):
+        axis[..., k] -= along * e1[..., k]
     s = np.sqrt(dot(axis, axis))
     theta = np.arctan2(s, t)
     flat = s < 1e-12
@@ -403,20 +406,24 @@ def hall_spins(a, b, w):
         # axis normal to a will do.
         spare = cross(e1, np.where(np.abs(e1[..., :1]) < 0.5, X_HAT, Y_HAT))
         axis = np.where(flat[..., None], spare, axis)
-    e3 = axis / np.sqrt(dot(axis, axis))[..., None]
-    e2 = cross(e3, e1)
+        s = np.sqrt(dot(axis, axis))
+    e3 = np.divide(axis, s[..., None], out=axis)
     same = w[0] < (1.0 + t) / 2.0
     theta /= 2.0 * math.pi  # in turns from here on
     phi = select(same, theta + (0.5 - theta) * w[3], theta * w[3])
     phi -= 0.25
+    del along, s, t, theta, flat, same  # dead before the point and frame buffers
     rc, rs, z = sphere_point(2.0 * w[2] - 1.0, phi).T
     side = (w[1] < 0.5) * 2.0 - 1.0  # the lune pair's side, an exact sign flip
     rc *= side
     rs *= side
+    del phi, side
     out, term = np.empty((3, len(z))), np.empty(len(z))
+    e2_k = np.empty(e3.shape[:-1])  # e2 = e3 x e1, one coordinate at a time
+    scratch = term if e2_k.shape == term.shape else np.empty(e2_k.shape)
     for k, row in enumerate(out):
         np.multiply(rc, e1[..., k], out=row)
-        row += np.multiply(rs, e2[..., k], out=term)
+        row += np.multiply(rs, cross_coordinate(e3, e1, k, e2_k, scratch), out=term)
         row += np.multiply(z, e3[..., k], out=term)
     return out.T
 

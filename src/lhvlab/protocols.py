@@ -467,7 +467,7 @@ def _tally(n: int, record, trials, n_groups: int = 1, model: str = "", **fixed):
     def work(rows):
         cols = {**fixed, **trials(rows)}
         group, t = cols.pop("group", 0), cols.pop("t", None)
-        bits = [int(np.broadcast_to(cols.get(k, 0), (rows.stop - rows.start,)).sum())
+        bits = [_column_total(cols.get(k, 0), rows.stop - rows.start)
                 for k in ("bits_a_to_b", "bits_b_to_a")]
         text = "" if record is None else _csv_rows(model, rows.start, cols)
         return outcome_counts(cols["sigma"], cols["tau"], group, n_groups), bits, group, t, text
@@ -485,6 +485,13 @@ def _tally(n: int, record, trials, n_groups: int = 1, model: str = "", **fixed):
             t_sums = np.zeros(n_groups) if t_sums is None else t_sums
             np.add.at(t_sums, np.broadcast_to(group, t.shape), t)
     return counts, t_sums, bits
+
+
+def _column_total(column, m: int) -> int:
+    """The total of an integer column over m trials: the sum of a per-trial
+    column, or a scalar's value times m, with no broadcast to sum."""
+    column = np.asarray(column)
+    return int(column.sum()) if column.ndim else int(column) * m
 
 
 def _transcript(record):

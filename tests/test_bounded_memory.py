@@ -12,17 +12,19 @@ own chunk size.
 
 The runs that still keep a whole-length array are held to its stated size
 per trial instead, on one thread, where the chunks run inline and the peak
-does not depend on chance."""
+does not depend on chance. So is the largest chunk kernel, the Hall spins at
+per-trial settings."""
 
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from lhvlab import geometry, protocols
 from lhvlab.cli import main
 from lhvlab.geometry import RandomStream, planar_setting
-from lhvlab.models import MODEL_IDS, estimate_law
+from lhvlab.models import MODEL_IDS, estimate_law, hall_spins
 
 N = 1 << 15
 A, B = planar_setting(0.0), planar_setting(75.0)
@@ -160,3 +162,16 @@ def test_cli_correlator_memory_does_not_grow_with_trials(monkeypatch, name):
     small = max(_peak(run, N) for _ in range(2))
     large = _peak(run, 4 * N)
     assert large <= 1.25 * small, (small, large)
+
+
+def test_hall_spins_at_per_trial_settings_trace_at_most_160_bytes_per_trial():
+    # The frame e1, e2, e3 is built in place: at its peak, one chunk of
+    # watch-vector rows holds e1, e3, the sphere points, the output and two
+    # columns, 112 bytes per trial, and little more.
+    m = 1 << 16
+    t = (np.arange(m) + 0.5) * protocols.EMISSION_STEP
+    a = protocols.watch_vector(t, protocols.WATCH_A)
+    b = protocols.watch_vector(t, protocols.WATCH_B)
+    w = RandomStream(5, 4).uniform((4, m))
+    hall_spins(a, b, w)
+    assert _peak(lambda n: hall_spins(a, b, w), m) <= 160 * m
