@@ -382,15 +382,39 @@ def _setting_rows(x, n: int, name: str) -> np.ndarray:
     return x
 
 
-def hall_spins(a, b, w):
+# Trials per block of hall_spin_rows.
+_HALL_ROWS = 1 << 15
+
+
+def hall_spin_rows(a, b, w, rows):
+    """hall_spins(a, b, w(rows)) for the trials in the slice rows, with w
+    the draw of their uniforms (RandomStream.uniform_rows((4, n))) and a, b
+    vectors or the trials' (m, 3) rows: the same bits, built _HALL_ROWS
+    trials at a time, each block drawing its own window of w and writing
+    its spins into one output. So a chunk holds the uniforms and the frame
+    of one block at a time, each block's released before the next."""
+    m = rows.stop - rows.start
+    out = np.empty((3, m))
+    for lo in range(0, m, _HALL_ROWS):
+        block = slice(lo, min(lo + _HALL_ROWS, m))
+        hall_spins(*(x if x.ndim == 1 else x[block] for x in (a, b)),
+                   w(slice(rows.start + lo, rows.start + block.stop)), out[:, block])
+    return out.T
+
+
+def hall_spins(a, b, w, out=None):
     """Hall spins from the (4, m) uniforms w of m trials (see hall_sample)
     at the settings a, b (vectors or (m, 3) rows), as a column-major (m, 3)
-    array. In
+    array: the transpose of out, a (3, m) array the coordinates are
+    written into, if given. In
     the frame e1 = a, e2, e3 along a x b, b lies at azimuth theta, and the
     lunes with sgn(u.a) = +1 are (theta - 1/4, 1/4) where sgn(u.b) = +1
     and (-1/4, theta - 1/4) where it is -1, in turns; the other two turn
     these by half a turn. The frame is built in place, a coordinate at a
-    time, so per-trial settings hold few (m, 3) buffers at once."""
+    time, so per-trial settings hold few (m, 3) buffers at once: the
+    scalar columns are released before the sphere points are made, and
+    only rows with b = +-a get a spare axis. A chunk's spins are built by
+    hall_spin_rows, a block at a time."""
     e1 = a / np.sqrt(dot(a, a))[..., None]
     t = dot(a, b)
     axis = cross(e1, b)
@@ -404,8 +428,8 @@ def hall_spins(a, b, w):
     if np.any(flat):
         # b = +-a up to rounding: the lunes between them are empty, so any
         # axis normal to a will do.
-        spare = cross(e1, np.where(np.abs(e1[..., :1]) < 0.5, X_HAT, Y_HAT))
-        axis = np.where(flat[..., None], spare, axis)
+        e1_flat = e1[flat]
+        axis[flat] = cross(e1_flat, np.where(np.abs(e1_flat[..., :1]) < 0.5, X_HAT, Y_HAT))
         s = np.sqrt(dot(axis, axis))
     e3 = np.divide(axis, s[..., None], out=axis)
     same = w[0] < (1.0 + t) / 2.0
@@ -418,7 +442,8 @@ def hall_spins(a, b, w):
     rc *= side
     rs *= side
     del phi, side
-    out, term = np.empty((3, len(z))), np.empty(len(z))
+    out = np.empty((3, len(z))) if out is None else out
+    term = np.empty(len(z))
     e2_k = np.empty(e3.shape[:-1])  # e2 = e3 x e1, one coordinate at a time
     scratch = term if e2_k.shape == term.shape else np.empty(e2_k.shape)
     for k, row in enumerate(out):
@@ -586,8 +611,7 @@ def _draw_hall(a, b, n, stream, p):
     a = _setting_rows(a, n, "a")
     b = _setting_rows(b, n, "b")
     w = stream.uniform_rows((4, n))
-    return lambda rows: hall_spins(a if a.ndim == 1 else a[rows],
-                                   b if b.ndim == 1 else b[rows], w(rows))
+    return lambda rows: hall_spin_rows(*(x if x.ndim == 1 else x[rows] for x in (a, b)), w, rows)
 
 
 # Entries call the public functions by name, at call time, so a wrapper

@@ -55,7 +55,7 @@ import numpy as np
 
 from .geometry import (assert_unit, dot, planar_setting, select, sphere_point, sphere_rows,
                        streamed, substream, uniform_bits, uniform_signs)
-from .models import (JointLaw2x2, _draw_uv, hall_outcomes, hall_spins, law_table,
+from .models import (JointLaw2x2, _draw_uv, hall_outcomes, hall_spin_rows, law_table,
                      malus_pair, one_bit_station_a, one_bit_tau, outcome_counts,
                      sign_outcome, singlet_law)
 
@@ -238,14 +238,17 @@ def _float_cells(x: np.ndarray, prefix: str = "") -> np.ndarray:
         e += y >= 1e9
         e -= y < 1e8
         y = a * _POW10.take(8 - e)
+    del a
     rounded = np.rint(y)
     r = rounded.astype(np.int32)
     carry = r == 10 ** 9
     e += carry
     r -= carry * np.int32(9 * 10 ** 8)
     slow = (ax != 0) & ~near | (np.abs(y - rounded) > 0.5 - _TIE)
+    del ax, y, rounded, carry  # each value's working set is dead once read
     r *= near  # 0 has no digits and no exponent
     e *= near
+    del near
 
     top = r // 10 ** 4  # d0..d4
     low = r - top * 10 ** 4
@@ -296,6 +299,11 @@ def _csv_rows(model: str, start: int, cols) -> str:
     (default true), bits_a_to_b and bits_b_to_a (default 0), the last four
     a value per trial or one for all. Other entries of cols are not read.
 
+    cols is emptied as it is read, so a column that the caller holds no
+    other reference to is released once its cells are built: u, a_used and
+    b_used as soon as the overlaps u.a_used and u.b_used are taken, the
+    other columns once their table of joined cells is.
+
     Every part of a row is a run of whole 4-byte words whose NULs are
     dropped: the trial index (_index_cells); ",model,c,d" from one table of
     joined cells; ",u_dot_a" and ",u_dot_b" (_float_cells); and
@@ -305,26 +313,30 @@ def _csv_rows(model: str, start: int, cols) -> str:
     and the tables behind, so most rows hold three runs of NULs: the fewer
     the runs, the less the drop costs.
     """
-    u = cols["u"]
+    u, a_used, b_used = (cols.pop(k) for k in ("u", "a_used", "b_used"))
     m = len(u)
     if not m:
+        cols.clear()
         return ""
+    overlaps = np.stack((dot(u, a_used), dot(u, b_used)), axis=1)
+    del u, a_used, b_used
 
     def each(name, default):
-        return np.broadcast_to(cols.get(name, default), (m,))
+        return np.broadcast_to(cols.pop(name, default), (m,))
+
+    def cells(name):
+        x = cols.pop(name, None)
+        return "" if x is None else (x, None)
     shown_a, shown_b = each("detected_a", True), each("detected_b", True)
-    c, d = cols.get("c"), cols.get("d")
-    parts = [
-        _index_cells(start, start + m),
-        *_joint_parts([f",{model},", "" if c is None else (c, None),
-                       ",", "" if d is None else (d, None)]),
-        _float_cells(np.stack((dot(u, cols["a_used"]), dot(u, cols["b_used"])), axis=1),
-                     ",").view(np.uint32),
-        *_joint_parts([",", (cols["sigma"], shown_a), ",", (cols["tau"], shown_b),
-                       ",", (shown_a, None), ",", (shown_b, None),
-                       ",", (each("bits_a_to_b", 0), None), ",", (each("bits_b_to_a", 0), None),
-                       "\n"]),
-    ]
+    head = _joint_parts([f",{model},", cells("c"), ",", cells("d")])
+    tail = _joint_parts([",", (cols.pop("sigma"), shown_a), ",", (cols.pop("tau"), shown_b),
+                         ",", (shown_a, None), ",", (shown_b, None),
+                         ",", (each("bits_a_to_b", 0), None), ",", (each("bits_b_to_a", 0), None),
+                         "\n"])
+    cols.clear()
+    parts = [_index_cells(start, start + m), *head,
+             _float_cells(overlaps, ",").view(np.uint32), *tail]
+    del head, tail, overlaps
     text = np.concatenate([np.broadcast_to(part, (m, part.shape[1])) for part in parts], axis=1)
     del parts  # each transient is freed as soon as the next step holds its bytes
     text = text.view(np.uint8).ravel()
@@ -462,15 +474,20 @@ def _tally(n: int, record, trials, n_groups: int = 1, model: str = "", **fixed):
     thread pool of geometry.streamed and written in trial order, one write
     per chunk of _CSV_CHUNK_ROWS rows. The chunks' overlaps are added in
     trial order as the chunks complete, so the sums are bit for bit those
-    of one np.bincount pass.
+    of one np.bincount pass. A chunk's counts are taken before its text:
+    then _csv_rows gets the chunk's columns and releases each as its cells
+    are built, so only the group and overlap columns outlive the text.
     """
     def work(rows):
         cols = {**fixed, **trials(rows)}
         group, t = cols.pop("group", 0), cols.pop("t", None)
         bits = [_column_total(cols.get(k, 0), rows.stop - rows.start)
                 for k in ("bits_a_to_b", "bits_b_to_a")]
-        text = "" if record is None else _csv_rows(model, rows.start, cols)
-        return outcome_counts(cols["sigma"], cols["tau"], group, n_groups), bits, group, t, text
+        counts = outcome_counts(cols["sigma"], cols["tau"], group, n_groups)
+        if record is None:
+            return counts, bits, group, t, ""
+        # _csv_rows empties cols, releasing each column as its cells are built.
+        return counts, bits, group, t, _csv_rows(model, rows.start, cols)
 
     if record is not None:
         record.write(CSV_HEADER + "\n")
@@ -539,9 +556,15 @@ def _a_to_b(bit, trial: dict):
     return bit
 
 
-def _columns(x):
-    """The (3, m) columns of (m, 3) rows x, or one vector x as a (3, 1) column."""
-    return x.T if x.ndim == 2 else x[:, None]
+def _select_rows(mask, spin, u, requested):
+    """Column-major (m, 3) setting rows: row i is spin[i] * u[i] where
+    mask[i] is set, else requested, one vector or column-major (m, 3) rows.
+    The bits of np.where, built a coordinate at a time by select, into the
+    requested rows' own buffer when there are rows."""
+    out = requested.T if requested.ndim == 2 else np.empty((3, len(spin)))
+    for k in range(3):
+        out[k] = select(mask, spin * u[:, k], requested[..., k])
+    return out.T
 
 
 def _along_axis(u, x):
@@ -644,19 +667,22 @@ def _shared_coin(n_trials: int, seed: int, a_policy, b_policy, record,
             for k, stream in (("a_requested", sa), ("b_requested", sb)) if k not in fixed}
     noise_a, noise_b = sa.uniform_rows(n_trials), sb.uniform_rows(n_trials)
 
+    def requested(k, rows):
+        return fixed[k] if k in fixed else free[k](rows)
+
     def trials(rows):
         u = u_at(rows)
         wc, wd = coins(rows)
         c, d = uniform_bits(wc), uniform_signs(wd)
-        drawn = {k: points(rows) for k, points in free.items()}
-        req = {**fixed, **drawn}
+        del wc, wd  # the coins' window
         forced_a = (c == 0)
-        # Column-major setting rows: the (3, m) selections, transposed.
-        a_used = select(forced_a, d * u.T, _columns(req["a_requested"])).T
-        b_used = select(~forced_a, -d * u.T, _columns(req["b_requested"])).T  # d*v, v = -u
+        # Each station's requested rows are drawn for its selection only and
+        # overwritten by it.
+        a_used = _select_rows(forced_a, d, u, requested("a_requested", rows))
+        b_used = _select_rows(~forced_a, -d, u, requested("b_requested", rows))  # d*v, v = -u
         sigma, tau = malus_pair((u, noise_a(rows), noise_b(rows)), a_used, b_used)
         trial = {"u": u, "c": c, "d": d, "a_used": a_used, "b_used": b_used,
-                 "sigma": sigma, "tau": tau, **drawn}
+                 "sigma": sigma, "tau": tau}
         if each_chunk is not None:
             each_chunk(rows, trial)
         return trial
@@ -895,17 +921,20 @@ def run_watch_realization(n_trials: int, model: str, seed: int,
         epoch = _emission_epoch(t_emit + TIME_OF_FLIGHT)
         if not np.array_equal(epoch.view(np.int64), t_emit.view(np.int64)):
             raise WatchDesyncError("station watch reconstruction differs from entangler")
+        del epoch
         z_a = watch_vector(t_emit, WATCH_A)
         z_b = watch_vector(t_emit, WATCH_B)
+        del t_emit
         trial = {"a_used": z_a, "b_used": z_b}
         if model == "pinned":
             wj, wd = coins(rows)
             j, d = uniform_bits(wj), uniform_signs(wd)
+            del wj, wd  # the coins' window
             u = (d * select(j == 0, z_a.T, z_b.T)).T
             sigma, tau = malus_pair((u, noise_a(rows), noise_b(rows)), z_a, z_b)
             trial.update(c=j, d=d)
         else:
-            u = hall_spins(z_a, z_b, w(rows))
+            u = hall_spin_rows(z_a, z_b, w, rows)
             sigma, tau = hall_outcomes(u, z_a, z_b)
         return {**trial, "u": u, "sigma": sigma, "tau": tau}
 

@@ -13,14 +13,22 @@ own chunk size.
 The runs that still keep a whole-length array are held to its stated size
 per trial instead, on one thread, where the chunks run inline and the peak
 does not depend on chance. So is the largest chunk kernel, the Hall spins at
-per-trial settings."""
+per-trial settings.
 
+Every chunk of tools/chunk_memory.py is held to one budget, on one thread
+in one chunk, as the tool traces it: at most 150 bytes per trial in a
+65,536-row chunk that records nothing, and at most 280 bytes per row in a
+chunk of protocols._CSV_CHUNK_ROWS rows recorded to a discarding writer."""
+
+import importlib.util
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lhvlab
 from lhvlab import geometry, protocols
 from lhvlab.cli import main
 from lhvlab.geometry import RandomStream, planar_setting
@@ -175,3 +183,22 @@ def test_hall_spins_at_per_trial_settings_trace_at_most_160_bytes_per_trial():
     w = RandomStream(5, 4).uniform((4, m))
     hall_spins(a, b, w)
     assert _peak(lambda n: hall_spins(a, b, w), m) <= 160 * m
+
+
+_SPEC = importlib.util.spec_from_file_location(
+    "chunk_memory", Path(__file__).parents[1] / "tools" / "chunk_memory.py")
+chunk_memory = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(chunk_memory)
+RECORDED = [name for name in chunk_memory.RUNS if name.startswith("transcript-")]
+
+
+@pytest.mark.parametrize("name", [name for name in chunk_memory.RUNS if name not in RECORDED])
+def test_every_chunk_traces_at_most_150_bytes_per_trial(name):
+    run = chunk_memory.RUNS[name][0]
+    assert chunk_memory.chunk_peak(lhvlab, run, 1 << 16) <= 150.0
+
+
+@pytest.mark.parametrize("name", RECORDED)
+def test_every_recorded_chunk_traces_at_most_280_bytes_per_row(name):
+    run = chunk_memory.RUNS[name][0]
+    assert chunk_memory.chunk_peak(lhvlab, run, protocols._CSV_CHUNK_ROWS) <= 280.0

@@ -12,7 +12,9 @@ RUNS = ["tb", "tb-freewill", "shared-coin", "detection-symmetric", "detection-as
         "detection-sphere", "watch-pinned", "watch-hall", "audit-honest", "audit-slave",
         "signal-action", "signal-slave-will", "simulate-tb", "simulate-tb-ext1",
         "simulate-tb-ext2", "simulate-tb-freewill", "simulate-pinned", "simulate-hall",
-        "simulate-mixed"]
+        "simulate-mixed", "feasibility-pinned", "feasibility-hall", "feasibility-tb-freewill",
+        "transcript-tb", "transcript-shared-coin", "transcript-watch-pinned",
+        "transcript-detection-sphere"]
 
 
 def test_chunk_memory_lists_every_runner_and_sampler():
@@ -20,7 +22,8 @@ def test_chunk_memory_lists_every_runner_and_sampler():
 
 
 def test_chunk_memory_prints_bytes_per_trial_and_megabytes_at_tiny_sizes(capsys):
-    only = ["watch-hall", "detection-sphere", "simulate-tb-ext1"]
+    only = ["watch-hall", "detection-sphere", "simulate-tb-ext1", "feasibility-hall",
+            "transcript-shared-coin"]
     assert tool.main(["--rows", "1024", "--trials", "1000", "--only", *only]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert [fields[0] for fields in lines] == only

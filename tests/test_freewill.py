@@ -295,3 +295,39 @@ def test_dictated_model_is_measured_without_a_dense_block():
     assert time.perf_counter() - start < 1.0
     assert rep.M == 2.0 and rep.I_bits == rep.I_max_bits == 12.0
     assert peak < 16 * 2**20
+
+
+def _overlapping_rows(n_rows, n_atoms, seed, common=True):
+    """(weights, D): n_rows random distributions over the same n_atoms
+    atoms as integer weights over one denominator D, each weight positive,
+    so every pair of rows overlaps and the scan runs to its end. Without a
+    common denominator each row is drawn over its own, and D, their lcm,
+    is far above 2**62: the scan runs in Python ints."""
+    rng = np.random.default_rng(seed)
+    if common:
+        denom = 100 * n_atoms
+        weights = rng.integers(1, 100, (n_rows, n_atoms))
+        weights[:, -1] = denom - weights[:, :-1].sum(axis=1)
+        return weights, denom
+    raw = rng.integers(1, 100, (n_rows, n_atoms)).astype(object)
+    totals = raw.sum(axis=1)
+    denom = math.lcm(*totals)
+    return raw * (denom // totals)[:, None], denom
+
+
+@pytest.mark.parametrize("n_rows, n_atoms, common", [
+    (4_096, 4, True), (1_024, 16, True), (64, 512, True),
+    (512, 4, False), (128, 16, False), (32, 512, False)])
+def test_M_equals_the_pairwise_maximum_in_either_layout(n_rows, n_atoms, common):
+    # Up to _BY_ATOM shared atoms the blocks are summed one atom plane at a
+    # time; the wide shapes sum row pair by row pair. Python-int rows are
+    # screened in floats first.
+    assert (n_atoms <= freewill._BY_ATOM) == (n_atoms < 512)
+    weights, denom = _overlapping_rows(n_rows, n_atoms, n_atoms, common)
+    assert (2 * denom < 2**63) == common
+    model = DiscretizedModel(1, n_rows, {(0, j): {k: Fraction(int(w), denom)
+                                                  for k, w in enumerate(row)}
+                                         for j, row in enumerate(weights)})
+    widest = max(int(np.abs(weights[i] - weights[i + 1:]).sum(axis=1).max())
+                 for i in range(n_rows - 1))
+    assert measure_M(model) == widest / denom

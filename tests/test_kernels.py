@@ -14,11 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from lhvlab import models, protocols
 from lhvlab.geometry import (X_HAT, Y_HAT, RandomStream, dot, planar_setting, select, sgn,
-                             sphere_point, sphere_rows, turn_cos_sin, uniform_signs)
+                             sphere_point, sphere_rows, substream, turn_cos_sin, uniform_signs)
 from lhvlab.models import (_draw_atoms, _tb_extension_rule, hall_spins, malus_marginal,
                            malus_outcome, one_bit_station_a, one_bit_tau, pinned_spin_sample)
-from lhvlab.protocols import (EMISSION_STEP, WATCH_A, WATCH_B, _bin_index, _phase,
-                              _shared_coin, run_watch_realization, watch_vector)
+from lhvlab.protocols import (EMISSION_STEP, STREAM_A, STREAM_B, WATCH_A, WATCH_B, _bin_index,
+                              _phase, _shared_coin, run_watch_realization, watch_vector)
 from recorded_runs import recorded
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -315,8 +315,10 @@ def test_shared_coin_setting_rows_are_column_major(policies):
     (trial,) = chunks
     d, u = trial["d"], np.ascontiguousarray(trial["u"])
     forced_a = trial["c"] == 0
-    req_a = trial.get("a_requested", a_policy)
-    req_b = trial.get("b_requested", b_policy)
+    # A random request is a sphere point from the station's own stream.
+    req_a, req_b = (sphere_rows(substream(9, stream), 3_000)(slice(0, 3_000))
+                    if isinstance(policy, str) else policy
+                    for policy, stream in ((a_policy, STREAM_A), (b_policy, STREAM_B)))
     _column_major_equal(trial["a_used"],
                         np.where(forced_a[:, None], d[:, None] * u, np.ascontiguousarray(req_a)))
     _column_major_equal(trial["b_used"],

@@ -5,14 +5,18 @@
 The script imports lhvlab from CHECKOUT/src (default: the checkout that
 holds this file) and prints one ``name bytes_per_trial MB`` line for each
 protocol runner (the six ``protocol --name`` runs, detection in its three
-modes, both audits, both signaling modes) and each sampler of
-``estimate_law``:
+modes, both audits, both signaling modes), each sampler of
+``estimate_law``, each ``feasibility --from-model`` model (through
+``counterfactual_correlators``) and each runner that ``mc_sweep`` records
+(``transcript-*``: tb, shared-coin, watch-pinned, detection-sphere):
 
 - bytes_per_trial is the tracemalloc peak of one library run of N trials
   (default 65,536, one chunk of geometry.streamed), on one thread and with
-  the chunk size set to N, divided by N. The run is made once first, so
-  first-call tables do not count. It is a property of the code, the same
-  on every host.
+  the chunk size set to N, divided by N. A ``transcript-*`` run records to
+  a writer that discards the text, at one chunk of the writer's size
+  (protocols._CSV_CHUNK_ROWS, 32,768 rows, or N if smaller), and its
+  figure is per row. The run is made once first, so first-call tables do
+  not count. It is a property of the code, the same on every host.
 - MB is ``ru_maxrss`` of a fresh interpreter that runs the matching
   command through lhvlab.cli.main at T trials (default 1,000,000), the
   report going to os.devnull. It includes the interpreter, numpy and
@@ -79,6 +83,36 @@ RUNS.update({
         ["simulate", "--model", model, *ANGLES, *(["--p", "0.5"] if "ext" in model else [])])
     for model in MODELS})
 
+# counterfactual_correlators at feasibility's default settings.
+CHSH = (0.0, 90.0, 45.0, 315.0)
+RUNS.update({
+    f"feasibility-{model}": (
+        lambda lhv, a, b, n, model=model: lhv.inequalities.counterfactual_correlators(
+            model, *map(lhv.geometry.planar_setting, CHSH), n, lhv.geometry.RandomStream(SEED)),
+        ["feasibility", "--from-model", model])
+    for model in ("pinned", "hall", "tb-freewill")})
+
+
+class Discard:
+    """A text file that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+
+# The runs mc_sweep records, each to a Discard (the command to os.devnull).
+RECORDED = {
+    "tb": lambda lhv, a, b, n, fh: lhv.protocols.run_tb_protocol(n, a, b, SEED, record=fh),
+    "shared-coin": lambda lhv, a, b, n, fh: lhv.protocols.run_shared_coin(n, SEED, record=fh),
+    "watch-pinned": lambda lhv, a, b, n, fh: lhv.protocols.run_watch_realization(
+        n, "pinned", SEED, record=fh),
+    "detection-sphere": lambda lhv, a, b, n, fh: lhv.protocols.run_detection_loophole(
+        n, "sphere", SEED, n_directions=SPHERE_DIRECTIONS, record=fh),
+}
+RUNS.update({f"transcript-{name}": (lambda lhv, a, b, n, run=run: run(lhv, a, b, n, Discard()),
+                                    [*RUNS[name][1], "--transcript", os.devnull])
+             for name, run in RECORDED.items()})
+
 # Run in a fresh interpreter: argv is [src, command arguments...].
 FRESH = """
 import os, resource, sys
@@ -137,7 +171,10 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(src))
     import lhvlab  # loads every module
     for name in args.only:
-        print(f"{name} {chunk_peak(lhvlab, RUNS[name][0], args.rows):.1f} {rss[name]:.1f}",
+        rows = args.rows
+        if name.startswith("transcript-"):
+            rows = min(rows, lhvlab.protocols._CSV_CHUNK_ROWS)
+        print(f"{name} {chunk_peak(lhvlab, RUNS[name][0], rows):.1f} {rss[name]:.1f}",
               flush=True)
     return 0
 

@@ -96,7 +96,8 @@ def kernels(lhv, n: int) -> dict:
         "one_bit_tau": lambda: m.one_bit_tau(u, v, c, b),
         "outcome_counts": lambda: m.outcome_counts(sigma, tau),
         "outcome_counts_binned": lambda: m.outcome_counts(sigma, tau, bins, p.N_BINS),
-        "csv_rows": lambda: p._csv_rows("shared-coin", CSV_START, rows),
+        # _csv_rows empties the dict it is given.
+        "csv_rows": lambda: p._csv_rows("shared-coin", CSV_START, dict(rows)),
     }
 
 
