@@ -30,7 +30,6 @@ from itertools import chain
 import numpy as np
 
 _BLOCK = 1 << 14  # elements per block of the pairwise overlap scan
-_BY_ATOM = 32  # at most this many shared atoms: the scan adds one plane per atom
 
 
 @dataclass(frozen=True)
@@ -142,9 +141,6 @@ def _sup_l1(denom: int, rows: list, n_atoms: int) -> float:
     turns up. Equal rows are scanned once: rows are compared as written,
     and, when two of them may hold one set of atoms (each row's atoms
     hashed to one order-free sum), again as sorted (atom, weight) pairs.
-    Weights over a D with 2D >= 2**63 are Python ints; their block pairs
-    are screened in floats first, and only those that may hold the least
-    overlap are summed exactly.
     """
     unique = list(dict.fromkeys(rows))
     m = len(unique)
@@ -175,47 +171,17 @@ def _sup_l1(denom: int, rows: list, n_atoms: int) -> float:
     ends = np.concatenate(([0], np.cumsum(per_row)))
     width = int(np.count_nonzero(shared))
     step = max(1, math.isqrt(_BLOCK // width))
-    # The overlaps of two blocks sum over the atoms. Over a few atoms that
-    # sum is too short to run row pair by row pair, so there the blocks are
-    # held atom-major and whole (rows, rows) planes are added, one per atom.
-    by_atom = width <= _BY_ATOM
-
-    def block_pairs(values):
-        """Each block of the rows of values (the kept weights) with itself
-        and with each block before it."""
-        seen = []
-        for start in range(0, m, step):
-            stop = min(start + step, m)
-            block = np.zeros((stop - start, width), values.dtype)
-            at = slice(ends[start], ends[stop])
-            block[held[at] - start, column[at]] = values[at]
-            seen.append(np.ascontiguousarray(block.T) if by_atom else block)
-            for other in seen:
-                yield seen[-1], other
-
-    def overlaps(block, other):
-        if by_atom:
-            return np.minimum(block[:, :, None], other[:, None]).sum(axis=0)
-        return np.minimum(block[:, None], other).sum(axis=2)
-
-    exact = block_pairs(weights)
-    if dtype is object:
-        # Python ints are slow to scan, so the floats w/D screen the pairs
-        # first. A float overlap is within width * 2**-52 of its exact value
-        # over D: each min rounds once, as w/D does, each add of the sum
-        # rounds once, and the mins sum to at most 1. So a least pair lies
-        # within twice that of the least float overlap, and only the block
-        # pairs that hold a pair that close (with a margin of 4) are summed
-        # in Python ints.
-        scaled = (weights / denom).astype(float)
-        near = min(overlaps(*pair).min() for pair in block_pairs(scaled)) + width * 2.0 ** -49
-        exact = (pair for pair, screen in zip(exact, block_pairs(scaled))
-                 if (overlaps(*screen) <= near).any())
-    least = denom
-    for pair in exact:
-        least = min(least, int(overlaps(*pair).min()))
-        if not least:
-            return 2.0
+    seen, least = [], denom
+    for start in range(0, m, step):
+        stop = min(start + step, m)
+        block = np.zeros((stop - start, width), dtype)
+        at = slice(ends[start], ends[stop])
+        block[held[at] - start, column[at]] = weights[at]
+        seen.append(block)
+        for other in seen:
+            least = min(least, int(np.minimum(block[:, None], other).sum(axis=2).min()))
+            if not least:
+                return 2.0
     return 2 * (denom - least) / denom
 
 

@@ -387,18 +387,18 @@ _HALL_ROWS = 1 << 15
 
 
 def hall_spin_rows(a, b, w, rows):
-    """hall_spins(a, b, w(rows)) for the trials in the slice rows, with w
-    the draw of their uniforms (RandomStream.uniform_rows((4, n))) and a, b
-    vectors or the trials' (m, 3) rows: the same bits, built _HALL_ROWS
-    trials at a time, each block drawing its own window of w and writing
-    its spins into one output. So a chunk holds the uniforms and the frame
-    of one block at a time, each block's released before the next."""
-    m = rows.stop - rows.start
-    out = np.empty((3, m))
-    for lo in range(0, m, _HALL_ROWS):
-        block = slice(lo, min(lo + _HALL_ROWS, m))
-        hall_spins(*(x if x.ndim == 1 else x[block] for x in (a, b)),
-                   w(slice(rows.start + lo, rows.start + block.stop)), out[:, block])
+    """hall_spins(a, b, w(rows)) for the trials in the slice rows: a, b
+    are vectors or (n, 3) rows and w the draw of the n trials' uniforms
+    (RandomStream.uniform_rows((4, n))), both indexed by trial. The same
+    bits, built _HALL_ROWS trials at a time, each block reading its own
+    rows of a, b and window of w and writing its spins into one output. So
+    a chunk holds the uniforms and the frame of one block at a time, each
+    block's released before the next."""
+    out = np.empty((3, rows.stop - rows.start))
+    for lo in range(rows.start, rows.stop, _HALL_ROWS):
+        block = slice(lo, min(lo + _HALL_ROWS, rows.stop))
+        hall_spins(*(x if x.ndim == 1 else x[block] for x in (a, b)), w(block),
+                   out[:, lo - rows.start:block.stop - rows.start])
     return out.T
 
 
@@ -428,7 +428,7 @@ def hall_spins(a, b, w, out=None):
     if np.any(flat):
         # b = +-a up to rounding: the lunes between them are empty, so any
         # axis normal to a will do.
-        e1_flat = e1[flat]
+        e1_flat = np.broadcast_to(e1, axis.shape)[flat]
         axis[flat] = cross(e1_flat, np.where(np.abs(e1_flat[..., :1]) < 0.5, X_HAT, Y_HAT))
         s = np.sqrt(dot(axis, axis))
     e3 = np.divide(axis, s[..., None], out=axis)
@@ -611,7 +611,7 @@ def _draw_hall(a, b, n, stream, p):
     a = _setting_rows(a, n, "a")
     b = _setting_rows(b, n, "b")
     w = stream.uniform_rows((4, n))
-    return lambda rows: hall_spin_rows(*(x if x.ndim == 1 else x[rows] for x in (a, b)), w, rows)
+    return lambda rows: hall_spin_rows(a, b, w, rows)
 
 
 # Entries call the public functions by name, at call time, so a wrapper

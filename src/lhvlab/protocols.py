@@ -934,7 +934,10 @@ def run_watch_realization(n_trials: int, model: str, seed: int,
             sigma, tau = malus_pair((u, noise_a(rows), noise_b(rows)), z_a, z_b)
             trial.update(c=j, d=d)
         else:
-            u = hall_spin_rows(z_a, z_b, w, rows)
+            # z_a, z_b hold the chunk's rows only, so w is read through the
+            # chunk's window and the spins are built for rows 0 .. m of it.
+            window = lambda block: w(slice(rows.start + block.start, rows.start + block.stop))
+            u = hall_spin_rows(z_a, z_b, window, slice(0, len(z_a)))
             sigma, tau = hall_outcomes(u, z_a, z_b)
         return {**trial, "u": u, "sigma": sigma, "tau": tau}
 

@@ -318,11 +318,9 @@ def _overlapping_rows(n_rows, n_atoms, seed, common=True):
 @pytest.mark.parametrize("n_rows, n_atoms, common", [
     (4_096, 4, True), (1_024, 16, True), (64, 512, True),
     (512, 4, False), (128, 16, False), (32, 512, False)])
-def test_M_equals_the_pairwise_maximum_in_either_layout(n_rows, n_atoms, common):
-    # Up to _BY_ATOM shared atoms the blocks are summed one atom plane at a
-    # time; the wide shapes sum row pair by row pair. Python-int rows are
-    # screened in floats first.
-    assert (n_atoms <= freewill._BY_ATOM) == (n_atoms < 512)
+def test_M_equals_the_pairwise_maximum(n_rows, n_atoms, common):
+    # Many rows over few shared atoms, a few rows over many; the rows
+    # without a common denominator are scanned in Python ints.
     weights, denom = _overlapping_rows(n_rows, n_atoms, n_atoms, common)
     assert (2 * denom < 2**63) == common
     model = DiscretizedModel(1, n_rows, {(0, j): {k: Fraction(int(w), denom)

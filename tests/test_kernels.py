@@ -182,6 +182,18 @@ def test_hall_spins_at_per_trial_settings_are_the_where_formula():
     assert _same_bits(got, expected) and got.flags.f_contiguous
 
 
+@pytest.mark.parametrize("vector_first", [True, False])
+def test_hall_spins_of_a_vector_and_rows_that_hold_it_are_the_where_formula(vector_first):
+    # Rows equal to +-the vector have an empty frame and take a spare axis.
+    x = planar_setting(30.0)
+    rows = _units(12, 300)
+    rows[::5], rows[2::9] = x, -x
+    w = RandomStream(12, 4).uniform((4, len(rows)))
+    a, b = (x, rows) if vector_first else (rows, x)
+    got = hall_spins(a, b, w)
+    assert _same_bits(got, _where_hall_spins(a, b, w)) and got.flags.f_contiguous
+
+
 # ---------------------------------------------------------------------------
 # Overlap bins and watch phases
 
