@@ -8,9 +8,11 @@ one dot product (every u.x of the model rules and protocol runners, every
 closed-form a.b and every norm rounds alike), the one cross product
 ``cross`` (np.cross's bits, rows column-major), the global sign convention
 and the branch-free +-1 and selection kernels, seeded splittable random
-streams whose uniforms a run reserves whole and reads window by window
-(``RandomStream.uniform_rows``), ``streamed``/``chunked``, the one loop over
-the trials of a Monte Carlo run, and ``gathered``, the one fill of
+streams whose uniforms and index draws a run reserves whole and reads
+window by window, each window from a per-thread generator set to its word
+(``RandomStream.uniform_rows``, ``RandomStream.index_rows``),
+``streamed``/``chunked``, the one loop over the trials of a Monte Carlo
+run, and ``gathered``, the one fill of
 full-length arrays from its chunks. Everything downstream draws
 exclusively through :class:`RandomStream` so that a run is reproducible
 bit-for-bit from its master seed.
@@ -36,6 +38,13 @@ _CHUNK_ROWS = 1 << 16
 _pool = None
 _pool_lock = threading.Lock()
 _worker = threading.local()  # .busy is set in the pool's threads
+# .generator: each thread's Generator for reading windows of a stream.
+_local = threading.local()
+_WORD = (1 << 64) - 1
+
+# Halves per block of the rejection count of RandomStream.index_rows: a
+# window draws about this many values at most before its own.
+_HALF_BLOCK = 1 << 12
 
 # Points per block of the sphere map (see sphere_point). With the chunk
 # pool on two threads (2 vCPU Sapphire Rapids, numpy 2.4.6, the allocator
@@ -303,27 +312,111 @@ class RandomStream:
         them, so later draws do not change.
         """
         k, n = (1, size) if np.ndim(size) == 0 else size
-        bits = self._gen.bit_generator
-        state = bits.state
-        key = state["state"]["key"]
-        counter = sum(int(c) << (64 * i) for i, c in enumerate(state["state"]["counter"]))
-        start = 4 * counter - 4 + state["buffer_pos"]  # the word the next draw reads
+        state = self._gen.bit_generator.state
+        key, start = state["state"]["key"], _next_word(state)
         self._count(size)
-        if k * n:
-            end = _philox_at(key, start + k * n - 1)
-            end.random_raw(1)
-            bits.state = {**end.state, "has_uint32": state["has_uint32"],
-                          "uinteger": state["uinteger"]}
+        self._move_to(start + k * n, state["has_uint32"], state["uinteger"])
 
         def draw(rows):
-            lo, hi, step = rows.indices(n)
-            if step != 1:
-                raise ValueError(f"draw reads contiguous rows, not the slice {rows!r}")
-            out = np.empty((k, max(hi - lo, 0)))
+            lo, hi = _window(rows, n)
+            out = np.empty((k, hi - lo))
             for j in range(k):
-                np.random.Generator(_philox_at(key, start + j * n + lo)).random(out=out[j])
+                _generator_at(key, start + j * n + lo).random(out=out[j])
             return out if np.ndim(size) else out[0]
         return draw
+
+    def index_rows(self, k: int, n: int):
+        """Reserve the draws of integers(0, k, n), 1 <= k < 2**32, now, and
+        return draw(rows): their values for a slice rows of range(n), in the
+        narrowest unsigned dtype that holds k - 1 (uint8 up to k = 256),
+        computed when asked for.
+
+        Generator.integers reads the 32-bit halves of the Philox words, low
+        half first, after the half a previous call may have left buffered.
+        It keeps a half h iff (h k) mod 2**32 >= (2**32 - k) mod k and gives
+        (h k) >> 32 (Lemire, ACM TOMACS 29(1), 2019). For k a power of two
+        no half is rejected, so value i reads half i. For any other k one
+        pass, on the chunk pool, counts the rejected halves of each block of
+        _HALF_BLOCK halves, and a window starts at the block that holds its
+        first value. Either way draw runs Generator.integers itself from the
+        half its window starts at, so the values are its own. As with
+        uniform_rows, the counter and the generator state move on at once
+        exactly as the whole draw moves them.
+        """
+        if not 1 <= k < 2 ** 32:
+            raise ValueError(f"index_rows draws from 1 <= k < 2**32 values, got k = {k!r}")
+        state = self._gen.bit_generator.state
+        key, start = state["state"]["key"], _next_word(state)
+        buffered = state["uinteger"] if state["has_uint32"] else None
+        self._count(n)
+        dtype = np.min_scalar_type(k - 1)
+        threshold = (2 ** 32 - k) % k
+
+        # The stream's number of the call's half 0 (half h of the stream is
+        # half h % 2 of word h // 2); a buffered half stands in for it.
+        base = 2 * start - (buffered is not None)
+
+        def at(half):
+            """The generator whose next 32-bit draw reads the call's given half."""
+            word, odd = divmod(base + half, 2)
+            if half == 0 or not odd:
+                return _generator_at(key, word + odd, buffered if half == 0 else None)
+            high = _generator_at(key, word).bit_generator.random_raw() >> 32
+            return _generator_at(key, word + 1, high)
+
+        def rejected(first, count):
+            """The rejected halves of each of count blocks from block first,
+            read as raw words, low half first."""
+            lo, m = base + first * _HALF_BLOCK, count * _HALF_BLOCK
+            words = _generator_at(key, lo // 2).bit_generator.random_raw((lo % 2 + m + 1) // 2)
+            h = np.asarray(words, "<u8").view("<u4")[lo % 2:lo % 2 + m]
+            if first == 0 and buffered is not None:
+                h[0] = buffered
+            h *= np.uint32(k)  # (h k) mod 2**32
+            return np.count_nonzero((h < threshold).reshape(-1, _HALF_BLOCK), axis=1)
+
+        # kept[j]: the values the blocks before block j give.
+        kept = np.zeros(1, np.int64)
+        while threshold and kept[-1] < n:
+            more = -(-(n - int(kept[-1])) // _HALF_BLOCK)
+            done = len(kept) - 1
+            counts = np.concatenate(list(streamed(
+                more, lambda b: rejected(done + b.start, b.stop - b.start),
+                max(1, _CHUNK_ROWS // _HALF_BLOCK))))
+            kept = np.concatenate([kept, kept[-1] + np.cumsum(_HALF_BLOCK - counts)])
+
+        def first(lo):
+            """(the half value lo's draw starts from, the values before lo it gives)."""
+            if not threshold:
+                return lo, 0
+            j = int(np.searchsorted(kept, lo, side="right")) - 1
+            return j * _HALF_BLOCK, lo - int(kept[j])
+
+        if n and k > 1:
+            half, skip = first(n - 1)
+            end = at(half)
+            end.integers(0, k, skip + 1, dtype=np.uint32)
+            end = end.bit_generator.state
+            self._move_to(_next_word(end), end["has_uint32"], end["uinteger"])
+
+        def draw(rows):
+            lo, hi = _window(rows, n)
+            if hi == lo or k == 1:
+                return np.zeros(hi - lo, dtype)
+            half, skip = first(lo)
+            return at(half).integers(0, k, skip + hi - lo, dtype=np.uint32)[skip:].astype(dtype)
+        return draw
+
+    def _move_to(self, word: int, has_uint32: int, uinteger: int) -> None:
+        """Set the generator to the state a draw leaves when its next word is
+        word and its buffered 32-bit half is (has_uint32, uinteger)."""
+        bits = self._gen.bit_generator
+        state = bits.state
+        if word > _next_word(state):
+            end = _generator_at(state["state"]["key"], word - 1).bit_generator
+            end.random_raw()
+            state = end.state
+        bits.state = {**state, "has_uint32": has_uint32, "uinteger": uinteger}
 
     def signs(self, size=None):
         """Fair draws from {-1.0, +1.0}."""
@@ -340,37 +433,15 @@ class RandomStream:
         self._count(size)
         return self._gen.integers(low, high, size=size)
 
-    def integer_pieces(self, low: int, high: int, n: int):
-        """Yield the draws of integers(low, high, n) in order, in pieces of
-        at most _CHUNK_ROWS.
-
-        Generator.integers keeps a buffered 32-bit half in the bit
-        generator's state, not in the call, so consecutive calls give the
-        values, the state and the counter of one whole call. Each piece is
-        drawn when it is asked for: take them all before the next draw.
-        """
-        for lo in range(0, n, _CHUNK_ROWS):
-            yield self.integers(low, high, min(_CHUNK_ROWS, n - lo))
-
-    def indices(self, k: int, n: int) -> np.ndarray:
-        """integers(0, k, n), the same values and stream state, stored in the
-        narrowest unsigned dtype that holds k - 1 (uint8 up to k = 256)."""
-        out = np.empty(n, np.min_scalar_type(k - 1))
-        at = 0
-        for piece in self.integer_pieces(0, k, n):
-            out[at:at + len(piece)] = piece
-            at += len(piece)
-        return out
-
     def sphere(self, size=None):
         """Uniform unit vectors on the sphere; see sample_uniform_sphere."""
         return sample_uniform_sphere(self, size)
 
 
-def uniform_signs(w):
-    """-1.0 where a uniform is below 1/2, else +1.0: the draws of signs(),
-    by exact arithmetic on the comparison (see sgn)."""
-    return (np.asarray(w) < 0.5) * -2.0 + 1.0
+def uniform_signs(w, dtype=np.float64):
+    """-1 where a uniform is below 1/2, else +1, in dtype: the draws of
+    signs() (as floats), by exact arithmetic on the comparison (see sgn)."""
+    return (np.asarray(w) < 0.5) * dtype(-2) + dtype(1)
 
 
 def select(mask, x, y) -> np.ndarray:
@@ -384,16 +455,45 @@ def select(mask, x, y) -> np.ndarray:
     return flips.view(np.float64)
 
 
-def uniform_bits(w):
-    """1 where a uniform is below 1/2, else 0, as int64: the draws of bits()."""
-    return (np.asarray(w) < 0.5).astype(np.int64)
+def uniform_bits(w, dtype=np.int64):
+    """1 where a uniform is below 1/2, else 0, in dtype: the draws of bits()
+    (as int64)."""
+    return (np.asarray(w) < 0.5).astype(dtype)
 
 
-def _philox_at(key, word: int):
-    """A Philox keyed by key whose next draw reads the given word."""
-    bits = np.random.Philox(key=key).advance(word // 4)
-    bits.random_raw(word % 4)
-    return bits
+def _next_word(state: dict) -> int:
+    """The Philox word the next draw from the given state reads."""
+    counter = sum(int(c) << (64 * i) for i, c in enumerate(state["state"]["counter"]))
+    return 4 * counter - 4 + state["buffer_pos"]
+
+
+def _window(rows: slice, n: int) -> tuple:
+    """(lo, hi) of a contiguous slice rows of range(n), hi >= lo."""
+    lo, hi, step = rows.indices(n)
+    if step != 1:
+        raise ValueError(f"draw reads contiguous rows, not the slice {rows!r}")
+    return lo, max(hi, lo)
+
+
+def _generator_at(key, word: int, half: int | None = None):
+    """This thread's Generator, its Philox keyed by key and set so that its
+    next draw reads the given word; half, if given, is the buffered 32-bit
+    half that Generator.integers reads first. The state is set, not a
+    Philox built: a new Philox draws OS entropy for a seed sequence it
+    would never use."""
+    gen = getattr(_local, "generator", None)
+    if gen is None:
+        gen = _local.generator = np.random.Generator(np.random.Philox(0))
+    block, skip = divmod(word, 4)
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [(block >> shift) & _WORD for shift in (0, 64, 128, 192)],
+                  "key": key},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+        "has_uint32": int(half is not None), "uinteger": half or 0}
+    if skip:
+        gen.bit_generator.random_raw(skip)
+    return gen
 
 
 def substream(master_seed: int, trial_index: int) -> RandomStream:
@@ -497,7 +597,9 @@ def sphere_rows(stream: RandomStream, n: int):
 
     def points(rows):
         wz, wphi = w(rows)
-        return sphere_point(2.0 * wz - 1.0, wphi)
+        wz *= 2.0  # z = 2 wz - 1, in the window's own row
+        wz -= 1.0
+        return sphere_point(wz, wphi)
     return points
 
 

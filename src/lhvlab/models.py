@@ -153,9 +153,12 @@ def malus_marginal(u, n, outcome):
 
 
 class AtomSpins:
-    """Hidden spins as atom codes: trial i's spin is the row table[code[i]]
-    of a few unit vectors, code a uint8 array. A rule reads u.x once per
-    table row and gives each trial its row's value (see spin_map)."""
+    """Unit vectors as atom codes: trial i's vector is the row
+    table[code[i]] of a few unit vectors, code an unsigned integer array.
+    The finite models draw their hidden spins so, and the detection runs
+    their spins and settings too. A rule reads u.x once per table row, or
+    once per pair of rows, and gives each trial its row's value (see
+    spin_map)."""
 
     def __init__(self, table, code):
         self.table, self.code = table, code
@@ -163,22 +166,32 @@ class AtomSpins:
     def __len__(self):
         return len(self.code)
 
+    def __neg__(self):
+        return AtomSpins(-self.table, self.code)
+
     def rows(self) -> np.ndarray:
-        """The per-trial spins, a column-major (m, 3) array."""
+        """The per-trial vectors, a column-major (m, 3) array."""
         return self.table.T.take(self.code, axis=1).T
 
 
 def spin_map(f, u, x):
-    """f(u.x) for each trial's spin u: one spin, rows of them, or AtomSpins.
-    With atom codes and one setting x, f runs once per table row and each
-    trial takes its row's value: the same bits as on the trial's own row,
-    as dot sums every row alike. f gets a new array of u.x, which it may
-    overwrite."""
+    """f(u.x) for each trial's spin u (one spin, rows of them, or AtomSpins)
+    at the setting x (one vector, rows of them, or AtomSpins). With atom
+    codes and one setting, f runs once per table row, and with atom codes
+    on both sides once per pair of table rows if there are no more pairs
+    than trials; each trial takes its row's value: the same bits as on the
+    trial's own rows, as dot sums every row alike. f gets a new array of
+    u.x, which it may overwrite."""
+    both = isinstance(u, AtomSpins) and isinstance(x, AtomSpins)
+    if both and len(u.table) * len(x.table) <= len(u):
+        pair = np.multiply(u.code, len(x.table), dtype=np.intp)
+        pair += x.code
+        return f(dot(u.table[:, None], x.table[None])).ravel().take(pair)
     if isinstance(u, AtomSpins):
         if np.ndim(x) == 1:
             return f(dot(u.table, x)).take(u.code)
         u = u.rows()
-    return f(dot(u, x))
+    return f(dot(u, x.rows() if isinstance(x, AtomSpins) else x))
 
 
 def malus_outcome(u, n, noise):
@@ -382,8 +395,10 @@ def _setting_rows(x, n: int, name: str) -> np.ndarray:
     return x
 
 
-# Trials per block of hall_spin_rows.
-_HALL_ROWS = 1 << 15
+# Trials per block of hall_spin_rows. A block's frame, sphere points and
+# their map's temporaries take about 150 B per trial, so at 16,384 a watch-hall
+# chunk of 65,536 trials peaks at 115 B/trial, against 148 at 32,768.
+_HALL_ROWS = 1 << 14
 
 
 def hall_spin_rows(a, b, w, rows):

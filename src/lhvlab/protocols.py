@@ -20,11 +20,11 @@ communication-assisted.
 
 Every runner reserves its draws whole and in a fixed order first, then
 runs the per-trial rules chunk by chunk, each chunk reading its own
-windows of the uniforms (``RandomStream.uniform_rows``). ``integers``
-draws, whose word count depends on their values, are made in order, piece
-by piece: detection keeps its index draws in the narrowest unsigned dtype
-(``RandomStream.indices``), and the signaling run only counts its atoms.
-Every run that counts outcome pairs does so in ``_tally``, which sums
+windows of the uniforms (``RandomStream.uniform_rows``) and of the index
+draws (``RandomStream.index_rows``): detection's settings and spins, as
+atom codes that its rules read once per pair of directions, and the
+signaling run's atoms, which it only counts. No run keeps a whole-length
+array. Every run that counts outcome pairs does so in ``_tally``, which sums
 integer counts per group over the chunks and folds each chunk's overlaps t
 into the per-group sums in chunk order, so the sums are those of one pass.
 The signaling run counts its (intended, received) bit pairs there too:
@@ -34,19 +34,20 @@ A runner's ``record`` is None (no transcript; False means the same) or an
 open text file, checked before the run draws anything (``_transcript``).
 ``_tally`` streams the transcript CSV to it, and is the one loop that
 writes a transcript, ``TranscriptBatch.to_csv`` included: each chunk
-formats its own rows and they are written in trial order, so no
-whole-length column is kept. ``_csv_rows`` lays out a chunk of rows as one
-matrix of NUL-padded 4-byte words and drops the NULs once. Each row is the
-trial index, ",model,c,d" and ",sigma,tau,detA,detB,bitsAB,bitsBA\n",
-each gathered from a table of joined cells by one mixed-radix code of its
-columns (``_codes``, the one cell coder), and between them the two
-overlaps, written in numpy by a %.9g rule that hands any value it cannot
-prove to ``_fmt``.
+formats its own rows and writes them once the chunks before it have, so
+the rows come in trial order and no whole-length column is kept.
+``_csv_rows`` lays out a chunk of rows as one matrix of NUL-padded 4-byte
+words and drops the NULs once. Each row is the trial index, ",model,c,d"
+and ",sigma,tau,detA,detB,bitsAB,bitsBA\n", each gathered from a table of
+joined cells by one mixed-radix code of its columns (``_codes``, the one
+cell coder), and between them the two overlaps, written in numpy by a
+%.9g rule that hands any value it cannot prove to ``_fmt``.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -55,9 +56,9 @@ import numpy as np
 
 from .geometry import (assert_unit, dot, planar_setting, select, sphere_point, sphere_rows,
                        streamed, substream, uniform_bits, uniform_signs)
-from .models import (JointLaw2x2, _draw_uv, hall_outcomes, hall_spin_rows, law_table,
-                     malus_pair, one_bit_station_a, one_bit_tau, outcome_counts,
-                     sign_outcome, singlet_law)
+from .models import (AtomSpins, JointLaw2x2, _draw_uv, hall_outcomes, hall_spin_rows,
+                     law_table, malus_pair, one_bit_station_a, one_bit_tau, outcome_counts,
+                     sign_outcome, singlet_law, spin_map)
 
 
 # Stream ids per party; fixed so runs are reproducible and so that one
@@ -92,6 +93,8 @@ def _fmt(x) -> str:
 # Rows per chunk of a recording run: each chunk's CSV text is one write,
 # so this bounds the writer's transient memory.
 _CSV_CHUNK_ROWS = 1 << 15
+# Rows per block of _csv_rows' NUL drop.
+_DROP_ROWS = 1 << 13
 
 # 10**k for k in 0..22, each exact in float64.
 _POW10 = np.array([float(10 ** k) for k in range(23)])
@@ -300,8 +303,9 @@ def _csv_rows(model: str, start: int, cols) -> str:
     a value per trial or one for all. Other entries of cols are not read.
 
     cols is emptied as it is read, so a column that the caller holds no
-    other reference to is released once its cells are built: u, a_used and
-    b_used as soon as the overlaps u.a_used and u.b_used are taken, the
+    other reference to is released once its cells are built: the entries
+    not read at once, u, a_used and b_used as soon as the overlaps
+    u.a_used and u.b_used are taken (their cells are built first), the
     other columns once their table of joined cells is.
 
     Every part of a row is a run of whole 4-byte words whose NULs are
@@ -309,10 +313,13 @@ def _csv_rows(model: str, start: int, cols) -> str:
     joined cells; ",u_dot_a" and ",u_dot_b" (_float_cells); and
     ",sigma,tau,detA,detB,bitsAB,bitsBA\\n" from another (_joint_parts).
     The parts are laid side by side in one word matrix, and dropping its
-    NULs leaves the text. The index and the overlaps pad mostly in front
-    and the tables behind, so most rows hold three runs of NULs: the fewer
-    the runs, the less the drop costs.
+    NULs leaves the text, _DROP_ROWS rows at a time, into the matrix
+    itself. The index and the overlaps pad mostly in front and the tables
+    behind, so most rows hold three runs of NULs: the fewer the runs, the
+    less the drop costs.
     """
+    for name in set(cols).difference(_CSV_COLUMNS):
+        del cols[name]  # not read, so released at once
     u, a_used, b_used = (cols.pop(k) for k in ("u", "a_used", "b_used"))
     m = len(u)
     if not m:
@@ -320,6 +327,8 @@ def _csv_rows(model: str, start: int, cols) -> str:
         return ""
     overlaps = np.stack((dot(u, a_used), dot(u, b_used)), axis=1)
     del u, a_used, b_used
+    overlap_cells = _float_cells(overlaps, ",").view(np.uint32)
+    del overlaps
 
     def each(name, default):
         return np.broadcast_to(cols.pop(name, default), (m,))
@@ -334,14 +343,20 @@ def _csv_rows(model: str, start: int, cols) -> str:
                          ",", (each("bits_a_to_b", 0), None), ",", (each("bits_b_to_a", 0), None),
                          "\n"])
     cols.clear()
-    parts = [_index_cells(start, start + m), *head,
-             _float_cells(overlaps, ",").view(np.uint32), *tail]
-    del head, tail, overlaps
+    parts = [_index_cells(start, start + m), *head, overlap_cells, *tail]
+    del head, tail, overlap_cells
     text = np.concatenate([np.broadcast_to(part, (m, part.shape[1])) for part in parts], axis=1)
     del parts  # each transient is freed as soon as the next step holds its bytes
+    # Each block's text moves down into the matrix, never past its own rows.
+    width = text.shape[1] * 4
     text = text.view(np.uint8).ravel()
-    text = text[text != 0]
-    return str(text, "utf-8")
+    end = 0
+    for lo in range(0, m * width, _DROP_ROWS * width):
+        block = text[lo:lo + _DROP_ROWS * width]
+        kept = block[block != 0]
+        text[end:end + len(kept)] = kept
+        end += len(kept)
+    return str(text[:end], "utf-8")
 
 
 class TranscriptBatch:
@@ -470,37 +485,61 @@ def _tally(n: int, record, trials, n_groups: int = 1, model: str = "", **fixed):
     sums of t (None without t) and the totals of the bits_a_to_b and
     bits_b_to_a columns (default 0) as two ints. If record is an open
     text file (not None), the transcript CSV of model is written to it:
-    the header, then each chunk's rows (_csv_rows), formatted on the
-    thread pool of geometry.streamed and written in trial order, one write
-    per chunk of _CSV_CHUNK_ROWS rows. The chunks' overlaps are added in
-    trial order as the chunks complete, so the sums are bit for bit those
-    of one np.bincount pass. A chunk's counts are taken before its text:
-    then _csv_rows gets the chunk's columns and releases each as its cells
-    are built, so only the group and overlap columns outlive the text.
+    the header, then each chunk's rows (_csv_rows), one write per chunk of
+    _CSV_CHUNK_ROWS rows. Each chunk formats its rows on the thread pool of
+    geometry.streamed and writes them itself once the chunks before it have
+    written theirs, so the rows come in trial order and no finished text
+    waits in the pool's queue: at most one text per thread is alive. The
+    chunks' overlaps are added in trial order as the chunks complete, so
+    the sums are bit for bit those of one np.bincount pass. A chunk's
+    counts are taken before its text: then _csv_rows gets the chunk's
+    columns and releases each as its cells are built, so only the group
+    and overlap columns outlive the text.
     """
+    turn = threading.Condition()
+    written = 0  # rows written so far; -1 once the loop below has ended
+
     def work(rows):
+        nonlocal written
         cols = {**fixed, **trials(rows)}
         group, t = cols.pop("group", 0), cols.pop("t", None)
         bits = [_column_total(cols.get(k, 0), rows.stop - rows.start)
                 for k in ("bits_a_to_b", "bits_b_to_a")]
         counts = outcome_counts(cols["sigma"], cols["tau"], group, n_groups)
-        if record is None:
-            return counts, bits, group, t, ""
-        # _csv_rows empties cols, releasing each column as its cells are built.
-        return counts, bits, group, t, _csv_rows(model, rows.start, cols)
+        # A chunk waiting its turn keeps only what the overlap sums read:
+        # the overlaps and their groups, in the narrowest dtype.
+        group = None if t is None else np.asarray(group).astype(np.min_scalar_type(n_groups - 1))
+        if record is not None:
+            # _csv_rows empties cols, releasing each column as its cells are built.
+            text = _csv_rows(model, rows.start, cols)
+            with turn:
+                # The chunks before this one were taken from the pool's queue
+                # first, so they finish; a run that stopped writes no more.
+                turn.wait_for(lambda: written in (rows.start, -1))
+                if written == -1:
+                    return None
+                record.write(text)
+                written = rows.stop
+                turn.notify_all()
+        return counts, bits, group, t
 
     if record is not None:
         record.write(CSV_HEADER + "\n")
     counts, t_sums, bits = 0, None, (0, 0)
     chunk_rows = None if record is None else _CSV_CHUNK_ROWS
-    for chunk_counts, chunk_bits, group, t, text in streamed(n, work, chunk_rows):
-        if record is not None:
-            record.write(text)
-        counts = counts + chunk_counts
-        bits = tuple(map(sum, zip(bits, chunk_bits)))
-        if t is not None:
-            t_sums = np.zeros(n_groups) if t_sums is None else t_sums
-            np.add.at(t_sums, np.broadcast_to(group, t.shape), t)
+    try:
+        for chunk_counts, chunk_bits, group, t in streamed(n, work, chunk_rows):
+            counts = counts + chunk_counts
+            bits = tuple(map(sum, zip(bits, chunk_bits)))
+            if t is not None:
+                t_sums = np.zeros(n_groups) if t_sums is None else t_sums
+                np.add.at(t_sums, np.broadcast_to(group, t.shape), t)
+    finally:
+        # A chunk that raised (or a write that did) ends the loop: the
+        # chunks still waiting for their turn return without writing.
+        with turn:
+            written = -1
+            turn.notify_all()
     return counts, t_sums, bits
 
 
@@ -569,7 +608,12 @@ def _select_rows(mask, spin, u, requested):
 
 def _along_axis(u, x):
     """Whether the spin u lies along +-x, up to rounding."""
-    return np.abs(dot(u, x)) >= 1.0 - 1e-9
+    return _along(dot(u, x))
+
+
+def _along(t):
+    """Whether spins lie along +-x, from their overlaps t = u.x, up to rounding."""
+    return np.abs(t) >= 1.0 - 1e-9
 
 
 def _policy(policy):
@@ -673,7 +717,7 @@ def _shared_coin(n_trials: int, seed: int, a_policy, b_policy, record,
     def trials(rows):
         u = u_at(rows)
         wc, wd = coins(rows)
-        c, d = uniform_bits(wc), uniform_signs(wd)
+        c, d = uniform_bits(wc, np.uint8), uniform_signs(wd, np.int8)  # one byte each
         del wc, wd  # the coins' window
         forced_a = (c == 0)
         # Each station's requested rows are drawn for its selection only and
@@ -777,36 +821,40 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
     sb = substream(seed, STREAM_B)
     # Side A always fires in asymmetric mode; otherwise the firing bit is a coin.
     w_fire = None if mode == "asymmetric" else ent.uniform_rows(n_trials)
-    ia = sa.indices(len(settings_a), n_trials)
-    ib = sb.indices(len(settings_b), n_trials)
-    iu = ent.indices(len(u_values), n_trials)
+    index_rows = [stream.index_rows(len(table), n_trials)
+                  for stream, table in ((sa, settings_a), (sb, settings_b), (ent, u_values))]
     noise_a, noise_b = sa.uniform_rows(n_trials), sb.uniform_rows(n_trials)
     # Symmetric and asymmetric modes count coincidences per setting pair
     # k = i * len(settings_b) + j, sphere mode per overlap bin of a.b
     # (_bin_index), summing the bin's overlaps.
     nb = len(settings_b)
     n_groups = N_BINS if mode == "sphere" else len(settings_a) * nb
-    # The (3, k) columns of each direction set: rows taken from them by index
-    # come out column-major.
-    tables = [np.ascontiguousarray(x.T) for x in (settings_a, settings_b, u_values)]
 
     def trials(rows):
-        c_a = (np.zeros(rows.stop - rows.start, dtype=np.int64) if w_fire is None
-               else uniform_bits(w_fire(rows)))
-        a_used, b_used, u = (table.take(i[rows], axis=1).T
-                             for table, i in zip(tables, (ia, ib, iu)))
+        # Each trial's settings and spin are atom codes, rows of the direction
+        # sets, so every overlap is read once per pair of rows (spin_map).
+        a_used, b_used, u = (AtomSpins(table, draw(rows)) for table, draw
+                             in zip((settings_a, settings_b, u_values), index_rows))
         # The flagged particle fires only when its setting lies along +-u.
-        fires_a = (c_a == 0) | _along_axis(u, a_used)
-        fires_b = (c_a == 1) | _along_axis(u, b_used)
+        fires_b = spin_map(_along, u, b_used)
+        if w_fire is None:
+            c_a, fires_a = np.broadcast_to(np.uint8(0), fires_b.shape), np.True_
+        else:
+            flagged = w_fire(rows) < 0.5  # c = 1: the bit rides on side A
+            fires_a = spin_map(_along, u, a_used)
+            fires_a |= ~flagged
+            fires_b |= flagged
+            c_a = flagged.view(np.uint8)
         sigma, tau = malus_pair((u, noise_a(rows), noise_b(rows)), a_used, b_used)
-        trial = {"u": u, "a_used": a_used, "b_used": b_used, "sigma": sigma, "tau": tau,
-                 "c": c_a, "detected_a": fires_a, "detected_b": fires_b}
+        trial = {"c": c_a, "sigma": sigma, "tau": tau}
         if mode == "sphere":
-            trial["t"] = dot(a_used, b_used)
+            trial["t"] = spin_map(np.positive, a_used, b_used)
             group = _bin_index(trial["t"], N_BINS)
         else:
-            # The indices are stored narrow; int64 keeps the pair from wrapping.
-            group = ia[rows].astype(np.int64) * nb + ib[rows] if n_groups > 1 else 0
+            group = np.multiply(a_used.code, nb, dtype=np.intp) + b_used.code if n_groups > 1 else 0
+        if record is not None:
+            trial.update(u=u.rows(), a_used=a_used.rows(), b_used=b_used.rows(),
+                         detected_a=fires_a, detected_b=fires_b)
         # Trials without a coincidence go to one extra group, then dropped.
         trial["group"] = n_groups + (fires_a & fires_b) * (group - n_groups)
         return trial
@@ -928,7 +976,7 @@ def run_watch_realization(n_trials: int, model: str, seed: int,
         trial = {"a_used": z_a, "b_used": z_b}
         if model == "pinned":
             wj, wd = coins(rows)
-            j, d = uniform_bits(wj), uniform_signs(wd)
+            j, d = uniform_bits(wj, np.uint8), uniform_signs(wd, np.int8)  # one byte each
             del wj, wd  # the coins' window
             u = (d * select(j == 0, z_a.T, z_b.T)).T
             sigma, tau = malus_pair((u, noise_a(rows), noise_b(rows)), z_a, z_b)
@@ -1013,8 +1061,9 @@ def run_signaling_experiment(message, mode: str, n_trials: int, seed: int,
         raise ValueError("message must be a nonempty bit sequence")
 
     ent = substream(seed, STREAM_ENTANGLER)
-    # The atoms 0:+a 1:-a 2:+b 3:-b, drawn and counted piece by piece.
-    n_usable = sum(int(np.count_nonzero(atom < 2)) for atom in ent.integer_pieces(0, 4, n_trials))
+    # The atoms 0:+a 1:-a 2:+b 3:-b, drawn and counted window by window.
+    atoms = ent.index_rows(4, n_trials)
+    n_usable = sum(streamed(n_trials, lambda rows: int(np.count_nonzero(atoms(rows) < 2))))
     fresh = ent.uniform_rows(n_usable) if mode == "slave-will" else None  # fresh signs
 
     counts = _tally(n_usable, None, lambda rows: _signal_bits(rows, message, b, fresh))[0][0]

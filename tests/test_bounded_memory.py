@@ -10,14 +10,12 @@ CLI writes a transcript chunk by chunk as the run goes, and is held to the
 same bound; so is a library run recorded to an open file, at the writer's
 own chunk size.
 
-The runs that still keep a whole-length array are held to its stated size
-per trial instead, on one thread, where the chunks run inline and the peak
-does not depend on chance. So is the largest chunk kernel, the Hall spins at
-per-trial settings.
+The largest chunk kernel, the Hall spins at per-trial settings, is held to
+a stated size per trial, on one thread.
 
 Every chunk of tools/chunk_memory.py is held to one budget, on one thread
-in one chunk, as the tool traces it: at most 150 bytes per trial in a
-65,536-row chunk that records nothing, and at most 280 bytes per row in a
+in one chunk, as the tool traces it: at most 120 bytes per trial in a
+65,536-row chunk that records nothing, and at most 200 bytes per row in a
 chunk of protocols._CSV_CHUNK_ROWS rows recorded to a discarding writer."""
 
 import importlib.util
@@ -52,6 +50,9 @@ RUNS = {
        for m in ("pinned", "hall")},
     **{f"audit-{mode}": (lambda n, mode=mode: protocols.run_conspiracy_audit(n, A, B, mode, 5))
        for mode in ("honest", "slave")},
+    # Detection reads its index draws window by window.
+    **{f"detection-{mode}": (lambda n, mode=mode: protocols.run_detection_loophole(
+        n, mode, 5, n_directions=16)) for mode in ("symmetric", "asymmetric", "sphere")},
     # signal counts its (intended, received) bit pairs chunk by chunk.
     **{f"signal-{mode}": (lambda n, mode=mode: protocols.run_signaling_experiment(
         [0, 1, 1, 0, 1], mode, n, 5)) for mode in ("action", "slave-will")},
@@ -100,14 +101,12 @@ def test_recorded_run_memory_does_not_grow_with_rows(monkeypatch):
     assert peak_large <= 1.25 * peak_small, (peak_small, peak_large)
 
 
-# The detection runs keep their three index draws (setting a, setting b and
-# spin) whole, one byte per trial each.
 CLI_TRANSCRIPTS = {
     "tb": (["--name", "tb"], 0),
     "shared-coin": (["--name", "shared-coin"], 0),
     "watch-pinned": (["--name", "watch-pinned"], 0),
     "detection-sphere": (["--name", "detection-loophole", "--mode", "sphere",
-                          "--n-directions", "16"], 3),
+                          "--n-directions", "16"], 0),
 }
 
 
@@ -123,8 +122,9 @@ def test_cli_transcript_memory_does_not_grow_with_trials(monkeypatch, tmp_path, 
               "--transcript", str(tmp_path / "transcript.csv"),
               "--out", str(tmp_path / "report.json")])
     run(100)  # the parser and the digit tables are built once per process
-    # A chunk's CSV text waits for the writer, so how many chunks are alive
-    # at once varies more here: the peak at 4n is the smaller of two runs.
+    # Each chunk writes its own text in turn, so at most one text per thread
+    # is alive; how far the threads' chunks overlap is still chance, so the
+    # peak at n is the largest of two runs and the peak at 4n the smaller.
     small = max(_peak(run, N) for _ in range(2))
     large = min(_peak(run, 4 * N) for _ in range(2))
     assert large - per_trial * 3 * N <= 1.25 * small, (small, large)
@@ -132,24 +132,6 @@ def test_cli_transcript_memory_does_not_grow_with_trials(monkeypatch, tmp_path, 
 
 def _cli(*argv):
     return lambda n: main([*argv, "--trials", str(n), "--seed", "5", "--out", os.devnull])
-
-
-# Bytes per trial of the whole-length arrays a run keeps at its peak.
-GROWING = {
-    # The three index draws, stored as uint8.
-    **{f"detection-{mode}": (3, lambda n, mode=mode: protocols.run_detection_loophole(
-        n, mode, 5, n_directions=16)) for mode in ("symmetric", "asymmetric", "sphere")},
-}
-
-
-@pytest.mark.parametrize("name", GROWING)
-def test_whole_length_arrays_keep_their_stated_size(monkeypatch, name):
-    monkeypatch.setattr(geometry, "_CHUNK_ROWS", 1 << 11)
-    monkeypatch.setattr(geometry, "_workers", lambda: 1)
-    per_trial, run = GROWING[name]
-    run(100)
-    small, large = _peak(run, N), _peak(run, 4 * N)
-    assert large - small <= per_trial * 3 * N + 4096, (small, large)
 
 
 # chsh --trials and feasibility --from-model read their correlators from
@@ -193,12 +175,12 @@ RECORDED = [name for name in chunk_memory.RUNS if name.startswith("transcript-")
 
 
 @pytest.mark.parametrize("name", [name for name in chunk_memory.RUNS if name not in RECORDED])
-def test_every_chunk_traces_at_most_150_bytes_per_trial(name):
+def test_every_chunk_traces_at_most_120_bytes_per_trial(name):
     run = chunk_memory.RUNS[name][0]
-    assert chunk_memory.chunk_peak(lhvlab, run, 1 << 16) <= 150.0
+    assert chunk_memory.chunk_peak(lhvlab, run, 1 << 16) <= 120.0
 
 
 @pytest.mark.parametrize("name", RECORDED)
-def test_every_recorded_chunk_traces_at_most_280_bytes_per_row(name):
+def test_every_recorded_chunk_traces_at_most_200_bytes_per_row(name):
     run = chunk_memory.RUNS[name][0]
-    assert chunk_memory.chunk_peak(lhvlab, run, protocols._CSV_CHUNK_ROWS) <= 280.0
+    assert chunk_memory.chunk_peak(lhvlab, run, protocols._CSV_CHUNK_ROWS) <= 200.0

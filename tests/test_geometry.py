@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -196,29 +197,60 @@ def test_uniform_rows_read_contiguous_rows_only():
 
 
 
-@pytest.mark.parametrize("k", [2, 4, 8, 12_566])
+# Index draws at chunk edges and at edges of index_rows' half blocks.
+INDEX_SIZES = [0, 1, 2, 4_095, 4_097, 65_535, 65_536, 65_537, 2 * 65_536 + 3]
+
+
+@pytest.mark.parametrize("n", INDEX_SIZES)
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 20, 12_566, 2**31 + 11])
 @pytest.mark.parametrize("prior", PRIORS.values(), ids=PRIORS.keys())
-@pytest.mark.parametrize("rows, n", [(1, 300), (7, 1000), (None, 2 * 65_536 + 3)])
-def test_integer_pieces_are_the_whole_draw(monkeypatch, k, prior, rows, n):
-    # Generator.integers keeps its buffered 32-bit half in the bit generator,
-    # so consecutive pieces (after any of PRIORS, some of which leave a half
-    # buffered) give the whole draw's values, state and counter; indices
-    # keeps the same values in the narrowest unsigned dtype.
-    if rows is not None:
-        monkeypatch.setattr(geometry, "_CHUNK_ROWS", rows)
-    whole_stream, piece_stream, index_stream = streams = [RandomStream(23, 1) for _ in range(3)]
-    for s in streams:
+def test_index_rows_are_the_whole_integers_draw(k, prior, n):
+    # After any of PRIORS (some leave a 32-bit half buffered), the windows
+    # hold the values of integers(0, k, n) in the narrowest unsigned dtype,
+    # read in any order and from two threads, and the stream moves on as
+    # the whole draw moves it. k = 2**31 + 11 rejects about half its halves.
+    rng = np.random.default_rng([k, n])
+    whole_stream, window_stream = RandomStream(23, 1), RandomStream(23, 1)
+    for s in (whole_stream, window_stream):
         prior(s)
     whole = whole_stream.integers(0, k, n)
-    pieces = list(piece_stream.integer_pieces(0, k, n))
-    indices = index_stream.indices(k, n)
-    assert max(map(len, pieces)) == min(n, geometry._CHUNK_ROWS)
-    assert np.concatenate(pieces).tolist() == whole.tolist()
-    assert indices.dtype == (np.uint8 if k <= 256 else np.uint16)
-    assert indices.tolist() == whole.tolist()
-    for s in (piece_stream, index_stream):
-        assert s.counter == whole_stream.counter
-        assert _plain(s._gen.bit_generator.state) == _plain(whole_stream._gen.bit_generator.state)
+    draw = window_stream.index_rows(k, n)
+    assert window_stream.counter == whole_stream.counter
+    assert (_plain(window_stream._gen.bit_generator.state)
+            == _plain(whole_stream._gen.bit_generator.state))
+    edges = [edge for edge in (4_096, 65_536) if edge <= n]
+    cuts = sorted({*rng.integers(0, n + 1, 4).tolist(), *edges})
+    pieces = [slice(lo, hi) for lo, hi in zip([0, *cuts], [*cuts, n])]
+    order = rng.permutation(len(pieces))
+    with ThreadPoolExecutor(2) as pool:
+        windows = list(pool.map(draw, [pieces[i] for i in order]))
+    for i, got in zip(order, windows):
+        assert got.dtype == np.min_scalar_type(k - 1)
+        assert got.tolist() == whole[pieces[i]].tolist()
+    assert draw(slice(None)).tolist() == whole.tolist()
+    # Later draws of either kind go on from the same place.
+    assert whole_stream.integers(0, 9, 5).tolist() == window_stream.integers(0, 9, 5).tolist()
+    assert whole_stream.uniform(5).tobytes() == window_stream.uniform(5).tobytes()
+
+
+def test_index_rows_refuse_k_outside_the_32_bit_range():
+    for k in (0, 2**32):
+        with pytest.raises(ValueError, match="1 <= k < 2"):
+            RandomStream(23).index_rows(k, 5)
+    with pytest.raises(ValueError, match="contiguous"):
+        RandomStream(23).index_rows(3, 10)(slice(0, 10, 2))
+
+
+@pytest.mark.parametrize("word", [*range(9), 2**70 + 3])
+def test_generator_at_reads_the_words_of_a_philox_advanced_there(word):
+    key = RandomStream(29, 3)._gen.bit_generator.state["state"]["key"]
+    fresh = np.random.Philox(key=key).advance(word // 4)
+    fresh.random_raw(word % 4)
+    words = fresh.random_raw(6)
+    assert geometry._generator_at(key, word).bit_generator.random_raw(6).tolist() == words.tolist()
+    # A buffered half is read first, then the word's own halves, low first.
+    halves = geometry._generator_at(key, word, 12_345).integers(0, 2**32, 3, dtype=np.uint32)
+    assert halves.tolist() == [12_345, int(words[0]) & 0xFFFFFFFF, int(words[0]) >> 32]
 
 
 # The sphere points each producer made with its own copy of the map before

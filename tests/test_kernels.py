@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from lhvlab import models, protocols
 from lhvlab.geometry import (X_HAT, Y_HAT, RandomStream, dot, planar_setting, select, sgn,
                              sphere_point, sphere_rows, substream, turn_cos_sin, uniform_signs)
-from lhvlab.models import (_draw_atoms, _tb_extension_rule, hall_spins, malus_marginal,
+from lhvlab.models import (AtomSpins, _draw_atoms, _tb_extension_rule, hall_spins, malus_marginal,
                            malus_outcome, one_bit_station_a, one_bit_tau, pinned_spin_sample)
 from lhvlab.protocols import (EMISSION_STEP, STREAM_A, STREAM_B, WATCH_A, WATCH_B, _bin_index,
                               _phase, _shared_coin, run_watch_realization, watch_vector)
@@ -83,6 +83,8 @@ def test_sgn_of_zero_d_input_is_a_python_float(x, expected):
 def test_uniform_signs_is_the_where_formula(values):
     w = _array(values)
     assert _same_bits(uniform_signs(w), np.where(w < 0.5, -1.0, 1.0))
+    # The runners' one-byte coins hold the same values.
+    assert _same_bits(uniform_signs(w, np.int8), np.where(w < 0.5, -1, 1).astype(np.int8))
 
 
 @PROPERTY
@@ -378,9 +380,10 @@ def test_kernels_call_no_np_where(monkeypatch):
 @pytest.mark.parametrize("mode", ["symmetric", "asymmetric", "sphere"])
 def test_detection_rows_are_column_major(mode, monkeypatch):
     drawn, used = [], []
-    indices, pair = RandomStream.indices, protocols.malus_pair
-    monkeypatch.setattr(RandomStream, "indices",
-                        lambda self, k, n: drawn.append(indices(self, k, n)) or drawn[-1])
+    index_rows, pair = RandomStream.index_rows, protocols.malus_pair
+    # Each index draw, read whole: its values are those every window reads.
+    monkeypatch.setattr(RandomStream, "index_rows", lambda self, k, n: drawn.append(
+        (draw := index_rows(self, k, n))(slice(0, n))) or draw)
     monkeypatch.setattr(protocols, "malus_pair",
                         lambda hidden, x, y: used.append((hidden[0], x, y)) or pair(hidden, x, y))
     sa = np.array([planar_setting(0.0), planar_setting(90.0)])
@@ -393,5 +396,8 @@ def test_detection_rows_are_column_major(mode, monkeypatch):
         u_values = np.vstack([sa, -sa, sb, -sb] if mode == "symmetric" else [sb, -sb])
     ia, ib, iu = drawn
     ((u, a_used, b_used),) = used
+    # The stations read atom codes, the drawn indices into the direction
+    # sets, whose rows (the transcript's) come out column-major.
     for got, table, idx in ((u, u_values, iu), (a_used, sa, ia), (b_used, sb, ib)):
-        _column_major_equal(got, table[idx])
+        assert isinstance(got, AtomSpins) and got.code.tolist() == idx.tolist()
+        _column_major_equal(got.rows(), table[idx])

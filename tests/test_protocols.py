@@ -721,7 +721,7 @@ def test_runners_reject_a_record_that_is_not_a_file(tmp_path, monkeypatch, name,
     # before it draws anything, rather than record nothing.
     monkeypatch.chdir(tmp_path)
     draws = []
-    for method in ("uniform", "uniform_rows", "integers", "indices"):
+    for method in ("uniform", "uniform_rows", "integers", "index_rows"):
         def spy(self, *args, _real=getattr(RandomStream, method), _method=method, **kwargs):
             draws.append(_method)
             return _real(self, *args, **kwargs)
