@@ -693,12 +693,15 @@ def run_shared_coin(n_trials: int, seed: int, a_policy="random",
 
 
 def _shared_coin(n_trials: int, seed: int, a_policy, b_policy, record,
-                 each_chunk=None) -> ProtocolResult:
+                 each_chunk=None, coin: bool = True) -> ProtocolResult:
     """run_shared_coin, calling each_chunk(rows, trial) with the columns of
-    every chunk of trials if given."""
+    every chunk of trials if given. With coin false (the honest and
+    third-party audits) no coin chooses: the shared stream draws nothing,
+    each station measures its policy, one vector, on every trial, and the
+    run is not binned. The other streams draw as with the coin."""
     record = _transcript(record)
-    policies = {"a_requested": _policy(a_policy), "b_requested": _policy(b_policy)}
-    fixed = {k: x for k, x in policies.items() if x is not None}
+    policies = {"a_used": _policy(a_policy), "b_used": _policy(b_policy)}
+    declared = {k: x for k, x in policies.items() if x is not None}
     ent = substream(seed, STREAM_ENTANGLER)
     shared = substream(seed, STREAM_SHARED_AB)
     shared_before = shared.counter  # the run's draws are how far it moves
@@ -706,31 +709,36 @@ def _shared_coin(n_trials: int, seed: int, a_policy, b_policy, record,
     sb = substream(seed, STREAM_B)
 
     u_at = sphere_rows(ent, n_trials)
-    coins = shared.uniform_rows((2, n_trials))  # the coins c, d
+    coins = shared.uniform_rows((2, n_trials)) if coin else None  # the coins c, d
     free = {k: sphere_rows(stream, n_trials)
-            for k, stream in (("a_requested", sa), ("b_requested", sb)) if k not in fixed}
+            for k, stream in (("a_used", sa), ("b_used", sb)) if k not in declared}
     noise_a, noise_b = sa.uniform_rows(n_trials), sb.uniform_rows(n_trials)
 
     def requested(k, rows):
-        return fixed[k] if k in fixed else free[k](rows)
+        return declared[k] if k in declared else free[k](rows)
 
     def trials(rows):
         u = u_at(rows)
-        wc, wd = coins(rows)
-        c, d = uniform_bits(wc, np.uint8), uniform_signs(wd, np.int8)  # one byte each
-        del wc, wd  # the coins' window
-        forced_a = (c == 0)
-        # Each station's requested rows are drawn for its selection only and
-        # overwritten by it.
-        a_used = _select_rows(forced_a, d, u, requested("a_requested", rows))
-        b_used = _select_rows(~forced_a, -d, u, requested("b_requested", rows))  # d*v, v = -u
-        sigma, tau = malus_pair((u, noise_a(rows), noise_b(rows)), a_used, b_used)
-        trial = {"u": u, "c": c, "d": d, "a_used": a_used, "b_used": b_used,
-                 "sigma": sigma, "tau": tau}
+        trial = {"u": u}
+        if coins is None:
+            trial.update(declared)
+        else:
+            wc, wd = coins(rows)
+            c, d = uniform_bits(wc, np.uint8), uniform_signs(wd, np.int8)  # one byte each
+            del wc, wd  # the coins' window
+            forced_a = (c == 0)
+            # Each station's requested rows are drawn for its selection only and
+            # overwritten by it.
+            a_used = _select_rows(forced_a, d, u, requested("a_used", rows))
+            b_used = _select_rows(~forced_a, -d, u, requested("b_used", rows))  # d*v, v = -u
+            trial.update(c=c, d=d, a_used=a_used, b_used=b_used)
+        trial["sigma"], trial["tau"] = malus_pair((u, noise_a(rows), noise_b(rows)),
+                                                  trial["a_used"], trial["b_used"])
         if each_chunk is not None:
             each_chunk(rows, trial)
         return trial
-    res = _protocol_run("shared-coin", "lambda_causes_settings", n_trials, record, trials)
+    res = _protocol_run("shared-coin", "lambda_causes_settings", n_trials, record, trials,
+                        **({} if coin else declared))
     res.shared_draws_total = shared.counter - shared_before
     return res
 
@@ -1110,15 +1118,18 @@ def run_conspiracy_audit(n_trials: int, a, b, mode: str, seed: int) -> AuditResu
     produced, then the run counts trials whose used settings differ from
     the declaration.
 
-    mode 'honest': the stations comply; with the settings fixed
-    externally the hidden spin cannot track them, so the spin is uniform,
-    no deviations occur, and the observed law departs from the singlet.
-    mode 'slave': the hidden variables dictate one station's setting each
-    trial; every deviation lands exactly on +-u and the singlet survives.
-    mode 'third-party': an independent party re-imposes the declared
-    settings at the last moment. Whatever the hidden variables dictated
-    is overridden, so the run is the honest one: the same code, streams
-    and summary (but for mode), with zero deviations and a uniform spin.
+    Every mode runs the shared-coin realization (_shared_coin) with the
+    declared settings as the stations' policies. mode 'honest': the
+    stations comply, so no coin chooses; with the settings fixed externally
+    the hidden spin cannot track them, so the spin is uniform, no
+    deviations occur, and the observed law departs from the singlet.
+    mode 'slave': the coins choose, so the hidden variables dictate one
+    station's setting each trial; every deviation lands exactly on +-u and
+    the singlet survives in overlap bins. mode 'third-party': an
+    independent party re-imposes the declared settings at the last moment.
+    Whatever the hidden variables dictated is overridden, so the run is the
+    honest one: the same draws and summary (but for mode), with zero
+    deviations and a uniform spin.
     """
     if mode not in ("honest", "slave", "third-party"):
         raise ValueError(f"unknown audit mode {mode!r}")
@@ -1128,38 +1139,21 @@ def run_conspiracy_audit(n_trials: int, a, b, mode: str, seed: int) -> AuditResu
 
     def audit(rows, trial):
         audits[rows.start] = _audit(trial["u"], trial["a_used"], trial["b_used"], a, b)
-    if mode == "slave":
-        # The shared-coin realization with the declared settings as the
-        # stations' free choices.
-        res = _shared_coin(n_trials, seed, a, b, None, audit)
-        law, dev = res.law, res.singlet_comparison["max_abs_dev"]
-    else:
-        u_at = sphere_rows(substream(seed, STREAM_ENTANGLER), n_trials)
-        noise_a = substream(seed, STREAM_A).uniform_rows(n_trials)
-        noise_b = substream(seed, STREAM_B).uniform_rows(n_trials)
-
-        def honest(rows):
-            u = u_at(rows)
-            a_used = np.broadcast_to(a, u.shape)
-            b_used = np.broadcast_to(b, u.shape)
-            sigma, tau = malus_pair((u, noise_a(rows), noise_b(rows)), a_used, b_used)
-            trial = {"u": u, "a_used": a_used, "b_used": b_used, "sigma": sigma, "tau": tau}
-            audit(rows, trial)
-            return trial
-        counts, _, _ = _tally(n_trials, None, honest)
-        law = JointLaw2x2.from_counts(counts[0])
-        dev = law.max_abs_diff(singlet_law(a, b))
+    res = _shared_coin(n_trials, seed, a, b, None, audit, coin=mode == "slave")
+    dev = (res.singlet_comparison["max_abs_dev"] if mode == "slave"
+           else res.law.max_abs_diff(singlet_law(a, b)))
     return AuditResult(mode, n_trials, sum(k for k, _ in audits.values()),
-                       all(m for _, m in audits.values()), law, float(dev))
+                       all(m for _, m in audits.values()), res.law, float(dev))
 
 
 def _audit(u, a_used, b_used, a, b):
-    """(trials whose used settings differ from the declared a and b, counted
-    per side; whether every such setting lies along +-u)."""
+    """(trials whose used settings, rows or one vector per side, differ from
+    the declared a and b, counted per side; whether every such setting lies
+    along +-u)."""
     # Column by column and without row gathers, which cost about 1 ms each
     # on the column-major rows of a chunk.
-    dev_a = (a_used[:, 0] != a[0]) | (a_used[:, 1] != a[1]) | (a_used[:, 2] != a[2])
-    dev_b = (b_used[:, 0] != b[0]) | (b_used[:, 1] != b[1]) | (b_used[:, 2] != b[2])
+    dev_a = (a_used[..., 0] != a[0]) | (a_used[..., 1] != a[1]) | (a_used[..., 2] != a[2])
+    dev_b = (b_used[..., 0] != b[0]) | (b_used[..., 1] != b[1]) | (b_used[..., 2] != b[2])
     return (int(np.count_nonzero(dev_a) + np.count_nonzero(dev_b)),
             bool(np.all(_along_axis(u, a_used) | ~dev_a)
                  and np.all(_along_axis(u, b_used) | ~dev_b)))

@@ -101,15 +101,23 @@ def test_correct_runs_that_failed_falsely_pass(argv):
     assert _failed(report) == [] and rc == 0
 
 
-@pytest.mark.parametrize("mutant", ["b-spin-plus-u", "sign-rule"])
-@pytest.mark.parametrize("command, check", [
+MALUS_CHECKS = [
     ("detection-symmetric", "conditional_law_near_singlet"),
     ("detection-asymmetric", "conditional_law_near_singlet"),
     # Sphere mode judges each overlap bin, so the mutants show there too.
     ("detection-sphere16", "conditional_law_near_singlet"),
     ("shared-coin", "singlet_within_binned_tolerance"),
+    ("watch-pinned", "singlet_within_binned_tolerance"),
+]
+
+
+@pytest.mark.parametrize("command, check, mutant", [
+    *((command, check, mutant) for command, check in MALUS_CHECKS
+      for mutant in ("b-spin-plus-u", "sign-rule")),
+    ("simulate-hall", "dev_within_5se", "hall-one-lune"),
+    ("watch-hall", "singlet_within_binned_tolerance", "hall-one-lune"),
 ])
-def test_mutants_fail_at_the_default_trials(mutant, command, check):
+def test_mutants_fail_at_the_default_trials(command, check, mutant):
     with check_rates.mutated(lhvlab, mutant):
         rc, report = _report([*check_rates.COMMANDS[command], "--seed", "3"])
     assert rc == 1 and check in _failed(report)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lhvlab import protocols
+from lhvlab import geometry, protocols
 from lhvlab.geometry import RandomStream, dot, planar_setting, sgn, substream
-from lhvlab.models import MODELS, JointLaw2x2, law_table, outcome_counts, singlet_law
+from lhvlab.models import MODELS, JointLaw2x2, estimate_law, law_table, outcome_counts, singlet_law
 from lhvlab.protocols import (_CSV_CHUNK_ROWS, _CSV_COLUMNS, CSV_HEADER, EMISSION_STEP, N_BINS,
                               STREAM_A, STREAM_B, STREAM_SHARED_AB, TIME_OF_FLIGHT, WATCH_A,
                               WATCH_B, TranscriptBatch, _bin_index, _fmt,
@@ -114,6 +114,18 @@ def test_tb_freewill_partner_outcome_local():
     # and sigma never reads b
     _, _, t2 = recorded(run_tb_freewill, 10_000, X, planar_setting(150.0), seed=7)
     assert np.array_equal(tr["sigma"], t2["sigma"])
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+@pytest.mark.parametrize("n", [1, 70_001, 300_007])
+@pytest.mark.parametrize("run, model", [(run_tb_protocol, "tb"), (run_tb_freewill, "tb-freewill")],
+                         ids=["tb", "tb-freewill"])
+def test_one_bit_runners_count_what_the_model_samples(run, model, n, seed):
+    # The runners are the models' one construction: the same draws and rules
+    # give the same count table, whatever the chunking.
+    res = run(n, X, B63, seed)
+    law = estimate_law(model, X, B63, n, RandomStream(seed))
+    assert np.array_equal(res.law.counts, law.counts)
 
 
 # ---------------------------------------------------------------------------
@@ -572,11 +584,12 @@ def test_audit_matches_the_gathered_formula(off_u):
         (a_used if off_u == "a" else b_used)[6] = planar_setting(10.0)
     got = protocols._audit(u, a_used, b_used, X, B63)
     assert got == _gathered_audit(u, a_used, b_used, X, B63) == (8, off_u is None)
-    # The declared settings broadcast over every row, as the honest runs
-    # hold them: no deviation, whatever u is.
+    # The declared settings broadcast over every row: no deviation, whatever
+    # u is, as with one vector per side, which the honest runs hold.
     a_used, b_used = np.broadcast_to(X, u.shape), np.broadcast_to(B63, u.shape)
     got = protocols._audit(u, a_used, b_used, X, B63)
     assert got == _gathered_audit(u, a_used, b_used, X, B63) == (0, True)
+    assert protocols._audit(u, X, B63, X, B63) == (0, True)
 
 
 def test_audit_third_party_switch_restores_compliance():
@@ -590,6 +603,26 @@ def test_third_party_audit_is_the_honest_run():
     honest = run_conspiracy_audit(50_000, X, B63, "honest", seed=11).summary()
     assert third.pop("mode") == "third-party" and honest.pop("mode") == "honest"
     assert third == honest
+
+
+def test_honest_and_slave_audits_measure_the_same_spins_and_noise(monkeypatch):
+    # Every audit mode is the one shared-coin run: only the coin differs,
+    # so each chunk hands malus_pair the same hidden rows in both modes.
+    malus_pair = protocols.malus_pair
+    n, seed = 70_001, 9
+    runs = {}
+    for mode in ("honest", "slave"):
+        hidden = runs[mode] = {}
+
+        def recording(h, x, y, hidden=hidden):
+            hidden[h[0][0].tobytes()] = tuple(np.array(column) for column in h)
+            return malus_pair(h, x, y)
+        monkeypatch.setattr(protocols, "malus_pair", recording)
+        run_conspiracy_audit(n, X, planar_setting(75.0), mode, seed)
+    assert len(runs["honest"]) == -(-n // geometry._CHUNK_ROWS) > 1
+    assert runs["honest"].keys() == runs["slave"].keys()
+    for first, rows in runs["honest"].items():
+        assert all(np.array_equal(h, s) for h, s in zip(rows, runs["slave"][first]))
 
 
 def test_audit_validation():

@@ -17,8 +17,9 @@ monkeypatched into lhvlab for the runs, so the table shows which checks
 catch it. The mutants are:
 
 - ``b-spin-plus-u``: station B of every zero-communication Malus pair
-  (shared-coin, detection, watch-pinned) measures the spin +u instead of
-  its partner's -u;
+  (shared-coin, detection, watch-pinned, and every audit mode, which runs
+  the shared-coin realization) measures the spin +u instead of its
+  partner's -u;
 - ``sign-rule``: the same stations answer by the sign rule sgn(u.x)
   instead of a Malus draw;
 - ``leak-10``: in ``signal --mode slave-will``, every tenth usable bit
@@ -27,7 +28,10 @@ catch it. The mutants are:
   station B through the A->B meter twice per trial;
 - ``shared-third-draw``: the stations' shared stream reserves one more
   row of uniforms than asked for and hands over the rows asked for, so
-  shared-coin gets the same coins and only the stream's counter moves.
+  shared-coin gets the same coins and only the stream's counter moves;
+- ``hall-one-lune``: the Hall sampler (``simulate --model hall``,
+  watch-hall) reads every trial's lune-side uniform as 0, so each pair of
+  lunes keeps only one of its two lunes.
 
 The script uses the standard library and the checkout's lhvlab only.
 """
@@ -114,6 +118,16 @@ def _shared_third_draw(lhv):
     return substream
 
 
+def _hall_one_lune(lhv):
+    spins = lhv.models.hall_spins
+
+    def hall_spins(a, b, w, out=None):
+        w = w.copy()
+        w[1] = 0  # the lune pair's side: always the first lune
+        return spins(a, b, w, out)
+    return hall_spins
+
+
 # name -> (lhvlab module, attribute, replacement made from lhvlab)
 MUTANTS = {
     "b-spin-plus-u": ("protocols", "malus_pair", _b_spin_plus_u),
@@ -121,6 +135,7 @@ MUTANTS = {
     "leak-10": ("protocols", "_signal_bits", _leak_10),
     "tb-two-bits": ("protocols", "_a_to_b", _tb_two_bits),
     "shared-third-draw": ("protocols", "substream", _shared_third_draw),
+    "hall-one-lune": ("models", "hall_spins", _hall_one_lune),
 }
 
 
