@@ -6,8 +6,9 @@ the LHV_LAB_SEED environment variable) and reports a stable JSON schema:
 
     {command, config, seed, results, invariant_checks[], version}
 
-All floats are rounded to 9 significant digits before serialization so
-repeated runs with one seed are byte-identical. Exit status is 0 iff
+Each report is json.dumps(report, sort_keys=True, indent=2) with every
+float rounded to 9 significant digits, written in one pass (_report_text),
+so repeated runs with one seed are byte-identical. Exit status is 0 iff
 every invariant check of the run passed. Bad input exits with one line
 on stderr: status 2 for a bad option value or an ignored option, status 1
 for a malformed or out-of-range number list (--correlators, --marginals,
@@ -53,19 +54,71 @@ SEED_ENV = "LHV_LAB_SEED"
 ALPHA = 1e-5
 
 
-def _round_floats(obj):
-    """9-significant-digit rounding, applied recursively; keeps ints/bools."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating, Fraction)):
-        return float(f"{float(obj):.9g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_round_floats(v) for v in obj]
-    return obj
+_STRING = json.encoder.encode_basestring_ascii  # json.dumps's string writer
+
+
+def _json_key(key) -> str:
+    """A dict key that is not a str, as json.dumps turns it into one."""
+    if not isinstance(key, (int, float)) and key is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return json.dumps(key)
+
+
+def _plain(obj):
+    """obj as the plain value that json.dumps writes for it: a float for a
+    numpy float or a Fraction, an int for a numpy int, a dict for a dict
+    subclass and a list for a tuple or a numpy array. Any other value
+    raises TypeError, as in json.dumps (a set, an np.bool_)."""
+    for kinds, plain in (((float, np.floating, Fraction), float), ((int, np.integer), int),
+                         (dict, dict), ((list, tuple, np.ndarray), list)):
+        if isinstance(obj, kinds):
+            return plain(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _put_json(obj, indent: str, put) -> None:
+    """Hand put the text of obj, as _report_text writes it, piece by piece;
+    indent is a newline and the spaces of obj's depth."""
+    kind = type(obj)
+    if kind is float:
+        obj = float(f"{obj:.9g}")
+        put(repr(obj) if math.isfinite(obj) else json.dumps(obj))  # NaN, Infinity
+    elif kind is str:
+        put(_STRING(obj))
+    elif kind is dict or kind is list:
+        if not obj:
+            put("{}" if kind is dict else "[]")
+            return
+        inner = indent + "  "
+        put("{" if kind is dict else "[")
+        for i, value in enumerate(sorted(obj.items()) if kind is dict else obj):
+            put("," + inner if i else inner)
+            if kind is dict:
+                key, value = value
+                put(_STRING(key if isinstance(key, str) else _json_key(key)) + ": ")
+            _put_json(value, inner, put)
+        put(indent + ("}" if kind is dict else "]"))
+    elif kind is bool:
+        put("true" if obj else "false")
+    elif kind is int:
+        put(repr(obj))
+    elif obj is None:
+        put("null")
+    elif isinstance(obj, str):
+        put(_STRING(obj))
+    else:
+        _put_json(_plain(obj), indent, put)
+
+
+def _report_text(report) -> str:
+    """json.dumps(report, sort_keys=True, indent=2), byte for byte, of
+    report with every float rounded to 9 significant digits, in one walk
+    (_put_json) that appends the pieces to one list, joined once. Values
+    that are not plain floats, ints, strs, bools, None, lists or dicts are
+    written as their _plain value."""
+    parts = []
+    _put_json(report, "\n", parts.append)
+    return "".join(parts)
 
 
 def _open_out(path: str, option: str):
@@ -170,10 +223,11 @@ def _law_check(name: str, counts, reference, detail: str) -> dict:
 
 
 def _finish(args, config: dict, results: dict, checks: list) -> int:
-    """Write the run's report; the exit status is 0 iff every check passed."""
+    """Write the run's report, _report_text and a newline, to --out or
+    stdout; the exit status is 0 iff every check passed."""
     report = {"command": args.command, "config": config, "seed": args.seed,
               "results": results, "invariant_checks": checks, "version": __version__}
-    _write(json.dumps(_round_floats(report), sort_keys=True, indent=2) + "\n", args.out)
+    _write(_report_text(report) + "\n", args.out)
     return 0 if all(c["passed"] for c in checks) else 1
 
 
@@ -643,9 +697,36 @@ def _memory_hint(args) -> str:
     return "fewer trials, angles or message bits"
 
 
+@cache
+def _subparsers() -> dict:
+    """Subcommand name -> its parser, in the cached _parser."""
+    return next(action.choices for action in _parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def _parse(argv) -> argparse.Namespace:
+    """parser.parse_args(argv) of the cached _parser, in one pass when
+    argv[0] names a subcommand: that subcommand's parser reads the rest,
+    which is what the full parser does too, and arguments it leaves over
+    get the full parser's own error. Any other argv (none, -h, an unknown
+    command, an option before the command) goes through the full parser."""
+    argv = sys.argv[1:] if argv is None else argv
+    sub = _subparsers().get(argv[0]) if argv else None
+    if sub is None:
+        return _parser().parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        _parser().error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv=None) -> int:
+    """Run the command that argv (default sys.argv[1:]) names and return
+    its exit status: _parse argv, _validate the options against each
+    other, open the output files (_opened) and run the command, whose
+    report _finish writes."""
     parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     _validate(parser, args)
     _keep_chunk_memory()
     with _opened(args):

@@ -258,10 +258,20 @@ def _float_cells(x: np.ndarray, prefix: str = "") -> np.ndarray:
     d0 = top // 10 ** 4
     mid = top - d0 * 10 ** 4
     point = mid + low > 0
+    del r, top
+    # The lead-word index (d0 - 10 e) * 2 + point + 100 signbit(x), built in
+    # e's buffer, with the sign bits in point's once point is added.
+    lead = np.multiply(e, -10, out=e)
+    lead += d0
+    lead *= 2
+    lead += point
+    np.add(lead, 100, out=lead, where=np.signbit(x, out=point))
+    del e, d0, point
     words = _digit_words()
     out = np.empty(x.shape + (4,), np.uint32)
-    out.view(np.uint64)[..., 0] = _lead_words(prefix).take(  # slow cells may be out of range
-        (d0 - 10 * e) * 2 + point + np.signbit(x) * np.int32(100), mode="clip")
+    # Slow cells may index out of range.
+    out.view(np.uint64)[..., 0] = _lead_words(prefix).take(lead, mode="clip")
+    del lead
     out[..., 2] = words[:2].ravel().take(mid + (low == 0) * np.int32(10_000))
     out[..., 3] = words[1].take(low)
     if slow.any():

@@ -7,9 +7,13 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import lhvlab
 from lhvlab import cli
@@ -659,3 +663,153 @@ def test_out_of_memory_in_other_protocols_keeps_the_general_hint(monkeypatch):
         main(["protocol", "--name", "tb", "--mode", "sphere"])
     assert exc.value.code == ("lhvlab protocol: error: out of memory; ask for fewer trials, "
                               "angles or message bits")
+
+
+# ---------------------------------------------------------------------------
+# One-pass report writer against the two steps it replaced
+
+
+def round_floats(obj):
+    """The original rounding step, before json.dumps: 9 significant digits
+    for every float, applied recursively; keeps ints and bools."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating, Fraction)):
+        return float(f"{float(obj):.9g}")
+    if isinstance(obj, dict):
+        return {k: round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [round_floats(v) for v in obj]
+    return obj
+
+
+def reference_report(obj) -> str:
+    return json.dumps(round_floats(obj), sort_keys=True, indent=2)
+
+
+EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16,
+                               1e-5, 0.1, 123456789.5, 1 / 3])
+FLOATS = st.one_of(EDGE_FLOATS, st.floats())
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\t\r\b\f\x00\x1f\x7f é€😀'),
+                         st.characters()), max_size=8)
+ARRAYS = hnp.arrays(st.sampled_from([np.int64, np.float64]),
+                    hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3))
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), FLOATS, TEXT, TEXT.map(np.str_),
+    FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**12),
+    ARRAYS, st.sampled_from([[], (), {}, np.zeros(0), np.zeros((2, 0))]))
+# One key type per dict, as mixed key types do not sort.
+KEYS = st.sampled_from([TEXT, st.integers(), FLOATS, st.booleans(), st.none()])
+REPORTS = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            KEYS.flatmap(lambda keys: st.dictionaries(keys, inner, max_size=4))),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(REPORTS)
+def test_report_writer_matches_round_floats_and_json_dumps(obj):
+    assert cli._report_text(obj) == reference_report(obj)
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, np.bool_(True), np.array([True, False]),
+                                 {"x": [0.5, {"y": frozenset()}]}, object()],
+                         ids=["set", "np.bool_", "bool-array", "nested-frozenset", "object"])
+def test_report_writer_refuses_what_json_dumps_refuses(bad):
+    with pytest.raises(TypeError):
+        reference_report(bad)
+    with pytest.raises(TypeError):
+        cli._report_text(bad)
+
+
+# ---------------------------------------------------------------------------
+# One-pass parse against the full parser
+
+
+VALID_ARGV = [
+    ["law", "--model", "tb-ext2", "--p", "0.25", "--a", "-30", "--vec-b", "0,1,-1",
+     "--seed", "7", "--out", "r.json"],
+    ["law", "--model", "singlet", "--scan", "0:90:3", "--vec-a", "1,2,3", "--b", "9"],
+    ["law", "--mod", "hall", "--b=45", "--se", "3"],
+    ["law", "--model", "singlet", "--a", "10", "--a", "20"],
+    ["simulate", "--model", "tb-ext1", "--p", "1", "--trials", "500", "--a", "15",
+     "--b", "75", "--vec-a", "0,0,1", "--vec-b", "1,0,0", "--seed", "0", "--out", "-"],
+    ["chsh", "--model", "tb-ext1", "--p", "0.5", "--trials", "9", "--a", "1", "--a2", "2",
+     "--b", "3", "--b2", "4", "--vec-a", "1,0,0", "--vec-a2", "0,1,0", "--vec-b", "0,0,1",
+     "--vec-b2", "1,1,0", "--seed", "8", "--out", "c.json"],
+    ["feasibility", "--correlators=0.5,0.5,0.5,-0.5", "--marginals", "0,0,0,0",
+     "--tol", "0.1,0.1,0.1,0.1", "--seed", "4", "--out", "f.json"],
+    ["feasibility", "--from-model", "hall", "--trials", "100", "--a", "0", "--a2", "90",
+     "--b", "45", "--b2", "-45", "--vec-a", "1,0,0", "--vec-a2", "0,1,0", "--vec-b", "0,0,1",
+     "--vec-b2", "0,1,0"],
+    ["protocol", "--name", "detection-loophole", "--mode", "sphere", "--delta-omega", "0.5",
+     "--n-directions", "8", "--transcript", "t.csv", "--trials", "10", "--out", "r.json"],
+    ["protocol", "--name", "tb", "--a", "0", "--b", "60", "--vec-a", "1,0,0",
+     "--vec-b", "0,1,0", "--seed", "3"],
+    ["signal", "--mode", "slave-will", "--message", "0110", "--message-bits", "4",
+     "--trials", "8", "--seed", "1", "--out", "s.json"],
+    ["freewill", "--model", "dictated", "--n", "5", "--seed", "2", "--out", "f.json"],
+    ["freewill"],
+    ["audit", "--mode", "third-party", "--a", "5", "--b", "7", "--vec-a", "0,1,0",
+     "--vec-b", "0,0,1", "--trials", "3", "--seed", "6", "--out", "a.json"],
+]
+
+
+def test_parse_table_covers_every_option():
+    for command, parser in cli._subparsers().items():
+        written = {arg.split("=")[0] for argv in VALID_ARGV if argv[0] == command for arg in argv}
+        options = {opt for action in parser._actions for opt in action.option_strings}
+        assert options - written == {"-h", "--help"}, command
+
+
+def _main_namespace(monkeypatch, argv):
+    """The namespace that main(argv) hands to _validate."""
+    seen = []
+
+    def stop(parser, args):
+        seen.append(args)
+        raise StopIteration
+    monkeypatch.setattr(cli, "_validate", stop)
+    with pytest.raises(StopIteration):
+        main(argv)
+    return seen[0]
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV, ids=[" ".join(a[:2]) for a in VALID_ARGV])
+def test_one_pass_parse_gives_the_full_parsers_namespace(monkeypatch, argv):
+    got = vars(_main_namespace(monkeypatch, argv))
+    want = vars(cli._parser().parse_args(argv))
+    assert list(got) == list(want)
+    for key, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert got[key].dtype == value.dtype and np.array_equal(got[key], value)
+        else:
+            assert type(got[key]) is type(value) and got[key] == value, key
+
+
+# argv whose output goes through argparse's help, errors or _validate.
+PARSE_OUTPUTS = [
+    [], ["-h"], ["bogus"], ["--seed", "3", "law"],
+    ["law"], ["law", "-h"], ["law", "--model", "singlet", "--extra"],
+    ["simulate", "--model", "tb", "--trials", "0"],
+    ["law", "--model", "tb-ext1"],
+    ["law", "--mod", "singlet"],
+]
+FULL_PARSER = ("import sys; from lhvlab import cli; "
+               "cli._parse = lambda argv: cli._parser().parse_args(argv); sys.exit(cli.main())")
+
+
+@pytest.mark.parametrize("argv", PARSE_OUTPUTS, ids=[" ".join(a) or "none" for a in PARSE_OUTPUTS])
+def test_one_pass_parse_keeps_the_full_parsers_bytes(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    env.pop("LHV_LAB_SEED", None)
+    runs = [subprocess.Popen([sys.executable, *how, *argv], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, env=env)
+            for how in (["-m", "lhvlab.cli"], ["-c", FULL_PARSER])]
+    (out, err), (want_out, want_err) = (run.communicate(timeout=60) for run in runs)
+    assert (runs[0].returncode, out, err) == (runs[1].returncode, want_out, want_err)
