@@ -49,12 +49,47 @@ The right-hand sides stay a plain list of integers, the objective's
 included. That column carries ``D_B``, which can be huge (the lcm of
 several 1e9 denominators for Monte Carlo bands, 2**1074 for a
 subnormal tolerance); packed, it would widen every lane to its size.
+
+Built once per coefficient rows. ``D_A``, the lane width, the packed rows
+with their slack lanes and the bias and ones masks depend on ``(A_eq,
+A_ub)`` alone, so an ``lru_cache`` keyed by the rows as tuples of tuples
+builds them once; equal numbers are one key whatever their type, as they
+scale to the same integers. Each call still checks its shapes and then
+only scales its right-hand side, flips the sign of every row whose
+right-hand side is negative, sums the rows into the objective and
+pivots. ``integer_feasible_point`` returns the basic point as integer
+numerators over one denominator, which is what the master-probability
+verdict reads; ``feasible_point`` turns them into Fractions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
+
+# Types whose as_integer_ratio() gives two Python ints exactly; any other
+# value goes through Fraction(x) first.
+_RATIO_TYPES = frozenset((int, float, Fraction))
+
+
+def _fraction_ratio(x):
+    # int(): Fraction(np.int64(k)) keeps the np.int64 as its numerator.
+    n, d = Fraction(x).as_integer_ratio()
+    return int(n), int(d)
+
+
+def _integer_ratios(values) -> list:
+    """(numerator, denominator > 0) of each value, read exactly."""
+    return [x.as_integer_ratio() if type(x) in _RATIO_TYPES else _fraction_ratio(x)
+            for x in values]
+
+
+def _over_lcm(ratios):
+    """Integers z and the least D > 0 with z[i] / D == n / d for each
+    (n, d) of ratios."""
+    denom = math.lcm(*(d for _, d in ratios))
+    return [n * (denom // d) for n, d in ratios], denom
 
 
 def _integer_scaled(values):
@@ -62,9 +97,7 @@ def _integer_scaled(values):
     input comes back as a list of the same ints with D = 1."""
     if set(map(type, values)) <= {int}:
         return list(values), 1
-    exact = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
-    denom = math.lcm(*(x.denominator for x in exact))
-    return [x.numerator * (denom // x.denominator) for x in exact], denom
+    return _over_lcm(_integer_ratios(values))
 
 
 def _ceil_sqrt(s):
@@ -109,27 +142,16 @@ def _checked_shapes(A_eq, b_eq, A_ub, b_ub):
     return n
 
 
-def feasible_point(A_eq, b_eq, A_ub=(), b_ub=()):
-    """Find x >= 0 with A_eq x = b_eq and A_ub x <= b_ub, exactly.
-
-    Returns a list of Fractions, or None when the system is infeasible.
-    Inequalities are handled through nonnegative slack variables; the
-    returned point contains only the original variables. Raises
-    ValueError when a row's length or a right-hand side's length does not
-    match.
-    """
-    A_eq = [list(row) for row in A_eq]
-    A_ub = [list(row) for row in A_ub]
-    b_eq, b_ub = list(b_eq), list(b_ub)
-    n = _checked_shapes(A_eq, b_eq, A_ub, b_ub)
-    if not A_eq and not A_ub:
-        return []
-    n_eq, k = len(A_eq), len(A_ub)
+@functools.lru_cache(maxsize=64)
+def _packed_system(eq_rows, ub_rows):
+    """What depends on the coefficient rows alone, for rows given as tuples
+    of tuples that _checked_shapes has passed: (packed rows, d_a, lane
+    width b, bias, ones). The packed rows hold each scaled row and its
+    slack lane, before any row takes the sign of its right-hand side."""
+    n_eq, k = len(eq_rows), len(ub_rows)
     m = n_eq + k
-    width = n + k  # original + slack; the artificials n+k.. are implicit
-
-    coefs, d_a = _integer_scaled([x for row in A_eq + A_ub for x in row])
-    rhs, d_b = _integer_scaled(b_eq + b_ub)
+    n = len((eq_rows or ub_rows)[0])
+    coefs, d_a = _integer_scaled([x for row in eq_rows + ub_rows for x in row])
     rows = [coefs[i * n:(i + 1) * n] for i in range(m)]
     # Hadamard's bound on every entry: the rows' norms rounded up, each row
     # with its slack entry d_a (inequalities) and its artificial's one,
@@ -144,9 +166,32 @@ def feasible_point(A_eq, b_eq, A_ub=(), b_ub=()):
         v = sum([x << s for x, s in zip(row, shifts)])
         if i >= n_eq:
             v += d_a << (bits * (n + i - n_eq))  # slack column, scaled with A
-        if rhs[i] < 0:  # phase 1 needs b >= 0
-            v, rhs[i] = -v, -rhs[i]
         packed.append(v)
+    ones = ((1 << (bits * (n + k))) - 1) // ((1 << bits) - 1)  # a one in every lane
+    return tuple(packed), d_a, bits, (1 << (bits - 1)) * ones, ones
+
+
+def integer_feasible_point(A_eq, b_eq, A_ub=(), b_ub=()):
+    """feasible_point's basic point as (numerators, denominator): x[j] is
+    numerators[j] / denominator, with one positive denominator for every
+    entry and the fraction not reduced; None when the system is
+    infeasible. Takes and checks the same arguments as feasible_point."""
+    A_eq = tuple(map(tuple, A_eq))
+    A_ub = tuple(map(tuple, A_ub))
+    b_eq, b_ub = list(b_eq), list(b_ub)
+    n = _checked_shapes(A_eq, b_eq, A_ub, b_ub)
+    if not A_eq and not A_ub:
+        return [], 1
+    k = len(A_ub)
+    m = len(A_eq) + k
+    width = n + k  # original + slack; the artificials n+k.. are implicit
+
+    rows, d_a, bits, bias, ones = _packed_system(A_eq, A_ub)
+    rhs, d_b = _integer_scaled(b_eq + b_ub)
+    packed = list(rows)
+    for i, r in enumerate(rhs):
+        if r < 0:  # phase 1 needs b >= 0
+            packed[i], rhs[i] = -packed[i], -r
     # Reduced costs z_j - c_j for minimizing the sum of artificials: with
     # an all-artificial basis, z_j is the column sum, and packed rows add
     # lane by lane.
@@ -156,8 +201,6 @@ def feasible_point(A_eq, b_eq, A_ub=(), b_ub=()):
 
     half = 1 << (bits - 1)
     mask = (1 << bits) - 1
-    ones = ((1 << (bits * width)) - 1) // mask  # a one in every lane
-    bias = half * ones
     tableau = (packed, rhs, bits)
     d = 1
     while True:
@@ -187,8 +230,24 @@ def feasible_point(A_eq, b_eq, A_ub=(), b_ub=()):
 
     if any(r for r, j in zip(rhs, basis) if j >= width):
         return None
-    x = [Fraction(0)] * n
+    x = [0] * n
     for r, j in zip(rhs, basis):
         if j < n:
-            x[j] = Fraction(r * d_a, d * d_b)
-    return x
+            x[j] = r * d_a
+    return x, d * d_b
+
+
+def feasible_point(A_eq, b_eq, A_ub=(), b_ub=()):
+    """Find x >= 0 with A_eq x = b_eq and A_ub x <= b_ub, exactly.
+
+    Returns a list of Fractions, or None when the system is infeasible.
+    Inequalities are handled through nonnegative slack variables; the
+    returned point contains only the original variables. Raises
+    ValueError when a row's length or a right-hand side's length does not
+    match.
+    """
+    point = integer_feasible_point(A_eq, b_eq, A_ub, b_ub)
+    if point is None:
+        return None
+    x, denom = point
+    return [Fraction(v, denom) for v in x]

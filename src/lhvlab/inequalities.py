@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactlp import _integer_scaled, feasible_point
+from .exactlp import _integer_ratios, _integer_scaled, _over_lcm, integer_feasible_point
 from .geometry import RandomStream, streamed
 from .models import JointLaw2x2, analytic_law, estimate_law, model_spec, outcome_counts
 
@@ -38,6 +38,11 @@ _CORR_ROWS = tuple(tuple(x * y for x, y in zip(xs, ys)) for xs, ys in
                    ((_S, _T), (_S2, _T), (_S, _T2), (_S2, _T2)))
 _MARG_ROWS = (_S, _S2, _T, _T2)
 _CHSH_ROW = tuple(c1 + c2 + c3 - c4 for c1, c2, c3, c4 in zip(*_CORR_ROWS))
+_NEGATED_CORR_ROWS = tuple(tuple(-x for x in row) for row in _CORR_ROWS)
+_ONES = (1,) * 16
+_ZEROS = (0, 0, 0, 0)
+# MasterProb16.as_dict's keys, in _QUAD order.
+_Q_KEYS = tuple(f"q({s:+d},{t:+d},{s2:+d},{t2:+d})" for s, t, s2, t2 in _QUAD)
 
 
 @dataclass(frozen=True)
@@ -138,15 +143,7 @@ class MasterProb16:
     positive total."""
 
     def __init__(self, q):
-        weights, total = _integer_scaled(q)
-        if len(weights) != 16:
-            raise ValueError("master probability needs 16 entries")
-        if any(w < 0 for w in weights):
-            raise ValueError("master probability entries must be nonnegative")
-        if sum(weights) != total:
-            raise ValueError("master probability must sum to exactly 1")
-        self.weights = weights
-        self.total = total
+        self.weights, self.total = _reduced_weights(*_integer_scaled(q))
 
     @classmethod
     def _from_weights(cls, weights, total) -> "MasterProb16":
@@ -186,11 +183,24 @@ class MasterProb16:
         return tuple(self._moment(row) for row in _MARG_ROWS)
 
     def chsh_value(self) -> Fraction:
-        return abs(self._moment(_CHSH_ROW))
+        return Fraction(abs(sum(map(operator.mul, _CHSH_ROW, self.weights))), self.total)
 
     def as_dict(self) -> dict:
-        return {f"q({s:+d},{t:+d},{s2:+d},{t2:+d})": w / self.total
-                for (s, t, s2, t2), w in zip(_QUAD, self.weights)}
+        total = self.total
+        return dict(zip(_Q_KEYS, [w / total for w in self.weights]))
+
+
+def _reduced_weights(weights, total):
+    """(weights, total) divided by their gcd once weights are checked to be
+    16 nonnegative ints summing to total > 0; raises ValueError if not."""
+    if len(weights) != 16:
+        raise ValueError("master probability needs 16 entries")
+    if any(w < 0 for w in weights):
+        raise ValueError("master probability entries must be nonnegative")
+    if sum(weights) != total:
+        raise ValueError("master probability must sum to exactly 1")
+    g = math.gcd(total, *weights)
+    return [w // g for w in weights], total // g
 
 
 # The 8 facet sign patterns: odd number of -1 coefficients.
@@ -220,13 +230,11 @@ class FeasibilityResult:
         }
 
 
-def _facet_check(C, M):
-    """Exact facet test: pairwise-law nonnegativity plus the 8 CHSH facets.
-    Returns (feasible, worst violated facet name or None)."""
-    # Work in integers: every value below is scaled by the common
-    # denominator D of the rational inputs.
-    scaled, D = _integer_scaled([*C, *M])
-    C, M = scaled[:4], scaled[4:]
+def _facet_check(C, M, D=1):
+    """Exact facet test: pairwise-law nonnegativity plus the 8 CHSH facets,
+    on correlators C and marginals M given as integers over D (or as any
+    exact numbers, with D = 1). Returns (feasible, worst violated facet
+    name or None)."""
     worst = None
     worst_gap = 0
     pair_m = [(M[0], M[2]), (M[1], M[2]), (M[0], M[3]), (M[1], M[3])]
@@ -259,46 +267,54 @@ def fine_feasibility(correlators4, marginals4=None, correlator_tol=None) -> Feas
     each correlator is relaxed to a band (for Monte Carlo estimates) up to
     |C[i]| <= 1 + tol[i], and the LP alone decides.
     """
-    C = [Fraction(x) for x in correlators4]
-    M = [Fraction(x) for x in (marginals4 if marginals4 is not None else [0, 0, 0, 0])]
-    ct = [Fraction(x) for x in (correlator_tol if correlator_tol is not None else [0] * 4)]
-    if len(C) != 4 or len(M) != 4 or len(ct) != 4:
+    ratios = [_integer_ratios(values) for values in (
+        correlators4,
+        marginals4 if marginals4 is not None else _ZEROS,
+        correlator_tol if correlator_tol is not None else _ZEROS)]
+    if any(len(r) != 4 for r in ratios):
         raise ValueError("need 4 correlators, 4 marginals, and 4 tolerances")
+    # Everything below is in integers over one common denominator D.
+    scaled, D = _over_lcm([*ratios[0], *ratios[1], *ratios[2]])
+    C, M, ct = scaled[:4], scaled[4:8], scaled[8:]
     for i, c in enumerate(C):
-        if abs(c) > 1 + ct[i]:
-            raise ValueError(f"inconsistent input: |C[{i}]| = {float(abs(c))} > "
-                             f"{float(1 + ct[i]):.15g}")
+        if abs(c) > D + ct[i]:
+            raise ValueError(f"inconsistent input: |C[{i}]| = {abs(c) / D} > "
+                             f"{(D + ct[i]) / D:.15g}")
     for i, m in enumerate(M):
-        if abs(m) > 1:
-            raise ValueError(f"inconsistent input: |marginal[{i}]| = {float(abs(m))} > 1")
+        if abs(m) > D:
+            raise ValueError(f"inconsistent input: |marginal[{i}]| = {abs(m) / D} > 1")
 
-    A_eq = [[1] * 16]
-    b_eq = [1]
+    A_eq = [_ONES]
+    b_eq = [D]
     A_ub = []
     b_ub = []
-    for rows, vals, tols in ((_CORR_ROWS, C, ct), (_MARG_ROWS, M, [0] * 4)):
-        for row, val, tol in zip(rows, vals, tols):
-            if tol == 0:
-                A_eq.append(row)
-                b_eq.append(val)
-            else:
-                A_ub.append(row)
-                b_ub.append(val + tol)
-                A_ub.append([-x for x in row])
-                b_ub.append(tol - val)
+    for row, negated, val, tol in zip(_CORR_ROWS, _NEGATED_CORR_ROWS, C, ct):
+        if tol == 0:
+            A_eq.append(row)
+            b_eq.append(val)
+        else:
+            A_ub += (row, negated)
+            b_ub += (val + tol, tol - val)
+    A_eq += _MARG_ROWS
+    b_eq += M
 
-    x = feasible_point(A_eq, b_eq, A_ub, b_ub)
-    lp_feasible = x is not None
-    witness = MasterProb16(x) if lp_feasible else None
-    if lp_feasible and all(c == 0 for c in C) and all(m == 0 for m in M):
-        witness = MasterProb16.uniform()  # canonical witness for the trivial input
+    # The point sums to D, so the witness is its numerators over D times
+    # its denominator.
+    point = integer_feasible_point(A_eq, b_eq, A_ub, b_ub)
+    lp_feasible = point is not None
+    witness = None
+    if lp_feasible:
+        x, denom = point
+        witness = MasterProb16._from_weights(*_reduced_weights(x, D * denom))
+        if not any(C) and not any(M):
+            witness = MasterProb16.uniform()  # canonical witness for the trivial input
 
-    relaxed = any(t != 0 for t in ct)
-    facet_feasible, violated = _facet_check(C, M)
+    relaxed = any(ct)
+    facet_feasible, violated = _facet_check(C, M, D)
     if not relaxed and facet_feasible != lp_feasible:
         raise AssertionError(
             f"feasibility cross-validation failed: LP says {lp_feasible}, "
-            f"facets say {facet_feasible} for C={[float(c) for c in C]}")
+            f"facets say {facet_feasible} for C={[c / D for c in C]}")
     feasible = lp_feasible
     return FeasibilityResult(
         feasible=feasible,

@@ -79,12 +79,12 @@ def _feasibility_systems(seed, count):
 
     def record(*args):
         systems.append(args)
-        return feasible_point(*args)
+        return exactlp.integer_feasible_point(*args)
 
     def s16():
         return Fraction(rng.randint(-16, 16), 16)
 
-    with mock.patch.object(inequalities, "feasible_point", record):
+    with mock.patch.object(inequalities, "integer_feasible_point", record):
         for _ in range(count):
             C = [s16() for _ in range(4)]
             inequalities.fine_feasibility(C)
@@ -97,6 +97,7 @@ def _feasibility_systems(seed, count):
             inequalities.fine_feasibility(
                 noisy, correlator_tol=[Fraction(rng.uniform(0.003, 0.012))
                                        .limit_denominator(10**9) for _ in range(4)])
+    assert len(systems) == 4 * count, "each verdict solves one LP"
     return systems
 
 
@@ -216,3 +217,82 @@ def test_packed_pivot_gives_the_list_rows_and_the_rational_point(args):
     with mock.patch.object(exactlp, "_pivot", list_checked_pivot(width)):
         got = feasible_point(*args)
     assert got == fraction_feasible_point(*args)
+
+
+# ---------------------------------------------------------------------------
+# The packed coefficient rows, built once per system and shared by the calls
+
+
+def test_one_system_in_every_form_gives_the_same_point():
+    A_eq = [[1, 1, 1, 1], [1, -1, 1, -1]]
+    A_ub = [[1, 0, -1, 0], [0, 1, 0, 0]]
+    b_eq, b_ub = [1, Fraction(1, 4)], [Fraction(1, 8), Fraction(3, 8)]
+    forms = {
+        "lists": (A_eq, b_eq, A_ub, b_ub),
+        "tuples": (tuple(map(tuple, A_eq)), tuple(b_eq), tuple(map(tuple, A_ub)), tuple(b_ub)),
+        "floats": ([[float(x) for x in row] for row in A_eq], [float(x) for x in b_eq],
+                   [[float(x) for x in row] for row in A_ub], [float(x) for x in b_ub]),
+        "fractions": ([[Fraction(x) for x in row] for row in A_eq], b_eq,
+                      [[Fraction(x) for x in row] for row in A_ub], b_ub),
+    }
+    expected = fraction_feasible_point(*forms["lists"])
+    assert expected is not None
+    exactlp._packed_system.cache_clear()
+    for name, args in forms.items():
+        assert feasible_point(*args) == expected, name
+    # Equal rows are one key, whatever their container and number type.
+    assert exactlp._packed_system.cache_info().currsize == 1
+
+
+def test_mutating_the_callers_rows_changes_no_later_call():
+    A_eq, b_eq = [[1, 1, 0], [0, 1, 1]], [1, Fraction(1, 2)]
+    first = feasible_point(A_eq, b_eq)
+    assert first == fraction_feasible_point(A_eq, b_eq)
+    A_eq[0][2] = 5
+    A_eq[1].append(7)
+    b_eq[1] = 3
+    assert feasible_point([[1, 1, 0], [0, 1, 1]], [1, Fraction(1, 2)]) == first
+    changed = [[1, 1, 5], [0, 1, 1]]
+    assert feasible_point(changed, [1, 3]) == fraction_feasible_point(changed, [1, 3])
+
+
+@pytest.mark.parametrize("args, message", [
+    (([[1, 1], [1]], [1, 1]), "A_eq row 1 has 1 entries, but A_eq row 0 has 2"),
+    (([[1, 1]], [1, 2]), "A_eq has 1 rows but b_eq has 2 entries"),
+    (([[1, 1]], [1], [[1, 0, 5]], [1]), "A_ub row 0 has 3 entries, but A_eq row 0 has 2"),
+    (([[1, 1], [1, 0]], [1]), "A_eq has 2 rows but b_eq has 1 entries"),
+    (([], [], [[1, 1], [1]], [1, 1]), "A_ub row 1 has 1 entries, but A_ub row 0 has 2"),
+    (([[1]], [1], [[1]], []), "A_ub has 1 rows but b_ub has 0 entries"),
+    (([], [1]), "A_eq has 0 rows but b_eq has 1 entries"),
+])
+def test_malformed_shapes_raise_after_a_cached_system_of_their_width(args, message):
+    A_eq, _, A_ub, _ = (list(args) + [(), ()])[:4]
+    width = len((A_eq or A_ub)[0]) if (A_eq or A_ub) else 1
+    for system in (([[1] * width], [1]), ([[1] * width], [1], [[1] * width], [1]),
+                   ([], [], [[1] * width, [1] * width], [1, 1])):
+        feasible_point(*system)  # cached, well formed, of the same width
+    for solve in (feasible_point, exactlp.integer_feasible_point):
+        with pytest.raises(ValueError) as info:
+            solve(*args)
+        assert str(info.value) == message
+
+
+def test_every_zero_tolerance_subset_is_one_cached_system():
+    # fine_feasibility's band rows depend only on which of the four
+    # correlator tolerances are zero: 16 systems, each built once.
+    exactlp._packed_system.cache_clear()
+    for tol in ([Fraction(k >> i & 1, 16) for i in range(4)] for k in range(16)):
+        for C in ([0, 0, 0, 0], [Fraction(1, 2), Fraction(-1, 4), 0, Fraction(3, 8)]):
+            inequalities.fine_feasibility(C, None, tol)
+    info = exactlp._packed_system.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (16, 16, 16)
+
+
+def test_integer_entry_gives_the_point_over_one_denominator():
+    args = ([[1, 1], [1, -1]], [1, Fraction(1, 2)])
+    numerators, denominator = exactlp.integer_feasible_point(*args)
+    assert denominator > 0
+    assert [Fraction(v, denominator) for v in numerators] == feasible_point(*args)
+    assert exactlp.integer_feasible_point([[1, 1]], [1], [[1, 1]], [Fraction(1, 2)]) is None
+    assert exactlp.integer_feasible_point([], []) == ([], 1)
+    assert feasible_point([], []) == []

@@ -1,12 +1,15 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lhvlab.exactlp import feasible_point
 from lhvlab.geometry import RandomStream, planar_setting
-from lhvlab.inequalities import (CardDeckModel, MasterProb16,
+from lhvlab.inequalities import (CHSH_FACETS, CardDeckModel, FeasibilityResult,
+                                 MasterProb16, _CORR_ROWS, _MARG_ROWS, _facet_name,
                                  bayes_chain_check, card_deck_stats,
                                  chsh_analytic, chsh_from_correlators,
                                  chsh_mc, correlator,
@@ -183,6 +186,152 @@ def test_lp_and_facets_agree_on_random_vectors():
         res = fine_feasibility(C)
         n_infeasible += not res.feasible
     assert 0 < n_infeasible < 10_000
+
+
+# The Fraction-based verdict that the integer one replaced, kept as its
+# oracle: every input, range check, right-hand side, facet value and atom
+# of the witness is a Fraction.
+
+
+def fraction_witness(q):
+    """MasterProb16(q) as it was built from Fractions: the least common
+    total, checked."""
+    q = [Fraction(x) for x in q]
+    total = math.lcm(*(x.denominator for x in q))
+    weights = [x.numerator * (total // x.denominator) for x in q]
+    if len(weights) != 16:
+        raise ValueError("master probability needs 16 entries")
+    if any(w < 0 for w in weights):
+        raise ValueError("master probability entries must be nonnegative")
+    if sum(weights) != total:
+        raise ValueError("master probability must sum to exactly 1")
+    return MasterProb16._from_weights(weights, total)
+
+
+def fraction_facet_check(C, M):
+    """The facet test with the inputs as Fractions and the bounds 1 and 2."""
+    worst = None
+    worst_gap = 0
+    pair_m = [(M[0], M[2]), (M[1], M[2]), (M[0], M[3]), (M[1], M[3])]
+    pair_names = ["ab", "a2b", "ab2", "a2b2"]
+    for i in range(4):
+        ma, mb = pair_m[i]
+        for s in (1, -1):
+            for t in (1, -1):
+                val = 1 + s * ma + t * mb + s * t * C[i]
+                if val < 0 and -val > worst_gap:
+                    worst_gap = -val
+                    worst = f"pair[{pair_names[i]}]({s:+d},{t:+d})"
+    for signs in CHSH_FACETS:
+        val = sum(si * ci for si, ci in zip(signs, C))
+        if val > 2 and val - 2 > worst_gap:
+            worst_gap = val - 2
+            worst = _facet_name(signs)
+    return worst is None, worst
+
+
+def fraction_fine_feasibility(correlators4, marginals4=None, correlator_tol=None):
+    C = [Fraction(x) for x in correlators4]
+    M = [Fraction(x) for x in (marginals4 if marginals4 is not None else [0, 0, 0, 0])]
+    ct = [Fraction(x) for x in (correlator_tol if correlator_tol is not None else [0] * 4)]
+    if len(C) != 4 or len(M) != 4 or len(ct) != 4:
+        raise ValueError("need 4 correlators, 4 marginals, and 4 tolerances")
+    for i, c in enumerate(C):
+        if abs(c) > 1 + ct[i]:
+            raise ValueError(f"inconsistent input: |C[{i}]| = {float(abs(c))} > "
+                             f"{float(1 + ct[i]):.15g}")
+    for i, m in enumerate(M):
+        if abs(m) > 1:
+            raise ValueError(f"inconsistent input: |marginal[{i}]| = {float(abs(m))} > 1")
+    A_eq, b_eq, A_ub, b_ub = [[1] * 16], [1], [], []
+    for rows, vals, tols in ((_CORR_ROWS, C, ct), (_MARG_ROWS, M, [0] * 4)):
+        for row, val, tol in zip(rows, vals, tols):
+            if tol == 0:
+                A_eq.append(row)
+                b_eq.append(val)
+            else:
+                A_ub += [row, [-x for x in row]]
+                b_ub += [val + tol, tol - val]
+    x = feasible_point(A_eq, b_eq, A_ub, b_ub)
+    lp_feasible = x is not None
+    witness = fraction_witness(x) if lp_feasible else None
+    if lp_feasible and all(c == 0 for c in C) and all(m == 0 for m in M):
+        witness = MasterProb16.uniform()
+    relaxed = any(t != 0 for t in ct)
+    facet_feasible, violated = fraction_facet_check(C, M)
+    if not relaxed and facet_feasible != lp_feasible:
+        raise AssertionError(
+            f"feasibility cross-validation failed: LP says {lp_feasible}, "
+            f"facets say {facet_feasible} for C={[float(c) for c in C]}")
+    return FeasibilityResult(lp_feasible, witness, None if lp_feasible else violated,
+                             lp_feasible, None if relaxed else facet_feasible)
+
+
+def _outcome(verdict, *args):
+    """The compared fields of a verdict, or the type and text of what it
+    raised."""
+    try:
+        res = verdict(*args)
+    except Exception as exc:  # the exception is the outcome
+        return type(exc), str(exc)
+    witness = res.witness and (res.witness.weights, res.witness.total)
+    return (res.feasible, res.facet_violated, res.lp_feasible, res.facet_feasible, witness)
+
+
+# Values of every kind the verdict reads exactly, and now and then one just
+# out of range.
+IN_RANGE = st.one_of(
+    st.integers(-16, 16).map(lambda n: Fraction(n, 16)),
+    st.integers(-64, 64).map(lambda n: Fraction(n, 64)),
+    st.floats(-1.0, 1.0).map(lambda x: Fraction(x).limit_denominator(10**9)),
+    st.integers(0, 30).flatmap(lambda k: st.integers(-2**k, 2**k).map(lambda n: n / 2**k)),
+    st.integers(-1, 1),
+    st.sampled_from([Decimal("0.25"), np.float64(-0.5), "3/8", True]))
+OUT_OF_RANGE = st.sampled_from([Fraction(17, 16), Fraction(-65, 64), -2, 1.5, 1 + 2**-30,
+                                Fraction(10**9 + 1, 10**9)])
+VALUES = st.integers(0, 39).flatmap(lambda k: OUT_OF_RANGE if k == 0 else IN_RANGE)
+
+
+def _quartet(values):
+    """Mostly four values; now and then three or five."""
+    return st.sampled_from((4,) * 10 + (3, 5)).flatmap(
+        lambda n: st.lists(values, min_size=n, max_size=n))
+
+
+# A tolerance is zero in any subset of the four positions, and now and then
+# negative.
+TOLERANCES = st.one_of(st.none(), _quartet(st.one_of(
+    st.just(0), st.just(0.0), st.integers(-2, 12).map(lambda n: Fraction(n, 64)),
+    st.floats(0.0, 0.1).map(lambda x: Fraction(x).limit_denominator(10**9)),
+    st.integers(0, 8).map(lambda k: 2.0**-k))))
+FEASIBILITY_ARGS = st.tuples(_quartet(VALUES), st.one_of(st.none(), _quartet(VALUES)),
+                             TOLERANCES)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(FEASIBILITY_ARGS)
+@example(([0, 0, 0, 0], None, None))
+@example(([0.0, 0, Fraction(0), 0], [0, 0, 0, 0], [0, 0, 0, 0]))
+@example(([0, 0, 0, 0], [0, 0, 0, 0], [Fraction(1, 64), 0, 0, 0.5]))
+@example(([1.5, 0, 0, 0], None, None))
+@example(([0, 0, 0, 0], [0, 0, 0, 1.2], None))
+@example(([Fraction(17, 16), 0, 0, 0], None, [Fraction(1, 32), 0, 0, 0]))
+@example(([0, 0, 0], None, None))
+@example(([0, 0, 0, 0], [0] * 5, None))
+@example(([0, 0, 0, float("nan")], None, None))
+@example(([0, 0, 0, 0], [None] * 4, None))
+@example(([float("inf")] * 4, [0] * 3, None))
+def test_integer_verdict_matches_the_fraction_verdict(args):
+    assert _outcome(fine_feasibility, *args) == _outcome(fraction_fine_feasibility, *args)
+
+
+def test_numpy_integers_read_as_python_ints():
+    # Fraction(np.int64(k)) keeps the np.int64 as its numerator, which
+    # overflowed once scaled by the 1e9-sized common denominator.
+    M = [0, 0, Fraction(1, 64), Fraction(775351666, 926193001)]
+    for C in ([1, Fraction(296292513, 323432167), 0, 0], [1, 1, 1, 1], [2, 0, 0, 0]):
+        as_numpy = [np.int64(x) if type(x) is int else x for x in C]
+        assert _outcome(fine_feasibility, as_numpy, M) == _outcome(fine_feasibility, C, M)
 
 
 def test_counterfactual_correlators_stay_classical():

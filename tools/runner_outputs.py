@@ -37,7 +37,11 @@ because each one writes a transcript. Here, at seeds 5 and 6:
   of tools/lp_times.py in steps of 1/16 and 1/64 (exact, marginals and
   band feasibility, 1e9-denominator bands, one and two rows), systems with
   coefficients over 2**70-sized denominators, and systems whose right-hand
-  sides are all zero, so that every ratio ties.
+  sides are all zero, so that every ratio ties. A feasibility system is
+  taken with every right-hand side over that of its first equality, the
+  atoms' sum, so that a checkout whose verdicts pass rationals (the sum
+  as 1) and one that passes integers over a common denominator D (the
+  sum as D) give the same rational systems.
 
 A checkout's runners must write their transcript to the file given as
 record. The script uses the standard library and the checkout's lhvlab
@@ -258,6 +262,13 @@ def freewill_outputs(lhv):
             yield f"freewill.{name}/s{seed}", repr(f.mutual_information(model))
 
 
+def _over_first_equality(A_eq, b_eq, A_ub, b_ub):
+    """The system with every right-hand side divided by b_eq[0]."""
+    first = b_eq[0]
+    return (A_eq, [Fraction(b, first) for b in b_eq],
+            A_ub, [Fraction(b, first) for b in b_ub])
+
+
 def lp_systems(seed: int, count: int):
     """name -> count seeded systems: tools/lp_times.py's shapes in steps of
     1/16 and 1/64, then 2**70-sized denominators and all-zero right-hand
@@ -268,6 +279,8 @@ def lp_systems(seed: int, count: int):
     spec.loader.exec_module(lp_times)
     for den in (16, 64):
         for shape, batch in lp_times.systems(seed, count, den).items():
+            if shape in lp_times.VERDICT_SHAPES:
+                batch = [_over_first_equality(*system) for system in batch]
             yield f"{shape}/d{den}", batch
     rng = random.Random(seed)
 
