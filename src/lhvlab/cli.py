@@ -28,6 +28,7 @@ import ctypes
 import json
 import math
 import os
+import re
 import stat
 import sys
 from contextlib import contextmanager, suppress
@@ -250,6 +251,11 @@ def _chsh_settings(args):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # No option looks like a number: -0.7,-0.7,..., -90:90:3 and -1e1 are values.
+        self._negative_number_matcher = re.compile(r"-\.?\d.*")
+
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
 

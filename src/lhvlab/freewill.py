@@ -138,9 +138,9 @@ def _sup_l1(denom: int, rows: list, n_atoms: int) -> float:
     overlap, and two rows that overlap nowhere are at the largest
     distance, 2D. The rows are scanned in blocks over those shared atoms,
     each block against itself and the blocks before it, until such a pair
-    turns up. Equal rows are scanned once: rows are compared as written,
-    and, when two of them may hold one set of atoms (each row's atoms
-    hashed to one order-free sum), again as sorted (atom, weight) pairs.
+    turns up. Rows equal as written, atom for atom in one order, are
+    scanned once; a copy written in another atom order is scanned as a row
+    of its own, at distance 0 from the first.
     """
     unique = list(dict.fromkeys(rows))
     m = len(unique)
@@ -155,15 +155,6 @@ def _sup_l1(denom: int, rows: list, n_atoms: int) -> float:
     per_row = np.bincount(held, minlength=m)
     if not per_row.all():  # a row that shares no atom overlaps no other row
         return 2.0
-    mixed = atoms.astype(np.uint64)
-    mixed += 1
-    mixed *= np.uint64(0x9E3779B97F4A7C15)
-    mixed ^= mixed >> np.uint64(29)
-    signatures = np.sort(np.add.reduceat(mixed, np.cumsum(sizes) - sizes))
-    if (signatures[1:] == signatures[:-1]).any():  # two rows may hold one set of atoms
-        distinct = list({tuple(sorted(zip(*row))): row for row in unique}.values())
-        if len(distinct) < m:
-            return _sup_l1(denom, distinct, n_atoms)
     # int64 while 2D < 2**63, so 2D and every overlap (at most D) fit; Python ints beyond.
     dtype = np.int64 if 2 * denom < 2**63 else object
     weights = np.fromiter(chain.from_iterable(weight_rows), dtype, atoms.size)[keep]

@@ -336,8 +336,8 @@ class RandomStream:
         It keeps a half h iff (h k) mod 2**32 >= (2**32 - k) mod k and gives
         (h k) >> 32 (Lemire, ACM TOMACS 29(1), 2019). For k a power of two
         no half is rejected, so value i reads half i. For any other k one
-        pass, on the chunk pool, counts the rejected halves of each block of
-        _HALF_BLOCK halves, and a window starts at the block that holds its
+        pass, on the calling thread, counts the rejected halves of each block
+        of _HALF_BLOCK halves, and a window starts at the block that holds its
         first value. Either way draw runs Generator.integers itself from the
         half its window starts at, so the values are its own. As with
         uniform_rows, the counter and the generator state move on at once
@@ -379,10 +379,9 @@ class RandomStream:
         kept = np.zeros(1, np.int64)
         while threshold and kept[-1] < n:
             more = -(-(n - int(kept[-1])) // _HALF_BLOCK)
-            done = len(kept) - 1
-            counts = np.concatenate(list(streamed(
-                more, lambda b: rejected(done + b.start, b.stop - b.start),
-                max(1, _CHUNK_ROWS // _HALF_BLOCK))))
+            done, step = len(kept) - 1, max(1, _CHUNK_ROWS // _HALF_BLOCK)
+            counts = np.concatenate([rejected(done + b, min(step, more - b))
+                                     for b in range(0, more, step)])
             kept = np.concatenate([kept, kept[-1] + np.cumsum(_HALF_BLOCK - counts)])
 
         def first(lo):

@@ -617,8 +617,9 @@ def _select_rows(mask, spin, u, requested):
 
 
 def _along_axis(u, x):
-    """Whether the spin u lies along +-x, up to rounding."""
-    return _along(dot(u, x))
+    """Whether each spin u lies along +-x, up to rounding, for the detectors
+    and the audit alike; u and x are each one vector, rows or AtomSpins."""
+    return spin_map(_along, u, x)
 
 
 def _along(t):
@@ -854,12 +855,12 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
         a_used, b_used, u = (AtomSpins(table, draw(rows)) for table, draw
                              in zip((settings_a, settings_b, u_values), index_rows))
         # The flagged particle fires only when its setting lies along +-u.
-        fires_b = spin_map(_along, u, b_used)
+        fires_b = _along_axis(u, b_used)
         if w_fire is None:
             c_a, fires_a = np.broadcast_to(np.uint8(0), fires_b.shape), np.True_
         else:
             flagged = w_fire(rows) < 0.5  # c = 1: the bit rides on side A
-            fires_a = spin_map(_along, u, a_used)
+            fires_a = _along_axis(u, a_used)
             fires_a |= ~flagged
             fires_b |= flagged
             c_a = flagged.view(np.uint8)

@@ -400,6 +400,42 @@ def test_bad_input_fails_in_one_line(capsys, argv):
     assert captured.err.startswith("lhvlab") and captured.err.count("\n") == 1
 
 
+def _run_module(*argv):
+    """(status, stdout, stderr) of python -m lhvlab.cli argv."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "lhvlab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+# Values that start like a negative number but are not argparse's -1 or -.5.
+NUMBER_LIKE_VALUES = {
+    "correlators": ["feasibility", "--correlators", "-0.7,-0.7,-0.7,0.7"],
+    "marginals": ["feasibility", "--correlators", "0,0,0,0", "--marginals", "-0.5,0,0,0"],
+    "vec-b": ["law", "--model", "singlet", "--vec-b", "-1,0,0"],
+    "scan": ["law", "--model", "singlet", "--scan", "-90:90:3"],
+    "a": ["law", "--model", "singlet", "--a", "-1e1"],
+}
+
+
+@pytest.mark.parametrize("argv", NUMBER_LIKE_VALUES.values(), ids=NUMBER_LIKE_VALUES.keys())
+def test_option_values_that_start_like_negative_numbers_are_values(argv):
+    *head, option, value = argv
+    spaced = _run_module(*argv)
+    assert spaced == _run_module(*head, f"{option}={value}")
+    assert spaced[0] == 0 and spaced[1] and spaced[2] == ""
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["law", "--model", "singlet", "--a", "-x"], "argument --a: expected one argument"),
+    (["law", "--model", "singlet", "--seed", "-1"],
+     "argument --seed: expected a nonnegative integer (--seed or $LHV_LAB_SEED), got '-1'"),
+])
+def test_option_values_that_are_no_numbers_keep_their_errors(argv, error):
+    status, out, err = _run_module(*argv)
+    assert (status, out, err) == (2, "", f"lhvlab law: error: {error}\n")
+
+
 @pytest.mark.parametrize("scan", ["0:inf:3", "nan:90:3", "0:90:x", ""])
 def test_law_scan_bad_range_fails_in_one_line(tmp_path, scan):
     with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:

@@ -267,18 +267,20 @@ def test_measures_equal_the_rational_reference_on_every_layout(kind, data):
     assert kind != "apart" or len(model.conditional) == 1 or measure_M(model) == 2.0
 
 
-def test_equal_distributions_in_another_key_order_are_merged(monkeypatch):
-    # Each distribution is written twice, in two key orders. Once the copies
-    # are merged, one row is left (M = 0), or two rows that share no atom
-    # (M = 2): either way before any dense block is built.
-    half = Fraction(1, 2)
+def test_equal_distributions_in_another_key_order_are_measured_as_equal():
+    # Each distribution is written twice, in two key orders: one row and its
+    # copy (M = 0), two such pairs that share no atom (M = 2), or a pair and
+    # a copy that moves a quarter of the weight to an atom of its own (M = 1/2).
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
     one = {(0, 0): {"y": half, "z": half}, (0, 1): {"z": half, "y": half}}
     two = {**one, (0, 2): {"u": half, "v": half}, (0, 3): {"v": half, "u": half}}
-    models = [DiscretizedModel(1, 2, one), DiscretizedModel(1, 4, two)]
-    monkeypatch.setattr(freewill.np, "zeros", None)
-    assert [measure_M(model) for model in models] == [0.0, 2.0]
-    monkeypatch.undo()
-    assert [_reference_M(model) for model in models] == [0.0, 2.0]
+    part = {**one, (0, 2): {"y": half, "z": quarter, "w": quarter},
+            (0, 3): {"w": quarter, "y": half, "z": quarter}}
+    models = [DiscretizedModel(1, 2, one), DiscretizedModel(1, 4, two),
+              DiscretizedModel(1, 4, part)]
+    assert [measure_M(model) for model in models] == [0.0, 2.0, 0.5]
+    for model in models:
+        _assert_matches_reference(model)
 
 
 def test_dictated_model_is_measured_without_a_dense_block():

@@ -233,6 +233,19 @@ def test_index_rows_are_the_whole_integers_draw(k, prior, n):
     assert whole_stream.uniform(5).tobytes() == window_stream.uniform(5).tobytes()
 
 
+def test_index_rows_count_rejections_on_the_calling_thread(monkeypatch):
+    # More values than one counting read holds, with two workers, and the
+    # chunk pool refused: the count at reservation runs on this thread.
+    n = 2 * geometry._CHUNK_ROWS + 3
+    whole = RandomStream(23, 1).integers(0, 20, n)
+
+    def no_pool(workers):
+        raise AssertionError("index_rows asked for the chunk pool")
+    monkeypatch.setattr(geometry, "_workers", lambda: 2)
+    monkeypatch.setattr(geometry, "_executor", no_pool)
+    assert RandomStream(23, 1).index_rows(20, n)(slice(None)).tolist() == whole.tolist()
+
+
 def test_index_rows_refuse_k_outside_the_32_bit_range():
     for k in (0, 2**32):
         with pytest.raises(ValueError, match="1 <= k < 2"):
