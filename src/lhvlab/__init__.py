@@ -6,13 +6,10 @@ measurement-dependence measures."""
 
 __version__ = "0.1.0"
 
-from .geometry import (RandomStream, planar_setting, sample_uniform_sphere,
-                       sgn, substream, unit_vector)
-from .models import (JointLaw2x2, ModelFlags, analytic_law, pinned_spin_outcomes,
-                     pinned_spin_sample, estimate_law, hall_density,
-                     hall_outcomes, hall_sample, malus_marginal, mixed_law,
-                     model_flags, singlet_law, tb_extension_law,
-                     tb_extension_sample, tb_outcomes)
+from .geometry import RandomStream, planar_setting, sgn, substream
+from .models import (JointLaw2x2, ModelFlags, analytic_law, estimate_law, hall_density,
+                     hall_outcomes, malus_marginal, mixed_law, singlet_law,
+                     tb_extension_law, tb_outcomes)
 from .inequalities import (CardDeckModel, ChshReport, CorrelatorEstimate,
                            MasterProb16, bayes_chain_check, card_deck_stats,
                            chsh_analytic, chsh_from_correlators, chsh_mc,

@@ -13,9 +13,11 @@ every invariant check of the run passed. Bad input exits with one line
 on stderr: status 2 for a bad option value or an ignored option, status 1
 for a malformed or out-of-range number list (--correlators, --marginals,
 --tol, --scan), for a protocol run that cannot finish and for an --out or
---transcript file that cannot be opened. Both files are opened before the
-run, so an unwritable path fails before any draw, and a run that fails
-removes them: it leaves no partial transcript and no report. On glibc,
+--transcript file that cannot be opened, and status 3 (WRITE_FAILED) for
+one that cannot be written or closed (a full disk, a file-size limit, a
+reader that closed the pipe). Both files are opened before the run, so an
+unwritable path fails before any draw, and a run that fails removes them:
+it leaves no partial transcript and no report. On glibc,
 main keeps freed memory mapped for the rest of the process, in one heap
 for all its threads, so the temporaries of a Monte Carlo run are not
 faulted in again chunk by chunk (see _keep_chunk_memory).
@@ -53,6 +55,9 @@ DEFAULT_SEED = 12345
 SEED_ENV = "LHV_LAB_SEED"
 # Probability that a sampled check fails a correct run (see _z_check).
 ALPHA = 1e-5
+# Exit status of a run whose --out or --transcript file could not be
+# written or closed.
+WRITE_FAILED = 3
 
 
 _STRING = json.encoder.encode_basestring_ascii  # json.dumps's string writer
@@ -122,38 +127,74 @@ def _report_text(report) -> str:
     return "".join(parts)
 
 
-def _open_out(path: str, option: str):
-    """path opened for writing text; one line naming option and path if it
-    cannot be."""
-    try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise SystemExit(f"{option}: cannot write {path}: {exc.strerror or exc}") from None
+class _WriteFailed(Exception):
+    """A write, flush or close of an --out or --transcript file failed;
+    the message is one line naming the option, the path and the error."""
+
+
+class _Output:
+    """The text file of an --out or --transcript option, opened for
+    writing; one line naming the option and the path if it cannot be. An
+    OSError from writing or closing it (the close flushes) is raised as
+    _WriteFailed."""
+
+    def __init__(self, path: str, option: str):
+        self.name, self.option = path, option
+        try:
+            self._fh = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise SystemExit(f"{option}: cannot write {path}: {exc.strerror or exc}") from None
+        self._stat = os.fstat(self._fh.fileno())
+
+    def write(self, text: str) -> int:
+        return self._guarded(self._fh.write, text)
+
+    def close(self) -> None:
+        self._guarded(self._fh.close)
+
+    def _guarded(self, call, *args):
+        try:
+            return call(*args)
+        except OSError as exc:
+            raise _WriteFailed(f"{self.option}: cannot write {self.name}: "
+                               f"{exc.strerror or exc}") from None
+
+    def discard(self) -> None:
+        """Close the file, whatever the close raises, and remove it if its
+        path still names the regular file opened (not a device, a pipe or a
+        link such as /dev/stdout)."""
+        with suppress(OSError):
+            self._fh.close()
+        with suppress(OSError):
+            st = os.lstat(self.name)
+            if stat.S_ISREG(st.st_mode) and os.path.samestat(st, self._stat):
+                os.remove(self.name)
 
 
 @contextmanager
 def _opened(args):
     """Open the run's --transcript and --out files, in that order, in place
-    of their paths on args. If the run raises, each file whose path names
-    a regular file itself (not a device, a pipe or a link such as
-    /dev/stdout) is removed before the exception goes on."""
+    of their paths on args, and close them once the run is done. If the
+    run raises, or a write or close fails, every file is discarded
+    (_Output.discard): no partial transcript or report is left. A failed
+    write then ends the run with its one line on stderr and status
+    WRITE_FAILED; any other exception goes on."""
     files = []
     try:
         for option in ("transcript", "out"):
             if getattr(args, option, None):
-                files.append(_open_out(getattr(args, option), f"--{option}"))
+                files.append(_Output(getattr(args, option), f"--{option}"))
                 setattr(args, option, files[-1])
         yield
-    except BaseException:
-        for fh in files:
-            with suppress(OSError):
-                st = os.lstat(fh.name)
-                if stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.fstat(fh.fileno())):
-                    os.remove(fh.name)
-        raise
-    finally:
         for fh in files:
             fh.close()
+    except BaseException as exc:
+        for fh in files:
+            fh.discard()
+        if isinstance(exc, _WriteFailed):
+            print(exc, file=sys.stderr)
+            raise SystemExit(WRITE_FAILED) from None
+        raise
 
 
 def _write(text: str, out) -> None:

@@ -59,7 +59,7 @@ only scales its right-hand side, flips the sign of every row whose
 right-hand side is negative, sums the rows into the objective and
 pivots. ``integer_feasible_point`` returns the basic point as integer
 numerators over one denominator, which is what the master-probability
-verdict reads; ``feasible_point`` turns them into Fractions.
+verdict reads.
 """
 
 from __future__ import annotations
@@ -172,10 +172,16 @@ def _packed_system(eq_rows, ub_rows):
 
 
 def integer_feasible_point(A_eq, b_eq, A_ub=(), b_ub=()):
-    """feasible_point's basic point as (numerators, denominator): x[j] is
-    numerators[j] / denominator, with one positive denominator for every
-    entry and the fraction not reduced; None when the system is
-    infeasible. Takes and checks the same arguments as feasible_point."""
+    """Find x >= 0 with A_eq x = b_eq and A_ub x <= b_ub, exactly: the
+    basic point as (numerators, denominator), x[j] = numerators[j] /
+    denominator, with one positive denominator for every entry and the
+    fraction not reduced; None when the system is infeasible.
+
+    Inequalities are handled through nonnegative slack variables; the
+    returned point holds only the original variables. Raises ValueError
+    when a row's length or a right-hand side's length does not match.
+    Entries may be ints, floats, Fractions or any value Fraction() reads
+    exactly (numpy and Decimal values among them)."""
     A_eq = tuple(map(tuple, A_eq))
     A_ub = tuple(map(tuple, A_ub))
     b_eq, b_ub = list(b_eq), list(b_ub)
@@ -235,19 +241,3 @@ def integer_feasible_point(A_eq, b_eq, A_ub=(), b_ub=()):
         if j < n:
             x[j] = r * d_a
     return x, d * d_b
-
-
-def feasible_point(A_eq, b_eq, A_ub=(), b_ub=()):
-    """Find x >= 0 with A_eq x = b_eq and A_ub x <= b_ub, exactly.
-
-    Returns a list of Fractions, or None when the system is infeasible.
-    Inequalities are handled through nonnegative slack variables; the
-    returned point contains only the original variables. Raises
-    ValueError when a row's length or a right-hand side's length does not
-    match.
-    """
-    point = integer_feasible_point(A_eq, b_eq, A_ub, b_ub)
-    if point is None:
-        return None
-    x, denom = point
-    return [Fraction(v, denom) for v in x]

@@ -11,11 +11,10 @@ and the branch-free +-1 and selection kernels, seeded splittable random
 streams whose uniforms and index draws a run reserves whole and reads
 window by window, each window from a per-thread generator set to its word
 (``RandomStream.uniform_rows``, ``RandomStream.index_rows``),
-``streamed``/``chunked``, the one loop over the trials of a Monte Carlo
-run, and ``gathered``, the one fill of
-full-length arrays from its chunks. Everything downstream draws
-exclusively through :class:`RandomStream` so that a run is reproducible
-bit-for-bit from its master seed.
+``streamed``, the one loop over the trials of a Monte Carlo run, and
+``gathered``, the one fill of full-length arrays from its chunks.
+Everything downstream draws exclusively through :class:`RandomStream` so
+that a run is reproducible bit-for-bit from its master seed.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import numpy as np
 
 UNIT_TOL = 1e-12
 
-# Rows per chunk of a Monte Carlo trial loop (see chunked).
+# Rows per chunk of a Monte Carlo trial loop (see streamed).
 _CHUNK_ROWS = 1 << 16
 
 # (workers, executor), made by the first run of two or more chunks. It lives
@@ -177,15 +176,9 @@ def streamed(n: int, work, rows: int | None = None):
             future.cancel()
 
 
-def chunked(n: int, work) -> list:
-    """[work(rows) for each slice rows of range(n), _CHUNK_ROWS at a time],
-    in order (see streamed)."""
-    return list(streamed(n, work))
-
-
 def gathered(n: int, work) -> tuple:
     """The full-length arrays of the parts of work(rows), one per part,
-    each chunk's parts written into their rows (see chunked). The first
+    each chunk's parts written into their rows (see streamed). The first
     chunk to finish part k makes its array, with the part's trailing shape
     and dtype; setdefault keeps one array when two chunks race."""
     columns = {}
@@ -197,7 +190,8 @@ def gathered(n: int, work) -> tuple:
                 x = np.asarray(x)
                 full = columns.setdefault(k, np.empty((n, *x.shape[1:]), x.dtype))
             full[rows] = x
-    chunked(n, put)
+    for _ in streamed(n, put):
+        pass
     return tuple(columns[k] for k in range(len(columns)))
 
 
@@ -245,10 +239,6 @@ def normalize(v) -> np.ndarray:
     return v / norm
 
 
-def unit_vector(x, y, z) -> np.ndarray:
-    return normalize(np.array([x, y, z], dtype=float))
-
-
 def planar_setting(angle_deg: float) -> np.ndarray:
     """Analyzer direction at the given angle in the x-y plane."""
     t = math.radians(angle_deg)
@@ -293,7 +283,14 @@ class RandomStream:
                 f"stream_id={self.stream_id}, counter={self.counter})")
 
     def _count(self, size) -> None:
-        self.counter += 1 if size is None else int(np.prod(size))
+        """Add the values a draw of the given size takes: 1 for None, the
+        product for a tuple or list (1 for ()), else int(size)."""
+        if size is None:
+            self.counter += 1
+        elif isinstance(size, (tuple, list)):
+            self.counter += int(math.prod(size))
+        else:
+            self.counter += int(size)
 
     def uniform(self, size=None):
         """Uniform draws in [0, 1)."""
@@ -417,29 +414,15 @@ class RandomStream:
             state = end.state
         bits.state = {**state, "has_uint32": has_uint32, "uinteger": uinteger}
 
-    def signs(self, size=None):
-        """Fair draws from {-1.0, +1.0}."""
-        u = self.uniform(size)
-        return uniform_signs(u) if size is not None else (-1.0 if u < 0.5 else 1.0)
-
-    def bits(self, size=None):
-        """Fair draws from {0, 1}."""
-        u = self.uniform(size)
-        return uniform_bits(u) if size is not None else int(u < 0.5)
-
     def integers(self, low: int, high: int, size=None):
         """Uniform integers in [low, high)."""
         self._count(size)
         return self._gen.integers(low, high, size=size)
 
-    def sphere(self, size=None):
-        """Uniform unit vectors on the sphere; see sample_uniform_sphere."""
-        return sample_uniform_sphere(self, size)
-
 
 def uniform_signs(w, dtype=np.float64):
-    """-1 where a uniform is below 1/2, else +1, in dtype: the draws of
-    signs() (as floats), by exact arithmetic on the comparison (see sgn)."""
+    """-1 where a uniform is below 1/2, else +1, in dtype: a fair sign per
+    uniform, by exact arithmetic on the comparison (see sgn)."""
     return (np.asarray(w) < 0.5) * dtype(-2) + dtype(1)
 
 
@@ -455,8 +438,8 @@ def select(mask, x, y) -> np.ndarray:
 
 
 def uniform_bits(w, dtype=np.int64):
-    """1 where a uniform is below 1/2, else 0, in dtype: the draws of bits()
-    (as int64)."""
+    """1 where a uniform is below 1/2, else 0, in dtype: a fair bit per
+    uniform."""
     return (np.asarray(w) < 0.5).astype(dtype)
 
 
@@ -600,11 +583,3 @@ def sphere_rows(stream: RandomStream, n: int):
         wz -= 1.0
         return sphere_point(wz, wphi)
     return points
-
-
-def sample_uniform_sphere(stream: RandomStream, size=None):
-    """Uniform direction(s) on the unit sphere; see sphere_rows."""
-    n = 1 if size is None else int(size)
-    points = sphere_rows(stream, n)
-    out = gathered(n, lambda rows: (points(rows),))[0]
-    return out[0] if size is None else out

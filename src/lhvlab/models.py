@@ -288,19 +288,6 @@ def tb_extension_law(p: float, family: int, a, b) -> JointLaw2x2:
     return JointLaw2x2(law_table(k * overlap(a, b)))
 
 
-def tb_extension_sample(p: float, family: int, u, v, a, b, stream: RandomStream):
-    """Sampled outcomes of the indeterministic extensions.
-
-    The first station outputs its deterministic value with probability p
-    and the flipped value otherwise. Family 1 computes the bit from
-    (u, v, a); family 2 computes it from the realized sigma.
-    """
-    _check_extension(p, family)
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    v = np.atleast_2d(np.asarray(v, dtype=float))
-    return _tb_extension_rule(family, (u, v, stream.uniform(u.shape[0]) < p), a, b)
-
-
 def _check_extension(p, family: int = 1) -> None:
     if p is None or not 0.0 <= p <= 1.0:
         raise ValueError(f"the mixing probability p must lie in [0, 1], got {p!r}")
@@ -310,7 +297,9 @@ def _check_extension(p, family: int = 1) -> None:
 
 def _tb_extension_rule(family: int, hidden, a, b):
     """Outcomes of an extension from (u, v, keep), where keep marks the
-    trials on which the first station keeps its deterministic value. The
+    trials on which the first station keeps its deterministic value, drawn
+    with probability p; otherwise it outputs the flipped value. Family 1
+    computes the bit from (u, v, a), family 2 from the realized sigma. The
     flip is a product with the exact +-1 of keep (see geometry.sgn)."""
     u, v, keep = hidden
     S, c = one_bit_station_a(u, v, a)
@@ -328,11 +317,6 @@ def tb_freewill_density(u, v, c, a, b):
     """
     match = np.asarray(c) == one_bit_station_a(u, v, a)[1]
     return np.where(match, 1.0 / (4.0 * math.pi) ** 2, 0.0)
-
-
-def tb_freewill_sample(a, b, n: int, stream: RandomStream):
-    """Draw (u, v, c) with u, v uniform and c fixed by the constraint."""
-    return gathered(n, _draw_tb_freewill(a, b, n, stream, None))
 
 
 # ---------------------------------------------------------------------------
@@ -368,26 +352,6 @@ def hall_density(u, a, b):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def hall_settings_conditional(u, a, b):
-    """Conditional density of the settings pair (a, b) given u, under a
-    uniform prior on settings; equals hall_density / (4*pi)."""
-    return hall_density(u, a, b) / (4.0 * math.pi)
-
-
-def hall_sample(a, b, n: int, stream: RandomStream) -> np.ndarray:
-    """Draw n hidden spins from hall_density, exactly, from 4n uniforms.
-
-    a and b are unit vectors, or (n, 3) rows of per-trial settings. The
-    density is constant on each of the four lunes cut by the planes normal
-    to a and b: the two where sgn(u.a) = sgn(u.b) carry (1 + a.b)/4 each,
-    the other two (1 - a.b)/4. Trial i reads the uniforms i, n + i, 2n + i
-    and 3n + i: they pick the pair, the lune of the pair, the height along
-    a x b and the azimuth across the lune.
-    """
-    spins = _draw_hall(a, b, n, stream, None)
-    return gathered(n, lambda rows: (spins(rows),))[0]
-
-
 def _setting_rows(x, n: int, name: str) -> np.ndarray:
     x = assert_unit(x, name)
     if x.ndim != 1 and x.shape != (n, 3):
@@ -418,7 +382,7 @@ def hall_spin_rows(a, b, w, rows):
 
 
 def hall_spins(a, b, w, out=None):
-    """Hall spins from the (4, m) uniforms w of m trials (see hall_sample)
+    """Hall spins from the (4, m) uniforms w of m trials (see _draw_hall)
     at the settings a, b (vectors or (m, 3) rows), as a column-major (m, 3)
     array: the transpose of out, a (3, m) array the coordinates are
     written into, if given. In
@@ -478,30 +442,6 @@ def hall_outcomes(u, a, b):
 
 # ---------------------------------------------------------------------------
 # Setting-tied atomic model (Malus outcomes) and the bound-breaking mixture
-
-
-def pinned_spin_sample(a, b, n: int, stream: RandomStream):
-    """Draw hidden spins from the four setting-tied atoms.
-
-    Coins c in {0, 1} and d in {-1, +1} are uniform; c = 0 puts the spin
-    at u = d*a, c = 1 puts it at u = -d*b (so the partner spin -u equals
-    d*b). Each of the four atoms carries weight 1/4. Returns the (n, 3)
-    spins u, the int64 coins c and the float signs d, decoded from the
-    atom codes the models draw.
-    """
-    atoms = _draw_atoms(a, b, n, stream, None)
-
-    def columns(rows):
-        spins = atoms(rows)[0]
-        return spins.rows(), (spins.code >> 1).astype(np.int64), (spins.code & 1) * -2.0 + 1.0
-    return gathered(n, columns)
-
-
-def pinned_spin_outcomes(u, a, b, stream: RandomStream):
-    """Independent Malus draws on each side: sigma from (u, a), tau from
-    (-u, b)."""
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    return malus_pair((u, stream.uniform(len(u)), stream.uniform(len(u))), a, b)
 
 
 def malus_pair(hidden, x, y):
@@ -596,11 +536,13 @@ def _draw_tb_freewill(a, b, n, stream, p):
 
 
 def _draw_atoms(a, b, n, stream, p):
-    """The coins c, then the signs d, of pinned_spin_sample, as bits() and
-    signs() draw them; hidden(rows) is (spins,), the trials' AtomSpins.
-    Each trial's atom is one byte, 2c + (d < 0), a row of the table
-    [a, -a, -b, b] made once per run: the spin d*a (c = 0) or -d*b (c = 1),
-    exactly, as negation is exact."""
+    """Spins from the four setting-tied atoms: uniform coins c in {0, 1},
+    then uniform signs d in {-1, +1}, as uniform_bits and uniform_signs read
+    them. c = 0 puts the spin at u = d*a, c = 1 at u = -d*b (so the
+    partner spin -u equals d*b), each atom with weight 1/4; hidden(rows) is
+    (spins,), the trials' AtomSpins. Each trial's atom is one byte,
+    2c + (d < 0), a row of the table [a, -a, -b, b] made once per run: the
+    spin d*a (c = 0) or -d*b (c = 1), exactly, as negation is exact."""
     a, b = assert_unit(a, "a"), assert_unit(b, "b")
     table = np.stack([a, -a, -b, b])
     w = stream.uniform_rows((2, n))
@@ -622,7 +564,15 @@ def _draw_pinned(a, b, n, stream, p):
 
 
 def _draw_hall(a, b, n, stream, p):
-    """The 4n uniforms of hall_sample; a and b are vectors or (n, 3) rows."""
+    """Hidden spins drawn from hall_density, exactly, from 4n uniforms.
+
+    a and b are unit vectors, or (n, 3) rows of per-trial settings. The
+    density is constant on each of the four lunes cut by the planes normal
+    to a and b: the two where sgn(u.a) = sgn(u.b) carry (1 + a.b)/4 each,
+    the other two (1 - a.b)/4. Trial i reads the uniforms i, n + i, 2n + i
+    and 3n + i: they pick the pair, the lune of the pair, the height along
+    a x b and the azimuth across the lune (hall_spins).
+    """
     a = _setting_rows(a, n, "a")
     b = _setting_rows(b, n, "b")
     w = stream.uniform_rows((4, n))
@@ -672,13 +622,6 @@ def model_spec(model_id: str) -> ModelSpec:
         return MODELS[model_id]
     except KeyError:
         raise KeyError(f"unknown model {model_id!r}; known: {sorted(MODELS)}") from None
-
-
-def model_flags(model_id: str) -> ModelFlags:
-    flags = model_spec(model_id).flags
-    if flags is None:
-        raise KeyError(f"model {model_id!r} has a law but no sampler to flag")
-    return flags
 
 
 def analytic_law(model_id: str, a, b, p: float | None = None) -> JointLaw2x2:

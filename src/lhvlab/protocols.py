@@ -953,11 +953,6 @@ def _emission_epoch(arrival_times) -> np.ndarray:
     return k * EMISSION_STEP
 
 
-def station_watch_vectors(arrival_times, watch: Watch) -> np.ndarray:
-    """Reconstruct the emission-epoch watch vector at a station."""
-    return watch_vector(_emission_epoch(arrival_times), watch)
-
-
 def run_watch_realization(n_trials: int, model: str, seed: int,
                           record=None, start_tick: int = 0) -> ProtocolResult:
     """Entangler and stations hold synchronized watches; the per-trial
@@ -979,7 +974,7 @@ def run_watch_realization(n_trials: int, model: str, seed: int,
         noise_a = substream(seed, STREAM_A).uniform_rows(n_trials)
         noise_b = substream(seed, STREAM_B).uniform_rows(n_trials)
     else:
-        w = substream(seed, STREAM_W0).uniform_rows((4, n_trials))  # see hall_sample
+        w = substream(seed, STREAM_W0).uniform_rows((4, n_trials))  # see models._draw_hall
 
     def trials(rows):
         t_emit = (start_tick + np.arange(rows.start, rows.stop, dtype=float)) * EMISSION_STEP

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from lhvlab.cli import main
-from lhvlab.geometry import RandomStream, planar_setting
+from lhvlab.geometry import RandomStream, planar_setting, uniform_bits
 from lhvlab.inequalities import (MasterProb16, card_deck_stats, chsh_analytic,
                                  chsh_mc, counterfactual_correlators,
                                  fine_feasibility, two_deck_example)
@@ -181,7 +181,7 @@ def test_criterion_08_card_deck():
 
 
 def test_criterion_09_signaling_discrimination():
-    message = list(RandomStream(10001).bits(1000))
+    message = list(uniform_bits(RandomStream(10001).uniform(1000)))
     action = run_signaling_experiment(message, "action", 40_000, seed=10002)
     ok = action.success_rate == 1.0
     ok = ok and abs(action.usable_fraction - 0.5) <= 0.01

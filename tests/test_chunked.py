@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 from lhvlab import geometry, protocols
-from lhvlab.geometry import RandomStream, chunked, planar_setting
+from lhvlab.geometry import RandomStream, planar_setting, streamed
 from lhvlab.inequalities import chsh_mc, counterfactual_correlators
-from lhvlab.models import (MODEL_IDS, MODELS, estimate_law, hall_sample, pinned_spin_sample,
-                           tb_freewill_sample)
+from lhvlab.models import MODEL_IDS, MODELS, estimate_law, sample_outcomes
 from recorded_runs import recorded
 
 SIZES = (999, 1000, 1001, 3017)
@@ -62,20 +61,13 @@ def test_samplers_are_the_same_in_any_chunk_layout(monkeypatch, model, n):
         assert chunked_run == whole, workers
 
 
-SAMPLERS = {
-    "sphere": lambda n, stream: (stream.sphere(n),),
-    "hall": lambda n, stream: (hall_sample(A, B, n, stream),),
-    "tb-freewill": lambda n, stream: tb_freewill_sample(A, B, n, stream),
-    "pinned": lambda n, stream: pinned_spin_sample(A, B, n, stream),
-}
-
-
 @pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("name", SAMPLERS)
-def test_public_samplers_are_the_same_in_any_chunk_layout(monkeypatch, name, n):
+@pytest.mark.parametrize("model", MODEL_IDS)
+def test_sampled_outcomes_are_the_same_in_any_chunk_layout(monkeypatch, model, n):
+    # sample_outcomes fills its arrays through geometry.gathered, chunk by chunk.
     def outputs():
         stream = RandomStream(11, 4)
-        arrays = SAMPLERS[name](n, stream)
+        arrays = sample_outcomes(model, A, B, n, stream, p=P.get(model))
         return [(x.dtype.str, x.shape, x.tobytes()) for x in arrays], stream.counter
     for workers, whole, chunked_run in _layouts(monkeypatch, outputs):
         assert chunked_run == whole, workers
@@ -146,9 +138,9 @@ def test_runner_columns_survive_thread_stress(monkeypatch):
 
 def test_chunks_cover_the_rows_in_order(monkeypatch):
     _chunking(monkeypatch, 10, 2)
-    assert chunked(35, lambda rows: (rows.start, rows.stop)) == [
+    assert list(streamed(35, lambda rows: (rows.start, rows.stop))) == [
         (0, 10), (10, 20), (20, 30), (30, 35)]
-    assert chunked(0, lambda rows: (rows.start, rows.stop)) == [(0, 0)]
+    assert list(streamed(0, lambda rows: (rows.start, rows.stop))) == [(0, 0)]
 
 
 def test_nested_chunked_call_runs_inline(monkeypatch):
@@ -156,9 +148,9 @@ def test_nested_chunked_call_runs_inline(monkeypatch):
 
     def outer(rows):
         me = threading.get_ident()
-        return me, chunked(35, lambda inner: threading.get_ident())
+        return me, list(streamed(35, lambda inner: threading.get_ident()))
 
-    results = chunked(40, outer)
+    results = list(streamed(40, outer))
     assert len(results) == 4
     for me, inner in results:
         assert inner == [me] * 4
@@ -175,17 +167,17 @@ def test_chunk_exception_reraises_unchanged(monkeypatch):
         return rows.start
 
     with pytest.raises(ValueError) as info:
-        chunked(50, work)
+        list(streamed(50, work))
     assert info.value is error
 
 
 def _chunk_starts(queue):
-    queue.put(chunked(50, lambda rows: rows.start))
+    queue.put(list(streamed(50, lambda rows: rows.start)))
 
 
 def test_forked_child_makes_its_own_pool(monkeypatch):
     _chunking(monkeypatch, 10, 2)
-    chunked(50, lambda rows: rows.start)  # the parent's pool exists
+    list(streamed(50, lambda rows: rows.start))  # the parent's pool exists
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
     child = ctx.Process(target=_chunk_starts, args=(queue,), daemon=True)

@@ -19,7 +19,7 @@ import lhvlab
 from lhvlab import cli
 from lhvlab.cli import _protocols, build_parser, main
 from lhvlab.models import MODEL_IDS, MODELS
-from lhvlab.protocols import WatchDesyncError
+from lhvlab.protocols import CSV_HEADER, WatchDesyncError
 
 GOLDEN = Path(__file__).parent / "golden"
 _SPEC = importlib.util.spec_from_file_location(
@@ -604,6 +604,62 @@ def test_failed_run_leaves_no_transcript_and_no_report(tmp_path):
               "--delta-omega", "0.001", "--trials", "1000", "--seed", "11",
               "--transcript", str(transcript), "--out", str(report)])
     assert not transcript.exists() and not report.exists()
+
+
+# A recorded run over two 32,768-row transcript chunks, on the chunk pool.
+RECORDED_RUN = ["protocol", "--name", "tb", "--trials", "40000"]
+
+
+def _lhvlab_cli(argv, prelude="pass", **kwargs):
+    """python -c '<prelude>; sys.exit(cli.main(argv))', on this checkout's src."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    code = f"import sys; {prelude}; from lhvlab import cli; sys.exit(cli.main(sys.argv[1:]))"
+    return subprocess.Popen([sys.executable, "-c", code, *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env, **kwargs)
+
+
+def _failed_write(proc, option, path, error, out=""):
+    stdout, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == cli.WRITE_FAILED == 3
+    assert stdout == out
+    assert stderr == f"{option}: cannot write {path}: {error}\n"
+
+
+@pytest.mark.parametrize("option, other", [("--out", "--transcript"),
+                                           ("--transcript", "--out")])
+def test_a_full_disk_fails_in_one_line_and_leaves_no_file(tmp_path, option, other):
+    # The other file is written whole, then removed: the run failed.
+    kept = tmp_path / "kept"
+    proc = _lhvlab_cli([*RECORDED_RUN, option, "/dev/full", other, str(kept)])
+    _failed_write(proc, option, "/dev/full", "No space left on device")
+    assert not kept.exists()
+
+
+@pytest.mark.parametrize("option, argv", [
+    # The 2,259-byte report is buffered until the close, which fails.
+    ("--out", ["law", "--model", "singlet", "--scan", "0:180:100"]),
+    # The transcript's first chunk fails in the run, on the pool.
+    ("--transcript", [*RECORDED_RUN, "--out"]),
+])
+def test_a_file_size_limit_fails_in_one_line_and_leaves_no_file(tmp_path, option, argv):
+    # The limit is set in the child itself, before it opens anything.
+    path, report = tmp_path / "big", tmp_path / "report.json"
+    argv = [*argv, str(report)] if argv[-1] == "--out" else argv
+    proc = _lhvlab_cli([*argv, option, str(path)],
+                       "import resource; resource.setrlimit(resource.RLIMIT_FSIZE, (1024, 1024))")
+    _failed_write(proc, option, path, "File too large")
+    assert not path.exists() and not report.exists()
+
+
+def test_a_closed_pipe_fails_in_one_line_and_leaves_no_report(tmp_path):
+    report = tmp_path / "report.json"
+    proc = _lhvlab_cli([*RECORDED_RUN, "--transcript", "/dev/stdout", "--out", str(report)])
+    assert proc.stdout.read(10) == CSV_HEADER[:10]
+    proc.stdout.close()  # the reader goes away mid-transcript
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == cli.WRITE_FAILED
+    assert stderr == "--transcript: cannot write /dev/stdout: Broken pipe\n"
+    assert not report.exists()
 
 
 STREAMED_PROTOCOLS = {

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lhvlab import exactlp, inequalities
-from lhvlab.exactlp import feasible_point
+from lhvlab.exactlp import integer_feasible_point
 
 _pivot = exactlp._pivot
 
@@ -71,6 +71,16 @@ def fraction_feasible_point(A_eq, b_eq, A_ub=(), b_ub=()):
     return x
 
 
+def _is_point(point, expected) -> bool:
+    """Whether integer_feasible_point's (numerators, denominator), or None,
+    is the Fraction point expected, or None: the numerators are the
+    denominator times expected."""
+    if point is None or expected is None:
+        return point is expected
+    numerators, denominator = point
+    return denominator > 0 and numerators == [denominator * x for x in expected]
+
+
 def _feasibility_systems(seed, count):
     """The LP systems fine_feasibility builds for random /16 inputs in the
     exact, marginal and band modes, and for 1e9-denominator bands."""
@@ -79,7 +89,7 @@ def _feasibility_systems(seed, count):
 
     def record(*args):
         systems.append(args)
-        return exactlp.integer_feasible_point(*args)
+        return integer_feasible_point(*args)
 
     def s16():
         return Fraction(rng.randint(-16, 16), 16)
@@ -105,8 +115,8 @@ def test_same_point_as_rational_pivoting():
     systems = _feasibility_systems(11, 20)
     n_infeasible = 0
     for args in systems:
-        got = feasible_point(*args)
-        assert got == fraction_feasible_point(*args)
+        got = integer_feasible_point(*args)
+        assert _is_point(got, fraction_feasible_point(*args))
         n_infeasible += got is None
     assert 0 < n_infeasible < len(systems)
 
@@ -115,7 +125,7 @@ def test_degenerate_ties_follow_basis_order():
     # Every ratio ties at 0, so the leaving row is set by the basis index.
     for args in (([[1, 1, 0], [1, 0, 1], [0, 1, 1]], [0, 0, 0]),
                  ([[1, -1], [2, -2]], [0, 0], [[1, 1]], [1])):
-        assert feasible_point(*args) == fraction_feasible_point(*args)
+        assert _is_point(integer_feasible_point(*args), fraction_feasible_point(*args))
 
 
 @pytest.mark.parametrize("A_eq, b_eq, A_ub, b_ub", [
@@ -125,8 +135,8 @@ def test_degenerate_ties_follow_basis_order():
     ([], [], [[1, 2], [-3, 1]], [4, -1]),
 ])
 def test_rational_and_float_coefficients(A_eq, b_eq, A_ub, b_ub):
-    assert feasible_point(A_eq, b_eq, A_ub, b_ub) == fraction_feasible_point(
-        A_eq, b_eq, A_ub, b_ub)
+    assert _is_point(integer_feasible_point(A_eq, b_eq, A_ub, b_ub),
+                     fraction_feasible_point(A_eq, b_eq, A_ub, b_ub))
 
 
 @pytest.mark.parametrize("args, message", [
@@ -140,7 +150,7 @@ def test_rational_and_float_coefficients(A_eq, b_eq, A_ub, b_ub):
 ])
 def test_malformed_shapes_raise_value_error(args, message):
     with pytest.raises(ValueError) as info:
-        feasible_point(*args)
+        integer_feasible_point(*args)
     assert str(info.value) == message
 
 
@@ -215,8 +225,8 @@ def test_packed_pivot_gives_the_list_rows_and_the_rational_point(args):
     A_eq, _, A_ub, _ = args
     width = len((A_eq or A_ub)[0]) + len(A_ub)
     with mock.patch.object(exactlp, "_pivot", list_checked_pivot(width)):
-        got = feasible_point(*args)
-    assert got == fraction_feasible_point(*args)
+        got = integer_feasible_point(*args)
+    assert _is_point(got, fraction_feasible_point(*args))
 
 
 # ---------------------------------------------------------------------------
@@ -239,21 +249,22 @@ def test_one_system_in_every_form_gives_the_same_point():
     assert expected is not None
     exactlp._packed_system.cache_clear()
     for name, args in forms.items():
-        assert feasible_point(*args) == expected, name
+        assert _is_point(integer_feasible_point(*args), expected), name
     # Equal rows are one key, whatever their container and number type.
     assert exactlp._packed_system.cache_info().currsize == 1
 
 
 def test_mutating_the_callers_rows_changes_no_later_call():
     A_eq, b_eq = [[1, 1, 0], [0, 1, 1]], [1, Fraction(1, 2)]
-    first = feasible_point(A_eq, b_eq)
-    assert first == fraction_feasible_point(A_eq, b_eq)
+    first = integer_feasible_point(A_eq, b_eq)
+    assert _is_point(first, fraction_feasible_point(A_eq, b_eq))
     A_eq[0][2] = 5
     A_eq[1].append(7)
     b_eq[1] = 3
-    assert feasible_point([[1, 1, 0], [0, 1, 1]], [1, Fraction(1, 2)]) == first
+    assert integer_feasible_point([[1, 1, 0], [0, 1, 1]], [1, Fraction(1, 2)]) == first
     changed = [[1, 1, 5], [0, 1, 1]]
-    assert feasible_point(changed, [1, 3]) == fraction_feasible_point(changed, [1, 3])
+    assert _is_point(integer_feasible_point(changed, [1, 3]),
+                     fraction_feasible_point(changed, [1, 3]))
 
 
 @pytest.mark.parametrize("args, message", [
@@ -270,11 +281,10 @@ def test_malformed_shapes_raise_after_a_cached_system_of_their_width(args, messa
     width = len((A_eq or A_ub)[0]) if (A_eq or A_ub) else 1
     for system in (([[1] * width], [1]), ([[1] * width], [1], [[1] * width], [1]),
                    ([], [], [[1] * width, [1] * width], [1, 1])):
-        feasible_point(*system)  # cached, well formed, of the same width
-    for solve in (feasible_point, exactlp.integer_feasible_point):
-        with pytest.raises(ValueError) as info:
-            solve(*args)
-        assert str(info.value) == message
+        integer_feasible_point(*system)  # cached, well formed, of the same width
+    with pytest.raises(ValueError) as info:
+        integer_feasible_point(*args)
+    assert str(info.value) == message
 
 
 def test_every_zero_tolerance_subset_is_one_cached_system():
@@ -290,9 +300,8 @@ def test_every_zero_tolerance_subset_is_one_cached_system():
 
 def test_integer_entry_gives_the_point_over_one_denominator():
     args = ([[1, 1], [1, -1]], [1, Fraction(1, 2)])
-    numerators, denominator = exactlp.integer_feasible_point(*args)
+    numerators, denominator = integer_feasible_point(*args)
     assert denominator > 0
-    assert [Fraction(v, denominator) for v in numerators] == feasible_point(*args)
-    assert exactlp.integer_feasible_point([[1, 1]], [1], [[1, 1]], [Fraction(1, 2)]) is None
-    assert exactlp.integer_feasible_point([], []) == ([], 1)
-    assert feasible_point([], []) == []
+    assert [Fraction(v, denominator) for v in numerators] == fraction_feasible_point(*args)
+    assert integer_feasible_point([[1, 1]], [1], [[1, 1]], [Fraction(1, 2)]) is None
+    assert integer_feasible_point([], []) == ([], 1)

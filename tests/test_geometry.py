@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from lhvlab import geometry, protocols
-from lhvlab.geometry import (RandomStream, assert_unit, normalize, planar_setting,
-                             sample_uniform_sphere, sgn, substream,
-                             unit_vector)
+from lhvlab.geometry import (RandomStream, assert_unit, normalize, planar_setting, sgn,
+                             sphere_rows, substream, uniform_bits, uniform_signs)
 
 
 def test_sgn_convention():
@@ -29,8 +28,8 @@ def test_sgn_zero_set_unreachable_from_samplers():
     # The convention at zero cannot influence estimates: the zero set is
     # never hit by continuous draws.
     stream = RandomStream(314)
-    u = stream.sphere(100_000)
-    a = stream.sphere()
+    u = sphere_rows(stream, 100_000)(slice(0, 100_000))
+    a = sphere_rows(stream, 1)(slice(0, 1))[0]
     assert np.all(u @ a != 0.0)
 
 
@@ -48,8 +47,8 @@ def test_normalize_rejects_zero():
         normalize([0.0, 0.0, 0.0])
 
 
-def test_unit_vector_and_planar_setting():
-    v = unit_vector(3.0, 4.0, 0.0)
+def test_normalize_and_planar_setting():
+    v = normalize([3.0, 4.0, 0.0])
     assert np.allclose(v, [0.6, 0.8, 0.0])
     assert np.allclose(planar_setting(90.0), [0.0, 1.0, 0.0], atol=1e-15)
     assert np.allclose(planar_setting(60.0), [0.5, math.sqrt(3) / 2, 0.0])
@@ -57,18 +56,18 @@ def test_unit_vector_and_planar_setting():
 
 def test_dot_products_cauchy_schwarz():
     stream = RandomStream(7)
-    u = stream.sphere(10_000)
-    v = stream.sphere(10_000)
+    u = sphere_rows(stream, 10_000)(slice(0, 10_000))
+    v = sphere_rows(stream, 10_000)(slice(0, 10_000))
     dots = np.einsum("ij,ij->i", u, v)
     assert np.all(np.abs(dots) <= 1.0 + 1e-12)
 
 
 def test_sphere_sampling_unit_norm_and_reproducible():
-    v1 = sample_uniform_sphere(RandomStream(42))
-    v2 = sample_uniform_sphere(RandomStream(42))
+    v1 = sphere_rows(RandomStream(42), 1)(slice(0, 1))[0]
+    v2 = sphere_rows(RandomStream(42), 1)(slice(0, 1))[0]
     assert np.array_equal(v1, v2)
     assert abs(np.dot(v1, v1) - 1.0) < 1e-12
-    batch = sample_uniform_sphere(RandomStream(42, 3), 5000)
+    batch = sphere_rows(RandomStream(42, 3), 5000)(slice(0, 5000))
     assert np.allclose(np.einsum("ij,ij->i", batch, batch), 1.0, atol=1e-12)
 
 
@@ -76,7 +75,7 @@ def test_sphere_sampling_is_uniform():
     # CLT oracle: each coordinate has variance 1/3, so 3/sqrt(N) bounds
     # the mean vector norm at ~5 sigma.
     n = 1_000_000
-    v = sample_uniform_sphere(RandomStream(2024), n)
+    v = sphere_rows(RandomStream(2024), n)(slice(0, n))
     means = v.mean(axis=0)
     assert np.all(np.abs(means) < 0.005)
     assert np.linalg.norm(means) < 0.005
@@ -102,15 +101,28 @@ def test_substream_ids_have_no_collisions():
 def test_stream_counter_tracks_draws():
     s = RandomStream(5)
     s.uniform(10)
-    s.sphere(3)  # two uniforms per vector
+    sphere_rows(s, 3)  # two uniforms per vector, reserved at once
     assert s.counter == 16
+
+
+@pytest.mark.parametrize("size", [None, 7, np.int64(7), (2, 3), [2, 3], (), (0, 4),
+                                  (np.int64(2), 3), [np.int32(5)]])
+def test_stream_counter_moves_by_the_values_drawn(size):
+    # One value for None, else the product of the sizes, int(np.prod(size)),
+    # and always a Python int.
+    for draw in (lambda s: s.uniform(size), lambda s: s.integers(0, 1000, size)):
+        s = RandomStream(9)
+        s.counter = 5
+        out = draw(s)
+        assert s.counter == 5 + (1 if size is None else int(np.prod(size))) == 5 + np.size(out)
+        assert type(s.counter) is int
 
 
 def test_stream_signs_bits_integers():
     s = RandomStream(8)
-    signs = s.signs(1000)
+    signs = uniform_signs(s.uniform(1000))
     assert set(np.unique(signs)) == {-1.0, 1.0}
-    bits = s.bits(1000)
+    bits = uniform_bits(s.uniform(1000))
     assert set(np.unique(bits)) == {0, 1}
     ints = s.integers(0, 4, 1000)
     assert ints.min() >= 0 and ints.max() <= 3
@@ -281,7 +293,7 @@ def test_sphere_samples_are_the_inline_map_of_the_whole_draw(n):
     stream, twin = RandomStream(17, 3), RandomStream(17, 3)
     wz, wphi = twin.uniform((2, n))
     expected = _inline_point(2.0 * wz - 1.0, wphi)
-    got = sample_uniform_sphere(stream, n)
+    got = np.ascontiguousarray(sphere_rows(stream, n)(slice(0, n)))
     assert got.dtype == expected.dtype and got.shape == expected.shape == (n, 3)
     assert got.tobytes() == expected.tobytes()
     assert stream.counter == twin.counter

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lhvlab.exactlp import feasible_point
+from lhvlab.exactlp import integer_feasible_point
 from lhvlab.geometry import RandomStream, planar_setting
 from lhvlab.inequalities import (CHSH_FACETS, CardDeckModel, FeasibilityResult,
                                  MasterProb16, _CORR_ROWS, _MARG_ROWS, _facet_name,
@@ -126,12 +126,12 @@ def test_master_prob_uniform_moments():
 
 def test_exact_lp_basics():
     # x1 + x2 = 1, x1 - x2 = 1/2 has the solution (3/4, 1/4)
-    x = feasible_point([[1, 1], [1, -1]], [1, Fraction(1, 2)])
-    assert x == [Fraction(3, 4), Fraction(1, 4)]
+    x, denominator = integer_feasible_point([[1, 1], [1, -1]], [1, Fraction(1, 2)])
+    assert [Fraction(v, denominator) for v in x] == [Fraction(3, 4), Fraction(1, 4)]
     # infeasible: x1 + x2 = 1 with x1 + x2 <= 1/2
-    assert feasible_point([[1, 1]], [1], [[1, 1]], [Fraction(1, 2)]) is None
+    assert integer_feasible_point([[1, 1]], [1], [[1, 1]], [Fraction(1, 2)]) is None
     # inequality-only system
-    assert feasible_point([], [], [[1, 0], [0, 1]], [1, 1]) is not None
+    assert integer_feasible_point([], [], [[1, 0], [0, 1]], [1, 1]) is not None
 
 
 def test_feasibility_uniform_is_trivial():
@@ -252,9 +252,9 @@ def fraction_fine_feasibility(correlators4, marginals4=None, correlator_tol=None
             else:
                 A_ub += [row, [-x for x in row]]
                 b_ub += [val + tol, tol - val]
-    x = feasible_point(A_eq, b_eq, A_ub, b_ub)
-    lp_feasible = x is not None
-    witness = fraction_witness(x) if lp_feasible else None
+    point = integer_feasible_point(A_eq, b_eq, A_ub, b_ub)
+    lp_feasible = point is not None
+    witness = fraction_witness([Fraction(v, point[1]) for v in point[0]]) if lp_feasible else None
     if lp_feasible and all(c == 0 for c in C) and all(m == 0 for m in M):
         witness = MasterProb16.uniform()
     relaxed = any(t != 0 for t in ct)

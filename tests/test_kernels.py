@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from lhvlab import models, protocols
 from lhvlab.geometry import (X_HAT, Y_HAT, RandomStream, dot, planar_setting, select, sgn,
-                             sphere_point, sphere_rows, substream, turn_cos_sin, uniform_signs)
+                             sphere_point, sphere_rows, substream, turn_cos_sin, uniform_bits,
+                             uniform_signs)
 from lhvlab.models import (AtomSpins, _draw_atoms, _tb_extension_rule, hall_spins, malus_marginal,
-                           malus_outcome, one_bit_station_a, one_bit_tau, pinned_spin_sample)
+                           malus_outcome, one_bit_station_a, one_bit_tau)
 from lhvlab.protocols import (EMISSION_STEP, STREAM_A, STREAM_B, WATCH_A, WATCH_B, _bin_index,
                               _phase, _shared_coin, run_watch_realization, watch_vector)
 from recorded_runs import recorded
@@ -46,7 +47,7 @@ def _dot(u, x):
 
 def _units(seed: int, n: int):
     """n unit vectors, C-ordered, with exact zeros and axis directions mixed in."""
-    u = np.ascontiguousarray(RandomStream(seed, 9).sphere(n))
+    u = np.ascontiguousarray(sphere_rows(RandomStream(seed, 9), n)(slice(0, n)))
     u[::7] = planar_setting(90.0)  # (6e-17, 1, 0): a zero and a tiny component
     u[3::11] = -X_HAT
     return u
@@ -305,19 +306,17 @@ def test_watch_vectors_are_column_major():
 @pytest.mark.parametrize("a, b", [(planar_setting(0.0), planar_setting(90.0)),
                                   (planar_setting(10.0), planar_setting(250.0))])
 def test_atoms_materialized_spins_are_column_major(a, b):
-    # The atom codes' rows are the d*a / -d*b formula on the coins that
-    # bits() and signs() draw, and so are pinned_spin_sample's (u, c, d),
-    # whose arrays geometry.gathered fills in C order.
+    # The atom codes' rows are the d*a / -d*b formula on the coins c, then
+    # the signs d, of uniform_bits and uniform_signs, and each code is
+    # 2c + (d < 0).
     n = 2_000
     twin = RandomStream(7, 1)
-    c, d = twin.bits(n), twin.signs(n)
+    c, d = uniform_bits(twin.uniform(n)), uniform_signs(twin.uniform(n))
     expected = np.where((c == 0)[:, None], d[:, None] * a, -d[:, None] * b)
     (spins,) = _draw_atoms(a, b, n, RandomStream(7, 1), None)(slice(0, n))
     _column_major_equal(spins.rows(), expected)
-    u, c_sampled, d_sampled = pinned_spin_sample(a, b, n, RandomStream(7, 1))
-    assert _same_bits(u, expected)
-    assert _same_bits(c_sampled, c) and c_sampled.dtype == c.dtype
-    assert _same_bits(d_sampled, d) and d_sampled.dtype == d.dtype
+    assert np.array_equal(spins.code >> 1, c)
+    assert np.array_equal(1.0 - 2.0 * (spins.code & 1), d)
 
 
 @pytest.mark.parametrize("policies", [("random", "random"), ("a", "random"), ("a", "b")])

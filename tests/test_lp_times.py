@@ -39,10 +39,11 @@ def test_pivot_column_counts_every_pivot_step():
     # contradict each other: one pivot, then the same, with an artificial
     # left at 1. The identity: one pivot per row.
     batch = [([[1, 1]], [1]), ([[1, 1], [2, 2]], [1, 2]), ([[1, 1], [1, 1]], [1, 2])]
-    counts = [tool.pivots(exactlp, exactlp.feasible_point, [args]) for args in batch]
+    solve = exactlp.integer_feasible_point
+    counts = [tool.pivots(exactlp, solve, [args]) for args in batch]
     assert counts == [1.0, 1.0, 1.0]
-    assert tool.pivots(exactlp, exactlp.feasible_point, batch) == 1.0
-    assert tool.pivots(exactlp, exactlp.feasible_point, [([[1, 0], [0, 1]], [1, 1])]) == 2.0
+    assert tool.pivots(exactlp, solve, batch) == 1.0
+    assert tool.pivots(exactlp, solve, [([[1, 0], [0, 1]], [1, 1])]) == 2.0
 
 
 def test_lp_times_names_the_shape_whose_batch_is_empty():

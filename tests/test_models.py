@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lhvlab.geometry import RandomStream, planar_setting, sgn
+from lhvlab.geometry import RandomStream, planar_setting, sgn, sphere_rows
 from lhvlab.models import (INCOMPATIBLE_PRIORS, MODEL_IDS, MODELS, JointLaw2x2,
-                           analytic_law, pinned_spin_outcomes, pinned_spin_sample,
-                           estimate_law, hall_density, hall_f, hall_outcomes,
-                           hall_sample, hall_settings_conditional,
-                           malus_marginal, mixed_law, model_flags, outcome_counts,
+                           analytic_law, estimate_law, hall_density, hall_f, hall_outcomes,
+                           malus_marginal, malus_pair, mixed_law, outcome_counts,
                            sample_outcomes, singlet_law, tb_conditional,
-                           tb_extension_law, tb_extension_sample,
-                           tb_freewill_density, tb_freewill_sample,
-                           tb_outcomes, uniform_law, _hall_g)
+                           tb_extension_law, tb_freewill_density, tb_outcomes, uniform_law,
+                           _draw_atoms, _draw_hall, _draw_tb_freewill, _hall_g,
+                           _tb_extension_rule)
 from lhvlab.geometry import _CHUNK_ROWS
 
 X = planar_setting(0.0)
@@ -121,15 +119,15 @@ def test_tb_outcomes_direct_evaluation():
     assert (sigma, tau) == (1.0, -1.0)
     # u = a forces sigma = +1 whatever v
     for seed in range(5):
-        v = RandomStream(seed).sphere()
+        v = sphere_rows(RandomStream(seed), 1)(slice(0, 1))[0]
         assert tb_outcomes(X, v, X, Y)[0] == 1.0
 
 
 def test_tb_correlator_matches_singlet():
     stream = RandomStream(101)
     n = 1_000_000
-    u = stream.sphere(n)
-    v = stream.sphere(n)
+    u = sphere_rows(stream, n)(slice(0, n))
+    v = sphere_rows(stream, n)(slice(0, n))
     b = planar_setting(63.0)
     sigma, tau = tb_outcomes(u, v, X, b)
     assert abs(float(np.mean(sigma * tau)) - (-X @ b)) < 0.005
@@ -150,8 +148,8 @@ def test_tb_conditional_equals_marginal_over_sampled_hidden_variables():
     stream = RandomStream(77)
     b = planar_setting(100.0)
     for _ in range(200):
-        u = stream.sphere()
-        v = stream.sphere()
+        u = sphere_rows(stream, 1)(slice(0, 1))[0]
+        v = sphere_rows(stream, 1)(slice(0, 1))[0]
         sigma, tau = tb_outcomes(u, v, X, b)
         assert tb_conditional(u, v, X, b, sigma, tau) == 1.0
         assert tb_conditional(u, v, X, b, sigma, -tau) == 0.0
@@ -172,13 +170,13 @@ def test_tb_extension_law_values():
 
 def test_tb_extension_sample_degenerates_to_deterministic():
     stream = RandomStream(3)
-    u = stream.sphere(500)
-    v = stream.sphere(500)
+    u = sphere_rows(stream, 500)(slice(0, 500))
+    v = sphere_rows(stream, 500)(slice(0, 500))
     b = planar_setting(25.0)
     s0, t0 = tb_outcomes(u, v, X, b)
-    s1, t1 = tb_extension_sample(1.0, 1, u, v, X, b, RandomStream(4))
+    s1, t1 = _tb_extension_rule(1, (u, v, RandomStream(4).uniform(len(u)) < 1.0), X, b)
     assert np.array_equal(s0, s1) and np.array_equal(t0, t1)
-    s2, t2 = tb_extension_sample(1.0, 2, u, v, X, b, RandomStream(5))
+    s2, t2 = _tb_extension_rule(2, (u, v, RandomStream(5).uniform(len(u)) < 1.0), X, b)
     assert np.array_equal(s0, s2) and np.array_equal(t0, t2)
 
 
@@ -186,10 +184,10 @@ def test_tb_extension_sample_degenerates_to_deterministic():
 def test_tb_extension_sample_matches_law(family):
     stream = RandomStream(40 + family)
     n = 1_000_000
-    u = stream.sphere(n)
-    v = stream.sphere(n)
+    u = sphere_rows(stream, n)(slice(0, n))
+    v = sphere_rows(stream, n)(slice(0, n))
     b = planar_setting(63.0)
-    sigma, tau = tb_extension_sample(0.75, family, u, v, X, b, stream)
+    sigma, tau = _tb_extension_rule(family, (u, v, stream.uniform(n) < 0.75), X, b)
     est = JointLaw2x2.from_outcomes(sigma, tau)
     assert est.max_abs_diff(tb_extension_law(0.75, family, X, b)) < 0.005
 
@@ -203,15 +201,15 @@ def test_tb_freewill_density_and_normalization():
     # Monte Carlo integral over (u, v) and sum over c
     stream = RandomStream(6)
     n = 200_000
-    uu = stream.sphere(n)
-    vv = stream.sphere(n)
+    uu = sphere_rows(stream, n)(slice(0, n))
+    vv = sphere_rows(stream, n)(slice(0, n))
     total = sum(tb_freewill_density(uu, vv, c, X, Y).sum() for c in (1.0, -1.0))
     integral = (4 * math.pi) ** 2 * total / n
     assert abs(integral - 1.0) < 0.005
 
 
 def test_tb_freewill_sample_satisfies_constraint():
-    u, v, c = tb_freewill_sample(X, Y, 10_000, RandomStream(7))
+    u, v, c = _draw_tb_freewill(X, Y, 10_000, RandomStream(7), None)(slice(0, 10_000))
     assert np.array_equal(c, sgn(u @ X) * sgn(v @ X))
 
 
@@ -224,7 +222,7 @@ def test_hall_f_values_and_flip_invariance():
     assert hall_f(X, X, b) == pytest.approx(-0.5)
     assert hall_f(planar_setting(33.0), X, Y) == pytest.approx(0.0, abs=1e-15)
     stream = RandomStream(8)
-    u = stream.sphere(1000)
+    u = sphere_rows(stream, 1000)(slice(0, 1000))
     assert np.allclose(hall_f(u, X, b), hall_f(-u, X, b))
 
 
@@ -233,12 +231,13 @@ def test_hall_f_equals_the_np_sum_form_bit_for_bit():
     # Planar settings, and settings off every axis, so all three products count.
     settings = [(planar_setting(0.0), planar_setting(60.0)),
                 (planar_setting(30.0), planar_setting(120.0)),
-                *(tuple(stream.sphere(2)) for _ in range(3))]
+                *(tuple(sphere_rows(stream, 2)(slice(0, 2))) for _ in range(3))]
     for a, b in settings:
         # Random spins, then atoms orthogonal to a or to b (u.a or u.b
         # near 0, where a different summation order could flip a sign).
-        u = np.vstack([stream.sphere(20_000),
-                       np.cross(a, stream.sphere(2_000)), np.cross(b, stream.sphere(2_000))])
+        u = np.vstack([sphere_rows(stream, 20_000)(slice(0, 20_000)),
+                       np.cross(a, sphere_rows(stream, 2_000)(slice(0, 2_000))),
+                       np.cross(b, sphere_rows(stream, 2_000)(slice(0, 2_000)))])
         t = float(np.dot(a, b))
         expected = sgn(np.sum(u * a, axis=-1)) * sgn(-np.sum(u * b, axis=-1)) * t
         assert hall_f(u, a, b).tobytes() == expected.tobytes()
@@ -256,7 +255,7 @@ def test_hall_density_limits():
 
 def test_hall_density_normalizes():
     stream = RandomStream(9)
-    u = stream.sphere(1_000_000)
+    u = sphere_rows(stream, 1_000_000)(slice(0, 1_000_000))
     b = planar_setting(40.0)
     integral = 4 * math.pi * float(hall_density(u, X, b).mean())
     assert abs(integral - 1.0) < 0.005
@@ -298,7 +297,7 @@ def _expected_bin_probs(alpha_deg, beta_deg, n_z=10, n_phi=10):
 def test_hall_sample_goodness_of_fit():
     b = planar_setting(63.0)
     n = 1_000_000
-    u = hall_sample(X, b, n, RandomStream(10))
+    u = _draw_hall(X, b, n, RandomStream(10), None)(slice(0, n))
     z_idx = np.clip(((u[:, 2] + 1.0) / 0.2).astype(int), 0, 9)
     phi = np.mod(np.arctan2(u[:, 1], u[:, 0]), 2 * math.pi)
     phi_idx = np.clip((phi / (2 * math.pi / 10)).astype(int), 0, 9)
@@ -313,7 +312,7 @@ def test_hall_sample_goodness_of_fit():
 def test_hall_sample_reproduces_singlet():
     b = planar_setting(117.0)
     n = 1_000_000
-    u = hall_sample(X, b, n, RandomStream(11))
+    u = _draw_hall(X, b, n, RandomStream(11), None)(slice(0, n))
     sigma, tau = hall_outcomes(u, X, b)
     est = JointLaw2x2.from_outcomes(sigma, tau)
     assert est.max_abs_diff(singlet_law(X, b)) < 0.005
@@ -330,14 +329,14 @@ def test_hall_equal_settings_with_dot_product_above_one():
     est = estimate_law("hall", a, a, n, RandomStream(16))
     assert est.max_abs_diff(singlet_law(a, a)) <= 5 * est.std_error()
     rows = np.tile(a, (n, 1))
-    u = hall_sample(rows, rows, n, RandomStream(17))
+    u = _draw_hall(rows, rows, n, RandomStream(17), None)(slice(0, n))
     est = JointLaw2x2.from_outcomes(*hall_outcomes(u, a, a))
     assert est.max_abs_diff(singlet_law(a, a)) <= 5 * est.std_error()
 
 
 def _watch_like_rows(n, seed):
     stream = RandomStream(seed)
-    return stream.sphere(n), stream.sphere(n)
+    return sphere_rows(stream, n)(slice(0, n)), sphere_rows(stream, n)(slice(0, n))
 
 
 @pytest.mark.parametrize("rows", [False, True], ids=["vectors", "rows"])
@@ -345,9 +344,9 @@ def test_hall_sample_draws_exactly_four_uniforms_per_trial(rows):
     n = 12_345
     a, b = _watch_like_rows(n, 40) if rows else (X, planar_setting(63.0))
     stream = RandomStream(41)
-    hall_sample(a, b, n, stream)
+    _draw_hall(a, b, n, stream, None)(slice(0, n))
     assert stream.counter == 4 * n
-    hall_sample(a, b, n, stream)
+    _draw_hall(a, b, n, stream, None)(slice(0, n))
     assert stream.counter == 8 * n
 
 
@@ -374,10 +373,10 @@ def test_hall_sample_is_the_same_on_row_slices(offset):
     n = _CHUNK_ROWS + offset
     a, b = _watch_like_rows(n, 42)
     w = RandomStream(43).uniform((4, n))
-    whole = hall_sample(a, b, n, _FixedUniforms(w))
+    whole = np.ascontiguousarray(_draw_hall(a, b, n, _FixedUniforms(w), None)(slice(0, n)))
     for cut in (1, 1000, n // 2, n - 1):
-        parts = [hall_sample(a[s], b[s], len(a[s]), _FixedUniforms(w[:, s]))
-                 for s in (slice(0, cut), slice(cut, n))]
+        parts = [_draw_hall(a[s], b[s], len(a[s]), _FixedUniforms(w[:, s]), None)(
+                     slice(0, len(a[s]))) for s in (slice(0, cut), slice(cut, n))]
         assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
@@ -398,7 +397,7 @@ def test_hall_sample_fits_exact_lune_masses_off_plane():
     b = np.array([-2.0, 3.0, 6.0]) / 7.0
     t = float(a @ b)
     n = 1_000_000
-    u = hall_sample(a, b, n, RandomStream(44))
+    u = _draw_hall(a, b, n, RandomStream(44), None)(slice(0, n))
     counts = np.bincount(_lune_cells(u, a, b), minlength=4)
     expected = n * np.array([1 + t, 1 - t, 1 - t, 1 + t]) / 4
     stat = float(((counts - expected) ** 2 / expected).sum())
@@ -410,7 +409,8 @@ def test_hall_sample_fits_rotated_planar_bins():
     # the spins back must reproduce the planar test's exact 100-bin law.
     rot = _random_rotation(45)
     n = 1_000_000
-    u = hall_sample(rot @ X, rot @ planar_setting(63.0), n, RandomStream(46)) @ rot
+    u = _draw_hall(rot @ X, rot @ planar_setting(63.0), n, RandomStream(46), None)(
+        slice(0, n)) @ rot
     z_idx = np.clip(((u[:, 2] + 1.0) / 0.2).astype(int), 0, 9)
     phi = np.mod(np.arctan2(u[:, 1], u[:, 0]), 2 * math.pi)
     phi_idx = np.clip((phi / (2 * math.pi / 10)).astype(int), 0, 9)
@@ -433,8 +433,8 @@ def test_hall_sample_near_parallel_settings(a, theta, rows):
     b = math.cos(theta) * a + math.sin(theta) * p
     b /= np.linalg.norm(b)
     n = 200_000
-    u = hall_sample(np.tile(a, (n, 1)) if rows else a, np.tile(b, (n, 1)) if rows else b,
-                    n, RandomStream(47))
+    u = _draw_hall(np.tile(a, (n, 1)) if rows else a, np.tile(b, (n, 1)) if rows else b,
+                   n, RandomStream(47), None)(slice(0, n))
     assert np.abs(np.linalg.norm(u, axis=1) - 1.0).max() <= 1e-12
     est = JointLaw2x2.from_outcomes(*hall_outcomes(u, a, b))
     assert est.max_abs_diff(singlet_law(a, b)) <= 5 * est.std_error()
@@ -448,43 +448,36 @@ def test_hall_sample_spins_are_unit_for_settings_nearly_unit():
     # Settings pass the unit check within 1e-9; the spins are unit anyway.
     a = X * (1 + 4e-10)
     for b in (planar_setting(63.0) * (1 - 4e-10), a):
-        u = hall_sample(a, b, 10_000, RandomStream(49))
+        u = _draw_hall(a, b, 10_000, RandomStream(49), None)(slice(0, 10_000))
         assert np.abs(np.linalg.norm(u, axis=1) - 1.0).max() <= 1e-12
 
 
 def test_hall_sample_rejects_bad_settings():
     with pytest.raises(ValueError):
-        hall_sample(X, 2 * Y, 10, RandomStream(48))
+        _draw_hall(X, 2 * Y, 10, RandomStream(48), None)
     with pytest.raises(ValueError):
-        hall_sample(np.tile(X, (9, 1)), Y, 10, RandomStream(48))
+        _draw_hall(np.tile(X, (9, 1)), Y, 10, RandomStream(48), None)
     with pytest.raises(ValueError):
-        hall_sample(np.tile(2 * X, (10, 1)), Y, 10, RandomStream(48))
+        _draw_hall(np.tile(2 * X, (10, 1)), Y, 10, RandomStream(48), None)
 
 
 def test_hall_outcomes_direct():
     assert hall_outcomes(X, X, -X) == (1.0, 1.0)
     assert hall_outcomes(X, X, X) == (1.0, -1.0)
-    u = RandomStream(12).sphere(100_000)
+    u = sphere_rows(RandomStream(12), 100_000)(slice(0, 100_000))
     sigma, tau = hall_outcomes(u, X, planar_setting(50.0))
     assert set(np.unique(sigma)) <= {-1.0, 1.0}
     assert set(np.unique(tau)) <= {-1.0, 1.0}
 
 
-def test_hall_settings_conditional_relations():
+def test_hall_density_over_both_settings_integrates_to_one():
+    # The density as a conditional of the settings pair given u, under a
+    # uniform prior on settings, integrates to 1 over both settings.
     stream = RandomStream(13)
-    b = planar_setting(25.0)
-    for _ in range(50):
-        u = stream.sphere()
-        assert hall_settings_conditional(u, X, b) == pytest.approx(
-            hall_density(u, X, b) / (4 * math.pi))
-    # f = -1 at coinciding settings
-    assert hall_settings_conditional(planar_setting(5.0), X, X) == pytest.approx(
-        1.0 / (16 * math.pi ** 2))
-    # integral over both settings for fixed u
     n = 1_000_000
-    aa = stream.sphere(n)
-    bb = stream.sphere(n)
-    u0 = stream.sphere()
+    aa = sphere_rows(stream, n)(slice(0, n))
+    bb = sphere_rows(stream, n)(slice(0, n))
+    u0 = sphere_rows(stream, 1)(slice(0, 1))[0]
     f = (sgn(aa @ u0) * sgn(-(bb @ u0))
          * np.einsum("ij,ij->i", aa, bb))
     vals = _hall_g(f) / (4 * math.pi)
@@ -496,8 +489,8 @@ def test_hall_marginal_depends_on_remote_setting():
     # Histogram of the hidden spin changes with the remote setting: the
     # two-sample chi-square strongly rejects equality.
     n = 100_000
-    u1 = hall_sample(X, planar_setting(45.0), n, RandomStream(14))
-    u2 = hall_sample(X, planar_setting(135.0), n, RandomStream(15))
+    u1 = _draw_hall(X, planar_setting(45.0), n, RandomStream(14), None)(slice(0, n))
+    u2 = _draw_hall(X, planar_setting(135.0), n, RandomStream(15), None)(slice(0, n))
     phi1 = np.mod(np.arctan2(u1[:, 1], u1[:, 0]), 2 * math.pi)
     phi2 = np.mod(np.arctan2(u2[:, 1], u2[:, 0]), 2 * math.pi)
     bins = np.linspace(0, 2 * math.pi, 13)
@@ -513,7 +506,8 @@ def test_hall_marginal_depends_on_remote_setting():
 
 def test_pinned_spin_sample_atoms():
     b = planar_setting(100.0)
-    u, c, d = pinned_spin_sample(X, b, 1_000_000, RandomStream(16))
+    spins = _draw_atoms(X, b, 1_000_000, RandomStream(16), None)(slice(0, 1_000_000))[0]
+    u, c, d = spins.rows(), spins.code >> 1, 1.0 - 2.0 * (spins.code & 1)
     m = (c == 0) & (d == 1)
     assert np.all(u[m] == X)
     m = (c == 1) & (d == -1)
@@ -529,8 +523,8 @@ def test_pinned_full_run_recovers_singlet():
     b = planar_setting(63.0)
     stream = RandomStream(17)
     n = 1_000_000
-    u, _, _ = pinned_spin_sample(X, b, n, stream)
-    sigma, tau = pinned_spin_outcomes(u, X, b, stream)
+    u = _draw_atoms(X, b, n, stream, None)(slice(0, n))[0].rows()
+    sigma, tau = malus_pair((u, stream.uniform(n), stream.uniform(n)), X, b)
     est = JointLaw2x2.from_outcomes(sigma, tau)
     assert est.max_abs_diff(singlet_law(X, b)) < 0.005
     # station marginal stays unbiased (no signaling at the observed level)
@@ -540,8 +534,9 @@ def test_pinned_full_run_recovers_singlet():
 def test_pinned_spin_forced_branch_is_deterministic():
     stream = RandomStream(18)
     b = planar_setting(100.0)
-    u, c, d = pinned_spin_sample(X, b, 10_000, stream)
-    sigma, _ = pinned_spin_outcomes(u, X, b, stream)
+    spins = _draw_atoms(X, b, 10_000, stream, None)(slice(0, 10_000))[0]
+    u, c, d = spins.rows(), spins.code >> 1, 1.0 - 2.0 * (spins.code & 1)
+    sigma, _ = malus_pair((u, stream.uniform(10_000), stream.uniform(10_000)), X, b)
     m = c == 0
     assert np.array_equal(sigma[m], d[m])
 
@@ -566,7 +561,7 @@ def test_mixed_law_and_sampler():
     assert mixed_law(X, b_acute).prob(1, 1) == 0.0
     assert mixed_law(X, b_obtuse).prob(1, 1) == 0.5
     stream = RandomStream(19)
-    u, _, _ = pinned_spin_sample(X, b_acute, 200_000, stream)
+    u = _draw_atoms(X, b_acute, 200_000, stream, None)(slice(0, 200_000))[0].rows()
     sigma, tau = hall_outcomes(u, X, b_acute)
     est = JointLaw2x2.from_outcomes(sigma, tau)
     assert est.max_abs_diff(mixed_law(X, b_acute)) < 0.005
@@ -577,17 +572,17 @@ def test_mixed_law_and_sampler():
 
 
 def test_model_flags_table():
-    f = model_flags("pinned")
+    f = MODELS["pinned"].flags
     assert (f.deterministic, f.setting_independent, f.reducible_correlations,
             f.uncorrelated_choice, f.malus_compliant) == (False, True, True, False, True)
-    assert model_flags("hall").malus_compliant is False
-    assert model_flags("hall").uncorrelated_choice is False
-    assert model_flags("tb-ext2").reducible_correlations is False
-    assert model_flags("tb-ext2").setting_independent is True
-    assert model_flags("tb-ext1").setting_independent is False
-    assert model_flags("tb").deterministic is True
+    assert MODELS["hall"].flags.malus_compliant is False
+    assert MODELS["hall"].flags.uncorrelated_choice is False
+    assert MODELS["tb-ext2"].flags.reducible_correlations is False
+    assert MODELS["tb-ext2"].flags.setting_independent is True
+    assert MODELS["tb-ext1"].flags.setting_independent is False
+    assert MODELS["tb"].flags.deterministic is True
     with pytest.raises(KeyError):
-        model_flags("nonsense")
+        MODELS["nonsense"]
 
 
 def test_flag_setting_independence_operational():
@@ -595,14 +590,16 @@ def test_flag_setting_independence_operational():
     # not move the local outcome in setting-independent models.
     stream = RandomStream(23)
     b1 = planar_setting(30.0)
-    u, _, _ = pinned_spin_sample(X, b1, 20_000, RandomStream(24))
-    _, tau1 = pinned_spin_outcomes(u, X, b1, RandomStream(25))
-    _, tau1_again = pinned_spin_outcomes(u, planar_setting(70.0), b1, RandomStream(25))
+    u = _draw_atoms(X, b1, 20_000, RandomStream(24), None)(slice(0, 20_000))[0].rows()
+    s25, twin = RandomStream(25), RandomStream(25)
+    _, tau1 = malus_pair((u, s25.uniform(20_000), s25.uniform(20_000)), X, b1)
+    _, tau1_again = malus_pair((u, twin.uniform(20_000), twin.uniform(20_000)),
+                               planar_setting(70.0), b1)
     assert np.array_equal(tau1, tau1_again)  # remote analyzer never read
     # The communication model is the counterexample: the message depends
     # on the remote setting and moves the partner outcome.
-    u = stream.sphere(20_000)
-    v = stream.sphere(20_000)
+    u = sphere_rows(stream, 20_000)(slice(0, 20_000))
+    v = sphere_rows(stream, 20_000)(slice(0, 20_000))
     _, tb_tau1 = tb_outcomes(u, v, X, b1)
     _, tb_tau2 = tb_outcomes(u, v, planar_setting(70.0), b1)
     assert not np.array_equal(tb_tau1, tb_tau2)
@@ -614,8 +611,9 @@ def test_flag_malus_compliance_operational():
     b = planar_setting(100.0)
     stream = RandomStream(26)
     n = 400_000
-    u, c, d = pinned_spin_sample(X, b, n, stream)
-    sigma, _ = pinned_spin_outcomes(u, X, b, stream)
+    spins = _draw_atoms(X, b, n, stream, None)(slice(0, n))[0]
+    u, c, d = spins.rows(), spins.code >> 1, 1.0 - 2.0 * (spins.code & 1)
+    sigma, _ = malus_pair((u, stream.uniform(n), stream.uniform(n)), X, b)
     m = (c == 1) & (d == 1)  # u = -b, u.a = -cos(100 deg)
     emp = float(np.mean(sigma[m] == 1))
     want = malus_marginal(-b, X, 1)
@@ -626,14 +624,15 @@ def test_flag_malus_compliance_operational():
 
 
 def test_flag_determinism_operational():
-    u = RandomStream(27).sphere(1000)
-    v = RandomStream(28).sphere(1000)
+    u = sphere_rows(RandomStream(27), 1000)(slice(0, 1000))
+    v = sphere_rows(RandomStream(28), 1000)(slice(0, 1000))
     b = planar_setting(77.0)
     s1, t1 = tb_outcomes(u, v, X, b)
     s2, t2 = tb_outcomes(u, v, X, b)
     assert np.array_equal(s1, s2) and np.array_equal(t1, t2)
-    sig_a = pinned_spin_outcomes(u, X, b, RandomStream(29))[0]
-    sig_b = pinned_spin_outcomes(u, X, b, RandomStream(30))[0]
+    s29, s30 = RandomStream(29), RandomStream(30)
+    sig_a = malus_pair((u, s29.uniform(1000), s29.uniform(1000)), X, b)[0]
+    sig_b = malus_pair((u, s30.uniform(1000), s30.uniform(1000)), X, b)[0]
     assert not np.array_equal(sig_a, sig_b)  # stochastic given the sample
 
 
@@ -668,8 +667,8 @@ def test_reducibility_pinned_on_equal_area_bins():
     b = planar_setting(100.0)
     stream = RandomStream(31)
     n = 500_000
-    u, _, _ = pinned_spin_sample(X, b, n, stream)
-    sigma, tau = pinned_spin_outcomes(u, X, b, stream)
+    u = _draw_atoms(X, b, n, stream, None)(slice(0, n))[0].rows()
+    sigma, tau = malus_pair((u, stream.uniform(n), stream.uniform(n)), X, b)
     cells = _equal_area_bin(u)
     assert len(np.unique(cells)) == 4
     assert _max_factorization_gap(cells, sigma, tau, min_count=10_000) < 0.01
@@ -681,13 +680,13 @@ def test_reducibility_deterministic_models_on_outcome_cells():
     b = planar_setting(63.0)
     stream = RandomStream(32)
     n = 200_000
-    u = hall_sample(X, b, n, stream)
+    u = _draw_hall(X, b, n, stream, None)(slice(0, n))
     sigma, tau = hall_outcomes(u, X, b)
     cells = (sgn(u @ X) > 0).astype(int) * 2 + (sgn(u @ b) > 0).astype(int)
     assert _max_factorization_gap(cells, sigma, tau) == 0.0
 
-    u = stream.sphere(n)
-    v = stream.sphere(n)
+    u = sphere_rows(stream, n)(slice(0, n))
+    v = sphere_rows(stream, n)(slice(0, n))
     sigma, tau = tb_outcomes(u, v, X, b)
     cells = ((sgn(u @ X) > 0).astype(int) * 2 + (tau > 0).astype(int))
     assert _max_factorization_gap(cells, sigma, tau) == 0.0
@@ -698,19 +697,19 @@ def test_reducibility_extension_families():
     b = planar_setting(63.0)
     stream = RandomStream(33)
     n = 400_000
-    u = stream.sphere(n)
-    v = stream.sphere(n)
+    u = sphere_rows(stream, n)(slice(0, n))
+    v = sphere_rows(stream, n)(slice(0, n))
     S = sgn(u @ X)
     c = S * sgn(v @ X)
     t_keep = -sgn(np.sum((u + c[:, None] * v) * b, axis=-1))
     t_flip = -sgn(np.sum((u - c[:, None] * v) * b, axis=-1))
     split = t_keep != t_flip  # cells where the two branches disagree
 
-    sigma1, tau1 = tb_extension_sample(0.5, 1, u, v, X, b, RandomStream(34))
+    sigma1, tau1 = _tb_extension_rule(1, (u, v, RandomStream(34).uniform(n) < 0.5), X, b)
     cells = (S[split] > 0).astype(int) * 2 + (t_keep[split] > 0).astype(int)
     assert _max_factorization_gap(cells, sigma1[split], tau1[split]) < 0.01
 
-    sigma2, tau2 = tb_extension_sample(0.5, 2, u, v, X, b, RandomStream(35))
+    sigma2, tau2 = _tb_extension_rule(2, (u, v, RandomStream(35).uniform(n) < 0.5), X, b)
     gap = _max_factorization_gap(cells, sigma2[split], tau2[split])
     assert gap > 0.2  # the outcome-tied bit correlates the pair given lambda
 
@@ -734,8 +733,6 @@ def test_estimate_law_and_analytic_registry():
     for model in ("singlet", "uniform", "no-such-model"):
         with pytest.raises(KeyError):
             sample_outcomes(model, X, b, 100, RandomStream(39))
-    with pytest.raises(KeyError):
-        model_flags("singlet")
 
 
 def test_model_table_ids():
@@ -768,5 +765,5 @@ def test_hall_sample_rejects_a_nan_settings_row():
     rows[3] = NAN_VECTOR
     for a, b in ((rows, X), (X, rows)):
         with pytest.raises(ValueError, match="nan") as info:
-            hall_sample(a, b, n, RandomStream(40))
+            _draw_hall(a, b, n, RandomStream(40), None)
         assert "negative probability" not in str(info.value)

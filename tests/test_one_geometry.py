@@ -17,7 +17,8 @@ import pytest
 
 from lhvlab import cli, protocols
 from lhvlab.cli import build_parser, main
-from lhvlab.geometry import RandomStream, assert_unit, dot, normalize, planar_setting, sgn
+from lhvlab.geometry import (RandomStream, assert_unit, dot, normalize, planar_setting, sgn,
+                             sphere_rows)
 from lhvlab.models import (MODELS, AtomSpins, hall_outcomes, law_table, malus_outcome,
                            mixed_law, outcome_counts, overlap, singlet_law, tb_extension_law)
 
@@ -34,7 +35,7 @@ def _same_bits(got, expected):
 
 def _random_settings(n: int):
     stream = RandomStream(20)
-    pairs = [tuple(stream.sphere(2)) for _ in range(n)]
+    pairs = [tuple(sphere_rows(stream, 2)(slice(0, 2))) for _ in range(n)]
     angles = np.random.default_rng(20).uniform(0.0, 360.0, (n, 2))
     return pairs + [(planar_setting(x), planar_setting(y)) for x, y in angles]
 

@@ -6,17 +6,17 @@ import pytest
 from scipy import stats
 
 from lhvlab import geometry, protocols
-from lhvlab.geometry import RandomStream, dot, planar_setting, sgn, substream
+from lhvlab.geometry import (RandomStream, dot, planar_setting, sgn, sphere_rows, substream,
+                             uniform_signs)
 from lhvlab.models import MODELS, JointLaw2x2, estimate_law, law_table, outcome_counts, singlet_law
 from lhvlab.protocols import (_CSV_CHUNK_ROWS, _CSV_COLUMNS, CSV_HEADER, EMISSION_STEP, N_BINS,
                               STREAM_A, STREAM_B, STREAM_SHARED_AB, TIME_OF_FLIGHT, WATCH_A,
-                              WATCH_B, TranscriptBatch, _bin_index, _fmt,
+                              WATCH_B, TranscriptBatch, _bin_index, _emission_epoch, _fmt,
                               deviation_from_binned_counts,
                               run_conspiracy_audit, run_detection_loophole,
                               run_shared_coin,
                               run_signaling_experiment, run_tb_freewill,
-                              run_tb_protocol, run_watch_realization,
-                              station_watch_vectors, watch_vector)
+                              run_tb_protocol, run_watch_realization, watch_vector)
 from recorded_runs import recorded
 
 X = planar_setting(0.0)
@@ -381,7 +381,7 @@ def test_watch_station_reconstruction_is_exact():
     t = np.arange(50_000) * EMISSION_STEP
     for watch in (WATCH_A, WATCH_B):
         ent = watch_vector(t, watch)
-        station = station_watch_vectors(t + TIME_OF_FLIGHT, watch)
+        station = watch_vector(_emission_epoch(t + TIME_OF_FLIGHT), watch)
         assert np.array_equal(ent, station)
 
 
@@ -413,7 +413,7 @@ def test_watch_runner_settings_are_the_station_reconstructions(model):
     _, _, tr = recorded(run_watch_realization, 70_000, model, seed=3, start_tick=-5)
     t = (np.arange(70_000) - 5) * EMISSION_STEP
     for used, watch in ((tr["a_used"], WATCH_A), (tr["b_used"], WATCH_B)):
-        station = station_watch_vectors(t + TIME_OF_FLIGHT, watch)
+        station = watch_vector(_emission_epoch(t + TIME_OF_FLIGHT), watch)
         assert np.array_equal(used.view(np.int64), station.view(np.int64))
 
 
@@ -575,7 +575,7 @@ def test_audit_matches_the_gathered_formula(off_u):
     # Rows 0-1 deviate on neither side, 2-3 on side a, 4-5 on side b and
     # 6-7 on both; every deviation lies on +-u, but for one row moved off
     # it on side off_u. The rows are column-major, as a chunk holds them.
-    u = np.asfortranarray(RandomStream(7, 0).sphere(8))
+    u = np.asfortranarray(sphere_rows(RandomStream(7, 0), 8)(slice(0, 8)))
     a_used = np.asfortranarray(np.tile(X, (8, 1)))
     b_used = np.asfortranarray(np.tile(B63, (8, 1)))
     a_used[[2, 3, 6, 7]] = u[[2, 3, 6, 7]] * [[1], [-1], [1], [-1]]
@@ -658,8 +658,8 @@ def test_binned_deviation_detects_wrong_law():
     stream = substream(35, 0)
     n = 200_000
     t = stream.uniform(n) * 2 - 1
-    sigma = stream.signs(n)
-    tau = stream.signs(n)  # independent: correlator 0 everywhere
+    sigma = uniform_signs(stream.uniform(n))
+    tau = uniform_signs(stream.uniform(n))  # independent: correlator 0 everywhere
     res = deviation_from_binned_counts(*_binned_counts(t, sigma, tau))
     assert res["max_abs_dev"] > 0.1  # uniform law is far from the singlet
 
@@ -794,7 +794,8 @@ def test_transcript_writer_keeps_signed_zeros_and_special_values():
     stream = RandomStream(43)
     d = np.array(special * 3)
     tr = TranscriptBatch(
-        "hand-built", stream.sphere(n), X, B63, sigma=np.roll(d, 1), tau=np.roll(d, 2),
+        "hand-built", sphere_rows(stream, n)(slice(0, n)), X, B63, sigma=np.roll(d, 1),
+        tau=np.roll(d, 2),
         c=np.arange(n) % 3 - 1, d=d,
         detected_a=np.arange(n) % 4 != 0, detected_b=np.arange(n) % 5 != 0,
         bits_a_to_b=np.arange(n) % 2, bits_b_to_a=7)
@@ -828,7 +829,7 @@ RUNNER_RULES = {
     "tb-freewill": ("tb-freewill", lambda tr, seed: (tr["u"], tr["v"], tr["c"])),
     # The random settings, or the setting indices, come first on the
     # station streams.
-    "shared-coin": _malus_hidden(lambda s, n: s.sphere(n)),
+    "shared-coin": _malus_hidden(lambda s, n: sphere_rows(s, n)(slice(0, n))),
     "watch-pinned": _malus_hidden(),
     "watch-hall": ("hall", lambda tr, seed: tr["u"]),
     "detection-symmetric": _malus_hidden(lambda s, n: s.integers(0, 2, n)),

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lhvlab import geometry, protocols
-from lhvlab.geometry import X_HAT, RandomStream, cross, dot, planar_setting, sgn
+from lhvlab.geometry import X_HAT, RandomStream, cross, dot, planar_setting, sgn, sphere_rows
 from lhvlab.inequalities import correlator, counterfactual_correlators
 from lhvlab.models import (MODELS, JointLaw2x2, hall_outcomes, hall_spins, malus_outcome,
                            malus_pair, one_bit_tau, outcome_counts)
@@ -33,7 +33,7 @@ def _same_bits(got, expected):
 
 def _units(seed: int, n: int):
     """n unit vectors, C-ordered, with exact zeros and axis directions mixed in."""
-    u = np.ascontiguousarray(RandomStream(seed, 9).sphere(n))
+    u = np.ascontiguousarray(sphere_rows(RandomStream(seed, 9), n)(slice(0, n)))
     u[::7] = planar_setting(90.0)
     u[3::11] = -X_HAT
     return u
@@ -66,7 +66,7 @@ def _one_call_per_pair(model, a, a2, b, b2, n, stream):
         return np.array([outcome_counts(*spec.outcomes(h, x, y))[0]
                          for x, y in ((a, b), (a2, b), (a, b2), (a2, b2))])
     return tuple(correlator(JointLaw2x2.from_counts(c))
-                 for c in sum(geometry.chunked(n, counts)))
+                 for c in sum(geometry.streamed(n, counts)))
 
 
 @pytest.mark.parametrize("model", LOCAL)

@@ -154,7 +154,7 @@ def batch(n, overlaps=None, sigma=None, tau=None, **columns) -> TranscriptBatch:
     u.b_used = -x exactly."""
     stream = geometry.RandomStream(46)
     if overlaps is None:
-        u, a_used, b_used = stream.sphere(n), X, B63
+        u, a_used, b_used = geometry.sphere_rows(stream, n)(slice(0, n)), X, B63
     else:
         u = np.stack([overlaps, np.full(n, -0.0), np.full(n, -0.0)], axis=1)
         a_used, b_used = np.ones(3), np.array([-1.0, 1.0, 1.0])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lhvlab import geometry
-from lhvlab.geometry import RandomStream, sample_uniform_sphere, sphere_point, turn_cos_sin
+from lhvlab.geometry import RandomStream, sphere_point, sphere_rows, turn_cos_sin
 
 N = 256
 BOUND = 2.0 ** -52
@@ -62,7 +62,7 @@ def test_table_entries_are_the_correctly_rounded_values():
 
 
 def test_sphere_points_have_unit_norm_within_4_ulp():
-    u = sample_uniform_sphere(RandomStream(31, 2), 100_000)
+    u = sphere_rows(RandomStream(31, 2), 100_000)(slice(0, 100_000))
     t = _turns()
     z = np.linspace(-1.0, 1.0, t.size)
     for points in (u, sphere_point(z, t)):
@@ -89,5 +89,5 @@ def test_sphere_map_calls_no_libm_trig(monkeypatch):
     monkeypatch.setattr(np, "cos", refuse)
     monkeypatch.setattr(np, "sin", refuse)
     stream = RandomStream(33, 0)
-    u = sample_uniform_sphere(stream, 1_000)
+    u = sphere_rows(stream, 1_000)(slice(0, 1_000))
     assert u.shape == (1_000, 3) and stream.counter == 2_000  # two draws per point

@@ -5,7 +5,7 @@
 The script imports lhvlab from CHECKOUT/src (default: the checkout that
 holds this file), calls each kernel in-process, on one thread, on fixed
 inputs of N rows (default 65,536, the rows of one chunk of
-geometry.chunked), and prints one ``name ms faults`` line per kernel: the
+geometry.streamed), and prints one ``name ms faults`` line per kernel: the
 best of 7 calls, in milliseconds, and the minor page faults per call
 (``ru_minflt`` over the 7 calls). Running it on two checkouts compares
 their kernels on the same inputs:

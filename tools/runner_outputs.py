@@ -19,10 +19,17 @@ because each one writes a transcript. Here, at seeds 5 and 6:
 - singlet_deviation is an output of its own, once in full and once at 9
   significant digits, so that a last-bit change shows apart from the rest;
 - estimate_law, sample_outcomes, chsh_mc and counterfactual_correlators
-  run for every sampling model, and the four public samplers draw once,
-  with the stream counter after each;
+  run for every sampling model, and four draws are read whole, in one
+  window each, with the stream counter after each: sphere points
+  (geometry.sphere_rows), Hall spins (models._draw_hall), tb-freewill's
+  (u, v, c) (models._draw_tb_freewill) and pinned's atoms as (u, c, d)
+  (models._draw_atoms). These are the outputs the deleted whole-array
+  samplers gave (stream.sphere, hall_sample, tb_freewill_sample and
+  pinned_spin_sample), under the same names: a window read is
+  column-major where those arrays were C-ordered, and _digest reads
+  both in C order;
 - every runner at 1,000,003 trials, estimate_law for every sampling model
-  and the four public samplers run once more (names marked ``@mid``) on
+  and the four draws run once more (names marked ``@mid``) on
   streams that first draw 3 uniforms and 5 integers in [0, 12,566), so
   that every window of uniforms starts mid-block, with a 32-bit half of a
   word buffered;
@@ -33,7 +40,8 @@ because each one writes a transcript. Here, at seeds 5 and 6:
   Python-int rows, with every pair of rows overlapping (so that M lies
   strictly between 0 and 2 and the overlap scan runs to its end) and
   without;
-- exactlp.feasible_point's point or None for fixed seeded systems: those
+- exactlp.integer_feasible_point's point, as Fractions, or None for fixed
+  seeded systems (the outputs of the deleted exactlp.feasible_point): those
   of tools/lp_times.py in steps of 1/16 and 1/64 (exact, marginals and
   band feasibility, 1e9-denominator bands, one and two rows), systems with
   coefficients over 2**70-sized denominators, and systems whose right-hand
@@ -44,8 +52,9 @@ because each one writes a transcript. Here, at seeds 5 and 6:
   sum as D) give the same rational systems.
 
 A checkout's runners must write their transcript to the file given as
-record. The script uses the standard library and the checkout's lhvlab
-only.
+record. A line whose draw or LP entry the checkout lacks is skipped, with
+a note on stderr that names the line and the missing name. The script
+uses the standard library and the checkout's lhvlab only.
 """
 
 from __future__ import annotations
@@ -144,21 +153,60 @@ def runner_outputs(lhv, seed: int):
             yield from _run_outputs(f"{name}/s{seed}/t{n}", run(n, seed, record), record)
 
 
+def _absent(lhv, name: str):
+    """name, a dotted lhvlab name such as "models._draw_hall", if the
+    checkout lacks it; else None."""
+    owner = lhv
+    for part in name.split("."):
+        owner = getattr(owner, part, None)
+    return name if owner is None else None
+
+
+def _skip(line: str, missing: str) -> None:
+    print(f"note: {line} skipped: this checkout has no {missing}", file=sys.stderr, flush=True)
+
+
+def _atoms(spins):
+    """pinned's atom codes as the spins u, the int64 coins c and the float
+    signs d."""
+    return spins.rows(), (spins.code >> 1).astype("int64"), (spins.code & 1) * -2.0 + 1.0
+
+
 def samplers(lhv):
-    """name -> draw(stream) for the four public samplers."""
+    """name -> (the dotted name it reads, draw(stream)) for the four draws
+    read whole."""
     g, m = lhv.geometry, lhv.models
     a, b = g.planar_setting(0.0), g.planar_setting(75.0)
+    whole = slice(0, TRIALS)
     return {
-        "sphere": lambda stream: stream.sphere(TRIALS),
-        "hall_sample": lambda stream: m.hall_sample(a, b, TRIALS, stream),
-        "tb_freewill_sample": lambda stream: m.tb_freewill_sample(a, b, TRIALS, stream),
-        "pinned_spin_sample": lambda stream: m.pinned_spin_sample(a, b, TRIALS, stream),
+        "sphere": ("geometry.sphere_rows", lambda stream: g.sphere_rows(stream, TRIALS)(whole)),
+        "hall_sample": ("models._draw_hall",
+                        lambda stream: m._draw_hall(a, b, TRIALS, stream, None)(whole)),
+        "tb_freewill_sample": ("models._draw_tb_freewill", lambda stream:
+                               m._draw_tb_freewill(a, b, TRIALS, stream, None)(whole)),
+        "pinned_spin_sample": ("models._draw_atoms", lambda stream:
+                               _atoms(m._draw_atoms(a, b, TRIALS, stream, None)(whole)[0])),
     }
+
+
+def sampler_outputs(lhv, seed: int, mid: bool = False):
+    """(name, value) for each of the four draws the checkout has, on a
+    stream taken through mid_block first if mid."""
+    for name, (reads, draw) in samplers(lhv).items():
+        line = f"sampler.{name}{'@mid' if mid else ''}/s{seed}/t{TRIALS}"
+        missing = _absent(lhv, reads)
+        if missing:
+            _skip(line, missing)
+            continue
+        stream = lhv.geometry.RandomStream(seed, 4)
+        if mid:
+            mid_block(stream)
+        yield line, (draw(stream), stream.counter)
 
 
 def model_outputs(lhv, seed: int):
     """(name, value) for every model's sampled law, outcomes, CHSH report
-    and counterfactual correlators, and for the four public samplers."""
+    and counterfactual correlators, and for the four draws read whole."""
     g, m, q = lhv.geometry, lhv.models, lhv.inequalities
     a, b = g.planar_setting(0.0), g.planar_setting(75.0)
     a2, b2 = g.planar_setting(45.0), g.planar_setting(135.0)
@@ -178,9 +226,7 @@ def model_outputs(lhv, seed: int):
             estimates = q.counterfactual_correlators(model, a, a2, b, b2, TRIALS, stream)
             yield (f"{stem}/counterfactual_correlators",
                    ([e.as_dict() for e in estimates], stream.counter))
-    for name, draw in samplers(lhv).items():
-        stream = g.RandomStream(seed, 4)
-        yield f"sampler.{name}/s{seed}/t{TRIALS}", (draw(stream), stream.counter)
+    yield from sampler_outputs(lhv, seed)
 
 
 def mid_block(stream):
@@ -194,7 +240,7 @@ def mid_block(stream):
 
 def mid_block_outputs(lhv, seed: int):
     """(name, value) for every runner at TRIALS without a transcript, for
-    estimate_law of every sampling model and for the four public samplers,
+    estimate_law of every sampling model and for the four draws read whole,
     each stream taken through mid_block first."""
     g, m, p = lhv.geometry, lhv.models, lhv.protocols
     made = p.substream
@@ -211,9 +257,7 @@ def mid_block_outputs(lhv, seed: int):
         law = m.estimate_law(model, a, b, TRIALS, stream, p=P.get(model))
         yield (f"model.{model}@mid/s{seed}/t{TRIALS}/estimate_law",
                (law.p, law.n_trials, stream.counter))
-    for name, draw in samplers(lhv).items():
-        stream = mid_block(g.RandomStream(seed, 4))
-        yield f"sampler.{name}@mid/s{seed}/t{TRIALS}", (draw(stream), stream.counter)
+    yield from sampler_outputs(lhv, seed, mid=True)
 
 
 def freewill_models(f, seed: int):
@@ -299,10 +343,17 @@ def lp_systems(seed: int, count: int):
 
 
 def lp_outputs(lhv):
-    """(name, the points or Nones) for every batch of lp_systems."""
-    solve = lhv.exactlp.feasible_point
+    """(name, the points as Fractions, or Nones) for every batch of
+    lp_systems."""
+    missing = _absent(lhv, "exactlp.integer_feasible_point")
     for name, batch in lp_systems(LP_SEED, LP_COUNT):
-        yield f"lp.{name}/s{LP_SEED}", [solve(*args) for args in batch]
+        line = f"lp.{name}/s{LP_SEED}"
+        if missing:
+            _skip(line, missing)
+            continue
+        points = (lhv.exactlp.integer_feasible_point(*args) for args in batch)
+        yield line, [None if point is None else [Fraction(v, point[1]) for v in point[0]]
+                     for point in points]
 
 
 def main(argv=None) -> int:
