@@ -314,7 +314,12 @@ def _typed(convert, ok, expect):
     return parse
 
 
-_POSITIVE = _typed(int, lambda n: n > 0, "a positive integer")
+# The largest --trials and --message-bits. Below it, the watch stations
+# reconstruct every trial's epoch k * step bit for bit: the division in
+# protocols._emission_epoch moves k by under 1/2, while some k below 2**53
+# desync. Counts, draw offsets and trial indices under it are exact.
+MAX_COUNT = 2 ** 51
+_POSITIVE = _typed(int, lambda n: 0 < n <= MAX_COUNT, "a positive integer up to 2**51")
 _SEED = _typed(int, lambda n: n >= 0, f"a nonnegative integer (--seed or ${SEED_ENV})")
 _ANGLE = _typed(float, math.isfinite, "a finite angle in degrees")
 _BITS = _typed(lambda t: [int(ch) for ch in t], lambda bits: bits and set(bits) <= {0, 1},

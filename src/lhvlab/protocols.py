@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
 from itertools import product
 
@@ -451,12 +451,20 @@ def deviation_from_binned_counts(counts, t_sums) -> dict:
             "reference": reference}
 
 
+def _fields(result, *unreported) -> dict:
+    """The summary of a result: its dataclass fields in field order, less
+    the unreported ones, each JointLaw2x2 as its as_dict()."""
+    return {f.name: x.as_dict() if isinstance(x := getattr(result, f.name), JointLaw2x2) else x
+            for f in fields(result) if f.name not in unreported}
+
+
 @dataclass
 class ProtocolResult:
     """A run's law and its counted price: the bits that crossed each way
     between the stations (_tally) and the draws of the stations' shared
-    stream. causal_mode is "settings_cause_lambda" or
-    "lambda_causes_settings"."""
+    stream. causal_mode is read off the run's settings (_protocol_run):
+    "settings_cause_lambda" when they are fixed, "lambda_causes_settings"
+    when they vary per trial."""
 
     model: str
     n_trials: int
@@ -570,17 +578,17 @@ def _transcript(record):
     return record
 
 
-def _protocol_run(model: str, causal_mode: str, n: int, record, trials,
-                  **fixed) -> ProtocolResult:
+def _protocol_run(model: str, n: int, record, trials, **fixed) -> ProtocolResult:
     """The tally and result of every ProtocolResult run.
 
     trials(rows) gives the per-trial columns of the trials in the slice
     rows: u, sigma, tau, and any of the transcript's other columns; fixed
-    gives the columns that hold one vector on every trial. Without a fixed
-    a_used the settings vary per trial, and the run is compared with the
-    singlet law in overlap bins. record is None or a file the transcript
-    CSV is written to (see _tally). The bits are those _tally counts; a
-    runner whose stations share a stream sets shared_draws_total.
+    gives the columns that hold one vector on every trial. With a fixed
+    a_used the settings are fixed and cause lambda; without one they vary
+    per trial with lambda, and the run is compared with the singlet law in
+    overlap bins. causal_mode says which. record is None or a file the
+    transcript CSV is written to (see _tally). The bits are those _tally
+    counts; a runner whose stations share a stream sets shared_draws_total.
     """
     binned = "a_used" not in fixed
 
@@ -593,6 +601,7 @@ def _protocol_run(model: str, causal_mode: str, n: int, record, trials,
     counts, t_sums, bits = _tally(n, record, binned_trials if binned else trials,
                                   N_BINS if binned else 1, model, **fixed)
     comparison = deviation_from_binned_counts(counts, t_sums) if binned else None
+    causal_mode = "lambda_causes_settings" if binned else "settings_cause_lambda"
     return ProtocolResult(model, n, JointLaw2x2.from_counts(counts.sum(0)), causal_mode, *bits,
                           singlet_comparison=comparison)
 
@@ -683,8 +692,7 @@ def _run_one_bit(model: str, n_trials: int, a, b, seed: int, record,
         # Station B: own setting, shared (u, v) and the bit. Never reads a.
         trial["tau"] = one_bit_tau(u, v, _a_to_b(c, trial) if sends else c, b)
         return trial
-    return _protocol_run(model, "settings_cause_lambda", n_trials, record, trials,
-                         a_used=a, b_used=b)
+    return _protocol_run(model, n_trials, record, trials, a_used=a, b_used=b)
 
 
 # ---------------------------------------------------------------------------
@@ -748,8 +756,7 @@ def _shared_coin(n_trials: int, seed: int, a_policy, b_policy, record,
         if each_chunk is not None:
             each_chunk(rows, trial)
         return trial
-    res = _protocol_run("shared-coin", "lambda_causes_settings", n_trials, record, trials,
-                        **({} if coin else declared))
+    res = _protocol_run("shared-coin", n_trials, record, trials, **({} if coin else declared))
     res.shared_draws_total = shared.counter - shared_before
     return res
 
@@ -764,24 +771,16 @@ class EfficiencyReport:
     n_pairs: int
     n_coincidences: int
     efficiency: float
+    expected_efficiency: float
     conditional_law: JointLaw2x2
     singlet_deviation: float
-    expected_efficiency: float
     # The (groups, 2, 2) coincidence counts per setting pair (per overlap
     # bin in sphere mode) and the singlet table each group is compared with.
     counts: np.ndarray | None = None
     reference: np.ndarray | None = None
 
     def summary(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n_pairs": self.n_pairs,
-            "n_coincidences": self.n_coincidences,
-            "efficiency": self.efficiency,
-            "expected_efficiency": self.expected_efficiency,
-            "conditional_law": self.conditional_law.as_dict(),
-            "singlet_deviation": self.singlet_deviation,
-        }
+        return _fields(self, "counts", "reference")
 
 
 def _fibonacci_antipodal_grid(n_directions: int) -> np.ndarray:
@@ -794,6 +793,19 @@ def _fibonacci_antipodal_grid(n_directions: int) -> np.ndarray:
     k = np.arange(m)
     upper = sphere_point((k + 0.5) / m, _phase(k * (math.sqrt(5.0) - 1.0) / 2.0))
     return np.vstack([upper, -upper])
+
+
+def _fires(u, a_used, b_used, flagged):
+    """Detection's firing rule, (fires_a, fires_b): the flagged particle
+    fires only when its station's setting lies along +-u, the other always.
+    flagged is None where side A always fires (asymmetric mode)."""
+    fires_b = _along_axis(u, b_used)
+    if flagged is None:
+        return np.True_, fires_b
+    fires_a = _along_axis(u, a_used)
+    fires_a |= ~flagged
+    fires_b |= flagged
+    return fires_a, fires_b
 
 
 def run_detection_loophole(n_trials: int, mode: str, seed: int,
@@ -854,16 +866,10 @@ def run_detection_loophole(n_trials: int, mode: str, seed: int,
         # sets, so every overlap is read once per pair of rows (spin_map).
         a_used, b_used, u = (AtomSpins(table, draw(rows)) for table, draw
                              in zip((settings_a, settings_b, u_values), index_rows))
-        # The flagged particle fires only when its setting lies along +-u.
-        fires_b = _along_axis(u, b_used)
-        if w_fire is None:
-            c_a, fires_a = np.broadcast_to(np.uint8(0), fires_b.shape), np.True_
-        else:
-            flagged = w_fire(rows) < 0.5  # c = 1: the bit rides on side A
-            fires_a = _along_axis(u, a_used)
-            fires_a |= ~flagged
-            fires_b |= flagged
-            c_a = flagged.view(np.uint8)
+        flagged = None if w_fire is None else w_fire(rows) < 0.5  # c = 1: the bit rides on side A
+        fires_a, fires_b = _fires(u, a_used, b_used, flagged)
+        c_a = (np.broadcast_to(np.uint8(0), fires_b.shape) if flagged is None
+               else flagged.view(np.uint8))
         sigma, tau = malus_pair((u, noise_a(rows), noise_b(rows)), a_used, b_used)
         trial = {"c": c_a, "sigma": sigma, "tau": tau}
         if mode == "sphere":
@@ -1003,7 +1009,7 @@ def run_watch_realization(n_trials: int, model: str, seed: int,
             sigma, tau = hall_outcomes(u, z_a, z_b)
         return {**trial, "u": u, "sigma": sigma, "tau": tau}
 
-    return _protocol_run(f"watch-{model}", "lambda_causes_settings", n_trials, record, trials)
+    return _protocol_run(f"watch-{model}", n_trials, record, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -1022,14 +1028,7 @@ class SignalingResult:
     empirical_entropy: float
 
     def summary(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n_trials": self.n_trials,
-            "n_usable": self.n_usable,
-            "usable_fraction": self.usable_fraction,
-            "success_rate": self.success_rate,
-            "empirical_entropy": self.empirical_entropy,
-        }
+        return _fields(self, "counts", "n_matches")
 
 
 def _binary_entropy(ones: int, n: int) -> float:
@@ -1109,14 +1108,7 @@ class AuditResult:
     singlet_deviation: float
 
     def summary(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n_trials": self.n_trials,
-            "deviations": self.deviations,
-            "deviations_match_u": self.deviations_match_u,
-            "law": self.law.as_dict(),
-            "singlet_deviation": self.singlet_deviation,
-        }
+        return _fields(self)
 
 
 def run_conspiracy_audit(n_trials: int, a, b, mode: str, seed: int) -> AuditResult:

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import importlib.util
 import io
 import json
@@ -19,7 +20,7 @@ import lhvlab
 from lhvlab import cli
 from lhvlab.cli import _protocols, build_parser, main
 from lhvlab.models import MODEL_IDS, MODELS
-from lhvlab.protocols import CSV_HEADER, WatchDesyncError
+from lhvlab.protocols import CSV_HEADER, WatchDesyncError, run_watch_realization
 
 GOLDEN = Path(__file__).parent / "golden"
 _SPEC = importlib.util.spec_from_file_location(
@@ -386,6 +387,16 @@ BAD_INPUT = {
     "message-empty": ["signal", "--mode", "action", "--message", ""],
     "message-empty-message-bits": ["signal", "--mode", "action", "--message", "",
                                    "--message-bits", "9"],
+    # Sizes above the bound cli.MAX_COUNT of every --trials and --message-bits.
+    **{f"{name}-above-the-bound": [*argv, str(size)] for name, argv, size in [
+        ("simulate-trials", ["simulate", "--model", "tb", "--trials"], cli.MAX_COUNT + 1),
+        ("chsh-trials", ["chsh", "--model", "tb", "--trials"], cli.MAX_COUNT + 1),
+        ("feasibility-trials", ["feasibility", "--from-model", "pinned", "--trials"],
+         cli.MAX_COUNT + 1),
+        ("protocol-trials", ["protocol", "--name", "watch-hall", "--trials"], 10 ** 23),
+        ("signal-trials", ["signal", "--mode", "action", "--trials"], 10 ** 23),
+        ("signal-message-bits", ["signal", "--mode", "action", "--message-bits"], 10 ** 23),
+        ("audit-trials", ["audit", "--mode", "honest", "--trials"], cli.MAX_COUNT + 1)]},
 }
 
 
@@ -905,3 +916,124 @@ def test_one_pass_parse_keeps_the_full_parsers_bytes(argv):
             for how in (["-m", "lhvlab.cli"], ["-c", FULL_PARSER])]
     (out, err), (want_out, want_err) = (run.communicate(timeout=60) for run in runs)
     assert (runs[0].returncode, out, err) == (runs[1].returncode, want_out, want_err)
+
+
+# ---------------------------------------------------------------------------
+# The size bound of --trials and --message-bits, and a fuzz of the whole parser
+
+def _status(argv) -> tuple:
+    """(exit status, stderr) of main(argv) in this process, a SystemExit
+    message printed as the interpreter prints it."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+            if isinstance(status, str):
+                print(status, file=sys.stderr)
+                status = 1
+    return (0 if status is None else status), err.getvalue()
+
+
+# Every option whose type is cli._POSITIVE.
+SIZED = [["simulate", "--model", "tb", "--trials"], ["chsh", "--model", "tb", "--trials"],
+         ["feasibility", "--from-model", "pinned", "--trials"],
+         ["protocol", "--name", "watch-hall", "--trials"],
+         ["signal", "--mode", "action", "--trials"],
+         ["signal", "--mode", "action", "--message-bits"],
+         ["audit", "--mode", "honest", "--trials"]]
+
+
+@pytest.mark.parametrize("argv", SIZED, ids=[" ".join(argv[::3]) for argv in SIZED])
+def test_the_size_bound_itself_parses(monkeypatch, argv):
+    # The run each argv names is never started.
+    seen = []
+    monkeypatch.setattr(cli, "_COMMANDS",
+                        dict.fromkeys(cli._COMMANDS, lambda args: seen.append(args) or 0))
+    assert _status([*argv, str(cli.MAX_COUNT)]) == (0, "")
+    assert getattr(seen[0], argv[-1][2:].replace("-", "_")) == cli.MAX_COUNT == 2 ** 51
+
+
+def test_the_watch_stations_keep_time_up_to_the_bound_and_not_to_2_53():
+    # The last trial indices below the bound reconstruct bit for bit; this
+    # one, below 2**53, does not.
+    run_watch_realization(4096, "pinned", 1, start_tick=cli.MAX_COUNT - 4096)
+    with pytest.raises(WatchDesyncError):
+        run_watch_realization(1, "pinned", 1, start_tick=3_584_094_711_137_305)
+
+
+# Values for any option: edge numbers, NaN, +-inf, empty and non-ASCII text,
+# lists and ranges, and whatever else text hypothesis draws.
+EDGE_VALUES = ["0", "1", "-1", "2", "7", "-0", "0.5", "1e-300", "1e308", "1e309", "-1e309",
+               str(cli.MAX_COUNT), str(cli.MAX_COUNT + 1), str(10 ** 23), "9" * 5000,
+               "nan", "NaN", "-nan", "inf", "-inf", "+inf", "Infinity", "", " ", "-", "--",
+               "é", "λ", "１２", "٣", "0,0,0", "1,0,0", "nan,0,0", "inf,0,0", "1e300,1e300,0",
+               "0.5,0.5,0.5,-0.5", "1,1,1,1", "2,0,0,0", "0:90:3", "0:90:-3", "nan:0:3",
+               "0110", "01x", "12.566370614359172", "12.566370614359173", "2,", ",", "x"]
+VALUES = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.integers(-2 ** 64, 2 ** 64).map(str),
+    st.floats().map(repr),
+    st.lists(st.floats().map(repr), max_size=5).map(",".join),
+    st.text(st.characters(exclude_characters="\0"), max_size=6),  # no argv holds a NUL
+)
+
+
+def _accepted(action, value) -> bool:
+    try:
+        action.type(value)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):  # as argparse catches
+        return False
+    return True
+
+
+def _fuzzed_argv(command, paths):
+    """argv of command: its required options with one of their choices,
+    then up to 6 options drawn from all of them, repeats included, each as
+    --opt value or --opt=value. --out and --transcript take one of paths;
+    any other option takes an edge value that it accepts (or one of its
+    choices), two times in three, or any value at all."""
+    actions = cli._subparsers()[command]._actions
+    options = {}
+    for action in actions:
+        if action.dest in ("out", "transcript"):
+            values = st.sampled_from(paths)
+        else:
+            good = (list(action.choices) if action.choices else
+                    [v for v in EDGE_VALUES if action.type is None or _accepted(action, v)])
+            values = st.one_of(st.sampled_from(good), st.sampled_from(good), VALUES)
+        options.update((opt, values) for opt in action.option_strings
+                       if opt not in ("-h", "--help"))
+    required = st.tuples(*(st.sampled_from([[action.option_strings[0], choice]
+                                             for choice in action.choices])
+                           for action in actions if action.required))
+    pairs = st.lists(st.one_of([st.tuples(st.just(opt), values, st.booleans())
+                                for opt, values in options.items()]), max_size=6)
+    return st.tuples(required, pairs).map(lambda drawn: [
+        command, *(x for pair in drawn[0] for x in pair),
+        *(x for opt, value, joined in drawn[1]
+          for x in ([f"{opt}={value}"] if joined else [opt, value]))])
+
+
+FUZZ_EXAMPLES = 60  # per subcommand
+
+
+@pytest.mark.parametrize("command", cli._subparsers())
+def test_parser_fuzz_exits_0_1_or_2_in_at_most_one_line(tmp_path, monkeypatch, command):
+    # Under tmp_path only: files, a directory and a path in none.
+    paths = [str(tmp_path / "r.json"), str(tmp_path / "t.csv"), str(tmp_path),
+             str(tmp_path / "none" / "r.json")]
+
+    @settings(max_examples=FUZZ_EXAMPLES, deadline=None, derandomize=True, database=None)
+    @given(_fuzzed_argv(command, paths))
+    def fuzz(argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, err = _status(argv)
+        assert status in (0, 1, 2), (argv, status, err)
+        assert err.count("\n") <= 1 and "Traceback" not in err, (argv, err)
+
+    # Every command returns 0 at once, so main stops after _validate and _opened.
+    monkeypatch.setattr(cli, "_COMMANDS", dict.fromkeys(cli._COMMANDS, lambda args: 0))
+    fuzz()

@@ -3,11 +3,10 @@
 Every mode has finitely many hidden variables, each equally likely within a
 settings pair: the spin, a row of the mode's instruction set, and (in
 symmetric and sphere mode) the side that carries the firing bit. Firing is
-decided by the shipped "setting along +-u" rule, protocols._along_axis,
-applied to the flag as run_detection_loophole applies it, and each
-station's outcome probabilities are its Malus marginals, sigma from u and
-tau from -u. So each settings pair's coincidence law, and the coincidence
-rate, follow without sampling.
+decided by the shipped rule, protocols._fires, which run_detection_loophole
+calls, and each station's outcome probabilities are its Malus marginals,
+sigma from u and tau from -u. So each settings pair's coincidence law, and
+the coincidence rate, follow without sampling.
 """
 
 import numpy as np
@@ -39,24 +38,12 @@ def _instruction_sets(mode, a_deg, b_deg):
     return a, b, np.vstack([a, -a, b, -b] if mode == "symmetric" else [b, -b])
 
 
-def _fires(u, a_used, b_used, flagged):
-    """run_detection_loophole's firing rule: the flagged particle fires only
-    along +-u; flagged is None in asymmetric mode, where side A always fires."""
-    fires_b = protocols._along_axis(u, b_used)
-    if flagged is None:
-        return np.ones_like(fires_b), fires_b
-    fires_a = protocols._along_axis(u, a_used)
-    fires_a |= ~flagged
-    fires_b |= flagged
-    return fires_a, fires_b
-
-
 def _ignores_the_flag(u, a_used, b_used, flagged):
     """A wrong rule: both particles fire only along +-u, whichever is flagged."""
     return protocols._along_axis(u, a_used), protocols._along_axis(u, b_used)
 
 
-def _exact_coincidences(mode, fires=_fires, a_deg=DEFAULT_A, b_deg=DEFAULT_B):
+def _exact_coincidences(mode, fires=protocols._fires, a_deg=DEFAULT_A, b_deg=DEFAULT_B):
     """(the settings pairs' overlaps a.b, their (pairs, 2, 2) coincidence
     laws, the coincidence rate), over every hidden variable of the mode."""
     sa, sb, su = _instruction_sets(mode, a_deg, b_deg)

@@ -84,7 +84,7 @@ KEEP = {
     "models.py JointLaw2x2.from_outcomes": "tracer hook (perfbench/tracing.py METHODS)",
     "models.py JointLaw2x2.__repr__": "a law's repr",
     "models.py malus_marginal": "paper content: Malus's law, the exact detection laws' term",
-    "models.py AtomSpins.__neg__": "no caller left (a FOUND line in CHANGES.md)",
+    "models.py AtomSpins.__neg__": "tools/check_rates.py's sign-rule mutant negates the spins",
     "models.py IncompatiblePriors.__repr__": "the sentinel's repr",
     "models.py tb_conditional": "paper content: the 0/0 conditional of incompatible priors",
     "models.py tb_freewill_density": "paper content (ROADMAP items 8 and 24)",

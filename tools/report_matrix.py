@@ -104,6 +104,9 @@ EXACT = {
                             "--vec-b", "1,0,1"),
     "law.singlet.scan": ("law", "--model", "singlet", "--scan", "0:180:7"),
     "law.tb-ext1.scan": ("law", "--model", "tb-ext1", "--p", "0.5", "--scan", "0:90:4"),
+    # a.b exactly 0: mixed's (1/2, 1/4, 1/4, 0) law.
+    "law.mixed.orthogonal": ("law", "--model", "mixed", "--vec-a", "1,0,0",
+                             "--vec-b", "0,1,0"),
     **{f"chsh.{m}": ("chsh", "--model", m, *P.get(m, ())) for m in LAW_MODELS},
     "feasibility.feasible": ("feasibility", "--correlators", "0.5,0.5,0.5,-0.5"),
     "feasibility.tsirelson": ("feasibility", "--correlators",
@@ -112,6 +115,9 @@ EXACT = {
                          "--tol", "0.1,0.1,0.1,0.1"),
     "feasibility.marginals": ("feasibility", "--correlators", "0.5,0.5,0.5,0.5",
                               "--marginals", "0.2,0.2,0.2,0.2"),
+    # Infeasible by a pair-positivity facet: pair[ab](-1,-1).
+    "feasibility.pair-positivity": ("feasibility", "--correlators=-1,0,0,0",
+                                    "--marginals", "1,0,1,0"),
     **{f"freewill.{m}": ("freewill", "--model", m, "--n", "4")
        for m in ("pinned", "independent", "dictated")},
     # At n = 12 the entropies are rounded floats, not exact ones.
